@@ -174,8 +174,13 @@ func (r *RebindEndpoint) Call(m *wire.Message) (*wire.Message, error) {
 
 // CallContext implements transport.ContextEndpoint with the retry
 // loop: transport-level failures re-resolve, redial, and try again
-// until the attempt budget or the context runs out.
+// until the attempt budget or the context runs out. A co-location
+// handshake is refused: the endpoint behind this one changes with every
+// rebind, so no linkage through it is fixed to one node.
 func (r *RebindEndpoint) CallContext(ctx context.Context, m *wire.Message) (*wire.Message, error) {
+	if refusal := transport.RefuseUpgrade(m); refusal != nil {
+		return refusal, nil
+	}
 	var lastErr error
 	backoff := r.cfg.BackoffMS
 	for attempt := 0; attempt < r.cfg.MaxAttempts; attempt++ {

@@ -225,3 +225,35 @@ func TestTransportProberOverloadedIsAlive(t *testing.T) {
 		t.Fatal("a genuine error reply must still count as a probe failure")
 	}
 }
+
+// TestRebindRefusesUpgrade: what a rebind endpoint is bound to changes
+// with every cutover, so it answers the co-location handshake "not
+// upgraded" itself — even when its current target would accept — and
+// never resolves, dials or reaches a handler for it.
+func TestRebindRefusesUpgrade(t *testing.T) {
+	tr := transport.NewTCP()
+	var calls atomic.Int64
+	ln := serveFn(t, tr, okHandler(&calls))
+	transport.TagNode(ln, "sd-2")
+	reb := adapt.NewRebindEndpoint(tr, func() (string, error) { return ln.Addr(), nil },
+		noSleep(adapt.RetryConfig{}))
+	defer reb.Close()
+	if transport.Upgrade(reb, "sd-2") {
+		t.Error("rebind endpoint upgraded before its first bind")
+	}
+	if reb.Addr() != "" {
+		t.Errorf("the handshake bound the endpoint to %q", reb.Addr())
+	}
+	if _, err := reb.Call(&wire.Message{Kind: wire.KindRequest, ID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if transport.Upgrade(reb, "sd-2") {
+		t.Error("rebind endpoint upgraded through a co-located target")
+	}
+	if _, err := reb.Call(&wire.Message{Kind: wire.KindRequest, ID: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Stats(); got.LocalCalls != 0 || calls.Load() != 2 {
+		t.Errorf("%d local calls, handler saw %d requests; want 0 and 2", got.LocalCalls, calls.Load())
+	}
+}

@@ -174,7 +174,10 @@ func (s *Server) authorized(r *http.Request) bool {
 // observe wraps a handler with per-endpoint latency and status
 // instrumentation: api.requests{route,code} counters and an
 // api.latency_ms{route} sharded histogram, both in the registry —
-// the API measures itself with the same metrics it exposes.
+// the API measures itself with the same metrics it exposes. A request
+// is recorded when its handler starts the response (or returns without
+// one), before a byte of it can reach the client: a client that has
+// read a response can rely on the next scrape counting it.
 func (s *Server) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 	s.latMu.Lock()
 	sh, ok := s.lat[route]
@@ -187,29 +190,42 @@ func (s *Server) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 	s.latMu.Unlock()
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := &statusWriter{ResponseWriter: w, record: func(code int) {
+			sh.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+			s.cfg.Registry.CounterL("api.requests",
+				metrics.Label{Key: "route", Value: route},
+				metrics.Label{Key: "code", Value: strconv.Itoa(code)}).Inc()
+		}}
 		h(sw, r)
-		sh.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-		s.cfg.Registry.CounterL("api.requests",
-			metrics.Label{Key: "route", Value: route},
-			metrics.Label{Key: "code", Value: strconv.Itoa(sw.code)}).Inc()
+		sw.started(http.StatusOK)
 	}
 }
 
-// statusWriter records the response code for instrumentation. Flush
-// passthrough keeps SSE working through the wrapper.
+// statusWriter reports the response code to record, once, when the
+// response starts: at the first WriteHeader or Write, before either
+// reaches the connection. Flush passthrough keeps SSE working through
+// the wrapper.
 type statusWriter struct {
 	http.ResponseWriter
-	code  int
-	wrote bool
+	record func(code int)
+	wrote  bool
+}
+
+func (w *statusWriter) started(code int) {
+	if !w.wrote {
+		w.wrote = true
+		w.record(code)
+	}
 }
 
 func (w *statusWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.code = code
-		w.wrote = true
-	}
+	w.started(code)
 	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(p []byte) (int, error) {
+	w.started(http.StatusOK)
+	return w.ResponseWriter.Write(p)
 }
 
 func (w *statusWriter) Flush() {

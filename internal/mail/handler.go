@@ -37,7 +37,13 @@ func NewHandler(api Upstream) transport.Handler {
 }
 
 func dispatch(ctx context.Context, api Upstream, m *wire.Message) (map[string]any, error) {
-	args, err := decodeArgs(m.Body)
+	// A send's mail body points into the request instead of being
+	// copied out of it: every provider either seals it, re-encodes it
+	// upstream or clones it into its store before returning, so nothing
+	// keeps it past the request. The short strings beside it are copied
+	// (views retain them), and so are the arguments of every other
+	// method — a pushUpdates batch lives on in replica logs.
+	args, err := decodeArgs(m.Body, m.Method == "send")
 	if err != nil {
 		return nil, err
 	}
@@ -102,11 +108,21 @@ func dispatch(ctx context.Context, api Upstream, m *wire.Message) (map[string]an
 	}
 }
 
-func decodeArgs(body []byte) (map[string]any, error) {
+// unmarshal decodes one wire value; with alias set its byte slices
+// share data's memory (wire.UnmarshalAlias).
+func unmarshal(data []byte, alias bool) (any, error) {
+	if alias {
+		return wire.UnmarshalAlias(data)
+	}
+	return wire.Unmarshal(data)
+}
+
+// decodeArgs decodes an argument or reply map.
+func decodeArgs(body []byte, alias bool) (map[string]any, error) {
 	if len(body) == 0 {
 		return map[string]any{}, nil
 	}
-	v, err := wire.Unmarshal(body)
+	v, err := unmarshal(body, alias)
 	if err != nil {
 		return nil, err
 	}
@@ -163,10 +179,17 @@ func (r *Remote) Close() error { return r.ep.Close() }
 // root when ctx carries no trace), so the remote side's spans link
 // causally back to this stub.
 func (r *Remote) call(ctx context.Context, method string, args map[string]any) (map[string]any, error) {
-	body, err := wire.Marshal(args)
+	// The encoded arguments are scratch: once the call has returned and
+	// the reply is decoded, the transport has framed them (or a
+	// co-located handler has returned and let go of them), so the buffer
+	// goes back to the pool.
+	scratch := wire.GetBufferSize(wire.EncodedLen(args))
+	body, err := wire.AppendValue(scratch, args)
 	if err != nil {
+		wire.PutBuffer(scratch)
 		return nil, err
 	}
+	defer wire.PutBuffer(body)
 	ctx, span := trace.Start(ctx, "proxy."+method)
 	id := r.id.Add(1)
 	resp, err := transport.Call(ctx, r.ep, &wire.Message{Kind: wire.KindRequest, ID: id, Method: method, Body: body})
@@ -177,7 +200,7 @@ func (r *Remote) call(ctx context.Context, method string, args map[string]any) (
 	if err := transport.AsError(resp); err != nil {
 		return nil, err
 	}
-	return decodeArgs(resp.Body)
+	return decodeArgs(resp.Body, false)
 }
 
 // CreateAccount implements API.
@@ -221,7 +244,7 @@ func (r *Remote) ReceiveCtx(ctx context.Context, user string) ([]*Message, error
 		if !ok {
 			return nil, fmt.Errorf("mail: message entry is %T", item)
 		}
-		m, err := decodeMessage(data)
+		m, err := decodeMessage(data, false)
 		if err != nil {
 			return nil, err
 		}

@@ -84,6 +84,46 @@ func TestStoreAppendIdempotentByID(t *testing.T) {
 	if s.InboxCount("alice") != 1 {
 		t.Error("replicated delivery must be idempotent")
 	}
+	// Re-deliveries interleaved with a folder's worth of new mail are
+	// still dropped, arrival order is untouched, the same ID files
+	// independently into another folder, and ID 0 (unassigned) is never
+	// taken for a duplicate.
+	want := []uint64{7}
+	for id := uint64(100); id < 1100; id++ {
+		if err := s.Append("alice", FolderInbox, &Message{ID: id, From: "b", To: "alice", Sensitivity: 1}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, id)
+		if err := s.Append("alice", FolderInbox, &Message{ID: want[len(want)/2], From: "b", To: "alice", Sensitivity: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := s.Folder("alice", FolderInbox)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("inbox holds %d messages, want %d", len(got), len(want))
+	}
+	for i, m := range got {
+		if m.ID != want[i] {
+			t.Fatalf("inbox[%d] has ID %d, want %d: arrival order changed", i, m.ID, want[i])
+		}
+	}
+	if err := s.Append("alice", FolderSent, m); err != nil {
+		t.Fatal(err)
+	}
+	if sent, _ := s.Folder("alice", FolderSent); len(sent) != 1 {
+		t.Errorf("sent folder holds %d messages, want 1: the ID set must be per folder", len(sent))
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.Append("alice", FolderSent, &Message{From: "b", To: "alice", Sensitivity: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sent, _ := s.Folder("alice", FolderSent); len(sent) != 3 {
+		t.Errorf("sent folder holds %d messages, want 3: ID 0 is not a duplicate", len(sent))
+	}
 }
 
 func TestStoreContacts(t *testing.T) {

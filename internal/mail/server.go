@@ -225,9 +225,11 @@ func encodeMessage(m *Message) ([]byte, error) {
 	})
 }
 
-// decodeMessage reverses encodeMessage.
-func decodeMessage(data []byte) (*Message, error) {
-	v, err := wire.Unmarshal(data)
+// decodeMessage reverses encodeMessage. With alias set the body shares
+// data's memory: for callers that hand the message to Store.Append
+// (which clones it) and keep nothing else.
+func decodeMessage(data []byte, alias bool) (*Message, error) {
+	v, err := unmarshal(data, alias)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +273,7 @@ func applyUpdate(store *Store, u coherence.Update) {
 			}
 		}
 	case "send":
-		m, err := decodeMessage(u.Data)
+		m, err := decodeMessage(u.Data, true)
 		if err != nil {
 			return
 		}

@@ -85,7 +85,7 @@ func RestoreStore(snapshot []byte, maxSensitivity int) (*Store, error) {
 					if !ok {
 						return nil, fmt.Errorf("mail: snapshot message entry is %T", raw)
 					}
-					m, err := decodeMessage(data)
+					m, err := decodeMessage(data, false)
 					if err != nil {
 						return nil, err
 					}

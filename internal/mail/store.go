@@ -48,6 +48,17 @@ type Account struct {
 	User     string
 	Folders  map[string][]*Message
 	Contacts []string
+	// ids holds the non-zero message IDs filed in each folder, beside
+	// the slice that keeps arrival order: the duplicate test of Append.
+	ids map[string]map[uint64]struct{}
+}
+
+func newAccount(user string) *Account {
+	return &Account{
+		User:    user,
+		Folders: map[string][]*Message{FolderInbox: nil, FolderSent: nil},
+		ids:     map[string]map[uint64]struct{}{},
+	}
 }
 
 // Store is the mail state engine shared by the MailServer and
@@ -83,10 +94,7 @@ func (s *Store) CreateAccount(user string) error {
 	if _, dup := s.accounts[user]; dup {
 		return fmt.Errorf("mail: account %q already exists", user)
 	}
-	s.accounts[user] = &Account{
-		User:    user,
-		Folders: map[string][]*Message{FolderInbox: nil, FolderSent: nil},
-	}
+	s.accounts[user] = newAccount(user)
 	return nil
 }
 
@@ -96,10 +104,7 @@ func (s *Store) EnsureAccount(user string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.accounts[user]; !ok {
-		s.accounts[user] = &Account{
-			User:    user,
-			Folders: map[string][]*Message{FolderInbox: nil, FolderSent: nil},
-		}
+		s.accounts[user] = newAccount(user)
 	}
 }
 
@@ -149,13 +154,19 @@ func (s *Store) Append(user, folder string, m *Message) error {
 	defer s.mu.Unlock()
 	acct, ok := s.accounts[user]
 	if !ok {
-		acct = &Account{User: user, Folders: map[string][]*Message{FolderInbox: nil, FolderSent: nil}}
+		acct = newAccount(user)
 		s.accounts[user] = acct
 	}
-	for _, existing := range acct.Folders[folder] {
-		if existing.ID == m.ID && m.ID != 0 {
+	if m.ID != 0 {
+		seen := acct.ids[folder]
+		if seen == nil {
+			seen = map[uint64]struct{}{}
+			acct.ids[folder] = seen
+		}
+		if _, dup := seen[m.ID]; dup {
 			return nil
 		}
+		seen[m.ID] = struct{}{}
 	}
 	acct.Folders[folder] = append(acct.Folders[folder], m.clone())
 	return nil

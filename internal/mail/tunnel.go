@@ -6,6 +6,7 @@ import (
 	"crypto/cipher"
 	"crypto/rand"
 	"fmt"
+	"sync"
 
 	"partsvc/internal/trace"
 	"partsvc/internal/transport"
@@ -33,37 +34,72 @@ func NewChannelKey() (ChannelKey, error) {
 	return k, nil
 }
 
-func (k ChannelKey) aead() (cipher.AEAD, error) {
-	block, err := aes.NewCipher(k)
-	if err != nil {
-		return nil, fmt.Errorf("mail: channel cipher: %w", err)
-	}
-	return cipher.NewGCM(block)
+// channel is one end's cipher state. Building it costs an AES key
+// schedule and the GHASH tables, so each Encryptor and Decryptor builds
+// it once, on first use, not per message; a bad key fails every seal
+// and open with the same error. A cipher.AEAD is safe for concurrent
+// use.
+type channel struct {
+	key  ChannelKey
+	once sync.Once
+	aead cipher.AEAD
+	err  error
 }
 
-// seal encrypts an arbitrary payload under the channel key.
-func (k ChannelKey) seal(plaintext []byte) ([]byte, error) {
-	aead, err := k.aead()
-	if err != nil {
-		return nil, err
-	}
-	nonce := make([]byte, aead.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, err
-	}
-	return append(nonce, aead.Seal(nil, nonce, plaintext, nil)...), nil
+func (c *channel) cipher() (cipher.AEAD, error) {
+	c.once.Do(func() {
+		block, err := aes.NewCipher(c.key)
+		if err == nil {
+			c.aead, err = cipher.NewGCM(block)
+		}
+		if err != nil {
+			c.err = fmt.Errorf("mail: channel cipher: %w", err)
+		}
+	})
+	return c.aead, c.err
 }
 
-// open decrypts a payload sealed by seal.
-func (k ChannelKey) open(sealed []byte) ([]byte, error) {
-	aead, err := k.aead()
+// seal encrypts the wire encoding of m under the channel key into one
+// buffer holding nonce‖ciphertext, drawn from the wire pool when pooled
+// is set (the caller then returns it with wire.PutBuffer) and allocated
+// at exact size otherwise. The plaintext encode is a pooled scratch
+// buffer that never leaves this function.
+func (c *channel) seal(m *wire.Message, pooled bool) ([]byte, error) {
+	aead, err := c.cipher()
 	if err != nil {
 		return nil, err
 	}
-	if len(sealed) < aead.NonceSize() {
+	plain, err := m.AppendTo(wire.GetBufferSize(m.EncodedLen()))
+	defer func() { wire.PutBuffer(plain) }()
+	if err != nil {
+		return nil, err
+	}
+	ns := aead.NonceSize()
+	size := ns + len(plain) + aead.Overhead()
+	var out []byte
+	if pooled {
+		out = wire.GetBufferSize(size)[:ns]
+	} else {
+		out = make([]byte, ns, size)
+	}
+	if _, err := rand.Read(out); err != nil {
+		return nil, err
+	}
+	return aead.Seal(out, out, plain, nil), nil
+}
+
+// open decrypts a payload sealed by seal, appending the plaintext to
+// dst (nil allocates at exact size).
+func (c *channel) open(dst, sealed []byte) ([]byte, error) {
+	aead, err := c.cipher()
+	if err != nil {
+		return nil, err
+	}
+	ns := aead.NonceSize()
+	if len(sealed) < ns {
 		return nil, fmt.Errorf("mail: sealed payload too short")
 	}
-	pt, err := aead.Open(nil, sealed[:aead.NonceSize()], sealed[aead.NonceSize():], nil)
+	pt, err := aead.Open(dst, sealed[:ns], sealed[ns:], nil)
 	if err != nil {
 		return nil, fmt.Errorf("mail: opening channel payload: %w", err)
 	}
@@ -78,12 +114,12 @@ const TunnelMethod = "tunnel"
 // forwarding it to the Decryptor and opens every response.
 type EncryptorEndpoint struct {
 	inner transport.Endpoint
-	key   ChannelKey
+	ch    channel
 }
 
 // NewEncryptorEndpoint wraps an endpoint with the Encryptor component.
 func NewEncryptorEndpoint(inner transport.Endpoint, key ChannelKey) *EncryptorEndpoint {
-	return &EncryptorEndpoint{inner: inner, key: key}
+	return &EncryptorEndpoint{inner: inner, ch: channel{key: key}}
 }
 
 // Call seals the wire-encoded request, transmits it as a tunnel
@@ -95,8 +131,13 @@ func (e *EncryptorEndpoint) Call(m *wire.Message) (*wire.Message, error) {
 // CallContext is Call under a "tunnel.call" span. The span's context is
 // stamped into the inner message before sealing, so the trace survives
 // the encryption boundary: the transport's own stamping only reaches
-// the outer tunnel envelope, which the Decryptor discards.
+// the outer tunnel envelope, which the Decryptor discards. A
+// co-location handshake is refused here: what sits behind the tunnel
+// is not this endpoint's caller's neighbour.
 func (e *EncryptorEndpoint) CallContext(ctx context.Context, m *wire.Message) (*wire.Message, error) {
+	if refusal := transport.RefuseUpgrade(m); refusal != nil {
+		return refusal, nil
+	}
 	ctx, span := trace.Start(ctx, "tunnel.call")
 	resp, err := e.callContext(ctx, m, span)
 	if err != nil && span != nil {
@@ -113,28 +154,30 @@ func (e *EncryptorEndpoint) callContext(ctx context.Context, m *wire.Message, sp
 		m.TraceID, m.SpanID = sc.TraceID, sc.SpanID
 		defer func() { m.TraceID, m.SpanID = prevT, prevS }()
 	}
-	plain, err := m.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	sealed, err := e.key.seal(plain)
+	// The sealed request is scratch: once the call returns, the
+	// transport has framed it (or a co-located Decryptor has opened it)
+	// and nothing refers to it any more.
+	sealed, err := e.ch.seal(m, true)
 	if err != nil {
 		return nil, err
 	}
 	resp, err := transport.Call(ctx, e.inner, &wire.Message{
 		Kind: wire.KindRequest, ID: m.ID, Method: TunnelMethod, Body: sealed,
 	})
+	wire.PutBuffer(sealed)
 	if err != nil {
 		return nil, err
 	}
 	if err := transport.AsError(resp); err != nil {
 		return nil, err
 	}
-	opened, err := e.key.open(resp.Body)
+	// The opened plaintext is allocated for this one response, so the
+	// decoded message points into it instead of copying it again.
+	opened, err := e.ch.open(nil, resp.Body)
 	if err != nil {
 		return nil, err
 	}
-	return wire.UnmarshalMessage(opened)
+	return wire.UnmarshalMessageAlias(opened)
 }
 
 // Close closes the underlying endpoint.
@@ -144,18 +187,26 @@ func (e *EncryptorEndpoint) Close() error { return e.inner.Close() }
 // tunnel messages, dispatches them to the inner handler, and seals the
 // responses.
 func NewDecryptorHandler(inner transport.Handler, key ChannelKey) transport.Handler {
+	ch := &channel{key: key}
 	return transport.HandlerFunc(func(m *wire.Message) *wire.Message {
 		if m.Method != TunnelMethod {
 			return transport.ErrorResponse(m, "decryptor: unexpected method %q", m.Method)
 		}
-		plain, err := key.open(m.Body)
+		// Open into a pooled buffer and decode in place: the inner
+		// request's fields point into the plaintext, which its slab
+		// returns to the pool once the response is sealed.
+		scratch := wire.GetBufferSize(len(m.Body))
+		plain, err := ch.open(scratch, m.Body)
 		if err != nil {
+			wire.PutBuffer(scratch)
 			return transport.ErrorResponse(m, "decryptor: %v", err)
 		}
-		req, err := wire.UnmarshalMessage(plain)
+		req, err := wire.UnmarshalMessageSlab(plain)
 		if err != nil {
+			wire.PutBuffer(plain)
 			return transport.ErrorResponse(m, "decryptor: %v", err)
 		}
+		defer req.Release()
 		// Continue the inner message's trace (stamped by the Encryptor)
 		// through a "tunnel.serve" span, re-stamping the request so the
 		// inner handler's spans parent on it.
@@ -171,11 +222,9 @@ func NewDecryptorHandler(inner transport.Handler, key ChannelKey) transport.Hand
 		if resp == nil {
 			return transport.ErrorResponse(m, "decryptor: inner handler returned nil")
 		}
-		data, err := resp.Marshal()
-		if err != nil {
-			return transport.ErrorResponse(m, "decryptor: encoding response: %v", err)
-		}
-		sealed, err := key.seal(data)
+		// The sealed response travels on by reference and has no release
+		// hook, so it is a plain allocation at exact size.
+		sealed, err := ch.seal(resp, false)
 		if err != nil {
 			return transport.ErrorResponse(m, "decryptor: sealing response: %v", err)
 		}

@@ -60,7 +60,11 @@ func (w *NodeWrapper) Node() netmodel.NodeID { return w.node }
 
 // Install activates a component per the order: it dials the upstream
 // providers, activates the factory, and serves the instance's handler,
-// returning the address clients should dial.
+// returning the address clients should dial. A provider this wrapper
+// hosts itself is linked in process: the listener of every instance is
+// tagged with the node, and each upstream endpoint is offered the
+// co-location handshake (transport.Upgrade), which only an endpoint to
+// a listener tagged with the same node accepts.
 func (w *NodeWrapper) Install(order InstallOrder) (string, error) {
 	ctx := &ActivationContext{
 		InstanceID:      order.InstanceID,
@@ -77,6 +81,7 @@ func (w *NodeWrapper) Install(order InstallOrder) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("smock: wrapper %s: dialing %s provider %s: %w", w.node, iface, addr, err)
 		}
+		transport.Upgrade(ep, string(w.node))
 		ctx.Upstreams[iface] = ep
 	}
 	h, err := w.reg.Activate(order.Component, ctx)
@@ -87,6 +92,7 @@ func (w *NodeWrapper) Install(order InstallOrder) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("smock: wrapper %s: serving %s: %w", w.node, order.InstanceID, err)
 	}
+	transport.TagNode(ln, string(w.node))
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if _, dup := w.listeners[order.InstanceID]; dup {

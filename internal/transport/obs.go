@@ -41,7 +41,9 @@ func beginClientCall(ctx context.Context, m *wire.Message) (context.Context, cli
 	ctx, o.span = trace.Start(ctx, "transport.call")
 	if o.span != nil {
 		if m.Method != "" {
-			o.span.SetAttr("method", m.Method)
+			// The span ring outlives the call, and a relay forwards the
+			// slab-backed request it was handed: own the bytes.
+			o.span.SetAttr("method", strings.Clone(m.Method))
 		}
 		o.prevT, o.prevS = m.TraceID, m.SpanID
 		sc := o.span.Context()
@@ -76,8 +78,14 @@ func (o *clientObs) end(m *wire.Message, err error) {
 // span continuing the trace stamped in req (a fresh root when the
 // caller sent none), re-stamping req so handler-side spans parent on
 // it. Server-side observation rides entirely on the global switch:
-// there is no caller context to carry a tracer across the wire.
+// there is no caller context to carry a tracer across the wire. Every
+// transport dispatches through here, so this is also where an upgrade
+// handshake that arrived as a request is refused before any handler
+// sees it.
 func serveObserved(h Handler, req *wire.Message) *wire.Message {
+	if refusal := RefuseUpgrade(req); refusal != nil {
+		return refusal
+	}
 	if !trace.Enabled() {
 		return h.Handle(req)
 	}

@@ -51,6 +51,10 @@ type Stats struct {
 	// direct measure of write coalescing (batch p50 near 1 means no
 	// coalescing; under load it should track the caller concurrency).
 	WriteBatch metrics.ShardedHistogram
+	// LocalCalls counts calls dispatched in process over an upgraded
+	// co-located linkage: calls that skipped the socket, the codec and
+	// the worker pool.
+	LocalCalls metrics.ShardedCounter
 	// RingConns counts ring (shared-memory) connections established via
 	// the co-located fast path.
 	RingConns metrics.ShardedCounter
@@ -93,6 +97,9 @@ type StatsSnapshot struct {
 	WriteBatchP50   float64
 	WriteBatchP99   float64
 	WriteBatchMax   float64
+	// LocalCalls is the number of calls served in process over upgraded
+	// co-located linkages.
+	LocalCalls uint64
 	// Ring transport counters (co-located fast path).
 	RingConns     uint64
 	RingParks     uint64
@@ -112,12 +119,13 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Shed:           uint64(s.Shed.Load()),
 		QueueDepth:     s.QueueDepth.Load(),
 
-		WriterParks:     uint64(s.WriterParks.Load()),
-		WriterWakes:     uint64(s.WriterWakes.Load()),
-		RingConns:       uint64(s.RingConns.Load()),
-		RingParks:       uint64(s.RingParks.Load()),
-		RingWakes:       uint64(s.RingWakes.Load()),
-		RingOccupancy:   s.RingOccupancy.Load(),
+		WriterParks:   uint64(s.WriterParks.Load()),
+		WriterWakes:   uint64(s.WriterWakes.Load()),
+		LocalCalls:    uint64(s.LocalCalls.Load()),
+		RingConns:     uint64(s.RingConns.Load()),
+		RingParks:     uint64(s.RingParks.Load()),
+		RingWakes:     uint64(s.RingWakes.Load()),
+		RingOccupancy: s.RingOccupancy.Load(),
 	}
 	s.liveQueues.Range(func(k, _ any) bool {
 		snap.WriteQueueDepth += k.(*writeQueue).len()
@@ -157,6 +165,7 @@ func (s StatsSnapshot) KVs() []metrics.KV {
 		metrics.KVf("write_batch_p50", "%.1f", s.WriteBatchP50),
 		metrics.KVf("write_batch_p99", "%.1f", s.WriteBatchP99),
 		metrics.KVf("write_batch_max", "%.0f", s.WriteBatchMax),
+		metrics.KVf("local_calls", "%d", s.LocalCalls),
 		metrics.KVf("ring_conns", "%d", s.RingConns),
 		metrics.KVf("ring_parks", "%d", s.RingParks),
 		metrics.KVf("ring_wakes", "%d", s.RingWakes),

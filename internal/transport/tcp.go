@@ -29,11 +29,12 @@ import (
 // KindError backpressure reply (ErrOverloaded) instead of stalling the
 // connection reader, so overload degrades gracefully.
 //
-// With Ring set, dials to addresses served by this same transport
-// instance skip the socket entirely: the connection runs over a pair
-// of shared-memory SPSC byte rings (see ring.go) with identical
-// framing and semantics — the co-located fast path for components the
-// planner placed on one node.
+// An endpoint dialed by a node wrapper to an instance the same wrapper
+// serves stops using its connection after the upgrade handshake (see
+// upgrade.go) and invokes the listener's handler directly. With Ring
+// set, dials to addresses served by this same transport instance run
+// over a pair of shared-memory SPSC byte rings (see ring.go) instead of
+// a socket, with identical framing and semantics.
 type TCP struct {
 	// Workers bounds concurrent handler invocations per listener
 	// (0 means DefaultWorkers()).
@@ -73,8 +74,9 @@ type TCP struct {
 
 	stats Stats
 
-	// local indexes this instance's live listeners by address, so a
-	// Ring dial can detect co-location without touching the network.
+	// local indexes this instance's live listeners by address, so an
+	// upgrade handshake or a Ring dial can detect co-location without
+	// touching the network.
 	mu    sync.Mutex
 	local map[string]*tcpListener
 }
@@ -330,7 +332,8 @@ func (t *TCP) Serve(addr string, h Handler) (Listener, error) {
 }
 
 // lookupLocal returns the live listener this instance serves on addr,
-// or nil — the co-location test behind the Ring fast path.
+// or nil — the co-location test behind the upgrade handshake and the
+// Ring fast path.
 func (t *TCP) lookupLocal(addr string) *tcpListener {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -360,6 +363,9 @@ type tcpListener struct {
 	quit         chan struct{}    // closed when the listener closes
 	writeTimeout time.Duration
 	stats        *Stats
+	// node is the node whose wrapper serves this listener (TagNode);
+	// nil for listeners nobody may dispatch to in process.
+	node atomic.Pointer[string]
 
 	mu     sync.Mutex
 	conns  map[wireConn]struct{}
@@ -402,7 +408,7 @@ func (l *tcpListener) serveOne(d dispatchReq) {
 	}
 	// AppendTo returns the scratch buffer unmodified on error, so the
 	// pooled buffer is reused for the error response instead of leaking.
-	buf, err := resp.AppendTo(wire.GetBuffer())
+	buf, err := resp.AppendTo(wire.GetBufferSize(resp.EncodedLen()))
 	if err != nil {
 		buf, _ = ErrorResponse(d.req, "encoding response: %v", err).AppendTo(buf[:0])
 	}
@@ -605,7 +611,7 @@ func (t *TCP) Dial(addr string) (Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return t.newEndpoint(conn), nil
+	return t.newEndpoint(conn, addr), nil
 }
 
 // dialRing wires an endpoint to a co-located listener over a fresh
@@ -616,13 +622,15 @@ func (t *TCP) dialRing(l *tcpListener) (Endpoint, bool) {
 		return nil, false
 	}
 	t.stats.RingConns.Add(1)
-	return t.newEndpoint(cli), true
+	return t.newEndpoint(cli, l.Addr()), true
 }
 
 // newEndpoint builds the multiplexed client side over an established
-// byte carrier and starts its reader and writer goroutines.
-func (t *TCP) newEndpoint(conn wireConn) *tcpEndpoint {
+// byte carrier to addr and starts its reader and writer goroutines.
+func (t *TCP) newEndpoint(conn wireConn, addr string) *tcpEndpoint {
 	e := &tcpEndpoint{
+		t:        t,
+		addr:     addr,
 		conn:     conn,
 		timeout:  t.CallTimeout,
 		zeroCopy: t.ZeroCopyResponses,
@@ -688,12 +696,19 @@ func putTimer(t *time.Timer) {
 // parked until the reader delivers the matching response. Close (or
 // connection death) interrupts every pending call.
 type tcpEndpoint struct {
+	t        *TCP
+	addr     string // as dialed: the key of the upgrade handshake's listener lookup
 	conn     wireConn
 	timeout  time.Duration
 	zeroCopy bool
 	stats    *Stats
 	q        *writeQueue
 	done     chan struct{} // closed once on shutdown
+	// local, once set by the upgrade handshake, is the co-located
+	// listener every later call dispatches to in process. The connection
+	// stays open but idle: it dies with the listener, which takes the
+	// endpoint down exactly as it would an un-upgraded one.
+	local atomic.Pointer[tcpListener]
 
 	mu      sync.Mutex
 	pending map[uint64]chan callResult
@@ -712,16 +727,89 @@ func (e *tcpEndpoint) Call(m *wire.Message) (*wire.Message, error) {
 // ctx abandons the wait (the response, if it still arrives, is
 // discarded by the reader).
 func (e *tcpEndpoint) CallContext(ctx context.Context, m *wire.Message) (*wire.Message, error) {
+	if m.Kind == wire.KindUpgrade {
+		return e.upgrade(m), nil
+	}
 	ctx, obs := beginClientCall(ctx, m)
-	resp, err := e.callContext(ctx, m)
+	var (
+		resp *wire.Message
+		err  error
+	)
+	if l := e.local.Load(); l != nil {
+		resp, err = e.callLocal(ctx, l, m)
+	} else {
+		resp, err = e.callContext(ctx, m)
+	}
 	obs.end(m, err)
 	return resp, err
+}
+
+// upgrade answers the co-location handshake: when this transport
+// instance serves the dialed address on a listener tagged with the
+// caller's node, every later call dispatches to it in process.
+func (e *tcpEndpoint) upgrade(m *wire.Message) *wire.Message {
+	if l := e.t.lookupLocal(e.addr); l != nil {
+		if node := l.node.Load(); node != nil && *node == m.Meta[upgradeNodeKey] {
+			e.local.Store(l)
+			return upgradeReply(m, "true")
+		}
+	}
+	return upgradeReply(m, "false")
+}
+
+// callLocal is a call over an upgraded linkage: the listener's handler
+// runs on the caller's goroutine and request and response pass by
+// reference — no encode, no frame, no worker hop. The handler may read
+// m only until it returns (the slab rule, now also for messages that
+// never were frames), and the caller owns the response. As with InProc
+// a running handler cannot be interrupted, so ctx and CallTimeout are
+// only honoured before dispatch. A closed listener or endpoint fails
+// the call with ErrClosed, before or after the handler ran: a reply
+// the listener's connections would have dropped is dropped here too,
+// so killing a node wrapper looks like a crash from inside the node as
+// well.
+func (e *tcpEndpoint) callLocal(ctx context.Context, l *tcpListener, m *wire.Message) (*wire.Message, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := e.localDown(l); err != nil {
+		return nil, err
+	}
+	e.stats.LocalCalls.Add(1)
+	e.stats.InFlight.Add(1)
+	resp := serveObserved(l.h, m)
+	e.stats.InFlight.Add(-1)
+	if err := e.localDown(l); err != nil {
+		return nil, err
+	}
+	if resp == nil {
+		resp = ErrorResponse(m, "handler returned nil")
+	}
+	return resp, nil
+}
+
+// localDown reports why an upgraded linkage can no longer be used (nil
+// while it can). The listener is checked first: its Close marks it
+// before it drops the connections, so a call that loses to a listener
+// close fails with ErrClosed whether or not the reader has noticed.
+func (e *tcpEndpoint) localDown(l *tcpListener) error {
+	select {
+	case <-l.quit:
+		return ErrClosed
+	default:
+	}
+	select {
+	case <-e.done:
+		return e.terminalErr()
+	default:
+	}
+	return nil
 }
 
 func (e *tcpEndpoint) callContext(ctx context.Context, m *wire.Message) (*wire.Message, error) {
 	// On error AppendTo returns the scratch buffer unmodified, so it
 	// goes back to the pool instead of leaking.
-	payload, err := m.AppendTo(wire.GetBuffer())
+	payload, err := m.AppendTo(wire.GetBufferSize(m.EncodedLen()))
 	if err != nil {
 		wire.PutBuffer(payload)
 		return nil, fmt.Errorf("transport: encoding request: %w", err)

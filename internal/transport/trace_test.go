@@ -38,6 +38,14 @@ func TestTracedCallRecordsSpans(t *testing.T) {
 	if _, err := ep.Call(&wire.Message{Kind: wire.KindRequest, Method: "ping"}); err != nil {
 		t.Fatal(err)
 	}
+	assertStitchedSpanPair(t)
+}
+
+// assertStitchedSpanPair checks the default tracer holds a
+// transport.call span and a transport.serve span of the same trace,
+// the serve span parented on the call span.
+func assertStitchedSpanPair(t *testing.T) {
+	t.Helper()
 	spans := trace.Default.Spans()
 	var call, serve *trace.Span
 	for i := range spans {

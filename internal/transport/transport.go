@@ -266,7 +266,7 @@ func (e *inprocEndpoint) callContext(ctx context.Context, m *wire.Message) (*wir
 	// in-process transport exercises exactly the same serialization
 	// paths as TCP (catching non-encodable payloads in tests). The
 	// scratch buffers come from the shared wire pool, as on TCP.
-	data, err := m.AppendTo(wire.GetBuffer())
+	data, err := m.AppendTo(wire.GetBufferSize(m.EncodedLen()))
 	if err != nil {
 		wire.PutBuffer(data)
 		return nil, fmt.Errorf("transport: encoding request: %w", err)
@@ -287,7 +287,7 @@ func (e *inprocEndpoint) callContext(ctx context.Context, m *wire.Message) (*wir
 		req.Release()
 		return nil, fmt.Errorf("transport: handler for %q returned nil", e.addr)
 	}
-	data, err = resp.AppendTo(wire.GetBuffer())
+	data, err = resp.AppendTo(wire.GetBufferSize(resp.EncodedLen()))
 	// The response is encoded (or failed before writing a byte): the
 	// request slab it may alias can go back to the pool either way.
 	req.Release()

@@ -32,6 +32,18 @@ func FuzzDecodeValue(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded value does not re-encode: %v", err)
 		}
+		if n := EncodedLen(v); n != len(re) {
+			t.Fatalf("EncodedLen = %d, encoding is %d bytes", n, len(re))
+		}
+		// The aliasing decoder accepts the same input and yields an
+		// equal value (compared encoded: NaN is not DeepEqual to itself).
+		va, _, err := decodeValue(data, 0, true)
+		if err != nil {
+			t.Fatalf("alias decode rejects what copy decode accepts: %v", err)
+		}
+		if rea, err := AppendValue(nil, va); err != nil || !bytes.Equal(rea, re) {
+			t.Fatalf("alias decode = %v (%v), copy decode = %v", va, err, v)
+		}
 		// Re-encoding must reproduce the consumed prefix: maps encode
 		// sorted, and the decoder only accepts sorted input via Marshal,
 		// but arbitrary input may have unsorted maps — so only require
@@ -74,6 +86,9 @@ func FuzzUnmarshalMessage(f *testing.F) {
 		re, err := m.Marshal()
 		if err != nil {
 			t.Fatalf("accepted message does not re-marshal: %v", err)
+		}
+		if n := m.EncodedLen(); n != len(re) || cap(re) != len(re) {
+			t.Fatalf("EncodedLen = %d, Marshal returned len %d cap %d", n, len(re), cap(re))
 		}
 		m2, err := UnmarshalMessage(re)
 		if err != nil {

@@ -25,6 +25,11 @@ const (
 	// KindCoherence carries replica update batches between coherence
 	// peers.
 	KindCoherence MsgKind = 5
+	// KindUpgrade is the co-location handshake a node wrapper sends
+	// through a freshly dialed endpoint: Meta["node"] names the caller's
+	// node. Endpoints answer it themselves (see transport.Upgrade); it
+	// never reaches a component handler and never crosses a socket.
+	KindUpgrade MsgKind = 6
 )
 
 // String names the kind.
@@ -40,6 +45,8 @@ func (k MsgKind) String() string {
 		return "install"
 	case KindCoherence:
 		return "coherence"
+	case KindUpgrade:
+		return "upgrade"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -181,12 +188,44 @@ func (m *Message) AppendTo(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Marshal encodes the message with the wire value encoding.
-func (m *Message) Marshal() ([]byte, error) { return m.AppendTo(nil) }
+// keyedLen is the encoded size of one string (tag, u32 length, bytes).
+func keyedLen(s string) int { return 5 + len(s) }
 
-// decodeStringField decodes a tagString value without boxing it in an
-// interface.
-func decodeStringField(data []byte) (string, []byte, error) {
+// encodedLenFixed is the part of a message encoding that does not
+// depend on its contents: the map header, the six keys, the two ints
+// and the tag+length prefixes of body and meta.
+const encodedLenFixed = 5 +
+	(5 + len(keyBody)) + 5 +
+	(5 + len(keyID)) + 9 +
+	(5 + len(keyKind)) + 9 +
+	(5 + len(keyMeta)) + 5 +
+	(5 + len(keyMethod)) +
+	(5 + len(keyTarget))
+
+// EncodedLen returns len(m.Marshal()) without encoding: encoders use
+// it to draw a pooled buffer of the class that fits
+// (GetBufferSize(m.EncodedLen())) or to allocate once at exact size.
+func (m *Message) EncodedLen() int {
+	n := encodedLenFixed + len(m.Body) + keyedLen(m.Method) + keyedLen(m.Target)
+	for k, v := range m.Meta {
+		n += keyedLen(k) + keyedLen(v)
+	}
+	if m.TraceID != 0 {
+		n += keyedLen(keyTrace) + 5 + traceFieldLen
+	}
+	return n
+}
+
+// Marshal encodes the message with the wire value encoding into one
+// allocation of exactly the encoded size.
+func (m *Message) Marshal() ([]byte, error) {
+	return m.AppendTo(make([]byte, 0, m.EncodedLen()))
+}
+
+// decodeString decodes a tagString value without boxing it in an
+// interface. With alias set the string shares data's memory (valid
+// only as long as data is) instead of copying it.
+func decodeString(data []byte, alias bool) (string, []byte, error) {
 	if len(data) < 5 || data[0] != tagString {
 		return "", nil, fmt.Errorf("wire: expected string value")
 	}
@@ -194,6 +233,9 @@ func decodeStringField(data []byte) (string, []byte, error) {
 	data = data[5:]
 	if uint32(len(data)) < n {
 		return "", nil, ErrTruncated
+	}
+	if alias {
+		return aliasString(data[:n]), data[n:], nil
 	}
 	return string(data[:n]), data[n:], nil
 }
@@ -209,50 +251,76 @@ func decodeIntField(data []byte) (int64, []byte, error) {
 // values are decoded in place (no intermediate generic map), so data
 // buffers can be pooled: the returned message does not alias data.
 func UnmarshalMessage(data []byte) (*Message, error) {
+	m := &Message{}
+	if err := decodeMessage(m, data, false); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// UnmarshalMessageAlias is UnmarshalMessage without the copies: every
+// string and byte field of the returned message shares data's memory.
+// There is no slab and nothing to Release — the garbage collector keeps
+// data alive as long as the message is — so the caller must simply
+// never write to or recycle data afterwards. It suits a buffer the
+// caller allocated for this one message (an opened tunnel payload).
+func UnmarshalMessageAlias(data []byte) (*Message, error) {
+	m := &Message{}
+	if err := decodeMessage(m, data, true); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decodeMessage is the one message decoder behind UnmarshalMessage,
+// UnmarshalMessageAlias and UnmarshalMessageSlab: it fills the zeroed
+// *m from data, copying string and byte fields or, with alias set,
+// pointing them into data. Field keys are only compared, so they
+// always alias.
+func decodeMessage(m *Message, data []byte, alias bool) error {
 	if len(data) < 5 || data[0] != tagMap {
 		// Not a map at the top level: fall back to the generic decoder
 		// for its precise error messages.
 		v, err := Unmarshal(data)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return nil, fmt.Errorf("wire: message is %T, want map", v)
+		return fmt.Errorf("wire: message is %T, want map", v)
 	}
 	count := binary.BigEndian.Uint32(data[1:5])
 	data = data[5:]
-	m := &Message{}
 	sawKind := false
 	for i := uint32(0); i < count; i++ {
-		key, rest, err := decodeStringField(data)
+		key, rest, err := decodeString(data, true)
 		if err != nil {
-			return nil, fmt.Errorf("wire: message key: %w", err)
+			return fmt.Errorf("wire: message key: %w", err)
 		}
 		data = rest
 		switch key {
 		case keyKind:
 			var k int64
 			if k, data, err = decodeIntField(data); err != nil {
-				return nil, fmt.Errorf("wire: message kind: %w", err)
+				return fmt.Errorf("wire: message kind: %w", err)
 			}
 			m.Kind = MsgKind(k)
 			sawKind = true
 		case keyID:
 			var id int64
 			if id, data, err = decodeIntField(data); err != nil {
-				return nil, fmt.Errorf("wire: message id: %w", err)
+				return fmt.Errorf("wire: message id: %w", err)
 			}
 			m.ID = uint64(id)
 		case keyTarget:
-			if m.Target, data, err = decodeStringField(data); err != nil {
-				return nil, fmt.Errorf("wire: message target: %w", err)
+			if m.Target, data, err = decodeString(data, alias); err != nil {
+				return fmt.Errorf("wire: message target: %w", err)
 			}
 		case keyMethod:
-			if m.Method, data, err = decodeStringField(data); err != nil {
-				return nil, fmt.Errorf("wire: message method: %w", err)
+			if m.Method, data, err = decodeString(data, alias); err != nil {
+				return fmt.Errorf("wire: message method: %w", err)
 			}
 		case keyMeta:
 			if len(data) < 5 || data[0] != tagMap {
-				return nil, fmt.Errorf("wire: message meta is not a map")
+				return fmt.Errorf("wire: message meta is not a map")
 			}
 			n := binary.BigEndian.Uint32(data[1:5])
 			data = data[5:]
@@ -264,26 +332,29 @@ func UnmarshalMessage(data []byte) (*Message, error) {
 			}
 			for j := uint32(0); j < n; j++ {
 				var mk, mv string
-				if mk, data, err = decodeStringField(data); err != nil {
-					return nil, fmt.Errorf("wire: meta key: %w", err)
+				if mk, data, err = decodeString(data, alias); err != nil {
+					return fmt.Errorf("wire: meta key: %w", err)
 				}
-				if mv, data, err = decodeStringField(data); err != nil {
-					return nil, fmt.Errorf("wire: meta %q has non-string value", mk)
+				if mv, data, err = decodeString(data, alias); err != nil {
+					return fmt.Errorf("wire: meta %q has non-string value", mk)
 				}
 				m.Meta[mk] = mv
 			}
 		case keyBody:
 			if len(data) < 5 || data[0] != tagBytes {
-				return nil, fmt.Errorf("wire: message body is not bytes")
+				return fmt.Errorf("wire: message body is not bytes")
 			}
 			n := binary.BigEndian.Uint32(data[1:5])
 			data = data[5:]
 			if uint32(len(data)) < n {
-				return nil, ErrTruncated
+				return ErrTruncated
 			}
 			if n > 0 {
-				m.Body = make([]byte, n)
-				copy(m.Body, data[:n])
+				if alias {
+					m.Body = data[:n:n]
+				} else {
+					m.Body = append([]byte(nil), data[:n]...)
+				}
 			}
 			data = data[n:]
 		case keyTrace:
@@ -293,30 +364,35 @@ func UnmarshalMessage(data []byte) (*Message, error) {
 			if len(data) >= 5 && data[0] == tagBytes &&
 				binary.BigEndian.Uint32(data[1:5]) == traceFieldLen &&
 				uint32(len(data)-5) >= traceFieldLen {
-				m.TraceID = binary.BigEndian.Uint64(data[5:13])
-				m.SpanID = binary.BigEndian.Uint64(data[13:21])
+				// A zero trace ID means "untraced" (AppendTo omits the
+				// field for it), so a span ID beside it carries nothing.
+				if m.TraceID = binary.BigEndian.Uint64(data[5:13]); m.TraceID != 0 {
+					m.SpanID = binary.BigEndian.Uint64(data[13:21])
+				}
 				data = data[5+traceFieldLen:]
 				break
 			}
-			var rest []byte
-			if _, rest, err = DecodeValue(data); err != nil {
-				return nil, fmt.Errorf("wire: message field %q: %w", key, err)
+			if data, err = skipValue(data); err != nil {
+				return fmt.Errorf("wire: message field %q: %w", key, err)
 			}
-			data = rest
 		default:
 			// Forward compatibility: skip unknown fields.
-			var rest []byte
-			if _, rest, err = DecodeValue(data); err != nil {
-				return nil, fmt.Errorf("wire: message field %q: %w", key, err)
+			if data, err = skipValue(data); err != nil {
+				return fmt.Errorf("wire: message field %q: %w", key, err)
 			}
-			data = rest
 		}
 	}
 	if len(data) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after value", len(data))
+		return fmt.Errorf("wire: %d trailing bytes after value", len(data))
 	}
 	if !sawKind {
-		return nil, fmt.Errorf("wire: message missing kind")
+		return fmt.Errorf("wire: message missing kind")
 	}
-	return m, nil
+	return nil
+}
+
+// skipValue steps over one encoded value of an unknown field.
+func skipValue(data []byte) ([]byte, error) {
+	_, rest, err := DecodeValue(data)
+	return rest, err
 }

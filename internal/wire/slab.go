@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -57,143 +55,24 @@ func aliasString(data []byte) string {
 	return unsafe.String(&data[0], len(data))
 }
 
-// decodeStringAlias is decodeStringField without the copy: the
-// returned string aliases data.
-func decodeStringAlias(data []byte) (string, []byte, error) {
-	if len(data) < 5 || data[0] != tagString {
-		return "", nil, fmt.Errorf("wire: expected string value")
-	}
-	n := binary.BigEndian.Uint32(data[1:5])
-	data = data[5:]
-	if uint32(len(data)) < n {
-		return "", nil, ErrTruncated
-	}
-	return aliasString(data[:n]), data[n:], nil
-}
-
 // UnmarshalMessageSlab decodes a message encoded by Marshal without
 // copying: every string and byte field of the returned Message aliases
 // data, which the message's slab owns until Release. It accepts and
 // rejects exactly the inputs UnmarshalMessage does and produces
-// field-equal messages (fuzz-asserted). On success the decoder owns
-// data (do not PutBuffer it); on error ownership stays with the
-// caller.
+// field-equal messages (fuzz-asserted; both run decodeMessage). On
+// success the decoder owns data (do not PutBuffer it); on error
+// ownership stays with the caller.
 func UnmarshalMessageSlab(data []byte) (*Message, error) {
-	if len(data) < 5 || data[0] != tagMap {
-		// Not a map at the top level: fall back to the generic decoder
-		// for its precise error messages (same path as
-		// UnmarshalMessage, so accept/reject behavior is identical).
-		v, err := Unmarshal(data)
-		if err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("wire: message is %T, want map", v)
-	}
-	count := binary.BigEndian.Uint32(data[1:5])
-	rest := data[5:]
 	s, _ := slabPool.Get().(*Slab)
 	if s == nil {
 		s = &Slab{}
 	}
 	m := &s.msg
 	*m = Message{}
-	fail := func(err error) (*Message, error) {
+	if err := decodeMessage(m, data, true); err != nil {
 		s.msg = Message{}
 		slabPool.Put(s)
 		return nil, err
-	}
-	sawKind := false
-	for i := uint32(0); i < count; i++ {
-		key, after, err := decodeStringAlias(rest)
-		if err != nil {
-			return fail(fmt.Errorf("wire: message key: %w", err))
-		}
-		rest = after
-		switch key {
-		case keyKind:
-			var k int64
-			if k, rest, err = decodeIntField(rest); err != nil {
-				return fail(fmt.Errorf("wire: message kind: %w", err))
-			}
-			m.Kind = MsgKind(k)
-			sawKind = true
-		case keyID:
-			var id int64
-			if id, rest, err = decodeIntField(rest); err != nil {
-				return fail(fmt.Errorf("wire: message id: %w", err))
-			}
-			m.ID = uint64(id)
-		case keyTarget:
-			if m.Target, rest, err = decodeStringAlias(rest); err != nil {
-				return fail(fmt.Errorf("wire: message target: %w", err))
-			}
-		case keyMethod:
-			if m.Method, rest, err = decodeStringAlias(rest); err != nil {
-				return fail(fmt.Errorf("wire: message method: %w", err))
-			}
-		case keyMeta:
-			if len(rest) < 5 || rest[0] != tagMap {
-				return fail(fmt.Errorf("wire: message meta is not a map"))
-			}
-			n := binary.BigEndian.Uint32(rest[1:5])
-			rest = rest[5:]
-			if n > 0 {
-				// Same hostile-count cap as UnmarshalMessage.
-				m.Meta = make(map[string]string, min(int(n), 1024))
-			}
-			for j := uint32(0); j < n; j++ {
-				var mk, mv string
-				if mk, rest, err = decodeStringAlias(rest); err != nil {
-					return fail(fmt.Errorf("wire: meta key: %w", err))
-				}
-				if mv, rest, err = decodeStringAlias(rest); err != nil {
-					return fail(fmt.Errorf("wire: meta %q has non-string value", mk))
-				}
-				m.Meta[mk] = mv
-			}
-		case keyBody:
-			if len(rest) < 5 || rest[0] != tagBytes {
-				return fail(fmt.Errorf("wire: message body is not bytes"))
-			}
-			n := binary.BigEndian.Uint32(rest[1:5])
-			rest = rest[5:]
-			if uint32(len(rest)) < n {
-				return fail(ErrTruncated)
-			}
-			if n > 0 {
-				m.Body = rest[:n:n]
-			}
-			rest = rest[n:]
-		case keyTrace:
-			// Same leniency as UnmarshalMessage: unexpected shapes are
-			// skipped, not rejected.
-			if len(rest) >= 5 && rest[0] == tagBytes &&
-				binary.BigEndian.Uint32(rest[1:5]) == traceFieldLen &&
-				uint32(len(rest)-5) >= traceFieldLen {
-				m.TraceID = binary.BigEndian.Uint64(rest[5:13])
-				m.SpanID = binary.BigEndian.Uint64(rest[13:21])
-				rest = rest[5+traceFieldLen:]
-				break
-			}
-			var after []byte
-			if _, after, err = DecodeValue(rest); err != nil {
-				return fail(fmt.Errorf("wire: message field %q: %w", key, err))
-			}
-			rest = after
-		default:
-			// Forward compatibility: skip unknown fields.
-			var after []byte
-			if _, after, err = DecodeValue(rest); err != nil {
-				return fail(fmt.Errorf("wire: message field %q: %w", key, err))
-			}
-			rest = after
-		}
-	}
-	if len(rest) != 0 {
-		return fail(fmt.Errorf("wire: %d trailing bytes after value", len(rest)))
-	}
-	if !sawKind {
-		return fail(fmt.Errorf("wire: message missing kind"))
 	}
 	s.buf = data
 	s.refs.Store(1)

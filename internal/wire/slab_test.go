@@ -24,17 +24,32 @@ func slabEquivalenceCases() []*Message {
 	}
 }
 
-// TestSlabDecodeEquivalence asserts UnmarshalMessageSlab produces
-// field-equal messages to UnmarshalMessage for every field shape.
+// TestSlabDecodeEquivalence asserts UnmarshalMessageSlab and
+// UnmarshalMessageAlias produce field-equal messages to
+// UnmarshalMessage for every field shape, and that EncodedLen predicts
+// each encoding's size exactly.
 func TestSlabDecodeEquivalence(t *testing.T) {
 	for i, m := range slabEquivalenceCases() {
 		data, err := m.Marshal()
 		if err != nil {
 			t.Fatalf("case %d: marshal: %v", i, err)
 		}
+		if n := m.EncodedLen(); n != len(data) || cap(data) != len(data) {
+			t.Fatalf("case %d: EncodedLen = %d, Marshal returned len %d cap %d", i, n, len(data), cap(data))
+		}
 		want, err := UnmarshalMessage(data)
 		if err != nil {
 			t.Fatalf("case %d: copy decode: %v", i, err)
+		}
+		aliased, err := UnmarshalMessageAlias(data)
+		if err != nil {
+			t.Fatalf("case %d: alias decode: %v", i, err)
+		}
+		if aliased.ZeroCopy() || !messagesEqual(aliased, want) {
+			t.Fatalf("case %d: alias decode = %+v (ZeroCopy %v), want %+v", i, aliased, aliased.ZeroCopy(), want)
+		}
+		if len(want.Body) > 0 && &aliased.Body[0] == &want.Body[0] {
+			t.Fatalf("case %d: copy decode shares the alias decode's body", i)
 		}
 		buf := append(GetBufferSize(len(data)), data...)
 		got, err := UnmarshalMessageSlab(buf)

@@ -156,10 +156,13 @@ func appendInt(buf []byte, x int64) []byte {
 // does not alias data. Nesting beyond MaxDepth is rejected with
 // ErrTooDeep, bounding stack use on hostile input.
 func DecodeValue(data []byte) (v any, rest []byte, err error) {
-	return decodeValue(data, 0)
+	return decodeValue(data, 0, false)
 }
 
-func decodeValue(data []byte, depth int) (v any, rest []byte, err error) {
+// decodeValue decodes one value. With alias set, byte slices share
+// data's memory instead of copying it; strings are copied either way
+// (they are short, and callers keep them).
+func decodeValue(data []byte, depth int, alias bool) (v any, rest []byte, err error) {
 	if depth > MaxDepth {
 		return nil, nil, ErrTooDeep
 	}
@@ -201,11 +204,14 @@ func decodeValue(data []byte, depth int) (v any, rest []byte, err error) {
 		if uint32(len(data)) < n {
 			return nil, nil, ErrTruncated
 		}
+		if tag == tagString {
+			return string(data[:n]), data[n:], nil
+		}
+		if alias {
+			return data[:n:n], data[n:], nil
+		}
 		payload := make([]byte, n)
 		copy(payload, data[:n])
-		if tag == tagString {
-			return string(payload), data[n:], nil
-		}
 		return payload, data[n:], nil
 	case tagList:
 		if len(data) < 4 {
@@ -216,7 +222,7 @@ func decodeValue(data []byte, depth int) (v any, rest []byte, err error) {
 		out := make([]any, 0, min(int(n), 1024))
 		for i := uint32(0); i < n; i++ {
 			var item any
-			item, data, err = decodeValue(data, depth+1)
+			item, data, err = decodeValue(data, depth+1, alias)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -232,7 +238,7 @@ func decodeValue(data []byte, depth int) (v any, rest []byte, err error) {
 		out := make(map[string]any, min(int(n), 1024))
 		for i := uint32(0); i < n; i++ {
 			var kv, vv any
-			kv, data, err = decodeValue(data, depth+1)
+			kv, data, err = decodeValue(data, depth+1, alias)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -240,7 +246,7 @@ func decodeValue(data []byte, depth int) (v any, rest []byte, err error) {
 			if !ok {
 				return nil, nil, fmt.Errorf("wire: map key has type %T, want string", kv)
 			}
-			vv, data, err = decodeValue(data, depth+1)
+			vv, data, err = decodeValue(data, depth+1, alias)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -252,13 +258,61 @@ func decodeValue(data []byte, depth int) (v any, rest []byte, err error) {
 	}
 }
 
-// Marshal encodes a single value to a fresh buffer.
-func Marshal(v any) ([]byte, error) { return AppendValue(nil, v) }
+// EncodedLen returns len(Marshal(v)) without encoding, for callers that
+// size a buffer up front (GetBufferSize(EncodedLen(v))). Unsupported
+// types and nesting past MaxDepth count as zero: AppendValue rejects
+// them, so the size only has to be exact for values that encode.
+func EncodedLen(v any) int { return encodedLen(v, 0) }
+
+func encodedLen(v any, depth int) int {
+	if depth > MaxDepth {
+		return 0
+	}
+	switch x := v.(type) {
+	case nil:
+		return 1
+	case bool:
+		return 2
+	case int, int32, int64, float64:
+		return 9
+	case string:
+		return keyedLen(x)
+	case []byte:
+		return 5 + len(x)
+	case []any:
+		n := 5
+		for _, item := range x {
+			n += encodedLen(item, depth+1)
+		}
+		return n
+	case map[string]any:
+		n := 5
+		for k, item := range x {
+			n += keyedLen(k) + encodedLen(item, depth+1)
+		}
+		return n
+	}
+	return 0
+}
+
+// Marshal encodes a single value into one allocation of exactly the
+// encoded size.
+func Marshal(v any) ([]byte, error) {
+	return AppendValue(make([]byte, 0, EncodedLen(v)), v)
+}
 
 // Unmarshal decodes a single value and requires the buffer to be fully
 // consumed.
-func Unmarshal(data []byte) (any, error) {
-	v, rest, err := DecodeValue(data)
+func Unmarshal(data []byte) (any, error) { return unmarshal(data, false) }
+
+// UnmarshalAlias is Unmarshal without the payload copies: every []byte
+// in the result shares data's memory, so the result is valid only while
+// data is left alone. Strings are still copied. It suits a handler
+// decoding a request body it will not keep past the request.
+func UnmarshalAlias(data []byte) (any, error) { return unmarshal(data, true) }
+
+func unmarshal(data []byte, alias bool) (any, error) {
+	v, rest, err := decodeValue(data, 0, alias)
 	if err != nil {
 		return nil, err
 	}
