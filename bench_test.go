@@ -3,7 +3,7 @@
 //
 //	BenchmarkFig3EnumerateChains    — Figure 3 linkage enumeration (E2)
 //	BenchmarkFig6Plan/*             — Figure 6 deployments (E5)
-//	BenchmarkPlannerDPvsExhaustive  — ablation A1
+//	BenchmarkPlannerCaseStudy       — ablation A1
 //	BenchmarkFig7Scenario/*         — Figure 7 simulation (E6)
 //	BenchmarkOneTimeCosts           — Section 4.2 one-time costs (E7)
 //	BenchmarkCoherencePolicy/*      — ablation A2
@@ -98,28 +98,18 @@ func BenchmarkFig6Plan(b *testing.B) {
 	}
 }
 
-// BenchmarkPlannerDPvsExhaustive is ablation A1: same request, both
-// mappers.
-func BenchmarkPlannerDPvsExhaustive(b *testing.B) {
+// BenchmarkPlannerCaseStudy is ablation A1: the Figure 6 San Diego
+// request planned from scratch.
+func BenchmarkPlannerCaseStudy(b *testing.B) {
 	req := planner.Request{
 		Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50,
 	}
-	b.Run("Exhaustive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pl := newCaseStudyPlanner(b)
-			if _, err := pl.Plan(req); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		pl := newCaseStudyPlanner(b)
+		if _, err := pl.Plan(req); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("DP", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pl := newCaseStudyPlanner(b)
-			if _, err := pl.PlanDP(req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkFig7Scenario simulates each Figure 7 scenario at 3 clients
@@ -196,7 +186,7 @@ func BenchmarkPlannerScaling(b *testing.B) {
 					b.Skip("seeded topology lacks a primary host")
 				}
 				pl.AddExisting(ms)
-				if _, err := pl.PlanDP(planner.Request{
+				if _, err := pl.Plan(planner.Request{
 					Interface: spec.IfaceClient, ClientNode: nodes[1].ID, User: "Alice", RateRPS: 10,
 				}); err != nil {
 					b.Fatal(err)

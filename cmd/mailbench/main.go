@@ -17,7 +17,7 @@
 //	mailbench -trace DS500      # span tree + per-stage breakdown of one scenario
 //	mailbench -multicore        # live RPC scale-out: GOMAXPROCS × transport × conns (A9)
 //	mailbench -fleet            # session-sharded fleet control plane (A10)
-//	mailbench -solver           # solver backend scaling + repair-vs-fresh curve (A11)
+//	mailbench -solver           # planner scaling + repair-vs-fresh curve (A11)
 //	mailbench -solver -solver-sizes 8,32,128   # explicit Waxman sizes
 //	mailbench -solver -timing   # add wall-clock plan latency (non-deterministic)
 //	mailbench -fleet -fleet-sessions 400 -fleet-nodes 32   # reduced scale (CI)
@@ -63,7 +63,7 @@ func main() {
 	cellDur := flag.Duration("dur", 2*time.Second, "measurement time per -multicore cell")
 	gmpList := flag.String("gomaxprocs", "1,2,4", "comma-separated GOMAXPROCS values for -multicore")
 	fleetRun := flag.Bool("fleet", false, "session-sharded fleet control plane benchmark (A10)")
-	solverRun := flag.Bool("solver", false, "solver backend scaling + repair-vs-fresh curve (A11)")
+	solverRun := flag.Bool("solver", false, "planner scaling + repair-vs-fresh curve (A11)")
 	solverSizes := flag.String("solver-sizes", "", "comma-separated Waxman sizes for -solver (default 8,16,32,64,128,256)")
 	fleetSessions := flag.Int("fleet-sessions", 0, "override -fleet session count (default 5000)")
 	fleetNodes := flag.Int("fleet-nodes", 0, "override -fleet Waxman topology size (default 128)")
@@ -152,7 +152,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mailbench:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("Solver backend scaling on Waxman topologies (A11; exhaustive capped at %d nodes):\n", ac.ExhaustiveMax)
+		fmt.Println("Planner scaling on Waxman topologies (A11):")
 		fmt.Print(bench.A11ScalingTable(res))
 		fmt.Println("\nIncremental repair vs fresh solve under the Figure-8 fault kinds (A11):")
 		fmt.Print(bench.A11RepairTable(res))

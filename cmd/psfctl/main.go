@@ -9,7 +9,7 @@
 //	psfctl validate [-f spec.xml]     # validate a specification
 //	psfctl chains [-f spec.xml] [-i ClientInterface]
 //	psfctl plan -case-study           # reproduce the Figure 6 plans
-//	psfctl plan -node sd-2 -user Alice [-rate 50] [-objective latency] [-backend solver]
+//	psfctl plan -node sd-2 -user Alice [-rate 50] [-objective latency]
 //	psfctl rpc [-callers 64] [-d 2s]  # loopback data-plane throughput probe
 //	psfctl stats [-http :8080]        # unified metrics registry across subsystems
 //	psfctl trace [-sim]               # end-to-end trace of one mail send
@@ -160,8 +160,6 @@ func runPlan(args []string) error {
 	rate := fs.Float64("rate", 50, "request rate (req/s)")
 	objective := fs.String("objective", "min-latency",
 		"latency | cost | headroom (canonical min-latency | min-cost | max-capacity also accepted)")
-	backendName := fs.String("backend", "", "exhaustive | dp | solver (default exhaustive)")
-	useDP := fs.Bool("dp", false, "shorthand for -backend dp")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -176,27 +174,15 @@ func runPlan(args []string) error {
 	pl.AddExisting(ms)
 	reg := metrics.NewRegistry()
 	pl.RegisterMetrics(reg, "planner")
+	pl.RegisterSolverMetrics(reg, "solver")
 
 	obj, err := planner.ParseObjective(*objective)
 	if err != nil {
 		return err
 	}
-	backend, err := planner.ParseBackend(*backendName)
-	if err != nil {
-		return err
-	}
-	if *useDP {
-		if *backendName != "" && backend != planner.BackendDP {
-			return fmt.Errorf("-dp conflicts with -backend %s", backend)
-		}
-		backend = planner.BackendDP
-	}
-	if backend == planner.BackendSolver {
-		pl.RegisterSolverMetrics(reg, "solver")
-	}
 
 	plan := func(req planner.Request) error {
-		dep, err := pl.PlanVia(backend, req)
+		dep, err := pl.Plan(req)
 		if err != nil {
 			return err
 		}

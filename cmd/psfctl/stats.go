@@ -189,13 +189,6 @@ func runStats(args []string) error {
 	}); err != nil {
 		return err
 	}
-	// Same request through the constraint-solver backend, so the solver
-	// section (solves, propagations, backtracks) renders non-zero.
-	if _, err := pl.PlanSolver(planner.Request{
-		Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50,
-	}); err != nil {
-		return err
-	}
 
 	// Transport + RPC histograms: traced sends through the TCP stack.
 	stack, err := newMailStack(coherence.WriteThrough{})

@@ -66,8 +66,7 @@ func (x *EngineExecutor) Replan(old *planner.Deployment, req planner.Request) (*
 }
 
 // RepairReplan implements RepairExecutor: the changed-element set flows
-// through to the solver backend's incremental repair (a no-op
-// passthrough to Replan when the planner is not solver-backed).
+// through to the planner's incremental repair.
 func (x *EngineExecutor) RepairReplan(old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
 	return x.Server.RepairReplan(old, req, ch)
 }

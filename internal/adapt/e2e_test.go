@@ -3,11 +3,13 @@ package adapt_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"partsvc/internal/adapt"
 	"partsvc/internal/mail"
+	"partsvc/internal/metrics"
 	"partsvc/internal/netmodel"
 	"partsvc/internal/netmon"
 	"partsvc/internal/planner"
@@ -107,6 +109,29 @@ func (w *world) deploySD(t *testing.T) {
 	}
 }
 
+// carolService is the lookup name Carol's head is published under.
+const carolService = "mail-head-carol"
+
+// trackCarol deploys Carol's Seattle session through the generic
+// server, publishes its head, and binds a rebind endpoint with the
+// given retry policy to it — everything a test needs to hand the
+// session to a controller.
+func (w *world) trackCarol(t *testing.T, retry adapt.RetryConfig) (*adapt.Session, *adapt.RebindEndpoint, *planner.Deployment) {
+	t.Helper()
+	req := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SeaClient, User: "Carol", RateRPS: 50}
+	headAddr, dep, err := w.gs.Access(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.lookup.Register(smock.Entry{Service: carolService, ServerAddr: headAddr}); err != nil {
+		t.Fatal(err)
+	}
+	session := adapt.NewSession("carol", carolService, req, dep, headAddr)
+	reb := adapt.NewRebindEndpoint(w.tr, adapt.LookupResolver(w.lookup, carolService), retry)
+	session.Bind(reb)
+	return session, reb, dep
+}
+
 // TestNodeCrashAdaptationInProc is the end-to-end acceptance test: with
 // the controller running, the node hosting the mail-store view that
 // Seattle's chain depends on (sd-2) is killed mid-traffic. The
@@ -127,24 +152,11 @@ func runNodeCrashAdaptation(t *testing.T, tr transport.Transport) {
 	w.deploySD(t)
 
 	// Carol's Seattle session, tracked by the controller.
-	req := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SeaClient, User: "Carol", RateRPS: 50}
-	headAddr, dep, err := w.gs.Access(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	session, reb, dep := w.trackCarol(t, adapt.RetryConfig{MaxAttempts: 12, BackoffMS: 25})
+	headAddr := session.HeadAddr()
 	if !strings.Contains(dep.String(), "ViewMailServer@sd-2") {
 		t.Fatalf("Seattle chain must run through the sd-2 view initially: %s", dep)
 	}
-	const service = "mail-head-carol"
-	if err := w.lookup.Register(smock.Entry{Service: service, ServerAddr: headAddr}); err != nil {
-		t.Fatal(err)
-	}
-	session := adapt.NewSession("carol", service, req, dep, headAddr)
-
-	reb := adapt.NewRebindEndpoint(w.tr, adapt.LookupResolver(w.lookup, service), adapt.RetryConfig{
-		MaxAttempts: 12, BackoffMS: 25,
-	})
-	session.Bind(reb)
 
 	events := make(chan adapt.Event, 512)
 	ctrl := adapt.New(adapt.Config{
@@ -251,23 +263,10 @@ func TestLinkDegradeRewireInProc(t *testing.T) {
 	w := newWorldOn(t, transport.NewInProc())
 	w.deploySD(t)
 
-	req := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SeaClient, User: "Carol", RateRPS: 50}
-	headAddr, dep, err := w.gs.Access(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	session, reb, dep := w.trackCarol(t, adapt.RetryConfig{MaxAttempts: 12, BackoffMS: 25})
 	if !strings.Contains(dep.String(), "Decryptor@sd-2") {
 		t.Fatalf("Seattle chain must decrypt on sd-2 initially: %s", dep)
 	}
-	const service = "mail-head-carol"
-	if err := w.lookup.Register(smock.Entry{Service: service, ServerAddr: headAddr}); err != nil {
-		t.Fatal(err)
-	}
-	session := adapt.NewSession("carol", service, req, dep, headAddr)
-	reb := adapt.NewRebindEndpoint(w.tr, adapt.LookupResolver(w.lookup, service), adapt.RetryConfig{
-		MaxAttempts: 12, BackoffMS: 25,
-	})
-	session.Bind(reb)
 
 	events := make(chan adapt.Event, 512)
 	ctrl := adapt.New(adapt.Config{DebounceMS: 20, DrainMS: 40}, w.mon, w.executor(), adapt.NewRealScheduler())
@@ -362,4 +361,106 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal(msg)
+}
+
+// TestParkedRequestCompletesOnFlipTCP: over real sockets, requests
+// that fail at the kill and park in the rebind endpoint's backoff are
+// answered by the cutover's flip, not by their next retry slot. The
+// slot is put 2 s away, so only the flip's wake-up can explain a
+// completion within milliseconds of the "flip" stage event. Every
+// attempt must finish far from the slot; the 10 ms bound on the first
+// wake-up is a latency claim about a 2-CPU host that other test
+// binaries share, so a scheduling hiccup gets two more attempts.
+func TestParkedRequestCompletesOnFlipTCP(t *testing.T) {
+	const attempts = 3
+	for attempt := 1; ; attempt++ {
+		first, last := parkedAcrossFlip(t)
+		t.Logf("attempt %d: parked requests completed %v … %v after the flip event", attempt, first, last)
+		if last > time.Second {
+			t.Fatalf("last parked request completed %v after the flip event: it waited for a backoff slot, not the flip", last)
+		}
+		if first >= 0 && first <= 10*time.Millisecond {
+			return
+		}
+		if attempt == attempts {
+			t.Fatalf("first parked request completed %v after the flip event in each of %d attempts, want within 10ms (the next backoff slot was 2s away)", first, attempts)
+		}
+	}
+}
+
+// parkedAcrossFlip runs the kill scenario once and returns how long
+// after the "flip" stage event the first and the last of four requests
+// parked across the fault completed.
+func parkedAcrossFlip(t *testing.T) (first, last time.Duration) {
+	t.Helper()
+	w := newWorldOn(t, transport.NewTCP())
+	w.deploySD(t)
+	session, reb, _ := w.trackCarol(t, adapt.RetryConfig{MaxAttempts: 3, BackoffMS: 2000})
+	defer reb.Close()
+
+	var mu sync.Mutex
+	var flipAt time.Time
+	ctrl := adapt.New(adapt.Config{
+		DebounceMS: 20, ProbeIntervalMS: 25, ProbeTimeoutMS: 500,
+		SuspicionThreshold: 2, DrainMS: 40,
+	}, w.mon, w.executor(), adapt.NewRealScheduler())
+	ctrl.SetProber(adapt.NewTransportProber(w.tr), w.engine.ControlAddrs)
+	ctrl.OnEvent(func(e adapt.Event) {
+		if e.Kind == "stage" && e.Detail == "flip" {
+			mu.Lock()
+			if flipAt.IsZero() {
+				flipAt = time.Now()
+			}
+			mu.Unlock()
+		}
+	})
+	ctrl.Track(session)
+	ctrl.Start()
+	defer ctrl.Stop()
+
+	carol := mail.NewViewClient("Carol", 2, w.keys.SubRing(2), mail.NewRemote(reb))
+	if _, err := carol.Send("Alice", "before", []byte("pre-crash"), 2); err != nil {
+		t.Fatalf("baseline send: %v", err)
+	}
+
+	retries := metrics.DefaultRegistry.Counter("adapt.retries")
+	retriesBefore := retries.Load()
+	w.wrappers[topology.SDClient].Close()
+	const parked = 4
+	type result struct {
+		err    error
+		doneAt time.Time
+	}
+	results := make(chan result, parked)
+	for i := 0; i < parked; i++ {
+		go func(i int) {
+			subject := fmt.Sprintf("across-%d", i)
+			_, err := carol.Send("Alice", subject, []byte(subject), 2)
+			results <- result{err, time.Now()}
+		}(i)
+	}
+	var firstAt, lastAt time.Time
+	for i := 0; i < parked; i++ {
+		r := <-results
+		if r.err != nil {
+			t.Fatalf("a request parked across the fault failed: %v", r.err)
+		}
+		if firstAt.IsZero() || r.doneAt.Before(firstAt) {
+			firstAt = r.doneAt
+		}
+		if r.doneAt.After(lastAt) {
+			lastAt = r.doneAt
+		}
+	}
+
+	mu.Lock()
+	flip := flipAt
+	mu.Unlock()
+	if flip.IsZero() {
+		t.Fatal("the requests completed without any cutover flipping the binding")
+	}
+	if got := retries.Load() - retriesBefore; got < parked {
+		t.Fatalf("%d of %d requests parked: the rest did not cross the fault", got, parked)
+	}
+	return firstAt.Sub(flip), lastAt.Sub(flip)
 }

@@ -24,12 +24,10 @@ type Flippable interface {
 type RetryConfig struct {
 	// MaxAttempts bounds the total tries per call (default 4).
 	MaxAttempts int
-	// BackoffMS is the delay before the first retry (default 10ms); each
-	// subsequent retry doubles it.
+	// BackoffMS is the longest wait before the first retry (default
+	// 10ms); each subsequent retry doubles it. A SetAddr ends the wait
+	// early.
 	BackoffMS float64
-	// Sleep, when non-nil, replaces time.Sleep for the backoff delays
-	// (tests inject a recording or virtual-time sleeper).
-	Sleep func(ms float64)
 	// RetryResponse decides whether an application-level error response
 	// is worth retrying (default Transient). A request can reach a live
 	// relay whose own upstream died mid-cutover; the failure comes back
@@ -66,9 +64,6 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	if c.BackoffMS <= 0 {
 		c.BackoffMS = 10
 	}
-	if c.Sleep == nil {
-		c.Sleep = func(ms float64) { time.Sleep(time.Duration(ms * float64(time.Millisecond))) }
-	}
 	if c.RetryResponse == nil {
 		c.RetryResponse = Transient
 	}
@@ -87,7 +82,10 @@ func (c RetryConfig) withDefaults() RetryConfig {
 //
 // It also implements Flippable, so an adaptation controller can push
 // the new head address instead of waiting for a failure to trigger
-// re-resolution.
+// re-resolution. The push is also the wake-up: a call waiting out its
+// backoff retries the moment SetAddr lands, so a cutover's flip — not
+// the next retry slot — ends a stalled request. The timer remains the
+// fallback for endpoints nobody flips.
 type RebindEndpoint struct {
 	tr      transport.Transport
 	resolve func() (string, error)
@@ -98,6 +96,11 @@ type RebindEndpoint struct {
 	mu   sync.Mutex
 	addr string
 	ep   transport.Endpoint
+	// flipped is closed, and replaced, by every SetAddr that changes the
+	// address. A call captures it before an attempt and waits on it after
+	// the attempt failed, so a flip at any point in between is seen as an
+	// already-closed channel — no wake-up is ever lost.
+	flipped chan struct{}
 }
 
 // NewRebindEndpoint returns a rebind endpoint that dials addresses from
@@ -108,10 +111,13 @@ func NewRebindEndpoint(tr transport.Transport, resolve func() (string, error), c
 		tr: tr, resolve: resolve, cfg: cfg.withDefaults(),
 		retries: metrics.DefaultRegistry.Counter("adapt.retries"),
 		rebinds: metrics.DefaultRegistry.Counter("adapt.rebinds"),
+		flipped: make(chan struct{}),
 	}
 }
 
-// SetAddr implements Flippable: the next call dials addr.
+// SetAddr implements Flippable: the next call dials addr, and every
+// call waiting out a backoff retries at once. Pushing the address the
+// endpoint is already bound to changes nothing and wakes nobody.
 func (r *RebindEndpoint) SetAddr(addr string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -123,6 +129,22 @@ func (r *RebindEndpoint) SetAddr(addr string) {
 		r.ep = nil
 	}
 	r.addr = addr
+	close(r.flipped)
+	r.flipped = make(chan struct{})
+}
+
+// park waits out one backoff: until flipped closes (the address changed
+// since the failed attempt began), the timer fires, or ctx ends.
+func park(ctx context.Context, flipped <-chan struct{}, ms float64) error {
+	t := time.NewTimer(time.Duration(ms * float64(time.Millisecond)))
+	defer t.Stop()
+	select {
+	case <-flipped:
+	case <-t.C:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return nil
 }
 
 // Addr returns the currently bound address ("" before the first call).
@@ -144,27 +166,30 @@ func (r *RebindEndpoint) drop(failed transport.Endpoint) {
 	}
 }
 
-// endpoint returns the live endpoint, resolving and dialing as needed.
-func (r *RebindEndpoint) endpoint() (transport.Endpoint, error) {
+// endpoint returns the live endpoint, resolving and dialing as needed,
+// together with the channel the next address change will close —
+// captured under the same lock, before the attempt that uses the
+// endpoint: see park.
+func (r *RebindEndpoint) endpoint() (transport.Endpoint, <-chan struct{}, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.ep != nil {
-		return r.ep, nil
+		return r.ep, r.flipped, nil
 	}
 	if r.addr == "" {
 		addr, err := r.resolve()
 		if err != nil {
-			return nil, fmt.Errorf("adapt: resolving target: %w", err)
+			return nil, r.flipped, fmt.Errorf("adapt: resolving target: %w", err)
 		}
 		r.addr = addr
 	}
 	ep, err := r.tr.Dial(r.addr)
 	if err != nil {
 		r.addr = "" // the resolved address is bad; re-resolve next time
-		return nil, err
+		return nil, r.flipped, err
 	}
 	r.ep = ep
-	return ep, nil
+	return ep, r.flipped, nil
 }
 
 // Call implements transport.Endpoint.
@@ -173,8 +198,9 @@ func (r *RebindEndpoint) Call(m *wire.Message) (*wire.Message, error) {
 }
 
 // CallContext implements transport.ContextEndpoint with the retry
-// loop: transport-level failures re-resolve, redial, and try again
-// until the attempt budget or the context runs out. A co-location
+// loop: transport-level failures re-resolve, redial, and try again —
+// after the backoff or as soon as SetAddr repoints the endpoint — until
+// the attempt budget or the context runs out. A co-location
 // handshake is refused: the endpoint behind this one changes with every
 // rebind, so no linkage through it is fixed to one node.
 func (r *RebindEndpoint) CallContext(ctx context.Context, m *wire.Message) (*wire.Message, error) {
@@ -182,18 +208,23 @@ func (r *RebindEndpoint) CallContext(ctx context.Context, m *wire.Message) (*wir
 		return refusal, nil
 	}
 	var lastErr error
+	var flipped <-chan struct{}
 	backoff := r.cfg.BackoffMS
 	for attempt := 0; attempt < r.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			r.retries.Inc()
-			r.cfg.Sleep(backoff)
+			if err := park(ctx, flipped, backoff); err != nil {
+				return nil, err
+			}
 			backoff *= 2
 			r.rebinds.Inc()
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ep, err := r.endpoint()
+		var ep transport.Endpoint
+		var err error
+		ep, flipped, err = r.endpoint()
 		if err != nil {
 			lastErr = err
 			continue

@@ -72,10 +72,6 @@ type planRequest struct {
 	Node      string  `json:"node"`
 	User      string  `json:"user"`
 	RateRPS   float64 `json:"rate_rps"`
-	// Backend selects the planning algorithm for /v1/plan dry runs:
-	// "exhaustive", "dp", or "solver" ("" = the server's configured
-	// default). Sessions always deploy through the server default.
-	Backend string `json:"backend,omitempty"`
 	// Objective is "latency" (default), "cost", or "headroom".
 	Objective string `json:"objective,omitempty"`
 }
@@ -191,18 +187,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var dep *planner.Deployment
-	var err error
-	if pr.Backend == "" {
-		dep, err = s.ctl.Server.PlanOnly(req)
-	} else {
-		var b planner.Backend
-		if b, err = planner.ParseBackend(pr.Backend); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		dep, err = s.ctl.Server.PlanOnlyVia(req, b)
-	}
+	dep, err := s.ctl.Server.PlanOnly(req)
 	if err != nil {
 		apiError(w, http.StatusUnprocessableEntity, "plan: %v", err)
 		return

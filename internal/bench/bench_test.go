@@ -202,30 +202,26 @@ func TestCoherenceBoundSweep(t *testing.T) {
 	}
 }
 
-// TestPlannerScaling (ablation A3): the DP planner examines far fewer
-// mappings than the exhaustive planner as networks grow.
+// TestPlannerScaling (ablation A3): the planner's search effort is
+// reported, and the constraint engine's propagation work grows with the
+// network (candidate domains are the node table). That the search
+// examines far fewer mappings than exhaustive enumeration — and picks
+// the same deployment — is the planner package's equivalence oracle.
 func TestPlannerScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("planner scaling is slow")
-	}
 	rows, err := PlannerScaling([]int{8, 12}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if r.Chains == 0 || r.Mappings == 0 {
+		if r.Graphs == 0 || r.Mappings == 0 || r.Propagations == 0 {
 			t.Errorf("row %+v has no search effort", r)
 		}
-		if r.DPMappings*2 > r.Mappings {
-			t.Errorf("nodes=%d: DP (%d) must examine far fewer mappings than exhaustive (%d)",
-				r.Nodes, r.DPMappings, r.Mappings)
-		}
 	}
-	if rows[1].Mappings <= rows[0].Mappings {
-		t.Errorf("exhaustive effort must grow with network size: %+v", rows)
+	if rows[1].Propagations <= rows[0].Propagations {
+		t.Errorf("propagation effort must grow with network size: %+v", rows)
 	}
 	out := ScalingTable(rows)
-	if !strings.Contains(out, "exhaustive_mappings") {
+	if !strings.Contains(out, "propagations") {
 		t.Errorf("scaling table:\n%s", out)
 	}
 }

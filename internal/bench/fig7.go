@@ -271,7 +271,7 @@ func (w *scenarioWorld) send(p *sim.Proc, parent trace.SpanContext) {
 		p.Sleep(cfg.ViewServiceMS)
 		flush := false
 		for r := 0; r < cfg.RecordsPerSend; r++ {
-			if w.replica.Write("send", "user", nil, p.Now()) {
+			if _, due := w.replica.Write("send", "user", nil, p.Now()); due {
 				flush = true
 			}
 		}

@@ -85,7 +85,7 @@ func (w *scenarioWorld) sendCB(sleep func(float64, func()), done func()) {
 			sleep(cfg.ViewServiceMS, func() {
 				flush := false
 				for r := 0; r < cfg.RecordsPerSend; r++ {
-					if w.replica.Write("send", "user", nil, w.env.Now()) {
+					if _, due := w.replica.Write("send", "user", nil, w.env.Now()); due {
 						flush = true
 					}
 				}

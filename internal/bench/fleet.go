@@ -112,7 +112,6 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	mon := netmon.New(net)
 	mgr := fleet.New(fleet.Config{
 		Shards: cfg.Shards, Workers: cfg.Workers, DebounceMS: 20,
-		Tune: func(pl *planner.Planner) { pl.PreferDP = true },
 	}, spec.MailService(), net, mon, adapt.NewSimScheduler(env))
 	if _, err := mgr.AddPrimary(spec.CompMailServer, nodes[0].ID); err != nil {
 		return nil, err
@@ -123,13 +122,8 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		if i%len(sites)%2 == 1 {
 			user = "Carol"
 		}
-		// 10 rps keeps the DP mapper's load relaxation exact (higher
-		// rates hit bandwidth-bound candidates whose exact re-validation
-		// fails, dropping whole chains to the exhaustive mapper — see
-		// PlanDP). Rate admission itself is uniform across backends now
-		// (PlanVia rejects any deployment whose capacity is below the
-		// request rate); the load condition is exercised by A3/A7 and the
-		// solver backend by A11.
+		// 10 rps keeps every site's chain clear of the load condition
+		// (exercised by A3/A7), so the waves measure the control plane.
 		mgr.AddSession(fmt.Sprintf("s%05d", i), planner.Request{
 			Interface: spec.IfaceClient, ClientNode: site, User: user, RateRPS: 10,
 		})

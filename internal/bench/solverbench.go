@@ -13,7 +13,7 @@ import (
 	"partsvc/internal/topology"
 )
 
-// A11Config tunes the constraint-solver experiment (A11): backend
+// A11Config tunes the constraint-solver experiment (A11): planner
 // scaling on Waxman topologies and the repair-vs-fresh-replan curve
 // under the Figure-8 fault kinds.
 type A11Config struct {
@@ -21,10 +21,6 @@ type A11Config struct {
 	Sizes []int
 	// Seed feeds the Waxman generator.
 	Seed int64
-	// ExhaustiveMax is the largest size at which the exhaustive backend
-	// still runs; beyond it the exhaustive columns print "-" (its search
-	// is factorial in candidate count and would dominate the sweep).
-	ExhaustiveMax int
 	// Workers bounds sweep parallelism; output-invariant (0 = GOMAXPROCS).
 	Workers int
 	// Timing adds wall-clock plan latency columns. Off by default: the
@@ -35,46 +31,43 @@ type A11Config struct {
 // DefaultA11Config returns the headline A11 configuration: sizes up to
 // the 256-node acceptance scenario.
 func DefaultA11Config() A11Config {
-	return A11Config{Sizes: []int{8, 16, 32, 64, 128, 256}, Seed: 7, ExhaustiveMax: 16}
+	return A11Config{Sizes: []int{8, 16, 32, 64, 128, 256}, Seed: 7}
 }
 
-// SolverScalingRow is one backend-scaling data point: the work each
-// planner backend spends on the same request over the same topology,
-// plus the objective value it reaches. Counters and latencies are
-// deterministic; the *WallMS fields are populated only under Timing.
+// SolverScalingRow is one planner-scaling data point: the constraint
+// engine work one request costs on a topology of the given size, plus
+// the objective value it reaches. (The cross-backend columns this table
+// used to carry — DP and exhaustive mappings and latencies — are what
+// the planner's equivalence tests now assert.) Counters and latencies
+// are deterministic; WallMS is populated only under Timing.
 type SolverScalingRow struct {
 	Nodes int
 	// Solver work counters (constraint engine units).
 	SolverProps, SolverBacktracks, SolverEvals uint64
 	SolverLatencyMS                            float64
-	// DP mapper work (mappings tried) and objective.
-	DPMappings  int
-	DPLatencyMS float64
-	// Exhaustive mapper work and objective; Mappings is -1 when the size
-	// exceeded ExhaustiveMax and the backend was skipped.
-	ExhMappings  int
-	ExhLatencyMS float64
-
-	SolverWallMS, DPWallMS, ExhWallMS float64
+	SolverWallMS                               float64
 }
 
 // RepairCurveRow is one point of the repair-vs-fresh curve: after one
-// scripted fault on a deployed chain's interior link, the constraint
-// propagations spent by incremental repair versus a fresh solve of the
-// same request under the same network state.
+// scripted fault under a deployed chain, the constraint propagations
+// RepairReplan spends versus a fresh ReplanRewire of the same request
+// under the same network state.
 type RepairCurveRow struct {
 	Nodes int
-	// Event names the Figure-8 fault kind played on the target link.
+	// Event names the Figure-8 fault kind played on the target.
 	Event string
 	// RepairProps / FreshProps are propagation counts; Ratio is
 	// fresh/repair (the factor repair is cheaper by).
 	RepairProps uint64
 	FreshProps  uint64
 	Ratio       float64
-	// Fallback marks a repair that was infeasible under its pins and
-	// fell back to a fresh solve internally.
-	Fallback bool
-	// Moved counts placements the repair installed anew (0 = the running
+	// Path says how RepairReplan settled the event: "repair" (the
+	// incremental repair was the answer), "repair+replan" (the repair
+	// moved nothing, so by contract it continued as the full replan and
+	// rewire check — parity with fresh plus the repair itself), or
+	// "fallback" (repair infeasible under its pins; fresh replan).
+	Path string
+	// Moved counts placements the adaptation installs (0 = the running
 	// graph survived unchanged).
 	Moved int
 }
@@ -148,75 +141,62 @@ func a11Planner(net *netmodel.Network, primaryNode netmodel.NodeID) (*planner.Pl
 	return pl, nil
 }
 
-// a11Scale measures one size: the same request planned by all three
-// backends on fresh planners over the same topology.
+// a11Scale measures one size: one request planned on a fresh planner.
 func a11Scale(cfg A11Config, n int) (SolverScalingRow, error) {
 	net, nodes, err := a11Net(cfg, n)
 	if err != nil {
 		return SolverScalingRow{}, err
 	}
-	req := planner.Request{
+	pl, err := a11Planner(net, nodes[0].ID)
+	if err != nil {
+		return SolverScalingRow{}, err
+	}
+	sw := newStopwatch(cfg.Timing)
+	dep, err := pl.Plan(planner.Request{
 		Interface: spec.IfaceClient, ClientNode: nodes[1].ID, User: "Alice", RateRPS: 10,
-	}
-	row := SolverScalingRow{Nodes: n, ExhMappings: -1}
-
-	run := func(b planner.Backend) (*planner.Planner, *planner.Deployment, float64, error) {
-		pl, err := a11Planner(net, nodes[0].ID)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		sw := newStopwatch(cfg.Timing)
-		dep, err := pl.PlanVia(b, req)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return pl, dep, sw.lapMS(), nil
-	}
-
-	pl, dep, wall, err := run(planner.BackendSolver)
+	})
 	if err != nil {
-		return row, err
+		return SolverScalingRow{}, err
 	}
-	row.SolverProps = pl.SolverStats.Propagations.Load()
-	row.SolverBacktracks = pl.SolverStats.Backtracks.Load()
-	row.SolverEvals = pl.SolverStats.Evaluations.Load()
-	row.SolverLatencyMS = dep.ExpectedLatencyMS
-	row.SolverWallMS = wall
-
-	pl, dep, wall, err = run(planner.BackendDP)
-	if err != nil {
-		return row, err
-	}
-	row.DPMappings = pl.Stats().MappingsTried
-	row.DPLatencyMS = dep.ExpectedLatencyMS
-	row.DPWallMS = wall
-
-	if n <= cfg.ExhaustiveMax {
-		pl, dep, wall, err = run(planner.BackendExhaustive)
-		if err != nil {
-			return row, err
-		}
-		row.ExhMappings = pl.Stats().MappingsTried
-		row.ExhLatencyMS = dep.ExpectedLatencyMS
-		row.ExhWallMS = wall
-	}
-	return row, nil
+	return SolverScalingRow{
+		Nodes:            n,
+		SolverProps:      pl.SolverStats.Propagations.Load(),
+		SolverBacktracks: pl.SolverStats.Backtracks.Load(),
+		SolverEvals:      pl.SolverStats.Evaluations.Load(),
+		SolverLatencyMS:  dep.ExpectedLatencyMS,
+		SolverWallMS:     sw.lapMS(),
+	}, nil
 }
 
-// a11Faults are the Figure-8 fault kinds replayed on the target link,
-// in script order: degrade it, restore it, sever it.
-func a11Faults(origLat, origBW float64) []struct {
+// a11Fault is one scripted event: a latency/bandwidth report on the
+// target link, or (crash) the death of an interior placement's node.
+type a11Fault struct {
 	name     string
 	lat, mbs float64
-} {
-	return []struct {
-		name     string
-		lat, mbs float64
-	}{
-		{"link-degrade", origLat + 800, origBW},
-		{"link-restore", origLat, origBW},
-		{"link-down", downLinkLatencyMS, downLinkBandwidthMbps},
+	crash    bool
+}
+
+// a11Faults are the Figure-8 fault kinds in script order: degrade the
+// target link, restore it, crash an interior node, sever the link.
+func a11Faults(origLat, origBW float64) []a11Fault {
+	return []a11Fault{
+		{name: "link-degrade", lat: origLat + 800, mbs: origBW},
+		{name: "link-restore", lat: origLat, mbs: origBW},
+		{name: "node-crash", crash: true},
+		{name: "link-down", lat: downLinkLatencyMS, mbs: downLinkBandwidthMbps},
 	}
+}
+
+// interiorNode picks the node to crash: the first placement past the
+// head that the session deployed for itself (not a reused instance)
+// away from the client's node.
+func interiorNode(dep *planner.Deployment, client netmodel.NodeID) (netmodel.NodeID, bool) {
+	for _, p := range dep.Placements[1:] {
+		if !p.Reused && p.Node != client {
+			return p.Node, true
+		}
+	}
+	return "", false
 }
 
 // a11Repair plays the fault script against one deployed session and
@@ -229,9 +209,10 @@ func a11Repair(cfg A11Config, n int) ([]RepairCurveRow, error) {
 	}
 	mon := netmon.New(net)
 
-	// Deterministic client scan: the first node whose solver plan is a
-	// 3+ placement chain, so the fault can land on an interior edge away
-	// from the pinned head.
+	// Deterministic client scan: the first node whose plan is a 3+
+	// placement chain, so the link faults can land on an interior edge
+	// away from the pinned head — preferring one that also deploys a
+	// component off the client's node, so the crash has a target.
 	var (
 		pl  *planner.Planner
 		dep *planner.Deployment
@@ -242,14 +223,18 @@ func a11Repair(cfg A11Config, n int) ([]RepairCurveRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cand.PreferSolver = true
 		r := planner.Request{Interface: spec.IfaceClient, ClientNode: node.ID, User: "Alice", RateRPS: 10}
-		d, err := cand.PlanSolver(r)
+		d, err := cand.Plan(r)
 		if err != nil || len(d.Placements) < 3 {
 			continue
 		}
-		pl, dep, req = cand, d, r
-		break
+		_, crashable := interiorNode(d, r.ClientNode)
+		if pl == nil || crashable {
+			pl, dep, req = cand, d, r
+		}
+		if crashable {
+			break
+		}
 	}
 	if pl == nil {
 		return []RepairCurveRow{{Nodes: n, Event: "no-interior-chain"}}, nil
@@ -283,23 +268,32 @@ func a11Repair(cfg A11Config, n int) ([]RepairCurveRow, error) {
 
 	var rows []RepairCurveRow
 	for _, f := range a11Faults(origLat, origBW) {
-		if err := mon.ReportLink(a, b, f.lat, f.mbs, nil); err != nil {
-			return nil, err
-		}
 		ch := planner.NewChangedSet()
-		ch.AddLink(a, b)
+		if f.crash {
+			node, ok := interiorNode(dep, req.ClientNode)
+			if !ok {
+				rows = append(rows, RepairCurveRow{Nodes: n, Event: f.name, Path: "no-interior-node"})
+				continue
+			}
+			if err := mon.ReportNodeDown(node); err != nil {
+				return nil, err
+			}
+			ch.AddNode(node)
+		} else {
+			if err := mon.ReportLink(a, b, f.lat, f.mbs, nil); err != nil {
+				return nil, err
+			}
+			ch.AddLink(a, b)
+		}
 
 		// Fresh-replan reference on its own planner: same topology state,
-		// same reuse set, but the full ReplanRewire pass a control plane
+		// same reuse set, the full ReplanRewire pass a control plane
 		// without incremental repair would run on every event (including
-		// its anchor-free rewire check) — the honest baseline, since the
-		// repair path's fallback pays exactly that when repair is
-		// infeasible.
+		// its anchor-free rewire check).
 		fresh, err := a11Planner(net, nodes[0].ID)
 		if err != nil {
 			return nil, err
 		}
-		fresh.PreferSolver = true
 		fresh.AddExisting(dep.Placements...)
 		if _, err := fresh.ReplanRewire(dep, req); err != nil {
 			return nil, err
@@ -308,6 +302,7 @@ func a11Repair(cfg A11Config, n int) ([]RepairCurveRow, error) {
 
 		propsBefore := pl.SolverStats.Propagations.Load()
 		fallbacksBefore := pl.SolverStats.RepairFallbacks.Load()
+		solvesBefore := pl.SolverStats.Solves.Load()
 		diff, err := pl.RepairReplan(dep, req, ch)
 		if err != nil {
 			return nil, err
@@ -317,16 +312,22 @@ func a11Repair(cfg A11Config, n int) ([]RepairCurveRow, error) {
 		row := RepairCurveRow{
 			Nodes: n, Event: f.name,
 			RepairProps: repairProps, FreshProps: freshProps,
-			Fallback: pl.SolverStats.RepairFallbacks.Load() > fallbacksBefore,
-			Moved:    len(diff.Install),
+			Path:  "repair",
+			Moved: len(diff.Install),
+		}
+		switch {
+		case pl.SolverStats.RepairFallbacks.Load() > fallbacksBefore:
+			row.Path = "fallback"
+		case pl.SolverStats.Solves.Load() > solvesBefore:
+			row.Path = "repair+replan"
 		}
 		if repairProps > 0 {
 			row.Ratio = float64(freshProps) / float64(repairProps)
 		}
 		rows = append(rows, row)
 
-		// Adopt the repair like the runtime would: drained removals leave
-		// the reuse set, new placements join it.
+		// Adopt the adaptation like the runtime would: evicted and drained
+		// placements leave the reuse set, new placements join it.
 		pl.DropExisting(diff.Remove...)
 		pl.AddExisting(diff.New.Placements...)
 		dep = diff.New
@@ -334,29 +335,18 @@ func a11Repair(cfg A11Config, n int) ([]RepairCurveRow, error) {
 	return rows, nil
 }
 
-// A11ScalingTable renders the backend-scaling sweep.
+// A11ScalingTable renders the planner-scaling sweep.
 func A11ScalingTable(res *A11Result) string {
-	cols := []string{"nodes", "solver_props", "solver_backtracks", "solver_evals",
-		"dp_mappings", "exh_mappings", "solver_lat_ms", "dp_lat_ms", "exh_lat_ms"}
+	cols := []string{"nodes", "solver_props", "solver_backtracks", "solver_evals", "solver_lat_ms"}
 	if res.Config.Timing {
-		cols = append(cols, "solver_wall_ms", "dp_wall_ms", "exh_wall_ms")
+		cols = append(cols, "solver_wall_ms")
 	}
 	t := metrics.NewTable(cols...)
 	for _, r := range res.Scaling {
-		exhMaps, exhLat := "-", "-"
-		if r.ExhMappings >= 0 {
-			exhMaps = fmt.Sprint(r.ExhMappings)
-			exhLat = fmt.Sprintf("%.2f", r.ExhLatencyMS)
-		}
 		vals := []interface{}{r.Nodes, r.SolverProps, r.SolverBacktracks, r.SolverEvals,
-			r.DPMappings, exhMaps,
-			fmt.Sprintf("%.2f", r.SolverLatencyMS), fmt.Sprintf("%.2f", r.DPLatencyMS), exhLat}
+			fmt.Sprintf("%.2f", r.SolverLatencyMS)}
 		if res.Config.Timing {
-			exhWall := "-"
-			if r.ExhMappings >= 0 {
-				exhWall = fmt.Sprintf("%.1f", r.ExhWallMS)
-			}
-			vals = append(vals, fmt.Sprintf("%.1f", r.SolverWallMS), fmt.Sprintf("%.1f", r.DPWallMS), exhWall)
+			vals = append(vals, fmt.Sprintf("%.1f", r.SolverWallMS))
 		}
 		t.AddRow(vals...)
 	}
@@ -364,33 +354,38 @@ func A11ScalingTable(res *A11Result) string {
 }
 
 // A11RepairTable renders the repair-vs-fresh curve plus its headline:
-// the worst (smallest) cheapness ratio across feasible repairs. Fallback
-// rows are excluded from the headline — when repair is infeasible the
-// planner pays exactly the fresh-replan cost by construction, so their
-// ~1x parity is reported separately, not as a repair result.
+// the worst (smallest) cheapness ratio across the events the repair
+// settled by itself. The other two paths pay the fresh-replan cost by
+// construction — a repair that moved nothing continues as the full
+// replan so that adaptation is never switched off, an infeasible one
+// falls back — so their ~1x parity is counted separately, not reported
+// as a repair result.
 func A11RepairTable(res *A11Result) string {
 	var sb strings.Builder
-	t := metrics.NewTable("nodes", "event", "repair_props", "fresh_props", "ratio", "fallback", "moved")
+	t := metrics.NewTable("nodes", "event", "repair_props", "fresh_props", "ratio", "path", "moved")
 	worst := -1.0
-	fallbacks := 0
+	parity := map[string]int{}
 	for _, r := range res.Repair {
 		ratio := "-"
 		if r.Ratio > 0 {
 			ratio = fmt.Sprintf("%.1fx", r.Ratio)
-			if r.Fallback {
-				fallbacks++
+			if r.Path != "repair" {
+				parity[r.Path]++
 			} else if worst < 0 || r.Ratio < worst {
 				worst = r.Ratio
 			}
 		}
-		t.AddRow(r.Nodes, r.Event, r.RepairProps, r.FreshProps, ratio, r.Fallback, r.Moved)
+		t.AddRow(r.Nodes, r.Event, r.RepairProps, r.FreshProps, ratio, r.Path, r.Moved)
 	}
 	sb.WriteString(t.String())
 	if worst > 0 {
-		fmt.Fprintf(&sb, "\nrepair vs fresh solve: worst feasible-repair case %.1fx fewer propagations\n", worst)
+		fmt.Fprintf(&sb, "\nrepair vs fresh replan: worst case settled by repair alone %.1fx fewer propagations\n", worst)
 	}
-	if fallbacks > 0 {
-		fmt.Fprintf(&sb, "infeasible-repair events falling back to a fresh replan at parity: %d\n", fallbacks)
+	if n := parity["repair+replan"]; n > 0 {
+		fmt.Fprintf(&sb, "no-op repairs continued as the full replan + rewire check at parity: %d\n", n)
+	}
+	if n := parity["fallback"]; n > 0 {
+		fmt.Fprintf(&sb, "infeasible-repair events falling back to a fresh replan at parity: %d\n", n)
 	}
 	return sb.String()
 }

@@ -82,18 +82,19 @@ func BoundSweepTable(rows []BoundSweepRow) string {
 // ScalingRow is one point of ablation A3: planner effort versus network
 // size.
 type ScalingRow struct {
-	Nodes      int
-	PlanMS     float64
-	Mappings   int
-	Chains     int
-	DPPlanMS   float64
-	DPMappings int
+	Nodes  int
+	PlanMS float64
+	// Graphs is the number of linkage graphs enumerated; Mappings the
+	// complete assignments that reached exact validation; Propagations
+	// the constraint engine's arc-consistency checks.
+	Graphs       int
+	Mappings     int
+	Propagations uint64
 }
 
 // PlannerScaling plans the mail service on BRITE-like Waxman topologies
-// of growing size, with both the exhaustive and the DP mapper. Every
-// topology gets a trust-5 node to host the primary and the request
-// originates at a trust-4-or-better node.
+// of growing size. Every topology gets a trust-5 node to host the
+// primary and the request originates at a trust-4-or-better node.
 func PlannerScaling(sizes []int, seed int64) ([]ScalingRow, error) {
 	var rows []ScalingRow
 	for _, n := range sizes {
@@ -105,41 +106,23 @@ func PlannerScaling(sizes []int, seed int64) ([]ScalingRow, error) {
 		nodes := net.Nodes()
 		nodes[0].Props["TrustLevel"] = property.Int(5)
 		nodes[1].Props["TrustLevel"] = property.Int(4)
-		svc := spec.MailService()
 
-		measure := func(dp bool) (float64, int, int, error) {
-			pl := planner.New(svc, net)
-			ms, err := pl.PrimaryPlacement(spec.CompMailServer, nodes[0].ID)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			pl.AddExisting(ms)
-			req := planner.Request{
-				Interface: spec.IfaceClient, ClientNode: nodes[1].ID, User: "Alice", RateRPS: 10,
-			}
-			t0 := time.Now()
-			if dp {
-				_, err = pl.PlanDP(req)
-			} else {
-				_, err = pl.Plan(req)
-			}
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			st := pl.Stats()
-			return msSince(t0), st.MappingsTried, st.ChainsEnumerated, nil
-		}
-		exMS, exMaps, chains, err := measure(false)
+		pl := planner.New(spec.MailService(), net)
+		ms, err := pl.PrimaryPlacement(spec.CompMailServer, nodes[0].ID)
 		if err != nil {
 			return nil, err
 		}
-		dpMS, dpMaps, _, err := measure(true)
-		if err != nil {
+		pl.AddExisting(ms)
+		t0 := time.Now()
+		if _, err := pl.Plan(planner.Request{
+			Interface: spec.IfaceClient, ClientNode: nodes[1].ID, User: "Alice", RateRPS: 10,
+		}); err != nil {
 			return nil, err
 		}
+		st := pl.Stats()
 		rows = append(rows, ScalingRow{
-			Nodes: n, PlanMS: exMS, Mappings: exMaps, Chains: chains,
-			DPPlanMS: dpMS, DPMappings: dpMaps,
+			Nodes: n, PlanMS: msSince(t0), Graphs: st.ChainsEnumerated, Mappings: st.MappingsTried,
+			Propagations: pl.SolverStats.Propagations.Load(),
 		})
 	}
 	return rows, nil
@@ -147,9 +130,9 @@ func PlannerScaling(sizes []int, seed int64) ([]ScalingRow, error) {
 
 // ScalingTable renders A3 rows.
 func ScalingTable(rows []ScalingRow) string {
-	t := metrics.NewTable("nodes", "chains", "exhaustive_ms", "exhaustive_mappings", "dp_ms", "dp_mappings")
+	t := metrics.NewTable("nodes", "graphs", "plan_ms", "mappings", "propagations")
 	for _, r := range rows {
-		t.AddRow(r.Nodes, r.Chains, r.PlanMS, r.Mappings, r.DPPlanMS, r.DPMappings)
+		t.AddRow(r.Nodes, r.Graphs, r.PlanMS, r.Mappings, r.Propagations)
 	}
 	return t.String()
 }

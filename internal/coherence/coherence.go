@@ -179,16 +179,16 @@ func (r *Replica) ID() string { return r.id }
 // Policy returns the replica's policy.
 func (r *Replica) Policy() Policy { return r.policy }
 
-// Write logs a local update and reports whether the policy demands an
-// immediate flush.
-func (r *Replica) Write(op, key string, data []byte, nowMS float64) (flush bool) {
+// Write logs a local update, returning its sequence number and whether
+// the policy demands an immediate flush.
+func (r *Replica) Write(op, key string, data []byte, nowMS float64) (seq uint64, flush bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
 	r.pending = append(r.pending, Update{
 		Origin: r.id, Seq: r.seq, Op: op, Key: key, Data: data, TimeMS: nowMS,
 	})
-	return r.policy.FlushOnWrite(len(r.pending))
+	return r.seq, r.policy.FlushOnWrite(len(r.pending))
 }
 
 // Pending returns the number of unpropagated updates.
@@ -207,6 +207,23 @@ func (r *Replica) TakePending(nowMS float64) []Update {
 	r.pending = nil
 	r.lastFlushMS = nowMS
 	return out
+}
+
+// Requeue returns a taken batch whose delivery failed to the head of
+// the pending queue, ahead of anything written since, so the next flush
+// carries it in sequence order. The local update numbered except (0 for
+// none) is left out: its writer is told of the failure instead, and
+// whatever it does next is a new write.
+func (r *Replica) Requeue(batch []Update, except uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	kept := make([]Update, 0, len(batch)+len(r.pending))
+	for _, u := range batch {
+		if u.Origin != r.id || u.Seq != except {
+			kept = append(kept, u)
+		}
+	}
+	r.pending = append(kept, r.pending...)
 }
 
 // NextDeadline exposes the policy's next time-driven flush after the

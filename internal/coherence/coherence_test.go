@@ -65,13 +65,13 @@ func TestNonePolicy(t *testing.T) {
 
 func TestReplicaWriteAndTakePending(t *testing.T) {
 	r := NewReplica("sd", CountBound{Bound: 3}, nil)
-	if r.Write("send", "alice", []byte("m1"), 1) {
+	if _, flush := r.Write("send", "alice", []byte("m1"), 1); flush {
 		t.Error("no flush at 1 pending")
 	}
-	if r.Write("send", "alice", []byte("m2"), 2) {
+	if _, flush := r.Write("send", "alice", []byte("m2"), 2); flush {
 		t.Error("no flush at 2 pending")
 	}
-	if !r.Write("send", "bob", []byte("m3"), 3) {
+	if _, flush := r.Write("send", "bob", []byte("m3"), 3); !flush {
 		t.Error("flush at bound 3")
 	}
 	if r.Pending() != 3 {
@@ -239,7 +239,7 @@ func TestQuickCountBoundNeverExceedsBound(t *testing.T) {
 			if r.Pending() > bound {
 				return false
 			}
-			if r.Write("send", "k", nil, float64(i)) {
+			if _, flush := r.Write("send", "k", nil, float64(i)); flush {
 				r.TakePending(float64(i))
 			}
 		}
@@ -270,5 +270,34 @@ func TestQuickExactlyOnceUnderRedelivery(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRequeueRestoresOrder: a taken batch whose delivery failed goes
+// back ahead of anything written since, minus the one update whose
+// writer was told of the failure, so the next take is in sequence order.
+func TestRequeueRestoresOrder(t *testing.T) {
+	r := NewReplica("v", None{}, nil)
+	var seqs []uint64
+	for i := 0; i < 3; i++ {
+		seq, _ := r.Write("send", "k", nil, float64(i))
+		seqs = append(seqs, seq)
+	}
+	batch := r.TakePending(3)
+	later, _ := r.Write("send", "k", nil, 4)
+	r.Requeue(batch, seqs[1])
+	got := r.TakePending(5)
+	want := []uint64{seqs[0], seqs[2], later}
+	if len(got) != len(want) {
+		t.Fatalf("took %d updates after the requeue, want %d", len(got), len(want))
+	}
+	for i, u := range got {
+		if u.Seq != want[i] {
+			t.Errorf("update %d has seq %d, want %d", i, u.Seq, want[i])
+		}
+	}
+	r.Requeue(got, 0)
+	if r.Pending() != 3 {
+		t.Errorf("requeue with nothing excepted kept %d of 3 updates", r.Pending())
 	}
 }

@@ -71,7 +71,7 @@ func TestQuickConvergenceUnderRandomInterleavings(t *testing.T) {
 				continue
 			}
 			writes[i]++
-			if st.r.Write("send", "key", nil, float64(k)) {
+			if _, flush := st.r.Write("send", "key", nil, float64(k)); flush {
 				dir.Publish("view", st.r.TakePending(float64(k)))
 			}
 		}

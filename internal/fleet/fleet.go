@@ -75,9 +75,6 @@ type Config struct {
 	CutoverRatePerSec float64
 	// CutoverBurst is the token-bucket depth (default 32).
 	CutoverBurst int
-	// Tune, when set, is applied to each shard planner after
-	// construction (chain length bounds, loopback env, ...).
-	Tune func(*planner.Planner)
 }
 
 func (c Config) withDefaults() Config {
@@ -284,12 +281,7 @@ func New(cfg Config, svc *spec.Service, net *netmodel.Network, mon *netmon.Monit
 	}
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
-		pl := planner.New(svc, net)
-		pl.Workers = 1 // wave workers are the parallelism; no nesting
-		if cfg.Tune != nil {
-			cfg.Tune(pl)
-		}
-		m.shards[i] = &shard{pl: pl}
+		m.shards[i] = &shard{pl: planner.New(svc, net)}
 	}
 	return m
 }
@@ -701,8 +693,8 @@ func (m *Manager) runWave(affected []int, bootstrap bool, ch *planner.ChangedSet
 				// sessions' in-wave mutations never leak across
 				// sessions (or shards — this is what keeps output
 				// invariant under any shard count). The changed-element
-				// set scopes a solver-backed planner's repair; other
-				// backends fall through to the full rewire replan.
+				// set scopes the planner's repair; a repair that moves
+				// nothing continues as the full rewire replan.
 				pl.Existing = append(pl.Existing[:0], snapshot...)
 				d, err := pl.RepairReplan(g.dep, g.req, ch)
 				return d, pl.Stats(), err

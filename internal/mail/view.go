@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"partsvc/internal/coherence"
 	"partsvc/internal/seccrypto"
@@ -58,6 +59,10 @@ type View struct {
 	replica   *coherence.Replica
 	conflicts *coherence.ConflictMap
 	trust     int
+	// flushMu serializes flushes, and guards pushedSeq, the highest local
+	// sequence number a push has delivered: see flushCtx.
+	flushMu   sync.Mutex
+	pushedSeq uint64
 }
 
 // ViewConfig configures a view instance.
@@ -175,8 +180,8 @@ func (v *View) SendCtx(ctx context.Context, from, to, subject string, body []byt
 	if err != nil {
 		return 0, err
 	}
-	if v.replica.Write("send", m.To, data, v.clock.NowMS()) {
-		if err := v.flushCtx(ctx); err != nil {
+	if seq, flush := v.replica.Write("send", m.To, data, v.clock.NowMS()); flush {
+		if err := v.flushCtx(ctx, seq); err != nil {
 			return 0, fmt.Errorf("mail: view flush: %w", err)
 		}
 	}
@@ -196,7 +201,7 @@ func (v *View) ReceiveCtx(ctx context.Context, user string) ([]*Message, error) 
 	// dynamic conflict map) synchronizes first, so the reader observes
 	// its replica's own recent sends at the primary and siblings.
 	if v.replica.StaleFor("receive", v.conflicts) {
-		if err := v.flushCtx(ctx); err != nil {
+		if err := v.flushCtx(ctx, 0); err != nil {
 			return nil, fmt.Errorf("mail: conflict-driven flush: %w", err)
 		}
 	}
@@ -230,8 +235,8 @@ func (v *View) AddContact(user, contact string) error {
 	if err := v.store.AddContact(user, contact); err != nil {
 		return err
 	}
-	if v.replica.Write("addContact", user+"\x00"+contact, nil, v.clock.NowMS()) {
-		return v.Flush()
+	if seq, flush := v.replica.Write("addContact", user+"\x00"+contact, nil, v.clock.NowMS()); flush {
+		return v.flushCtx(context.Background(), seq)
 	}
 	return nil
 }
@@ -242,11 +247,31 @@ func (v *View) Contacts(user string) ([]string, error) {
 }
 
 // Flush pushes all pending writes upstream immediately.
-func (v *View) Flush() error { return v.flushCtx(context.Background()) }
+func (v *View) Flush() error { return v.flushCtx(context.Background(), 0) }
 
 // flushCtx pushes pending writes upstream under a "coherence.flush"
 // span, so traces show which operation paid for the synchronization.
-func (v *View) flushCtx(ctx context.Context) error {
+// own is the sequence number of the write the caller is flushing for (0
+// for a flush nobody's write is waiting on).
+//
+// One flush is in flight per view: batches carry increasing per-origin
+// sequence numbers and the receiving replica drops anything at or below
+// the highest it has applied, so two pushes reaching the primary out of
+// order would silently lose the earlier batch. A sender whose update
+// rode another sender's batch waits here until that batch was pushed,
+// and is done: what is pending by then belongs to other senders. When a
+// push fails only the caller hears of it, so only its own update is
+// dropped with the error (its retry is a new write); the rest of the
+// batch goes back to the head of the queue, where the senders waiting
+// here push it themselves — a send is never acknowledged on the
+// strength of a push that failed, nor failed by a push that did not
+// carry it.
+func (v *View) flushCtx(ctx context.Context, own uint64) error {
+	v.flushMu.Lock()
+	defer v.flushMu.Unlock()
+	if own != 0 && own <= v.pushedSeq {
+		return nil
+	}
 	batch := v.replica.TakePending(v.clock.NowMS())
 	if len(batch) == 0 {
 		return nil
@@ -257,7 +282,12 @@ func (v *View) flushCtx(ctx context.Context) error {
 	}
 	err := PushUpdatesCtx(ctx, v.upstream, batch)
 	span.End()
-	return err
+	if err != nil {
+		v.replica.Requeue(batch, own)
+		return err
+	}
+	v.pushedSeq = batch[len(batch)-1].Seq
+	return nil
 }
 
 // FlushIfDue flushes when a time-driven policy's deadline has passed.

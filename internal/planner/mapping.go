@@ -8,99 +8,6 @@ import (
 	"partsvc/internal/spec"
 )
 
-// mapChain performs step 2 of planning for one chain: it exhaustively
-// assigns chain components to network nodes (the head pinned at the
-// client node, anchors pinned at their recorded nodes), validates each
-// complete assignment against the three validity conditions of Section
-// 3.3, and returns the best valid deployment under the request's
-// objective (nil if none).
-func (pl *Planner) mapChain(chain Chain, req Request) *Deployment {
-	if chain[0].isAnchor() {
-		return nil // a bare anchor is not a deployable head
-	}
-	head, ok := pl.placementFor(chain[0].comp, req.ClientNode, req, 0)
-	if !ok {
-		pl.stats.RejectedConditions++
-		return nil
-	}
-	if anchor, found := pl.anchorFor(head); found {
-		head = anchor
-	}
-	places := make([]Placement, len(chain))
-	places[0] = head
-
-	var best *Deployment
-	nodes := pl.Net.Nodes()
-
-	consider := func(pos int, p Placement, recurse func(int)) {
-		// No routing loops: a chain must not visit the same instance
-		// twice. And no duplicated replicas: a caching component
-		// (RRF < 1) holds the same state in every identically-configured
-		// instance, so a second one can never absorb the first one's
-		// misses — reject rather than model it.
-		caching := chain[pos].comp.Behaviors.EffectiveRRF() < 1
-		id := p.Component + "{" + p.configFP() + "}"
-		for j := 0; j < pos; j++ {
-			if p.Key() == places[j].Key() {
-				return
-			}
-			if caching && id == places[j].Component+"{"+places[j].configFP()+"}" {
-				return
-			}
-		}
-		places[pos] = p
-		recurse(pos + 1)
-	}
-
-	var assign func(pos int)
-	assign = func(pos int) {
-		if pos == len(chain) {
-			pl.stats.MappingsTried++
-			if dep := pl.validate(chain, places, req); dep != nil {
-				if best == nil || pl.better(req.Objective, dep, best) {
-					best = dep
-				}
-			}
-			return
-		}
-		elem := chain[pos]
-		if elem.isAnchor() {
-			p := *elem.anchor
-			p.Reused = true
-			consider(pos, p, assign)
-			return
-		}
-		comp := elem.comp
-		// Stateful primaries with an existing instance are singletons:
-		// they may only be reused, never re-instantiated (state lives in
-		// the primary; replication happens through data views).
-		if pl.isStatefulPrimary(comp) && pl.hasAnyInstance(comp.Name) {
-			for _, e := range pl.Existing {
-				if e.Component != comp.Name {
-					continue
-				}
-				p := e
-				p.Reused = true
-				consider(pos, p, assign)
-			}
-			return
-		}
-		for _, node := range nodes {
-			p, ok := pl.placementForCached(comp, node.ID, req, pos)
-			if !ok {
-				pl.stats.RejectedConditions++
-				continue
-			}
-			if anchor, found := pl.anchorFor(p); found {
-				p = anchor
-			}
-			consider(pos, p, assign)
-		}
-	}
-	assign(1)
-	return best
-}
-
 // placementFor instantiates a component at a node if its deployment
 // conditions hold there (validity condition 1), evaluating factored
 // configuration properties against the node environment. The request's
@@ -370,25 +277,30 @@ func (pl *Planner) capacityRPS(chain Chain, places []Placement, paths []netmodel
 	return capacity
 }
 
-// hopCosts returns the latency cost of each linkage: round-trip
+// hopMS is the latency cost of one linkage to a provider: round-trip
 // propagation, request/response serialization delay, and the provider's
-// service time. When the chain terminates at an anchor, the anchor's
-// recorded upstream residual latency is folded into the final hop, so
-// that linking to an existing instance accounts for the requests that
-// continue through its already-deployed upstream linkage.
+// service time.
+func hopMS(provider spec.Behaviors, path netmodel.Path) float64 {
+	hop := 2*path.LatencyMS + provider.CPUMSPerRequest
+	if !path.IsLoopback() && path.BottleneckMbps > 0 && !math.IsInf(path.BottleneckMbps, 1) {
+		bits := float64(provider.RequestBytes+provider.ResponseBytes) * 8
+		hop += bits / (path.BottleneckMbps * 1e6) * 1e3
+	}
+	return hop
+}
+
+// hopCosts returns the latency cost of each linkage. When the chain
+// terminates at an anchor, the anchor's recorded upstream residual
+// latency is folded into the final hop, so that linking to an existing
+// instance accounts for the requests that continue through its
+// already-deployed upstream linkage.
 func (pl *Planner) hopCosts(chain Chain, paths []netmodel.Path) []float64 {
 	hops := make([]float64, len(paths))
 	for i, path := range paths {
-		provider := chain[i+1].comp.Behaviors
-		hop := 2*path.LatencyMS + provider.CPUMSPerRequest
-		if !path.IsLoopback() && path.BottleneckMbps > 0 && !math.IsInf(path.BottleneckMbps, 1) {
-			bits := float64(provider.RequestBytes+provider.ResponseBytes) * 8
-			hop += bits / (path.BottleneckMbps * 1e6) * 1e3
-		}
+		hops[i] = hopMS(chain[i+1].comp.Behaviors, path)
 		if chain[i+1].isAnchor() {
-			hop += chain[i+1].anchor.UpstreamMS
+			hops[i] += chain[i+1].anchor.UpstreamMS
 		}
-		hops[i] = hop
 	}
 	return hops
 }

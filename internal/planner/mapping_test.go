@@ -219,7 +219,27 @@ func TestLoadConditionForcesCache(t *testing.T) {
 	if !found {
 		t.Errorf("min-cost plan at 200 rps must include ViewMailServer: %v", dep.Chain())
 	}
-	if pl.Stats().RejectedLoad == 0 {
+	// It is the load that forces it: the cheapest chain at a rate the
+	// slow link carries has no view, and the exhaustive reference — which
+	// validates every mapping instead of pruning saturated links during
+	// propagation — counts the load rejections at 200 rps.
+	low := planOrFail(t, caseStudyPlanner(t), Request{
+		Interface: spec.IfaceClient, ClientNode: topology.SDClient,
+		User: "Alice", RateRPS: 50, Objective: MinCost,
+	})
+	for _, name := range low.Chain() {
+		if name == spec.CompViewMailServer {
+			t.Errorf("min-cost plan at 50 rps needs no ViewMailServer: %v", low.Chain())
+		}
+	}
+	ref := caseStudyPlanner(t)
+	if _, err := ref.planExhaustive(Request{
+		Interface: spec.IfaceClient, ClientNode: topology.SDClient,
+		User: "Alice", RateRPS: 200, Objective: MinCost,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ref.Stats().RejectedLoad == 0 {
 		t.Error("expected load rejections at 200 rps")
 	}
 }

@@ -1,9 +1,6 @@
 package planner
 
 import (
-	"runtime"
-	"sync"
-
 	"partsvc/internal/netmodel"
 	"partsvc/internal/property"
 	"partsvc/internal/spec"
@@ -13,9 +10,8 @@ import (
 // evaluation and placement construction are pure in (component, node,
 // factored configuration) — and, for head placements, the requesting
 // user — yet the search loops re-derive them for every candidate
-// mapping. One memo is created per plan call (and per parallel worker:
-// the maps are not synchronized) and discarded with it, so memoized
-// results can never outlive a network or specification change.
+// mapping. One memo is created per plan call and discarded with it, so
+// memoized results can never outlive a network or specification change.
 type planMemo struct {
 	evals  map[evalKey]evalResult
 	places map[placeKey]placeResult
@@ -78,21 +74,6 @@ func (pl *Planner) endPlan() {
 	pl.stats.RouteCacheMisses = int(m - pl.misses0)
 }
 
-// pathEnv resolves the cached route between two nodes together with the
-// linkage's property environment: the cached link aggregate for real
-// paths, the planner's loopback environment for co-located components.
-// The returned env is shared (cache- or planner-owned) and read-only.
-func (pl *Planner) pathEnv(from, to netmodel.NodeID) (netmodel.Path, property.Set, bool) {
-	path, env, ok := pl.routes.PathEnv(from, to)
-	if !ok {
-		return netmodel.Path{}, nil, false
-	}
-	if env == nil {
-		env = pl.LoopbackEnv
-	}
-	return path, env, true
-}
-
 // linkageEnv returns the property environment a linkage along the path
 // experiences: the planner's loopback environment for co-located
 // components, otherwise the cached link aggregate (falling back to a
@@ -153,93 +134,4 @@ func (pl *Planner) placementForCached(comp spec.Component, node netmodel.NodeID,
 	}
 	pl.memo.places[key] = placeResult{p, ok}
 	return p, ok
-}
-
-// workerClone builds a shallow planner copy for one parallel worker:
-// shared read-only views of the service, network, route handle and
-// reuse set, but private statistics and a private memo, so workers
-// never contend and their counters merge losslessly afterwards.
-func (pl *Planner) workerClone() *Planner {
-	c := *pl
-	c.stats = Stats{}
-	c.memo = newPlanMemo()
-	return &c
-}
-
-// workerCount resolves the effective parallelism for fanning chains
-// out: the Workers field if positive, otherwise GOMAXPROCS, never more
-// than the number of chains.
-func (pl *Planner) workerCount(chains int) int {
-	w := pl.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > chains {
-		w = chains
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// planChains runs dpChain over every chain and reduces to the best
-// deployment in chain order — the same total order as a sequential
-// loop, so the parallel and sequential paths are bit-identical. With
-// one worker (or one chain) it stays on the calling goroutine.
-func (pl *Planner) planChains(chains []Chain, req Request) *Deployment {
-	results := make([]*Deployment, len(chains))
-	if w := pl.workerCount(len(chains)); w > 1 {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		workerStats := make([]Stats, w)
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func(slot int) {
-				defer wg.Done()
-				wp := pl.workerClone()
-				for ci := range idx {
-					results[ci] = wp.dpChain(chains[ci], req)
-				}
-				workerStats[slot] = wp.stats
-			}(i)
-		}
-		for ci := range chains {
-			idx <- ci
-		}
-		close(idx)
-		wg.Wait()
-		for _, ws := range workerStats {
-			pl.stats.add(ws)
-		}
-	} else {
-		for ci, chain := range chains {
-			results[ci] = pl.dpChain(chain, req)
-		}
-	}
-	var best *Deployment
-	for _, dep := range results {
-		if dep == nil {
-			continue
-		}
-		if best == nil || pl.better(req.Objective, dep, best) {
-			best = dep
-		}
-	}
-	return best
-}
-
-// add folds another accumulation into s (ChainsEnumerated and the
-// route-cache counters are owned by the coordinating planner and are
-// zero in worker stats).
-func (s *Stats) add(o Stats) {
-	s.ChainsEnumerated += o.ChainsEnumerated
-	s.MappingsTried += o.MappingsTried
-	s.RejectedConditions += o.RejectedConditions
-	s.RejectedProps += o.RejectedProps
-	s.RejectedLoad += o.RejectedLoad
-	s.RejectedNoPath += o.RejectedNoPath
-	s.RouteCacheHits += o.RouteCacheHits
-	s.RouteCacheMisses += o.RouteCacheMisses
-	s.DPFallbacks += o.DPFallbacks
 }

@@ -10,10 +10,13 @@
 // (Figure 3), and (2) map each graph onto the network, discarding
 // mappings that violate any of the three validity conditions —
 // deployment conditions, property compatibility under the environment's
-// modification rules, and load versus node/link capacity. Three
-// planner variants are provided: the exhaustive search of the paper's
-// implementation, the CANS dynamic-programming chain planner it cites,
-// and a backtracking planner for tree-shaped component graphs.
+// modification rules, and load versus node/link capacity. There is one
+// planner: every valid linkage graph (chain or tree) becomes a
+// constraint model for internal/solver, which prunes candidate
+// placements by arc consistency and finds the best mapping by
+// branch-and-bound (solve.go). The paper's exhaustive chain mapper and
+// a backtracking tree mapper survive only in the package's tests, as
+// the references the planner is proven placement-identical to.
 package planner
 
 import (
@@ -55,6 +58,21 @@ func (o Objective) String() string {
 		return "max-capacity"
 	}
 	return "unknown"
+}
+
+// ParseObjective resolves an objective name. Both the short API/CLI
+// aliases ("latency", "cost", "headroom") and the canonical String
+// forms are accepted; the empty string selects min-latency.
+func ParseObjective(s string) (Objective, error) {
+	switch s {
+	case "", "latency", "min-latency":
+		return MinLatency, nil
+	case "cost", "min-cost":
+		return MinCost, nil
+	case "headroom", "capacity", "max-capacity":
+		return MaxCapacity, nil
+	}
+	return 0, fmt.Errorf("planner: unknown objective %q (want latency, cost, or headroom)", s)
 }
 
 // Request is a client request for service interfaces, carried from the
@@ -205,10 +223,12 @@ func (d Deployment) String() string {
 // Stats accumulates search statistics, reported for visibility into
 // planner behavior and used by tests that assert rejection reasons.
 type Stats struct {
-	// ChainsEnumerated is the number of valid linkage chains found in
-	// step 1.
+	// ChainsEnumerated is the number of valid linkage graphs (chains and
+	// trees) found in step 1.
 	ChainsEnumerated int
-	// MappingsTried is the number of complete node assignments examined.
+	// MappingsTried is the number of complete node assignments that
+	// reached exact validation; assignments the solver pruned by
+	// propagation or bound are never counted.
 	MappingsTried int
 	// RejectedConditions counts assignments rejected by deployment
 	// conditions (validity condition 1).
@@ -227,9 +247,6 @@ type Stats struct {
 	// build a single-source tree, over the duration of the plan call.
 	RouteCacheHits   int
 	RouteCacheMisses int
-	// DPFallbacks counts chains the DP mapper handed to the exhaustive
-	// mapper because its selected candidate failed exact re-validation.
-	DPFallbacks int
 }
 
 // Planner binds a service specification to a network and plans
@@ -260,24 +277,6 @@ type Planner struct {
 	// to install. New sets it to 5 ms; set it to zero to disable the
 	// penalty.
 	DeployPenaltyMS float64
-	// Workers bounds the parallel per-chain search in PlanDP: each
-	// enumerated chain is an independent subproblem, fanned out over a
-	// worker pool of this size and reduced deterministically (the same
-	// total order as the sequential loop, ties kept by chain index), so
-	// results are bit-identical to a sequential run. Zero means
-	// GOMAXPROCS; 1 forces the sequential path.
-	Workers int
-	// PreferDP routes Replan's planning pass through PlanDP instead of
-	// the exhaustive search. On topologies beyond a few dozen nodes the
-	// exhaustive mapper is intractable while the DP mapper stays
-	// polynomial; fleet-scale callers set this. Plan itself is
-	// unaffected (PlanDP falls back to it where the DP relaxation does
-	// not apply).
-	PreferDP bool
-	// PreferSolver routes Replan's planning pass through the
-	// constraint-solver backend (PlanSolver), and enables incremental
-	// repair in RepairReplan. Takes precedence over PreferDP.
-	PreferSolver bool
 	// SolverStats accumulates constraint-engine counters (solves,
 	// repairs, propagations, ...) across plan calls. Shared by worker
 	// clones; initialized by New.
@@ -329,7 +328,6 @@ func (s Stats) KVs() []metrics.KV {
 		metrics.KVf("rejected_no_path", "%d", s.RejectedNoPath),
 		metrics.KVf("route_cache_hits", "%d", s.RouteCacheHits),
 		metrics.KVf("route_cache_misses", "%d", s.RouteCacheMisses),
-		metrics.KVf("dp_fallbacks", "%d", s.DPFallbacks),
 	}
 }
 
@@ -353,43 +351,6 @@ func (pl *Planner) maxLen() int {
 		return pl.MaxChainLen
 	}
 	return 6
-}
-
-// Plan satisfies a client request: it enumerates valid chains, maps each
-// onto the network exhaustively, and returns the best deployment under
-// the request's objective. It returns an error when no valid deployment
-// exists, with the accumulated rejection statistics in Stats.
-func (pl *Planner) Plan(req Request) (*Deployment, error) {
-	pl.beginPlan()
-	defer pl.endPlan()
-	if _, ok := pl.Net.Node(req.ClientNode); !ok {
-		return nil, fmt.Errorf("planner: client node %q not in network", req.ClientNode)
-	}
-	if _, ok := pl.Service.Interface(req.Interface); !ok {
-		return nil, fmt.Errorf("planner: interface %q not in service %q", req.Interface, pl.Service.Name)
-	}
-	chains := pl.EnumerateChains(req.Interface)
-	pl.stats.ChainsEnumerated = len(chains)
-	if len(chains) == 0 {
-		return nil, fmt.Errorf("planner: no component chain implements %q", req.Interface)
-	}
-	var best *Deployment
-	for _, chain := range chains {
-		dep := pl.mapChain(chain, req)
-		if dep == nil {
-			continue
-		}
-		if best == nil || pl.better(req.Objective, dep, best) {
-			best = dep
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf(
-			"planner: no valid mapping for %q from %s (chains %d, mappings %d; rejected: conditions %d, properties %d, load %d, no-path %d)",
-			req.Interface, req.ClientNode, pl.stats.ChainsEnumerated, pl.stats.MappingsTried,
-			pl.stats.RejectedConditions, pl.stats.RejectedProps, pl.stats.RejectedLoad, pl.stats.RejectedNoPath)
-	}
-	return best, nil
 }
 
 // better reports whether a should replace b under the objective.

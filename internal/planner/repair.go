@@ -95,18 +95,25 @@ func (c *ChangedSet) String() string {
 	return "nodes[" + strings.Join(nodes, " ") + "] links[" + strings.Join(links, " ") + "]"
 }
 
-// RepairReplan adapts a session to a network change like ReplanRewire,
-// but when the solver backend is preferred and the changed elements are
-// known it repairs the old deployment incrementally: placements
-// untouched by the change keep their assignment (their solver domains
-// collapse to the previous value), only invalidated domains re-open,
-// and constraint propagation plus branch-and-bound run over the
-// affected remainder — O(affected) work instead of O(topology). When
-// repair is infeasible under its pins (or the deployment is not
-// chain-shaped), it falls back to a full ReplanRewire pass, so callers
-// always get a valid diff.
+// RepairReplan adapts a session to a network change whose touched
+// elements are known. It first repairs the old deployment
+// incrementally: placements untouched by the change keep their
+// assignment (their solver domains collapse to the previous value),
+// only invalidated domains re-open, and constraint propagation plus
+// branch-and-bound run over the affected remainder — O(affected) work
+// instead of O(topology). A repair that moves or evicts something is
+// the answer. A repair that comes back unchanged with nothing evicted
+// says only that the pins still hold, not that they are still optimal:
+// an improvement elsewhere or a degraded link under the pinned wiring
+// is invisible to it, so it continues exactly as ReplanRewire does — a
+// replan over the full reuse set, and on a no-op there too, the rewire
+// check. When nothing is adopted the repaired deployment (the old
+// placements re-costed under current routes) is returned. With no old
+// deployment or an empty change set, or when repair is infeasible under
+// its pins (or the deployment is not chain-shaped), it is ReplanRewire
+// itself, so callers always get a valid diff.
 func (pl *Planner) RepairReplan(old *Deployment, req Request, ch *ChangedSet) (*Diff, error) {
-	if !pl.PreferSolver || old == nil || ch.Empty() {
+	if old == nil || ch.Empty() {
 		return pl.ReplanRewire(old, req)
 	}
 	pl.beginPlan()
@@ -124,9 +131,15 @@ func (pl *Planner) RepairReplan(old *Deployment, req Request, ch *ChangedSet) (*
 		diff.Evicted = append(evicted, diff.Evicted...)
 		return diff, nil
 	}
-	diff := buildDiff(old, dep)
-	diff.Evicted = evicted
-	return diff, nil
+	repaired := buildDiff(old, dep)
+	repaired.Evicted = evicted
+	if !repaired.Unchanged() || len(evicted) > 0 {
+		return repaired, nil
+	}
+	if diff, err := pl.Replan(old, req); err == nil && !diff.Unchanged() {
+		return diff, nil
+	}
+	return pl.rewireCheck(old, req, repaired), nil
 }
 
 // tryRepair pins every placement of the old deployment that the change

@@ -96,14 +96,7 @@ func (pl *Planner) stillValid(p Placement) bool {
 // placements are assumed to be registered via AddExisting.
 func (pl *Planner) Replan(old *Deployment, req Request) (*Diff, error) {
 	evicted := pl.RevalidateExisting()
-	plan := pl.Plan
-	switch {
-	case pl.PreferSolver:
-		plan = pl.PlanSolver
-	case pl.PreferDP:
-		plan = pl.PlanDP
-	}
-	dep, err := plan(req)
+	dep, err := pl.Plan(req)
 	if err != nil {
 		return nil, fmt.Errorf("planner: replan: %w", err)
 	}
@@ -148,29 +141,36 @@ func buildDiff(old, dep *Deployment) *Diff {
 	return diff
 }
 
-// ReplanRewire runs Replan and, when the result is a no-op, checks
-// whether the network change moved the latency optimum away from
-// wiring that reuse keeps frozen. Revalidation is validity-scoped
-// (node death, condition violations); a link that merely degraded
-// evicts nothing, and the anchor cut then reuses the old chain
-// wholesale — a no-op diff even though a better wiring now exists.
-// The rewire check re-plans with the old deployment's own wiring
-// (everything before its tail — the tail may be shared standing
-// infrastructure such as the primary or another session's view)
-// removed from the reuse set, so the planner costs every chain shape
-// afresh under current routes. The result is adopted only when it
-// places differently; otherwise the reuse set is restored and the
-// no-op diff returned. Same-key placements in an adopted rewire land
-// in Install (the engine reinstalls them in place, carrying state),
-// and Remove is restricted to the dropped wiring so shared tails keep
-// running.
+// ReplanRewire runs Replan and puts a no-op result through the rewire
+// check.
 func (pl *Planner) ReplanRewire(old *Deployment, req Request) (*Diff, error) {
 	diff, err := pl.Replan(old, req)
 	if err != nil {
 		return nil, err
 	}
-	if old == nil || len(old.Placements) < 2 || !diff.Unchanged() || len(diff.Evicted) > 0 {
-		return diff, nil
+	return pl.rewireCheck(old, req, diff), nil
+}
+
+// rewireCheck decides whether a no-op adaptation (nothing to install or
+// remove, nothing evicted) should nevertheless move the session: the
+// network change may have moved the latency optimum away from wiring
+// that reuse keeps frozen. Revalidation is validity-scoped (node death,
+// condition violations); a link that merely degraded evicts nothing,
+// and both a replan (whose anchor cut reuses the old chain wholesale)
+// and a pinned repair then answer "unchanged" even though a better
+// wiring now exists. The check re-plans with the old deployment's own
+// wiring (everything before its tail — the tail may be shared standing
+// infrastructure such as the primary or another session's view) removed
+// from the reuse set, so the planner costs every chain shape afresh
+// under current routes. The result is adopted only when it places
+// differently; otherwise the reuse set is restored and noop returned.
+// Same-key placements in an adopted rewire land in Install (the engine
+// reinstalls them in place, carrying state), and Remove is restricted
+// to the dropped wiring so shared tails keep running. Any other diff
+// passes through untouched.
+func (pl *Planner) rewireCheck(old *Deployment, req Request, noop *Diff) *Diff {
+	if old == nil || len(old.Placements) < 2 || !noop.Unchanged() || len(noop.Evicted) > 0 {
+		return noop
 	}
 	own := old.Placements[:len(old.Placements)-1]
 	dropped := map[string]bool{}
@@ -183,7 +183,7 @@ func (pl *Planner) ReplanRewire(old *Deployment, req Request) (*Diff, error) {
 	fresh, err := pl.Replan(old, req)
 	if err != nil || sameDeploymentKeys(fresh.New, old) {
 		pl.AddExisting(own...)
-		return diff, nil
+		return noop
 	}
 	kept := fresh.Remove[:0]
 	for _, p := range fresh.Remove {
@@ -192,7 +192,7 @@ func (pl *Planner) ReplanRewire(old *Deployment, req Request) (*Diff, error) {
 		}
 	}
 	fresh.Remove = kept
-	return fresh, nil
+	return fresh
 }
 
 // sameDeploymentKeys reports whether two deployments place the same

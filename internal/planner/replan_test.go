@@ -271,10 +271,7 @@ func TestQuickPlansAlwaysVerify(t *testing.T) {
 				Interface: spec.IfaceClient, ClientNode: nodes[client].ID,
 				User: "Alice", RateRPS: 10,
 			}
-			// The DP mapper keeps this sweep fast; it re-validates its
-			// result exactly and falls back to exhaustive search when
-			// needed, so the coverage is the same.
-			dep, err := pl.PlanDP(req)
+			dep, err := pl.Plan(req)
 			if err != nil {
 				continue // some random environments are legitimately unsatisfiable
 			}

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"reflect"
 	"testing"
 
 	"partsvc/internal/netmon"
@@ -123,5 +124,107 @@ func TestReplanRewireMovesDegradedWiring(t *testing.T) {
 	// reuse set even though the rewired chain no longer uses it.
 	if !existingKeys(pl)[tail.Key()] {
 		t.Fatalf("shared tail %s dropped from the reuse set", tail.Key())
+	}
+}
+
+// TestRepairReplanMatchesRewireOnInteriorLink: repair must not switch
+// adaptation off. Degrading an interior link of the deployed Seattle
+// chain invalidates nothing, so a pinned repair alone answers
+// "unchanged" and would leave the session on the degraded link; going
+// through RepairReplan with the event's ChangedSet must produce the
+// same install/remove sets as the full ReplanRewire — and the same
+// again when the link is restored and the session moves back.
+func TestRepairReplanMatchesRewireOnInteriorLink(t *testing.T) {
+	net := topology.CaseStudy()
+	mon := netmon.New(net)
+	req := Request{Interface: spec.IfaceClient, ClientNode: topology.SeaClient, User: "Carol", RateRPS: 50}
+	build := func() (*Planner, *Deployment) {
+		pl := New(spec.MailService(), net)
+		primary, err := pl.PrimaryPlacement(spec.CompMailServer, topology.NYServer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl.AddExisting(primary)
+		warm := planOrFail(t, pl, Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50})
+		pl.AddExisting(warm.Placements...)
+		dep := planOrFail(t, pl, req)
+		pl.AddExisting(dep.Placements...)
+		return pl, dep
+	}
+	pa, depA := build()
+	pb, depB := build()
+	original := depA
+	link, ok := net.Link(topology.SDGateway, topology.SeaGW)
+	if !ok {
+		t.Fatal("no sd-1~sea-1 link")
+	}
+	baseLat, baseBW := link.LatencyMS, link.BandwidthMbps
+
+	keySet := func(ps []Placement) map[string]bool {
+		out := map[string]bool{}
+		for _, p := range ps {
+			out[p.Key()] = true
+		}
+		return out
+	}
+	// adopt applies a diff the way the executor does: abandoned wiring is
+	// forgotten, the new deployment registered for reuse.
+	adopt := func(pl *Planner, old *Deployment, diff *Diff) *Deployment {
+		if diff.Unchanged() {
+			return old
+		}
+		pl.DropExisting(diff.Remove...)
+		pl.AddExisting(diff.New.Placements...)
+		return diff.New
+	}
+	step := func(label string, latencyMS float64, wantMove bool) {
+		t.Helper()
+		if err := mon.ReportLink(topology.SDGateway, topology.SeaGW, latencyMS, baseBW, nil); err != nil {
+			t.Fatal(err)
+		}
+		ch := NewChangedSet()
+		ch.AddLink(topology.SDGateway, topology.SeaGW)
+		diffA, err := pa.RepairReplan(depA, req, ch)
+		if err != nil {
+			t.Fatalf("%s: RepairReplan: %v", label, err)
+		}
+		diffB, err := pb.ReplanRewire(depB, req)
+		if err != nil {
+			t.Fatalf("%s: ReplanRewire: %v", label, err)
+		}
+		if diffA.Unchanged() == wantMove {
+			t.Errorf("%s: repair unchanged=%v, want a move=%v (%s)", label, diffA.Unchanged(), wantMove, diffA.New)
+		}
+		if !reflect.DeepEqual(keySet(diffA.Install), keySet(diffB.Install)) {
+			t.Errorf("%s: install sets differ:\n  repair: %v\n  rewire: %v", label, diffA.Install, diffB.Install)
+		}
+		if !reflect.DeepEqual(keySet(diffA.Remove), keySet(diffB.Remove)) {
+			t.Errorf("%s: remove sets differ:\n  repair: %v\n  rewire: %v", label, diffA.Remove, diffB.Remove)
+		}
+		if len(diffA.Evicted) != 0 || len(diffB.Evicted) != 0 {
+			t.Errorf("%s: a latency change evicts nothing: %v / %v", label, diffA.Evicted, diffB.Evicted)
+		}
+		if !diffA.Unchanged() && diffA.New.String() != diffB.New.String() {
+			t.Errorf("%s: deployments differ:\n  repair: %s\n  rewire: %s", label, diffA.New, diffB.New)
+		}
+		depA, depB = adopt(pa, depA, diffA), adopt(pb, depB, diffB)
+	}
+	step("degrade", baseLat+800, true)
+	for _, e := range depA.Edges {
+		for i := 0; i+1 < len(e.Path.Nodes); i++ {
+			a, b := e.Path.Nodes[i], e.Path.Nodes[i+1]
+			if (a == topology.SDGateway && b == topology.SeaGW) || (a == topology.SeaGW && b == topology.SDGateway) {
+				t.Errorf("rewired chain still crosses the degraded link: %s", depA)
+			}
+		}
+	}
+	if got := pa.SolverStats.Repairs.Load(); got == 0 {
+		t.Error("the degrade must have gone through the repair engine first")
+	}
+	// The restore is an improvement no pin can see: the repair is a
+	// no-op, and the replan behind it moves the session back.
+	step("restore", baseLat, true)
+	if !sameDeploymentKeys(depA, original) {
+		t.Errorf("restoring the link must restore the wiring:\n  original: %s\n  now:      %s", original, depA)
 	}
 }

@@ -8,16 +8,18 @@ import (
 	"partsvc/internal/solver"
 )
 
-// This file adapts planning onto the generic constraint engine in
-// internal/solver: variables are linkage-graph positions, domains are
-// candidate placements, binary constraints are route existence plus the
-// adjacent duplicate rules, and the admissible bound is the optimistic
-// flow-weighted hop cost (a per-chain DP relaxation computes subtree
-// completions inside the engine). Everything the binary relation cannot
-// express — property compatibility under modification rules, load
-// aggregation, non-adjacent duplicates — is enforced by the exact
-// Evaluate, so solver results obey the same three validity conditions
-// as Plan.
+// This file is the planner's search: planning mapped onto the generic
+// constraint engine in internal/solver. Variables are linkage-graph
+// positions, domains are candidate placements, binary constraints are
+// route existence plus the adjacent duplicate rules, and the admissible
+// bound is the optimistic flow-weighted hop cost (a per-chain DP
+// relaxation computes subtree completions inside the engine).
+// Everything the binary relation cannot express — property
+// compatibility under modification rules, load aggregation,
+// non-adjacent duplicates — is enforced by the exact Evaluate, so every
+// result obeys the three validity conditions of Section 3.3 (the
+// package's tests hold it placement-identical to the paper's exhaustive
+// mapper).
 
 // chainModel is the solver model of one linkage chain.
 type chainModel struct {
@@ -101,7 +103,7 @@ func (m *chainModel) EdgeBound(v, pv, cv int) float64 {
 	if !ok {
 		return math.Inf(1)
 	}
-	hop := m.pl.edgeHop(m.chain, v-1, path)
+	hop := hopMS(m.chain[v].comp.Behaviors, path)
 	if m.chain[v].isAnchor() {
 		hop += m.chain[v].anchor.UpstreamMS
 	}
@@ -187,8 +189,11 @@ func (pl *Planner) newChainModel(chain Chain, req Request) (*chainModel, bool) {
 	return m, true
 }
 
-// chainCandidates lists the domain of one chain position, mirroring the
-// exhaustive mapper's per-position rules.
+// chainCandidates lists the domain of one chain position: an anchor is
+// pinned, a stateful primary with a deployed instance may only be
+// reused (state lives in the primary; replication happens through data
+// views), and everything else ranges over the nodes whose deployment
+// conditions hold.
 func (pl *Planner) chainCandidates(chain Chain, pos int, req Request) []Placement {
 	elem := chain[pos]
 	if elem.isAnchor() {
@@ -295,12 +300,7 @@ func (m *treeModel) EdgeBound(v, pv, cv int) float64 {
 	if !ok {
 		return math.Inf(1)
 	}
-	b := m.flat[v].tree.comp.Behaviors
-	hop := 2*path.LatencyMS + b.CPUMSPerRequest
-	if !path.IsLoopback() && path.BottleneckMbps > 0 && !math.IsInf(path.BottleneckMbps, 1) {
-		bits := float64(b.RequestBytes+b.ResponseBytes) * 8
-		hop += bits / (path.BottleneckMbps * 1e6) * 1e3
-	}
+	hop := hopMS(m.flat[v].tree.comp.Behaviors, path)
 	if m.flat[v].tree.anchor != nil {
 		hop += m.flat[v].tree.anchor.UpstreamMS
 	}
@@ -432,15 +432,14 @@ func (pl *Planner) treeCandidates(tn treeNode, req Request, pos int) []Placement
 	return out
 }
 
-// PlanSolver satisfies a request through the constraint-solver backend:
-// every valid linkage graph (chains and trees alike) becomes a
-// constraint model, AC-3 propagation prunes candidate placements over
-// the epoch-versioned route cache, and branch-and-bound finds the best
-// deployment under the request's objective. Chain-shaped graphs use the
-// exact chain validator, so solver results on them are interchangeable
-// with Plan's; trees extend coverage beyond what Plan and PlanDP can
-// express.
-func (pl *Planner) PlanSolver(req Request) (*Deployment, error) {
+// Plan satisfies a client request: every valid linkage graph (chains
+// and trees alike) becomes a constraint model, AC-3 propagation prunes
+// candidate placements over the epoch-versioned route cache, and
+// branch-and-bound finds the best deployment under the request's
+// objective. A returned deployment always sustains the request rate
+// (validity condition 3); an error carries the accumulated rejection
+// statistics.
+func (pl *Planner) Plan(req Request) (*Deployment, error) {
 	pl.beginPlan()
 	defer pl.endPlan()
 	if _, ok := pl.Net.Node(req.ClientNode); !ok {
@@ -481,9 +480,15 @@ func (pl *Planner) PlanSolver(req Request) (*Deployment, error) {
 	}
 	if best == nil {
 		return nil, fmt.Errorf(
-			"planner: no valid solver mapping for %q from %s (graphs %d, mappings %d; rejected: conditions %d, properties %d, load %d, no-path %d)",
+			"planner: no valid mapping for %q from %s (graphs %d, mappings %d; rejected: conditions %d, properties %d, load %d, no-path %d)",
 			req.Interface, req.ClientNode, pl.stats.ChainsEnumerated, pl.stats.MappingsTried,
 			pl.stats.RejectedConditions, pl.stats.RejectedProps, pl.stats.RejectedLoad, pl.stats.RejectedNoPath)
+	}
+	// Rate admission is enforced here, whatever shape won: the tree
+	// validator's load model must not leak an over-committed deployment.
+	if req.RateRPS > 0 && best.CapacityRPS < req.RateRPS {
+		return nil, fmt.Errorf("planner: best deployment sustains %.1f rps, below the request rate %.1f (load)",
+			best.CapacityRPS, req.RateRPS)
 	}
 	return best, nil
 }

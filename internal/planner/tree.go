@@ -1,8 +1,6 @@
 package planner
 
 import (
-	"fmt"
-	"math"
 	"strings"
 
 	"partsvc/internal/netmodel"
@@ -14,8 +12,9 @@ import (
 // partial-order constraint solver for general directed component graphs
 // (Section 3.3). This file provides that generalization for tree-shaped
 // linkage graphs: components with multiple required interfaces obtain
-// one provider subtree per requirement, and a backtracking mapper
-// assigns nodes under the same three validity conditions.
+// one provider subtree per requirement, and the tree validator applies
+// the same three validity conditions to a complete node assignment
+// (the search itself is solve.go's treeModel).
 
 // Tree is a linkage tree: the root implements the requested interface
 // and each child subtree provides one of the root's required
@@ -124,74 +123,6 @@ type TreeDeployment struct {
 	NewComponents     int
 }
 
-// String renders the deployment with parent links.
-func (d *TreeDeployment) String() string {
-	parts := make([]string, len(d.Placements))
-	for i, p := range d.Placements {
-		if p.Parent < 0 {
-			parts[i] = p.Placement.String()
-		} else {
-			parts[i] = fmt.Sprintf("%s<-%d", p.Placement.String(), p.Parent)
-		}
-	}
-	return strings.Join(parts, " ")
-}
-
-// PlanTree satisfies a request over tree-shaped linkage graphs. It
-// reuses the chain machinery's constraint semantics: deployment
-// conditions at every node, property compatibility (with modification
-// rules) on every edge, and a per-edge bandwidth plus per-node CPU load
-// check. The MinLatency deployment penalty applies as in Plan.
-func (pl *Planner) PlanTree(req Request) (*TreeDeployment, error) {
-	pl.beginPlan()
-	defer pl.endPlan()
-	if _, ok := pl.Net.Node(req.ClientNode); !ok {
-		return nil, fmt.Errorf("planner: client node %q not in network", req.ClientNode)
-	}
-	if _, ok := pl.Service.Interface(req.Interface); !ok {
-		return nil, fmt.Errorf("planner: interface %q not in service %q", req.Interface, pl.Service.Name)
-	}
-	trees := pl.EnumerateTrees(req.Interface)
-	pl.stats.ChainsEnumerated = len(trees)
-	if len(trees) == 0 {
-		return nil, fmt.Errorf("planner: no component tree implements %q", req.Interface)
-	}
-	var best *TreeDeployment
-	for _, tree := range trees {
-		dep := pl.mapTree(tree, req)
-		if dep == nil {
-			continue
-		}
-		if best == nil || pl.treeBetter(req.Objective, dep, best) {
-			best = dep
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("planner: no valid tree mapping for %q from %s", req.Interface, req.ClientNode)
-	}
-	return best, nil
-}
-
-func (pl *Planner) treeBetter(o Objective, a, b *TreeDeployment) bool {
-	var ka, kb [2]float64
-	switch o {
-	case MinCost:
-		ka = [2]float64{float64(a.NewComponents), a.ExpectedLatencyMS}
-		kb = [2]float64{float64(b.NewComponents), b.ExpectedLatencyMS}
-	default:
-		ka = [2]float64{a.ExpectedLatencyMS + pl.DeployPenaltyMS*float64(a.NewComponents), float64(a.NewComponents)}
-		kb = [2]float64{b.ExpectedLatencyMS + pl.DeployPenaltyMS*float64(b.NewComponents), float64(b.NewComponents)}
-	}
-	const eps = 1e-9
-	if math.Abs(ka[0]-kb[0]) > eps {
-		return ka[0] < kb[0]
-	}
-	if math.Abs(ka[1]-kb[1]) > eps {
-		return ka[1] < kb[1]
-	}
-	return a.String() < b.String()
-}
-
 // treeNode is the flattened pre-order view used during mapping.
 type treeNode struct {
 	tree   *Tree
@@ -214,93 +145,6 @@ func flatten(t *Tree) []treeNode {
 	}
 	walk(t, -1, 1)
 	return out
-}
-
-// mapTree assigns nodes to a flattened tree by backtracking.
-func (pl *Planner) mapTree(tree *Tree, req Request) *TreeDeployment {
-	if tree.anchor != nil {
-		return nil
-	}
-	flat := flatten(tree)
-	head, ok := pl.placementForCached(flat[0].tree.comp, req.ClientNode, req, 0)
-	if !ok {
-		pl.stats.RejectedConditions++
-		return nil
-	}
-	if anchor, found := pl.anchorFor(head); found {
-		head = anchor
-	}
-	places := make([]Placement, len(flat))
-	places[0] = head
-
-	var best *TreeDeployment
-	nodes := pl.Net.Nodes()
-
-	var assign func(pos int)
-	assign = func(pos int) {
-		if pos == len(flat) {
-			pl.stats.MappingsTried++
-			if dep := pl.validateTree(flat, places, req); dep != nil {
-				if best == nil || pl.treeBetter(req.Objective, dep, best) {
-					best = dep
-				}
-			}
-			return
-		}
-		tn := flat[pos]
-		if tn.tree.anchor != nil {
-			p := *tn.tree.anchor
-			p.Reused = true
-			places[pos] = p
-			assign(pos + 1)
-			return
-		}
-		comp := tn.tree.comp
-		if pl.isStatefulPrimary(comp) && pl.hasAnyInstance(comp.Name) {
-			for _, e := range pl.Existing {
-				if e.Component != comp.Name {
-					continue
-				}
-				p := e
-				p.Reused = true
-				places[pos] = p
-				assign(pos + 1)
-			}
-			return
-		}
-		caching := comp.Behaviors.EffectiveRRF() < 1
-		for _, node := range nodes {
-			p, ok := pl.placementForCached(comp, node.ID, req, pos)
-			if !ok {
-				pl.stats.RejectedConditions++
-				continue
-			}
-			// No loops or duplicated replicas along the ancestor path
-			// (the same rules as the chain mapper, applied per branch).
-			id := p.Component + "{" + p.configFP() + "}"
-			blocked := false
-			for a := tn.parent; a >= 0; a = flat[a].parent {
-				if p.Key() == places[a].Key() {
-					blocked = true
-					break
-				}
-				if caching && id == places[a].Component+"{"+places[a].configFP()+"}" {
-					blocked = true
-					break
-				}
-			}
-			if blocked {
-				continue
-			}
-			if anchor, found := pl.anchorFor(p); found {
-				p = anchor
-			}
-			places[pos] = p
-			assign(pos + 1)
-		}
-	}
-	assign(1)
-	return best
 }
 
 // validateTree checks conditions 2 and 3 over the tree and computes
@@ -468,12 +312,7 @@ func (pl *Planner) validateTree(flat []treeNode, places []Placement, req Request
 		if i == 0 {
 			continue
 		}
-		b := flat[i].tree.comp.Behaviors
-		hop := 2*paths[i].LatencyMS + b.CPUMSPerRequest
-		if !paths[i].IsLoopback() && paths[i].BottleneckMbps > 0 && !math.IsInf(paths[i].BottleneckMbps, 1) {
-			bits := float64(b.RequestBytes+b.ResponseBytes) * 8
-			hop += bits / (paths[i].BottleneckMbps * 1e6) * 1e3
-		}
+		hop := hopMS(flat[i].tree.comp.Behaviors, paths[i])
 		if flat[i].tree.anchor != nil {
 			hop += flat[i].tree.anchor.UpstreamMS
 		}

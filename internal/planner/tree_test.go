@@ -118,7 +118,7 @@ func TestEnumerateTreesBudget(t *testing.T) {
 // server and the log server.
 func TestPlanTreeNY(t *testing.T) {
 	pl := portalPlanner(t)
-	dep, err := pl.PlanTree(Request{Interface: "PortalInterface", ClientNode: topology.NYClient, RateRPS: 10})
+	dep, err := pl.planTree(Request{Interface: "PortalInterface", ClientNode: topology.NYClient, RateRPS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPlanTreeNY(t *testing.T) {
 // the log branch does not (it carries no confidentiality requirement).
 func TestPlanTreeSD(t *testing.T) {
 	pl := portalPlanner(t)
-	dep, err := pl.PlanTree(Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10})
+	dep, err := pl.planTree(Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestPlanTreeSD(t *testing.T) {
 // near the client (no security constraint holds it back).
 func TestPlanTreeLogBranchStaysLocal(t *testing.T) {
 	pl := portalPlanner(t)
-	dep, err := pl.PlanTree(Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10})
+	dep, err := pl.planTree(Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestPlanTreeLogBranchStaysLocal(t *testing.T) {
 // interface are enforced.
 func TestPlanTreeRequireProps(t *testing.T) {
 	pl := portalPlanner(t)
-	_, err := pl.PlanTree(Request{
+	_, err := pl.planTree(Request{
 		Interface: "PortalInterface", ClientNode: topology.NYClient,
 		RequireProps: property.Set{"Confidentiality": property.Bool(true)},
 	})
@@ -208,14 +208,14 @@ func TestPlanTreeRequireProps(t *testing.T) {
 func TestPlanTreeAnchorReuse(t *testing.T) {
 	pl := portalPlanner(t)
 	req := Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10}
-	first, err := pl.PlanTree(req)
+	first, err := pl.planTree(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range first.Placements {
 		pl.AddExisting(p.Placement)
 	}
-	second, err := pl.PlanTree(req)
+	second, err := pl.planTree(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,13 +227,13 @@ func TestPlanTreeAnchorReuse(t *testing.T) {
 // TestPlanTreeErrors: bad requests fail fast.
 func TestPlanTreeErrors(t *testing.T) {
 	pl := portalPlanner(t)
-	if _, err := pl.PlanTree(Request{Interface: "PortalInterface", ClientNode: "ghost"}); err == nil {
+	if _, err := pl.planTree(Request{Interface: "PortalInterface", ClientNode: "ghost"}); err == nil {
 		t.Error("unknown node must fail")
 	}
-	if _, err := pl.PlanTree(Request{Interface: "Ghost", ClientNode: topology.NYClient}); err == nil {
+	if _, err := pl.planTree(Request{Interface: "Ghost", ClientNode: topology.NYClient}); err == nil {
 		t.Error("unknown interface must fail")
 	}
-	if _, err := pl.PlanTree(Request{Interface: "PortalInterface", ClientNode: topology.NYClient, RateRPS: 1e12}); err == nil {
+	if _, err := pl.planTree(Request{Interface: "PortalInterface", ClientNode: topology.NYClient, RateRPS: 1e12}); err == nil {
 		t.Error("infeasible rate must fail")
 	}
 }
@@ -245,7 +245,7 @@ func TestPlanTreeChainEquivalence(t *testing.T) {
 	tr := caseStudyPlanner(t)
 	req := Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50}
 	want := planOrFail(t, exh, req)
-	got, err := tr.PlanTree(req)
+	got, err := tr.planTree(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestTreeNamesAndString(t *testing.T) {
 			t.Errorf("tree name %q", tr.Names())
 		}
 	}
-	dep, err := pl.PlanTree(Request{Interface: "PortalInterface", ClientNode: topology.NYClient, RateRPS: 10})
+	dep, err := pl.planTree(Request{Interface: "PortalInterface", ClientNode: topology.NYClient, RateRPS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,7 @@ func (t Type) Check(v Value) error {
 
 // Values enumerates the allowable values of the declaration. For
 // unbounded kinds (unconstrained strings) it returns nil; callers that
-// need exhaustive enumeration (e.g. the DP planner's property
-// fingerprinting) must treat nil as "unbounded".
+// need exhaustive enumeration must treat nil as "unbounded".
 func (t Type) Values() []Value {
 	switch t.Kind {
 	case KindBool:
@@ -157,7 +156,7 @@ func (s Set) Names() []string {
 }
 
 // Fingerprint returns a canonical textual form of the set, suitable as a
-// map key (used by the DP planner to memoize property states).
+// map key (placement identities, request and reuse-set fingerprints).
 func (s Set) Fingerprint() string {
 	if len(s) == 0 {
 		return ""

@@ -396,8 +396,8 @@ func treeUpstreamID(edges []planner.Edge, addrs []string) string {
 	return strings.Join(parts, ",")
 }
 
-// executeTree realizes a tree-shaped deployment (solver backend over a
-// multi-requirement service). Placements are flattened pre-order, so a
+// executeTree realizes a tree-shaped deployment (a multi-requirement
+// service). Placements are flattened pre-order, so a
 // reverse index walk resolves every provider subtree before the client
 // that wires to it; each edge carries the interface name the client
 // requires, which keys the wrapper's upstream map. Callers hold e.mu.

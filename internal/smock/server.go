@@ -43,7 +43,7 @@ func (g *GenericServer) Planner() *planner.Planner { return g.pl }
 func (g *GenericServer) Access(req planner.Request) (string, *planner.Deployment, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	dep, err := g.pl.PlanVia(g.pl.Preferred(), req)
+	dep, err := g.pl.Plan(req)
 	if err != nil {
 		return "", nil, err
 	}
@@ -62,15 +62,7 @@ func (g *GenericServer) Access(req planner.Request) (string, *planner.Deployment
 func (g *GenericServer) PlanOnly(req planner.Request) (*planner.Deployment, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.pl.PlanVia(g.pl.Preferred(), req)
-}
-
-// PlanOnlyVia is PlanOnly through an explicitly selected planner
-// backend, for API callers that override the configured default.
-func (g *GenericServer) PlanOnlyVia(req planner.Request, b planner.Backend) (*planner.Deployment, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.pl.PlanVia(b, req)
+	return g.pl.Plan(req)
 }
 
 // Requires resolves a component's required interface name — the
@@ -100,35 +92,20 @@ func (g *GenericServer) Requires(component string) (string, bool) {
 // path.
 //
 // The no-op case goes through the planner's rewire check
-// (ReplanRewire): a network change that invalidates nothing may still
-// have moved the latency optimum away from wiring the anchor cut
+// (planner.ReplanRewire): a network change that invalidates nothing may
+// still have moved the latency optimum away from wiring the anchor cut
 // keeps frozen (a degraded interior link); the session is then
 // re-wired to the freshly optimal chain.
 func (g *GenericServer) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	diff, err := g.pl.ReplanRewire(old, req)
-	if err != nil {
-		return nil, err
-	}
-	if orphans := g.engine.OrphanedBy(diff.Evicted); len(orphans) > 0 {
-		g.pl.DropExistingByKey(orphans...)
-		diff2, err := g.pl.Replan(old, req)
-		if err != nil {
-			return nil, err
-		}
-		diff2.Evicted = append(diff.Evicted, diff2.Evicted...)
-		return diff2, nil
-	}
-	return diff, nil
+	return g.RepairReplan(old, req, nil)
 }
 
-// RepairReplan is Replan through the solver backend's incremental
-// repair path: ch names the network elements a monitoring event
-// touched, so placements away from the change keep their assignments
-// and only invalidated domains are re-searched. Falls back to a full
-// replan (inside the planner) when repair is infeasible or the planner
-// is not solver-backed. Orphan handling mirrors Replan.
+// RepairReplan is Replan with the network elements a monitoring event
+// touched: the planner first repairs the old deployment incrementally
+// (placements away from the change keep their assignments, only
+// invalidated domains are re-searched) and continues as a full replan
+// when the repair moves nothing or is infeasible. A nil or empty ch is
+// exactly Replan.
 func (g *GenericServer) RepairReplan(old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -229,9 +229,7 @@ func newPortalWorld(t *testing.T) *portalWorld {
 		w.engine.RegisterWrapper(wr)
 		w.wrappers[node.ID] = wr
 	}
-	pl := planner.New(svc, w.net)
-	pl.PreferSolver = true
-	w.gs = smock.NewGenericServer(svc, pl, w.engine)
+	w.gs = smock.NewGenericServer(svc, planner.New(svc, w.net), w.engine)
 	return w
 }
 
@@ -261,23 +259,20 @@ func (w *portalWorld) callPortal(t *testing.T, addr, payload string) *wire.Messa
 }
 
 // TestTreeDeploymentEndToEnd is the DAG acceptance scenario: a service
-// whose linkage graph no chain planner can express is planned by the
-// solver backend, realized by the engine's tree executor (one instance
+// whose linkage graph no chain can express is planned as a tree,
+// realized by the engine's tree executor (one instance
 // wired to two upstream providers), survives a node kill through
 // RepairReplan + Apply, and never surfaces an error to the client.
 func TestTreeDeploymentEndToEnd(t *testing.T) {
 	w := newPortalWorld(t)
 	req := planner.Request{Interface: "PortalInterface", ClientNode: "client", User: "Alice", RateRPS: 10}
 
-	// The chain backends must be unable to express this spec...
-	if _, err := w.gs.PlanOnlyVia(req, planner.BackendExhaustive); err == nil {
-		t.Fatal("exhaustive backend planned a branching spec")
-	}
-	if _, err := w.gs.PlanOnlyVia(req, planner.BackendDP); err == nil {
-		t.Fatal("DP backend planned a branching spec")
+	// No linkage chain expresses this spec...
+	if chains := w.gs.Planner().EnumerateChains(req.Interface); len(chains) != 0 {
+		t.Fatalf("a branching spec enumerated %d chains", len(chains))
 	}
 
-	// ...while Access (solver preferred) deploys it end to end.
+	// ...while Access deploys it end to end.
 	addr, dep, err := w.gs.Access(req)
 	if err != nil {
 		t.Fatalf("Access: %v", err)
