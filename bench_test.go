@@ -39,7 +39,7 @@ import (
 
 // newCaseStudyPlanner primes a planner with the NY primary, as in the
 // case study.
-func newCaseStudyPlanner(b *testing.B) *planner.Planner {
+func newCaseStudyPlanner(b testing.TB) *planner.Planner {
 	b.Helper()
 	pl := planner.New(spec.MailService(), topology.CaseStudy())
 	ms, err := pl.PrimaryPlacement(spec.CompMailServer, topology.NYServer)
@@ -104,6 +104,7 @@ func BenchmarkPlannerCaseStudy(b *testing.B) {
 	req := planner.Request{
 		Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50,
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		pl := newCaseStudyPlanner(b)
 		if _, err := pl.Plan(req); err != nil {

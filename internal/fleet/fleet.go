@@ -123,35 +123,64 @@ func (e Event) String() string {
 	return s
 }
 
+// sessionEvents is how many of its latest events a session keeps: a
+// long-lived fleet emits two or three per affected session per topology
+// event, forever.
+const sessionEvents = 256
+
 // Session is one tracked client deployment. All mutation happens
-// through the manager; accessors are safe from any goroutine.
+// through the manager; accessors are safe from any goroutine. Req is
+// read-only once the session is registered.
 type Session struct {
 	Name string
 	Req  planner.Request
 
 	idx   int // global order (registration order)
 	shard int
+	reqFP string // Req.Fingerprint(), for the wave key
 
-	mu            sync.Mutex
-	dep           *planner.Deployment
+	mu sync.Mutex
+	// dep is the current deployment, facts what the manager derives
+	// from it. Both are immutable and shared by every session of the
+	// wave group that planned them.
+	dep   *planner.Deployment
+	facts *depFacts
+	// events is a ring of the latest sessionEvents events; once full,
+	// evHead is the oldest.
 	events        []Event
+	evHead        int
 	lastCutoverMS float64
 	pendingCancel func() bool
 }
 
+// depFacts is what the manager needs to know about a deployment, worked
+// out once per distinct deployment rather than once per session.
+type depFacts struct {
+	// summary is the placement chain by key: the detail of the
+	// session's planned/adapted event and the deployment-shape part of
+	// its wave key.
+	summary string
+	// footprint is every node a placement sits on or an edge path
+	// traverses — the elements whose degradation can affect the session.
+	footprint []netmodel.NodeID
+}
+
 // Deployment returns the session's current deployment (nil before
-// bootstrap).
+// bootstrap). It is shared with other sessions: treat it as read-only.
 func (s *Session) Deployment() *planner.Deployment {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dep
 }
 
-// Events returns a copy of the session's event stream.
+// Events returns a copy of the session's latest events (at most
+// sessionEvents of them), oldest first.
 func (s *Session) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
+	out := make([]Event, 0, len(s.events))
+	out = append(out, s.events[s.evHead:]...)
+	return append(out, s.events[:s.evHead]...)
 }
 
 // Shard returns the shard the session hashed onto.
@@ -159,14 +188,19 @@ func (s *Session) Shard() int { return s.shard }
 
 func (s *Session) emit(e Event) {
 	s.mu.Lock()
-	s.events = append(s.events, e)
+	if len(s.events) < sessionEvents {
+		s.events = append(s.events, e)
+	} else {
+		s.events[s.evHead] = e
+		s.evHead = (s.evHead + 1) % sessionEvents
+	}
 	s.mu.Unlock()
 }
 
-func (s *Session) snapshotDep() *planner.Deployment {
+func (s *Session) snapshot() (*planner.Deployment, *depFacts) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dep
+	return s.dep, s.facts
 }
 
 // cancelPending withdraws a deferred commit: a newer wave's verdict for
@@ -361,6 +395,7 @@ func (m *Manager) AddSession(name string, req planner.Request) *Session {
 		Req:           req,
 		idx:           len(m.sessions),
 		shard:         m.shardOf(name),
+		reqFP:         req.Fingerprint(),
 		lastCutoverMS: math.Inf(-1),
 	}
 	m.sessions = append(m.sessions, s)
@@ -604,7 +639,8 @@ func (m *Manager) debounceExpired() {
 	}
 }
 
-// waveResult is one session's slot in the wave's replan phase.
+// waveResult is one session's slot in the wave's replan phase. Every
+// member of a wave group holds the same diff.
 type waveResult struct {
 	diff *planner.Diff
 	hit  bool
@@ -664,21 +700,29 @@ func (m *Manager) runWave(affected []int, bootstrap bool, ch *planner.ChangedSet
 		// sessions resolve through ONE memo lookup (and at most one
 		// computation), not one lookup per session — the residual serial
 		// cost the per-session loop used to pay on every memo hit.
+		// A group is named by what its members were registered and
+		// committed with — the request fingerprint and the deployment
+		// shape — so a wave builds no strings per session; the wave-wide
+		// parts of the key are added once per group.
+		type groupKey struct{ reqFP, shape string }
 		type waveGroup struct {
-			key  string
+			groupKey
 			dep  *planner.Deployment
 			req  planner.Request
 			idxs []int
 		}
 		order := make([]*waveGroup, 0, len(byShard[sh]))
-		groups := map[string]*waveGroup{}
+		groups := map[groupKey]*waveGroup{}
 		for _, idx := range byShard[sh] {
 			s := sessions[idx]
-			dep := s.snapshotDep()
-			key := planner.WaveKey(s.Req, existingFP, epoch, dep)
+			dep, facts := s.snapshot()
+			key := groupKey{reqFP: s.reqFP}
+			if facts != nil {
+				key.shape = facts.summary
+			}
 			g, ok := groups[key]
 			if !ok {
-				g = &waveGroup{key: key, dep: dep, req: s.Req}
+				g = &waveGroup{groupKey: key, dep: dep, req: s.Req}
 				groups[key] = g
 				order = append(order, g) // first-occurrence order: deterministic
 			}
@@ -687,7 +731,8 @@ func (m *Manager) runWave(affected []int, bootstrap bool, ch *planner.ChangedSet
 		for _, g := range order {
 			memoLookups.Add(1)
 			g := g
-			diff, _, hit, err := memo.Do(g.key, func() (*planner.Diff, planner.Stats, error) {
+			key := planner.WaveKey(g.reqFP, existingFP, epoch, g.shape)
+			diff, _, hit, err := memo.Do(key, func() (*planner.Diff, planner.Stats, error) {
 				// Each computation plans against the wave-start world:
 				// the planner's reuse set is re-synced so earlier
 				// sessions' in-wave mutations never leak across
@@ -700,11 +745,7 @@ func (m *Manager) runWave(affected []int, bootstrap bool, ch *planner.ChangedSet
 				return d, pl.Stats(), err
 			})
 			for k, idx := range g.idxs {
-				d := diff
-				if d != nil && k > 0 {
-					d = diff.Clone() // members commit independent copies
-				}
-				slots[idx] = waveResult{diff: d, hit: hit || k > 0, err: err}
+				slots[idx] = waveResult{diff: diff, hit: hit || k > 0, err: err}
 			}
 		}
 	}
@@ -754,9 +795,14 @@ func (m *Manager) runWave(affected []int, bootstrap bool, ch *planner.ChangedSet
 		}
 	}
 
-	// Commit phase: sequential, global session order.
+	// Commit phase: sequential, global session order. What depends only
+	// on the deployment is worked out once per distinct one (group
+	// members share theirs), and the node index is updated once, after
+	// the last commit.
 	lastCommitMS := startMS
 	evicted := map[string]bool{}
+	facts := map[*planner.Deployment]*depFacts{}
+	var moves []indexMove
 	for _, idx := range affected {
 		s := sessions[idx]
 		r := slots[idx]
@@ -783,7 +829,7 @@ func (m *Manager) runWave(affected []int, bootstrap bool, ch *planner.ChangedSet
 				m.evictions.Inc()
 			}
 		}
-		old := s.snapshotDep()
+		old, _ := s.snapshot()
 		if diff.Unchanged() && old != nil {
 			report.Unchanged++
 			m.emitSession(s, Event{AtMS: now, Wave: wave, Kind: "unchanged"})
@@ -816,9 +862,15 @@ func (m *Manager) runWave(affected []int, bootstrap bool, ch *planner.ChangedSet
 			m.scheduleCommit(s, wave, diff, commitAt-now)
 			continue
 		}
-		m.commit(s, wave, diff, bootstrap)
+		f := facts[diff.New]
+		if f == nil {
+			f = factsOf(diff.New)
+			facts[diff.New] = f
+		}
+		moves = append(moves, m.commit(s, wave, diff.New, f, bootstrap))
 		report.Cutovers++
 	}
+	m.reindex(moves)
 	report.SpanMS = lastCommitMS - startMS
 
 	m.waves.Inc()
@@ -876,7 +928,7 @@ func (m *Manager) scheduleCommit(s *Session, wave uint64, diff *planner.Diff, de
 		if stopped {
 			return
 		}
-		m.commit(s, wave, diff, false)
+		m.reindex([]indexMove{m.commit(s, wave, diff.New, factsOf(diff.New), false)})
 		m.cutovers.Inc()
 	})
 	s.mu.Lock()
@@ -884,19 +936,25 @@ func (m *Manager) scheduleCommit(s *Session, wave uint64, diff *planner.Diff, de
 	s.mu.Unlock()
 }
 
-// commit applies one session's diff: acquire-before-release against the
+// indexMove is one committed session's change of footprint, for
+// reindex.
+type indexMove struct {
+	idx      int
+	old, new *depFacts
+}
+
+// commit moves one session onto dep: acquire-before-release against the
 // shared registry (deploy-before-teardown at fleet scope), heartbeat
-// refcounts, the affected-session index, and the session's own state.
-func (m *Manager) commit(s *Session, wave uint64, diff *planner.Diff, bootstrap bool) {
+// refcounts, and the session's own state. The caller folds the returned
+// footprint change into the affected-session index.
+func (m *Manager) commit(s *Session, wave uint64, dep *planner.Deployment, facts *depFacts, bootstrap bool) indexMove {
 	now := m.sched.NowMS()
 	// A deferred commit may land after a newer wave already rewired the
 	// session; the newer wave canceled us, but guard against the race
 	// where both were already scheduled at the same virtual instant.
-	s.mu.Lock()
-	old := s.dep
-	s.mu.Unlock()
+	old, oldFacts := s.snapshot()
 
-	for _, p := range diff.New.Placements {
+	for _, p := range dep.Placements {
 		m.reg.acquire(p)
 		if m.pool != nil && m.poolAddr != nil {
 			m.pool.Acquire(p.Node, m.poolAddr(p.Node))
@@ -912,57 +970,57 @@ func (m *Manager) commit(s *Session, wave uint64, diff *planner.Diff, bootstrap 
 	}
 
 	s.mu.Lock()
-	s.dep = diff.New
+	s.dep, s.facts = dep, facts
 	if !bootstrap {
 		s.lastCutoverMS = now
 	}
 	s.mu.Unlock()
-	m.reindex(s, old, diff.New)
 
 	kind := "adapted"
 	if bootstrap {
 		kind = "planned"
 	}
-	m.emitSession(s, Event{AtMS: now, Wave: wave, Kind: kind, Detail: depSummary(diff.New)})
+	m.emitSession(s, Event{AtMS: now, Wave: wave, Kind: kind, Detail: facts.summary})
+	return indexMove{idx: s.idx, old: oldFacts, new: facts}
 }
 
-// reindex swaps the session's entries in the node→sessions index from
-// its old deployment's footprint to the new one. The footprint is every
-// node a placement sits on or an edge path traverses — the set of
-// elements whose degradation can affect the session.
-func (m *Manager) reindex(s *Session, old, new_ *planner.Deployment) {
+// reindex swaps committed sessions' entries in the node→sessions index
+// from their old deployments' footprints to the new ones.
+func (m *Manager) reindex(moves []indexMove) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, n := range footprint(old) {
-		if set := m.byNode[n]; set != nil {
-			delete(set, s.idx)
-			if len(set) == 0 {
-				delete(m.byNode, n)
+	for _, mv := range moves {
+		if mv.old != nil {
+			for _, n := range mv.old.footprint {
+				if set := m.byNode[n]; set != nil {
+					delete(set, mv.idx)
+					if len(set) == 0 {
+						delete(m.byNode, n)
+					}
+				}
 			}
 		}
-	}
-	for _, n := range footprint(new_) {
-		set := m.byNode[n]
-		if set == nil {
-			set = map[int]struct{}{}
-			m.byNode[n] = set
+		for _, n := range mv.new.footprint {
+			set := m.byNode[n]
+			if set == nil {
+				set = map[int]struct{}{}
+				m.byNode[n] = set
+			}
+			set[mv.idx] = struct{}{}
 		}
-		set[s.idx] = struct{}{}
 	}
 }
 
-// footprint lists the nodes a deployment touches (deduplicated).
-func footprint(dep *planner.Deployment) []netmodel.NodeID {
-	if dep == nil {
-		return nil
-	}
-	seen := map[netmodel.NodeID]struct{}{}
-	var out []netmodel.NodeID
+// factsOf derives the manager's view of a deployment.
+func factsOf(dep *planner.Deployment) *depFacts {
+	f := &depFacts{summary: depSummary(dep)}
 	add := func(n netmodel.NodeID) {
-		if _, ok := seen[n]; !ok {
-			seen[n] = struct{}{}
-			out = append(out, n)
+		for _, seen := range f.footprint {
+			if seen == n {
+				return
+			}
 		}
+		f.footprint = append(f.footprint, n)
 	}
 	for _, p := range dep.Placements {
 		add(p.Node)
@@ -972,7 +1030,7 @@ func footprint(dep *planner.Deployment) []netmodel.NodeID {
 			add(n)
 		}
 	}
-	return out
+	return f
 }
 
 // depSummary renders a deployment as its placement chain.

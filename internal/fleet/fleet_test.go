@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -287,5 +288,167 @@ func TestNodeKillForcesThroughHysteresis(t *testing.T) {
 				t.Fatalf("session %s still deployed on dead node %s", s.Name, victim)
 			}
 		}
+	}
+}
+
+// TestSessionEventsAreBounded: a long-lived fleet emits events for every
+// affected session on every topology event, forever. A session keeps
+// its latest sessionEvents of them, oldest first, and the heap stops
+// growing once the rings are full.
+func TestSessionEventsAreBounded(t *testing.T) {
+	const sessions, waves = 50, 1000
+	w := &world{env: sim.NewEnv(), net: topology.CaseStudy()}
+	defer w.env.Stop()
+	w.mon = netmon.New(w.net)
+	w.mgr = New(Config{Shards: 4, Workers: 2, DebounceMS: 20}, spec.MailService(), w.net, w.mon, adapt.NewSimScheduler(w.env))
+	if _, err := w.mgr.AddPrimary(spec.CompMailServer, topology.NYServer); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < sessions; i++ {
+		w.mgr.AddSession(fmt.Sprintf("s%03d", i), planner.Request{
+			Interface: spec.IfaceClient, ClientNode: topology.NYClient, User: "Alice", RateRPS: 10,
+		})
+	}
+	var lastWave uint64
+	w.mgr.OnWave(func(r WaveReport) {
+		if r.Sessions != sessions || r.Failed != 0 {
+			t.Errorf("wave %d: %d sessions, %d failed; want all %d replanned", r.Wave, r.Sessions, r.Failed, sessions)
+		}
+		lastWave = r.Wave
+	})
+	if boot := w.mgr.Bootstrap(); boot.Failed != 0 {
+		t.Fatalf("bootstrap: %d sessions failed", boot.Failed)
+	}
+	w.mgr.Start()
+	defer w.mgr.Stop()
+
+	heapAfterGC := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// Every event nudges the link under every session's only linkage, so
+	// every event opens a wave over all of them.
+	var heapAt100 uint64
+	for k := 0; k < waves; k++ {
+		at := 100 * float64(k+1)
+		lat := float64((k + 1) % 2)
+		w.env.At(at, func() {
+			if err := w.mon.ReportLink(topology.NYServer, topology.NYClient, lat, 100, nil); err != nil {
+				t.Error(err)
+			}
+		})
+		w.env.RunUntil(at + 90)
+		if k+1 == 100 {
+			heapAt100 = heapAfterGC()
+		}
+	}
+	heapAt1000 := heapAfterGC()
+	if lastWave != waves+1 { // the bootstrap was wave 1
+		t.Fatalf("last wave %d, want %d: not every event opened a wave", lastWave, waves+1)
+	}
+	for _, s := range w.mgr.Sessions() {
+		ev := s.Events()
+		if len(ev) != sessionEvents {
+			t.Fatalf("%s keeps %d events after %d waves, want the latest %d", s.Name, len(ev), waves, sessionEvents)
+		}
+		if got := ev[len(ev)-1].Wave; got != lastWave {
+			t.Fatalf("%s: newest event is wave %d's, want wave %d's", s.Name, got, lastWave)
+		}
+		for i := 1; i < len(ev); i++ {
+			if ev[i].Wave < ev[i-1].Wave {
+				t.Fatalf("%s: events out of order at %d: wave %d after wave %d", s.Name, i, ev[i].Wave, ev[i-1].Wave)
+			}
+		}
+	}
+	// Unbounded streams grow by two events per session per wave: about
+	// 4 MB over these 900 waves. The rings fill shortly after wave 100
+	// and then nothing grows.
+	if grown := int64(heapAt1000) - int64(heapAt100); grown > 1<<20 {
+		t.Fatalf("heap grew %d KB between wave 100 and wave %d (%d -> %d KB)", grown>>10, waves, heapAt100>>10, heapAt1000>>10)
+	} else {
+		t.Logf("heap %d KB at wave 100, %d KB at wave %d", heapAt100>>10, heapAt1000>>10, waves)
+	}
+}
+
+// depHash renders everything a planned deployment holds — placements
+// with their configurations, offers and upstream charges, edges with
+// their routes, and the metrics — so that any write to a value the
+// fleet shares between sessions shows as a changed string.
+func depHash(dep *planner.Deployment) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "lat=%v new=%d cap=%v", dep.ExpectedLatencyMS, dep.NewComponents, dep.CapacityRPS)
+	for _, p := range dep.Placements {
+		fmt.Fprintf(&b, "|%s reused=%v cfg=%s offers=%s up=%v", p.Key(), p.Reused, p.Config.Fingerprint(), p.Offers.Fingerprint(), p.UpstreamMS)
+	}
+	for _, e := range dep.Edges {
+		fmt.Fprintf(&b, "|%d>%d %s %v lat=%v bw=%v", e.From, e.To, e.Iface, e.Path.Nodes, e.Path.LatencyMS, e.Path.BottleneckMbps)
+	}
+	return b.String()
+}
+
+// TestSharedDeploymentsAreImmutable: the sessions of a wave group hold
+// one *Deployment between them. After a wave, two more waves must leave
+// the deployment of every session that did not cut over exactly as it
+// was — nothing in the planner or the manager writes to a planned value
+// — and under -race no worker may touch one another is reading.
+func TestSharedDeploymentsAreImmutable(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		w := newWorld(t, Config{Shards: 8, Workers: workers, DebounceMS: 20}, 48)
+		w.mgr.Bootstrap()
+		w.mgr.Start()
+		report := func(at, latMS float64) {
+			w.env.At(at, func() {
+				if err := w.mon.ReportLink(topology.SDGateway, topology.SeaGW, latMS, 50, nil); err != nil {
+					t.Error(err)
+				}
+			})
+			w.env.RunUntil(at + 900)
+		}
+		report(1000, 900) // degrade under the Seattle chains: they cut over
+
+		type held struct {
+			dep  *planner.Deployment
+			hash string
+		}
+		before := map[string]held{}
+		shared := map[*planner.Deployment]int{}
+		for _, s := range w.mgr.Sessions() {
+			dep := s.Deployment()
+			before[s.Name] = held{dep, depHash(dep)}
+			shared[dep]++
+		}
+		if len(shared) >= len(before) {
+			t.Fatalf("workers=%d: %d distinct deployments for %d sessions — wave groups do not share theirs", workers, len(shared), len(before))
+		}
+
+		report(2000, 100) // restore
+		report(3000, 900) // and degrade again
+
+		kept := 0
+		for _, s := range w.mgr.Sessions() {
+			h := before[s.Name]
+			if s.Deployment() != h.dep {
+				continue // cut over: holds a new value
+			}
+			kept++
+			if got := depHash(h.dep); got != h.hash {
+				t.Fatalf("workers=%d: %s did not cut over, yet its deployment changed:\n  was %s\n  now %s", workers, s.Name, h.hash, got)
+			}
+		}
+		if kept == 0 {
+			t.Fatalf("workers=%d: every session cut over; the scenario checks nothing", workers)
+		}
+		// The values left behind by the sessions that did move are still
+		// referenced by the reuse set and by event details: they too must
+		// be as they were.
+		for name, h := range before {
+			if got := depHash(h.dep); got != h.hash {
+				t.Fatalf("workers=%d: the deployment %s held after the first wave changed after it moved on", workers, name)
+			}
+		}
+		w.mgr.Stop()
+		w.env.Stop()
 	}
 }

@@ -16,9 +16,16 @@ import (
 // link-property environment — is computed once per epoch and then served
 // allocation-free.
 //
+// Lookups come in two forms. Path and PathEnv take node IDs and count
+// themselves. Index and PathAt are the planner's inner-loop form: a
+// node ID is resolved to its dense index once, PathAt is two array
+// reads and an atomic load, and the caller reports how many it made
+// through AddLookups when its plan call ends — one shared counter
+// touched once per plan instead of once per lookup.
+//
 // Cached Path values and environment Sets are shared across callers and
 // MUST be treated as read-only. The cache is safe for concurrent use;
-// the planner's parallel per-chain workers hit it from many goroutines.
+// the fleet's shard planners hit it from many goroutines.
 //
 // Topology mutators (AddNode, AddLink, Translate, and the netmon
 // monitor's report methods) bump the owning Network's route epoch;
@@ -40,10 +47,14 @@ type RouteCache struct {
 
 	loopback []Path // per-node single-element paths, built once
 
-	mu    sync.RWMutex
-	trees []*spTree // per source index; nil until first queried
+	// trees holds one tree per source index, nil until first queried.
+	// Readers load the pointer; mu serializes the builders.
+	mu    sync.Mutex
+	trees []atomic.Pointer[spTree]
 
-	hits, misses atomic.Uint64
+	// lookups counts every served lookup, misses the ones that had to
+	// build the source's tree; hits are the difference.
+	lookups, misses atomic.Uint64
 	// reusedTrees counts trees carried over from the previous epoch by a
 	// copy-on-write link delta (see deltaLink); 0 for full rebuilds.
 	reusedTrees int
@@ -79,7 +90,7 @@ func newRouteCache(n *Network, epoch uint64) *RouteCache {
 		idx:      make(map[NodeID]int32, len(nodes)),
 		down:     make([]bool, len(nodes)),
 		loopback: make([]Path, len(nodes)),
-		trees:    make([]*spTree, len(nodes)),
+		trees:    make([]atomic.Pointer[spTree], len(nodes)),
 	}
 	for i, node := range nodes {
 		rc.ids[i] = node.ID
@@ -135,12 +146,28 @@ func (rc *RouteCache) NumNodes() int { return len(rc.ids) }
 // slice is owned by the cache and must be treated as read-only.
 func (rc *RouteCache) NodeIDs() []NodeID { return rc.ids }
 
+// Index returns the node's dense index in this cache (the position of
+// its ID in NodeIDs), for PathAt.
+func (rc *RouteCache) Index(id NodeID) (int32, bool) {
+	i, ok := rc.idx[id]
+	return i, ok
+}
+
 // Counters returns the cumulative hit and miss counts. A miss is a
 // lookup that had to build the source's shortest-path tree; every other
-// served lookup is a hit.
+// served lookup is a hit. PathAt lookups appear once their caller has
+// reported them through AddLookups.
 func (rc *RouteCache) Counters() (hits, misses uint64) {
-	return rc.hits.Load(), rc.misses.Load()
+	misses = rc.misses.Load()
+	lookups := rc.lookups.Load()
+	if lookups < misses { // a PathAt miss whose batch is still unreported
+		return 0, misses
+	}
+	return lookups - misses, misses
 }
+
+// AddLookups reports n PathAt calls.
+func (rc *RouteCache) AddLookups(n uint64) { rc.lookups.Add(n) }
 
 // ReusedTrees returns how many single-source trees this cache inherited
 // from the previous epoch through a copy-on-write link delta instead of
@@ -183,7 +210,7 @@ func (rc *RouteCache) deltaLink(n *Network, epoch uint64, a, b NodeID) *RouteCac
 		loopback: rc.loopback,
 		adjStart: rc.adjStart,
 		adjNode:  rc.adjNode,
-		trees:    make([]*spTree, len(rc.ids)),
+		trees:    make([]atomic.Pointer[spTree], len(rc.ids)),
 	}
 	eab := rc.edgeIndex(ai, bi)
 	eba := rc.edgeIndex(bi, ai)
@@ -191,11 +218,9 @@ func (rc *RouteCache) deltaLink(n *Network, epoch uint64, a, b NodeID) *RouteCac
 		// The edge was filtered out at interning time (an endpoint was
 		// down): the routable topology is unchanged, keep everything.
 		nc.adjLat, nc.adjBW, nc.adjProps = rc.adjLat, rc.adjBW, rc.adjProps
-		rc.mu.RLock()
-		copy(nc.trees, rc.trees)
-		rc.mu.RUnlock()
-		for _, t := range nc.trees {
-			if t != nil {
+		for src := range rc.trees {
+			if t := rc.trees[src].Load(); t != nil {
+				nc.trees[src].Store(t)
 				nc.reusedTrees++
 			}
 		}
@@ -210,14 +235,12 @@ func (rc *RouteCache) deltaLink(n *Network, epoch uint64, a, b NodeID) *RouteCac
 		nc.adjBW[ei] = link.BandwidthMbps
 	}
 	if !improved {
-		rc.mu.RLock()
-		for src, t := range rc.trees {
-			if t != nil && !t.usesEdge(ai, bi) {
-				nc.trees[src] = t
+		for src := range rc.trees {
+			if t := rc.trees[src].Load(); t != nil && !t.usesEdge(ai, bi) {
+				nc.trees[src].Store(t)
 				nc.reusedTrees++
 			}
 		}
-		rc.mu.RUnlock()
 	}
 	return nc
 }
@@ -244,39 +267,42 @@ func (rc *RouteCache) PathEnv(from, to NodeID) (Path, property.Set, bool) {
 	if !ok {
 		return Path{}, nil, false
 	}
-	if rc.down[fi] || rc.down[ti] {
-		return Path{}, nil, false
+	if !rc.down[fi] && !rc.down[ti] {
+		rc.lookups.Add(1)
 	}
-	if fi == ti {
-		rc.hits.Add(1)
-		return rc.loopback[fi], nil, true
-	}
-	t := rc.tree(fi)
-	if !t.reach[ti] {
-		return Path{}, nil, false
-	}
-	return t.paths[ti], t.envs[ti], true
+	return rc.PathAt(fi, ti)
 }
 
-// tree returns the single-source tree for a source index, building it
-// on first use (double-checked under the cache lock).
-func (rc *RouteCache) tree(src int32) *spTree {
-	rc.mu.RLock()
-	t := rc.trees[src]
-	rc.mu.RUnlock()
-	if t != nil {
-		rc.hits.Add(1)
-		return t
+// PathAt is PathEnv by dense index (see Index). It does not count
+// itself: the caller reports its lookups through AddLookups.
+func (rc *RouteCache) PathAt(from, to int32) (Path, property.Set, bool) {
+	if rc.down[from] || rc.down[to] {
+		return Path{}, nil, false
 	}
+	if from == to {
+		return rc.loopback[from], nil, true
+	}
+	t := rc.trees[from].Load()
+	if t == nil {
+		t = rc.buildOnce(from)
+	}
+	if !t.reach[to] {
+		return Path{}, nil, false
+	}
+	return t.paths[to], t.envs[to], true
+}
+
+// buildOnce builds the single-source tree of src unless another caller
+// got there first, and counts the miss.
+func (rc *RouteCache) buildOnce(src int32) *spTree {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if t = rc.trees[src]; t != nil {
-		rc.hits.Add(1)
+	if t := rc.trees[src].Load(); t != nil {
 		return t
 	}
 	rc.misses.Add(1)
-	t = rc.buildTree(src)
-	rc.trees[src] = t
+	t := rc.buildTree(src)
+	rc.trees[src].Store(t)
 	return t
 }
 

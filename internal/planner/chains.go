@@ -8,8 +8,11 @@ import "partsvc/internal/spec"
 // components to existing ones, as when the Seattle clients attach to the
 // ViewMailServer already running in San Diego).
 type chainElem struct {
-	comp   spec.Component
+	comp   *spec.Component
 	anchor *Placement // non-nil: existing instance; pinned and terminal
+	// pinned is the anchor as the position's one-candidate domain;
+	// anchor points into it.
+	pinned []cand
 }
 
 // isAnchor reports whether the element is an existing-instance terminal.
@@ -53,6 +56,9 @@ func (c Chain) linkIface(i int) string {
 // MailClient or ViewMailClient to MailServer, optionally passing through
 // ViewMailServers and Encryptor-Decryptor pairs.
 func (pl *Planner) EnumerateChains(iface string) []Chain {
+	pl.beginPlan()
+	defer pl.endPlan()
+	ru := pl.reuseNow()
 	var out []Chain
 	var prefix Chain
 	emit := func(last chainElem) {
@@ -69,17 +75,10 @@ func (pl *Planner) EnumerateChains(iface string) []Chain {
 		// Existing instances that implement the interface terminate the
 		// chain; their recorded effective properties stand in for the
 		// whole already-deployed upstream linkage.
-		for i := range pl.Existing {
-			anchor := &pl.Existing[i]
-			comp, ok := pl.Service.Component(anchor.Component)
-			if !ok {
-				continue
-			}
-			if _, implements := comp.ImplementsInterface(iface); implements && len(anchor.Offers) > 0 {
-				emit(chainElem{comp: comp, anchor: anchor})
-			}
+		for _, a := range ru.anchorsFor(pl, iface) {
+			emit(a)
 		}
-		for _, comp := range pl.Service.ImplementersOf(iface) {
+		for _, comp := range pl.implementersOf(iface) {
 			switch len(comp.Requires) {
 			case 0:
 				emit(chainElem{comp: comp})

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"math"
+	"slices"
 
 	"partsvc/internal/netmodel"
 	"partsvc/internal/property"
@@ -12,7 +13,7 @@ import (
 // conditions hold there (validity condition 1), evaluating factored
 // configuration properties against the node environment. The request's
 // user credential is visible to the head component's conditions only.
-func (pl *Planner) placementFor(comp spec.Component, node netmodel.NodeID, req Request, pos int) (Placement, bool) {
+func (pl *Planner) placementFor(comp *spec.Component, node netmodel.NodeID, req Request, pos int) (Placement, bool) {
 	n, ok := pl.Net.Node(node)
 	if !ok || n.Down {
 		return Placement{}, false
@@ -48,65 +49,92 @@ func (pl *Planner) scopeAt(p Placement) property.Scope {
 	return property.Scope{Node: n.Props.Merge(p.Config)}
 }
 
-// validate applies validity conditions 2 (property compatibility under
-// modification rules) and 3 (load versus capacity) to a complete
-// assignment, and computes the deployment metrics. It returns nil when
-// the assignment is invalid, bumping the relevant rejection counter.
-func (pl *Planner) validate(chain Chain, places []Placement, req Request) *Deployment {
-	// Route every linkage along the cached minimum-latency path.
-	paths := make([]netmodel.Path, len(chain)-1)
-	for i := 0; i+1 < len(chain); i++ {
-		p, ok := pl.routes.Path(places[i].Node, places[i+1].Node)
-		if !ok {
-			pl.stats.RejectedNoPath++
-			return nil
-		}
-		paths[i] = p
-	}
-
-	offers, ok := pl.checkProperties(chain, places, paths, req)
-	if !ok {
+// reject accounts an invalid assignment under its reason.
+func (pl *Planner) reject(v verdict) {
+	switch v {
+	case noPath:
+		pl.stats.RejectedNoPath++
+	case badProps:
 		pl.stats.RejectedProps++
-		return nil
-	}
-
-	capacity := pl.capacityRPS(chain, places, paths)
-	if req.RateRPS > 0 && req.RateRPS > capacity {
+	case overload:
 		pl.stats.RejectedLoad++
-		return nil
+	}
+}
+
+// validateChain applies validity conditions 2 (property compatibility
+// under modification rules) and 3 (load versus capacity) to a complete
+// assignment — cs[i] is the candidate placed at chain[i] — and, only
+// for an assignment that passes both, computes the metrics and
+// materializes the Deployment. It expects every linkage to have a
+// route, which arc consistency guarantees for the search's assignments;
+// a caller that cannot vouch for the routes checks them first
+// (routesOf), as Verify and the reference mappers do.
+func (pl *Planner) validateChain(chain Chain, cs []*cand, req Request) (*Deployment, verdict) {
+	if v := pl.checkProperties(chain, cs, req); v != valid {
+		return nil, v
+	}
+	// Route every linkage along the cached minimum-latency path.
+	paths, missing := pl.memo.routesOf(cs)
+	if missing >= 0 {
+		return nil, noPath
+	}
+	in, out := flowCoeff(chain, cs)
+	capacity := pl.capacityRPS(chain, cs, paths, in, out)
+	if req.RateRPS > 0 && req.RateRPS > capacity {
+		return nil, overload
 	}
 
+	// Each linkage contributes its hop cost weighted by the probability
+	// the request traverses it (the product of upstream RRFs); the head
+	// component's own service time is always incurred.
+	hops := hopCosts(chain, paths)
 	dep := &Deployment{
-		Placements:        append([]Placement(nil), places...),
-		ExpectedLatencyMS: pl.expectedLatency(chain, places, paths),
+		Placements:        make([]Placement, len(chain)),
+		Edges:             make([]Edge, len(paths)),
+		ExpectedLatencyMS: chain[0].comp.Behaviors.CPUMSPerRequest,
 		CapacityRPS:       capacity,
+	}
+	for i, hop := range hops {
+		dep.ExpectedLatencyMS += out[i] * hop
 	}
 	// Record each placement's effective offer and its upstream residual
 	// latency (expected additional latency per request arriving at it),
 	// so future incremental plans can link to it as an anchor.
-	in, out := flowCoeff(chain, places)
-	hops := pl.hopCosts(chain, paths)
 	for i := range dep.Placements {
-		// Clone: offer sets may be memo-owned, and deployments outlive
-		// the per-plan memo (AddExisting registers them for reuse).
-		dep.Placements[i].Offers = offers[i].Clone()
+		p := &dep.Placements[i]
+		*p = cs[i].Placement
+		// Clone: the walk's offer sets are memo-owned and shared, and a
+		// deployment outlives the call (AddExisting registers it for reuse).
+		p.Offers = pl.memo.walks[pl.memo.states[i]].offers.Clone()
 		if in[i] > 0 {
 			var up float64
 			for j := i; j < len(hops); j++ {
 				up += out[j] * hops[j]
 			}
-			dep.Placements[i].UpstreamMS = up / in[i]
+			p.UpstreamMS = up / in[i]
 		}
-	}
-	for i := range paths {
-		dep.Edges = append(dep.Edges, Edge{From: i, To: i + 1, Path: paths[i], Iface: chain.linkIface(i)})
-	}
-	for _, p := range dep.Placements {
 		if !p.Reused {
 			dep.NewComponents++
 		}
 	}
-	return dep
+	for i := range paths {
+		dep.Edges[i] = Edge{From: i, To: i + 1, Path: paths[i], Iface: chain.linkIface(i)}
+	}
+	return dep, valid
+}
+
+// routesOf resolves the routes between consecutive candidates. missing
+// is the index of the first linkage without one, or -1.
+func (mm *planMemo) routesOf(cs []*cand) (paths []netmodel.Path, missing int) {
+	paths = make([]netmodel.Path, len(cs)-1)
+	for i := range paths {
+		p, _, ok := mm.path(cs[i].node, cs[i+1].node)
+		if !ok {
+			return nil, i
+		}
+		paths[i] = p
+	}
+	return paths, -1
 }
 
 // checkProperties implements validity condition 2: walking the chain
@@ -114,79 +142,32 @@ func (pl *Planner) validate(chain Chain, places []Placement, req Request) *Deplo
 // effective property set offered across each linkage — applying the
 // service's property modification rules to every path environment — and
 // checks it against the requiring component's (scope-evaluated)
-// requirements. Properties a component does not generate pass through
-// from its own provider, restricted to the linking interface's declared
-// properties: this makes wrapper components like the Encryptor
-// transparent for TrustLevel while letting them re-establish
-// Confidentiality. Anchor terminals contribute their recorded effective
-// properties. On success it returns the effective set each placement
-// offers to its client.
-func (pl *Planner) checkProperties(chain Chain, places []Placement, paths []netmodel.Path, req Request) ([]property.Set, bool) {
-	k := len(chain) - 1
-	offers := make([]property.Set, len(chain))
-
-	// The head's own implemented properties must satisfy any explicit
-	// client expectations on the requested interface.
-	if _, ok := chain[0].comp.ImplementsInterface(req.Interface); ok {
-		if headOffer, err := pl.evalImplProps(chain[0].comp, req.Interface, places[0]); err == nil {
-			offers[0] = headOffer
-		}
-	}
-	if len(req.RequireProps) > 0 && !offers[0].Satisfies(req.RequireProps) {
-		return nil, false
-	}
-	if k == 0 {
-		return offers, true
-	}
-
-	// Effective properties offered by the terminal element.
-	var offered property.Set
-	if chain[k].isAnchor() {
-		offered = chain[k].anchor.Offers.Clone()
-	} else {
-		var err error
-		offered, err = pl.evalImplProps(chain[k].comp, chain.linkIface(k-1), places[k])
-		if err != nil {
-			return nil, false
-		}
-	}
-	offers[k] = offered
-
-	for i := k - 1; i >= 0; i-- {
-		env := pl.linkageEnv(paths[i])
-		received, err := pl.Service.ModRules.ApplySetRO(offered, env)
-		if err != nil {
-			return nil, false
-		}
-		reqProps, err := pl.evalReqProps(chain[i].comp, places[i])
-		if err != nil {
-			return nil, false
-		}
-		if !received.Satisfies(reqProps) {
-			return nil, false
-		}
-		if i == 0 {
-			break
-		}
-		// Compute what component i offers to component i-1: received
-		// properties pass through, restricted to the linking interface's
-		// declaration, overlaid with the properties i generates itself.
-		iface := chain.linkIface(i - 1)
-		decl, _ := pl.Service.Interface(iface)
-		next := property.Set{}
-		for name, v := range received {
-			if decl.HasProperty(name) {
-				next[name] = v
+// requirements (walkStep has the rules). Anchor terminals contribute
+// their recorded effective properties. Each step is memoized by the
+// chain suffix it closes, so an assignment that shares its tail with an
+// earlier one re-walks only the positions in front of it, and the walk
+// stops at the first step that fails. The walk states of a valid
+// assignment are left in memo.states for validateChain to read the
+// offers from.
+func (pl *Planner) checkProperties(chain Chain, cs []*cand, req Request) verdict {
+	mm := pl.memo
+	mm.states = slices.Grow(mm.states[:0], len(chain))[:len(chain)]
+	next := int32(-1)
+	for i := len(chain) - 1; i >= 0; i-- {
+		key := walkKey{next: next, head: i == 0, iface: req.Interface}
+		if i > 0 {
+			key.iface = chain.linkIface(i - 1)
+			if chain[i].isAnchor() {
+				key.stand = chain[i].anchor
 			}
 		}
-		gen, err := pl.evalImplProps(chain[i].comp, iface, places[i])
-		if err != nil {
-			return nil, false
+		next = pl.walk(chain[i].comp, cs[i], key, req)
+		if v := mm.walks[next].verdict; v != valid {
+			return v
 		}
-		offered = next.Merge(gen)
-		offers[i] = offered
+		mm.states[i] = next
 	}
-	return offers, true
+	return valid
 }
 
 // flowCoeff returns, per unit of client request rate, the request rate
@@ -201,20 +182,20 @@ func (pl *Planner) checkProperties(chain Chain, places []Placement, paths []netm
 // pass traffic through unchanged. Distinctly configured views (e.g. a
 // TrustLevel-2 partner cache in front of a TrustLevel-4 branch cache)
 // hold different state and do compound.
-func flowCoeff(chain Chain, places []Placement) (in, out []float64) {
+func flowCoeff(chain Chain, cs []*cand) (in, out []float64) {
 	in = make([]float64, len(chain))
 	out = make([]float64, len(chain)-1)
-	seen := map[string]bool{}
 	f := 1.0
 	for i := range chain {
 		in[i] = f
 		rrf := chain[i].comp.Behaviors.EffectiveRRF()
-		id := chain[i].comp.Name + "{" + places[i].configFP() + "}"
 		if rrf < 1 {
-			if seen[id] {
-				rrf = 1
+			for j := 0; j < i; j++ {
+				if cs[j].dup == cs[i].dup {
+					rrf = 1
+					break
+				}
 			}
-			seen[id] = true
 		}
 		f *= rrf
 		if i < len(out) {
@@ -227,8 +208,7 @@ func flowCoeff(chain Chain, places []Placement) (in, out []float64) {
 // capacityRPS implements validity condition 3 as a headroom computation:
 // the maximum client request rate the assignment sustains before a
 // component capacity, a node CPU budget, or a link bandwidth saturates.
-func (pl *Planner) capacityRPS(chain Chain, places []Placement, paths []netmodel.Path) float64 {
-	in, out := flowCoeff(chain, places)
+func (pl *Planner) capacityRPS(chain Chain, cs []*cand, paths []netmodel.Path, in, out []float64) float64 {
 	capacity := math.Inf(1)
 
 	// Component capacities.
@@ -243,7 +223,7 @@ func (pl *Planner) capacityRPS(chain Chain, places []Placement, paths []netmodel
 	// milliseconds per second, aggregated over co-located components.
 	cpuPerNode := map[netmodel.NodeID]float64{}
 	for i, elem := range chain {
-		cpuPerNode[places[i].Node] += in[i] * elem.comp.Behaviors.CPUMSPerRequest
+		cpuPerNode[cs[i].Node] += in[i] * elem.comp.Behaviors.CPUMSPerRequest
 	}
 	for node, ms := range cpuPerNode {
 		n, _ := pl.Net.Node(node)
@@ -294,7 +274,7 @@ func hopMS(provider spec.Behaviors, path netmodel.Path) float64 {
 // latency is folded into the final hop, so that linking to an existing
 // instance accounts for the requests that continue through its
 // already-deployed upstream linkage.
-func (pl *Planner) hopCosts(chain Chain, paths []netmodel.Path) []float64 {
+func hopCosts(chain Chain, paths []netmodel.Path) []float64 {
 	hops := make([]float64, len(paths))
 	for i, path := range paths {
 		hops[i] = hopMS(chain[i+1].comp.Behaviors, path)
@@ -303,17 +283,4 @@ func (pl *Planner) hopCosts(chain Chain, paths []netmodel.Path) []float64 {
 		}
 	}
 	return hops
-}
-
-// expectedLatency computes the expected client-perceived latency of one
-// request: each linkage contributes its hop cost weighted by the
-// probability the request traverses it (the product of upstream RRFs).
-// The head component's own service time is always incurred.
-func (pl *Planner) expectedLatency(chain Chain, places []Placement, paths []netmodel.Path) float64 {
-	_, out := flowCoeff(chain, places)
-	total := chain[0].comp.Behaviors.CPUMSPerRequest
-	for i, hop := range pl.hopCosts(chain, paths) {
-		total += out[i] * hop
-	}
-	return total
 }

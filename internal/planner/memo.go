@@ -1,41 +1,109 @@
 package planner
 
 import (
+	"math"
+
 	"partsvc/internal/netmodel"
 	"partsvc/internal/property"
+	"partsvc/internal/solver"
 	"partsvc/internal/spec"
 )
 
-// planMemo caches pure per-plan-call evaluations. Property-expression
-// evaluation and placement construction are pure in (component, node,
-// factored configuration) — and, for head placements, the requesting
-// user — yet the search loops re-derive them for every candidate
-// mapping. One memo is created per plan call and discarded with it, so
-// memoized results can never outlive a network or specification change.
+// planMemo holds every pure answer one public planner call computes, so
+// that each is computed once and afterwards read from a map or an
+// array. The call is the scope: RepairReplan's repair, its Replan and
+// its rewire Replan are three planning passes over one network state
+// and share one memo; the memo is created when the outermost call
+// begins and dropped when it ends, so nothing memoized can outlive a
+// network or specification change. A call plans one request: what
+// depends on it (head placements, the head's walk step) is not keyed by
+// it. Two things can move inside a call
+// and are guarded explicitly: the route handle (a pass that begins
+// under a different RouteCache starts over with an empty memo) and the
+// reuse set (everything derived from Planner.Existing lives in a
+// reuseSet tagged with the generation it was built for).
 type planMemo struct {
-	evals  map[evalKey]evalResult
+	routes *netmodel.RouteCache
+	// nodes is the live node table in ID order; nodeIdx[i] is the dense
+	// route-cache index of nodes[i], -1 when the (pinned) cache predates
+	// the node — such a node has no routes and is pruned by propagation.
+	nodes   []*netmodel.Node
+	nodeIdx []int32
+	// lookups counts PathAt calls not yet reported to the route cache.
+	lookups uint64
+
+	// engine is the constraint engine of the call: one Solver for every
+	// graph, so its working arrays are allocated once.
+	engine solver.Solver
+
 	places map[placeKey]placeResult
+	evals  map[evalKey]evalResult
+	keyIDs map[placeID]int32
+	dupIDs map[dupID]int32
+	links  map[*spec.Component]*linkTable
+	walks  []walkState
+	walkID map[walkKey]int32
+	reuse  *reuseSet
+
+	// The graph being solved (a call solves its graphs one at a time),
+	// and Evaluate's scratch: the assignment as candidates and as walk
+	// states.
+	chain    chainModel
+	chainBuf Chain
+	assigned []*cand
+	states   []int32
 }
 
-// evalKey identifies one InterfaceSpec evaluation site: a component's
-// implemented or required interface, evaluated in the scope of a node
-// and a factored configuration.
-type evalKey struct {
+// cand is one candidate placement as the search sees it: the placement
+// plus everything the inner loops compare, resolved to integers once.
+type cand struct {
+	Placement
+	// node is the dense route-cache index of Node (-1: unknown to the
+	// cache, unroutable).
+	node int32
+	// key is the interned placement identity (component, node,
+	// configuration): the no-instance-twice rule compares it.
+	key int32
+	// dup is the interned (component, configuration) pair: the
+	// no-duplicate-replica rule compares it, and a cache's RRF applies
+	// at its first occurrence along a chain.
+	dup int32
+}
+
+// candList is the domain of a graph position whose component may run on
+// any suitable node, built once per component and reuse-set generation.
+type candList struct {
+	cands []cand
+	// rejected counts the nodes whose deployment conditions failed;
+	// every graph that uses the list adds it to RejectedConditions.
+	rejected int
+}
+
+// reuseSet is everything derived from Planner.Existing, valid for one
+// generation of it.
+type reuseSet struct {
+	gen uint64
+	// existing is Existing as candidates (Reused set), in order; byKey
+	// finds an entry by interned placement key.
+	existing []cand
+	byKey    map[int32]int32
+	trees    map[string][]*Tree
+	lists    map[*spec.Component]*candList
+	heads    map[*spec.Component][]cand
+}
+
+type placeID struct {
 	comp string
-	role string // "i:" + interface name, or "r:" + required interface
 	node netmodel.NodeID
-	cfg  string // Config fingerprint
+	cfg  string
 }
 
-type evalResult struct {
-	props property.Set
-	err   error
-}
+type dupID struct{ comp, cfg string }
 
-// placeKey identifies one placementFor call: component at node, with
-// head placements (which see the request user) keyed separately.
+// placeKey identifies one placementFor call: component at node; head
+// placements see the request user and are keyed apart.
 type placeKey struct {
-	comp string
+	comp *spec.Component
 	node netmodel.NodeID
 	head bool
 }
@@ -45,86 +113,331 @@ type placeResult struct {
 	ok bool
 }
 
-func newPlanMemo() *planMemo {
-	return &planMemo{
-		evals:  map[evalKey]evalResult{},
-		places: map[placeKey]placeResult{},
-	}
+// evalKey identifies one InterfaceSpec evaluation site: a component's
+// implemented or required interface, evaluated in the scope of a
+// placement (its interned key fixes node and configuration).
+type evalKey struct {
+	comp     *spec.Component
+	iface    string
+	required bool
+	place    int32
 }
 
-// beginPlan resets per-call state: search statistics, the evaluation
-// memo, and the route handle — the epoch-current one, or the pinned one
-// when an in-flight replan wave froze the planner's topology view.
+type evalResult struct {
+	props property.Set
+	err   error
+}
+
+// linkCost is what the search needs to know about linking a provider
+// component across one node pair.
+type linkCost struct {
+	// hopMS is the latency cost of the linkage (hopMS below); +Inf when
+	// there is no route, NaN while unknown.
+	hopMS float64
+	// bneckMbps is the route's bottleneck bandwidth (+Inf on loopback).
+	bneckMbps float64
+}
+
+// linkTable holds the link costs of one provider component, per
+// (client node, provider node) index pair. Rows are allocated and
+// entries filled on first use, so a repair that pins most positions
+// touches a few rows of a large network's table.
+type linkTable struct {
+	comp *spec.Component
+	rows [][]linkCost
+}
+
+// verdict is the outcome of exact validation.
+type verdict uint8
+
+const (
+	valid verdict = iota
+	noPath
+	badProps
+	overload
+)
+
+// walkKey identifies one step of the property walk (validity condition
+// 2): a candidate serving its client over iface, given the walk state
+// of its provider side. What a position offers depends only on the
+// positions from it to the terminal, so the state of a chain suffix is
+// shared by every assignment — and every linkage graph — that ends in
+// that suffix.
+type walkKey struct {
+	place int32      // interned placement key of the candidate
+	next  int32      // walk state of the provider side; -1 at the terminal
+	head  bool       // position 0: serves the requested interface, no pass-through
+	iface string     // the interface it serves its client over
+	stand *Placement // anchor terminal: its recorded Offers stand in for the upstream
+}
+
+type walkState struct {
+	// offers is the effective property set the position offers its
+	// client. Shared and read-only.
+	offers  property.Set
+	node    int32
+	verdict verdict
+}
+
+// beginPlan opens a planning pass: it resets the search statistics and
+// snapshots the route counters, and — when this is the outermost call,
+// or the route handle moved — starts an empty memo. Passes nest (every
+// public entry point brackets itself); endPlan closes them.
 func (pl *Planner) beginPlan() {
-	pl.stats = Stats{}
-	pl.memo = newPlanMemo()
-	if pl.pinnedRoutes != nil {
-		pl.routes = pl.pinnedRoutes
-	} else {
-		pl.routes = pl.Net.Routes()
+	routes := pl.pinnedRoutes
+	if routes == nil {
+		routes = pl.Net.Routes()
 	}
-	pl.hits0, pl.misses0 = pl.routes.Counters()
+	pl.beginPlanOn(routes)
 }
 
-// endPlan folds the route-cache counter deltas accumulated during this
-// plan call into the statistics.
+func (pl *Planner) beginPlanOn(routes *netmodel.RouteCache) {
+	pl.flushLookups()
+	if pl.depth == 0 || pl.memo.routes != routes {
+		pl.memo = newPlanMemo(pl.Net, routes)
+	}
+	pl.depth++
+	pl.stats = Stats{}
+	pl.hits0, pl.misses0 = routes.Counters()
+}
+
+// endPlan closes the pass beginPlan opened, folding the route-cache
+// counter deltas of the pass into the statistics, and drops the memo
+// with the outermost one.
 func (pl *Planner) endPlan() {
-	h, m := pl.routes.Counters()
+	pl.flushLookups()
+	h, m := pl.memo.routes.Counters()
 	pl.stats.RouteCacheHits = int(h - pl.hits0)
 	pl.stats.RouteCacheMisses = int(m - pl.misses0)
+	pl.depth--
+	if pl.depth == 0 {
+		pl.memo = nil
+	}
 }
 
-// linkageEnv returns the property environment a linkage along the path
-// experiences: the planner's loopback environment for co-located
-// components, otherwise the cached link aggregate (falling back to a
-// direct computation for paths minted under an older epoch). The
-// returned set is shared and read-only.
-func (pl *Planner) linkageEnv(path netmodel.Path) property.Set {
-	if path.IsLoopback() {
-		return pl.LoopbackEnv
+// flushLookups reports the memo's batched PathAt calls to its cache.
+func (pl *Planner) flushLookups() {
+	if mm := pl.memo; mm != nil && mm.lookups > 0 {
+		mm.routes.AddLookups(mm.lookups)
+		mm.lookups = 0
 	}
-	if _, env, ok := pl.routes.PathEnv(path.Nodes[0], path.Nodes[len(path.Nodes)-1]); ok {
-		return env
+}
+
+func newPlanMemo(net *netmodel.Network, routes *netmodel.RouteCache) *planMemo {
+	mm := &planMemo{
+		routes: routes,
+		nodes:  net.Nodes(),
+		places: map[placeKey]placeResult{},
+		evals:  map[evalKey]evalResult{},
+		keyIDs: map[placeID]int32{},
+		dupIDs: map[dupID]int32{},
+		links:  map[*spec.Component]*linkTable{},
+		walkID: make(map[walkKey]int32, 256),
 	}
-	return path.Env(pl.Net, pl.LoopbackEnv)
+	mm.nodeIdx = make([]int32, len(mm.nodes))
+	for i, n := range mm.nodes {
+		idx, ok := routes.Index(n.ID)
+		if !ok {
+			idx = -1
+		}
+		mm.nodeIdx[i] = idx
+	}
+	return mm
+}
+
+// path resolves the route between two dense node indices, counting the
+// lookup.
+func (mm *planMemo) path(from, to int32) (netmodel.Path, property.Set, bool) {
+	if from < 0 || to < 0 {
+		return netmodel.Path{}, nil, false
+	}
+	mm.lookups++
+	return mm.routes.PathAt(from, to)
+}
+
+// candOf resolves a placement to a candidate, looking up its node's
+// dense route index.
+func (mm *planMemo) candOf(p Placement) cand {
+	idx, ok := mm.routes.Index(p.Node)
+	if !ok {
+		idx = -1
+	}
+	return mm.candAt(p, idx)
+}
+
+// candAt is candOf for a caller that knows the node's dense index.
+func (mm *planMemo) candAt(p Placement, node int32) cand {
+	if p.idKey == "" {
+		p.sealKeys()
+	}
+	c := cand{Placement: p, node: node}
+	pid := placeID{p.Component, p.Node, p.cfgFP}
+	id, ok := mm.keyIDs[pid]
+	if !ok {
+		id = int32(len(mm.keyIDs))
+		mm.keyIDs[pid] = id
+	}
+	c.key = id
+	did := dupID{p.Component, p.cfgFP}
+	id, ok = mm.dupIDs[did]
+	if !ok {
+		id = int32(len(mm.dupIDs))
+		mm.dupIDs[did] = id
+	}
+	c.dup = id
+	return c
+}
+
+// linksOf returns the link-cost table of a provider component.
+func (mm *planMemo) linksOf(comp *spec.Component) *linkTable {
+	t := mm.links[comp]
+	if t == nil {
+		t = &linkTable{comp: comp, rows: make([][]linkCost, mm.routes.NumNodes())}
+		mm.links[comp] = t
+	}
+	return t
+}
+
+// link returns the cost of linking t's component at node `to` to a
+// client at node `from`, resolving the route the first time.
+func (mm *planMemo) link(t *linkTable, from, to int32) linkCost {
+	if from < 0 || to < 0 {
+		return linkCost{hopMS: math.Inf(1)}
+	}
+	row := t.rows[from]
+	if row == nil {
+		row = make([]linkCost, len(t.rows))
+		for i := range row {
+			row[i].hopMS = math.NaN()
+		}
+		t.rows[from] = row
+	}
+	c := row[to]
+	if c.hopMS != c.hopMS {
+		c = linkCost{hopMS: math.Inf(1)}
+		if path, _, ok := mm.path(from, to); ok {
+			c = linkCost{hopMS: hopMS(t.comp.Behaviors, path), bneckMbps: path.BottleneckMbps}
+		}
+		row[to] = c
+	}
+	return c
+}
+
+// reuseNow returns the reuse-set derivations for the planner's current
+// generation, rebuilding them when Existing has changed since.
+func (pl *Planner) reuseNow() *reuseSet {
+	mm := pl.memo
+	if mm.reuse != nil && mm.reuse.gen == pl.gen {
+		return mm.reuse
+	}
+	ru := &reuseSet{
+		gen:      pl.gen,
+		existing: make([]cand, len(pl.Existing)),
+		byKey:    make(map[int32]int32, len(pl.Existing)),
+		trees:    map[string][]*Tree{},
+		lists:    map[*spec.Component]*candList{},
+		heads:    map[*spec.Component][]cand{},
+	}
+	for i, e := range pl.Existing {
+		e.Reused = true
+		ru.existing[i] = mm.candOf(e)
+		if _, dup := ru.byKey[ru.existing[i].key]; !dup {
+			ru.byKey[ru.existing[i].key] = int32(i)
+		}
+	}
+	mm.reuse = ru
+	return ru
+}
+
+// reused substitutes the registered instance for a fresh candidate that
+// names the same component, node and factored configuration.
+func (ru *reuseSet) reused(c cand) cand {
+	if i, ok := ru.byKey[c.key]; ok {
+		return ru.existing[i]
+	}
+	return c
+}
+
+// candidates lists the domain of a non-head, non-anchor graph position:
+// a stateful primary with a deployed instance may only be reused (state
+// lives in the primary; replication happens through data views), and
+// everything else ranges over the nodes whose deployment conditions
+// hold, with registered instances substituted where they match.
+func (pl *Planner) candidates(comp *spec.Component, req Request) *candList {
+	ru := pl.reuseNow()
+	if l := ru.lists[comp]; l != nil {
+		return l
+	}
+	mm := pl.memo
+	l := &candList{}
+	if pl.isStatefulPrimary(comp) {
+		for _, e := range ru.existing {
+			if e.Component == comp.Name {
+				l.cands = append(l.cands, e)
+			}
+		}
+	}
+	if len(l.cands) == 0 { // not a primary, or no instance of it yet
+		l.cands = make([]cand, 0, len(mm.nodes))
+		for i, node := range mm.nodes {
+			p, ok := pl.placementForCached(comp, node.ID, req, 1)
+			if !ok {
+				l.rejected++
+				continue
+			}
+			l.cands = append(l.cands, ru.reused(mm.candAt(p, mm.nodeIdx[i])))
+		}
+	}
+	ru.lists[comp] = l
+	return l
+}
+
+// headCandidate returns the single-candidate domain of a graph's head:
+// the component at the client node, its conditions evaluated with the
+// request user in scope. Empty when the conditions fail.
+func (pl *Planner) headCandidate(comp *spec.Component, req Request) []cand {
+	ru := pl.reuseNow()
+	if h, ok := ru.heads[comp]; ok {
+		return h
+	}
+	var h []cand
+	if p, ok := pl.placementForCached(comp, req.ClientNode, req, 0); ok {
+		h = []cand{ru.reused(pl.memo.candOf(p))}
+	}
+	ru.heads[comp] = h
+	return h
 }
 
 // evalImplProps memoizes InterfaceSpec.EvalProps for the component's
-// implementation of iface, scoped at the placement's node and config.
-func (pl *Planner) evalImplProps(comp spec.Component, iface string, place Placement) (property.Set, error) {
-	impl, _ := comp.ImplementsInterface(iface)
-	return pl.evalProps(impl, evalKey{comp.Name, "i:" + iface, place.Node, place.configFP()}, place)
-}
-
-// evalReqProps memoizes the component's first required interface
-// evaluated at the placement.
-func (pl *Planner) evalReqProps(comp spec.Component, place Placement) (property.Set, error) {
-	req := comp.Requires[0]
-	return pl.evalProps(req, evalKey{comp.Name, "r:" + req.Name, place.Node, place.configFP()}, place)
-}
-
-// evalReqPropsAt memoizes the component's i-th required interface (the
-// tree planner links one provider subtree per requirement).
-func (pl *Planner) evalReqPropsAt(comp spec.Component, i int, place Placement) (property.Set, error) {
-	req := comp.Requires[i]
-	return pl.evalProps(req, evalKey{comp.Name, "r:" + req.Name, place.Node, place.configFP()}, place)
-}
-
-func (pl *Planner) evalProps(is spec.InterfaceSpec, key evalKey, place Placement) (property.Set, error) {
+// implementation of iface, scoped at the candidate's node and config.
+func (pl *Planner) evalImplProps(comp *spec.Component, iface string, c *cand) (property.Set, error) {
+	key := evalKey{comp, iface, false, c.key}
 	if r, ok := pl.memo.evals[key]; ok {
 		return r.props, r.err
 	}
-	props, err := is.EvalProps(pl.scopeAt(place))
+	impl, _ := comp.ImplementsInterface(iface)
+	props, err := impl.EvalProps(pl.scopeAt(c.Placement))
 	pl.memo.evals[key] = evalResult{props, err}
 	return props, err
 }
 
-// placementForCached memoizes placementFor. The request user is fixed
-// for the duration of a plan call, so (component, node, head?) fully
-// determines the result. Callers still account rejections themselves,
-// exactly as with the uncached call.
-func (pl *Planner) placementForCached(comp spec.Component, node netmodel.NodeID, req Request, pos int) (Placement, bool) {
-	key := placeKey{comp.Name, node, pos == 0}
+// evalReqProps memoizes the component's i-th required interface
+// evaluated at the candidate (chains have one requirement; the tree
+// planner links one provider subtree per requirement).
+func (pl *Planner) evalReqProps(comp *spec.Component, i int, c *cand) (property.Set, error) {
+	key := evalKey{comp, comp.Requires[i].Name, true, c.key}
+	if r, ok := pl.memo.evals[key]; ok {
+		return r.props, r.err
+	}
+	props, err := comp.Requires[i].EvalProps(pl.scopeAt(c.Placement))
+	pl.memo.evals[key] = evalResult{props, err}
+	return props, err
+}
+
+// placementForCached memoizes placementFor. Callers still account
+// rejections themselves, exactly as with the uncached call.
+func (pl *Planner) placementForCached(comp *spec.Component, node netmodel.NodeID, req Request, pos int) (Placement, bool) {
+	key := placeKey{comp, node, pos == 0}
 	if r, ok := pl.memo.places[key]; ok {
 		return r.p, r.ok
 	}
@@ -134,4 +447,93 @@ func (pl *Planner) placementForCached(comp spec.Component, node netmodel.NodeID,
 	}
 	pl.memo.places[key] = placeResult{p, ok}
 	return p, ok
+}
+
+// linkageEnv returns the property environment of a linkage between two
+// dense node indices: the planner's loopback environment for co-located
+// components, otherwise the cached link aggregate. The returned set is
+// shared and read-only.
+func (pl *Planner) linkageEnv(from, to int32) (property.Set, bool) {
+	path, env, ok := pl.memo.path(from, to)
+	if ok && path.IsLoopback() {
+		env = pl.LoopbackEnv
+	}
+	return env, ok
+}
+
+// walk returns the property-walk state of candidate c of component comp
+// at the step key describes (key.place is filled in here).
+func (pl *Planner) walk(comp *spec.Component, c *cand, key walkKey, req Request) int32 {
+	mm := pl.memo
+	key.place = c.key
+	if id, ok := mm.walkID[key]; ok {
+		return id
+	}
+	st := walkState{node: c.node}
+	st.offers, st.verdict = pl.walkStep(comp, c, key, req)
+	id := int32(len(mm.walks))
+	mm.walks = append(mm.walks, st)
+	mm.walkID[key] = id
+	return id
+}
+
+// walkStep computes one step of validity condition 2. The received set
+// — the provider side's offer modified by the linkage environment —
+// must satisfy the component's requirement; what the component then
+// offers its own client is the received properties restricted to the
+// serving interface's declaration (pass-through: wrapper components
+// like the Encryptor are transparent for TrustLevel) overlaid with the
+// properties it generates itself (letting them re-establish
+// Confidentiality). The provider side's state is valid: the walk stops
+// at the first failure.
+func (pl *Planner) walkStep(comp *spec.Component, c *cand, key walkKey, req Request) (property.Set, verdict) {
+	iface := key.iface
+	var received property.Set
+	if key.next >= 0 {
+		nx := pl.memo.walks[key.next]
+		env, ok := pl.linkageEnv(c.node, nx.node)
+		if !ok {
+			return nil, noPath
+		}
+		var err error
+		if received, err = pl.Service.ModRules.ApplySetRO(nx.offers, env); err != nil {
+			return nil, badProps
+		}
+		reqProps, err := pl.evalReqProps(comp, 0, c)
+		if err != nil || !received.Satisfies(reqProps) {
+			return nil, badProps
+		}
+	}
+	if key.head {
+		// The head's own implemented properties must satisfy any explicit
+		// client expectations on the requested interface.
+		var offers property.Set
+		if _, ok := comp.ImplementsInterface(iface); ok {
+			if o, err := pl.evalImplProps(comp, iface, c); err == nil {
+				offers = o
+			}
+		}
+		if len(req.RequireProps) > 0 && !offers.Satisfies(req.RequireProps) {
+			return nil, badProps
+		}
+		return offers, valid
+	}
+	if key.stand != nil {
+		return key.stand.Offers, valid
+	}
+	gen, err := pl.evalImplProps(comp, iface, c)
+	if err != nil {
+		return nil, badProps
+	}
+	if key.next < 0 {
+		return gen, valid
+	}
+	decl, _ := pl.Service.Interface(iface)
+	passed := property.Set{}
+	for name, v := range received {
+		if decl.HasProperty(name) {
+			passed[name] = v
+		}
+	}
+	return passed.Merge(gen), valid
 }

@@ -12,7 +12,56 @@ import (
 // (exhaustive node assignment per chain); planTree is the backtracking
 // mapper for tree-shaped linkage graphs. Both share the production
 // validators (validate, validateTree), so what they pin down is the
-// search: candidate domains, pruning, bounds and tie-breaks.
+// search: candidate domains, pruning, bounds and tie-breaks. The reuse
+// set lookups are the references' own linear scans (anchorFor,
+// hasAnyInstance), not the planner's per-generation index.
+
+// anchorFor returns an existing placement matching the candidate's
+// component, node and factored configuration.
+func (pl *Planner) anchorFor(p Placement) (Placement, bool) {
+	for _, e := range pl.Existing {
+		if e.Component == p.Component && e.Node == p.Node && e.configFP() == p.configFP() {
+			e.Reused = true
+			return e, true
+		}
+	}
+	return Placement{}, false
+}
+
+// hasAnyInstance reports whether the component already has a deployed
+// instance anywhere in the network.
+func (pl *Planner) hasAnyInstance(component string) bool {
+	for _, e := range pl.Existing {
+		if e.Component == component {
+			return true
+		}
+	}
+	return false
+}
+
+// validated runs the production chain validator on an exhaustively
+// generated assignment, checking first what the search never has to:
+// that every linkage has a route at all.
+func (pl *Planner) validated(chain Chain, cs []*cand, req Request) *Deployment {
+	if _, missing := pl.memo.routesOf(cs); missing >= 0 {
+		pl.stats.RejectedNoPath++
+		return nil
+	}
+	dep, v := pl.validateChain(chain, cs, req)
+	pl.reject(v)
+	return dep
+}
+
+// candsOf resolves an assignment of placements to the candidates the
+// validators take.
+func (pl *Planner) candsOf(places []Placement) []*cand {
+	cs := make([]*cand, len(places))
+	for i, p := range places {
+		c := pl.memo.candOf(p)
+		cs[i] = &c
+	}
+	return cs
+}
 
 // planExhaustive satisfies a client request the way the paper's planner
 // does: it enumerates valid chains, maps each onto the network
@@ -100,7 +149,7 @@ func (pl *Planner) mapChain(chain Chain, req Request) *Deployment {
 	assign = func(pos int) {
 		if pos == len(chain) {
 			pl.stats.MappingsTried++
-			if dep := pl.validate(chain, places, req); dep != nil {
+			if dep := pl.validated(chain, pl.candsOf(places), req); dep != nil {
 				if best == nil || pl.better(req.Objective, dep, best) {
 					best = dep
 				}
@@ -237,7 +286,7 @@ func (pl *Planner) mapTree(tree *Tree, req Request) *TreeDeployment {
 	assign = func(pos int) {
 		if pos == len(flat) {
 			pl.stats.MappingsTried++
-			if dep := pl.validateTree(flat, places, req); dep != nil {
+			if dep := pl.validateTree(flat, pl.candsOf(places), req); dep != nil {
 				if best == nil || pl.treeBetter(req.Objective, dep, best) {
 					best = dep
 				}

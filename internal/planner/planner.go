@@ -183,7 +183,12 @@ type Edge struct {
 	Iface string
 }
 
-// Deployment is a validated mapping of a linkage chain onto the network.
+// Deployment is a validated mapping of a linkage graph onto the network.
+// Once a planner call has returned it, a Deployment (and the Diff that
+// carries it) is immutable: the fleet hands one value to every session
+// of a wave group, the reuse set and later diffs alias its placements,
+// and its property sets and path node lists are shared with the route
+// cache. Copy before changing anything.
 type Deployment struct {
 	// Placements lists component instances head (client side) first.
 	Placements []Placement
@@ -278,13 +283,19 @@ type Planner struct {
 	// penalty.
 	DeployPenaltyMS float64
 	// SolverStats accumulates constraint-engine counters (solves,
-	// repairs, propagations, ...) across plan calls. Shared by worker
-	// clones; initialized by New.
+	// repairs, propagations, ...) across plan calls; initialized by New.
 	SolverStats *solver.Stats
 
-	stats  Stats
-	memo   *planMemo
-	routes *netmodel.RouteCache
+	stats Stats
+	// memo holds everything a public call computes once (memo.go). It
+	// exists only while a call is in progress: depth counts the nested
+	// entries (RepairReplan runs Replan runs Plan) that share it.
+	memo  *planMemo
+	depth int
+	// gen is the reuse-set generation: every method that changes
+	// Existing bumps it, and whatever the memo derives from the reuse
+	// set is rebuilt when it has moved.
+	gen uint64
 	// pinnedRoutes, when non-nil, overrides the epoch-current route
 	// handle for every plan call (see PinRoutes).
 	pinnedRoutes *netmodel.RouteCache
@@ -383,27 +394,28 @@ func (pl *Planner) better(o Objective, a, b *Deployment) bool {
 	return a.String() < b.String()
 }
 
-// anchorFor returns an existing placement matching the candidate's
-// component, node and factored configuration.
-func (pl *Planner) anchorFor(p Placement) (Placement, bool) {
-	for _, e := range pl.Existing {
-		if e.Component == p.Component && e.Node == p.Node && e.configFP() == p.configFP() {
-			e.Reused = true
-			return e, true
+// component returns the named component of the specification by
+// reference; linkage graphs and solver models hold these pointers
+// rather than copies of the declaration.
+func (pl *Planner) component(name string) (*spec.Component, bool) {
+	for i := range pl.Service.Components {
+		if pl.Service.Components[i].Name == name {
+			return &pl.Service.Components[i], true
 		}
 	}
-	return Placement{}, false
+	return nil, false
 }
 
-// hasAnyInstance reports whether the component already has a deployed
-// instance anywhere in the network.
-func (pl *Planner) hasAnyInstance(component string) bool {
-	for _, e := range pl.Existing {
-		if e.Component == component {
-			return true
+// implementersOf lists the components implementing the interface, in
+// declaration order.
+func (pl *Planner) implementersOf(iface string) []*spec.Component {
+	var out []*spec.Component
+	for i := range pl.Service.Components {
+		if _, ok := pl.Service.Components[i].ImplementsInterface(iface); ok {
+			out = append(out, &pl.Service.Components[i])
 		}
 	}
-	return false
+	return out
 }
 
 // isStatefulPrimary reports whether the component is a stateful primary:
@@ -412,7 +424,7 @@ func (pl *Planner) hasAnyInstance(component string) bool {
 // second copy (two primaries would fork the state that its data views
 // replicate). Client-side components, encryptors and other stateless
 // pieces remain freely instantiable.
-func (pl *Planner) isStatefulPrimary(comp spec.Component) bool {
+func (pl *Planner) isStatefulPrimary(comp *spec.Component) bool {
 	if comp.IsView() {
 		return false
 	}
@@ -429,6 +441,7 @@ func (pl *Planner) isStatefulPrimary(comp spec.Component) bool {
 // Placements are deduplicated by Key; the Offers of the latest
 // registration wins.
 func (pl *Planner) AddExisting(placements ...Placement) {
+	pl.gen++
 	for _, p := range placements {
 		p.Reused = false
 		p.sealKeys()
@@ -462,6 +475,7 @@ func (pl *Planner) DropExistingByKey(keys ...string) {
 		for i := range pl.Existing {
 			if pl.Existing[i].Key() == key {
 				pl.Existing = append(pl.Existing[:i], pl.Existing[i+1:]...)
+				pl.gen++
 				break
 			}
 		}

@@ -1,11 +1,11 @@
 package planner
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 
 	"partsvc/internal/netmodel"
-	"partsvc/internal/solver"
 )
 
 // ChangedSet names the network elements a monitoring event touched:
@@ -113,13 +113,15 @@ func (c *ChangedSet) String() string {
 // its pins (or the deployment is not chain-shaped), it is ReplanRewire
 // itself, so callers always get a valid diff.
 func (pl *Planner) RepairReplan(old *Deployment, req Request, ch *ChangedSet) (*Diff, error) {
+	// One memo for the whole adaptation: the repair, the replan and the
+	// rewire check are passes over the same network state.
+	pl.beginPlan()
+	defer pl.endPlan()
 	if old == nil || ch.Empty() {
 		return pl.ReplanRewire(old, req)
 	}
-	pl.beginPlan()
 	evicted := pl.RevalidateExisting()
 	dep, ok := pl.tryRepair(old, req, ch, evicted)
-	pl.endPlan()
 	if !ok {
 		// Fallback: the full pass revalidates again (finding nothing new —
 		// the evictions above already pruned the reuse set), so the diff
@@ -146,8 +148,8 @@ func (pl *Planner) RepairReplan(old *Deployment, req Request, ch *ChangedSet) (*
 // cannot have affected and re-solves the rest. ok=false requests a
 // fresh full replan.
 func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evicted []Placement) (*Deployment, bool) {
-	chain, ok := pl.chainOf(old)
-	if !ok {
+	chain, err := pl.chainOf(old)
+	if err != nil {
 		return nil, false // tree-shaped or foreign deployment: replan fresh
 	}
 	evictedKeys := make(map[string]bool, len(evicted))
@@ -198,8 +200,8 @@ func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evict
 			continue
 		}
 		idx := -1
-		for ci := range m.cands[v] {
-			if m.cands[v][ci].Key() == old.Placements[v].Key() {
+		for ci := range m.pos[v].cands {
+			if m.pos[v].cands[ci].Key() == old.Placements[v].Key() {
 				idx = ci
 				break
 			}
@@ -215,7 +217,8 @@ func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evict
 		}
 		prev[v] = idx
 	}
-	s := solver.Solver{Stats: pl.SolverStats}
+	s := &pl.memo.engine
+	s.Stats, s.UpperBound = pl.SolverStats, nil
 	sol, _, solved := s.Repair(m, prev, dirty)
 	if !solved {
 		return nil, false
@@ -224,38 +227,39 @@ func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evict
 }
 
 // chainOf reconstructs the linkage chain of a chain-shaped deployment
-// (consecutive edges only), treating a reused tail that still requires
-// an interface as an anchor terminal — the same reconstruction Verify
-// uses. ok=false for tree-shaped deployments.
-func (pl *Planner) chainOf(dep *Deployment) (Chain, bool) {
+// (consecutive edges only), treating a reused tail whose component
+// still requires an interface as an anchor terminal, exactly as in
+// incremental planning. Tree-shaped and foreign deployments are errors.
+func (pl *Planner) chainOf(dep *Deployment) (Chain, error) {
 	if dep == nil || len(dep.Placements) == 0 {
-		return nil, false
+		return nil, fmt.Errorf("planner: empty deployment")
 	}
 	for i, e := range dep.Edges {
 		if e.From != i || e.To != i+1 {
-			return nil, false
+			return nil, fmt.Errorf("planner: deployment is not chain-shaped")
 		}
 	}
 	chain := make(Chain, len(dep.Placements))
 	for i, p := range dep.Placements {
-		comp, ok := pl.Service.Component(p.Component)
+		comp, ok := pl.component(p.Component)
 		if !ok {
-			return nil, false
+			return nil, fmt.Errorf("planner: unknown component %q", p.Component)
 		}
 		chain[i] = chainElem{comp: comp}
 		if i == len(dep.Placements)-1 && p.Reused && len(comp.Requires) > 0 {
-			anchor := p
-			chain[i] = chainElem{comp: comp, anchor: &anchor}
+			pinned := []cand{pl.memo.candOf(p)}
+			chain[i] = chainElem{comp: comp, anchor: &pinned[0].Placement, pinned: pinned}
 		}
 		if i > 0 {
 			prev := chain[i-1].comp
 			if len(prev.Requires) == 0 {
-				return nil, false
+				return nil, fmt.Errorf("planner: component %q requires nothing but has a provider", prev.Name)
 			}
 			if _, ok := comp.ImplementsInterface(prev.Requires[0].Name); !ok {
-				return nil, false
+				return nil, fmt.Errorf("planner: %q does not implement %q required by %q",
+					comp.Name, prev.Requires[0].Name, prev.Name)
 			}
 		}
 	}
-	return chain, true
+	return chain, nil
 }

@@ -2,7 +2,6 @@ package planner
 
 import (
 	"fmt"
-	"partsvc/internal/netmodel"
 
 	"partsvc/internal/property"
 )
@@ -55,6 +54,9 @@ func (pl *Planner) RevalidateExisting() []Placement {
 		}
 	}
 	pl.Existing = kept
+	if len(evicted) > 0 {
+		pl.gen++
+	}
 	return evicted
 }
 
@@ -95,6 +97,8 @@ func (pl *Planner) stillValid(p Placement) bool {
 // old (which may be nil for a first deployment). The old deployment's
 // placements are assumed to be registered via AddExisting.
 func (pl *Planner) Replan(old *Deployment, req Request) (*Diff, error) {
+	pl.beginPlan()
+	defer pl.endPlan()
 	evicted := pl.RevalidateExisting()
 	dep, err := pl.Plan(req)
 	if err != nil {
@@ -144,6 +148,8 @@ func buildDiff(old, dep *Deployment) *Diff {
 // ReplanRewire runs Replan and puts a no-op result through the rewire
 // check.
 func (pl *Planner) ReplanRewire(old *Deployment, req Request) (*Diff, error) {
+	pl.beginPlan()
+	defer pl.endPlan()
 	diff, err := pl.Replan(old, req)
 	if err != nil {
 		return nil, err
@@ -217,35 +223,16 @@ func sameDeploymentKeys(a, b *Deployment) bool {
 // the *current* network state: every placement's conditions hold, every
 // linkage's effective properties satisfy the requirer, and the request
 // rate fits the deployment's capacity. It reconstructs the linkage
-// chain from the deployment (a reused tail whose component still
-// requires an interface is treated as an anchor terminal, exactly as in
-// incremental planning). A nil error means the deployment is valid now.
+// chain from the deployment (chainOf). A nil error means the deployment
+// is valid now.
 func (pl *Planner) Verify(dep *Deployment, req Request) error {
-	if dep == nil || len(dep.Placements) == 0 {
-		return fmt.Errorf("planner: empty deployment")
-	}
-	chain := make(Chain, len(dep.Placements))
-	for i, p := range dep.Placements {
-		comp, ok := pl.Service.Component(p.Component)
-		if !ok {
-			return fmt.Errorf("planner: unknown component %q", p.Component)
-		}
-		chain[i] = chainElem{comp: comp}
-		isTail := i == len(dep.Placements)-1
-		if isTail && p.Reused && len(comp.Requires) > 0 {
-			anchor := p
-			chain[i] = chainElem{comp: comp, anchor: &anchor}
-		}
-		if i > 0 {
-			prev := chain[i-1].comp
-			if len(prev.Requires) == 0 {
-				return fmt.Errorf("planner: component %q requires nothing but has a provider", prev.Name)
-			}
-			if _, ok := comp.ImplementsInterface(prev.Requires[0].Name); !ok {
-				return fmt.Errorf("planner: %q does not implement %q required by %q",
-					comp.Name, prev.Requires[0].Name, prev.Name)
-			}
-		}
+	// Verify is a public entry point of its own: it reads the
+	// epoch-current routes even on a planner pinned to a wave's.
+	pl.beginPlanOn(pl.Net.Routes())
+	defer pl.endPlan()
+	chain, err := pl.chainOf(dep)
+	if err != nil {
+		return err
 	}
 	// Condition 1 at every placement (head sees the request user).
 	for i, p := range dep.Placements {
@@ -256,37 +243,24 @@ func (pl *Planner) Verify(dep *Deployment, req Request) error {
 			return fmt.Errorf("planner: conditions for %s no longer hold", p)
 		}
 	}
-	// Verify is a public entry point: refresh the route handle and the
-	// evaluation memo so checks run against the current network state.
-	pl.routes = pl.Net.Routes()
-	pl.memo = newPlanMemo()
-	paths, err := pl.routesFor(dep)
-	if err != nil {
-		return err
+	cands := make([]cand, len(dep.Placements))
+	cs := make([]*cand, len(cands))
+	for i, p := range dep.Placements {
+		cands[i] = pl.memo.candOf(p)
+		cs[i] = &cands[i]
 	}
-	places := append([]Placement(nil), dep.Placements...)
-	if _, ok := pl.checkProperties(chain, places, paths, req); !ok {
+	paths, missing := pl.memo.routesOf(cs)
+	if missing >= 0 {
+		return fmt.Errorf("planner: no route %s -> %s", cs[missing].Node, cs[missing+1].Node)
+	}
+	if pl.checkProperties(chain, cs, req) != valid {
 		return fmt.Errorf("planner: property compatibility violated")
 	}
 	if req.RateRPS > 0 {
-		if capacity := pl.capacityRPS(chain, places, paths); req.RateRPS > capacity {
+		in, out := flowCoeff(chain, cs)
+		if capacity := pl.capacityRPS(chain, cs, paths, in, out); req.RateRPS > capacity {
 			return fmt.Errorf("planner: rate %.1f exceeds deployment capacity %.1f", req.RateRPS, capacity)
 		}
 	}
 	return nil
-}
-
-// routesFor resolves minimum-latency routes between consecutive
-// placements from the epoch-current route cache.
-func (pl *Planner) routesFor(dep *Deployment) ([]netmodel.Path, error) {
-	routes := pl.Net.Routes()
-	paths := make([]netmodel.Path, len(dep.Placements)-1)
-	for i := 0; i+1 < len(dep.Placements); i++ {
-		p, ok := routes.Path(dep.Placements[i].Node, dep.Placements[i+1].Node)
-		if !ok {
-			return nil, fmt.Errorf("planner: no route %s -> %s", dep.Placements[i].Node, dep.Placements[i+1].Node)
-		}
-		paths[i] = p
-	}
-	return paths, nil
 }

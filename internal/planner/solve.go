@@ -3,9 +3,11 @@ package planner
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"partsvc/internal/solver"
+	"partsvc/internal/spec"
 )
 
 // This file is the planner's search: planning mapped onto the generic
@@ -21,71 +23,109 @@ import (
 // package's tests hold it placement-identical to the paper's exhaustive
 // mapper).
 
-// chainModel is the solver model of one linkage chain.
-type chainModel struct {
-	pl    *Planner
-	chain Chain
-	req   Request
-	// cands holds the candidate placements per chain position; domain
-	// values are indices into these slices.
-	cands [][]Placement
-	// wIn[v] is the optimistic in-flow at position v per unit client
-	// rate: the product of upstream RRFs with every caching component
-	// counted at full effect. The first-occurrence rule can only raise
-	// RRFs toward 1, so wIn never exceeds the true flow — which makes
-	// the flow-weighted hop bound admissible.
-	wIn []float64
-	// caching marks positions whose component has RRF < 1.
-	caching []bool
+// graphModel is the solver model of one linkage graph, less the exact
+// evaluation: chainModel and treeModel add their validator.
+type graphModel struct {
+	pl  *Planner
+	mm  *planMemo
+	req Request
+	pos []position
 }
 
-func (m *chainModel) Vars() int            { return len(m.chain) }
-func (m *chainModel) Parent(v int) int     { return v - 1 }
-func (m *chainModel) DomainSize(v int) int { return len(m.cands[v]) }
-func (m *chainModel) Bounded() bool        { return m.req.Objective != MaxCapacity }
+// position is one variable of the model: a graph position and its
+// domain.
+type position struct {
+	comp   *spec.Component
+	anchor *Placement // non-nil: existing-instance terminal
+	parent int        // -1 for the head
+	// weight is the in-flow at the position per unit client rate. For a
+	// chain it is optimistic: the product of upstream RRFs with every
+	// caching component counted at full effect. The first-occurrence
+	// rule can only raise RRFs toward 1, so it never exceeds the true
+	// flow — which makes the flow-weighted hop bound admissible. Tree
+	// weights are exact (no first-occurrence adjustment applies across
+	// branches), so there the bound is the true per-edge contribution.
+	weight float64
+	// bits is the bandwidth the linkage to the parent needs at the
+	// request rate and that weight.
+	bits float64
+	// caching marks a component with RRF < 1.
+	caching bool
+	// cands is the domain; values are indices into it. The list is
+	// shared with every other model of the call that places the same
+	// component.
+	cands []cand
+	links *linkTable
+}
+
+func (m *graphModel) Vars() int            { return len(m.pos) }
+func (m *graphModel) Parent(v int) int     { return m.pos[v].parent }
+func (m *graphModel) DomainSize(v int) int { return len(m.pos[v].cands) }
+func (m *graphModel) Bounded() bool        { return m.req.Objective != MaxCapacity }
+
+// add appends a position. It reports false when the domain is empty.
+func (m *graphModel) add(comp *spec.Component, anchor *Placement, parent int, weight float64, cands []cand) bool {
+	bh := comp.Behaviors
+	m.pos = append(m.pos, position{
+		comp: comp, anchor: anchor, parent: parent, weight: weight,
+		bits:    m.req.RateRPS * weight * float64(bh.RequestBytes+bh.ResponseBytes) * 8,
+		caching: bh.EffectiveRRF() < 1,
+		cands:   cands,
+		links:   m.mm.linksOf(comp),
+	})
+	return len(cands) > 0
+}
+
+// domainOf returns the domain of a non-head position: an anchor is
+// pinned, anything else ranges over the component's candidate list
+// (whose condition rejections are accounted once per use).
+func (m *graphModel) domainOf(comp *spec.Component, pinned []cand) []cand {
+	if pinned != nil {
+		return pinned
+	}
+	l := m.pl.candidates(comp, m.req)
+	m.pl.stats.RejectedConditions += l.rejected
+	return l.cands
+}
 
 // Compatible prunes pairs no complete assignment can redeem: linkages
 // with no network route, linkages whose path cannot carry the requested
 // rate, and adjacent duplicate instances or replicas (the full
 // any-distance rules run in Evaluate).
-func (m *chainModel) Compatible(v, pv, cv int) bool {
-	a, b := m.cands[v-1][pv], m.cands[v][cv]
-	path, ok := m.pl.routes.Path(a.Node, b.Node)
-	if !ok {
+func (m *graphModel) Compatible(v, pv, cv int) bool {
+	p := &m.pos[v]
+	a, b := &m.pos[p.parent].cands[pv], &p.cands[cv]
+	lc := m.mm.link(p.links, a.node, b.node)
+	if math.IsInf(lc.hopMS, 1) {
 		return false
 	}
-	// Bandwidth: wIn[v] never exceeds the true flow on this linkage, so
-	// when even that optimistic demand saturates the path bottleneck,
-	// capacityRPS caps below the requested rate for every completion and
-	// validate rejects them all. Pruning here lets propagation prove
-	// infeasibility (e.g. a partitioned client) without enumerating. A
-	// non-positive bottleneck means an unconstrained link on the path,
-	// which the validators skip — so skip the prune too.
-	if m.req.RateRPS > 0 && path.BottleneckMbps > 0 && !path.IsLoopback() {
-		bh := m.chain[v].comp.Behaviors
-		bits := m.req.RateRPS * m.wIn[v] * float64(bh.RequestBytes+bh.ResponseBytes) * 8
-		if bits > path.BottleneckMbps*1e6 {
-			return false
-		}
-	}
-	if a.Key() == b.Key() {
+	// Bandwidth: the position's weight never exceeds the true flow on
+	// this linkage, so when even that demand saturates the path
+	// bottleneck, capacity caps below the requested rate for every
+	// completion and the validator rejects them all. Pruning here lets
+	// propagation prove infeasibility (e.g. a partitioned client) without
+	// enumerating. A non-positive bottleneck means an unconstrained link
+	// on the path, which the validators skip — so skip the prune too (a
+	// loopback's bottleneck is +Inf and never binds).
+	if m.req.RateRPS > 0 && lc.bneckMbps > 0 && p.bits > lc.bneckMbps*1e6 {
 		return false
 	}
-	if m.caching[v] && a.Component == b.Component && a.configFP() == b.configFP() {
+	if a.key == b.key {
 		return false
 	}
-	return true
+	return !p.caching || a.dup != b.dup
 }
 
 // EdgeBound lower-bounds the primary-objective contribution of placing
 // position v at candidate cv under parent candidate pv. MinCost is
-// exact (one per new component); MinLatency is the optimistic
-// flow-weighted hop cost plus the deployment penalty.
-func (m *chainModel) EdgeBound(v, pv, cv int) float64 {
-	p := m.cands[v][cv]
+// exact (one per new component); MinLatency is the flow-weighted hop
+// cost plus the deployment penalty.
+func (m *graphModel) EdgeBound(v, pv, cv int) float64 {
+	p := &m.pos[v]
+	c := &p.cands[cv]
 	switch m.req.Objective {
 	case MinCost:
-		if p.Reused {
+		if c.Reused {
 			return 0
 		}
 		return 1
@@ -93,51 +133,62 @@ func (m *chainModel) EdgeBound(v, pv, cv int) float64 {
 		return 0
 	}
 	var pen float64
-	if !p.Reused {
+	if !c.Reused {
 		pen = m.pl.DeployPenaltyMS
 	}
 	if v == 0 {
-		return m.chain[0].comp.Behaviors.CPUMSPerRequest + pen
+		return p.comp.Behaviors.CPUMSPerRequest + pen
 	}
-	path, ok := m.pl.routes.Path(m.cands[v-1][pv].Node, p.Node)
-	if !ok {
-		return math.Inf(1)
+	hop := m.mm.link(p.links, m.pos[p.parent].cands[pv].node, c.node).hopMS
+	if p.anchor != nil {
+		hop += p.anchor.UpstreamMS
 	}
-	hop := hopMS(m.chain[v].comp.Behaviors, path)
-	if m.chain[v].isAnchor() {
-		hop += m.chain[v].anchor.UpstreamMS
+	return pen + p.weight*hop
+}
+
+func (m *graphModel) Better(a, b any) bool {
+	return m.pl.better(m.req.Objective, a.(*Deployment), b.(*Deployment))
+}
+
+// assigned resolves a complete assignment to its candidates and applies
+// the no-loop and no-duplicate-replica rules along each ancestor path
+// (for a chain, every earlier position). nil rejects the assignment.
+func (m *graphModel) assigned(assign []int) []*cand {
+	cs := slices.Grow(m.mm.assigned[:0], len(assign))[:len(assign)]
+	m.mm.assigned = cs
+	for v, cv := range assign {
+		cs[v] = &m.pos[v].cands[cv]
 	}
-	return pen + m.wIn[v]*hop
+	for v := 1; v < len(cs); v++ {
+		for a := m.pos[v].parent; a >= 0; a = m.pos[a].parent {
+			if cs[v].key == cs[a].key || (m.pos[v].caching && cs[v].dup == cs[a].dup) {
+				return nil
+			}
+		}
+	}
+	return cs
+}
+
+// chainModel is the solver model of one linkage chain.
+type chainModel struct {
+	graphModel
+	chain Chain
 }
 
 // Evaluate applies the full duplicate rules and the exact validity
 // conditions (properties, load, metrics) via the chain validator.
 func (m *chainModel) Evaluate(assign []int) (any, float64, bool) {
-	places := make([]Placement, len(assign))
-	for v, cv := range assign {
-		places[v] = m.cands[v][cv]
-	}
-	for v := 1; v < len(places); v++ {
-		id := places[v].Component + "{" + places[v].configFP() + "}"
-		for j := 0; j < v; j++ {
-			if places[v].Key() == places[j].Key() {
-				return nil, 0, false
-			}
-			if m.caching[v] && id == places[j].Component+"{"+places[j].configFP()+"}" {
-				return nil, 0, false
-			}
-		}
+	cs := m.assigned(assign)
+	if cs == nil {
+		return nil, 0, false
 	}
 	m.pl.stats.MappingsTried++
-	dep := m.pl.validate(m.chain, places, m.req)
-	if dep == nil {
+	dep, v := m.pl.validateChain(m.chain, cs, m.req)
+	if v != valid {
+		m.pl.reject(v)
 		return nil, 0, false
 	}
 	return dep, m.pl.primaryOf(m.req.Objective, dep), true
-}
-
-func (m *chainModel) Better(a, b any) bool {
-	return m.pl.better(m.req.Objective, a.(*Deployment), b.(*Deployment))
 }
 
 // primaryOf is the primary objective key of the deployment — the same
@@ -154,188 +205,56 @@ func (pl *Planner) primaryOf(o Objective, d *Deployment) float64 {
 }
 
 // newChainModel builds the solver model of a chain: the head pinned at
-// the client node, anchors and existing stateful primaries at their
-// recorded nodes, everything else over the whole node table. ok=false
-// when a position has no candidates at all.
+// the client node, anchors at their recorded nodes, existing stateful
+// primaries at theirs, everything else over the whole node table.
+// ok=false when a position has no candidates at all. The model lives in
+// the memo and is overwritten by the next one: a call solves its graphs
+// one at a time.
 func (pl *Planner) newChainModel(chain Chain, req Request) (*chainModel, bool) {
 	if chain[0].isAnchor() {
 		return nil, false
 	}
-	head, ok := pl.placementForCached(chain[0].comp, req.ClientNode, req, 0)
-	if !ok {
+	head := pl.headCandidate(chain[0].comp, req)
+	if len(head) == 0 {
 		pl.stats.RejectedConditions++
 		return nil, false
 	}
-	if anchor, found := pl.anchorFor(head); found {
-		head = anchor
-	}
-	m := &chainModel{pl: pl, chain: chain, req: req}
-	m.cands = make([][]Placement, len(chain))
-	m.cands[0] = []Placement{head}
-	m.caching = make([]bool, len(chain))
-	m.wIn = make([]float64, len(chain))
-	w := 1.0
-	for i := range chain {
-		m.caching[i] = chain[i].comp.Behaviors.EffectiveRRF() < 1
-		m.wIn[i] = w
-		w *= chain[i].comp.Behaviors.EffectiveRRF()
-	}
-	for pos := 1; pos < len(chain); pos++ {
-		m.cands[pos] = pl.chainCandidates(chain, pos, req)
-		if len(m.cands[pos]) == 0 {
+	m := &pl.memo.chain
+	*m = chainModel{chain: chain, graphModel: graphModel{pl: pl, mm: pl.memo, req: req, pos: m.pos[:0]}}
+	m.add(chain[0].comp, nil, -1, 1, head)
+	w := chain[0].comp.Behaviors.EffectiveRRF()
+	for i := 1; i < len(chain); i++ {
+		e := &chain[i]
+		if !m.add(e.comp, e.anchor, i-1, w, m.domainOf(e.comp, e.pinned)) {
 			return nil, false
 		}
+		w *= e.comp.Behaviors.EffectiveRRF()
 	}
 	return m, true
-}
-
-// chainCandidates lists the domain of one chain position: an anchor is
-// pinned, a stateful primary with a deployed instance may only be
-// reused (state lives in the primary; replication happens through data
-// views), and everything else ranges over the nodes whose deployment
-// conditions hold.
-func (pl *Planner) chainCandidates(chain Chain, pos int, req Request) []Placement {
-	elem := chain[pos]
-	if elem.isAnchor() {
-		p := *elem.anchor
-		p.Reused = true
-		return []Placement{p}
-	}
-	comp := elem.comp
-	if pl.isStatefulPrimary(comp) && pl.hasAnyInstance(comp.Name) {
-		var out []Placement
-		for _, e := range pl.Existing {
-			if e.Component != comp.Name {
-				continue
-			}
-			p := e
-			p.Reused = true
-			out = append(out, p)
-		}
-		return out
-	}
-	var out []Placement
-	for _, node := range pl.Net.Nodes() {
-		p, ok := pl.placementForCached(comp, node.ID, req, pos)
-		if !ok {
-			pl.stats.RejectedConditions++
-			continue
-		}
-		if anchor, found := pl.anchorFor(p); found {
-			p = anchor
-		}
-		out = append(out, p)
-	}
-	return out
 }
 
 // treeModel is the solver model of one linkage tree (components with
 // multiple required interfaces, which chains cannot express).
 type treeModel struct {
-	pl   *Planner
+	graphModel
 	flat []treeNode
-	req  Request
-	// cands, caching as in chainModel, indexed by pre-order position.
-	cands   [][]Placement
-	caching []bool
 	// ifaces[v] is the interface linking v to its parent ("" for the
 	// root, which serves the requested interface directly).
 	ifaces []string
 }
 
-func (m *treeModel) Vars() int            { return len(m.flat) }
-func (m *treeModel) Parent(v int) int     { return m.flat[v].parent }
-func (m *treeModel) DomainSize(v int) int { return len(m.cands[v]) }
-func (m *treeModel) Bounded() bool        { return m.req.Objective != MaxCapacity }
-
-func (m *treeModel) Compatible(v, pv, cv int) bool {
-	a, b := m.cands[m.flat[v].parent][pv], m.cands[v][cv]
-	path, ok := m.pl.routes.Path(a.Node, b.Node)
-	if !ok {
-		return false
-	}
-	// Tree flow weights are exact, so an edge whose demand alone exceeds
-	// the path bottleneck fails the tree validator's per-link bandwidth
-	// aggregation in every completion — prune it during propagation (a
-	// non-positive bottleneck marks an unconstrained link; skip as the
-	// validator does).
-	if m.req.RateRPS > 0 && path.BottleneckMbps > 0 && !path.IsLoopback() {
-		bh := m.flat[v].tree.comp.Behaviors
-		bits := m.req.RateRPS * m.flat[v].weight * float64(bh.RequestBytes+bh.ResponseBytes) * 8
-		if bits > path.BottleneckMbps*1e6 {
-			return false
-		}
-	}
-	if a.Key() == b.Key() {
-		return false
-	}
-	if m.caching[v] && a.Component == b.Component && a.configFP() == b.configFP() {
-		return false
-	}
-	return true
-}
-
-// EdgeBound: tree flow weights are exact (no first-occurrence
-// adjustment applies across branches), so the latency bound is the true
-// per-edge contribution and the search rarely backtracks.
-func (m *treeModel) EdgeBound(v, pv, cv int) float64 {
-	p := m.cands[v][cv]
-	switch m.req.Objective {
-	case MinCost:
-		if p.Reused {
-			return 0
-		}
-		return 1
-	case MaxCapacity:
-		return 0
-	}
-	var pen float64
-	if !p.Reused {
-		pen = m.pl.DeployPenaltyMS
-	}
-	if v == 0 {
-		return m.flat[0].tree.comp.Behaviors.CPUMSPerRequest + pen
-	}
-	path, ok := m.pl.routes.Path(m.cands[m.flat[v].parent][pv].Node, p.Node)
-	if !ok {
-		return math.Inf(1)
-	}
-	hop := hopMS(m.flat[v].tree.comp.Behaviors, path)
-	if m.flat[v].tree.anchor != nil {
-		hop += m.flat[v].tree.anchor.UpstreamMS
-	}
-	return pen + m.flat[v].weight*hop
-}
-
 func (m *treeModel) Evaluate(assign []int) (any, float64, bool) {
-	places := make([]Placement, len(assign))
-	for v, cv := range assign {
-		places[v] = m.cands[v][cv]
-	}
-	// Duplicate rules along each ancestor path (per branch, as in the
-	// backtracking tree mapper).
-	for v := 1; v < len(places); v++ {
-		id := places[v].Component + "{" + places[v].configFP() + "}"
-		for a := m.flat[v].parent; a >= 0; a = m.flat[a].parent {
-			if places[v].Key() == places[a].Key() {
-				return nil, 0, false
-			}
-			if m.caching[v] && id == places[a].Component+"{"+places[a].configFP()+"}" {
-				return nil, 0, false
-			}
-		}
+	cs := m.assigned(assign)
+	if cs == nil {
+		return nil, 0, false
 	}
 	m.pl.stats.MappingsTried++
-	td := m.pl.validateTree(m.flat, places, m.req)
+	td := m.pl.validateTree(m.flat, cs, m.req)
 	if td == nil {
 		return nil, 0, false
 	}
 	dep := m.toDeployment(td)
 	return dep, m.pl.primaryOf(m.req.Objective, dep), true
-}
-
-func (m *treeModel) Better(a, b any) bool {
-	return m.pl.better(m.req.Objective, a.(*Deployment), b.(*Deployment))
 }
 
 // toDeployment flattens a validated tree deployment into the common
@@ -367,69 +286,26 @@ func (m *treeModel) toDeployment(td *TreeDeployment) *Deployment {
 // newTreeModel builds the solver model of a linkage tree.
 func (pl *Planner) newTreeModel(tree *Tree, req Request) (*treeModel, bool) {
 	flat := flatten(tree)
-	head, ok := pl.placementForCached(flat[0].tree.comp, req.ClientNode, req, 0)
-	if !ok {
+	head := pl.headCandidate(flat[0].tree.comp, req)
+	if len(head) == 0 {
 		pl.stats.RejectedConditions++
 		return nil, false
 	}
-	if anchor, found := pl.anchorFor(head); found {
-		head = anchor
-	}
-	m := &treeModel{pl: pl, flat: flat, req: req}
-	m.cands = make([][]Placement, len(flat))
-	m.cands[0] = []Placement{head}
-	m.caching = make([]bool, len(flat))
-	m.ifaces = make([]string, len(flat))
+	m := &treeModel{flat: flat, ifaces: make([]string, len(flat))}
+	m.graphModel = graphModel{pl: pl, mm: pl.memo, req: req, pos: make([]position, 0, len(flat))}
+	m.add(flat[0].tree.comp, nil, -1, 1, head)
 	childOrd := make([]int, len(flat))
-	for v, tn := range flat {
-		m.caching[v] = tn.tree.comp.Behaviors.EffectiveRRF() < 1
-		if v == 0 {
-			continue
-		}
+	for v := 1; v < len(flat); v++ {
+		tn := flat[v]
 		p := tn.parent
 		m.ifaces[v] = flat[p].tree.comp.Requires[childOrd[p]].Name
 		childOrd[p]++
-		m.cands[v] = pl.treeCandidates(tn, req, v)
-		if len(m.cands[v]) == 0 {
+		t := tn.tree
+		if !m.add(t.comp, t.anchor, p, tn.weight, m.domainOf(t.comp, t.pinned)) {
 			return nil, false
 		}
 	}
 	return m, true
-}
-
-// treeCandidates lists the domain of one tree position.
-func (pl *Planner) treeCandidates(tn treeNode, req Request, pos int) []Placement {
-	if tn.tree.anchor != nil {
-		p := *tn.tree.anchor
-		p.Reused = true
-		return []Placement{p}
-	}
-	comp := tn.tree.comp
-	if pl.isStatefulPrimary(comp) && pl.hasAnyInstance(comp.Name) {
-		var out []Placement
-		for _, e := range pl.Existing {
-			if e.Component != comp.Name {
-				continue
-			}
-			p := e
-			p.Reused = true
-			out = append(out, p)
-		}
-		return out
-	}
-	var out []Placement
-	for _, node := range pl.Net.Nodes() {
-		p, ok := pl.placementForCached(comp, node.ID, req, pos)
-		if !ok {
-			pl.stats.RejectedConditions++
-			continue
-		}
-		if anchor, found := pl.anchorFor(p); found {
-			p = anchor
-		}
-		out = append(out, p)
-	}
-	return out
 }
 
 // Plan satisfies a client request: every valid linkage graph (chains
@@ -448,7 +324,7 @@ func (pl *Planner) Plan(req Request) (*Deployment, error) {
 	if _, ok := pl.Service.Interface(req.Interface); !ok {
 		return nil, fmt.Errorf("planner: interface %q not in service %q", req.Interface, pl.Service.Name)
 	}
-	trees := pl.EnumerateTrees(req.Interface)
+	trees := pl.enumerateTrees(req.Interface)
 	pl.stats.ChainsEnumerated = len(trees)
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("planner: no component graph implements %q", req.Interface)
@@ -460,10 +336,12 @@ func (pl *Planner) Plan(req Request) (*Deployment, error) {
 	// total order, so neither the ordering nor the seeding changes which
 	// deployment wins — only how much of the space is searched.
 	order := make([]int, len(trees))
+	sizes := make([]int, len(trees))
 	for i := range order {
 		order[i] = i
+		sizes[i] = trees[i].size()
 	}
-	sort.SliceStable(order, func(a, b int) bool { return trees[order[a]].size() < trees[order[b]].size() })
+	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] < sizes[order[b]] })
 	ub := math.Inf(1)
 	var best *Deployment
 	for _, ti := range order {
@@ -493,21 +371,30 @@ func (pl *Planner) Plan(req Request) (*Deployment, error) {
 	return best, nil
 }
 
-// solveOne maps one linkage graph through the constraint engine. ub,
-// when non-nil, seeds the search with the best primary cost of the
-// sibling graphs solved so far.
+// solveOne maps one linkage graph through the call's constraint engine.
+// ub seeds the search with the best primary cost of the sibling graphs
+// solved so far.
 func (pl *Planner) solveOne(tree *Tree, req Request, ub *float64) *Deployment {
 	if tree.anchor != nil {
 		return nil // a bare anchor is not a deployable head
 	}
-	if chain, ok := treeAsChain(tree); ok {
-		return pl.solveChain(chain, req, ub)
+	var m solver.Model
+	if chain, ok := treeAsChain(tree, pl.memo.chainBuf[:0]); ok {
+		pl.memo.chainBuf = chain
+		cm, ok := pl.newChainModel(chain, req)
+		if !ok {
+			return nil
+		}
+		m = cm
+	} else {
+		tm, ok := pl.newTreeModel(tree, req)
+		if !ok {
+			return nil
+		}
+		m = tm
 	}
-	m, ok := pl.newTreeModel(tree, req)
-	if !ok {
-		return nil
-	}
-	s := solver.Solver{Stats: pl.SolverStats, UpperBound: ub}
+	s := &pl.memo.engine
+	s.Stats, s.UpperBound = pl.SolverStats, ub
 	sol, _, solved := s.Solve(m)
 	if !solved {
 		return nil
@@ -515,30 +402,15 @@ func (pl *Planner) solveOne(tree *Tree, req Request, ub *float64) *Deployment {
 	return sol.Result.(*Deployment)
 }
 
-func (pl *Planner) solveChain(chain Chain, req Request, ub *float64) *Deployment {
-	m, ok := pl.newChainModel(chain, req)
-	if !ok {
-		return nil
-	}
-	s := solver.Solver{Stats: pl.SolverStats, UpperBound: ub}
-	sol, _, solved := s.Solve(m)
-	if !solved {
-		return nil
-	}
-	return sol.Result.(*Deployment)
-}
-
-// treeAsChain converts a single-requirement tree to a chain, reporting
-// false when the tree genuinely branches.
-func treeAsChain(t *Tree) (Chain, bool) {
-	var chain Chain
-	for cur := t; ; {
-		chain = append(chain, chainElem{comp: cur.comp, anchor: cur.anchor})
+// treeAsChain converts a single-requirement tree to a chain appended to
+// buf, reporting false when the tree genuinely branches.
+func treeAsChain(t *Tree, buf Chain) (Chain, bool) {
+	for cur := t; ; cur = cur.children[0] {
+		buf = append(buf, chainElem{comp: cur.comp, anchor: cur.anchor, pinned: cur.pinned})
 		switch len(cur.children) {
 		case 0:
-			return chain, true
+			return buf, true
 		case 1:
-			cur = cur.children[0]
 		default:
 			return nil, false
 		}

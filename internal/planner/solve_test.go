@@ -63,7 +63,9 @@ func figure6Requests(o Objective) []Request {
 // requests — each planned fresh against the bare primary, and planned
 // incrementally in deployment order (San Diego reuses nothing of New
 // York's, Seattle anchors onto San Diego's view) — under every
-// objective.
+// objective. Every incremental request is planned twice on the one
+// planner, cold and then again: a second call must find nothing the
+// first left behind.
 func TestSolverMatchesExhaustiveCaseStudy(t *testing.T) {
 	for _, o := range allObjectives {
 		t.Run(o.String(), func(t *testing.T) {
@@ -79,6 +81,7 @@ func TestSolverMatchesExhaustiveCaseStudy(t *testing.T) {
 				want := exhaustiveOrFail(t, exh, req)
 				got := planOrFail(t, pl, req)
 				assertSamePlan(t, fmt.Sprintf("incremental request %d", i), got, want)
+				assertSamePlan(t, fmt.Sprintf("incremental request %d, planned again", i), planOrFail(t, pl, req), want)
 				exh.AddExisting(want.Placements...)
 				pl.AddExisting(got.Placements...)
 			}
@@ -173,7 +176,10 @@ func TestSolverErrors(t *testing.T) {
 // TestSolverMatchesExhaustiveOnRandomNets: differential check on seeded
 // Waxman networks of 8, 16 and 32 nodes under every objective — Plan
 // agrees with the exhaustive mapper on feasibility and on the chosen
-// deployment. The exhaustive search is n^(free positions), so the larger
+// deployment, against the bare primary and against a reuse set holding
+// another client's deployment (anchor graphs, reused candidates and
+// upstream charges all in play), each planned cold and then again on
+// the same planner. The exhaustive search is n^(free positions), so the larger
 // sizes bound the chain length (identically on both sides) to keep the
 // reference affordable. (The subtests stay sequential on purpose: run in
 // parallel they starve timing-sensitive tests of packages `go test ./...`
@@ -202,18 +208,38 @@ func TestSolverMatchesExhaustiveOnRandomNets(t *testing.T) {
 					pl.AddExisting(ms)
 					return pl
 				}
-				for _, o := range allObjectives {
-					req := Request{
-						Interface: spec.IfaceClient, ClientNode: nodes[2].ID, User: "Alice", RateRPS: 10, Objective: o,
-					}
-					want, errA := build().planExhaustive(req)
-					got, errB := build().Plan(req)
-					if (errA == nil) != (errB == nil) {
-						t.Errorf("%s: feasibility disagrees: exhaustive=%v plan=%v", o, errA, errB)
+				// The neighbour's deployment, when it has one, is the reuse
+				// set of the second round.
+				neighbour, _ := build().Plan(Request{
+					Interface: spec.IfaceClient, ClientNode: nodes[3].ID, User: "Alice", RateRPS: 10,
+				})
+				for _, reuse := range []*Deployment{nil, neighbour} {
+					label := "bare primary"
+					if reuse != nil {
+						label = "reuse set"
+					} else if neighbour == nil {
 						continue
 					}
-					if errA == nil {
-						assertSamePlan(t, o.String(), got, want)
+					for _, o := range allObjectives {
+						req := Request{
+							Interface: spec.IfaceClient, ClientNode: nodes[2].ID, User: "Alice", RateRPS: 10, Objective: o,
+						}
+						exh, pl := build(), build()
+						if reuse != nil {
+							exh.AddExisting(reuse.Placements...)
+							pl.AddExisting(reuse.Placements...)
+						}
+						want, errA := exh.planExhaustive(req)
+						for _, pass := range []string{"cold", "again"} {
+							got, errB := pl.Plan(req)
+							if (errA == nil) != (errB == nil) {
+								t.Errorf("%s, %s, %s: feasibility disagrees: exhaustive=%v plan=%v", label, o, pass, errA, errB)
+								continue
+							}
+							if errA == nil {
+								assertSamePlan(t, fmt.Sprintf("%s, %s, %s", label, o, pass), got, want)
+							}
+						}
 					}
 				}
 			})

@@ -20,8 +20,9 @@ import (
 // and each child subtree provides one of the root's required
 // interfaces, in declaration order.
 type Tree struct {
-	comp     spec.Component
+	comp     *spec.Component
 	anchor   *Placement
+	pinned   []cand // see chainElem
 	children []*Tree
 }
 
@@ -53,25 +54,38 @@ func (t *Tree) size() int {
 
 // EnumerateTrees finds the valid linkage trees satisfying an interface,
 // bounded by MaxChainLen components per tree. Anchors terminate subtrees
-// exactly as in chain enumeration.
+// exactly as in chain enumeration. Trees are immutable and share their
+// subtrees; within a planner call the result is computed once per
+// reuse-set generation.
 func (pl *Planner) EnumerateTrees(iface string) []*Tree {
+	pl.beginPlan()
+	defer pl.endPlan()
+	return pl.enumerateTrees(iface)
+}
+
+func (pl *Planner) enumerateTrees(iface string) []*Tree {
+	ru := pl.reuseNow()
+	if trees, ok := ru.trees[iface]; ok {
+		return trees
+	}
+	type level struct {
+		iface  string
+		budget int
+	}
+	built := map[level][]*Tree{}
 	var build func(iface string, budget int) []*Tree
 	build = func(iface string, budget int) []*Tree {
 		if budget <= 0 {
 			return nil
 		}
-		var out []*Tree
-		for i := range pl.Existing {
-			anchor := &pl.Existing[i]
-			comp, ok := pl.Service.Component(anchor.Component)
-			if !ok {
-				continue
-			}
-			if _, implements := comp.ImplementsInterface(iface); implements && len(anchor.Offers) > 0 {
-				out = append(out, &Tree{comp: comp, anchor: anchor})
-			}
+		if out, ok := built[level{iface, budget}]; ok {
+			return out
 		}
-		for _, comp := range pl.Service.ImplementersOf(iface) {
+		var out []*Tree
+		for _, a := range ru.anchorsFor(pl, iface) {
+			out = append(out, &Tree{comp: a.comp, anchor: a.anchor, pinned: a.pinned})
+		}
+		for _, comp := range pl.implementersOf(iface) {
 			if len(comp.Requires) == 0 {
 				out = append(out, &Tree{comp: comp})
 				continue
@@ -100,9 +114,30 @@ func (pl *Planner) EnumerateTrees(iface string) []*Tree {
 				out = append(out, partials...)
 			}
 		}
+		built[level{iface, budget}] = out
 		return out
 	}
-	return build(iface, pl.maxLen())
+	trees := build(iface, pl.maxLen())
+	ru.trees[iface] = trees
+	return trees
+}
+
+// anchorsFor lists the registered instances that can terminate a
+// linkage over iface: they implement it and have recorded effective
+// properties to stand in for their already-deployed upstream.
+func (ru *reuseSet) anchorsFor(pl *Planner, iface string) []chainElem {
+	var out []chainElem
+	for i := range ru.existing {
+		e := &ru.existing[i]
+		comp, ok := pl.component(e.Component)
+		if !ok {
+			continue
+		}
+		if _, implements := comp.ImplementsInterface(iface); implements && len(e.Offers) > 0 {
+			out = append(out, chainElem{comp: comp, anchor: &e.Placement, pinned: ru.existing[i : i+1]})
+		}
+	}
+	return out
 }
 
 // TreePlacement is a placement within a tree deployment, with its parent
@@ -151,10 +186,10 @@ func flatten(t *Tree) []treeNode {
 // metrics. Property propagation runs bottom-up: each subtree's offer is
 // computed from its children's offers modified by the connecting path
 // environments.
-func (pl *Planner) validateTree(flat []treeNode, places []Placement, req Request) *TreeDeployment {
+func (pl *Planner) validateTree(flat []treeNode, cs []*cand, req Request) *TreeDeployment {
 	paths := make([]netmodel.Path, len(flat))
 	for i := 1; i < len(flat); i++ {
-		p, ok := pl.routes.Path(places[flat[i].parent].Node, places[i].Node)
+		p, _, ok := pl.memo.path(cs[flat[i].parent].node, cs[i].node)
 		if !ok {
 			pl.stats.RejectedNoPath++
 			return nil
@@ -196,12 +231,12 @@ func (pl *Planner) validateTree(flat []treeNode, places []Placement, req Request
 			if !ok {
 				return nil, false
 			}
-			env := pl.linkageEnv(paths[c])
+			env, _ := pl.linkageEnv(cs[i].node, cs[c].node)
 			received, err := pl.Service.ModRules.ApplySetRO(childOffer, env)
 			if err != nil {
 				return nil, false
 			}
-			reqProps, err := pl.evalReqPropsAt(tn.tree.comp, ci, places[i])
+			reqProps, err := pl.evalReqProps(tn.tree.comp, ci, cs[i])
 			if err != nil {
 				return nil, false
 			}
@@ -244,7 +279,7 @@ func (pl *Planner) validateTree(flat []treeNode, places []Placement, req Request
 		if _, ok := tn.tree.comp.ImplementsInterface(iface); !ok {
 			return nil, false
 		}
-		gen, err := pl.evalImplProps(tn.tree.comp, iface, places[i])
+		gen, err := pl.evalImplProps(tn.tree.comp, iface, cs[i])
 		if err != nil {
 			return nil, false
 		}
@@ -266,7 +301,7 @@ func (pl *Planner) validateTree(flat []treeNode, places []Placement, req Request
 	if req.RateRPS > 0 {
 		cpuPerNode := map[netmodel.NodeID]float64{}
 		for i, tn := range flat {
-			cpuPerNode[places[i].Node] += req.RateRPS * tn.weight * tn.tree.comp.Behaviors.CPUMSPerRequest
+			cpuPerNode[cs[i].Node] += req.RateRPS * tn.weight * tn.tree.comp.Behaviors.CPUMSPerRequest
 			if c := tn.tree.comp.Behaviors.CapacityRPS; c > 0 && req.RateRPS*tn.weight > c {
 				pl.stats.RejectedLoad++
 				return nil
@@ -303,10 +338,10 @@ func (pl *Planner) validateTree(flat []treeNode, places []Placement, req Request
 
 	dep := &TreeDeployment{ExpectedLatencyMS: flat[0].tree.comp.Behaviors.CPUMSPerRequest}
 	for i := range flat {
-		tp := TreePlacement{Placement: places[i], Parent: flat[i].parent, Path: paths[i]}
+		tp := TreePlacement{Placement: cs[i].Placement, Parent: flat[i].parent, Path: paths[i]}
 		tp.Placement.Offers = offersRec[i].Clone()
 		dep.Placements = append(dep.Placements, tp)
-		if !places[i].Reused {
+		if !cs[i].Reused {
 			dep.NewComponents++
 		}
 		if i == 0 {

@@ -49,42 +49,15 @@ func (pl *Planner) ExistingFingerprint() string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// Clone returns a deep-enough copy for cross-session sharing: the
-// placement and edge slices are private, while property sets and path
-// node lists stay shared (they are read-only by contract everywhere in
-// the planner).
-func (d *Deployment) Clone() *Deployment {
-	if d == nil {
-		return nil
-	}
-	nd := *d
-	nd.Placements = append([]Placement(nil), d.Placements...)
-	nd.Edges = append([]Edge(nil), d.Edges...)
-	return &nd
-}
-
-// Clone copies the diff with private slices (see Deployment.Clone for
-// the sharing contract).
-func (d *Diff) Clone() *Diff {
-	if d == nil {
-		return nil
-	}
-	return &Diff{
-		New:     d.New.Clone(),
-		Install: append([]Placement(nil), d.Install...),
-		Remove:  append([]Placement(nil), d.Remove...),
-		Evicted: append([]Placement(nil), d.Evicted...),
-	}
-}
-
 // WaveMemo shares replan results across the sessions of one replan
 // wave. Keys must capture the full planning identity — request
 // fingerprint, reuse-set fingerprint, route epoch (WaveKey assembles
 // exactly that) — and each key is computed exactly once even under
 // concurrent Do calls from many shard workers: the first caller runs
-// compute, later callers block until it lands and share the result.
-// Results are cloned on the way out, so wave members can commit their
-// copies independently.
+// compute, later callers block until it lands and share the result —
+// the same *Diff, not a copy. A planned Diff and its Deployment are
+// immutable (see Deployment), which is what lets every session of a
+// wave group commit the one value.
 type WaveMemo struct {
 	mu      sync.Mutex
 	entries map[string]*waveEntry
@@ -105,36 +78,21 @@ func NewWaveMemo() *WaveMemo {
 }
 
 // WaveKey assembles the memo key for one session's replan: the request
-// identity, the reuse-set identity, the pinned route epoch, and the
-// session's current deployment shape (a replan diff is relative to it).
-func WaveKey(req Request, existingFP string, epoch uint64, old *Deployment) string {
-	key := req.Fingerprint() + "#" + existingFP + "#" + strconv.FormatUint(epoch, 10) + "#"
-	if old != nil {
-		keys := make([]string, len(old.Placements))
-		for i, p := range old.Placements {
-			keys[i] = p.Key()
-		}
-		key += "[" + joinKeys(keys) + "]"
-	}
-	return key
-}
-
-func joinKeys(keys []string) string {
-	out := ""
-	for i, k := range keys {
-		if i > 0 {
-			out += ","
-		}
-		out += k
-	}
-	return out
+// identity (Request.Fingerprint), the reuse-set identity
+// (ExistingFingerprint), the pinned route epoch, and the shape of the
+// session's current deployment — its placement keys in order, "" when
+// it has none — since a replan diff is relative to it. Callers compute
+// the parts when they change (a request fingerprint once, a shape per
+// committed deployment), not per wave.
+func WaveKey(reqFP, existingFP string, epoch uint64, shape string) string {
+	return reqFP + "#" + existingFP + "#" + strconv.FormatUint(epoch, 10) + "#" + shape
 }
 
 // Do returns the memoized result for key, running compute exactly once
-// across all concurrent callers. The returned diff is a private clone;
-// stats are the single compute's search statistics (callers decide how
-// to attribute them — the fleet counts them once per computation, not
-// once per session).
+// across all concurrent callers. The returned diff is shared and
+// read-only; stats are the single compute's search statistics (callers
+// decide how to attribute them — the fleet counts them once per
+// computation, not once per session).
 func (m *WaveMemo) Do(key string, compute func() (*Diff, Stats, error)) (*Diff, Stats, bool, error) {
 	m.mu.Lock()
 	e, ok := m.entries[key]
@@ -145,12 +103,12 @@ func (m *WaveMemo) Do(key string, compute func() (*Diff, Stats, error)) (*Diff, 
 		e.diff, e.stats, e.err = compute()
 		close(e.done)
 		m.misses.Add(1)
-		return e.diff.Clone(), e.stats, false, e.err
+		return e.diff, e.stats, false, e.err
 	}
 	m.mu.Unlock()
 	<-e.done
 	m.hits.Add(1)
-	return e.diff.Clone(), e.stats, true, e.err
+	return e.diff, e.stats, true, e.err
 }
 
 // Counters returns the cumulative hit and miss counts (a miss ran

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -84,7 +85,7 @@ func TestWaveMemoSharedMatchesIndependent(t *testing.T) {
 		rc := pl.Net.Routes()
 		pl.PinRoutes(rc)
 		defer pl.PinRoutes(nil)
-		key := WaveKey(req, pl.ExistingFingerprint(), rc.Epoch(), dep)
+		key := WaveKey(req.Fingerprint(), pl.ExistingFingerprint(), rc.Epoch(), shapeOf(dep))
 		diff, _, _, err := memo.Do(key, func() (*Diff, Stats, error) {
 			d, err := pl.ReplanRewire(dep, req)
 			return d, pl.Stats(), err
@@ -107,14 +108,24 @@ func TestWaveMemoSharedMatchesIndependent(t *testing.T) {
 		t.Fatalf("shared-memo diff diverged from independent replan:\n%s\n%s", sw, sa)
 	}
 
-	// The hit's diff must be a private clone: mutating one session's
-	// slices must not leak into the other's.
-	if len(gotA.Install) > 0 && len(gotB.Install) > 0 {
-		gotA.Install[0].Component = "tampered"
-		if gotB.Install[0].Component == "tampered" {
-			t.Fatal("memo handed out aliased diffs across sessions")
-		}
+	// The hit shares the miss's diff: a planned Diff is immutable, so the
+	// members of a wave group commit the one value.
+	if gotA != gotB {
+		t.Fatal("memo hit must share the computed diff, not copy it")
 	}
+}
+
+// shapeOf renders a deployment's placement keys in order, the way the
+// fleet names a session's current deployment in its wave key.
+func shapeOf(dep *Deployment) string {
+	if dep == nil {
+		return ""
+	}
+	keys := make([]string, len(dep.Placements))
+	for i, p := range dep.Placements {
+		keys[i] = p.Key()
+	}
+	return strings.Join(keys, " -> ")
 }
 
 // TestWaveMemoComputesOnceUnderContention hammers one key from many
@@ -151,15 +162,13 @@ func TestWaveMemoComputesOnceUnderContention(t *testing.T) {
 	if misses != 1 || hits != callers-1 {
 		t.Fatalf("hits=%d misses=%d, want %d/1", hits, misses, callers-1)
 	}
-	seen := map[*Deployment]bool{}
 	for i, d := range diffs {
 		if d == nil || len(d.New.Placements) != 1 {
 			t.Fatalf("caller %d got %v", i, d)
 		}
-		if seen[d.New] {
-			t.Fatalf("caller %d shares a Deployment pointer with another caller", i)
+		if d != diffs[0] {
+			t.Fatalf("caller %d got its own copy of the diff; every caller shares the computed one", i)
 		}
-		seen[d.New] = true
 	}
 	if memo.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", memo.Len())
@@ -172,15 +181,15 @@ func TestWaveMemoComputesOnceUnderContention(t *testing.T) {
 func TestWaveKeySeparatesEpochs(t *testing.T) {
 	req := Request{Interface: "I", ClientNode: "n1", User: "u"}
 	old := &Deployment{Placements: []Placement{{Component: "C", Node: "n1"}}}
-	k1 := WaveKey(req, "fp", 1, old)
-	k2 := WaveKey(req, "fp", 2, old)
+	k1 := WaveKey(req.Fingerprint(), "fp", 1, shapeOf(old))
+	k2 := WaveKey(req.Fingerprint(), "fp", 2, shapeOf(old))
 	if k1 == k2 {
 		t.Fatal("epochs must separate wave keys")
 	}
-	if k1 != WaveKey(req, "fp", 1, old) {
+	if k1 != WaveKey(req.Fingerprint(), "fp", 1, shapeOf(old)) {
 		t.Fatal("wave keys must be deterministic")
 	}
-	if WaveKey(req, "fp", 1, nil) == k1 {
+	if WaveKey(req.Fingerprint(), "fp", 1, shapeOf(nil)) == k1 {
 		t.Fatal("nil old deployment must key apart from a populated one")
 	}
 	_ = fmt.Sprintf("%s", k1)

@@ -8,9 +8,13 @@
 // internal/planner owns every domain-specific rule (properties, trust,
 // bandwidth, routing) while this package owns search mechanics:
 //
+//   - the binary relation of every tree edge is tabulated: the model's
+//     Compatible and EdgeBound are asked at most once per
+//     (variable, parent value, child value) and every later consultation
+//     reads the table (table.go);
 //   - AC-3 style constraint propagation prunes domains before search;
 //     every support test is counted as one Propagation, the engine's
-//     unit of work;
+//     unit of work, whether the table or the model answered it;
 //   - branch-and-bound DFS with an incrementally maintained frontier
 //     bound (per-subtree DP relaxations computed bottom-up) prunes
 //     assignments that cannot beat the incumbent;
@@ -27,7 +31,9 @@ import "math"
 // Parent(v) < v for every other v, so assigning variables in index
 // order always assigns a parent before its children. Values are indices
 // into each variable's private candidate list (the adapter owns the
-// actual candidates).
+// actual candidates). Compatible and EdgeBound must be pure for the
+// duration of a Solve or Repair call: the engine asks each question
+// once and remembers the answer.
 type Model interface {
 	// Vars returns the variable count.
 	Vars() int
@@ -48,11 +54,13 @@ type Model interface {
 	// EdgeBound returns an admissible (never over-estimating) lower
 	// bound on the primary-cost contribution of assigning value cv to v
 	// under parent value pv. For the root, pv is -1 and the bound
-	// covers the root variable's own contribution.
+	// covers the root variable's own contribution. For other variables
+	// it is asked only about compatible pairs.
 	EdgeBound(v, pv, cv int) float64
 	// Evaluate checks a complete assignment exactly (constraints the
 	// binary relation cannot express live here) and returns an opaque
 	// result plus its primary cost. ok=false rejects the assignment.
+	// assign is the engine's buffer: copy what must outlive the call.
 	Evaluate(assign []int) (result any, primary float64, ok bool)
 	// Better reports whether evaluated result a should replace b,
 	// providing the full deterministic tie-break order.
@@ -71,8 +79,11 @@ type Solution struct {
 
 // RunStats are the work counters of one Solve/Repair call.
 type RunStats struct {
-	// Propagations counts binary support tests (Compatible calls) —
-	// the engine's unit of work, across AC-3 and bound maintenance.
+	// Propagations counts binary support tests — every consultation of
+	// the edge relation for one (parent value, child value) pair, across
+	// AC-3, bound maintenance and the descent. The relation is
+	// tabulated, so the model's Compatible runs at most once per pair;
+	// the count is of tests, not of model calls.
 	Propagations uint64
 	// Backtracks counts abandoned partial assignments (bound prunes,
 	// dead values, rejected evaluations).
@@ -84,7 +95,9 @@ type RunStats struct {
 const eps = 1e-9
 
 // Solver runs searches and accumulates counters into Stats (when set).
-// A Solver is not safe for concurrent use; share the Stats instead.
+// A Solver is not safe for concurrent use; share the Stats instead. It
+// keeps its working arrays between calls, so solving many models
+// through one Solver allocates them once.
 type Solver struct {
 	Stats *Stats
 	// UpperBound, when non-nil, is an externally known upper bound on
@@ -95,13 +108,14 @@ type Solver struct {
 	// survive to the exact tie-break, so seeding never changes which
 	// solution wins — only how much of the space is searched.
 	UpperBound *float64
+
+	sc search
 }
 
 // Solve finds the best complete assignment of m, or ok=false when the
 // model is infeasible.
 func (s *Solver) Solve(m Model) (Solution, RunStats, bool) {
-	doms := fullDomains(m)
-	sol, run, ok := s.search(m, doms)
+	sol, run, ok := s.run(m, nil, nil)
 	if s.Stats != nil {
 		s.Stats.Solves.Add(1)
 		s.Stats.addRun(run)
@@ -116,15 +130,7 @@ func (s *Solver) Solve(m Model) (Solution, RunStats, bool) {
 // after propagation, or no valid complete assignment) and the caller
 // should fall back to a fresh solve.
 func (s *Solver) Repair(m Model, prev []int, dirty []bool) (Solution, RunStats, bool) {
-	doms := make([][]int, m.Vars())
-	for v := range doms {
-		if dirty[v] {
-			doms[v] = identity(m.DomainSize(v))
-		} else {
-			doms[v] = []int{prev[v]}
-		}
-	}
-	sol, run, ok := s.search(m, doms)
+	sol, run, ok := s.run(m, prev, dirty)
 	if s.Stats != nil {
 		s.Stats.Repairs.Add(1)
 		if !ok {
@@ -135,184 +141,163 @@ func (s *Solver) Repair(m Model, prev []int, dirty []bool) (Solution, RunStats, 
 	return sol, run, ok
 }
 
-func identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+// run propagates, computes subtree bounds, and runs branch-and-bound
+// DFS in variable order. A nil dirty opens every domain in full.
+func (s *Solver) run(m Model, prev []int, dirty []bool) (Solution, RunStats, bool) {
+	sc := &s.sc
+	if !sc.init(m, prev, dirty) {
+		return Solution{}, RunStats{}, false
 	}
-	return out
-}
-
-func fullDomains(m Model) [][]int {
-	doms := make([][]int, m.Vars())
-	for v := range doms {
-		doms[v] = identity(m.DomainSize(v))
+	defer sc.release()
+	if !sc.propagate() {
+		return Solution{}, sc.run, false
 	}
-	return doms
-}
-
-// search propagates, computes subtree bounds, and runs branch-and-bound
-// DFS in variable order.
-func (s *Solver) search(m Model, doms [][]int) (Solution, RunStats, bool) {
-	var run RunStats
-	n := m.Vars()
-	if n == 0 {
-		return Solution{}, run, false
-	}
-	children := childLists(m)
-	if !propagate(m, doms, children, &run) {
-		return Solution{}, run, false
-	}
-
-	bounded := m.Bounded()
-	var minComp [][]float64
-	if bounded {
-		minComp = subtreeBounds(m, doms, children, &run)
-	}
-
-	// hmin returns the least bound of v's subtree given parent value pv
-	// (-1 for the root): min over v's surviving domain of edge bound
-	// plus subtree completion. +Inf when no value is compatible.
-	hmin := func(v, pv int) float64 {
-		best := math.Inf(1)
-		for di, cv := range doms[v] {
-			if pv >= 0 {
-				run.Propagations++
-				if !m.Compatible(v, pv, cv) {
-					continue
-				}
-			}
-			if b := m.EdgeBound(v, pv, cv) + minComp[v][di]; b < best {
-				best = b
-			}
-		}
-		return best
-	}
-
-	assign := make([]int, n)
-	var best *Solution
-	limit := math.Inf(1)
+	sc.limit = math.Inf(1)
 	if s.UpperBound != nil {
-		limit = *s.UpperBound
+		sc.limit = *s.UpperBound
 	}
-	// g is the accumulated edge-bound cost of assigned variables; h the
-	// frontier sum: for every unassigned variable whose parent is
-	// assigned, the least completion of its whole subtree. contrib[v]
-	// remembers v's frontier term so assigning v can replace it with
-	// its own children's terms.
-	contrib := make([]float64, n)
-	var g, h float64
-	if bounded {
-		contrib[0] = hmin(0, -1)
-		h = contrib[0]
+	if sc.bounded {
+		sc.subtreeBounds()
+		sc.contrib[0] = sc.hmin(0, -1)
+		sc.h = sc.contrib[0]
 	}
-
-	var dfs func(v int) bool
-	dfs = func(v int) bool {
-		if v == n {
-			run.Evaluations++
-			result, primary, ok := m.Evaluate(assign)
-			if !ok {
-				run.Backtracks++
-				return false
-			}
-			if best == nil || m.Better(result, best.Result) {
-				best = &Solution{Assign: append([]int(nil), assign...), Result: result, Primary: primary}
-			}
-			return true
-		}
-		pv := -1
-		if p := m.Parent(v); p >= 0 {
-			pv = assign[p]
-		}
-		found := false
-		for _, cv := range doms[v] {
-			if pv >= 0 {
-				run.Propagations++
-				if !m.Compatible(v, pv, cv) {
-					continue
-				}
-			}
-			var g0, h0 float64
-			if bounded {
-				g0, h0 = g, h
-				ng := g + m.EdgeBound(v, pv, cv)
-				nh := h - contrib[v]
-				dead := false
-				for _, c := range children[v] {
-					contrib[c] = hmin(c, cv)
-					if math.IsInf(contrib[c], 1) {
-						dead = true
-						break
-					}
-					nh += contrib[c]
-				}
-				if dead {
-					run.Backtracks++
-					continue
-				}
-				// Strict-inequality pruning: assignments whose bound ties
-				// the incumbent's (or the seeded) primary survive to the
-				// exact tie-break.
-				lim := limit
-				if best != nil && best.Primary < lim {
-					lim = best.Primary
-				}
-				if ng+nh > lim+eps {
-					run.Backtracks++
-					continue
-				}
-				g, h = ng, nh
-			}
-			assign[v] = cv
-			if dfs(v + 1) {
-				found = true
-			} else {
-				run.Backtracks++
-			}
-			if bounded {
-				g, h = g0, h0
-			}
-		}
-		return found
+	sc.dfs(0)
+	if !sc.found {
+		return Solution{}, sc.run, false
 	}
-	dfs(0)
-	if best == nil {
-		return Solution{}, run, false
-	}
-	return *best, run, true
+	return sc.best, sc.run, true
 }
 
-// childLists inverts Parent into per-variable child index lists.
-func childLists(m Model) [][]int {
-	children := make([][]int, m.Vars())
-	for v := 1; v < m.Vars(); v++ {
-		p := m.Parent(v)
-		children[p] = append(children[p], v)
+// hmin returns the least bound of v's subtree given parent slot ps (-1
+// for the root): min over v's surviving domain of edge bound plus
+// subtree completion. +Inf when no value is compatible.
+func (sc *search) hmin(v, ps int) float64 {
+	best := math.Inf(1)
+	for _, cs := range sc.dom(v) {
+		var b float64
+		if ps >= 0 {
+			sc.run.Propagations++
+			e := sc.edge(v, ps, cs)
+			if !sc.compatible(v, e, ps, cs) {
+				continue
+			}
+			b = sc.edgeBound(v, e, ps, cs)
+		} else {
+			b = sc.rootBound[cs]
+		}
+		if b += sc.comp[sc.voff[v]+cs]; b < best {
+			best = b
+		}
 	}
-	return children
+	return best
+}
+
+// dfs assigns variable v and everything after it. g is the accumulated
+// edge-bound cost of assigned variables; h the frontier sum: for every
+// unassigned variable whose parent is assigned, the least completion of
+// its whole subtree. contrib[v] remembers v's frontier term so
+// assigning v can replace it with its own children's terms.
+func (sc *search) dfs(v int) bool {
+	if v == sc.n {
+		sc.run.Evaluations++
+		result, primary, ok := sc.m.Evaluate(sc.assign)
+		if !ok {
+			sc.run.Backtracks++
+			return false
+		}
+		if !sc.found || sc.m.Better(result, sc.best.Result) {
+			if !sc.found {
+				sc.best.Assign = make([]int, sc.n)
+				sc.found = true
+			}
+			copy(sc.best.Assign, sc.assign)
+			sc.best.Result, sc.best.Primary = result, primary
+		}
+		return true
+	}
+	ps := -1
+	if p := sc.parent[v]; p >= 0 {
+		ps = sc.cur[p]
+	}
+	found := false
+	for _, cs := range sc.dom(v) {
+		var e int
+		if ps >= 0 {
+			sc.run.Propagations++
+			e = sc.edge(v, ps, cs)
+			if !sc.compatible(v, e, ps, cs) {
+				continue
+			}
+		}
+		var g0, h0 float64
+		if sc.bounded {
+			g0, h0 = sc.g, sc.h
+			ng := sc.g
+			if ps >= 0 {
+				ng += sc.edgeBound(v, e, ps, cs)
+			} else {
+				ng += sc.rootBound[cs]
+			}
+			nh := sc.h - sc.contrib[v]
+			dead := false
+			for _, c := range sc.children(v) {
+				sc.contrib[c] = sc.hmin(c, cs)
+				if math.IsInf(sc.contrib[c], 1) {
+					dead = true
+					break
+				}
+				nh += sc.contrib[c]
+			}
+			if dead {
+				sc.run.Backtracks++
+				continue
+			}
+			// Strict-inequality pruning: assignments whose bound ties
+			// the incumbent's (or the seeded) primary survive to the
+			// exact tie-break.
+			lim := sc.limit
+			if sc.found && sc.best.Primary < lim {
+				lim = sc.best.Primary
+			}
+			if ng+nh > lim+eps {
+				sc.run.Backtracks++
+				continue
+			}
+			sc.g, sc.h = ng, nh
+		}
+		sc.cur[v] = cs
+		sc.assign[v] = sc.value(v, cs)
+		if sc.dfs(v + 1) {
+			found = true
+		} else {
+			sc.run.Backtracks++
+		}
+		if sc.bounded {
+			sc.g, sc.h = g0, h0
+		}
+	}
+	return found
 }
 
 // subtreeBounds computes, bottom-up over the pruned domains, the DP
-// relaxation minComp[v][di]: a lower bound on the cost of completing
-// v's strict subtree when v takes its di-th surviving value. +Inf marks
+// relaxation comp[voff[v]+slot]: a lower bound on the cost of
+// completing v's strict subtree when v takes that value. +Inf marks
 // values with no compatible child completion (dead values — kept in the
-// domain, the DFS skips them via the frontier bound).
-func subtreeBounds(m Model, doms [][]int, children [][]int, run *RunStats) [][]float64 {
-	n := m.Vars()
-	minComp := make([][]float64, n)
-	for v := n - 1; v >= 0; v-- {
-		minComp[v] = make([]float64, len(doms[v]))
-		for di, pv := range doms[v] {
+// domain, the DFS skips them via the frontier bound). It also records
+// the root's own bounds.
+func (sc *search) subtreeBounds() {
+	for v := sc.n - 1; v >= 0; v-- {
+		for _, ps := range sc.dom(v) {
 			total := 0.0
-			for _, c := range children[v] {
+			for _, c := range sc.children(v) {
 				best := math.Inf(1)
-				for ci, cv := range doms[c] {
-					run.Propagations++
-					if !m.Compatible(c, pv, cv) {
+				for _, cs := range sc.dom(c) {
+					sc.run.Propagations++
+					e := sc.edge(c, ps, cs)
+					if !sc.compatible(c, e, ps, cs) {
 						continue
 					}
-					if b := m.EdgeBound(c, pv, cv) + minComp[c][ci]; b < best {
+					if b := sc.edgeBound(c, e, ps, cs) + sc.comp[sc.voff[c]+cs]; b < best {
 						best = b
 					}
 				}
@@ -321,8 +306,10 @@ func subtreeBounds(m Model, doms [][]int, children [][]int, run *RunStats) [][]f
 					break
 				}
 			}
-			minComp[v][di] = total
+			sc.comp[sc.voff[v]+ps] = total
 		}
 	}
-	return minComp
+	for _, cs := range sc.dom(0) {
+		sc.rootBound[cs] = sc.m.EdgeBound(0, -1, sc.value(0, cs))
+	}
 }

@@ -63,15 +63,33 @@ func TestMuxStalledClientDoesNotStarveOthers(t *testing.T) {
 		}
 	}
 
-	// The stalled connection must be torn down, not leaked: once the
-	// server detects the stall it closes the socket, so draining it ends
-	// in EOF/reset well before this deadline.
+	// The stalled connection must be torn down, not leaked. The peer
+	// still reads nothing: draining now would relieve the very stall
+	// under test before the server has judged it (the admitted requests
+	// alone owe it over 8 MB, more than the loopback buffers of a peer
+	// that never reads absorb — but a peer that starts reading a few
+	// milliseconds in lets every response through, and the connection
+	// then idles open). So the teardown is watched on the server: its
+	// connection table drops to the healthy connection alone.
+	l := ln.(*tcpListener)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		l.mu.Lock()
+		open := len(l.conns)
+		l.mu.Unlock()
+		if open <= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never closed the stalled connection")
+		}
+	}
+	// And the peer sees it: what was in flight drains into EOF or a reset.
 	stalled.SetReadDeadline(time.Now().Add(10 * time.Second))
 	drain := make([]byte, 1<<16)
 	for {
 		if _, err := stalled.Read(drain); err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				t.Fatal("server never closed the stalled connection")
+				t.Fatal("the stalled peer never saw its connection closed")
 			}
 			return
 		}

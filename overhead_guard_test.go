@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"partsvc/internal/api"
+	"partsvc/internal/planner"
+	"partsvc/internal/spec"
+	"partsvc/internal/topology"
 	"partsvc/internal/trace"
 	"partsvc/internal/transport"
 	"partsvc/internal/wire"
@@ -116,5 +119,50 @@ func TestEventBusOverheadGuard(t *testing.T) {
 		pubNs, rpcNs, 100*overhead)
 	if overhead > 0.01 {
 		t.Errorf("bus publish with no subscriber adds %.2f%% to an RPC, budget is 1%%", 100*overhead)
+	}
+}
+
+// TestPlanAllocGuard bounds what one plan allocates. Allocation counts
+// repeat exactly from run to run, so unlike the timing guards above
+// this one is not env-gated: the Figure-6 San Diego request, planned
+// against the registered primary on a warm route cache, stays under
+// 3 000 allocations (18 371 when every linkage graph rebuilt its
+// candidates, its routes and a Deployment per leaf), and the planner's
+// inner-loop route lookup — RouteCache.PathAt by dense index — allocates
+// nothing.
+func TestPlanAllocGuard(t *testing.T) {
+	pl := newCaseStudyPlanner(t)
+	req := planner.Request{
+		Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50,
+	}
+	if _, err := pl.Plan(req); err != nil {
+		t.Fatal(err)
+	}
+	plan := testing.AllocsPerRun(20, func() {
+		if _, err := pl.Plan(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Plan(sd): %.0f allocations", plan)
+	if plan > 3000 {
+		t.Errorf("Plan(sd) allocates %.0f objects, budget is 3000", plan)
+	}
+
+	rc := pl.Net.Routes()
+	from, ok1 := rc.Index(topology.SDClient)
+	to, ok2 := rc.Index(topology.NYServer)
+	if !ok1 || !ok2 {
+		t.Fatal("case-study nodes missing from the route cache")
+	}
+	if _, _, ok := rc.PathAt(from, to); !ok {
+		t.Fatal("no route sd-2 -> ny-1")
+	}
+	lookup := testing.AllocsPerRun(1000, func() {
+		if _, _, ok := rc.PathAt(from, to); !ok {
+			t.Fatal("no route sd-2 -> ny-1")
+		}
+	})
+	if lookup != 0 {
+		t.Errorf("a warm RouteCache.PathAt allocates %.0f objects, want 0", lookup)
 	}
 }
