@@ -56,7 +56,7 @@ func BenchmarkFig3EnumerateChains(b *testing.B) {
 	pl := newCaseStudyPlanner(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if got := pl.EnumerateChains(spec.IfaceClient); len(got) == 0 {
+		if got := pl.EnumerateGraphs(spec.IfaceClient); len(got) == 0 {
 			b.Fatal("no chains")
 		}
 	}

@@ -1,6 +1,6 @@
 // Command psfctl is the partitionable-services control tool: it
 // validates declarative service specifications, enumerates valid
-// component chains (Figure 3), and plans deployments onto a network
+// linkage graphs (Figure 3), and plans deployments onto a network
 // (Figure 6).
 //
 // Usage:
@@ -46,8 +46,6 @@ func main() {
 		err = runValidate(os.Args[2:])
 	case "chains":
 		err = runChains(os.Args[2:])
-	case "trees":
-		err = runTrees(os.Args[2:])
 	case "plan":
 		err = runPlan(os.Args[2:])
 	case "rpc":
@@ -71,7 +69,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: psfctl <spec|validate|chains|trees|plan|rpc|stats|trace|adapt|serve> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: psfctl <spec|validate|chains|plan|rpc|stats|trace|adapt|serve> [flags]")
 }
 
 // loadSpec reads a spec from -f, defaulting to the built-in mail spec.
@@ -119,35 +117,23 @@ func runChains(args []string) error {
 	if err := svc.Validate(); err != nil {
 		return err
 	}
-	pl := planner.New(svc, topology.CaseStudy())
-	chains := pl.EnumerateChains(*iface)
+	var chains, branching []planner.Graph
+	for _, g := range planner.New(svc, topology.CaseStudy()).EnumerateGraphs(*iface) {
+		if g.Branches() {
+			branching = append(branching, g)
+		} else {
+			chains = append(chains, g)
+		}
+	}
 	fmt.Printf("valid component chains for %s (%d):\n", *iface, len(chains))
-	for _, c := range chains {
-		fmt.Println("  " + strings.Join(c.Names(), " -> "))
+	for _, g := range chains {
+		fmt.Println("  " + strings.Join(g.Components(), " -> "))
 	}
-	return nil
-}
-
-// runTrees enumerates linkage trees (the general component-graph form).
-func runTrees(args []string) error {
-	fs := flag.NewFlagSet("trees", flag.ExitOnError)
-	path := fs.String("f", "", "specification XML file (default: built-in mail spec)")
-	iface := fs.String("i", spec.IfaceClient, "requested interface")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	svc, err := loadSpec(*path)
-	if err != nil {
-		return err
-	}
-	if err := svc.Validate(); err != nil {
-		return err
-	}
-	pl := planner.New(svc, topology.CaseStudy())
-	trees := pl.EnumerateTrees(*iface)
-	fmt.Printf("valid component trees for %s (%d):\n", *iface, len(trees))
-	for _, tr := range trees {
-		fmt.Println("  " + tr.Names())
+	if len(branching) > 0 {
+		fmt.Printf("valid branching component graphs for %s (%d):\n", *iface, len(branching))
+		for _, g := range branching {
+			fmt.Println("  " + g.Names())
+		}
 	}
 	return nil
 }

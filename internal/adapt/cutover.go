@@ -45,7 +45,7 @@ const SnapshotMethod = "snapshot"
 // the generic server's planner (serialized with client access
 // requests), the deployment engine, and the lookup namespace.
 type EngineExecutor struct {
-	// Server provides Replan/NoteDeployed/Forget/Requires.
+	// Server provides Replan/NoteDeployed/Forget.
 	Server *smock.GenericServer
 	// Engine deploys and tears down instances.
 	Engine *smock.Engine
@@ -158,7 +158,7 @@ func fetchSnapshot(tr transport.Transport, addr string) ([]byte, error) {
 // torn down, fresh installs seeded from states), and the planner's
 // reuse set is updated to match.
 func (x *EngineExecutor) Deploy(diff *planner.Diff, states map[string][]byte) (string, error) {
-	addr, err := x.Engine.ApplyWith(diff, x.Server.Requires, smock.ApplyOptions{
+	addr, err := x.Engine.ApplyWith(diff, smock.ApplyOptions{
 		StateFor: func(p planner.Placement) []byte { return states[p.Key()] },
 	})
 	if err != nil {

@@ -17,7 +17,7 @@ func mailPlanner(t *testing.T) *Planner {
 	return New(svc, topology.CaseStudy())
 }
 
-func chainKey(c Chain) string { return strings.Join(c.Names(), ">") }
+func chainKey(g Graph) string { return strings.Join(g.Components(), ">") }
 
 // TestEnumerateChainsFigure3 reproduces Figure 3: the valid component
 // chains for a ClientInterface request originate at MailClient or
@@ -25,7 +25,7 @@ func chainKey(c Chain) string { return strings.Join(c.Names(), ">") }
 // ViewMailServers and Encryptor-Decryptor pairs.
 func TestEnumerateChainsFigure3(t *testing.T) {
 	pl := mailPlanner(t)
-	chains := pl.EnumerateChains(spec.IfaceClient)
+	chains := pl.EnumerateGraphs(spec.IfaceClient)
 	if len(chains) == 0 {
 		t.Fatal("no chains enumerated")
 	}
@@ -37,7 +37,10 @@ func TestEnumerateChainsFigure3(t *testing.T) {
 		}
 		seen[key] = true
 
-		names := c.Names()
+		if c.Branches() {
+			t.Errorf("mail components require at most one interface; %s branches", c.Names())
+		}
+		names := c.Components()
 		if names[0] != spec.CompMailClient && names[0] != spec.CompViewMailClient {
 			t.Errorf("chain %s must start at a client component", key)
 		}
@@ -79,8 +82,8 @@ func TestEnumerateChainsFigure3(t *testing.T) {
 // TestEnumerateChainsDeterministic: two runs produce identical output.
 func TestEnumerateChainsDeterministic(t *testing.T) {
 	pl := mailPlanner(t)
-	a := pl.EnumerateChains(spec.IfaceClient)
-	b := pl.EnumerateChains(spec.IfaceClient)
+	a := pl.EnumerateGraphs(spec.IfaceClient)
+	b := pl.EnumerateGraphs(spec.IfaceClient)
 	if len(a) != len(b) {
 		t.Fatalf("run lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -95,14 +98,14 @@ func TestEnumerateChainsDeterministic(t *testing.T) {
 // bound, and tightening the bound prunes chains.
 func TestEnumerateChainsRespectsMaxLen(t *testing.T) {
 	pl := mailPlanner(t)
-	for _, c := range pl.EnumerateChains(spec.IfaceClient) {
+	for _, c := range pl.EnumerateGraphs(spec.IfaceClient) {
 		if len(c) > pl.maxLen() {
 			t.Errorf("chain %s exceeds max length %d", chainKey(c), pl.maxLen())
 		}
 	}
-	wide := len(pl.EnumerateChains(spec.IfaceClient))
+	wide := len(pl.EnumerateGraphs(spec.IfaceClient))
 	pl.MaxChainLen = 2
-	narrow := pl.EnumerateChains(spec.IfaceClient)
+	narrow := pl.EnumerateGraphs(spec.IfaceClient)
 	if len(narrow) >= wide {
 		t.Errorf("MaxChainLen=2 must prune chains: %d vs %d", len(narrow), wide)
 	}
@@ -117,11 +120,11 @@ func TestEnumerateChainsRespectsMaxLen(t *testing.T) {
 // interface enumerates server-side chains only.
 func TestEnumerateChainsServerInterface(t *testing.T) {
 	pl := mailPlanner(t)
-	chains := pl.EnumerateChains(spec.IfaceServer)
+	chains := pl.EnumerateGraphs(spec.IfaceServer)
 	seen := map[string]bool{}
 	for _, c := range chains {
 		seen[chainKey(c)] = true
-		if n := c.Names()[0]; n == spec.CompMailClient || n == spec.CompViewMailClient {
+		if n := c.Components()[0]; n == spec.CompMailClient || n == spec.CompViewMailClient {
 			t.Errorf("client components do not implement ServerInterface: %s", chainKey(c))
 		}
 	}
@@ -142,12 +145,12 @@ func TestEnumerateChainsWithAnchors(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl.AddExisting(ms)
-	chains := pl.EnumerateChains(spec.IfaceClient)
+	chains := pl.EnumerateGraphs(spec.IfaceClient)
 	found := false
 	for _, c := range chains {
 		if chainKey(c) == "MailClient>MailServer*" {
 			found = true
-			if !c[1].isAnchor() {
+			if c[1].anchor == nil {
 				t.Error("terminal must be an anchor element")
 			}
 		}
@@ -160,7 +163,7 @@ func TestEnumerateChainsWithAnchors(t *testing.T) {
 // TestEnumerateChainsUnknownInterface returns nothing.
 func TestEnumerateChainsUnknownInterface(t *testing.T) {
 	pl := mailPlanner(t)
-	if got := pl.EnumerateChains("NoSuchInterface"); len(got) != 0 {
+	if got := pl.EnumerateGraphs("NoSuchInterface"); len(got) != 0 {
 		t.Errorf("unknown interface enumerated %d chains", len(got))
 	}
 }

@@ -61,45 +61,48 @@ func (pl *Planner) reject(v verdict) {
 	}
 }
 
-// validateChain applies validity conditions 2 (property compatibility
-// under modification rules) and 3 (load versus capacity) to a complete
-// assignment — cs[i] is the candidate placed at chain[i] — and, only
-// for an assignment that passes both, computes the metrics and
-// materializes the Deployment. It expects every linkage to have a
-// route, which arc consistency guarantees for the search's assignments;
-// a caller that cannot vouch for the routes checks them first
-// (routesOf), as Verify and the reference mappers do.
-func (pl *Planner) validateChain(chain Chain, cs []*cand, req Request) (*Deployment, verdict) {
-	if v := pl.checkProperties(chain, cs, req); v != valid {
+// validate applies validity conditions 2 (property compatibility under
+// modification rules) and 3 (load versus capacity) to a complete
+// assignment — cs[i] is the candidate placed at position i of g — and,
+// only for an assignment that passes both, computes the metrics and
+// materializes the Deployment: the one place an assignment becomes one.
+// It expects every linkage to have a route, which arc consistency
+// guarantees for the search's assignments; a caller that cannot vouch
+// for the routes checks them first (routesOf), as Verify and the
+// reference mapper do.
+func (pl *Planner) validate(g Graph, cs []*cand, req Request) (*Deployment, verdict) {
+	if v := pl.checkProperties(g, cs, req); v != valid {
 		return nil, v
 	}
 	// Route every linkage along the cached minimum-latency path.
-	paths, missing := pl.memo.routesOf(cs)
+	paths, missing := pl.memo.routesOf(g, cs)
 	if missing >= 0 {
 		return nil, noPath
 	}
-	in, out := flowCoeff(chain, cs)
-	capacity := pl.capacityRPS(chain, cs, paths, in, out)
+	in := flowCoeff(g, cs)
+	capacity := pl.capacityRPS(g, cs, paths, in)
 	if req.RateRPS > 0 && req.RateRPS > capacity {
 		return nil, overload
 	}
 
 	// Each linkage contributes its hop cost weighted by the probability
-	// the request traverses it (the product of upstream RRFs); the head
-	// component's own service time is always incurred.
-	hops := hopCosts(chain, paths)
+	// the request traverses it (the product of the RRFs in front of it);
+	// the head component's own service time is always incurred.
+	hops := hopCosts(g, paths)
 	dep := &Deployment{
-		Placements:        make([]Placement, len(chain)),
-		Edges:             make([]Edge, len(paths)),
-		ExpectedLatencyMS: chain[0].comp.Behaviors.CPUMSPerRequest,
+		Placements:        make([]Placement, len(g)),
+		Edges:             make([]Edge, len(g)-1),
+		ExpectedLatencyMS: g[0].comp.Behaviors.CPUMSPerRequest,
 		CapacityRPS:       capacity,
 	}
-	for i, hop := range hops {
-		dep.ExpectedLatencyMS += out[i] * hop
+	for c := 1; c < len(g); c++ {
+		dep.ExpectedLatencyMS += in[c] * hops[c-1]
+		dep.Edges[c-1] = Edge{From: g[c].parent, To: c, Path: paths[c-1], Iface: g[c].iface}
 	}
 	// Record each placement's effective offer and its upstream residual
-	// latency (expected additional latency per request arriving at it),
-	// so future incremental plans can link to it as an anchor.
+	// latency (expected additional latency per request arriving at it,
+	// summed over the linkages of its subtree), so future incremental
+	// plans can link to it as an anchor.
 	for i := range dep.Placements {
 		p := &dep.Placements[i]
 		*p = cs[i].Placement
@@ -108,8 +111,8 @@ func (pl *Planner) validateChain(chain Chain, cs []*cand, req Request) (*Deploym
 		p.Offers = pl.memo.walks[pl.memo.states[i]].offers.Clone()
 		if in[i] > 0 {
 			var up float64
-			for j := i; j < len(hops); j++ {
-				up += out[j] * hops[j]
+			for c := i + 1; c < g[i].end; c++ {
+				up += in[c] * hops[c-1]
 			}
 			p.UpstreamMS = up / in[i]
 		}
@@ -117,103 +120,103 @@ func (pl *Planner) validateChain(chain Chain, cs []*cand, req Request) (*Deploym
 			dep.NewComponents++
 		}
 	}
-	for i := range paths {
-		dep.Edges[i] = Edge{From: i, To: i + 1, Path: paths[i], Iface: chain.linkIface(i)}
-	}
 	return dep, valid
 }
 
-// routesOf resolves the routes between consecutive candidates. missing
-// is the index of the first linkage without one, or -1.
-func (mm *planMemo) routesOf(cs []*cand) (paths []netmodel.Path, missing int) {
+// routesOf resolves the route of every linkage: paths[c-1] links
+// position c to its client. missing is the first position without a
+// route to its client, or -1.
+func (mm *planMemo) routesOf(g Graph, cs []*cand) (paths []netmodel.Path, missing int) {
 	paths = make([]netmodel.Path, len(cs)-1)
-	for i := range paths {
-		p, _, ok := mm.path(cs[i].node, cs[i+1].node)
+	for c := 1; c < len(cs); c++ {
+		p, _, ok := mm.path(cs[g[c].parent].node, cs[c].node)
 		if !ok {
-			return nil, i
+			return nil, c
 		}
-		paths[i] = p
+		paths[c-1] = p
 	}
 	return paths, -1
 }
 
-// checkProperties implements validity condition 2: walking the chain
-// from the terminal provider back to the client, it computes the
+// checkProperties implements validity condition 2: walking the graph
+// from the terminal providers back to the client, it computes the
 // effective property set offered across each linkage — applying the
 // service's property modification rules to every path environment — and
 // checks it against the requiring component's (scope-evaluated)
 // requirements (walkStep has the rules). Anchor terminals contribute
 // their recorded effective properties. Each step is memoized by the
-// chain suffix it closes, so an assignment that shares its tail with an
+// subtree it closes, so an assignment that shares a subtree with an
 // earlier one re-walks only the positions in front of it, and the walk
 // stops at the first step that fails. The walk states of a valid
-// assignment are left in memo.states for validateChain to read the
-// offers from.
-func (pl *Planner) checkProperties(chain Chain, cs []*cand, req Request) verdict {
+// assignment are left in memo.states for validate to read the offers
+// from.
+func (pl *Planner) checkProperties(g Graph, cs []*cand, req Request) verdict {
 	mm := pl.memo
-	mm.states = slices.Grow(mm.states[:0], len(chain))[:len(chain)]
-	next := int32(-1)
-	for i := len(chain) - 1; i >= 0; i-- {
-		key := walkKey{next: next, head: i == 0, iface: req.Interface}
-		if i > 0 {
-			key.iface = chain.linkIface(i - 1)
-			if chain[i].isAnchor() {
-				key.stand = chain[i].anchor
-			}
+	mm.states = slices.Grow(mm.states[:0], len(g))[:len(g)]
+	// Reverse pre-order closes every provider subtree before its client.
+	for i := len(g) - 1; i >= 0; i-- {
+		key := walkKey{head: i == 0, iface: g[i].iface}
+		if i == 0 {
+			key.iface = req.Interface
 		}
-		next = pl.walk(chain[i].comp, cs[i], key, req)
-		if v := mm.walks[next].verdict; v != valid {
+		if a := g[i].anchor; a != nil {
+			key.stand = &a.Placement
+		}
+		kids := mm.kids[:0]
+		for c := i + 1; c < g[i].end; c = g[c].end {
+			kids = append(kids, mm.states[c])
+		}
+		mm.kids = kids
+		st := pl.walk(g[i].comp, cs[i], key, kids, req)
+		if v := mm.walks[st].verdict; v != valid {
 			return v
 		}
-		mm.states[i] = next
+		mm.states[i] = st
 	}
 	return valid
 }
 
-// flowCoeff returns, per unit of client request rate, the request rate
-// arriving at each component (in[i]) and flowing on each edge (out[i]):
-// in[0] = 1 and each component scales its outgoing rate by its RRF.
+// flowCoeff returns the request rate arriving at each position per unit
+// of client request rate — which is also the rate on the linkage from
+// its client: in[0] = 1 and each component scales what it passes to its
+// providers by its RRF.
 //
 // An RRF below 1 models a cache absorbing part of the request stream;
 // two identical replicas in series cannot absorb each other's misses
 // (whatever the first one missed, an identical copy also misses). The
 // RRF of a (component, configuration) pair therefore applies only at
-// its first occurrence along the chain; subsequent identical instances
-// pass traffic through unchanged. Distinctly configured views (e.g. a
-// TrustLevel-2 partner cache in front of a TrustLevel-4 branch cache)
-// hold different state and do compound.
-func flowCoeff(chain Chain, cs []*cand) (in, out []float64) {
-	in = make([]float64, len(chain))
-	out = make([]float64, len(chain)-1)
-	f := 1.0
-	for i := range chain {
-		in[i] = f
-		rrf := chain[i].comp.Behaviors.EffectiveRRF()
+// its first occurrence along a path from the head; subsequent identical
+// instances pass traffic through unchanged. Distinctly configured views
+// (e.g. a TrustLevel-2 partner cache in front of a TrustLevel-4 branch
+// cache) hold different state and do compound.
+func flowCoeff(g Graph, cs []*cand) []float64 {
+	in := make([]float64, len(g))
+	in[0] = 1
+	for c := 1; c < len(g); c++ {
+		p := g[c].parent
+		rrf := g[p].comp.Behaviors.EffectiveRRF()
 		if rrf < 1 {
-			for j := 0; j < i; j++ {
-				if cs[j].dup == cs[i].dup {
+			for a := g[p].parent; a >= 0; a = g[a].parent {
+				if cs[a].dup == cs[p].dup {
 					rrf = 1
 					break
 				}
 			}
 		}
-		f *= rrf
-		if i < len(out) {
-			out[i] = f
-		}
+		in[c] = in[p] * rrf
 	}
-	return in, out
+	return in
 }
 
 // capacityRPS implements validity condition 3 as a headroom computation:
 // the maximum client request rate the assignment sustains before a
 // component capacity, a node CPU budget, or a link bandwidth saturates.
-func (pl *Planner) capacityRPS(chain Chain, cs []*cand, paths []netmodel.Path, in, out []float64) float64 {
+func (pl *Planner) capacityRPS(g Graph, cs []*cand, paths []netmodel.Path, in []float64) float64 {
 	capacity := math.Inf(1)
 
 	// Component capacities.
-	for i, elem := range chain {
-		if c := elem.comp.Behaviors.CapacityRPS; c > 0 && in[i] > 0 {
+	for i := range g {
+		if c := g[i].comp.Behaviors.CapacityRPS; c > 0 && in[i] > 0 {
 			capacity = math.Min(capacity, c/in[i])
 		}
 	}
@@ -222,8 +225,8 @@ func (pl *Planner) capacityRPS(chain Chain, cs []*cand, paths []netmodel.Path, i
 	// sustains at 1 ms CPU per request, i.e. a budget of that many CPU
 	// milliseconds per second, aggregated over co-located components.
 	cpuPerNode := map[netmodel.NodeID]float64{}
-	for i, elem := range chain {
-		cpuPerNode[cs[i].Node] += in[i] * elem.comp.Behaviors.CPUMSPerRequest
+	for i := range g {
+		cpuPerNode[cs[i].Node] += in[i] * g[i].comp.Behaviors.CPUMSPerRequest
 	}
 	for node, ms := range cpuPerNode {
 		n, _ := pl.Net.Node(node)
@@ -232,19 +235,20 @@ func (pl *Planner) capacityRPS(chain Chain, cs []*cand, paths []netmodel.Path, i
 		}
 	}
 
-	// Link bandwidth, aggregated over every edge whose path crosses the
-	// link. Request and response bytes are those of the provider side.
+	// Link bandwidth, aggregated over every linkage whose path crosses
+	// the link. Request and response bytes are those of the provider side.
 	type linkKey struct{ a, b netmodel.NodeID }
 	bitsPerLink := map[linkKey]float64{}
-	for i, path := range paths {
-		b := chain[i+1].comp.Behaviors
+	for c := 1; c < len(g); c++ {
+		b := g[c].comp.Behaviors
 		bytes := float64(b.RequestBytes + b.ResponseBytes)
-		for j := 0; j+1 < len(path.Nodes); j++ {
-			a, b := path.Nodes[j], path.Nodes[j+1]
+		nodes := paths[c-1].Nodes
+		for j := 0; j+1 < len(nodes); j++ {
+			a, b := nodes[j], nodes[j+1]
 			if b < a {
 				a, b = b, a
 			}
-			bitsPerLink[linkKey{a, b}] += out[i] * bytes * 8
+			bitsPerLink[linkKey{a, b}] += in[c] * bytes * 8
 		}
 	}
 	for key, bits := range bitsPerLink {
@@ -269,17 +273,17 @@ func hopMS(provider spec.Behaviors, path netmodel.Path) float64 {
 	return hop
 }
 
-// hopCosts returns the latency cost of each linkage. When the chain
-// terminates at an anchor, the anchor's recorded upstream residual
-// latency is folded into the final hop, so that linking to an existing
-// instance accounts for the requests that continue through its
-// already-deployed upstream linkage.
-func hopCosts(chain Chain, paths []netmodel.Path) []float64 {
+// hopCosts returns the latency cost of each linkage (hops[c-1] for the
+// linkage to position c). Where a branch terminates at an anchor, the
+// anchor's recorded upstream residual latency is folded into that hop,
+// so that linking to an existing instance accounts for the requests that
+// continue through its already-deployed upstream linkage.
+func hopCosts(g Graph, paths []netmodel.Path) []float64 {
 	hops := make([]float64, len(paths))
-	for i, path := range paths {
-		hops[i] = hopMS(chain[i+1].comp.Behaviors, path)
-		if chain[i+1].isAnchor() {
-			hops[i] += chain[i+1].anchor.UpstreamMS
+	for c := 1; c < len(g); c++ {
+		hops[c-1] = hopMS(g[c].comp.Behaviors, paths[c-1])
+		if g[c].anchor != nil {
+			hops[c-1] += g[c].anchor.UpstreamMS
 		}
 	}
 	return hops

@@ -43,15 +43,20 @@ type planMemo struct {
 	links  map[*spec.Component]*linkTable
 	walks  []walkState
 	walkID map[walkKey]int32
+	// joinID interns the provider side of a position with several
+	// providers (see walkKey.next).
+	joinID map[[2]int32]int32
 	reuse  *reuseSet
 
-	// The graph being solved (a call solves its graphs one at a time),
-	// and Evaluate's scratch: the assignment as candidates and as walk
-	// states.
-	chain    chainModel
-	chainBuf Chain
+	// The model being solved (a call solves its graphs one at a time)
+	// with the one-candidate domains of its anchors, and Evaluate's
+	// scratch: the assignment as candidates and as walk states, and the
+	// provider states of the position being walked.
+	model    graphModel
+	pins     []cand
 	assigned []*cand
 	states   []int32
+	kids     []int32
 }
 
 // cand is one candidate placement as the search sees it: the placement
@@ -87,7 +92,7 @@ type reuseSet struct {
 	// finds an entry by interned placement key.
 	existing []cand
 	byKey    map[int32]int32
-	trees    map[string][]*Tree
+	graphs   map[string][]Graph
 	lists    map[*spec.Component]*candList
 	heads    map[*spec.Component][]cand
 }
@@ -160,12 +165,14 @@ const (
 // walkKey identifies one step of the property walk (validity condition
 // 2): a candidate serving its client over iface, given the walk state
 // of its provider side. What a position offers depends only on the
-// positions from it to the terminal, so the state of a chain suffix is
-// shared by every assignment — and every linkage graph — that ends in
-// that suffix.
+// positions of its subtree, so the state of a subtree is shared by
+// every assignment — and every linkage graph — that contains it.
 type walkKey struct {
-	place int32      // interned placement key of the candidate
-	next  int32      // walk state of the provider side; -1 at the terminal
+	place int32 // interned placement key of the candidate
+	// next is the provider side: -1 at a terminal, the provider's walk
+	// state for a single provider, and for several the interned join of
+	// their states in requirement order (below -1, see join).
+	next  int32
 	head  bool       // position 0: serves the requested interface, no pass-through
 	iface string     // the interface it serves its client over
 	stand *Placement // anchor terminal: its recorded Offers stand in for the upstream
@@ -334,7 +341,7 @@ func (pl *Planner) reuseNow() *reuseSet {
 		gen:      pl.gen,
 		existing: make([]cand, len(pl.Existing)),
 		byKey:    make(map[int32]int32, len(pl.Existing)),
-		trees:    map[string][]*Tree{},
+		graphs:   map[string][]Graph{},
 		lists:    map[*spec.Component]*candList{},
 		heads:    map[*spec.Component][]cand{},
 	}
@@ -422,8 +429,7 @@ func (pl *Planner) evalImplProps(comp *spec.Component, iface string, c *cand) (p
 }
 
 // evalReqProps memoizes the component's i-th required interface
-// evaluated at the candidate (chains have one requirement; the tree
-// planner links one provider subtree per requirement).
+// evaluated at the candidate.
 func (pl *Planner) evalReqProps(comp *spec.Component, i int, c *cand) (property.Set, error) {
 	key := evalKey{comp, comp.Requires[i].Name, true, c.key}
 	if r, ok := pl.memo.evals[key]; ok {
@@ -461,47 +467,78 @@ func (pl *Planner) linkageEnv(from, to int32) (property.Set, bool) {
 	return env, ok
 }
 
+// join folds the walk states of a position's providers into the one
+// value its walk key carries. One provider is its own state, so a
+// single-provider position needs no lookup here.
+func (mm *planMemo) join(kids []int32) int32 {
+	if len(kids) == 0 {
+		return -1
+	}
+	id := kids[0]
+	for _, k := range kids[1:] {
+		pair := [2]int32{id, k}
+		j, ok := mm.joinID[pair]
+		if !ok {
+			if mm.joinID == nil {
+				mm.joinID = map[[2]int32]int32{}
+			}
+			j = int32(-2 - len(mm.joinID))
+			mm.joinID[pair] = j
+		}
+		id = j
+	}
+	return id
+}
+
 // walk returns the property-walk state of candidate c of component comp
-// at the step key describes (key.place is filled in here).
-func (pl *Planner) walk(comp *spec.Component, c *cand, key walkKey, req Request) int32 {
+// at the step key describes, given the states of its providers in
+// requirement order (key.place and key.next are filled in here).
+func (pl *Planner) walk(comp *spec.Component, c *cand, key walkKey, kids []int32, req Request) int32 {
 	mm := pl.memo
-	key.place = c.key
+	key.place, key.next = c.key, mm.join(kids)
 	if id, ok := mm.walkID[key]; ok {
 		return id
 	}
 	st := walkState{node: c.node}
-	st.offers, st.verdict = pl.walkStep(comp, c, key, req)
+	st.offers, st.verdict = pl.walkStep(comp, c, key, kids, req)
 	id := int32(len(mm.walks))
 	mm.walks = append(mm.walks, st)
 	mm.walkID[key] = id
 	return id
 }
 
-// walkStep computes one step of validity condition 2. The received set
-// — the provider side's offer modified by the linkage environment —
-// must satisfy the component's requirement; what the component then
-// offers its own client is the received properties restricted to the
-// serving interface's declaration (pass-through: wrapper components
-// like the Encryptor are transparent for TrustLevel) overlaid with the
-// properties it generates itself (letting them re-establish
-// Confidentiality). The provider side's state is valid: the walk stops
-// at the first failure.
-func (pl *Planner) walkStep(comp *spec.Component, c *cand, key walkKey, req Request) (property.Set, verdict) {
+// walkStep computes one step of validity condition 2. What the
+// component receives over each required interface — that provider's
+// offer modified by the linkage environment — must satisfy the
+// requirement; what it then offers its own client is the received
+// properties (with several providers the property-wise weakest: a
+// multi-input component is only as strong as its weakest input)
+// restricted to the serving interface's declaration (pass-through:
+// wrapper components like the Encryptor are transparent for TrustLevel)
+// overlaid with the properties it generates itself (letting them
+// re-establish Confidentiality). The providers' states are valid: the
+// walk stops at the first failure.
+func (pl *Planner) walkStep(comp *spec.Component, c *cand, key walkKey, kids []int32, req Request) (property.Set, verdict) {
 	iface := key.iface
 	var received property.Set
-	if key.next >= 0 {
-		nx := pl.memo.walks[key.next]
+	for k, id := range kids {
+		nx := pl.memo.walks[id]
 		env, ok := pl.linkageEnv(c.node, nx.node)
 		if !ok {
 			return nil, noPath
 		}
-		var err error
-		if received, err = pl.Service.ModRules.ApplySetRO(nx.offers, env); err != nil {
+		got, err := pl.Service.ModRules.ApplySetRO(nx.offers, env)
+		if err != nil {
 			return nil, badProps
 		}
-		reqProps, err := pl.evalReqProps(comp, 0, c)
-		if err != nil || !received.Satisfies(reqProps) {
+		reqProps, err := pl.evalReqProps(comp, k, c)
+		if err != nil || !got.Satisfies(reqProps) {
 			return nil, badProps
+		}
+		if k == 0 {
+			received = got
+		} else {
+			received = weakest(received, got)
 		}
 	}
 	if key.head {
@@ -525,7 +562,7 @@ func (pl *Planner) walkStep(comp *spec.Component, c *cand, key walkKey, req Requ
 	if err != nil {
 		return nil, badProps
 	}
-	if key.next < 0 {
+	if len(kids) == 0 {
 		return gen, valid
 	}
 	decl, _ := pl.Service.Interface(iface)
@@ -536,4 +573,18 @@ func (pl *Planner) walkStep(comp *spec.Component, c *cand, key walkKey, req Requ
 		}
 	}
 	return passed.Merge(gen), valid
+}
+
+// weakest returns the properties both sets carry, each at the weaker of
+// its two values.
+func weakest(a, b property.Set) property.Set {
+	out := property.Set{}
+	for name, v := range a {
+		if w, ok := b[name]; ok {
+			if m := property.Min(v, w); m.IsValid() {
+				out[name] = m
+			}
+		}
+	}
+	return out
 }

@@ -11,12 +11,13 @@
 // mappings that violate any of the three validity conditions —
 // deployment conditions, property compatibility under the environment's
 // modification rules, and load versus node/link capacity. There is one
-// planner: every valid linkage graph (chain or tree) becomes a
-// constraint model for internal/solver, which prunes candidate
-// placements by arc consistency and finds the best mapping by
-// branch-and-bound (solve.go). The paper's exhaustive chain mapper and
-// a backtracking tree mapper survive only in the package's tests, as
-// the references the planner is proven placement-identical to.
+// planner and one linkage-graph shape (graph.go: a tree in pre-order,
+// of which a chain is the degenerate case): every valid linkage graph
+// becomes a constraint model for internal/solver, which prunes
+// candidate placements by arc consistency and finds the best mapping by
+// branch-and-bound (solve.go). The paper's exhaustive mapper and the
+// chain-only validator the package started from survive only in its
+// tests, as the references the planner is proven identical to.
 package planner
 
 import (
@@ -177,9 +178,8 @@ type Edge struct {
 	From, To int
 	Path     netmodel.Path
 	// Iface is the interface the linkage serves (the From component's
-	// required interface this edge satisfies). Chain deployments leave
-	// the engine free to derive it; tree deployments need it to wire
-	// multi-upstream components unambiguously.
+	// required interface this edge satisfies); the engine wires the
+	// client's upstream for that interface to the provider.
 	Iface string
 }
 
@@ -190,9 +190,12 @@ type Edge struct {
 // and its property sets and path node lists are shared with the route
 // cache. Copy before changing anything.
 type Deployment struct {
-	// Placements lists component instances head (client side) first.
+	// Placements lists component instances in pre-order of the linkage
+	// graph: the head (client side) first, every instance before its
+	// providers, a provider's whole subtree before the next provider.
 	Placements []Placement
-	// Edges connects consecutive placements.
+	// Edges links every placement but the head to its client: Edges[k]
+	// ends at placement k+1. A chain links each placement to the next.
 	Edges []Edge
 	// ExpectedLatencyMS is the expected client-perceived request
 	// latency: per-edge round-trip and service costs weighted by the
@@ -207,7 +210,8 @@ type Deployment struct {
 	CapacityRPS float64
 }
 
-// Chain returns the component names of the deployment, head first.
+// Chain returns the component names of the deployment in placement
+// order, head first.
 func (d Deployment) Chain() []string {
 	out := make([]string, len(d.Placements))
 	for i, p := range d.Placements {
@@ -216,20 +220,77 @@ func (d Deployment) Chain() []string {
 	return out
 }
 
-// String renders the deployment as "MC@sd-2 -> VMS@sd-2{...} -> ...".
+// String renders a chain as "MC@sd-2 -> VMS@sd-2{...} -> ..." and a
+// deployment that branches in nested form, every placement followed by
+// its providers: "Portal@sd-2(Encryptor2@sd-2(Server@ny-1), LogServer@sd-2)".
 func (d Deployment) String() string {
-	parts := make([]string, len(d.Placements))
-	for i, p := range d.Placements {
-		parts[i] = p.String()
+	branches := false
+	for _, e := range d.Edges {
+		if e.To != e.From+1 {
+			branches = true
+			break
+		}
 	}
-	return strings.Join(parts, " -> ")
+	if !branches {
+		parts := make([]string, len(d.Placements))
+		for i, p := range d.Placements {
+			parts[i] = p.String()
+		}
+		return strings.Join(parts, " -> ")
+	}
+	providers := make([][]int, len(d.Placements))
+	for _, e := range d.Edges {
+		if e.From >= 0 && e.From < e.To && e.To < len(providers) {
+			providers[e.From] = append(providers[e.From], e.To)
+		}
+	}
+	var b strings.Builder
+	var render func(i int)
+	render = func(i int) {
+		b.WriteString(d.Placements[i].String())
+		if len(providers[i]) == 0 {
+			return
+		}
+		b.WriteByte('(')
+		for k, c := range providers[i] {
+			if k > 0 {
+				b.WriteString(", ")
+			}
+			render(c)
+		}
+		b.WriteByte(')')
+	}
+	render(0)
+	return b.String()
+}
+
+// clientOf returns the position of the client placement i serves
+// according to the edges: -1 for the head and for a placement no edge
+// links.
+func (d *Deployment) clientOf(i int) int {
+	for _, e := range d.Edges {
+		if e.To == i {
+			return e.From
+		}
+	}
+	return -1
+}
+
+// hasProvider reports whether an edge links placement i to a provider.
+func (d *Deployment) hasProvider(i int) bool {
+	for _, e := range d.Edges {
+		if e.From == i {
+			return true
+		}
+	}
+	return false
 }
 
 // Stats accumulates search statistics, reported for visibility into
 // planner behavior and used by tests that assert rejection reasons.
 type Stats struct {
-	// ChainsEnumerated is the number of valid linkage graphs (chains and
-	// trees) found in step 1.
+	// ChainsEnumerated is the number of valid linkage graphs found in
+	// step 1.
 	ChainsEnumerated int
 	// MappingsTried is the number of complete node assignments that
 	// reached exact validation; assignments the solver pruned by

@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -110,8 +109,9 @@ func (c *ChangedSet) String() string {
 // check. When nothing is adopted the repaired deployment (the old
 // placements re-costed under current routes) is returned. With no old
 // deployment or an empty change set, or when repair is infeasible under
-// its pins (or the deployment is not chain-shaped), it is ReplanRewire
-// itself, so callers always get a valid diff.
+// its pins (or the deployment does not describe a linkage graph of the
+// specification), it is ReplanRewire itself, so callers always get a
+// valid diff.
 func (pl *Planner) RepairReplan(old *Deployment, req Request, ch *ChangedSet) (*Diff, error) {
 	// One memo for the whole adaptation: the repair, the replan and the
 	// rewire check are passes over the same network state.
@@ -148,15 +148,15 @@ func (pl *Planner) RepairReplan(old *Deployment, req Request, ch *ChangedSet) (*
 // cannot have affected and re-solves the rest. ok=false requests a
 // fresh full replan.
 func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evicted []Placement) (*Deployment, bool) {
-	chain, err := pl.chainOf(old)
+	g, err := pl.graphOf(old)
 	if err != nil {
-		return nil, false // tree-shaped or foreign deployment: replan fresh
+		return nil, false // foreign deployment: replan fresh
 	}
 	evictedKeys := make(map[string]bool, len(evicted))
 	for _, p := range evicted {
 		evictedKeys[p.Key()] = true
 	}
-	n := len(chain)
+	n := len(g)
 	dirty := make([]bool, n)
 	for i, p := range old.Placements {
 		if ch.NodeAffected(p.Node) || evictedKeys[p.Key()] {
@@ -178,11 +178,11 @@ func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evict
 	}
 	// A changed node can also break deployment conditions or re-factor
 	// configurations without appearing in any path.
-	for i := range chain {
-		if dirty[i] || chain[i].isAnchor() {
+	for i := range g {
+		if dirty[i] || g[i].anchor != nil {
 			continue
 		}
-		p, live := pl.placementForCached(chain[i].comp, old.Placements[i].Node, req, i)
+		p, live := pl.placementForCached(g[i].comp, old.Placements[i].Node, req, i)
 		if !live || p.configFP() != old.Placements[i].configFP() {
 			dirty[i] = true
 		}
@@ -190,7 +190,7 @@ func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evict
 	if dirty[0] {
 		return nil, false // the head is pinned at the client node; replan fresh
 	}
-	m, ok := pl.newChainModel(chain, req)
+	m, ok := pl.newModel(g, req)
 	if !ok {
 		return nil, false
 	}
@@ -224,42 +224,4 @@ func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evict
 		return nil, false
 	}
 	return sol.Result.(*Deployment), true
-}
-
-// chainOf reconstructs the linkage chain of a chain-shaped deployment
-// (consecutive edges only), treating a reused tail whose component
-// still requires an interface as an anchor terminal, exactly as in
-// incremental planning. Tree-shaped and foreign deployments are errors.
-func (pl *Planner) chainOf(dep *Deployment) (Chain, error) {
-	if dep == nil || len(dep.Placements) == 0 {
-		return nil, fmt.Errorf("planner: empty deployment")
-	}
-	for i, e := range dep.Edges {
-		if e.From != i || e.To != i+1 {
-			return nil, fmt.Errorf("planner: deployment is not chain-shaped")
-		}
-	}
-	chain := make(Chain, len(dep.Placements))
-	for i, p := range dep.Placements {
-		comp, ok := pl.component(p.Component)
-		if !ok {
-			return nil, fmt.Errorf("planner: unknown component %q", p.Component)
-		}
-		chain[i] = chainElem{comp: comp}
-		if i == len(dep.Placements)-1 && p.Reused && len(comp.Requires) > 0 {
-			pinned := []cand{pl.memo.candOf(p)}
-			chain[i] = chainElem{comp: comp, anchor: &pinned[0].Placement, pinned: pinned}
-		}
-		if i > 0 {
-			prev := chain[i-1].comp
-			if len(prev.Requires) == 0 {
-				return nil, fmt.Errorf("planner: component %q requires nothing but has a provider", prev.Name)
-			}
-			if _, ok := comp.ImplementsInterface(prev.Requires[0].Name); !ok {
-				return nil, fmt.Errorf("planner: %q does not implement %q required by %q",
-					comp.Name, prev.Requires[0].Name, prev.Name)
-			}
-		}
-	}
-	return chain, nil
 }

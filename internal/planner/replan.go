@@ -122,15 +122,18 @@ func buildDiff(old, dep *Deployment) *Diff {
 		}
 	}
 	if old != nil {
-		// A new plan may terminate at a reused instance (anchor cut);
-		// the old placements upstream of that instance remain part of
-		// the running service graph and must not be torn down.
-		tail := dep.Placements[len(dep.Placements)-1]
-		if tail.Reused {
-			for i, p := range old.Placements {
-				if p.Key() == tail.Key() {
-					for _, up := range old.Placements[i+1:] {
-						keep[up.Key()] = true
+		// A new plan may terminate a branch at a reused instance (anchor
+		// cut); the old placements upstream of that instance — its
+		// subtree, contiguous in pre-order — remain part of the running
+		// service graph and must not be torn down.
+		for i, leaf := range dep.Placements {
+			if !leaf.Reused || dep.hasProvider(i) {
+				continue
+			}
+			for j, p := range old.Placements {
+				if p.Key() == leaf.Key() {
+					for k := j + 1; k < len(old.Placements) && old.clientOf(k) >= j; k++ {
+						keep[old.Placements[k].Key()] = true
 					}
 					break
 				}
@@ -162,28 +165,31 @@ func (pl *Planner) ReplanRewire(old *Deployment, req Request) (*Diff, error) {
 // network change may have moved the latency optimum away from wiring
 // that reuse keeps frozen. Revalidation is validity-scoped (node death,
 // condition violations); a link that merely degraded evicts nothing,
-// and both a replan (whose anchor cut reuses the old chain wholesale)
+// and both a replan (whose anchor cut reuses the old graph wholesale)
 // and a pinned repair then answer "unchanged" even though a better
 // wiring now exists. The check re-plans with the old deployment's own
-// wiring (everything before its tail — the tail may be shared standing
-// infrastructure such as the primary or another session's view) removed
-// from the reuse set, so the planner costs every chain shape afresh
-// under current routes. The result is adopted only when it places
+// wiring (every placement that links to a provider — the terminals may
+// be shared standing infrastructure such as the primary or another
+// session's view) removed from the reuse set, so the planner costs
+// every graph shape afresh under current routes. The result is adopted only when it places
 // differently; otherwise the reuse set is restored and noop returned.
 // Same-key placements in an adopted rewire land in Install (the engine
 // reinstalls them in place, carrying state), and Remove is restricted
 // to the dropped wiring so shared tails keep running. Any other diff
 // passes through untouched.
 func (pl *Planner) rewireCheck(old *Deployment, req Request, noop *Diff) *Diff {
-	if old == nil || len(old.Placements) < 2 || !noop.Unchanged() || len(noop.Evicted) > 0 {
+	if old == nil || len(old.Edges) == 0 || !noop.Unchanged() || len(noop.Evicted) > 0 {
 		return noop
 	}
-	own := old.Placements[:len(old.Placements)-1]
+	own := make([]Placement, 0, len(old.Placements))
 	dropped := map[string]bool{}
-	keys := make([]string, 0, len(own))
-	for _, p := range own {
-		dropped[p.Key()] = true
-		keys = append(keys, p.Key())
+	keys := make([]string, 0, len(old.Placements))
+	for i, p := range old.Placements {
+		if old.hasProvider(i) {
+			own = append(own, p)
+			dropped[p.Key()] = true
+			keys = append(keys, p.Key())
+		}
 	}
 	pl.DropExistingByKey(keys...)
 	fresh, err := pl.Replan(old, req)
@@ -223,23 +229,23 @@ func sameDeploymentKeys(a, b *Deployment) bool {
 // the *current* network state: every placement's conditions hold, every
 // linkage's effective properties satisfy the requirer, and the request
 // rate fits the deployment's capacity. It reconstructs the linkage
-// chain from the deployment (chainOf). A nil error means the deployment
+// graph from the deployment (graphOf). A nil error means the deployment
 // is valid now.
 func (pl *Planner) Verify(dep *Deployment, req Request) error {
 	// Verify is a public entry point of its own: it reads the
 	// epoch-current routes even on a planner pinned to a wave's.
 	pl.beginPlanOn(pl.Net.Routes())
 	defer pl.endPlan()
-	chain, err := pl.chainOf(dep)
+	g, err := pl.graphOf(dep)
 	if err != nil {
 		return err
 	}
 	// Condition 1 at every placement (head sees the request user).
 	for i, p := range dep.Placements {
-		if chain[i].isAnchor() {
+		if g[i].anchor != nil {
 			continue
 		}
-		if _, ok := pl.placementFor(chain[i].comp, p.Node, req, i); !ok {
+		if _, ok := pl.placementFor(g[i].comp, p.Node, req, i); !ok {
 			return fmt.Errorf("planner: conditions for %s no longer hold", p)
 		}
 	}
@@ -249,16 +255,15 @@ func (pl *Planner) Verify(dep *Deployment, req Request) error {
 		cands[i] = pl.memo.candOf(p)
 		cs[i] = &cands[i]
 	}
-	paths, missing := pl.memo.routesOf(cs)
+	paths, missing := pl.memo.routesOf(g, cs)
 	if missing >= 0 {
-		return fmt.Errorf("planner: no route %s -> %s", cs[missing].Node, cs[missing+1].Node)
+		return fmt.Errorf("planner: no route %s -> %s", cs[g[missing].parent].Node, cs[missing].Node)
 	}
-	if pl.checkProperties(chain, cs, req) != valid {
+	if pl.checkProperties(g, cs, req) != valid {
 		return fmt.Errorf("planner: property compatibility violated")
 	}
 	if req.RateRPS > 0 {
-		in, out := flowCoeff(chain, cs)
-		if capacity := pl.capacityRPS(chain, cs, paths, in, out); req.RateRPS > capacity {
+		if capacity := pl.capacityRPS(g, cs, paths, flowCoeff(g, cs)); req.RateRPS > capacity {
 			return fmt.Errorf("planner: rate %.1f exceeds deployment capacity %.1f", req.RateRPS, capacity)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"partsvc/internal/solver"
 	"partsvc/internal/spec"
 )
 
@@ -14,7 +13,7 @@ import (
 // constraint engine in internal/solver. Variables are linkage-graph
 // positions, domains are candidate placements, binary constraints are
 // route existence plus the adjacent duplicate rules, and the admissible
-// bound is the optimistic flow-weighted hop cost (a per-chain DP
+// bound is the optimistic flow-weighted hop cost (a per-graph DP
 // relaxation computes subtree completions inside the engine).
 // Everything the binary relation cannot express — property
 // compatibility under modification rules, load aggregation,
@@ -23,28 +22,23 @@ import (
 // package's tests hold it placement-identical to the paper's exhaustive
 // mapper).
 
-// graphModel is the solver model of one linkage graph, less the exact
-// evaluation: chainModel and treeModel add their validator.
+// graphModel is the solver model of one linkage graph.
 type graphModel struct {
 	pl  *Planner
 	mm  *planMemo
 	req Request
+	g   Graph
 	pos []position
 }
 
-// position is one variable of the model: a graph position and its
-// domain.
+// position is what the search adds to graph position g[v]: its domain
+// and the weights of its linkage.
 type position struct {
-	comp   *spec.Component
-	anchor *Placement // non-nil: existing-instance terminal
-	parent int        // -1 for the head
-	// weight is the in-flow at the position per unit client rate. For a
-	// chain it is optimistic: the product of upstream RRFs with every
+	// weight is the in-flow at the position per unit client rate, taken
+	// optimistically: the product of the RRFs in front of it with every
 	// caching component counted at full effect. The first-occurrence
 	// rule can only raise RRFs toward 1, so it never exceeds the true
-	// flow — which makes the flow-weighted hop bound admissible. Tree
-	// weights are exact (no first-occurrence adjustment applies across
-	// branches), so there the bound is the true per-edge contribution.
+	// flow — which makes the flow-weighted hop bound admissible.
 	weight float64
 	// bits is the bandwidth the linkage to the parent needs at the
 	// request rate and that weight.
@@ -59,15 +53,17 @@ type position struct {
 }
 
 func (m *graphModel) Vars() int            { return len(m.pos) }
-func (m *graphModel) Parent(v int) int     { return m.pos[v].parent }
+func (m *graphModel) Parent(v int) int     { return m.g[v].parent }
 func (m *graphModel) DomainSize(v int) int { return len(m.pos[v].cands) }
 func (m *graphModel) Bounded() bool        { return m.req.Objective != MaxCapacity }
 
-// add appends a position. It reports false when the domain is empty.
-func (m *graphModel) add(comp *spec.Component, anchor *Placement, parent int, weight float64, cands []cand) bool {
+// add appends the next graph position with its domain. It reports false
+// when the domain is empty.
+func (m *graphModel) add(weight float64, cands []cand) bool {
+	comp := m.g[len(m.pos)].comp
 	bh := comp.Behaviors
 	m.pos = append(m.pos, position{
-		comp: comp, anchor: anchor, parent: parent, weight: weight,
+		weight:  weight,
 		bits:    m.req.RateRPS * weight * float64(bh.RequestBytes+bh.ResponseBytes) * 8,
 		caching: bh.EffectiveRRF() < 1,
 		cands:   cands,
@@ -79,9 +75,10 @@ func (m *graphModel) add(comp *spec.Component, anchor *Placement, parent int, we
 // domainOf returns the domain of a non-head position: an anchor is
 // pinned, anything else ranges over the component's candidate list
 // (whose condition rejections are accounted once per use).
-func (m *graphModel) domainOf(comp *spec.Component, pinned []cand) []cand {
-	if pinned != nil {
-		return pinned
+func (m *graphModel) domainOf(comp *spec.Component, anchor *cand) []cand {
+	if anchor != nil {
+		m.mm.pins = append(m.mm.pins, *anchor)
+		return m.mm.pins[len(m.mm.pins)-1:]
 	}
 	l := m.pl.candidates(comp, m.req)
 	m.pl.stats.RejectedConditions += l.rejected
@@ -94,7 +91,7 @@ func (m *graphModel) domainOf(comp *spec.Component, pinned []cand) []cand {
 // any-distance rules run in Evaluate).
 func (m *graphModel) Compatible(v, pv, cv int) bool {
 	p := &m.pos[v]
-	a, b := &m.pos[p.parent].cands[pv], &p.cands[cv]
+	a, b := &m.pos[m.g[v].parent].cands[pv], &p.cands[cv]
 	lc := m.mm.link(p.links, a.node, b.node)
 	if math.IsInf(lc.hopMS, 1) {
 		return false
@@ -137,11 +134,11 @@ func (m *graphModel) EdgeBound(v, pv, cv int) float64 {
 		pen = m.pl.DeployPenaltyMS
 	}
 	if v == 0 {
-		return p.comp.Behaviors.CPUMSPerRequest + pen
+		return m.g[0].comp.Behaviors.CPUMSPerRequest + pen
 	}
-	hop := m.mm.link(p.links, m.pos[p.parent].cands[pv].node, c.node).hopMS
-	if p.anchor != nil {
-		hop += p.anchor.UpstreamMS
+	hop := m.mm.link(p.links, m.pos[m.g[v].parent].cands[pv].node, c.node).hopMS
+	if a := m.g[v].anchor; a != nil {
+		hop += a.UpstreamMS
 	}
 	return pen + p.weight*hop
 }
@@ -151,8 +148,9 @@ func (m *graphModel) Better(a, b any) bool {
 }
 
 // assigned resolves a complete assignment to its candidates and applies
-// the no-loop and no-duplicate-replica rules along each ancestor path
-// (for a chain, every earlier position). nil rejects the assignment.
+// the no-loop and no-duplicate-replica rules along each path from the
+// head (for a chain, every earlier position). nil rejects the
+// assignment.
 func (m *graphModel) assigned(assign []int) []*cand {
 	cs := slices.Grow(m.mm.assigned[:0], len(assign))[:len(assign)]
 	m.mm.assigned = cs
@@ -160,7 +158,7 @@ func (m *graphModel) assigned(assign []int) []*cand {
 		cs[v] = &m.pos[v].cands[cv]
 	}
 	for v := 1; v < len(cs); v++ {
-		for a := m.pos[v].parent; a >= 0; a = m.pos[a].parent {
+		for a := m.g[v].parent; a >= 0; a = m.g[a].parent {
 			if cs[v].key == cs[a].key || (m.pos[v].caching && cs[v].dup == cs[a].dup) {
 				return nil
 			}
@@ -169,21 +167,15 @@ func (m *graphModel) assigned(assign []int) []*cand {
 	return cs
 }
 
-// chainModel is the solver model of one linkage chain.
-type chainModel struct {
-	graphModel
-	chain Chain
-}
-
 // Evaluate applies the full duplicate rules and the exact validity
-// conditions (properties, load, metrics) via the chain validator.
-func (m *chainModel) Evaluate(assign []int) (any, float64, bool) {
+// conditions (properties, load, metrics) via the validator.
+func (m *graphModel) Evaluate(assign []int) (any, float64, bool) {
 	cs := m.assigned(assign)
 	if cs == nil {
 		return nil, 0, false
 	}
 	m.pl.stats.MappingsTried++
-	dep, v := m.pl.validateChain(m.chain, cs, m.req)
+	dep, v := m.pl.validate(m.g, cs, m.req)
 	if v != valid {
 		m.pl.reject(v)
 		return nil, 0, false
@@ -204,112 +196,38 @@ func (pl *Planner) primaryOf(o Objective, d *Deployment) float64 {
 	}
 }
 
-// newChainModel builds the solver model of a chain: the head pinned at
-// the client node, anchors at their recorded nodes, existing stateful
+// newModel builds the solver model of a linkage graph: the head pinned
+// at the client node, anchors at their recorded nodes, existing stateful
 // primaries at theirs, everything else over the whole node table.
-// ok=false when a position has no candidates at all. The model lives in
-// the memo and is overwritten by the next one: a call solves its graphs
-// one at a time.
-func (pl *Planner) newChainModel(chain Chain, req Request) (*chainModel, bool) {
-	if chain[0].isAnchor() {
+// ok=false when a position has no candidates at all (or the head is a
+// bare anchor, which is not deployable). The model lives in the memo and
+// is overwritten by the next one: a call solves its graphs one at a
+// time.
+func (pl *Planner) newModel(g Graph, req Request) (*graphModel, bool) {
+	if g[0].anchor != nil {
 		return nil, false
 	}
-	head := pl.headCandidate(chain[0].comp, req)
+	head := pl.headCandidate(g[0].comp, req)
 	if len(head) == 0 {
 		pl.stats.RejectedConditions++
 		return nil, false
 	}
-	m := &pl.memo.chain
-	*m = chainModel{chain: chain, graphModel: graphModel{pl: pl, mm: pl.memo, req: req, pos: m.pos[:0]}}
-	m.add(chain[0].comp, nil, -1, 1, head)
-	w := chain[0].comp.Behaviors.EffectiveRRF()
-	for i := 1; i < len(chain); i++ {
-		e := &chain[i]
-		if !m.add(e.comp, e.anchor, i-1, w, m.domainOf(e.comp, e.pinned)) {
-			return nil, false
-		}
-		w *= e.comp.Behaviors.EffectiveRRF()
-	}
-	return m, true
-}
-
-// treeModel is the solver model of one linkage tree (components with
-// multiple required interfaces, which chains cannot express).
-type treeModel struct {
-	graphModel
-	flat []treeNode
-	// ifaces[v] is the interface linking v to its parent ("" for the
-	// root, which serves the requested interface directly).
-	ifaces []string
-}
-
-func (m *treeModel) Evaluate(assign []int) (any, float64, bool) {
-	cs := m.assigned(assign)
-	if cs == nil {
-		return nil, 0, false
-	}
-	m.pl.stats.MappingsTried++
-	td := m.pl.validateTree(m.flat, cs, m.req)
-	if td == nil {
-		return nil, 0, false
-	}
-	dep := m.toDeployment(td)
-	return dep, m.pl.primaryOf(m.req.Objective, dep), true
-}
-
-// toDeployment flattens a validated tree deployment into the common
-// Deployment shape: placements in pre-order, one edge per parent link
-// carrying its linking interface so the engine can wire multi-upstream
-// components. CapacityRPS is +Inf by convention — the tree validator
-// enforces load at the requested rate itself, and tree headroom beyond
-// that is not modeled.
-func (m *treeModel) toDeployment(td *TreeDeployment) *Deployment {
-	dep := &Deployment{
-		ExpectedLatencyMS: td.ExpectedLatencyMS,
-		NewComponents:     td.NewComponents,
-		CapacityRPS:       math.Inf(1),
-	}
-	for _, tp := range td.Placements {
-		dep.Placements = append(dep.Placements, tp.Placement)
-	}
-	for i := 1; i < len(td.Placements); i++ {
-		dep.Edges = append(dep.Edges, Edge{
-			From:  td.Placements[i].Parent,
-			To:    i,
-			Path:  td.Placements[i].Path,
-			Iface: m.ifaces[i],
-		})
-	}
-	return dep
-}
-
-// newTreeModel builds the solver model of a linkage tree.
-func (pl *Planner) newTreeModel(tree *Tree, req Request) (*treeModel, bool) {
-	flat := flatten(tree)
-	head := pl.headCandidate(flat[0].tree.comp, req)
-	if len(head) == 0 {
-		pl.stats.RejectedConditions++
-		return nil, false
-	}
-	m := &treeModel{flat: flat, ifaces: make([]string, len(flat))}
-	m.graphModel = graphModel{pl: pl, mm: pl.memo, req: req, pos: make([]position, 0, len(flat))}
-	m.add(flat[0].tree.comp, nil, -1, 1, head)
-	childOrd := make([]int, len(flat))
-	for v := 1; v < len(flat); v++ {
-		tn := flat[v]
-		p := tn.parent
-		m.ifaces[v] = flat[p].tree.comp.Requires[childOrd[p]].Name
-		childOrd[p]++
-		t := tn.tree
-		if !m.add(t.comp, t.anchor, p, tn.weight, m.domainOf(t.comp, t.pinned)) {
+	m := &pl.memo.model
+	*m = graphModel{pl: pl, mm: pl.memo, req: req, g: g, pos: m.pos[:0]}
+	pl.memo.pins = pl.memo.pins[:0]
+	m.add(1, head)
+	for i := 1; i < len(g); i++ {
+		p := g[i].parent
+		w := m.pos[p].weight * g[p].comp.Behaviors.EffectiveRRF()
+		if !m.add(w, m.domainOf(g[i].comp, g[i].anchor)) {
 			return nil, false
 		}
 	}
 	return m, true
 }
 
-// Plan satisfies a client request: every valid linkage graph (chains
-// and trees alike) becomes a constraint model, AC-3 propagation prunes
+// Plan satisfies a client request: every valid linkage graph becomes a
+// constraint model, AC-3 propagation prunes
 // candidate placements over the epoch-versioned route cache, and
 // branch-and-bound finds the best deployment under the request's
 // objective. A returned deployment always sustains the request rate
@@ -324,9 +242,9 @@ func (pl *Planner) Plan(req Request) (*Deployment, error) {
 	if _, ok := pl.Service.Interface(req.Interface); !ok {
 		return nil, fmt.Errorf("planner: interface %q not in service %q", req.Interface, pl.Service.Name)
 	}
-	trees := pl.enumerateTrees(req.Interface)
-	pl.stats.ChainsEnumerated = len(trees)
-	if len(trees) == 0 {
+	graphs := pl.enumerate(req.Interface)
+	pl.stats.ChainsEnumerated = len(graphs)
+	if len(graphs) == 0 {
 		return nil, fmt.Errorf("planner: no component graph implements %q", req.Interface)
 	}
 	// Solve small linkage graphs first and thread the best primary cost
@@ -335,17 +253,15 @@ func (pl *Planner) Plan(req Request) (*Deployment, error) {
 	// searches of long (and often infeasible) graphs. better is a strict
 	// total order, so neither the ordering nor the seeding changes which
 	// deployment wins — only how much of the space is searched.
-	order := make([]int, len(trees))
-	sizes := make([]int, len(trees))
+	order := make([]int, len(graphs))
 	for i := range order {
 		order[i] = i
-		sizes[i] = trees[i].size()
 	}
-	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] < sizes[order[b]] })
+	sort.SliceStable(order, func(a, b int) bool { return len(graphs[order[a]]) < len(graphs[order[b]]) })
 	ub := math.Inf(1)
 	var best *Deployment
-	for _, ti := range order {
-		dep := pl.solveOne(trees[ti], req, &ub)
+	for _, gi := range order {
+		dep := pl.solveOne(graphs[gi], req, &ub)
 		if dep == nil {
 			continue
 		}
@@ -362,36 +278,16 @@ func (pl *Planner) Plan(req Request) (*Deployment, error) {
 			req.Interface, req.ClientNode, pl.stats.ChainsEnumerated, pl.stats.MappingsTried,
 			pl.stats.RejectedConditions, pl.stats.RejectedProps, pl.stats.RejectedLoad, pl.stats.RejectedNoPath)
 	}
-	// Rate admission is enforced here, whatever shape won: the tree
-	// validator's load model must not leak an over-committed deployment.
-	if req.RateRPS > 0 && best.CapacityRPS < req.RateRPS {
-		return nil, fmt.Errorf("planner: best deployment sustains %.1f rps, below the request rate %.1f (load)",
-			best.CapacityRPS, req.RateRPS)
-	}
 	return best, nil
 }
 
 // solveOne maps one linkage graph through the call's constraint engine.
 // ub seeds the search with the best primary cost of the sibling graphs
 // solved so far.
-func (pl *Planner) solveOne(tree *Tree, req Request, ub *float64) *Deployment {
-	if tree.anchor != nil {
-		return nil // a bare anchor is not a deployable head
-	}
-	var m solver.Model
-	if chain, ok := treeAsChain(tree, pl.memo.chainBuf[:0]); ok {
-		pl.memo.chainBuf = chain
-		cm, ok := pl.newChainModel(chain, req)
-		if !ok {
-			return nil
-		}
-		m = cm
-	} else {
-		tm, ok := pl.newTreeModel(tree, req)
-		if !ok {
-			return nil
-		}
-		m = tm
+func (pl *Planner) solveOne(g Graph, req Request, ub *float64) *Deployment {
+	m, ok := pl.newModel(g, req)
+	if !ok {
+		return nil
 	}
 	s := &pl.memo.engine
 	s.Stats, s.UpperBound = pl.SolverStats, ub
@@ -400,19 +296,4 @@ func (pl *Planner) solveOne(tree *Tree, req Request, ub *float64) *Deployment {
 		return nil
 	}
 	return sol.Result.(*Deployment)
-}
-
-// treeAsChain converts a single-requirement tree to a chain appended to
-// buf, reporting false when the tree genuinely branches.
-func treeAsChain(t *Tree, buf Chain) (Chain, bool) {
-	for cur := t; ; cur = cur.children[0] {
-		buf = append(buf, chainElem{comp: cur.comp, anchor: cur.anchor, pinned: cur.pinned})
-		switch len(cur.children) {
-		case 0:
-			return buf, true
-		case 1:
-		default:
-			return nil, false
-		}
-	}
 }

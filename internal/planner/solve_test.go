@@ -248,51 +248,32 @@ func TestSolverMatchesExhaustiveOnRandomNets(t *testing.T) {
 }
 
 // TestSolverCoversTreesBeyondChains: the portal service's linkage graph
-// branches (Portal requires both ServerInterface and LogInterface), so
-// the chain reference cannot express it — but Plan covers it, and
-// agrees with the backtracking tree reference on placements and
-// latency. The returned deployment carries interface-labeled edges so
-// the engine can wire the branches.
+// branches (Portal requires both ServerInterface and LogInterface). Plan
+// agrees with the exhaustive reference on it under every objective, and
+// the returned deployment carries interface-labeled edges so the engine
+// can wire the branches.
 func TestSolverCoversTreesBeyondChains(t *testing.T) {
-	req := Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10}
-
-	if _, err := portalPlanner(t).planExhaustive(req); err == nil {
-		t.Fatal("the exhaustive chain mapper must not be able to plan the branching portal graph")
-	}
-
-	tp := portalPlanner(t)
-	want, err := tp.planTree(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := portalPlanner(t)
-	got := planOrFail(t, sp, req)
-	if len(got.Placements) != len(want.Placements) {
-		t.Fatalf("plan %s differs from tree reference %s", got, want)
-	}
-	for i := range got.Placements {
-		if got.Placements[i].String() != want.Placements[i].Placement.String() {
-			t.Errorf("position %d: %s vs %s", i, got.Placements[i], want.Placements[i].Placement)
+	for _, o := range allObjectives {
+		req := Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10, Objective: o}
+		want := exhaustiveOrFail(t, portalPlanner(t), req)
+		got := planOrFail(t, portalPlanner(t), req)
+		assertSamePlan(t, o.String(), got, want)
+		if len(got.Edges) != len(got.Placements)-1 {
+			t.Fatalf("deployment must carry one edge per linkage: %d edges for %d placements",
+				len(got.Edges), len(got.Placements))
 		}
-	}
-	if diff := got.ExpectedLatencyMS - want.ExpectedLatencyMS; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("latency: plan %v vs tree reference %v", got.ExpectedLatencyMS, want.ExpectedLatencyMS)
-	}
-	if len(got.Edges) != len(got.Placements)-1 {
-		t.Fatalf("tree deployment must carry one edge per parent link: %d edges for %d placements",
-			len(got.Edges), len(got.Placements))
-	}
-	branching := false
-	for _, e := range got.Edges {
-		if e.Iface == "" {
-			t.Errorf("edge %d->%d has no linking interface", e.From, e.To)
+		branching := false
+		for _, e := range got.Edges {
+			if e.Iface == "" {
+				t.Errorf("edge %d->%d has no linking interface", e.From, e.To)
+			}
+			if e.To != e.From+1 {
+				branching = true
+			}
 		}
-		if e.To != e.From+1 {
-			branching = true
+		if !branching {
+			t.Errorf("portal deployment should branch (non-consecutive edges): %s", got)
 		}
-	}
-	if !branching {
-		t.Errorf("portal deployment should branch (non-consecutive edges): %s", got)
 	}
 }
 
@@ -448,27 +429,27 @@ func TestRepairReplanHeadDirtyFallsBack(t *testing.T) {
 	}
 }
 
-// TestRepairReplanTreeFallsBack: tree-shaped deployments are outside
-// the chain repair model; RepairReplan must detect the shape and fall
-// through to a full replan without error.
+// TestRepairReplanTreeFallsBack: the head-dirty fallback does not depend
+// on the graph's shape — a change at the client node of a branching
+// deployment takes the full-replan path too, and the diff it returns
+// verifies.
 func TestRepairReplanTreeFallsBack(t *testing.T) {
 	pl := portalPlanner(t)
 	req := Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10}
 	dep := planOrFail(t, pl, req)
 	pl.AddExisting(dep.Placements...)
-	repairsBefore := pl.SolverStats.Repairs.Load()
 
 	ch := NewChangedSet()
-	ch.AddLink(topology.NYServer, topology.SDGateway)
+	ch.AddNode(req.ClientNode)
 	diff, err := pl.RepairReplan(dep, req, ch)
 	if err != nil {
 		t.Fatalf("RepairReplan on tree deployment: %v", err)
 	}
-	if diff.New == nil || len(diff.New.Placements) == 0 {
-		t.Fatal("tree fallback must produce a deployment")
+	if err := pl.Verify(diff.New, req); err != nil {
+		t.Fatalf("fallback diff does not verify: %v", err)
 	}
-	if got := pl.SolverStats.Repairs.Load(); got != repairsBefore {
-		t.Errorf("tree deployment must not enter chain repair (repairs=%d)", got-repairsBefore)
+	if got := pl.SolverStats.Repairs.Load(); got != 0 {
+		t.Errorf("head-dirty change must replan fresh, not repair (repairs=%d)", got)
 	}
 }
 

@@ -86,7 +86,7 @@ func portalPlanner(t *testing.T) *Planner {
 
 func TestEnumerateTreesShape(t *testing.T) {
 	pl := portalPlanner(t)
-	trees := pl.EnumerateTrees("PortalInterface")
+	trees := pl.EnumerateGraphs("PortalInterface")
 	if len(trees) == 0 {
 		t.Fatal("no trees enumerated")
 	}
@@ -107,8 +107,8 @@ func TestEnumerateTreesShape(t *testing.T) {
 func TestEnumerateTreesBudget(t *testing.T) {
 	pl := portalPlanner(t)
 	pl.MaxChainLen = 3
-	for _, tr := range pl.EnumerateTrees("PortalInterface") {
-		if tr.size() > 3 {
+	for _, tr := range pl.EnumerateGraphs("PortalInterface") {
+		if len(tr) > 3 {
 			t.Errorf("tree %s exceeds budget", tr.Names())
 		}
 	}
@@ -118,7 +118,7 @@ func TestEnumerateTreesBudget(t *testing.T) {
 // server and the log server.
 func TestPlanTreeNY(t *testing.T) {
 	pl := portalPlanner(t)
-	dep, err := pl.planTree(Request{Interface: "PortalInterface", ClientNode: topology.NYClient, RateRPS: 10})
+	dep, err := pl.planExhaustive(Request{Interface: "PortalInterface", ClientNode: topology.NYClient, RateRPS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPlanTreeNY(t *testing.T) {
 // the log branch does not (it carries no confidentiality requirement).
 func TestPlanTreeSD(t *testing.T) {
 	pl := portalPlanner(t)
-	dep, err := pl.planTree(Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10})
+	dep, err := pl.planExhaustive(Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestPlanTreeSD(t *testing.T) {
 // near the client (no security constraint holds it back).
 func TestPlanTreeLogBranchStaysLocal(t *testing.T) {
 	pl := portalPlanner(t)
-	dep, err := pl.planTree(Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10})
+	dep, err := pl.planExhaustive(Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestPlanTreeLogBranchStaysLocal(t *testing.T) {
 // interface are enforced.
 func TestPlanTreeRequireProps(t *testing.T) {
 	pl := portalPlanner(t)
-	_, err := pl.planTree(Request{
+	_, err := pl.planExhaustive(Request{
 		Interface: "PortalInterface", ClientNode: topology.NYClient,
 		RequireProps: property.Set{"Confidentiality": property.Bool(true)},
 	})
@@ -208,14 +208,14 @@ func TestPlanTreeRequireProps(t *testing.T) {
 func TestPlanTreeAnchorReuse(t *testing.T) {
 	pl := portalPlanner(t)
 	req := Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10}
-	first, err := pl.planTree(req)
+	first, err := pl.planExhaustive(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range first.Placements {
-		pl.AddExisting(p.Placement)
+		pl.AddExisting(p)
 	}
-	second, err := pl.planTree(req)
+	second, err := pl.planExhaustive(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,55 +227,55 @@ func TestPlanTreeAnchorReuse(t *testing.T) {
 // TestPlanTreeErrors: bad requests fail fast.
 func TestPlanTreeErrors(t *testing.T) {
 	pl := portalPlanner(t)
-	if _, err := pl.planTree(Request{Interface: "PortalInterface", ClientNode: "ghost"}); err == nil {
+	if _, err := pl.planExhaustive(Request{Interface: "PortalInterface", ClientNode: "ghost"}); err == nil {
 		t.Error("unknown node must fail")
 	}
-	if _, err := pl.planTree(Request{Interface: "Ghost", ClientNode: topology.NYClient}); err == nil {
+	if _, err := pl.planExhaustive(Request{Interface: "Ghost", ClientNode: topology.NYClient}); err == nil {
 		t.Error("unknown interface must fail")
 	}
-	if _, err := pl.planTree(Request{Interface: "PortalInterface", ClientNode: topology.NYClient, RateRPS: 1e12}); err == nil {
+	if _, err := pl.planExhaustive(Request{Interface: "PortalInterface", ClientNode: topology.NYClient, RateRPS: 1e12}); err == nil {
 		t.Error("infeasible rate must fail")
 	}
 }
 
-// TestPlanTreeChainEquivalence: on a chain-shaped service the tree
-// planner agrees with the chain planner.
+// TestPlanTreeChainEquivalence: on a chain-shaped service the graph
+// mapper's plan is the planner's.
 func TestPlanTreeChainEquivalence(t *testing.T) {
 	exh := caseStudyPlanner(t)
 	tr := caseStudyPlanner(t)
 	req := Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50}
 	want := planOrFail(t, exh, req)
-	got, err := tr.planTree(req)
+	got, err := tr.planExhaustive(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Placements) != len(want.Placements) {
-		t.Fatalf("tree plan %s differs from chain plan %s", got, want)
+		t.Fatalf("exhaustive plan %s differs from plan %s", got, want)
 	}
 	for i := range got.Placements {
-		if got.Placements[i].Placement.String() != want.Placements[i].String() {
-			t.Errorf("position %d: %s vs %s", i, got.Placements[i].Placement, want.Placements[i])
+		if got.Placements[i].String() != want.Placements[i].String() {
+			t.Errorf("position %d: %s vs %s", i, got.Placements[i], want.Placements[i])
 		}
 	}
 	if diff := got.ExpectedLatencyMS - want.ExpectedLatencyMS; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("latency: tree %v vs chain %v", got.ExpectedLatencyMS, want.ExpectedLatencyMS)
+		t.Errorf("latency: exhaustive %v vs plan %v", got.ExpectedLatencyMS, want.ExpectedLatencyMS)
 	}
 }
 
 func TestTreeNamesAndString(t *testing.T) {
 	pl := portalPlanner(t)
-	trees := pl.EnumerateTrees("PortalInterface")
+	trees := pl.EnumerateGraphs("PortalInterface")
 	for _, tr := range trees {
-		if !strings.HasPrefix(tr.Names(), "Portal") && tr.size() > 1 {
+		if !strings.HasPrefix(tr.Names(), "Portal") && len(tr) > 1 {
 			t.Errorf("tree name %q", tr.Names())
 		}
 	}
-	dep, err := pl.planTree(Request{Interface: "PortalInterface", ClientNode: topology.NYClient, RateRPS: 10})
+	dep, err := pl.planExhaustive(Request{Interface: "PortalInterface", ClientNode: topology.NYClient, RateRPS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := dep.String()
-	if !strings.Contains(s, "Portal@") || !strings.Contains(s, "<-0") {
+	if !strings.HasPrefix(s, "Portal@"+string(topology.NYClient)+"(") || !strings.Contains(s, ", LogServer@") {
 		t.Errorf("deployment string = %q", s)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Scope is the environment against which expressions and conditions are
@@ -204,42 +205,51 @@ func (c Condition) String() string {
 }
 
 // ParseCondition parses the textual condition forms used in
-// specifications: "X = v", "X == v", "X in (lo,hi)", "X >= n".
+// specifications: "X = v", "X == v", "X in (lo,hi)", "X >= n". The
+// subject X is one property reference — it ends at the first white
+// space, '=' or '>' — and the operator follows it, so whatever the value
+// v contains (an operator, the word "in") the condition's own notation
+// parses back to it.
 func ParseCondition(text string) (Condition, error) {
 	text = strings.TrimSpace(text)
-	for _, sep := range []struct {
-		tok string
-		op  ConstraintOp
-	}{{" in ", OpIn}, {">=", OpGE}, {"==", OpExact}, {"=", OpEq}} {
-		idx := strings.Index(text, sep.tok)
-		if idx < 0 {
-			continue
-		}
-		subject := strings.TrimSpace(text[:idx])
-		rhs := strings.TrimSpace(text[idx+len(sep.tok):])
-		if subject == "" || rhs == "" {
-			return Condition{}, fmt.Errorf("property: malformed condition %q", text)
-		}
-		switch sep.op {
-		case OpIn:
-			lo, hi, err := parseRange(rhs)
-			if err != nil {
-				return Condition{}, fmt.Errorf("property: condition %q: %w", text, err)
-			}
-			return CondIn(subject, lo, hi), nil
-		case OpGE:
-			n, err := strconv.ParseInt(rhs, 10, 64)
-			if err != nil {
-				return Condition{}, fmt.Errorf("property: condition %q: bad bound: %w", text, err)
-			}
-			return CondGE(subject, n), nil
-		case OpExact:
-			return Condition{Subject: subject, Op: OpExact, Arg: ParseExpr(rhs)}, nil
-		default:
-			return Condition{Subject: subject, Op: OpEq, Arg: ParseExpr(rhs)}, nil
-		}
+	malformed := fmt.Errorf("property: malformed condition %q", text)
+	end := strings.IndexFunc(text, func(r rune) bool { return unicode.IsSpace(r) || r == '=' || r == '>' })
+	if end <= 0 {
+		return Condition{}, malformed
 	}
-	return Condition{}, fmt.Errorf("property: malformed condition %q", text)
+	subject, rest := text[:end], strings.TrimSpace(text[end:])
+	var op ConstraintOp
+	switch {
+	case strings.HasPrefix(rest, "in") && len(rest) < len(text)-end: // white space sets the word off
+		op, rest = OpIn, rest[2:]
+	case strings.HasPrefix(rest, ">="):
+		op, rest = OpGE, rest[2:]
+	case strings.HasPrefix(rest, "=="):
+		op, rest = OpExact, rest[2:]
+	case strings.HasPrefix(rest, "="):
+		op, rest = OpEq, rest[1:]
+	default:
+		return Condition{}, malformed
+	}
+	rhs := strings.TrimSpace(rest)
+	if rhs == "" {
+		return Condition{}, malformed
+	}
+	switch op {
+	case OpIn:
+		lo, hi, err := parseRange(rhs)
+		if err != nil {
+			return Condition{}, fmt.Errorf("property: condition %q: %w", text, err)
+		}
+		return CondIn(subject, lo, hi), nil
+	case OpGE:
+		n, err := strconv.ParseInt(rhs, 10, 64)
+		if err != nil {
+			return Condition{}, fmt.Errorf("property: condition %q: bad bound: %w", text, err)
+		}
+		return CondGE(subject, n), nil
+	}
+	return Condition{Subject: subject, Op: op, Arg: ParseExpr(rhs)}, nil
 }
 
 func parseRange(text string) (lo, hi int64, err error) {

@@ -13,16 +13,22 @@ import (
 // day width adapt to the live population; resizes also purge canceled
 // entries (lazy dead-entry reclamation).
 //
+// Within a bucket, records with one timestamp form a run, a FIFO tie
+// list: the run's first record (its leader) points at its last, so an
+// insert steps over a whole run — or joins it at its end — in O(1)
+// however many events are tied, and a pop hands the lead to the next
+// record of the run.
+//
 // Correctness does not depend on the hash: an event is only dequeued
 // from the current day's bucket when its timestamp falls inside the
 // current day, and a full fruitless year falls back to a direct
 // minimum search. Ordering is the simulator's (at, seq) contract.
 type calQueue struct {
 	buckets []*event
-	// tails tracks each bucket's last entry so the dominant insertion
-	// pattern — equal-or-later timestamps with rising seq, e.g. a burst
-	// of simultaneous events — appends in O(1) instead of walking the
-	// list (the classic calendar-queue quadratic pathology).
+	// tails tracks the leader of each bucket's final run so the dominant
+	// insertion pattern — equal-or-later timestamps with rising seq, e.g.
+	// a burst of simultaneous events — appends in O(1) instead of walking
+	// the list (the classic calendar-queue quadratic pathology).
 	tails []*event
 	width float64 // day length in virtual ms
 	n     int     // queued entries (including canceled-but-unpurged)
@@ -70,28 +76,57 @@ func (q *calQueue) indexOf(at float64) int {
 // bookkeeping (shared by push and resize rehashing).
 func (q *calQueue) insert(ev *event) {
 	i := q.indexOf(ev.at)
-	head := q.buckets[i]
-	if head == nil {
-		ev.next = nil
+	ev.next, ev.last = nil, ev
+	final := q.tails[i]
+	if final == nil {
 		q.buckets[i], q.tails[i] = ev, ev
 		return
 	}
-	if tail := q.tails[i]; !evless(ev, tail) {
-		ev.next = nil
-		tail.next = ev
-		q.tails[i] = ev
+	if end := final.last; !evless(ev, end) {
+		end.next = ev
+		if ev.at == final.at {
+			final.last = ev
+		} else {
+			q.tails[i] = ev
+		}
 		return
 	}
-	if evless(ev, head) {
-		ev.next = head
-		q.buckets[i] = ev
-		return
+	// ev sorts before the bucket's final record: step from run to run to
+	// the first one it does not wholly follow.
+	var prev *event // leader of the run before lead
+	lead := q.buckets[i]
+	for !evless(ev, lead.last) {
+		prev, lead = lead, lead.last.next
 	}
-	for head.next != nil && !evless(ev, head.next) {
-		head = head.next
+	switch {
+	case prev != nil && prev.at == ev.at:
+		// The newest record of prev's timestamp: joins that run at its end.
+		ev.next = lead
+		prev.last.next = ev
+		prev.last = ev
+	case !evless(ev, lead):
+		// Tied with lead's run but older than its last record (a popped
+		// record pushed back keeps its seq): walk the ties.
+		p := lead
+		for !evless(ev, p.next) {
+			p = p.next
+		}
+		ev.next = p.next
+		p.next = ev
+	default:
+		ev.next = lead
+		if ev.at == lead.at { // takes over the lead of the run
+			ev.last = lead.last
+			if final == lead {
+				q.tails[i] = ev
+			}
+		}
+		if prev == nil {
+			q.buckets[i] = ev
+		} else {
+			prev.last.next = ev
+		}
 	}
-	ev.next = head.next
-	head.next = ev
 }
 
 func (q *calQueue) push(ev *event) {
@@ -164,11 +199,17 @@ func (q *calQueue) take(i int, head *event) *event {
 	if head.at > q.now {
 		q.now = head.at
 	}
-	q.buckets[i] = head.next
-	if head.next == nil {
+	next := head.next
+	q.buckets[i] = next
+	if head.last != head { // next is tied with head: it leads the run now
+		next.last = head.last
+		if q.tails[i] == head {
+			q.tails[i] = next
+		}
+	} else if next == nil {
 		q.tails[i] = nil
 	}
-	head.next = nil
+	head.next, head.last = nil, nil
 	q.n--
 	if q.n < q.shrinkAt {
 		q.resize(len(q.buckets) / 2)
@@ -198,7 +239,7 @@ func (q *calQueue) resize(nbuckets int) {
 	for _, b := range q.buckets {
 		for b != nil {
 			next := b.next
-			b.next = nil
+			b.next, b.last = nil, nil
 			if b.canceled {
 				if q.stats != nil {
 					q.stats.Purged++

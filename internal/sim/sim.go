@@ -123,11 +123,14 @@ type Stats struct {
 // linked through next both inside calendar buckets and on the free
 // list.
 type event struct {
-	at       float64
-	seq      int64
-	proc     *Proc
-	fn       func()
-	next     *event
+	at   float64
+	seq  int64
+	proc *Proc
+	fn   func()
+	next *event
+	// last, on the first record of a calendar-bucket run of equal
+	// timestamps, is the run's final record (see calQueue).
+	last     *event
 	canceled bool
 }
 

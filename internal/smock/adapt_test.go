@@ -115,7 +115,7 @@ func TestConcurrentApplySerialized(t *testing.T) {
 	head := dep.Placements[0] // MailClient@ny-2
 	head.Reused = false
 	diff := &planner.Diff{
-		New:     &planner.Deployment{Placements: []planner.Placement{head, dep.Placements[1]}},
+		New:     &planner.Deployment{Placements: []planner.Placement{head, dep.Placements[1]}, Edges: dep.Edges},
 		Install: []planner.Placement{head},
 		Evicted: []planner.Placement{head},
 	}
@@ -129,7 +129,7 @@ func TestConcurrentApplySerialized(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := w.engine.Apply(diff, w.gs.Requires); err != nil {
+				if _, err := w.engine.Apply(diff); err != nil {
 					errs[g] = err
 					return
 				}

@@ -3,8 +3,8 @@ package smock
 import (
 	"crypto/rand"
 	"fmt"
+	"maps"
 	"sort"
-	"strings"
 	"sync"
 
 	"partsvc/internal/netmodel"
@@ -40,20 +40,15 @@ type instanceInfo struct {
 	serveSecret []byte
 	instanceID  string
 	node        netmodel.NodeID
-	// upstreamAddr is the canonical provider wiring this instance was
-	// installed with ("" for terminals and adopted instances): the bare
-	// provider address for chain instances, the sorted iface=addr pairs
-	// for tree instances. A reuse whose planned provider wiring resolves
+	// upstreams is the provider address this instance was installed
+	// with, per required interface (empty for terminals and adopted
+	// instances). A reuse whose planned provider wiring resolves
 	// differently is stale and must be reinstalled; because deployments
-	// resolve tail-to-head, a replaced provider cascades fresh wiring
-	// toward the client. Data views recover their state from the
-	// coherence directory, so the replacement is state-preserving.
-	upstreamAddr string
-	// upstreamAddrs lists the individual provider addresses wired at
-	// install time — the orphan-detection view of upstreamAddr (which is
-	// a composite ID for tree instances and so never matches a bare dead
-	// address).
-	upstreamAddrs []string
+	// resolve providers before their clients, a replaced provider
+	// cascades fresh wiring toward the client. Data views recover their
+	// state from the coherence directory, so the replacement is
+	// state-preserving. OrphanedBy follows the same record.
+	upstreams map[string]string
 }
 
 // NewEngine returns an engine over one transport.
@@ -86,30 +81,6 @@ func (e *Engine) Generation() int {
 	return e.generation
 }
 
-// InstanceStatus describes one live instance for monitoring: the
-// placement key it realizes, where it runs, and its serving address.
-type InstanceStatus struct {
-	Key     string
-	Node    netmodel.NodeID
-	Addr    string
-	Adopted bool
-}
-
-// LiveInstances snapshots the engine's live instances (adopted ones
-// included), in no particular order. Failure detectors use this to know
-// which nodes currently matter.
-func (e *Engine) LiveInstances() []InstanceStatus {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]InstanceStatus, 0, len(e.instances))
-	for key, info := range e.instances {
-		out = append(out, InstanceStatus{
-			Key: key, Node: info.node, Addr: info.addr, Adopted: info.instanceID == "",
-		})
-	}
-	return out
-}
-
 // OrphanedBy returns the placement keys (sorted) of live instances
 // whose upstream wiring chains transitively through any of the dead
 // placements. An orphan is installed and answering, but every request
@@ -135,7 +106,7 @@ func (e *Engine) OrphanedBy(dead []planner.Placement) []string {
 				continue
 			}
 			wiredToDead := false
-			for _, ua := range info.upstreamAddrs {
+			for _, ua := range info.upstreams {
 				if deadAddrs[ua] {
 					wiredToDead = true
 					break
@@ -211,8 +182,8 @@ func (e *Engine) Teardown(p planner.Placement) error {
 // reproduction defer ("needs to carefully consider the internal state
 // of components as well as any partially processed requests"). It
 // returns the new head address.
-func (e *Engine) Apply(diff *planner.Diff, svcRequires func(component string) (iface string, ok bool)) (string, error) {
-	return e.ApplyWith(diff, svcRequires, ApplyOptions{})
+func (e *Engine) Apply(diff *planner.Diff) (string, error) {
+	return e.ApplyWith(diff, ApplyOptions{})
 }
 
 // ApplyOptions customize how a diff is realized.
@@ -227,7 +198,7 @@ type ApplyOptions struct {
 // ApplyWith is Apply with options. Whole diffs are serialized per
 // engine: concurrent callers queue on an apply lock so two adaptations
 // can never interleave their teardown and deploy phases.
-func (e *Engine) ApplyWith(diff *planner.Diff, svcRequires func(component string) (iface string, ok bool), opts ApplyOptions) (string, error) {
+func (e *Engine) ApplyWith(diff *planner.Diff, opts ApplyOptions) (string, error) {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
 	for _, p := range diff.Evicted {
@@ -235,7 +206,7 @@ func (e *Engine) ApplyWith(diff *planner.Diff, svcRequires func(component string
 		// left the network.
 		_ = e.Teardown(p)
 	}
-	addr, err := e.executeWith(diff.New, svcRequires, opts.StateFor)
+	addr, err := e.executeWith(diff.New, opts.StateFor)
 	if err != nil {
 		return "", err
 	}
@@ -260,50 +231,67 @@ func (e *Engine) InstanceCount() int {
 	return len(e.instances)
 }
 
-// Execute deploys every new placement of the deployment, provider
+// Execute deploys every new placement of the deployment, providers
 // first, and returns the address of the head component (the
 // service-specific proxy target). Reused placements resolve to their
 // recorded addresses.
-func (e *Engine) Execute(dep *planner.Deployment, svcRequires func(component string) (iface string, ok bool)) (string, error) {
-	return e.executeWith(dep, svcRequires, nil)
+func (e *Engine) Execute(dep *planner.Deployment) (string, error) {
+	return e.executeWith(dep, nil)
 }
 
 // executeWith is Execute with an optional state source for fresh
-// installs (including the stale-rewire replacement path).
-func (e *Engine) executeWith(dep *planner.Deployment, svcRequires func(component string) (iface string, ok bool), stateFor func(p planner.Placement) []byte) (string, error) {
+// installs (including the stale-rewire replacement path). Placements
+// are in pre-order of the linkage graph, so a reverse index walk
+// resolves every provider subtree before the client that wires to it;
+// each edge carries the interface name the client requires, which keys
+// the wrapper's upstream map.
+func (e *Engine) executeWith(dep *planner.Deployment, stateFor func(p planner.Placement) []byte) (string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !chainShaped(dep) {
-		return e.executeTree(dep, stateFor)
-	}
 	n := len(dep.Placements)
+	if len(dep.Edges) != n-1 {
+		return "", fmt.Errorf("smock: deployment has %d placements but %d edges: it does not say who links to whom", n, len(dep.Edges))
+	}
+	providers := make([][]planner.Edge, n)
+	linked := make([]bool, n)
+	for _, ed := range dep.Edges {
+		if ed.From < 0 || ed.To <= ed.From || ed.To >= n || linked[ed.To] {
+			return "", fmt.Errorf("smock: deployment has invalid edge %d -> %d", ed.From, ed.To)
+		}
+		if ed.Iface == "" {
+			return "", fmt.Errorf("smock: edge %d -> %d has no interface name", ed.From, ed.To)
+		}
+		linked[ed.To] = true
+		providers[ed.From] = append(providers[ed.From], ed)
+	}
 	addrs := make([]string, n)
-	secrets := make([][]byte, n) // secrets[i] = secret of edge i -> i+1
-
-	// Resolve or install tail-to-head so upstream addresses exist when
-	// clients are activated.
+	secretOf := make([][]byte, n) // secretOf[i] = serve secret of placement i
 	for i := n - 1; i >= 0; i-- {
 		p := dep.Placements[i]
 		key := p.Key()
-		wantUpstream := ""
-		if i < n-1 {
-			wantUpstream = addrs[i+1]
+		order := InstallOrder{
+			Component:       p.Component,
+			Config:          p.Config,
+			Upstreams:       map[string]string{},
+			UpstreamSecrets: map[string][]byte{},
+		}
+		for _, ed := range providers[i] {
+			order.Upstreams[ed.Iface] = addrs[ed.To]
+			order.UpstreamSecrets[ed.Iface] = secretOf[ed.To]
 		}
 		if info, ok := e.instances[key]; ok {
 			adopted := info.instanceID == ""
-			// A terminal reuse (the plan's chain ends at this instance)
-			// keeps its own upstream wiring; only interior positions
-			// must match the planned provider's address.
-			terminal := i == n-1
-			if adopted || terminal || info.upstreamAddr == wantUpstream {
+			// A terminal reuse (a branch of the plan ends at this instance)
+			// keeps its own upstream wiring; interior positions must match
+			// the planned providers' addresses exactly.
+			terminal := len(providers[i]) == 0
+			if adopted || terminal || maps.Equal(info.upstreams, order.Upstreams) {
 				addrs[i] = info.addr
-				if i > 0 {
-					secrets[i-1] = info.serveSecret
-				}
+				secretOf[i] = info.serveSecret
 				continue
 			}
-			// Stale wiring: the plan routes this instance to a different
-			// provider than it was installed with. Replace it; the old
+			// Stale wiring: the plan routes this instance to different
+			// providers than it was installed with. Replace it; the old
 			// listener is closed and a fresh instance is wired below.
 			delete(e.instances, key)
 			if w, ok := e.wrappers[info.node]; ok {
@@ -317,35 +305,17 @@ func (e *Engine) executeWith(dep *planner.Deployment, svcRequires func(component
 			return "", fmt.Errorf("smock: no wrapper registered for node %s", p.Node)
 		}
 		e.counter++
-		order := InstallOrder{
-			Component:       p.Component,
-			InstanceID:      fmt.Sprintf("%s#%d", key, e.counter),
-			Config:          p.Config,
-			Upstreams:       map[string]string{},
-			UpstreamSecrets: map[string][]byte{},
-		}
+		order.InstanceID = fmt.Sprintf("%s#%d", key, e.counter)
 		if stateFor != nil {
 			order.State = stateFor(p)
 		}
-		var serveSecret []byte
 		if i > 0 {
 			// Generate the secret this instance shares with its client.
-			serveSecret = make([]byte, 32)
-			if _, err := rand.Read(serveSecret); err != nil {
+			order.ServeSecret = make([]byte, 32)
+			if _, err := rand.Read(order.ServeSecret); err != nil {
 				return "", fmt.Errorf("smock: edge secret: %w", err)
 			}
-			secrets[i-1] = serveSecret
-			order.ServeSecret = serveSecret
-		}
-		var upstreamAddrs []string
-		if i < n-1 {
-			iface, ok := svcRequires(p.Component)
-			if !ok {
-				return "", fmt.Errorf("smock: component %q has a provider but no required interface", p.Component)
-			}
-			order.Upstreams[iface] = addrs[i+1]
-			order.UpstreamSecrets[iface] = secrets[i]
-			upstreamAddrs = []string{addrs[i+1]}
+			secretOf[i] = order.ServeSecret
 		}
 		addr, err := w.Install(order)
 		if err != nil {
@@ -353,128 +323,9 @@ func (e *Engine) executeWith(dep *planner.Deployment, svcRequires func(component
 		}
 		addrs[i] = addr
 		e.instances[key] = instanceInfo{
-			addr: addr, serveSecret: serveSecret,
+			addr: addr, serveSecret: order.ServeSecret,
 			instanceID: order.InstanceID, node: p.Node,
-			upstreamAddr: wantUpstream, upstreamAddrs: upstreamAddrs,
-		}
-	}
-	return addrs[0], nil
-}
-
-// chainShaped reports whether a deployment's linkage graph is the
-// implicit chain (every placement's provider is the next placement).
-// Deployments without recorded edges predate edge recording and are
-// chains by construction; tree deployments carry explicit non-
-// consecutive edges.
-func chainShaped(dep *planner.Deployment) bool {
-	if len(dep.Edges) == 0 {
-		return true
-	}
-	if len(dep.Edges) != len(dep.Placements)-1 {
-		return false
-	}
-	for _, ed := range dep.Edges {
-		if ed.To != ed.From+1 {
-			return false
-		}
-	}
-	return true
-}
-
-// treeUpstreamID canonicalizes a placement's provider wiring — the
-// sorted iface=addr pairs of its child edges — for the same staleness
-// check chains do with the single upstream address.
-func treeUpstreamID(edges []planner.Edge, addrs []string) string {
-	if len(edges) == 0 {
-		return ""
-	}
-	parts := make([]string, len(edges))
-	for k, ed := range edges {
-		parts[k] = ed.Iface + "=" + addrs[ed.To]
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
-}
-
-// executeTree realizes a tree-shaped deployment (a multi-requirement
-// service). Placements are flattened pre-order, so a
-// reverse index walk resolves every provider subtree before the client
-// that wires to it; each edge carries the interface name the client
-// requires, which keys the wrapper's upstream map. Callers hold e.mu.
-func (e *Engine) executeTree(dep *planner.Deployment, stateFor func(p planner.Placement) []byte) (string, error) {
-	n := len(dep.Placements)
-	children := make([][]planner.Edge, n)
-	for _, ed := range dep.Edges {
-		if ed.From < 0 || ed.From >= n || ed.To <= ed.From || ed.To >= n {
-			return "", fmt.Errorf("smock: tree deployment has invalid edge %d -> %d", ed.From, ed.To)
-		}
-		if ed.Iface == "" {
-			return "", fmt.Errorf("smock: tree edge %d -> %d has no interface name", ed.From, ed.To)
-		}
-		children[ed.From] = append(children[ed.From], ed)
-	}
-	addrs := make([]string, n)
-	secretOf := make([][]byte, n) // secretOf[i] = serve secret of placement i
-	for i := n - 1; i >= 0; i-- {
-		p := dep.Placements[i]
-		key := p.Key()
-		wantUpstream := treeUpstreamID(children[i], addrs)
-		if info, ok := e.instances[key]; ok {
-			adopted := info.instanceID == ""
-			// Leaves keep their own wiring; interior positions must match
-			// the planned providers' addresses exactly.
-			terminal := len(children[i]) == 0
-			if adopted || terminal || info.upstreamAddr == wantUpstream {
-				addrs[i] = info.addr
-				secretOf[i] = info.serveSecret
-				continue
-			}
-			delete(e.instances, key)
-			if w, ok := e.wrappers[info.node]; ok {
-				_ = w.Uninstall(info.instanceID)
-			}
-		} else if p.Reused {
-			return "", fmt.Errorf("smock: plan reuses unknown instance %s", key)
-		}
-		w, ok := e.wrappers[p.Node]
-		if !ok {
-			return "", fmt.Errorf("smock: no wrapper registered for node %s", p.Node)
-		}
-		e.counter++
-		order := InstallOrder{
-			Component:       p.Component,
-			InstanceID:      fmt.Sprintf("%s#%d", key, e.counter),
-			Config:          p.Config,
-			Upstreams:       map[string]string{},
-			UpstreamSecrets: map[string][]byte{},
-		}
-		if stateFor != nil {
-			order.State = stateFor(p)
-		}
-		var serveSecret []byte
-		if i > 0 {
-			serveSecret = make([]byte, 32)
-			if _, err := rand.Read(serveSecret); err != nil {
-				return "", fmt.Errorf("smock: edge secret: %w", err)
-			}
-			secretOf[i] = serveSecret
-			order.ServeSecret = serveSecret
-		}
-		var upstreamAddrs []string
-		for _, ed := range children[i] {
-			order.Upstreams[ed.Iface] = addrs[ed.To]
-			order.UpstreamSecrets[ed.Iface] = secretOf[ed.To]
-			upstreamAddrs = append(upstreamAddrs, addrs[ed.To])
-		}
-		addr, err := w.Install(order)
-		if err != nil {
-			return "", err
-		}
-		addrs[i] = addr
-		e.instances[key] = instanceInfo{
-			addr: addr, serveSecret: serveSecret,
-			instanceID: order.InstanceID, node: p.Node,
-			upstreamAddr: wantUpstream, upstreamAddrs: upstreamAddrs,
+			upstreams: order.Upstreams,
 		}
 	}
 	return addrs[0], nil

@@ -12,17 +12,6 @@ import (
 	"partsvc/internal/topology"
 )
 
-// requiresOf adapts a service spec to the engine's wiring callback.
-func requiresOf(svc *spec.Service) func(string) (string, bool) {
-	return func(component string) (string, bool) {
-		comp, ok := svc.Component(component)
-		if !ok || len(comp.Requires) == 0 {
-			return "", false
-		}
-		return comp.Requires[0].Name, true
-	}
-}
-
 // TestRedeployAfterLinkSecured runs the paper's Section 6 adaptation
 // end to end on the live runtime: the NY-SD link becomes secure, the
 // planner replans without the encryptor tunnel, the engine replaces the
@@ -30,7 +19,6 @@ func requiresOf(svc *spec.Service) func(string) (string, bool) {
 // and mail keeps flowing.
 func TestRedeployAfterLinkSecured(t *testing.T) {
 	w := newWorld(t)
-	svc := spec.MailService()
 
 	// Initial SD deployment and some traffic through it.
 	proxy := w.proxyFor(t, topology.SDClient, "Alice")
@@ -65,7 +53,7 @@ func TestRedeployAfterLinkSecured(t *testing.T) {
 			t.Fatalf("secured link must drop the tunnel: %s", diff.New)
 		}
 	}
-	addr, err := w.engine.Apply(diff, requiresOf(svc))
+	addr, err := w.engine.Apply(diff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +84,6 @@ func TestRedeployAfterLinkSecured(t *testing.T) {
 // is torn down and the replanned chain avoids SD caching entirely.
 func TestRedeployAfterTrustDrop(t *testing.T) {
 	w := newWorld(t)
-	svc := spec.MailService()
 	proxy := w.proxyFor(t, topology.SDClient, "Alice")
 	defer proxy.Close()
 	alice := mail.NewClient("Alice", w.keys, mail.NewRemote(proxy))
@@ -127,7 +114,7 @@ func TestRedeployAfterTrustDrop(t *testing.T) {
 		t.Fatalf("the SD view must be evicted: %v", diff.Evicted)
 	}
 	before := w.engine.InstanceCount()
-	addr, err := w.engine.Apply(diff, requiresOf(svc))
+	addr, err := w.engine.Apply(diff)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,16 +23,17 @@ const AccessMethod = "access"
 // planner (step 4), drives the deployment engine (step 5), and returns
 // the head component's address for the proxy to rebind to.
 type GenericServer struct {
-	svc    *spec.Service
 	engine *Engine
 
 	mu sync.Mutex // the planner is not concurrent-safe
 	pl *planner.Planner
 }
 
-// NewGenericServer binds a specification, planner, and engine.
-func NewGenericServer(svc *spec.Service, pl *planner.Planner, engine *Engine) *GenericServer {
-	return &GenericServer{svc: svc, pl: pl, engine: engine}
+// NewGenericServer binds a specification, its planner, and an engine.
+// The planner carries the specification; the deployments it returns
+// describe their own wiring.
+func NewGenericServer(_ *spec.Service, pl *planner.Planner, engine *Engine) *GenericServer {
+	return &GenericServer{pl: pl, engine: engine}
 }
 
 // Planner exposes the planner (e.g. to pre-register primaries).
@@ -47,7 +48,7 @@ func (g *GenericServer) Access(req planner.Request) (string, *planner.Deployment
 	if err != nil {
 		return "", nil, err
 	}
-	addr, err := g.engine.Execute(dep, g.Requires)
+	addr, err := g.engine.Execute(dep)
 	if err != nil {
 		return "", nil, err
 	}
@@ -63,17 +64,6 @@ func (g *GenericServer) PlanOnly(req planner.Request) (*planner.Deployment, erro
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.pl.Plan(req)
-}
-
-// Requires resolves a component's required interface name — the
-// engine's wiring callback. The specification is immutable, so no lock
-// is needed.
-func (g *GenericServer) Requires(component string) (string, bool) {
-	comp, ok := g.svc.Component(component)
-	if !ok || len(comp.Requires) == 0 {
-		return "", false
-	}
-	return comp.Requires[0].Name, true
 }
 
 // Replan runs the planner's revalidate-and-replan under the server's

@@ -494,27 +494,27 @@ func TestInstallOrderCodecAndRemoteSecrets(t *testing.T) {
 func TestEngineErrorPaths(t *testing.T) {
 	tr := transport.NewInProc()
 	engine := smock.NewEngine(tr)
-	svc := spec.MailService()
-	requires := func(component string) (string, bool) {
-		comp, ok := svc.Component(component)
-		if !ok || len(comp.Requires) == 0 {
-			return "", false
-		}
-		return comp.Requires[0].Name, true
-	}
 	// No wrapper registered for the node.
 	dep := &planner.Deployment{Placements: []planner.Placement{
 		{Component: spec.CompMailServer, Node: "ghost"},
 	}}
-	if _, err := engine.Execute(dep, requires); err == nil {
+	if _, err := engine.Execute(dep); err == nil {
 		t.Error("missing wrapper must fail")
 	}
 	// Reuse of an unknown instance.
 	dep = &planner.Deployment{Placements: []planner.Placement{
 		{Component: spec.CompMailServer, Node: "ghost", Reused: true},
 	}}
-	if _, err := engine.Execute(dep, requires); err == nil {
+	if _, err := engine.Execute(dep); err == nil {
 		t.Error("unknown reuse must fail")
+	}
+	// Placements nothing links: the deployment does not say who is whose
+	// provider.
+	dep = &planner.Deployment{Placements: []planner.Placement{
+		{Component: spec.CompMailClient, Node: "ghost"}, {Component: spec.CompMailServer, Node: "ghost"},
+	}}
+	if _, err := engine.Execute(dep); err == nil || !strings.Contains(err.Error(), "edges") {
+		t.Errorf("a multi-placement deployment without edges must fail, got %v", err)
 	}
 	// Teardown of an unknown placement.
 	if err := engine.Teardown(planner.Placement{Component: "X", Node: "y"}); err == nil {

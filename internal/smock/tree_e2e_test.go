@@ -16,10 +16,9 @@ import (
 
 // portalSpec mirrors the planner package's portal service: a Portal
 // requiring both a confidential ServerInterface and a LogInterface, so
-// every linkage graph is a tree the chain planners cannot express. The
-// solver backend is the only one that can plan it, which makes this the
-// end-to-end proof that tree deployments flow through the generic
-// server, the engine's tree executor, and the repair path.
+// every linkage graph branches. This is the end-to-end proof that
+// branching deployments flow through the generic server, the engine,
+// and the repair path.
 func portalSpec() *spec.Service {
 	lit := func(v property.Value) property.Expr { return property.Lit(v) }
 	return &spec.Service{
@@ -27,6 +26,7 @@ func portalSpec() *spec.Service {
 		Properties: []property.Type{
 			property.BoolType("Confidentiality"),
 			property.IntervalType("TrustLevel", 1, 5),
+			property.BoolType("Archive"),
 		},
 		Interfaces: []spec.InterfaceDecl{
 			{Name: "PortalInterface", Properties: []string{"Confidentiality"}},
@@ -64,9 +64,11 @@ func portalSpec() *spec.Service {
 					Name:  "LogInterface",
 					Props: map[string]property.Expr{"Confidentiality": lit(property.Bool(false))},
 				}},
-				// Logs stay on trusted machines, which keeps the log branch
-				// off the client node — the deployment must actually fan out.
-				Conditions: []property.Condition{property.CondGE("Node.TrustLevel", 5)},
+				// Logs stay on the archive host, which keeps the log branch
+				// off the client node and off the data branch's host — the
+				// deployment must actually fan out, and a kill under one
+				// branch leaves the other alone.
+				Conditions: []property.Condition{property.CondEq("Node.Archive", property.Bool(true))},
 				Behaviors:  spec.Behaviors{CapacityRPS: 5000, CPUMSPerRequest: 0.1, RequestBytes: 256, ResponseBytes: 64},
 			},
 			{
@@ -87,7 +89,7 @@ func portalSpec() *spec.Service {
 
 // registerPortalFactories installs trivial handlers for the portal
 // components. The Portal's handler calls BOTH of its upstream endpoints
-// per request — the multi-upstream wiring only executeTree produces —
+// per request — the multi-upstream wiring of a branching deployment —
 // and stitches the answers together so a single client call proves both
 // branches of the tree are live.
 func registerPortalFactories(t *testing.T, reg *smock.Registry) {
@@ -168,23 +170,23 @@ func registerPortalFactories(t *testing.T, reg *smock.Registry) {
 
 // portalNet is a three-node network built for the kill-and-repair
 // scenario: an untrusted client machine with insecure uplinks to two
-// interchangeable trusted hosts. Trusted components must leave the
-// client node, and either trusted host can die without partitioning the
-// network or making the spec unplaceable.
+// trusted hosts, the farther of which keeps the archive. The trusted
+// components must leave the client node, and the nearer host can die
+// without partitioning the network or making the spec unplaceable.
 func portalNet() *netmodel.Network {
 	n := netmodel.New()
-	add := func(id netmodel.NodeID, trust int64) {
+	add := func(id netmodel.NodeID, trust int64, archive bool) {
 		err := n.AddNode(netmodel.Node{
 			ID: id, Site: "site-" + string(id), CPUCapacityRPS: 2000,
-			Props: property.Set{"TrustLevel": property.Int(trust)},
+			Props: property.Set{"TrustLevel": property.Int(trust), "Archive": property.Bool(archive)},
 		})
 		if err != nil {
 			panic(err)
 		}
 	}
-	add("client", 4)
-	add("t1", 5)
-	add("t2", 5)
+	add("client", 4, false)
+	add("t1", 5, false)
+	add("t2", 5, true)
 	link := func(a, b netmodel.NodeID, latencyMS float64, secure bool) {
 		err := n.AddLink(netmodel.Link{
 			A: a, B: b, LatencyMS: latencyMS, BandwidthMbps: 100, Secure: secure,
@@ -195,14 +197,12 @@ func portalNet() *netmodel.Network {
 		}
 	}
 	link("client", "t1", 50, false)
-	link("client", "t2", 60, false)
+	link("client", "t2", 55, false)
 	link("t1", "t2", 10, true)
 	return n
 }
 
-// portalWorld deploys the portal service over portalNet with the solver
-// backend preferred — the only planner able to place a branching
-// linkage graph.
+// portalWorld deploys the portal service over portalNet.
 type portalWorld struct {
 	tr       transport.Transport
 	net      *netmodel.Network
@@ -260,16 +260,18 @@ func (w *portalWorld) callPortal(t *testing.T, addr, payload string) *wire.Messa
 
 // TestTreeDeploymentEndToEnd is the DAG acceptance scenario: a service
 // whose linkage graph no chain can express is planned as a tree,
-// realized by the engine's tree executor (one instance
-// wired to two upstream providers), survives a node kill through
-// RepairReplan + Apply, and never surfaces an error to the client.
+// realized by the engine (one instance wired to two upstream
+// providers), survives a node kill through RepairReplan + Apply, and
+// never surfaces an error to the client.
 func TestTreeDeploymentEndToEnd(t *testing.T) {
 	w := newPortalWorld(t)
 	req := planner.Request{Interface: "PortalInterface", ClientNode: "client", User: "Alice", RateRPS: 10}
 
 	// No linkage chain expresses this spec...
-	if chains := w.gs.Planner().EnumerateChains(req.Interface); len(chains) != 0 {
-		t.Fatalf("a branching spec enumerated %d chains", len(chains))
+	for _, g := range w.gs.Planner().EnumerateGraphs(req.Interface) {
+		if !g.Branches() {
+			t.Fatalf("a branching spec enumerated the chain %s", g.Names())
+		}
 	}
 
 	// ...while Access deploys it end to end.
@@ -294,13 +296,13 @@ func TestTreeDeploymentEndToEnd(t *testing.T) {
 	if resp.Meta["served-by"] != "t1" {
 		t.Errorf("served-by = %q, want the nearest trusted host %q", resp.Meta["served-by"], "t1")
 	}
-	if resp.Meta["logged-at"] != "t1" {
-		t.Errorf("logged-at = %q, want the nearest trusted host %q", resp.Meta["logged-at"], "t1")
+	if resp.Meta["logged-at"] != "t2" {
+		t.Errorf("logged-at = %q, want the archive host %q", resp.Meta["logged-at"], "t2")
 	}
 
 	// Kill the trusted host serving the data branch; the head (the
-	// client's own proxy target) stays up and the spare trusted host can
-	// absorb both branches.
+	// client's own proxy target) and the log branch stay up and the
+	// archive host can absorb the data branch too.
 	var victim netmodel.NodeID
 	for _, p := range dep.Placements {
 		if p.Component == "Server" {
@@ -318,9 +320,28 @@ func TestTreeDeploymentEndToEnd(t *testing.T) {
 	ch := planner.NewChangedSet()
 	ch.AddNode(victim)
 
+	repairs := w.gs.Planner().SolverStats.Repairs.Load()
 	diff, err := w.gs.RepairReplan(dep, req, ch)
 	if err != nil {
 		t.Fatalf("RepairReplan after killing %s: %v", victim, err)
+	}
+	if got := w.gs.Planner().SolverStats.Repairs.Load(); got != repairs+1 {
+		t.Errorf("the kill must reach the solver's repair path: repairs %d -> %d", repairs, got)
+	}
+	// The repair lands where a from-scratch plan of the surviving network
+	// does.
+	fresh, err := planner.New(portalSpec(), w.net).Plan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.Placements) != len(diff.New.Placements) || fresh.ExpectedLatencyMS != diff.New.ExpectedLatencyMS {
+		t.Errorf("repair landed on %s (%v ms), a fresh plan on %s (%v ms)",
+			diff.New, diff.New.ExpectedLatencyMS, fresh, fresh.ExpectedLatencyMS)
+	}
+	for i, p := range fresh.Placements {
+		if i < len(diff.New.Placements) && diff.New.Placements[i].Key() != p.Key() {
+			t.Errorf("placement %d: repair %s, fresh plan %s", i, diff.New.Placements[i], p)
+		}
 	}
 	if diff.Unchanged() {
 		t.Fatalf("repair kept a deployment on dead node %s", victim)
@@ -330,7 +351,7 @@ func TestTreeDeploymentEndToEnd(t *testing.T) {
 			t.Fatalf("repair placed %s on dead node %s", p.Component, victim)
 		}
 	}
-	addr2, err := w.engine.Apply(diff, w.gs.Requires)
+	addr2, err := w.engine.Apply(diff)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}

@@ -1,10 +1,7 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
-	"io"
-	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -137,71 +134,6 @@ func TestOverloadErrorMapping(t *testing.T) {
 		t.Fatalf("decoded shed reply maps to %v", err)
 	}
 	_ = err.Error() // must not read released slab memory (caught by -race/asan if it did)
-}
-
-// TestMuxV1PipelinedBatchedWriter is the framing regression for the
-// scatter-gather writer: a legacy v1 peer pipelining many requests at
-// once gets every reply v1-framed even when the writer coalesces them
-// into one writev batch with (headerless) v1 headers.
-func TestMuxV1PipelinedBatchedWriter(t *testing.T) {
-	tr := NewTCP()
-	ln, err := tr.Serve("", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	conn, err := net.Dial("tcp", ln.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-
-	// Pipeline the whole burst in one write so the server's writer sees
-	// many v1 responses queued at once and batches them.
-	const n = 100
-	var burst []byte
-	for i := 1; i <= n; i++ {
-		payload, err := (&wire.Message{Kind: wire.KindRequest, ID: uint64(i), Method: "ping"}).Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		burst = binary.BigEndian.AppendUint32(burst, uint32(len(payload)))
-		burst = append(burst, payload...)
-	}
-	if _, err := conn.Write(burst); err != nil {
-		t.Fatal(err)
-	}
-
-	// v1 has no frame IDs and the pool serves concurrently, so replies
-	// arrive in any order: correlate by application message ID.
-	seen := map[uint64]bool{}
-	var hdr [4]byte
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			t.Fatalf("reading reply %d header: %v", i, err)
-		}
-		word := binary.BigEndian.Uint32(hdr[:])
-		if word&0x80000000 != 0 {
-			t.Fatalf("reply %d is v2-framed; a v1 peer cannot decode it", i)
-		}
-		buf := make([]byte, word)
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			t.Fatalf("reading reply %d payload: %v", i, err)
-		}
-		resp, err := wire.UnmarshalMessage(buf)
-		if err != nil {
-			t.Fatalf("decoding reply %d: %v", i, err)
-		}
-		if resp.Kind != wire.KindResponse || seen[resp.ID] {
-			t.Fatalf("reply %d: kind=%v id=%d (dup=%v)", i, resp.Kind, resp.ID, seen[resp.ID])
-		}
-		seen[resp.ID] = true
-	}
-	if len(seen) != n {
-		t.Fatalf("got %d distinct replies, want %d", len(seen), n)
-	}
 }
 
 // TestZeroCopyResponses exercises the opt-in client-side slab decode:

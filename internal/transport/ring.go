@@ -17,8 +17,8 @@ import (
 // the transport's point of view: the same v2 framing, the same MPSC
 // write queue and writev-style batching in front, the same slab decode
 // and admission control behind. Only the byte carrier changes, so
-// every connection-level semantic (v1 echo, stalled-peer write
-// deadlines, teardown on close) is inherited rather than re-implemented.
+// every connection-level semantic (stalled-peer write deadlines,
+// teardown on close) is inherited rather than re-implemented.
 //
 // Ring layout (see DESIGN.md §5e): a power-of-two byte buffer indexed
 // by two monotonically increasing counters. head (bytes consumed) is

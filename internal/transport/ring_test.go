@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"sync"
@@ -145,53 +144,6 @@ func TestRingLargeMessageStreams(t *testing.T) {
 	}
 	if resp.ID != 42 || len(resp.Body) != len(body)+len("echo:") {
 		t.Fatalf("large echo: id=%d len=%d", resp.ID, len(resp.Body))
-	}
-}
-
-// TestRingV1ClientRoundTrip is the framing-compatibility check over
-// shared memory: a legacy v1-framed peer on the raw ring must get its
-// reply v1-framed, exactly as over a socket (the connection machinery
-// is shared, but this pins it).
-func TestRingV1ClientRoundTrip(t *testing.T) {
-	tr := NewTCP()
-	ln, err := tr.Serve("", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	cli, srv := newRingPair(0, &tr.stats)
-	if !ln.(*tcpListener).adopt(srv) {
-		t.Fatal("listener refused the ring connection")
-	}
-	defer cli.Close()
-
-	payload, err := (&wire.Message{Kind: wire.KindRequest, ID: 7, Method: "ping", Body: []byte("legacy")}).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := cli.Write(append(hdr[:], payload...)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.ReadFull(cli, hdr[:]); err != nil {
-		t.Fatalf("reading response header: %v", err)
-	}
-	word := binary.BigEndian.Uint32(hdr[:])
-	if word&0x80000000 != 0 {
-		t.Fatal("response to a v1 request over a ring is v2-framed")
-	}
-	buf := make([]byte, word)
-	if _, err := io.ReadFull(cli, buf); err != nil {
-		t.Fatalf("reading response payload: %v", err)
-	}
-	resp, err := wire.UnmarshalMessage(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Kind != wire.KindResponse || resp.ID != 7 || string(resp.Body) != "echo:legacy" {
-		t.Fatalf("resp = %+v", resp)
 	}
 }
 

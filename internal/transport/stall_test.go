@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
-	"io"
 	"net"
 	"testing"
 	"time"
@@ -93,54 +91,5 @@ func TestMuxStalledClientDoesNotStarveOthers(t *testing.T) {
 			}
 			return
 		}
-	}
-}
-
-// TestMuxV1ClientRoundTrip is the framing-compatibility regression: a
-// legacy peer that speaks v1 frames (bare length prefix, no request
-// ID) must get its response back v1-framed — a v1 reader rejects the
-// v2 flag bit as an oversized frame.
-func TestMuxV1ClientRoundTrip(t *testing.T) {
-	tr := NewTCP()
-	ln, err := tr.Serve("", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	conn, err := net.Dial("tcp", ln.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-
-	payload, err := (&wire.Message{Kind: wire.KindRequest, ID: 7, Method: "ping", Body: []byte("legacy")}).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := conn.Write(append(hdr[:], payload...)); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		t.Fatalf("reading response header: %v", err)
-	}
-	word := binary.BigEndian.Uint32(hdr[:])
-	if word&0x80000000 != 0 {
-		t.Fatal("response to a v1 request is v2-framed; a v1 peer cannot decode it")
-	}
-	buf := make([]byte, word)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		t.Fatalf("reading response payload: %v", err)
-	}
-	resp, err := wire.UnmarshalMessage(buf)
-	if err != nil {
-		t.Fatalf("decoding response: %v", err)
-	}
-	if resp.Kind != wire.KindResponse || resp.ID != 7 || string(resp.Body) != "echo:legacy" {
-		t.Fatalf("resp = %+v, want echoed response with ID 7", resp)
 	}
 }

