@@ -45,7 +45,7 @@ func (c *Client) Receive() ([]*Message, error) {
 
 // ReceiveCtx is Receive continuing the trace in ctx.
 func (c *Client) ReceiveCtx(ctx context.Context) ([]*Message, error) {
-	msgs, err := ReceiveCtx(ctx, c.api, c.user)
+	msgs, err := ReceiveCtx(ctx, c.api, c.user, 0)
 	if err != nil {
 		return nil, err
 	}

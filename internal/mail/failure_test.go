@@ -291,7 +291,7 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 		t.Error("ID counters must match after restore")
 	}
 	// Restored messages remain transformable and decryptable.
-	msgs, err := receiveFrom(restored, keys, "bob")
+	msgs, err := receiveFrom(restored, keys, "bob", 0)
 	if err != nil || len(msgs) != 2 {
 		t.Fatalf("receive from restored store = %v, %v", msgs, err)
 	}

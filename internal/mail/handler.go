@@ -57,7 +57,8 @@ func dispatch(ctx context.Context, api Upstream, m *wire.Message) (map[string]an
 		id, err := SendCtx(ctx, api, str("from"), str("to"), str("subject"), body, int(sens))
 		return map[string]any{"id": int64(id)}, err
 	case "receive":
-		msgs, err := ReceiveCtx(ctx, api, str("user"))
+		above, _ := args["above"].(int64)
+		msgs, err := ReceiveCtx(ctx, api, str("user"), int(above))
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +201,9 @@ func (r *Remote) call(ctx context.Context, method string, args map[string]any) (
 	if err := transport.AsError(resp); err != nil {
 		return nil, err
 	}
-	return decodeArgs(resp.Body, false)
+	// The response is this call's own (DESIGN §5i: the caller owns the
+	// response), so what is decoded from it points into it.
+	return decodeArgs(resp.Body, true)
 }
 
 // CreateAccount implements API.
@@ -228,12 +231,19 @@ func (r *Remote) SendCtx(ctx context.Context, from, to, subject string, body []b
 
 // Receive implements API.
 func (r *Remote) Receive(user string) ([]*Message, error) {
-	return r.ReceiveCtx(context.Background(), user)
+	return r.ReceiveCtx(context.Background(), user, 0)
 }
 
-// ReceiveCtx is Receive continuing the trace in ctx.
-func (r *Remote) ReceiveCtx(ctx context.Context, user string) ([]*Message, error) {
-	reply, err := r.call(ctx, "receive", map[string]any{"user": user})
+// ReceiveCtx is Receive continuing the trace in ctx, for messages whose
+// sensitivity is above the floor. A floor of 0 is not sent: a request
+// without one asks for the whole inbox. The returned bodies point into
+// the reply, which nothing else refers to.
+func (r *Remote) ReceiveCtx(ctx context.Context, user string, above int) ([]*Message, error) {
+	args := map[string]any{"user": user}
+	if above > 0 {
+		args["above"] = int64(above)
+	}
+	reply, err := r.call(ctx, "receive", args)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +254,7 @@ func (r *Remote) ReceiveCtx(ctx context.Context, user string) ([]*Message, error
 		if !ok {
 			return nil, fmt.Errorf("mail: message entry is %T", item)
 		}
-		m, err := decodeMessage(data, false)
+		m, err := decodeMessage(data, true)
 		if err != nil {
 			return nil, err
 		}

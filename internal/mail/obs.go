@@ -22,7 +22,7 @@ type sendCtxer interface {
 }
 
 type receiveCtxer interface {
-	ReceiveCtx(ctx context.Context, user string) ([]*Message, error)
+	ReceiveCtx(ctx context.Context, user string, above int) ([]*Message, error)
 }
 
 type pushUpdatesCtxer interface {
@@ -37,12 +37,25 @@ func SendCtx(ctx context.Context, api API, from, to, subject string, body []byte
 	return api.Send(from, to, subject, body, sensitivity)
 }
 
-// ReceiveCtx invokes api.Receive with ctx when the provider supports it.
-func ReceiveCtx(ctx context.Context, api API, user string) ([]*Message, error) {
+// ReceiveCtx returns the messages of the user's inbox whose sensitivity
+// is above the floor (0 = the whole inbox), with ctx when the provider
+// supports it. A provider that only has the plain Receive returns
+// everything and the floor is applied here.
+func ReceiveCtx(ctx context.Context, api API, user string, above int) ([]*Message, error) {
 	if c, ok := api.(receiveCtxer); ok {
-		return c.ReceiveCtx(ctx, user)
+		return c.ReceiveCtx(ctx, user, above)
 	}
-	return api.Receive(user)
+	msgs, err := api.Receive(user)
+	if err != nil || above <= 0 {
+		return msgs, err
+	}
+	kept := msgs[:0]
+	for _, m := range msgs {
+		if m.Sensitivity > above {
+			kept = append(kept, m)
+		}
+	}
+	return kept, nil
 }
 
 // PushUpdatesCtx invokes sink.PushUpdates with ctx when the sink

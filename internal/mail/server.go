@@ -22,7 +22,9 @@ type API interface {
 	// sensitivity level before it leaves the trusted component.
 	Send(from, to, subject string, body []byte, sensitivity int) (uint64, error)
 	// Receive returns the user's inbox with every body transformed to
-	// the recipient's key.
+	// the recipient's key. The bodies are read-only: a provider may
+	// return its stored bytes, so a caller reassigns Body (as the
+	// clients do when they decrypt) and never writes into it.
 	Receive(user string) ([]*Message, error)
 	// AddContact and Contacts maintain the user's address book (not
 	// available through the restricted ViewMailClient).
@@ -101,7 +103,7 @@ func (s *Server) SendCtx(ctx context.Context, from, to, subject string, body []b
 	if err != nil {
 		return 0, err
 	}
-	if err := deliver(s.store, m); err != nil {
+	if err := s.store.deliver(m); err != nil {
 		return 0, err
 	}
 	data, err := encodeMessage(m)
@@ -115,7 +117,18 @@ func (s *Server) SendCtx(ctx context.Context, from, to, subject string, body []b
 // Receive returns the user's inbox, each body transformed to the
 // recipient's key at the message's sensitivity level.
 func (s *Server) Receive(user string) ([]*Message, error) {
-	return receiveFrom(s.store, s.keys, user)
+	return s.ReceiveCtx(context.Background(), user, 0)
+}
+
+// ReceiveCtx is Receive restricted to messages whose sensitivity is
+// above the floor. A floored receive is a view asking for what it may
+// not hold itself; for a user this server has never heard of that is
+// nothing, not an error.
+func (s *Server) ReceiveCtx(_ context.Context, user string, above int) ([]*Message, error) {
+	if above > 0 && !s.store.HasAccount(user) {
+		return nil, nil
+	}
+	return receiveFrom(s.store, s.keys, user, above)
 }
 
 // AddContact appends to the address book.
@@ -176,31 +189,22 @@ func sealMessage(keys *seccrypto.KeyRing, ids *Store, from, to, subject string, 
 	}, nil
 }
 
-// deliver files a sealed message into recipient inbox and sender sent.
-func deliver(store *Store, m *Message) error {
-	if !store.HasAccount(m.To) && store.MaxSensitivity() == 0 {
-		return fmt.Errorf("mail: no account %q", m.To)
-	}
-	if err := store.Append(m.To, FolderInbox, m); err != nil {
-		return err
-	}
-	if store.HasAccount(m.From) {
-		if err := store.Append(m.From, FolderSent, m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// receiveFrom returns a user's inbox with bodies transformed to the
-// recipient's own keys ("transforms these messages to those encrypted
-// to the recipient's sensitivity upon a receive").
-func receiveFrom(store *Store, keys *seccrypto.KeyRing, user string) ([]*Message, error) {
-	msgs, err := store.Folder(user, FolderInbox)
+// receiveFrom returns the messages of a user's inbox above the
+// sensitivity floor with bodies transformed to the recipient's own keys
+// ("transforms these messages to those encrypted to the recipient's
+// sensitivity upon a receive"). A message is transformed by the first
+// receive that returns it and the store keeps the result: keys are
+// write-once, so it stays valid, and a second receive of an unchanged
+// inbox seals nothing. The transforms run outside the store's lock — a
+// sender does not wait while a reader re-seals an inbox. The returned
+// bodies are the store's own immutable bytes.
+func receiveFrom(store *Store, keys *seccrypto.KeyRing, user string, above int) ([]*Message, error) {
+	msgs, todo, err := store.inboxAbove(user, above)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range msgs {
+	for _, t := range todo {
+		m := &msgs[t.at]
 		env, err := seccrypto.UnmarshalEnvelope(m.Body)
 		if err != nil {
 			return nil, fmt.Errorf("mail: message %d: %w", m.ID, err)
@@ -213,7 +217,14 @@ func receiveFrom(store *Store, keys *seccrypto.KeyRing, user string) ([]*Message
 			return nil, err
 		}
 	}
-	return msgs, nil
+	if len(todo) > 0 {
+		store.keepOwned(msgs, todo)
+	}
+	out := make([]*Message, len(msgs))
+	for i := range msgs {
+		out[i] = &msgs[i]
+	}
+	return out, nil
 }
 
 // encodeMessage serializes a message for coherence updates and wire
@@ -226,8 +237,9 @@ func encodeMessage(m *Message) ([]byte, error) {
 }
 
 // decodeMessage reverses encodeMessage. With alias set the body shares
-// data's memory: for callers that hand the message to Store.Append
-// (which clones it) and keep nothing else.
+// data's memory: for callers that hand the message to the store (which
+// clones what it files) and keep nothing else, or that own data and let
+// the message keep it alive (a Remote's receive reply).
 func decodeMessage(data []byte, alias bool) (*Message, error) {
 	v, err := unmarshal(data, alias)
 	if err != nil {
@@ -280,6 +292,6 @@ func applyUpdate(store *Store, u coherence.Update) {
 		if !store.Admissible(m.Sensitivity) {
 			return
 		}
-		_ = deliver(store, m)
+		_ = store.deliver(m)
 	}
 }

@@ -21,12 +21,12 @@ func (s *Store) Snapshot() ([]byte, error) {
 	accounts := map[string]any{}
 	for user, acct := range s.accounts {
 		folders := map[string]any{}
-		for folder, msgs := range acct.Folders {
-			items := make([]any, 0, len(msgs))
-			for _, m := range msgs {
-				data, err := encodeMessage(m)
+		for folder, slots := range acct.Folders {
+			items := make([]any, 0, len(slots))
+			for _, f := range slots {
+				data, err := encodeMessage(&f.Message)
 				if err != nil {
-					return nil, fmt.Errorf("mail: snapshot message %d: %w", m.ID, err)
+					return nil, fmt.Errorf("mail: snapshot message %d: %w", f.ID, err)
 				}
 				items = append(items, data)
 			}

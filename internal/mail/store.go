@@ -43,10 +43,30 @@ func (m *Message) clone() *Message {
 	return &c
 }
 
+// filed is a message as a store holds it: the message, immutable once
+// filed, and beside it owned, its body transformed to the key of the
+// owner of the inbox it is filed in at the message's sensitivity — nil
+// until the first receive that returns the message, immutable after,
+// guarded by Store.mu. A delivery files one value in the recipient's
+// inbox and the sender's sent folder, so a value sits in at most one
+// inbox. owned is state of this store alone: neither Folder's clones
+// nor Snapshot carry it.
+type filed struct {
+	Message
+	owned []byte
+}
+
+// file returns the store's own copy of m.
+func (m *Message) file() *filed {
+	f := &filed{Message: *m}
+	f.Body = append([]byte(nil), m.Body...)
+	return f
+}
+
 // Account is one user's mailbox state.
 type Account struct {
 	User     string
-	Folders  map[string][]*Message
+	Folders  map[string][]*filed
 	Contacts []string
 	// ids holds the non-zero message IDs filed in each folder, beside
 	// the slice that keeps arrival order: the duplicate test of Append.
@@ -56,7 +76,7 @@ type Account struct {
 func newAccount(user string) *Account {
 	return &Account{
 		User:    user,
-		Folders: map[string][]*Message{FolderInbox: nil, FolderSent: nil},
+		Folders: map[string][]*filed{FolderInbox: nil, FolderSent: nil},
 		ids:     map[string]map[uint64]struct{}{},
 	}
 }
@@ -101,11 +121,12 @@ func (s *Store) CreateAccount(user string) error {
 // EnsureAccount creates the account if absent (used when replicating
 // state into views).
 func (s *Store) EnsureAccount(user string) {
+	if s.HasAccount(user) {
+		return // the usual case: readers do not queue behind senders for it
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.accounts[user]; !ok {
-		s.accounts[user] = newAccount(user)
-	}
+	s.account(user)
 }
 
 // HasAccount reports whether the user exists.
@@ -142,33 +163,85 @@ func (s *Store) Admissible(sensitivity int) bool {
 	return s.maxSensitivity == 0 || sensitivity <= s.maxSensitivity
 }
 
-// Append files a message copy into a user's folder. It enforces the
-// sensitivity ceiling and creates the account if needed (replicated
-// deliveries may precede account replication). Duplicate IDs in the
-// same folder are ignored, making replicated deliveries idempotent.
-func (s *Store) Append(user, folder string, m *Message) error {
-	if !s.Admissible(m.Sensitivity) {
-		return fmt.Errorf("mail: message sensitivity %d exceeds store ceiling %d", m.Sensitivity, s.maxSensitivity)
+// claim records a message ID in the folder's duplicate set and reports
+// whether it is new there (ID 0 always is).
+func (a *Account) claim(folder string, id uint64) bool {
+	if id == 0 {
+		return true
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	seen := a.ids[folder]
+	if seen == nil {
+		seen = map[uint64]struct{}{}
+		a.ids[folder] = seen
+	}
+	if _, dup := seen[id]; dup {
+		return false
+	}
+	seen[id] = struct{}{}
+	return true
+}
+
+// account returns the user's account, creating it if absent. The caller
+// holds s.mu for writing.
+func (s *Store) account(user string) *Account {
 	acct, ok := s.accounts[user]
 	if !ok {
 		acct = newAccount(user)
 		s.accounts[user] = acct
 	}
-	if m.ID != 0 {
-		seen := acct.ids[folder]
-		if seen == nil {
-			seen = map[uint64]struct{}{}
-			acct.ids[folder] = seen
-		}
-		if _, dup := seen[m.ID]; dup {
-			return nil
-		}
-		seen[m.ID] = struct{}{}
+	return acct
+}
+
+func (s *Store) checkCeiling(m *Message) error {
+	if !s.Admissible(m.Sensitivity) {
+		return fmt.Errorf("mail: message sensitivity %d exceeds store ceiling %d", m.Sensitivity, s.maxSensitivity)
 	}
-	acct.Folders[folder] = append(acct.Folders[folder], m.clone())
+	return nil
+}
+
+// Append files a message copy into a user's folder. It enforces the
+// sensitivity ceiling and creates the account if needed (replicated
+// deliveries may precede account replication). Duplicate IDs in the
+// same folder are ignored, making replicated deliveries idempotent.
+func (s *Store) Append(user, folder string, m *Message) error {
+	if err := s.checkCeiling(m); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	acct := s.account(user)
+	if acct.claim(folder, m.ID) {
+		acct.Folders[folder] = append(acct.Folders[folder], m.file())
+	}
+	return nil
+}
+
+// deliver files one copy of a sealed message into the recipient's inbox
+// and, when the sender has an account here, the sender's sent folder,
+// under one lock acquisition. An unrestricted store (the primary)
+// refuses mail for an unknown recipient; a view's store creates the
+// account, since a replicated delivery may precede it.
+func (s *Store) deliver(m *Message) error {
+	if err := s.checkCeiling(m); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.accounts[m.To]; !ok && s.maxSensitivity == 0 {
+		return fmt.Errorf("mail: no account %q", m.To)
+	}
+	to := s.account(m.To)
+	var f *filed
+	if to.claim(FolderInbox, m.ID) {
+		f = m.file()
+		to.Folders[FolderInbox] = append(to.Folders[FolderInbox], f)
+	}
+	if from, ok := s.accounts[m.From]; ok && from.claim(FolderSent, m.ID) {
+		if f == nil {
+			f = m.file()
+		}
+		from.Folders[FolderSent] = append(from.Folders[FolderSent], f)
+	}
 	return nil
 }
 
@@ -180,12 +253,72 @@ func (s *Store) Folder(user, folder string) ([]*Message, error) {
 	if !ok {
 		return nil, fmt.Errorf("mail: no account %q", user)
 	}
-	msgs := acct.Folders[folder]
-	out := make([]*Message, len(msgs))
-	for i, m := range msgs {
-		out[i] = m.clone()
+	slots := acct.Folders[folder]
+	out := make([]*Message, len(slots))
+	for i, f := range slots {
+		out[i] = f.clone()
 	}
 	return out, nil
+}
+
+// untransformed names a message inboxAbove returned with the body still
+// sealed by its sender: msgs[at] is the stored message f.
+type untransformed struct {
+	at int
+	f  *filed
+}
+
+// inboxAbove returns the messages of a user's inbox with sensitivity
+// above the floor, in arrival order, as shallow copies. A message some
+// earlier receive transformed carries that body; the others carry the
+// sender-sealed one and are listed in todo, for the caller to transform
+// outside the lock and hand back through keepOwned. Bodies point at the
+// store's own bytes, which are immutable: the caller may reassign a
+// Body, never write into one.
+func (s *Store) inboxAbove(user string, above int) (msgs []Message, todo []untransformed, err error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	acct, ok := s.accounts[user]
+	if !ok {
+		return nil, nil, fmt.Errorf("mail: no account %q", user)
+	}
+	inbox := acct.Folders[FolderInbox]
+	n := 0
+	for _, f := range inbox {
+		if f.Sensitivity > above {
+			n++
+		}
+	}
+	msgs = make([]Message, 0, n)
+	for _, f := range inbox {
+		if f.Sensitivity <= above {
+			continue
+		}
+		m := f.Message
+		if f.owned != nil {
+			m.Body = f.owned
+		} else {
+			todo = append(todo, untransformed{at: len(msgs), f: f})
+		}
+		msgs = append(msgs, m)
+	}
+	return msgs, todo, nil
+}
+
+// keepOwned stores the bodies the caller transformed for the todo list
+// of inboxAbove. Where a racing receive stored its own transform first
+// that one stands, and msgs is updated to carry it, so every reader
+// sees the same bytes for one message.
+func (s *Store) keepOwned(msgs []Message, todo []untransformed) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, t := range todo {
+		if t.f.owned == nil {
+			t.f.owned = msgs[t.at].Body
+		} else {
+			msgs[t.at].Body = t.f.owned
+		}
+	}
 }
 
 // AddContact appends to a user's contact list (idempotent).

@@ -172,8 +172,7 @@ func (v *View) SendCtx(ctx context.Context, from, to, subject string, body []byt
 	if err != nil {
 		return 0, err
 	}
-	v.store.EnsureAccount(m.To)
-	if err := deliver(v.store, m); err != nil {
+	if err := v.store.deliver(m); err != nil {
 		return 0, err
 	}
 	data, err := encodeMessage(m)
@@ -192,11 +191,17 @@ func (v *View) SendCtx(ctx context.Context, from, to, subject string, body []byt
 // path) and fetches only messages above the view's ceiling from
 // upstream — those are never stored locally.
 func (v *View) Receive(user string) ([]*Message, error) {
-	return v.ReceiveCtx(context.Background(), user)
+	return v.ReceiveCtx(context.Background(), user, 0)
 }
 
-// ReceiveCtx is Receive continuing the trace in ctx.
-func (v *View) ReceiveCtx(ctx context.Context, user string) ([]*Message, error) {
+// ReceiveCtx is Receive continuing the trace in ctx, restricted to
+// messages whose sensitivity is above the floor. The view answers from
+// its own store what it may hold and asks upstream only for the rest,
+// sensitivity above max(above, trust): along a chain of views every
+// message is returned by exactly one store, and the link carries what
+// this node may not keep. An upstream failure fails the receive — the
+// local messages alone would pass for the whole inbox.
+func (v *View) ReceiveCtx(ctx context.Context, user string, above int) ([]*Message, error) {
 	// A receive that conflicts with pending local writes (per the
 	// dynamic conflict map) synchronizes first, so the reader observes
 	// its replica's own recent sends at the primary and siblings.
@@ -206,27 +211,22 @@ func (v *View) ReceiveCtx(ctx context.Context, user string) ([]*Message, error) 
 		}
 	}
 	v.store.EnsureAccount(user)
-	local, err := receiveFrom(v.store, v.keys, user)
+	local, err := receiveFrom(v.store, v.keys, user, above)
 	if err != nil {
 		return nil, err
 	}
-	if v.trust >= seccrypto.MaxLevel {
-		// Nothing can exceed the ceiling; the receive is fully local.
+	floor := max(above, v.trust)
+	if floor >= seccrypto.MaxLevel {
+		// Nothing can exceed the floor; the receive is fully local.
 		return local, nil
 	}
-	// High-sensitivity messages live only upstream.
-	remote, err := ReceiveCtx(ctx, v.upstream, user)
+	// An upstream that has never heard of the user answers a floored
+	// receive with no messages, so any error here is a real one.
+	remote, err := ReceiveCtx(ctx, v.upstream, user, floor)
 	if err != nil {
-		// The upstream may simply not know the user yet when nothing
-		// high-sensitivity was ever sent; local results still stand.
-		return local, nil
+		return nil, fmt.Errorf("mail: view %s: receiving above level %d from upstream: %w", v.id, floor, err)
 	}
-	for _, m := range remote {
-		if m.Sensitivity > v.trust {
-			local = append(local, m)
-		}
-	}
-	return local, nil
+	return append(local, remote...), nil
 }
 
 // AddContact updates the local address book and logs a coherence write.

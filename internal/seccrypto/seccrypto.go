@@ -75,14 +75,28 @@ func UnmarshalEnvelope(data []byte) (*Envelope, error) {
 type KeyRing struct {
 	mu   sync.RWMutex
 	keys map[keyID][]byte
+	// sealers holds the cipher state built from a key on its first use.
+	// A key is never replaced once generated (GenerateUserKeys preserves
+	// existing ones), so an entry never goes stale.
+	sealers map[keyID]*sealer
 	// maxLevel caps the levels this ring may hold (escrow restriction).
 	maxLevel int
 }
 
-// NewKeyRing returns an empty ring allowed to hold keys up to MaxLevel.
-func NewKeyRing() *KeyRing {
-	return &KeyRing{keys: map[keyID][]byte{}, maxLevel: MaxLevel}
+// sealer is one key's cipher state: the AES key schedule and GHASH
+// table, which cost more to build than a 1 KiB seal, and the envelope's
+// associated data. A cipher.AEAD is safe for concurrent use.
+type sealer struct {
+	aead cipher.AEAD
+	ad   []byte
 }
+
+func newKeyRing(maxLevel int) *KeyRing {
+	return &KeyRing{keys: map[keyID][]byte{}, sealers: map[keyID]*sealer{}, maxLevel: maxLevel}
+}
+
+// NewKeyRing returns an empty ring allowed to hold keys up to MaxLevel.
+func NewKeyRing() *KeyRing { return newKeyRing(MaxLevel) }
 
 // MaxLevelAllowed returns the highest level this ring may hold.
 func (k *KeyRing) MaxLevelAllowed() int { return k.maxLevel }
@@ -123,12 +137,13 @@ func (k *KeyRing) HasKey(user string, level int) bool {
 // SubRing returns a new ring holding only keys with level <= maxLevel:
 // the escrow operation used when instantiating a view on a node of
 // limited trust ("whether the node ... can be entrusted with the keys
-// for a specific sensitivity level").
+// for a specific sensitivity level"). Only keys are copied: the
+// sub-ring builds its own cipher state from the keys it was given.
 func (k *KeyRing) SubRing(maxLevel int) *KeyRing {
 	if maxLevel > MaxLevel {
 		maxLevel = MaxLevel
 	}
-	sub := &KeyRing{keys: map[keyID][]byte{}, maxLevel: maxLevel}
+	sub := newKeyRing(maxLevel)
 	k.mu.RLock()
 	defer k.mu.RUnlock()
 	for id, key := range k.keys {
@@ -139,44 +154,66 @@ func (k *KeyRing) SubRing(maxLevel int) *KeyRing {
 	return sub
 }
 
-func (k *KeyRing) aead(user string, level int) (cipher.AEAD, error) {
+// sealer returns the cipher state for (user, level), building it on
+// first use. Two callers racing on a cold key may both build; the first
+// to store wins and the other's copy is garbage.
+func (k *KeyRing) sealer(user string, level int) (*sealer, error) {
+	id := keyID{user, level}
 	k.mu.RLock()
-	key, ok := k.keys[keyID{user, level}]
+	s := k.sealers[id]
+	var key []byte
+	if s == nil {
+		key = k.keys[id]
+	}
 	k.mu.RUnlock()
-	if !ok {
+	if s != nil {
+		return s, nil
+	}
+	if key == nil {
 		return nil, fmt.Errorf("seccrypto: no key for user %q level %d", user, level)
 	}
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, fmt.Errorf("seccrypto: cipher: %w", err)
 	}
-	return cipher.NewGCM(block)
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, fmt.Errorf("seccrypto: cipher: %w", err)
+	}
+	built := &sealer{aead: aead, ad: []byte(fmt.Sprintf("psf:%s:%d", user, level))}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if s, ok := k.sealers[id]; ok {
+		return s, nil
+	}
+	k.sealers[id] = built
+	return built, nil
 }
 
 // Seal encrypts plaintext to (user, level).
 func (k *KeyRing) Seal(user string, level int, plaintext []byte) (*Envelope, error) {
-	aead, err := k.aead(user, level)
+	s, err := k.sealer(user, level)
 	if err != nil {
 		return nil, err
 	}
-	nonce := make([]byte, aead.NonceSize())
+	nonce := make([]byte, s.aead.NonceSize())
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("seccrypto: nonce: %w", err)
 	}
 	return &Envelope{
 		User: user, Level: level, Nonce: nonce,
-		Ciphertext: aead.Seal(nil, nonce, plaintext, envelopeAD(user, level)),
+		Ciphertext: s.aead.Seal(nil, nonce, plaintext, s.ad),
 	}, nil
 }
 
 // Open decrypts an envelope; it fails if the ring lacks the key or the
 // ciphertext was tampered with.
 func (k *KeyRing) Open(e *Envelope) ([]byte, error) {
-	aead, err := k.aead(e.User, e.Level)
+	s, err := k.sealer(e.User, e.Level)
 	if err != nil {
 		return nil, err
 	}
-	pt, err := aead.Open(nil, e.Nonce, e.Ciphertext, envelopeAD(e.User, e.Level))
+	pt, err := s.aead.Open(nil, e.Nonce, e.Ciphertext, s.ad)
 	if err != nil {
 		return nil, fmt.Errorf("seccrypto: open envelope for %s/%d: %w", e.User, e.Level, err)
 	}
@@ -195,8 +232,4 @@ func (k *KeyRing) Transform(e *Envelope, toUser string, toLevel int) (*Envelope,
 		return nil, fmt.Errorf("seccrypto: transform: %w", err)
 	}
 	return k.Seal(toUser, toLevel, pt)
-}
-
-func envelopeAD(user string, level int) []byte {
-	return []byte(fmt.Sprintf("psf:%s:%d", user, level))
 }

@@ -2,6 +2,7 @@ package seccrypto
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,6 +114,89 @@ func TestSubRingEscrow(t *testing.T) {
 	// Clamp above MaxLevel.
 	if got := k.SubRing(99).MaxLevelAllowed(); got != MaxLevel {
 		t.Errorf("clamped max = %d", got)
+	}
+}
+
+// TestSubRingGetsKeysNotCiphers: the master ring has built its cipher
+// state for every level before the escrow; the sub-ring copies keys
+// only, so a trust-2 ring still cannot open a level-3 envelope, opens a
+// level-2 one with cipher state it built itself, and both rings keep
+// agreeing on the associated data (a cached one that named the wrong
+// user or level would fail authentication).
+func TestSubRingGetsKeysNotCiphers(t *testing.T) {
+	k := ringWith(t, "alice", "bob")
+	envs := map[int]*Envelope{}
+	for lvl := 1; lvl <= MaxLevel; lvl++ {
+		env, err := k.Seal("alice", lvl, []byte("warm"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs[lvl] = env
+	}
+	sub := k.SubRing(2)
+	if len(sub.sealers) != 0 {
+		t.Errorf("the sub-ring starts with %d ciphers, want none", len(sub.sealers))
+	}
+	if _, err := sub.Open(envs[3]); err == nil {
+		t.Error("a level-2 sub-ring opened a level-3 envelope")
+	}
+	if _, err := sub.Seal("alice", 3, []byte("x")); err == nil {
+		t.Error("a level-2 sub-ring sealed at level 3")
+	}
+	if pt, err := sub.Open(envs[2]); err != nil || string(pt) != "warm" {
+		t.Errorf("the sub-ring must open what it holds the key for: %q, %v", pt, err)
+	}
+	// Sealed in the sub-ring, opened in the master, and re-labelled
+	// envelopes rejected by both: the cached associated data is per key.
+	env, err := sub.Seal("bob", 2, []byte("back"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt, err := k.Open(env); err != nil || string(pt) != "back" {
+		t.Errorf("master ring open = %q, %v", pt, err)
+	}
+	forged := *envs[1]
+	forged.Level = 2
+	if _, err := k.Open(&forged); err == nil {
+		t.Error("an envelope re-labelled to another level must not open")
+	}
+	// A second use finds the cipher state of the first.
+	first, err := k.sealer("alice", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := k.sealer("alice", 1); again != first {
+		t.Error("the cipher for one key was built twice")
+	}
+}
+
+// TestConcurrentSealOnColdRing: many goroutines racing on keys nobody
+// has used yet all seal and open correctly (run under -race).
+func TestConcurrentSealOnColdRing(t *testing.T) {
+	k := ringWith(t, "alice")
+	done := make(chan error, 8)
+	for g := 0; g < cap(done); g++ {
+		go func(g int) {
+			for lvl := 1; lvl <= MaxLevel; lvl++ {
+				env, err := k.Seal("alice", lvl, []byte{byte(g)})
+				if err == nil {
+					var pt []byte
+					if pt, err = k.Open(env); err == nil && !bytes.Equal(pt, []byte{byte(g)}) {
+						err = fmt.Errorf("level %d opened to %v", lvl, pt)
+					}
+				}
+				if err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}(g)
+	}
+	for g := 0; g < cap(done); g++ {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package smock_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"partsvc/internal/mail"
@@ -532,5 +533,92 @@ func TestGenericProxyLookupMiss(t *testing.T) {
 	tr := transport.NewInProc()
 	if _, err := smock.NewGenericProxy(tr, smock.NewLookup(), "ghost", nil); err == nil {
 		t.Error("unknown service must fail")
+	}
+}
+
+// receiveTap wraps a transport and notes, for every "receive" request a
+// served handler answers, the sensitivity floor it carried (0 when
+// absent) and how many messages the reply held.
+type receiveTap struct {
+	transport.Transport
+	mu   sync.Mutex
+	seen []tappedReceive
+}
+
+type tappedReceive struct{ above, msgs int }
+
+func (r *receiveTap) Serve(addr string, h transport.Handler) (transport.Listener, error) {
+	return r.Transport.Serve(addr, transport.HandlerFunc(func(m *wire.Message) *wire.Message {
+		resp := h.Handle(m)
+		if m.Method != "receive" || resp == nil || resp.Kind != wire.KindResponse {
+			return resp
+		}
+		args, errA := wire.Unmarshal(m.Body)
+		reply, errR := wire.Unmarshal(resp.Body)
+		if errA != nil || errR != nil {
+			return resp
+		}
+		above, _ := args.(map[string]any)["above"].(int64)
+		msgs, _ := reply.(map[string]any)["msgs"].([]any)
+		r.mu.Lock()
+		r.seen = append(r.seen, tappedReceive{int(above), len(msgs)})
+		r.mu.Unlock()
+		return resp
+	}))
+}
+
+// TestSanDiegoReceiveAsksThePrimaryOnlyForWhatTheViewCannotHold: on the
+// deployed Figure-6 San Diego chain the trust-4 view serves a DS500
+// style inbox (everything at sensitivity 2) from its own store: the
+// receive that crosses the tunnel carries floor 4 and its reply no
+// messages. One level-5 message later, the same receive carries exactly
+// that one. The view's request is answered by two listeners, the
+// Encryptor's and, behind the tunnel, the primary's.
+func TestSanDiegoReceiveAsksThePrimaryOnlyForWhatTheViewCannotHold(t *testing.T) {
+	tap := &receiveTap{Transport: transport.NewInProc()}
+	w := newWorldOn(t, tap)
+	proxy := w.proxyFor(t, topology.SDClient, "Alice")
+	defer proxy.Close()
+	alice := mail.NewClient("Alice", w.keys, mail.NewRemote(proxy))
+	const n = 8
+	for i := 0; i < n; i++ {
+		if _, err := alice.Send("Bob", "s", []byte("absorbed by the view"), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !strings.Contains(proxy.Deployment, "ViewMailServer@sd-2{TrustLevel=4}") {
+		t.Fatalf("SD deployment = %s", proxy.Deployment)
+	}
+	bob := mail.NewClient("Bob", w.keys, mail.NewRemote(proxy))
+	upstream := func() []tappedReceive {
+		tap.mu.Lock()
+		defer tap.mu.Unlock()
+		var out []tappedReceive
+		for _, r := range tap.seen {
+			if r.above > 0 {
+				out = append(out, r)
+			}
+		}
+		tap.seen = nil
+		return out
+	}
+	msgs, err := bob.Receive()
+	if err != nil || len(msgs) != n {
+		t.Fatalf("receive = %d messages, %v; want %d", len(msgs), err, n)
+	}
+	empty := tappedReceive{above: 4, msgs: 0}
+	if got := upstream(); len(got) != 2 || got[0] != empty || got[1] != empty {
+		t.Errorf("floored receives on the chain = %+v, want the view's one request above 4 answered with no messages", got)
+	}
+	if _, err := alice.Send("Bob", "top", []byte("primary only"), 5); err != nil {
+		t.Fatal(err)
+	}
+	msgs, err = bob.Receive()
+	if err != nil || len(msgs) != n+1 {
+		t.Fatalf("receive = %d messages, %v; want %d", len(msgs), err, n+1)
+	}
+	one := tappedReceive{above: 4, msgs: 1}
+	if got := upstream(); len(got) != 2 || got[0] != one || got[1] != one {
+		t.Errorf("floored receives on the chain = %+v, want the view's one request above 4 answered with the level-5 message", got)
 	}
 }

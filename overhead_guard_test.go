@@ -3,10 +3,14 @@ package partsvc
 import (
 	"context"
 	"os"
+	"runtime"
 	"testing"
 
 	"partsvc/internal/api"
+	"partsvc/internal/coherence"
+	"partsvc/internal/mail"
 	"partsvc/internal/planner"
+	"partsvc/internal/seccrypto"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
 	"partsvc/internal/trace"
@@ -164,5 +168,96 @@ func TestPlanAllocGuard(t *testing.T) {
 	})
 	if lookup != 0 {
 		t.Errorf("a warm RouteCache.PathAt allocates %.0f objects, want 0", lookup)
+	}
+}
+
+// countingPrimary is a primary that counts the receives it answered and
+// the messages its replies carried.
+type countingPrimary struct {
+	*mail.Server
+	receives, returned int
+}
+
+func (p *countingPrimary) ReceiveCtx(ctx context.Context, user string, above int) ([]*mail.Message, error) {
+	msgs, err := p.Server.ReceiveCtx(ctx, user, above)
+	p.receives++
+	p.returned += len(msgs)
+	return msgs, err
+}
+
+// handlerEndpoint calls a handler on the caller's goroutine, as a
+// co-located linkage does: no transport goroutine allocates beside the
+// measured call.
+type handlerEndpoint struct{ h transport.Handler }
+
+func (e handlerEndpoint) Call(m *wire.Message) (*wire.Message, error) { return e.h.Handle(m), nil }
+func (e handlerEndpoint) Close() error                                { return nil }
+
+// TestReceiveAllocGuard bounds what a receive of an unchanged inbox
+// costs: 64 messages of 1 KiB at sensitivity 2 held by a trust-4 view
+// (the mailbox-mix shape), read by a Client through NewHandler(view)
+// with the primary upstream. The first receive transforms every
+// message; from the second on nothing is sealed, the upstream is asked
+// only for what is above the view's trust and answers with no messages.
+// What remains is the reply's encode and decode as generic wire values
+// and the client's decrypt: 3 999 allocations and 428 KB a receive
+// (7 264 and 1 256 KB when every receive re-sealed the inbox at the
+// view, fetched it whole from the primary and copied each reply message
+// twice); the budgets are 20 % above. Allocation counts repeat exactly,
+// so this is not env-gated.
+func TestReceiveAllocGuard(t *testing.T) {
+	const (
+		inbox       = 64
+		allocBudget = 4800
+		bytesBudget = 515 << 10
+	)
+	keys := seccrypto.NewKeyRing()
+	clock := transport.NewRealClock()
+	primary := &countingPrimary{Server: mail.NewServer(keys, clock)}
+	for _, u := range []string{"alice", "bob"} {
+		if err := primary.CreateAccount(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view, err := mail.NewView(mail.ViewConfig{
+		ID: "vms@sd-2", Trust: 4, Keys: keys.SubRing(4), Upstream: primary,
+		Policy: coherence.CountBound{Bound: 500}, Clock: clock,
+	}, 1<<32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice := mail.NewClient("alice", keys, view)
+	body := make([]byte, 1<<10)
+	for i := 0; i < inbox; i++ {
+		if _, err := alice.Send("bob", "s", body, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bob := mail.NewClient("bob", keys, mail.NewRemote(handlerEndpoint{mail.NewHandler(view)}))
+	receive := func() {
+		msgs, err := bob.Receive()
+		if err != nil || len(msgs) != inbox {
+			t.Fatalf("receive = %d messages, %v; want %d", len(msgs), err, inbox)
+		}
+	}
+	receive() // transforms the inbox
+
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, receive)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call besides the measured ones.
+	bytesPerReceive := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	t.Logf("receive of %d cached messages: %.0f allocations, %d KB", inbox, allocs, bytesPerReceive>>10)
+	if allocs > allocBudget {
+		t.Errorf("a receive of an unchanged inbox allocates %.0f objects, budget is %d", allocs, allocBudget)
+	}
+	if bytesPerReceive > bytesBudget {
+		t.Errorf("a receive of an unchanged inbox allocates %d KB, budget is %d KB", bytesPerReceive>>10, bytesBudget>>10)
+	}
+	if primary.receives != runs+2 || primary.returned != 0 {
+		t.Errorf("the primary answered %d receives with %d messages in all; want one per receive, each empty",
+			primary.receives, primary.returned)
 	}
 }
