@@ -13,7 +13,7 @@
 //	mailbench -clients 8        # widen the client sweep (1..8 per scenario)
 //	mailbench -counts 1,100,10000   # explicit client counts instead of 1..N
 //	mailbench -workers 4        # scenario-sweep parallelism (default GOMAXPROCS)
-//	mailbench -simstats         # print simulator scheduler counters
+//	mailbench -simstats         # print the simulator event count
 //	mailbench -trace DS500      # span tree + per-stage breakdown of one scenario
 //	mailbench -multicore        # live RPC scale-out: GOMAXPROCS × transport × conns (A9)
 //	mailbench -fleet            # session-sharded fleet control plane (A10)
@@ -26,9 +26,7 @@
 //
 // Scenario runs fan out over a bounded worker pool; output is
 // byte-identical for every -workers value (each scenario is its own
-// deterministic simulation with a derived RNG seed). -procs selects the
-// goroutine-process simulation engine instead of the default callback
-// fast path — same rows, useful for engine A/B measurements.
+// deterministic simulation with a derived RNG seed).
 package main
 
 import (
@@ -55,8 +53,7 @@ func main() {
 	counts := flag.String("counts", "", "comma-separated client counts per scenario (overrides -clients)")
 	sends := flag.Int("sends", 0, "override sends per client")
 	workers := flag.Int("workers", 0, "parallel scenario workers (0 = GOMAXPROCS)")
-	procs := flag.Bool("procs", false, "use the goroutine-process simulation engine (slow path)")
-	simstats := flag.Bool("simstats", false, "print simulator scheduler counters after the run")
+	simstats := flag.Bool("simstats", false, "print the simulator event count after the run")
 	traceSc := flag.String("trace", "", "trace one scenario: print its span tree and per-stage latency breakdown")
 	multicore := flag.Bool("multicore", false, "live RPC scale-out sweep: GOMAXPROCS × transport × connections (A9)")
 	callers := flag.String("callers", "1,64", "comma-separated caller counts for -multicore")
@@ -104,7 +101,6 @@ func main() {
 		cfg.SendsPerClient = *sends
 	}
 	cfg.Workers = *workers
-	cfg.Procs = *procs
 
 	start := time.Now()
 	switch {
@@ -213,10 +209,9 @@ func main() {
 	}
 	if *simstats {
 		elapsed := time.Since(start)
-		events, callbacks, switches := bench.SimCounters()
-		fmt.Printf("\nSimulator: %d events (%d callback fast-path, %d process switches) in %v — %.0f events/sec, %d workers\n",
-			events, callbacks, switches, elapsed.Round(time.Millisecond),
-			metrics.PerSec(events, elapsed), bench.Workers(cfg.Workers))
+		events := bench.SimCounters()
+		fmt.Printf("\nSimulator: %d events in %v — %.0f events/sec, %d workers\n",
+			events, elapsed.Round(time.Millisecond), metrics.PerSec(events, elapsed), bench.Workers(cfg.Workers))
 	}
 }
 

@@ -20,6 +20,7 @@ package adapt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -248,10 +249,13 @@ func (c *Controller) Track(s *Session) {
 }
 
 // Untrack stops keeping the named session valid (its deployment is
-// left as-is). No-op for unknown names.
+// left as-is) and drops its retry state; a retry already armed for it
+// will not fire. No-op for unknown names.
 func (c *Controller) Untrack(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	delete(c.retryCount, name)
+	delete(c.retryPending, name)
 	for i, s := range c.sessions {
 		if s.Name == name {
 			c.sessions = append(c.sessions[:i], c.sessions[i+1:]...)
@@ -494,10 +498,15 @@ func (c *Controller) scheduleRetry(s *Session) {
 	delay := c.cfg.RetryBackoffMS * float64(int(1)<<n)
 	c.sched.After(delay, func() {
 		c.mu.Lock()
-		c.retryPending[s.Name] = false
+		// A session Untrack removed is gone: adapting it would deploy
+		// instances nothing owns.
+		tracked := slices.Contains(c.sessions, s)
+		if tracked {
+			c.retryPending[s.Name] = false
+		}
 		stopped := c.stopped
 		c.mu.Unlock()
-		if stopped {
+		if stopped || !tracked {
 			return
 		}
 		c.adaptMu.Lock()

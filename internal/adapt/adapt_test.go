@@ -229,6 +229,48 @@ func TestReplanFailureRetriesWithBackoff(t *testing.T) {
 	}
 }
 
+// TestUntrackCancelsPendingRetry: a retry armed by a failed replan must
+// not adapt a session Untrack removed before it fired — it would deploy
+// instances nothing owns — and a session tracked again under the same
+// name starts with a fresh retry budget.
+func TestUntrackCancelsPendingRetry(t *testing.T) {
+	exec := &fakeExec{diff: changedDiff(), addr: "new-head", replanErr: errors.New("no feasible plan")}
+	h := newHarness(t, adapt.Config{DebounceMS: 10, RetryBackoffMS: 20, MaxAdaptRetries: 3}, exec)
+	h.ctrl.Start()
+	h.env.At(0, func() { _ = h.mon.ReportNodeDown("b") })
+	// The replan at t=10 fails and arms a retry for t=30. The session is
+	// deleted first, and the executor heals, so a stray retry would both
+	// replan and deploy.
+	h.env.At(20, func() {
+		h.ctrl.Untrack(h.sess.Name)
+		exec.set(func(f *fakeExec) { f.replanErr = nil })
+	})
+	h.env.RunUntil(100)
+	if replans, deploys, _ := exec.counts(); replans != 1 || deploys != 0 {
+		t.Fatalf("after Untrack: %d replans and %d deploys, want 1 and 0 (the pending retry must not fire)", replans, deploys)
+	}
+
+	// A new session under the same name fails its first replan: its
+	// retries run on their own schedule, not blocked or stretched by the
+	// deleted session's state.
+	h.env.At(100, func() {
+		exec.set(func(f *fakeExec) { f.replanErr = errors.New("no feasible plan") })
+		h.ctrl.Track(adapt.NewSession(h.sess.Name, "svc", h.sess.Req, h.sess.Deployment(), "old-head"))
+		_ = h.mon.ReportNodeUp("b")
+	})
+	h.env.RunUntil(5000)
+	fails := h.eventsOf("failed")
+	want := []float64{10, 110, 130, 170, 250}
+	if len(fails) != len(want) {
+		t.Fatalf("got %d failed events, want %d: %v", len(fails), len(want), fails)
+	}
+	for i, e := range fails {
+		if e.AtMS != want[i] {
+			t.Errorf("failure %d at t=%.1f, want %.1f", i, e.AtMS, want[i])
+		}
+	}
+}
+
 // TestDeployFailureKeepsOldBindingThenRecovers: a deploy error mid-
 // cutover must leave the client bindings and the session untouched (the
 // old deployment is still serving); the scheduled retry then completes

@@ -80,7 +80,7 @@ func TestNotConfigured(t *testing.T) {
 
 // planWorld is just enough deployed world to exercise request
 // validation: a real spec, planner, and engine with one live node.
-func planWorld(t *testing.T) Control {
+func planWorld(t testing.TB) Control {
 	t.Helper()
 	svc := spec.MailService()
 	tr := transport.NewInProc()

@@ -67,14 +67,6 @@ type Config struct {
 	// Seed derives the per-scenario RNG seed handed to each sim.Env, so
 	// stochastic workloads stay reproducible under any Workers value.
 	Seed int64
-	// Procs selects the goroutine-process simulation engine instead of
-	// the default callback fast path. Both produce byte-identical rows
-	// (asserted by the equivalence tests); the process engine exists as
-	// the oracle and costs two channel handoffs per event.
-	Procs bool
-	// HeapQueue selects the reference binary-heap event queue instead
-	// of the calendar queue (again byte-identical, again the oracle).
-	HeapQueue bool
 }
 
 // DefaultConfig returns the documented default parameters.

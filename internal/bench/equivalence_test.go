@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 )
 
 // smallConfig keeps the equivalence matrix fast: every variant runs the
@@ -21,10 +20,8 @@ func smallConfig() Config {
 // criterion is byte-identical *output*.
 func rowsString(rows []Row) string { return Fig7Table(rows) }
 
-// TestEngineEquivalence is the tentpole determinism matrix: the
-// callback fast path, the goroutine-process engine, and the heap-queue
-// oracle must all produce byte-identical Figure 7 tables, at any worker
-// count.
+// TestEngineEquivalence is the determinism matrix: the Figure 7 table
+// is byte-identical at any worker count.
 func TestEngineEquivalence(t *testing.T) {
 	base := smallConfig()
 	base.Workers = 1
@@ -34,12 +31,8 @@ func TestEngineEquivalence(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"procs-engine", func(c *Config) { c.Procs = true }},
-		{"heap-queue", func(c *Config) { c.HeapQueue = true }},
-		{"procs+heap", func(c *Config) { c.Procs = true; c.HeapQueue = true }},
 		{"workers-4", func(c *Config) { c.Workers = 4 }},
 		{"workers-16", func(c *Config) { c.Workers = 16 }},
-		{"procs-workers-8", func(c *Config) { c.Procs = true; c.Workers = 8 }},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -48,7 +41,7 @@ func TestEngineEquivalence(t *testing.T) {
 			v.mut(&cfg)
 			got := rowsString(RunFig7(cfg))
 			if got != want {
-				t.Fatalf("variant %s diverges from the serial callback/calendar baseline:\n--- want\n%s--- got\n%s",
+				t.Fatalf("variant %s diverges from the serial baseline:\n--- want\n%s--- got\n%s",
 					v.name, want, got)
 			}
 		})
@@ -152,26 +145,4 @@ func TestForEachCoversAllIndices(t *testing.T) {
 		}
 	}
 	forEach(4, 0, func(i int) { t.Fatal("forEach(_, 0) must not invoke fn") })
-}
-
-// TestScenarioRunsDoNotLeakGoroutines is satellite (a) at the bench
-// layer: 100 scenario runs (including the proc engine, which parks
-// goroutines on locks and queues) must not grow the goroutine count.
-func TestScenarioRunsDoNotLeakGoroutines(t *testing.T) {
-	cfg := smallConfig()
-	cfg.SendsPerClient = 5
-	baseline := runtime.NumGoroutine()
-	for i := 0; i < 100; i++ {
-		c := cfg
-		c.Procs = i%2 == 0
-		RunScenario(c, Scenarios()[i%len(Scenarios())], 2)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline+2 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline+2 {
-		t.Fatalf("goroutines grew from %d to %d across 100 scenario runs", baseline, n)
-	}
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"partsvc/internal/coherence"
 	"partsvc/internal/metrics"
 	"partsvc/internal/sim"
@@ -49,90 +47,50 @@ func RunFig7Stats(cfg Config) ([]Row, *metrics.Recorder) {
 	return rows, merged
 }
 
-// simStats aggregates scheduler counters across every scenario run in
-// the process (concurrency-safe: parallel sweeps bump them from worker
-// goroutines).
-var simStats struct {
-	events, callbacks, switches metrics.Counter
-}
+// simEvents counts the simulator events dispatched by every scenario
+// run in the process (concurrency-safe: parallel sweeps bump it from
+// worker goroutines).
+var simEvents metrics.Counter
 
-// SimCounters reports the simulator scheduler counters accumulated by
-// all scenario runs so far: total events dispatched, fast-path
-// callback events, and slow-path process switches.
-func SimCounters() (events, callbackEvents, procSwitches int64) {
-	return simStats.events.Load(), simStats.callbacks.Load(), simStats.switches.Load()
-}
+// SimCounters reports the simulator events dispatched by all scenario
+// runs so far.
+func SimCounters() (events int64) { return simEvents.Load() }
 
 // RunScenario simulates one scenario at one client count and returns
 // its latency row. The simulation is deterministic: the same Config
-// yields bit-identical rows under either engine, either event queue,
-// and any sweep parallelism.
+// yields bit-identical rows at any sweep parallelism.
 func RunScenario(cfg Config, sc Scenario, clients int) Row {
 	row, _, _ := runScenario(cfg, sc, clients, 0)
 	return row
 }
 
 // runScenario is the shared scenario engine. traceCap > 0 attaches a
-// virtual-clock tracer (capacity traceCap) to the world and forces the
-// process engine — the callback engine produces identical rows but
-// emits no spans. Span timestamps read env.Now, so repeated runs of
-// the same Config produce byte-identical span trees.
+// virtual-clock tracer (capacity traceCap) to the world. Span
+// timestamps read env.Now, so repeated runs of the same Config produce
+// byte-identical span trees.
 func runScenario(cfg Config, sc Scenario, clients, traceCap int) (Row, *metrics.Recorder, *trace.Tracer) {
-	env := sim.NewEnvWith(sim.Options{
-		Seed:      scenarioSeed(cfg.Seed, sc.Name, clients),
-		HeapQueue: cfg.HeapQueue,
-	})
-	defer env.Stop()
+	env := sim.NewEnvWith(sim.Options{Seed: scenarioSeed(cfg.Seed, sc.Name, clients)})
 	var tr *trace.Tracer
 	if traceCap > 0 {
 		tr = trace.NewTracer(traceCap, env.Now)
-		cfg.Procs = true
 	}
 	w := &scenarioWorld{cfg: cfg, sc: sc, env: env, tr: tr}
 	w.build()
 	rec := &metrics.Recorder{}
 	w.active = clients
+	for c := 0; c < clients; c++ {
+		w.startClient(rec)
+	}
 	// Time-driven policies flush from a background flusher (the Smock
 	// runtime's periodic FlushIfDue loop); it drains once after the last
 	// client finishes and exits.
-	timeDriven := false
 	if w.replica != nil {
-		_, timeDriven = w.replica.Policy().NextDeadline(0)
-	}
-	if cfg.Procs {
-		for c := 0; c < clients; c++ {
-			env.Go(fmt.Sprintf("client-%d", c), func(p *sim.Proc) {
-				w.runClient(p, rec)
-				w.active--
-			})
-		}
-		if timeDriven {
-			env.Go("flusher", func(p *sim.Proc) {
-				for {
-					deadline, _ := w.replica.NextDeadline()
-					if deadline > p.Now() {
-						p.SleepUntil(deadline)
-					}
-					w.flush(p)
-					if w.active == 0 {
-						return
-					}
-				}
-			})
-		}
-	} else {
-		for c := 0; c < clients; c++ {
-			w.startClient(rec)
-		}
-		if timeDriven {
+		if _, timeDriven := w.replica.Policy().NextDeadline(0); timeDriven {
 			w.startFlusher()
 		}
 	}
 	env.Run()
-	st := env.Stats()
-	simStats.events.Add(st.Events)
-	simStats.callbacks.Add(st.CallbackEvents)
-	simStats.switches.Add(st.ProcSwitches)
+	simEvents.Add(env.Stats().Events)
 	return Row{
 		Scenario: sc.Name,
 		Clients:  clients,
@@ -145,6 +103,12 @@ func runScenario(cfg Config, sc Scenario, clients, traceCap int) (Row, *metrics.
 
 // scenarioWorld holds the simulated deployment for one scenario: links,
 // component service resources, and the view's coherence replica.
+//
+// Clients and the flusher are continuation chains over the simulator's
+// callback primitives: every wait — a service time, a link transfer, a
+// contended lock or server — is exactly one event, and everything
+// between two waits runs synchronously inside one callback. A
+// 10k-client scenario therefore needs no goroutine per client.
 type scenarioWorld struct {
 	cfg Config
 	sc  Scenario
@@ -167,8 +131,7 @@ type scenarioWorld struct {
 	// terminate).
 	active int
 	// tr, when non-nil, records virtual-clock spans for every stage of
-	// the process engine's send path (the callback engine stays
-	// untraced).
+	// the send path.
 	tr *trace.Tracer
 }
 
@@ -180,37 +143,6 @@ func (w *scenarioWorld) span(parent trace.SpanContext, name string) *trace.Span 
 		return nil
 	}
 	return w.tr.StartSpan(parent, name)
-}
-
-// flush propagates the replica's pending updates across the slow link
-// while holding the view lock.
-func (w *scenarioWorld) flush(p *sim.Proc) {
-	w.view.Lock(p)
-	batch := w.replica.TakePending(p.Now())
-	if len(batch) > 0 {
-		w.flushBatch(p, trace.SpanContext{}, len(batch))
-	}
-	w.view.Unlock()
-}
-
-// flushBatch models the flush RPC chain — encryptor tunnel, slow-link
-// transfer, primary processing, acknowledgement — under a
-// "coherence.flush" span mirroring the real transport's span names.
-func (w *scenarioWorld) flushBatch(p *sim.Proc, parent trace.SpanContext, updates int) {
-	fl := w.span(parent, "coherence.flush")
-	tun := w.span(fl.Context(), "tunnel.call")
-	p.Sleep(2 * w.cfg.CryptoServiceMS)
-	tun.End()
-	tc := w.span(fl.Context(), "transport.call")
-	w.slowUp.Transfer(p, updates*w.cfg.RecordBytes)
-	ms := w.span(tc.Context(), "mail.send")
-	w.server.Acquire(p, 1)
-	p.Sleep(w.cfg.ServerServiceMS)
-	w.server.Release(1)
-	ms.End()
-	w.slowDown.Transfer(p, w.cfg.ReplyBytes)
-	tc.End()
-	fl.End()
 }
 
 func (w *scenarioWorld) build() {
@@ -230,125 +162,222 @@ func (w *scenarioWorld) build() {
 	}
 }
 
-// runClient performs the paper's workload: SendsPerClient sends with a
-// receive sweep after every ReceiveEvery sends, at the maximum rate the
-// deployment permits.
-func (w *scenarioWorld) runClient(p *sim.Proc, rec *metrics.Recorder) {
-	receives := 0
-	for i := 1; i <= w.cfg.SendsPerClient; i++ {
-		start := p.Now()
-		root := w.span(trace.SpanContext{}, "client.send")
-		w.send(p, root.Context())
-		root.End()
-		rec.Add(p.Now() - start)
-		if w.cfg.ReceiveEvery > 0 && i%w.cfg.ReceiveEvery == 0 {
-			receives++
-			w.receive(p, receives)
+// startClient launches one client running the paper's workload:
+// SendsPerClient sends with a receive sweep after every ReceiveEvery
+// sends, at the maximum rate the deployment permits.
+func (w *scenarioWorld) startClient(rec *metrics.Recorder) {
+	env, cfg := w.env, w.cfg
+	sends, receives := 0, 0
+	var beginSend func()
+	next := func() {
+		if sends < cfg.SendsPerClient {
+			beginSend()
+		} else {
+			w.active--
 		}
 	}
+	beginSend = func() {
+		start := env.Now()
+		root := w.span(trace.SpanContext{}, "client.send")
+		env.After(cfg.ClientServiceMS, func() {
+			var px *trace.Span
+			finish := func() {
+				px.End()
+				root.End()
+				rec.Add(env.Now() - start)
+				sends++
+				if cfg.ReceiveEvery > 0 && sends%cfg.ReceiveEvery == 0 {
+					receives++
+					w.receive(receives, next)
+				} else {
+					next()
+				}
+			}
+			if !w.sc.Dynamic {
+				w.send(root.Context(), finish)
+				return
+			}
+			px = w.span(root.Context(), "proxy.send")
+			env.After(cfg.ProxyOverheadMS, func() { w.send(px.Context(), finish) })
+		})
+	}
+	env.At(env.Now(), beginSend)
 }
 
-// send models one message send through the scenario's deployment.
-// Span names mirror the real transports' spans so one SpanBreakdown
-// works over simulated and wall-clock traces alike.
-func (w *scenarioWorld) send(p *sim.Proc, parent trace.SpanContext) {
-	cfg := w.cfg
-	p.Sleep(cfg.ClientServiceMS)
-	if w.sc.Dynamic {
-		px := w.span(parent, "proxy.send")
-		defer px.End()
-		parent = px.Context()
-		p.Sleep(cfg.ProxyOverheadMS)
-	}
+// send models one message send through the scenario's deployment, from
+// behind the client's proxy until the reply is back. Span names mirror
+// the real transports' spans so one SpanBreakdown works over simulated
+// and wall-clock traces alike.
+func (w *scenarioWorld) send(parent trace.SpanContext, done func()) {
+	env, cfg := w.env, w.cfg
 	switch {
 	case w.sc.Cached:
 		// MailClient -> local ViewMailServer; the send is absorbed
 		// locally, logging coherence records; the policy may force a
 		// synchronous flush across the slow link while the view is
 		// locked.
-		w.view.Lock(p)
-		vs := w.span(parent, "view.send")
-		p.Sleep(cfg.ViewServiceMS)
-		flush := false
-		for r := 0; r < cfg.RecordsPerSend; r++ {
-			if _, due := w.replica.Write("send", "user", nil, p.Now()); due {
-				flush = true
-			}
-		}
-		if flush {
-			batch := w.replica.TakePending(p.Now())
-			w.flushBatch(p, vs.Context(), len(batch))
-		}
-		vs.End()
-		w.view.Unlock()
+		w.view.LockFn(func() {
+			vs := w.span(parent, "view.send")
+			env.After(cfg.ViewServiceMS, func() {
+				flush := false
+				for r := 0; r < cfg.RecordsPerSend; r++ {
+					if _, due := w.replica.Write("send", "user", nil, env.Now()); due {
+						flush = true
+					}
+				}
+				unlock := func() {
+					vs.End()
+					w.view.Unlock()
+					done()
+				}
+				if flush {
+					w.flushBatch(vs.Context(), len(w.replica.TakePending(env.Now())), unlock)
+				} else {
+					unlock()
+				}
+			})
+		})
 	case w.sc.Slow:
 		// SS: the client talks straight to the distant MailServer,
 		// "unaware of the slow link", through the encryptor tunnel.
 		tun := w.span(parent, "tunnel.call")
-		p.Sleep(cfg.CryptoServiceMS)
-		tc := w.span(tun.Context(), "transport.call")
-		w.slowUp.Transfer(p, cfg.MessageBytes)
-		p.Sleep(cfg.CryptoServiceMS)
-		ms := w.span(tc.Context(), "mail.send")
-		w.server.Acquire(p, 1)
-		p.Sleep(cfg.ServerServiceMS)
-		w.server.Release(1)
-		ms.End()
-		w.slowDown.Transfer(p, cfg.ReplyBytes)
-		tc.End()
-		tun.End()
+		env.After(cfg.CryptoServiceMS, func() {
+			tc := w.span(tun.Context(), "transport.call")
+			w.slowUp.TransferFn(cfg.MessageBytes, func(float64) {
+				env.After(cfg.CryptoServiceMS, func() {
+					w.serve(w.span(tc.Context(), "mail.send"), w.slowDown, cfg.ReplyBytes, func() {
+						tc.End()
+						tun.End()
+						done()
+					})
+				})
+			})
+		})
 	default:
 		// DF/SF: LAN client straight to the MailServer.
 		tc := w.span(parent, "transport.call")
-		w.lanUp.Transfer(p, cfg.MessageBytes)
-		ms := w.span(tc.Context(), "mail.send")
-		w.server.Acquire(p, 1)
-		p.Sleep(cfg.ServerServiceMS)
-		w.server.Release(1)
-		ms.End()
-		w.lanDown.Transfer(p, cfg.ReplyBytes)
-		tc.End()
+		w.lanUp.TransferFn(cfg.MessageBytes, func(float64) {
+			w.serve(w.span(tc.Context(), "mail.send"), w.lanDown, cfg.ReplyBytes, func() {
+				tc.End()
+				done()
+			})
+		})
 	}
 }
 
 // receive models one receive sweep. Receives are not part of the
 // Figure 7 metric but contribute contention and time, as in the paper's
 // workload.
-func (w *scenarioWorld) receive(p *sim.Proc, idx int) {
-	cfg := w.cfg
-	p.Sleep(cfg.ClientServiceMS)
-	if w.sc.Dynamic {
-		p.Sleep(cfg.ProxyOverheadMS)
-	}
-	switch {
-	case w.sc.Cached:
-		w.view.Lock(p)
-		p.Sleep(cfg.ViewServiceMS)
-		w.view.Unlock()
-		if cfg.MissEvery > 0 && idx%cfg.MissEvery == 0 {
-			// Cache miss (the view's RRF): fetch from the primary.
-			p.Sleep(2 * cfg.CryptoServiceMS)
-			w.slowUp.Transfer(p, cfg.ReplyBytes)
-			w.server.Acquire(p, 1)
-			p.Sleep(cfg.ServerServiceMS)
-			w.server.Release(1)
-			w.slowDown.Transfer(p, cfg.MessageBytes)
+func (w *scenarioWorld) receive(idx int, done func()) {
+	env, cfg := w.env, w.cfg
+	body := func() {
+		switch {
+		case w.sc.Cached:
+			w.view.LockFn(func() {
+				env.After(cfg.ViewServiceMS, func() {
+					w.view.Unlock()
+					if cfg.MissEvery == 0 || idx%cfg.MissEvery != 0 {
+						done()
+						return
+					}
+					// Cache miss (the view's RRF): fetch from the primary.
+					env.After(2*cfg.CryptoServiceMS, func() {
+						w.slowUp.TransferFn(cfg.ReplyBytes, func(float64) {
+							w.serve(nil, w.slowDown, cfg.MessageBytes, done)
+						})
+					})
+				})
+			})
+		case w.sc.Slow:
+			env.After(cfg.CryptoServiceMS, func() {
+				w.slowUp.TransferFn(cfg.ReplyBytes, func(float64) {
+					w.serve(nil, w.slowDown, cfg.MessageBytes, func() { env.After(cfg.CryptoServiceMS, done) })
+				})
+			})
+		default:
+			w.lanUp.TransferFn(cfg.ReplyBytes, func(float64) {
+				w.serve(nil, w.lanDown, cfg.MessageBytes, done)
+			})
 		}
-	case w.sc.Slow:
-		p.Sleep(cfg.CryptoServiceMS)
-		w.slowUp.Transfer(p, cfg.ReplyBytes)
-		w.server.Acquire(p, 1)
-		p.Sleep(cfg.ServerServiceMS)
-		w.server.Release(1)
-		w.slowDown.Transfer(p, cfg.MessageBytes)
-		p.Sleep(cfg.CryptoServiceMS)
-	default:
-		w.lanUp.Transfer(p, cfg.ReplyBytes)
-		w.server.Acquire(p, 1)
-		p.Sleep(cfg.ServerServiceMS)
-		w.server.Release(1)
-		w.lanDown.Transfer(p, cfg.MessageBytes)
 	}
+	env.After(cfg.ClientServiceMS, func() {
+		if w.sc.Dynamic {
+			env.After(cfg.ProxyOverheadMS, body)
+		} else {
+			body()
+		}
+	})
+}
+
+// serve models the primary MailServer's side of a call: queue for the
+// server, hold it for its service time, end sp (nil when untraced), and
+// carry replyBytes back over down before calling done.
+func (w *scenarioWorld) serve(sp *trace.Span, down *sim.Link, replyBytes int, done func()) {
+	w.server.AcquireFn(1, func() {
+		w.env.After(w.cfg.ServerServiceMS, func() {
+			w.server.Release(1)
+			sp.End()
+			down.TransferFn(replyBytes, func(float64) { done() })
+		})
+	})
+}
+
+// startFlusher launches the background flusher for time-driven
+// policies: at each policy deadline it flushes, until the last client
+// has finished.
+func (w *scenarioWorld) startFlusher() {
+	env := w.env
+	var loop func()
+	loop = func() {
+		flush := func() {
+			w.flush(func() {
+				if w.active > 0 {
+					loop()
+				}
+			})
+		}
+		if deadline, _ := w.replica.NextDeadline(); deadline > env.Now() {
+			env.At(deadline, flush)
+		} else {
+			flush()
+		}
+	}
+	env.At(env.Now(), loop)
+}
+
+// flush propagates the replica's pending updates across the slow link
+// while holding the view lock.
+func (w *scenarioWorld) flush(done func()) {
+	w.view.LockFn(func() {
+		unlock := func() {
+			w.view.Unlock()
+			done()
+		}
+		if n := len(w.replica.TakePending(w.env.Now())); n > 0 {
+			w.flushBatch(trace.SpanContext{}, n, unlock)
+		} else {
+			unlock()
+		}
+	})
+}
+
+// flushBatch models the flush RPC chain — encryptor tunnel, slow-link
+// transfer, primary processing, acknowledgement — under a
+// "coherence.flush" span mirroring the real transport's span names.
+func (w *scenarioWorld) flushBatch(parent trace.SpanContext, updates int, done func()) {
+	fl := w.span(parent, "coherence.flush")
+	tun := w.span(fl.Context(), "tunnel.call")
+	w.env.After(2*w.cfg.CryptoServiceMS, func() {
+		tun.End()
+		tc := w.span(fl.Context(), "transport.call")
+		w.slowUp.TransferFn(updates*w.cfg.RecordBytes, func(float64) {
+			w.serve(w.span(tc.Context(), "mail.send"), w.slowDown, w.cfg.ReplyBytes, func() {
+				tc.End()
+				fl.End()
+				done()
+			})
+		})
+	})
 }
 
 // Fig7Table renders rows as the experiment table printed by

@@ -223,7 +223,6 @@ type fig8Sample struct{ start, latency float64 }
 // same row, at any sweep parallelism.
 func runFig8Scenario(cfg Fig8Config, sc Fig8Scenario) Fig8Row {
 	env := sim.NewEnvWith(sim.Options{Seed: scenarioSeed(cfg.Seed, "fig8/"+sc.Name, 1)})
-	defer env.Stop()
 
 	net := topology.CaseStudy()
 	mon := netmon.New(net)
@@ -287,25 +286,30 @@ func runFig8Scenario(cfg Fig8Config, sc Fig8Scenario) Fig8Row {
 	// latency (exactly what a user behind the rebinding client library
 	// experiences during an outage).
 	var samples []fig8Sample
-	env.Go("carol", func(p *sim.Proc) {
-		next := 0.0
-		for next < cfg.DurationMS {
-			if p.Now() < next {
-				p.SleepUntil(next)
+	var send func()
+	send = func() {
+		start := env.Now()
+		var attempt func()
+		attempt = func() {
+			lat, ok := w.chainLatencyMS(w.sess.Deployment())
+			if !ok {
+				env.After(cfg.RetryMS, attempt)
+				return
 			}
-			start := p.Now()
-			for {
-				lat, ok := w.chainLatencyMS(w.sess.Deployment())
-				if ok {
-					p.Sleep(lat)
-					break
+			env.After(lat, func() {
+				samples = append(samples, fig8Sample{start: start, latency: env.Now() - start})
+				switch next := start + cfg.SendEveryMS; {
+				case next >= cfg.DurationMS: // the run is over
+				case env.Now() < next:
+					env.At(next, send)
+				default:
+					send()
 				}
-				p.Sleep(cfg.RetryMS)
-			}
-			samples = append(samples, fig8Sample{start: start, latency: p.Now() - start})
-			next = start + cfg.SendEveryMS
+			})
 		}
-	})
+		attempt()
+	}
+	env.At(env.Now(), send)
 	env.RunUntil(cfg.DurationMS)
 
 	return fig8Row(sc, cfg, events, samples)

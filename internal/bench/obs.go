@@ -9,10 +9,9 @@ import (
 
 // RunScenarioTraced is RunScenario under a virtual-clock tracer: it
 // returns the latency row plus every span the run recorded, with
-// timestamps in simulated milliseconds. The run uses the process
-// engine (the callback engine emits no spans) and is fully
-// deterministic — calling it twice with the same arguments yields
-// byte-identical trace.Tree renderings.
+// timestamps in simulated milliseconds. The run is fully deterministic
+// — calling it twice with the same arguments yields byte-identical
+// trace.Tree renderings.
 func RunScenarioTraced(cfg Config, sc Scenario, clients int) (Row, []trace.Span) {
 	// Generous ring capacity: a send produces at most ~8 spans
 	// (client/proxy/view/flush/tunnel/transport/mail plus slack), so
@@ -48,15 +47,10 @@ func SpanBreakdown(spans []trace.Span) string {
 	return t.String()
 }
 
-// RegisterSimMetrics publishes the process-wide simulator scheduler
-// counters as the registry's "sim" section.
+// RegisterSimMetrics publishes the process-wide simulator event count
+// as the registry's "sim" section.
 func RegisterSimMetrics(reg *metrics.Registry) {
 	reg.RegisterSection("sim", func() []metrics.KV {
-		events, callbacks, switches := SimCounters()
-		return []metrics.KV{
-			metrics.KVf("events", "%d", events),
-			metrics.KVf("callback_events", "%d", callbacks),
-			metrics.KVf("proc_switches", "%d", switches),
-		}
+		return []metrics.KV{metrics.KVf("events", "%d", SimCounters())}
 	})
 }

@@ -7,28 +7,13 @@ import (
 
 // BenchmarkSimCore measures raw scheduler throughput (reported as
 // events/sec) for the three hot primitives of the Figure 7 workload —
-// timers, link transfers, and queue handoffs — at 1k/10k/100k
-// concurrent entities, on both engines. "callback" is the fast path
-// (inline dispatch, zero goroutines); "proc" is the goroutine-process
-// slow path (two channel handoffs per event), which is the seed
-// scheduler's only mode. The A5b acceptance bar is callback >= 5x proc
-// at 10k entities.
+// timers, link transfers, and queue handoffs — with callback chains at
+// 1k/10k/100k concurrent entities.
 func BenchmarkSimCore(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		n := n
 		b.Run(fmt.Sprintf("timers/callback-%d", n), func(b *testing.B) {
 			benchEvents(b, func(env *Env) { startTimerEntities(env, n, 10) })
-		})
-		b.Run(fmt.Sprintf("timers/proc-%d", n), func(b *testing.B) {
-			benchEvents(b, func(env *Env) {
-				for i := 0; i < n; i++ {
-					env.Go("t", func(p *Proc) {
-						for h := 0; h < 10; h++ {
-							p.Sleep(1)
-						}
-					})
-				}
-			})
 		})
 	}
 	// Link transfers and queue handoffs at the acceptance-bar size.
@@ -45,18 +30,6 @@ func BenchmarkSimCore(b *testing.B) {
 					}
 				}
 				next(0)
-			}
-		})
-	})
-	b.Run(fmt.Sprintf("link/proc-%d", n), func(b *testing.B) {
-		benchEvents(b, func(env *Env) {
-			link := NewLink(env, 1, 100)
-			for i := 0; i < n; i++ {
-				env.Go("x", func(p *Proc) {
-					for h := 0; h < 10; h++ {
-						link.Transfer(p, 1000)
-					}
-				})
 			}
 		})
 	})
@@ -84,29 +57,10 @@ func BenchmarkSimCore(b *testing.B) {
 			}
 		})
 	})
-	b.Run(fmt.Sprintf("queue/proc-%d", n), func(b *testing.B) {
-		benchEvents(b, func(env *Env) {
-			for i := 0; i < n/2; i++ {
-				q := NewQueue(env)
-				env.Go("c", func(p *Proc) {
-					for h := 0; h < 10; h++ {
-						q.Get(p)
-					}
-				})
-				env.Go("p", func(p *Proc) {
-					for h := 0; h < 10; h++ {
-						q.Put(0)
-						p.Sleep(1)
-					}
-				})
-			}
-		})
-	})
 }
 
 // startTimerEntities schedules n self-rescheduling callback chains of
-// the given hop count — the zero-goroutine analogue of n sleeping
-// processes.
+// the given hop count.
 func startTimerEntities(env *Env, n, hops int) {
 	for i := 0; i < n; i++ {
 		left := hops
@@ -140,22 +94,37 @@ func benchEvents(b *testing.B, populate func(env *Env)) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
-// BenchmarkCalendarVsHeap isolates the event-queue swap: identical
-// uniform timer loads through each queue implementation.
+// BenchmarkCalendarVsHeap isolates the event queue: the timer-entity
+// load of BenchmarkSimCore (10 000 entities re-arming a 1 ms timer ten
+// times) pushed and popped through each queue implementation directly.
 func BenchmarkCalendarVsHeap(b *testing.B) {
-	for _, opt := range []struct {
+	for _, impl := range []struct {
 		name string
-		o    Options
-	}{{"calendar", Options{}}, {"heap", Options{HeapQueue: true}}} {
-		b.Run(opt.name, func(b *testing.B) {
+		mk   func() eventQueue
+	}{
+		{"calendar", func() eventQueue { return newCalQueue(&Stats{}) }},
+		{"heap", func() eventQueue { return &heapQueue{} }},
+	} {
+		b.Run(impl.name, func(b *testing.B) {
+			const entities, hops = 10_000, 10
 			var events int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				env := NewEnvWith(opt.o)
-				startTimerEntities(env, 10_000, 10)
-				env.Run()
-				events += env.Stats().Events
+				q := impl.mk()
+				var seq int64
+				for e := 0; e < entities; e++ {
+					seq++
+					q.push(&event{at: 1, seq: seq, fn: func() {}})
+				}
+				for ev := q.pop(); ev != nil; ev = q.pop() {
+					events++
+					if ev.at < hops {
+						seq++
+						ev.at, ev.seq = ev.at+1, seq
+						q.push(ev)
+					}
+				}
 			}
 			b.StopTimer()
 			if s := b.Elapsed().Seconds(); s > 0 {

@@ -1,22 +1,15 @@
 package sim
 
-// Queue is an unbounded FIFO mailbox between processes and/or
-// callbacks. Get blocks the calling process until an item is
-// available; GetFn is the fast-path equivalent, delivering to a
-// callback with no goroutine handoff. Put never blocks. The zero
-// value is not usable; create queues with NewQueue.
+// Queue is an unbounded FIFO mailbox between callbacks. GetFn delivers
+// the oldest item to a callback, parking it until one arrives; Put
+// never blocks. The zero value is not usable; create queues with
+// NewQueue.
 type Queue struct {
 	env     *Env
 	items   []any // ring: live items are items[head:]
 	head    int
-	waiters []qwaiter // ring: live waiters are waiters[whead:], FIFO
+	waiters []func(v any) // ring: live waiters are waiters[whead:], FIFO
 	whead   int
-}
-
-// qwaiter is one parked consumer: a blocked process or a callback.
-type qwaiter struct {
-	proc *Proc
-	fn   func(v any)
 }
 
 // NewQueue returns an empty queue bound to the environment.
@@ -46,19 +39,19 @@ func (q *Queue) popItem() any {
 	return v
 }
 
-func (q *Queue) takeWaiter() (qwaiter, bool) {
+func (q *Queue) takeWaiter() (func(v any), bool) {
 	if q.whead == len(q.waiters) {
-		return qwaiter{}, false
+		return nil, false
 	}
 	w := q.waiters[q.whead]
-	q.waiters[q.whead] = qwaiter{}
+	q.waiters[q.whead] = nil
 	q.whead++
 	if q.whead == len(q.waiters) {
 		q.waiters, q.whead = q.waiters[:0], 0
 	} else if q.whead > len(q.waiters)/2 {
 		n := copy(q.waiters, q.waiters[q.whead:])
 		for i := n; i < len(q.waiters); i++ {
-			q.waiters[i] = qwaiter{}
+			q.waiters[i] = nil
 		}
 		q.waiters, q.whead = q.waiters[:n], 0
 	}
@@ -66,57 +59,35 @@ func (q *Queue) takeWaiter() (qwaiter, bool) {
 }
 
 // Put appends an item and wakes the oldest waiting consumer, if any.
-// Put may be called from any process, callback, or before Run.
+// Put may be called from any callback, or before Run.
 func (q *Queue) Put(v any) {
 	q.items = append(q.items, v)
-	if w, ok := q.takeWaiter(); ok {
-		if w.proc != nil {
-			q.env.unblock(w.proc)
-		} else {
-			// Wake the callback waiter through an event at the current
-			// time — the exact analogue of unblocking a process — and
-			// re-check on dispatch, since another consumer may take the
-			// item first.
-			q.env.schedule(q.env.now, nil, q.wakeFn(w.fn))
-		}
+	if fn, ok := q.takeWaiter(); ok {
+		// Wake the waiter through an event at the current time and
+		// re-check on dispatch, since another consumer may take the item
+		// first.
+		q.env.schedule(q.env.now, q.wakeFn(fn))
 	}
 }
 
-// wakeFn resumes a callback waiter: deliver if an item is present,
-// otherwise re-park at the back of the waiter list (mirroring the
-// re-check loop of the process path).
+// wakeFn resumes a parked waiter: deliver if an item is present,
+// otherwise re-park it at the back of the waiter list.
 func (q *Queue) wakeFn(fn func(v any)) func() {
 	return func() {
 		q.env.blocked--
-		if q.Len() > 0 {
-			fn(q.popItem())
-			return
-		}
-		q.waiters = append(q.waiters, qwaiter{fn: fn})
-		q.env.blocked++
+		q.GetFn(fn)
 	}
-}
-
-// Get removes and returns the oldest item, blocking the calling process
-// until one is available.
-func (q *Queue) Get(p *Proc) any {
-	for q.Len() == 0 {
-		q.waiters = append(q.waiters, qwaiter{proc: p})
-		p.block()
-	}
-	return q.popItem()
 }
 
 // GetFn delivers the oldest item to fn: synchronously when one is
-// queued (like Get's no-block path), otherwise later, when one
-// arrives. Waiting consumers — processes and callbacks alike — are
-// served in strict FIFO order. The fast-path counterpart of Get.
+// queued, otherwise later, when one arrives. Waiting consumers are
+// served in strict FIFO order.
 func (q *Queue) GetFn(fn func(v any)) {
 	if q.Len() > 0 {
 		fn(q.popItem())
 		return
 	}
-	q.waiters = append(q.waiters, qwaiter{fn: fn})
+	q.waiters = append(q.waiters, fn)
 	q.env.blocked++
 }
 
@@ -135,16 +106,14 @@ type Resource struct {
 	env      *Env
 	capacity int
 	inUse    int
-	waiters  []*waiter // ring: live waiters are waiters[whead:], FIFO
+	waiters  []waiter // ring: live waiters are waiters[whead:], FIFO
 	whead    int
 }
 
-// waiter is one parked acquirer: a blocked process or a callback.
+// waiter is one parked acquirer.
 type waiter struct {
-	proc     *Proc
-	fn       func()
-	n        int
-	admitted bool
+	fn func()
+	n  int
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -158,90 +127,54 @@ func NewResource(env *Env, capacity int) *Resource {
 // InUse returns the currently acquired units.
 func (r *Resource) InUse() int { return r.inUse }
 
-func (r *Resource) nwaiters() int { return len(r.waiters) - r.whead }
-
-func (r *Resource) frontWaiter() *waiter {
-	if r.whead == len(r.waiters) {
-		return nil
-	}
-	return r.waiters[r.whead]
-}
-
 func (r *Resource) dropFrontWaiter() {
-	r.waiters[r.whead] = nil
+	r.waiters[r.whead] = waiter{}
 	r.whead++
 	if r.whead == len(r.waiters) {
 		r.waiters, r.whead = r.waiters[:0], 0
 	} else if r.whead > len(r.waiters)/2 {
 		n := copy(r.waiters, r.waiters[r.whead:])
 		for i := n; i < len(r.waiters); i++ {
-			r.waiters[i] = nil
+			r.waiters[i] = waiter{}
 		}
 		r.waiters, r.whead = r.waiters[:n], 0
 	}
 }
 
-// Acquire obtains n units (n <= capacity), blocking in FIFO order.
-func (r *Resource) Acquire(p *Proc, n int) {
-	if n > r.capacity {
-		panic("sim: Acquire exceeds resource capacity")
-	}
-	if r.nwaiters() == 0 && r.inUse+n <= r.capacity {
-		r.inUse += n
-		return
-	}
-	w := &waiter{proc: p, n: n}
-	r.waiters = append(r.waiters, w)
-	for {
-		p.block()
-		// Admitted only when the releaser has granted our units and
-		// removed us from the wait list.
-		if w.admitted {
-			return
-		}
-	}
-}
-
-// AcquireFn obtains n units and then runs fn: synchronously when the
-// units are free (like Acquire's no-block path), otherwise when a
-// Release admits this waiter, in the same FIFO order processes honor.
-// The fast-path counterpart of Acquire.
+// AcquireFn obtains n units (n <= capacity) and then runs fn:
+// synchronously when the units are free and nobody waits, otherwise
+// when a Release admits this waiter, in FIFO order.
 func (r *Resource) AcquireFn(n int, fn func()) {
 	if n > r.capacity {
 		panic("sim: Acquire exceeds resource capacity")
 	}
-	if r.nwaiters() == 0 && r.inUse+n <= r.capacity {
+	if r.whead == len(r.waiters) && r.inUse+n <= r.capacity {
 		r.inUse += n
 		fn()
 		return
 	}
-	r.waiters = append(r.waiters, &waiter{fn: fn, n: n})
+	r.waiters = append(r.waiters, waiter{fn: fn, n: n})
 	r.env.blocked++
 }
 
 // Release returns n units and admits waiting acquirers in FIFO order.
+// Each admitted callback runs as an event at the current time.
 func (r *Resource) Release(n int) {
 	r.inUse -= n
 	if r.inUse < 0 {
 		panic("sim: Release below zero")
 	}
-	for {
-		w := r.frontWaiter()
-		if w == nil || r.inUse+w.n > r.capacity {
+	for r.whead < len(r.waiters) {
+		w := r.waiters[r.whead]
+		if r.inUse+w.n > r.capacity {
 			return
 		}
 		r.inUse += w.n
 		r.dropFrontWaiter()
-		w.admitted = true
-		if w.proc != nil {
-			r.env.unblock(w.proc)
-		} else {
-			fn := w.fn
-			r.env.schedule(r.env.now, nil, func() {
-				r.env.blocked--
-				fn()
-			})
-		}
+		r.env.schedule(r.env.now, func() {
+			r.env.blocked--
+			w.fn()
+		})
 	}
 }
 
@@ -251,11 +184,8 @@ type Mutex struct{ r *Resource }
 // NewMutex returns an unlocked mutex.
 func NewMutex(env *Env) *Mutex { return &Mutex{r: NewResource(env, 1)} }
 
-// Lock acquires the mutex, blocking in FIFO order.
-func (m *Mutex) Lock(p *Proc) { m.r.Acquire(p, 1) }
-
 // LockFn acquires the mutex and then runs fn — synchronously when the
-// mutex is free. The fast-path counterpart of Lock.
+// mutex is free, otherwise in FIFO order once it is released.
 func (m *Mutex) LockFn(fn func()) { m.r.AcquireFn(1, fn) }
 
 // Unlock releases the mutex.
@@ -292,33 +222,17 @@ func (l *Link) TxMS(bytes int) float64 {
 	return float64(bytes) * 8 / (l.BandwidthMbps * 1e6) * 1e3
 }
 
-// admit reserves the link for a payload and returns the virtual time at
-// which delivery completes (queueing + transmission + propagation).
-func (l *Link) admit(bytes int) (end float64) {
+// TransferFn moves bytes across the link and runs fn on delivery —
+// after queueing, transmission and propagation — with the total delay
+// experienced. One timer event per transfer.
+func (l *Link) TransferFn(bytes int, fn func(delayMS float64)) {
 	start := l.env.now
 	if l.busyUntil < start {
 		l.busyUntil = start
 	}
 	l.busyUntil += l.TxMS(bytes)
 	l.BytesCarried += int64(bytes)
-	return l.busyUntil + l.LatencyMS
-}
-
-// Transfer moves bytes across the link, blocking the calling process for
-// queueing + transmission + propagation, and returns the total delay
-// experienced.
-func (l *Link) Transfer(p *Proc, bytes int) float64 {
-	start := p.Now()
-	p.SleepUntil(l.admit(bytes))
-	return p.Now() - start
-}
-
-// TransferFn moves bytes across the link and runs fn on delivery with
-// the total delay experienced. The fast-path counterpart of Transfer:
-// one timer event, no goroutine handoff.
-func (l *Link) TransferFn(bytes int, fn func(delayMS float64)) {
-	start := l.env.now
-	l.env.At(l.admit(bytes), func() {
+	l.env.At(l.busyUntil+l.LatencyMS, func() {
 		fn(l.env.now - start)
 	})
 }

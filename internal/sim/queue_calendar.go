@@ -62,8 +62,6 @@ func (q *calQueue) reinit(nbuckets int, width, start float64) {
 	q.setScan(start)
 }
 
-func (q *calQueue) len() int { return q.n }
-
 func (q *calQueue) indexOf(at float64) int {
 	v := at / q.width
 	if !(v < maxVirtualDay) { // huge, +Inf or NaN
@@ -231,9 +229,7 @@ func (q *calQueue) resize(nbuckets int) {
 	if nbuckets == len(q.buckets) {
 		return
 	}
-	if q.stats != nil {
-		q.stats.Resizes++
-	}
+	q.stats.Resizes++
 	var live []*event
 	start := math.Inf(1)
 	for _, b := range q.buckets {
@@ -241,9 +237,7 @@ func (q *calQueue) resize(nbuckets int) {
 			next := b.next
 			b.next, b.last = nil, nil
 			if b.canceled {
-				if q.stats != nil {
-					q.stats.Purged++
-				}
+				q.stats.Purged++
 				if q.free != nil {
 					q.free(b)
 				}

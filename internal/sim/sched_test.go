@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -88,35 +87,31 @@ func TestCalendarExtremeTimestamps(t *testing.T) {
 // last near-time event then hashed behind the scan and fired AFTER the
 // far-future event, running virtual time backward.
 func TestCalendarScanRewindAfterResize(t *testing.T) {
-	for _, opt := range []Options{{}, {HeapQueue: true}} {
-		env := NewEnvWith(opt)
-		var order []float64
-		record := func() { order = append(order, env.Now()) }
-		for i := 0; i < 64; i++ {
-			if i == 63 {
-				env.At(float64(i), func() {
-					record()
-					// By now the drain has shrink-resized the calendar with
-					// only the t=100000 timer pending; this short timer must
-					// still fire before it.
-					env.After(1, record)
-				})
-			} else {
-				env.At(float64(i), record)
-			}
+	env := NewEnv()
+	var order []float64
+	record := func() { order = append(order, env.Now()) }
+	for i := 0; i < 64; i++ {
+		if i == 63 {
+			env.At(float64(i), func() {
+				record()
+				// By now the drain has shrink-resized the calendar with
+				// only the t=100000 timer pending; this short timer must
+				// still fire before it.
+				env.After(1, record)
+			})
+		} else {
+			env.At(float64(i), record)
 		}
-		env.At(100000, record)
-		env.Run()
-		for i := 1; i < len(order); i++ {
-			if order[i] < order[i-1] {
-				t.Fatalf("opt %+v: virtual time ran backward: t=%v fired after t=%v",
-					opt, order[i], order[i-1])
-			}
+	}
+	env.At(100000, record)
+	env.Run()
+	for i := 1; i < len(order); i++ {
+		if order[i] < order[i-1] {
+			t.Fatalf("virtual time ran backward: t=%v fired after t=%v", order[i], order[i-1])
 		}
-		if len(order) != 66 || order[len(order)-1] != 100000 {
-			t.Fatalf("opt %+v: got %d events ending at %v, want 66 ending at 100000",
-				opt, len(order), order[len(order)-1])
-		}
+	}
+	if len(order) != 66 || order[len(order)-1] != 100000 {
+		t.Fatalf("got %d events ending at %v, want 66 ending at 100000", len(order), order[len(order)-1])
 	}
 }
 
@@ -189,8 +184,8 @@ func TestTimerAtAfterStop(t *testing.T) {
 }
 
 // TestCallbackPrimitives exercises GetFn/AcquireFn/LockFn/TransferFn
-// and checks they interoperate with the process-based variants on the
-// same primitives.
+// together on one environment: synchronous grants run inline, parked
+// waiters resume through events at the release time.
 func TestCallbackPrimitives(t *testing.T) {
 	env := NewEnv()
 	q := NewQueue(env)
@@ -199,23 +194,19 @@ func TestCallbackPrimitives(t *testing.T) {
 	link := NewLink(env, 10, 0) // latency-only
 
 	var order []string
-	// Callback consumer parks first, a process producer feeds it.
+	// The consumer parks first; a timer feeds it.
 	q.GetFn(func(v any) { order = append(order, "got:"+v.(string)) })
-	env.Go("producer", func(p *Proc) {
-		p.Sleep(1)
-		q.Put("x")
-	})
-	// Callback and process contend for the same resource.
+	env.At(1, func() { q.Put("x") })
+	// Two acquirers contend for the same resource.
 	res.AcquireFn(1, func() {
-		order = append(order, "cb-acquired")
+		order = append(order, "first-acquired")
 		env.After(5, func() {
 			res.Release(1)
-			order = append(order, "cb-released")
+			order = append(order, "first-released")
 		})
 	})
-	env.Go("contender", func(p *Proc) {
-		res.Acquire(p, 1) // blocks until t=5
-		order = append(order, fmt.Sprintf("proc-acquired@%v", p.Now()))
+	res.AcquireFn(1, func() { // parked until t=5
+		order = append(order, fmt.Sprintf("second-acquired@%v", env.Now()))
 		res.Release(1)
 	})
 	mu.LockFn(func() {
@@ -228,7 +219,7 @@ func TestCallbackPrimitives(t *testing.T) {
 	env.Run()
 
 	want := fmt.Sprint([]string{
-		"cb-acquired", "locked", "got:x", "cb-released", "proc-acquired@5", "xfer@10 d=10",
+		"first-acquired", "locked", "got:x", "first-released", "second-acquired@5", "xfer@10 d=10",
 	})
 	if got := fmt.Sprint(order); got != want {
 		t.Fatalf("order = %v\nwant    %v", got, want)
@@ -236,8 +227,7 @@ func TestCallbackPrimitives(t *testing.T) {
 }
 
 // TestGetFnSynchronousWhenReady: a nonempty queue delivers to GetFn
-// without consuming an event (the synchronous fast path that keeps the
-// callback engine bit-identical to a non-yielding proc TryGet).
+// without consuming an event.
 func TestGetFnSynchronousWhenReady(t *testing.T) {
 	env := NewEnv()
 	q := NewQueue(env)
@@ -251,95 +241,6 @@ func TestGetFnSynchronousWhenReady(t *testing.T) {
 	})
 	if !delivered {
 		t.Fatal("GetFn on a nonempty queue must deliver synchronously")
-	}
-}
-
-// TestHeapOptionEquivalence runs the same mixed proc/callback model on
-// both queue implementations and requires identical final times and
-// event counts.
-func TestHeapOptionEquivalence(t *testing.T) {
-	run := func(opt Options) (float64, int64) {
-		env := NewEnvWith(opt)
-		link := NewLink(env, 3, 8)
-		res := NewResource(env, 2)
-		for i := 0; i < 10; i++ {
-			env.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-				for j := 0; j < 5; j++ {
-					res.Acquire(p, 1)
-					p.Sleep(float64(j))
-					res.Release(1)
-					link.Transfer(p, 1000)
-				}
-			})
-			env.After(float64(i)*2, func() { link.TransferFn(500, func(float64) {}) })
-		}
-		end := env.Run()
-		return end, env.Stats().Events
-	}
-	calEnd, calEvents := run(Options{})
-	heapEnd, heapEvents := run(Options{HeapQueue: true})
-	if calEnd != heapEnd || calEvents != heapEvents {
-		t.Fatalf("calendar (end=%v events=%d) != heap (end=%v events=%d)",
-			calEnd, calEvents, heapEnd, heapEvents)
-	}
-}
-
-// TestStopReclaimsGoroutines is the leak regression for satellite (a):
-// 100 environments that each park processes on every primitive are
-// stopped; the goroutine count must return to baseline.
-func TestStopReclaimsGoroutines(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	for i := 0; i < 100; i++ {
-		env := NewEnv()
-		q := NewQueue(env)
-		res := NewResource(env, 1)
-		mu := NewMutex(env)
-		env.Go("queue-parked", func(p *Proc) { q.Get(p) })
-		env.Go("holder", func(p *Proc) {
-			res.Acquire(p, 1)
-			mu.Lock(p)
-			p.Sleep(1e12) // far future: still pending at the horizon
-		})
-		env.Go("res-parked", func(p *Proc) { res.Acquire(p, 1) })
-		env.Go("mutex-parked", func(p *Proc) { mu.Lock(p) })
-		env.Go("deferred", func(p *Proc) {
-			// A deferred primitive call during Stop unwind must not wedge.
-			defer mu.Unlock()
-			defer res.Release(1)
-			mu.Lock(p)
-			res.Acquire(p, 1)
-			p.Sleep(1e12)
-		})
-		env.RunUntil(10)
-		env.Stop()
-		if env.Live() != 0 {
-			t.Fatalf("iteration %d: %d processes alive after Stop", i, env.Live())
-		}
-	}
-	// Allow the runtime a moment to retire exiting goroutines.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline+2 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline+2 {
-		t.Fatalf("goroutines grew from %d to %d across 100 stopped environments", baseline, n)
-	}
-}
-
-// TestStopUnwindsGoSpawnedDuringStop: a deferred function in an
-// unwinding process may call Env.Go; Stop must unwind that late
-// arrival too instead of leaving its goroutine parked forever.
-func TestStopUnwindsGoSpawnedDuringStop(t *testing.T) {
-	env := NewEnv()
-	env.Go("parent", func(p *Proc) {
-		defer env.Go("late-child", func(c *Proc) { c.Sleep(1) })
-		p.Sleep(1e12)
-	})
-	env.RunUntil(1)
-	env.Stop()
-	if n := env.Live(); n != 0 {
-		t.Fatalf("%d process(es) alive after Stop; late-spawned proc leaked", n)
 	}
 }
 
@@ -362,9 +263,9 @@ func TestRingsCompactUnderBacklog(t *testing.T) {
 		t.Fatalf("items backing array grew to %d for a 10-item backlog", c)
 	}
 
-	q.waiters = append(q.waiters, qwaiter{fn: func(any) {}})
+	q.waiters = append(q.waiters, func(any) {})
 	for i := 0; i < churn; i++ {
-		q.waiters = append(q.waiters, qwaiter{fn: func(any) {}})
+		q.waiters = append(q.waiters, func(any) {})
 		q.takeWaiter()
 	}
 	if c := cap(q.waiters); c > 1024 {
@@ -372,9 +273,9 @@ func TestRingsCompactUnderBacklog(t *testing.T) {
 	}
 
 	r := NewResource(env, 1)
-	r.waiters = append(r.waiters, &waiter{n: 1})
+	r.waiters = append(r.waiters, waiter{n: 1})
 	for i := 0; i < churn; i++ {
-		r.waiters = append(r.waiters, &waiter{n: 1})
+		r.waiters = append(r.waiters, waiter{n: 1})
 		r.dropFrontWaiter()
 	}
 	if c := cap(r.waiters); c > 1024 {
@@ -382,25 +283,24 @@ func TestRingsCompactUnderBacklog(t *testing.T) {
 	}
 }
 
-// TestStopSemantics: idempotence, Run-after-Stop panics, Go-after-Stop
-// panics.
+// TestStopSemantics: Stop drops pending events, is idempotent, and a
+// stopped environment refuses to run.
 func TestStopSemantics(t *testing.T) {
 	env := NewEnv()
-	env.Go("sleeper", func(p *Proc) { p.Sleep(100) })
+	fired := false
+	env.At(100, func() { fired = true })
 	env.RunUntil(1)
 	env.Stop()
 	env.Stop() // idempotent
-
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s on a stopped environment must panic", name)
-			}
-		}()
-		fn()
+	if fired || env.q.n != 0 {
+		t.Fatalf("Stop left %d event(s) queued (fired=%v)", env.q.n, fired)
 	}
-	mustPanic("Run", func() { env.Run() })
-	mustPanic("Go", func() { env.Go("late", func(p *Proc) {}) })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Run on a stopped environment must panic")
+		}
+	}()
+	env.Run()
 }
 
 // TestEnvRandDeterministic: same seed, same draws; different seeds
@@ -454,33 +354,33 @@ func TestPoolAndPurgeStats(t *testing.T) {
 }
 
 // TestCalendarTiedTimestamps is the regression for the calendar queue's
-// quadratic tie handling: 10⁶ timers spread round-robin over 1 000
+// quadratic tie handling: 10⁶ events spread round-robin over 1 000
 // distinct timestamps — so nearly every insert lands in the middle of
 // its bucket, behind thousands of equal-time records — must pop in the
 // heap's exact (time, seq) order and in comparable wall time. Before
 // the per-timestamp FIFO runs a middle insert walked every equal-time
 // record: 6.85 s for 200 000 timers against the heap's 0.11 s.
 func TestCalendarTiedTimestamps(t *testing.T) {
-	const timers, stamps = 1_000_000, 1_000
+	const events, stamps = 1_000_000, 1_000
 	type fired struct {
 		at  float64
-		seq int
+		seq int64
 	}
-	run := func(opt Options) ([]fired, time.Duration) {
-		env := NewEnvWith(opt)
-		order := make([]fired, 0, timers)
+	run := func(q eventQueue) ([]fired, time.Duration) {
+		order := make([]fired, 0, events)
 		start := time.Now()
-		for i := 0; i < timers; i++ {
-			i := i
-			env.At(float64(1+i%stamps), func() { order = append(order, fired{env.Now(), i}) })
+		for i := 0; i < events; i++ {
+			q.push(&event{at: float64(1 + i%stamps), seq: int64(i + 1)})
 		}
-		env.Run()
+		for ev := q.pop(); ev != nil; ev = q.pop() {
+			order = append(order, fired{ev.at, ev.seq})
+		}
 		return order, time.Since(start)
 	}
-	heap, heapTime := run(Options{HeapQueue: true})
-	cal, calTime := run(Options{})
-	if len(cal) != timers || len(heap) != timers {
-		t.Fatalf("fired %d (calendar) and %d (heap) of %d timers", len(cal), len(heap), timers)
+	heap, heapTime := run(&heapQueue{})
+	cal, calTime := run(newCalQueue(&Stats{}))
+	if len(cal) != events || len(heap) != events {
+		t.Fatalf("popped %d (calendar) and %d (heap) of %d events", len(cal), len(heap), events)
 	}
 	for i := range heap {
 		if cal[i] != heap[i] {

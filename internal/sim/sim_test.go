@@ -6,14 +6,25 @@ import (
 	"testing"
 )
 
+// ticker schedules fn every d ms, n times, as one self-rescheduling
+// callback chain — the shape every model in the repository uses.
+func ticker(env *Env, d float64, n int, fn func()) {
+	var tick func()
+	tick = func() {
+		fn()
+		if n--; n > 0 {
+			env.After(d, tick)
+		}
+	}
+	env.After(d, tick)
+}
+
 func TestSleepAdvancesVirtualTime(t *testing.T) {
 	env := NewEnv()
 	var times []float64
-	env.Go("a", func(p *Proc) {
-		p.Sleep(10)
-		times = append(times, p.Now())
-		p.Sleep(5)
-		times = append(times, p.Now())
+	env.After(10, func() {
+		times = append(times, env.Now())
+		env.After(5, func() { times = append(times, env.Now()) })
 	})
 	end := env.Run()
 	if !reflect.DeepEqual(times, []float64{10, 15}) {
@@ -28,24 +39,14 @@ func TestInterleavingDeterministic(t *testing.T) {
 	run := func() []string {
 		env := NewEnv()
 		var order []string
-		env.Go("a", func(p *Proc) {
-			for i := 0; i < 3; i++ {
-				p.Sleep(10)
-				order = append(order, "a")
-			}
-		})
-		env.Go("b", func(p *Proc) {
-			for i := 0; i < 2; i++ {
-				p.Sleep(15)
-				order = append(order, "b")
-			}
-		})
+		ticker(env, 10, 3, func() { order = append(order, "a") })
+		ticker(env, 15, 2, func() { order = append(order, "b") })
 		env.Run()
 		return order
 	}
 	first := run()
 	// t=10,15,20,30,30; at the t=30 tie, b's event was scheduled first
-	// (at t=15, before a's at t=20), so b resumes first.
+	// (at t=15, before a's at t=20), so b fires first.
 	want := []string{"a", "b", "a", "b", "a"}
 	if !reflect.DeepEqual(first, want) {
 		t.Errorf("order = %v, want %v", first, want)
@@ -57,31 +58,25 @@ func TestInterleavingDeterministic(t *testing.T) {
 	}
 }
 
+// TestSleepNegativeAndUntilPast: After with a negative delay and At in
+// the past both run at the current time.
 func TestSleepNegativeAndUntilPast(t *testing.T) {
 	env := NewEnv()
-	env.Go("a", func(p *Proc) {
-		p.Sleep(5)
-		p.Sleep(-3) // clamps to zero
-		if p.Now() != 5 {
-			t.Errorf("negative sleep moved time: %v", p.Now())
-		}
-		p.SleepUntil(2) // already past; no-op in time
-		if p.Now() != 5 {
-			t.Errorf("SleepUntil(past) moved time: %v", p.Now())
-		}
+	var times []float64
+	env.After(5, func() {
+		env.After(-3, func() { times = append(times, env.Now()) })
+		env.At(2, func() { times = append(times, env.Now()) })
 	})
 	env.Run()
+	if !reflect.DeepEqual(times, []float64{5, 5}) {
+		t.Errorf("times = %v, want [5 5]: past times must clamp to now", times)
+	}
 }
 
 func TestRunUntilHorizon(t *testing.T) {
 	env := NewEnv()
 	ticks := 0
-	env.Go("ticker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(10)
-			ticks++
-		}
-	})
+	ticker(env, 10, 100, func() { ticks++ })
 	end := env.RunUntil(35)
 	if ticks != 3 {
 		t.Errorf("ticks = %d, want 3", ticks)
@@ -96,38 +91,20 @@ func TestRunUntilHorizon(t *testing.T) {
 	}
 }
 
-func TestSpawnFromRunningProcess(t *testing.T) {
-	env := NewEnv()
-	var childTime float64
-	env.Go("parent", func(p *Proc) {
-		p.Sleep(7)
-		env.Go("child", func(c *Proc) {
-			c.Sleep(3)
-			childTime = c.Now()
-		})
-		p.Sleep(100)
-	})
-	env.Run()
-	if childTime != 10 {
-		t.Errorf("child completed at %v, want 10", childTime)
-	}
-}
-
 func TestQueueFIFOAndBlocking(t *testing.T) {
 	env := NewEnv()
 	q := NewQueue(env)
 	var got []int
-	env.Go("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Get(p).(int))
+	var consume func(v any)
+	consume = func(v any) {
+		got = append(got, v.(int))
+		if len(got) < 3 {
+			q.GetFn(consume)
 		}
-	})
-	env.Go("producer", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			p.Sleep(10)
-			q.Put(i)
-		}
-	})
+	}
+	q.GetFn(consume)
+	i := 0
+	ticker(env, 10, 3, func() { i++; q.Put(i) })
 	env.Run()
 	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
 		t.Errorf("got %v", got)
@@ -154,42 +131,37 @@ func TestQueueMultipleConsumersFIFO(t *testing.T) {
 	env := NewEnv()
 	q := NewQueue(env)
 	var got []string
-	mk := func(name string) {
-		env.Go(name, func(p *Proc) {
-			v := q.Get(p)
-			got = append(got, name+":"+v.(string))
-		})
+	for _, name := range []string{"c1", "c2"} {
+		name := name
+		q.GetFn(func(v any) { got = append(got, name+":"+v.(string)) })
 	}
-	mk("c1")
-	mk("c2")
-	env.Go("producer", func(p *Proc) {
-		p.Sleep(1)
-		q.Put("a")
-		p.Sleep(1)
-		q.Put("b")
-	})
+	env.At(1, func() { q.Put("a") })
+	env.At(2, func() { q.Put("b") })
 	env.Run()
 	if !reflect.DeepEqual(got, []string{"c1:a", "c2:b"}) {
 		t.Errorf("got %v", got)
 	}
 }
 
+// hold acquires one unit of r, holds it for d ms, and reports the
+// [acquired, released] span.
+func hold(env *Env, r *Resource, d float64, done func(span [2]float64)) {
+	r.AcquireFn(1, func() {
+		start := env.Now()
+		env.After(d, func() {
+			r.Release(1)
+			done([2]float64{start, env.Now()})
+		})
+	})
+}
+
 func TestResourceContention(t *testing.T) {
 	env := NewEnv()
 	r := NewResource(env, 1)
 	var spans [][2]float64
-	worker := func(name string) {
-		env.Go(name, func(p *Proc) {
-			r.Acquire(p, 1)
-			start := p.Now()
-			p.Sleep(10)
-			r.Release(1)
-			spans = append(spans, [2]float64{start, p.Now()})
-		})
+	for i := 0; i < 3; i++ {
+		hold(env, r, 10, func(s [2]float64) { spans = append(spans, s) })
 	}
-	worker("w1")
-	worker("w2")
-	worker("w3")
 	env.Run()
 	want := [][2]float64{{0, 10}, {10, 20}, {20, 30}}
 	if !reflect.DeepEqual(spans, want) {
@@ -205,12 +177,7 @@ func TestResourceCapacityTwo(t *testing.T) {
 	r := NewResource(env, 2)
 	var done []float64
 	for i := 0; i < 4; i++ {
-		env.Go("w", func(p *Proc) {
-			r.Acquire(p, 1)
-			p.Sleep(10)
-			r.Release(1)
-			done = append(done, p.Now())
-		})
+		hold(env, r, 10, func(s [2]float64) { done = append(done, s[1]) })
 	}
 	env.Run()
 	if !reflect.DeepEqual(done, []float64{10, 10, 20, 20}) {
@@ -219,34 +186,28 @@ func TestResourceCapacityTwo(t *testing.T) {
 }
 
 func TestResourceAcquireTooMuchPanics(t *testing.T) {
-	env := NewEnv()
-	r := NewResource(env, 1)
-	env.Go("w", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("Acquire above capacity must panic")
-			}
-		}()
-		r.Acquire(p, 2)
-	})
-	env.Run()
+	defer func() {
+		if recover() == nil {
+			t.Error("Acquire above capacity must panic")
+		}
+	}()
+	NewResource(NewEnv(), 1).AcquireFn(2, func() {})
 }
 
 func TestMutex(t *testing.T) {
 	env := NewEnv()
 	m := NewMutex(env)
 	var order []string
-	env.Go("w1", func(p *Proc) {
-		m.Lock(p)
+	m.LockFn(func() {
 		if !m.Locked() {
 			t.Error("mutex must report locked")
 		}
-		p.Sleep(5)
-		order = append(order, "w1")
-		m.Unlock()
+		env.After(5, func() {
+			order = append(order, "w1")
+			m.Unlock()
+		})
 	})
-	env.Go("w2", func(p *Proc) {
-		m.Lock(p)
+	m.LockFn(func() {
 		order = append(order, "w2")
 		m.Unlock()
 	})
@@ -264,9 +225,7 @@ func TestLinkLatencyAndBandwidth(t *testing.T) {
 	// 8 Mb/s, 100 ms: 1 MB takes 1000 ms tx + 100 ms propagation.
 	l := NewLink(env, 100, 8)
 	var delay float64
-	env.Go("sender", func(p *Proc) {
-		delay = l.Transfer(p, 1_000_000)
-	})
+	l.TransferFn(1_000_000, func(d float64) { delay = d })
 	env.Run()
 	if math.Abs(delay-1100) > 1e-6 {
 		t.Errorf("delay = %v, want 1100", delay)
@@ -281,10 +240,7 @@ func TestLinkSerializesTransfers(t *testing.T) {
 	l := NewLink(env, 0, 8) // 1 MB = 1000 ms
 	var ends []float64
 	for i := 0; i < 2; i++ {
-		env.Go("s", func(p *Proc) {
-			l.Transfer(p, 1_000_000)
-			ends = append(ends, p.Now())
-		})
+		l.TransferFn(1_000_000, func(float64) { ends = append(ends, env.Now()) })
 	}
 	env.Run()
 	if !reflect.DeepEqual(ends, []float64{1000, 2000}) {
@@ -296,7 +252,7 @@ func TestLinkInfiniteBandwidth(t *testing.T) {
 	env := NewEnv()
 	l := NewLink(env, 5, 0)
 	var delay float64
-	env.Go("s", func(p *Proc) { delay = l.Transfer(p, 1<<30) })
+	l.TransferFn(1<<30, func(d float64) { delay = d })
 	env.Run()
 	if delay != 5 {
 		t.Errorf("delay = %v, want latency only", delay)
@@ -310,23 +266,6 @@ func TestDeadlockPanics(t *testing.T) {
 		}
 	}()
 	env := NewEnv()
-	q := NewQueue(env)
-	env.Go("stuck", func(p *Proc) { q.Get(p) })
-	env.Run()
-}
-
-func TestProcNameAndEnv(t *testing.T) {
-	env := NewEnv()
-	env.Go("worker", func(p *Proc) {
-		if p.Name() != "worker" {
-			t.Errorf("Name = %q", p.Name())
-		}
-		if p.Env() != env {
-			t.Error("Env mismatch")
-		}
-		if p.Now() != env.Now() {
-			t.Error("Now mismatch")
-		}
-	})
+	NewQueue(env).GetFn(func(any) {})
 	env.Run()
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"net"
 	"testing"
 	"time"
@@ -35,17 +36,18 @@ func TestMuxStalledClientDoesNotStarveOthers(t *testing.T) {
 	}
 	defer stalled.Close()
 	go func() {
-		fw := wire.NewFrameWriter(stalled)
+		bw := bufio.NewWriter(stalled)
 		req, _ := (&wire.Message{Kind: wire.KindRequest}).Marshal()
 		for i := 0; i < 2000; i++ {
-			if fw.WriteFrame(uint64(i+1), req) != nil {
+			bw.Write(wire.AppendFrameHeader(nil, uint64(i+1), len(req)))
+			if _, err := bw.Write(req); err != nil {
 				return
 			}
-			if i%64 == 0 && fw.Flush() != nil {
+			if i%64 == 0 && bw.Flush() != nil {
 				return
 			}
 		}
-		fw.Flush()
+		bw.Flush()
 	}()
 
 	// A healthy client on its own connection must keep being served

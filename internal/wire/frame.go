@@ -19,9 +19,9 @@ import (
 // lengths are bounded by MaxFrame (16 MiB), so it never collides with a
 // length. A length word without it is the unversioned framing no peer
 // speaks any more, or garbage: the reader rejects it with
-// ErrFrameVersion and the transport drops the connection. Readers and
-// writers are bufio-backed, so a header+payload pair reaches the kernel
-// in one write.
+// ErrFrameVersion and the transport drops the connection. Writers build
+// headers with AppendFrameHeader and writev them alongside the
+// payloads, so a burst of frames reaches the kernel in one write.
 
 const (
 	// FrameV2 is the multiplexed framing with request IDs.
@@ -93,43 +93,6 @@ func (fr *FrameReader) Next() (Frame, error) {
 	}
 	return Frame{ID: binary.BigEndian.Uint64(ext[1:]), Payload: payload}, nil
 }
-
-// FrameWriter encodes v2 frames onto a buffered stream. It is not safe
-// for concurrent use; transports own one writer goroutine per
-// connection.
-type FrameWriter struct {
-	bw *bufio.Writer
-}
-
-// NewFrameWriter returns a FrameWriter over w.
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	return &FrameWriter{bw: bufio.NewWriterSize(w, 32<<10)}
-}
-
-// WriteFrame buffers one v2 frame. Call Flush to push buffered frames
-// to the underlying writer in a single syscall.
-func (fw *FrameWriter) WriteFrame(id uint64, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [4 + frameV2HdrLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload))|frameV2Flag)
-	hdr[4] = FrameV2
-	binary.BigEndian.PutUint64(hdr[5:], id)
-	if _, err := fw.bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
-	}
-	if _, err := fw.bw.Write(payload); err != nil {
-		return fmt.Errorf("wire: writing frame payload: %w", err)
-	}
-	return nil
-}
-
-// Flush pushes all buffered frames to the underlying writer.
-func (fw *FrameWriter) Flush() error { return fw.bw.Flush() }
-
-// Buffered reports the number of bytes waiting for a Flush.
-func (fw *FrameWriter) Buffered() int { return fw.bw.Buffered() }
 
 // AppendFrameHeader appends the v2 frame header (length word with the
 // v2 flag, version byte, request ID) for a payload of n bytes. The

@@ -8,28 +8,29 @@ import (
 	"testing"
 )
 
-func TestFrameWriterReaderRoundTrip(t *testing.T) {
+// frames encodes v2 frames the way the transport's writer does: each
+// header built by AppendFrameHeader, followed by its payload. Frame i
+// carries request ID i.
+func frames(payloads ...[]byte) *bytes.Buffer {
 	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	payloads := [][]byte{[]byte("alpha"), {}, []byte("gamma-gamma")}
 	for i, p := range payloads {
-		if err := fw.WriteFrame(uint64(100+i), p); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(AppendFrameHeader(nil, uint64(i), len(p)))
+		buf.Write(p)
 	}
-	if buf.Len() != 0 {
-		t.Errorf("frames reached the writer before Flush (%d bytes)", buf.Len())
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	fr := NewFrameReader(&buf)
+	return &buf
+}
+
+// TestFrameWriterReaderRoundTrip: what the writer side encodes, the
+// reader decodes frame for frame, then reports a clean io.EOF.
+func TestFrameWriterReaderRoundTrip(t *testing.T) {
+	payloads := [][]byte{[]byte("alpha"), {}, []byte("gamma-gamma")}
+	fr := NewFrameReader(frames(payloads...))
 	for i, p := range payloads {
 		f, err := fr.Next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if f.ID != uint64(100+i) || !bytes.Equal(f.Payload, p) {
+		if f.ID != uint64(i) || !bytes.Equal(f.Payload, p) {
 			t.Errorf("frame %d = %+v", i, f)
 		}
 		PutBuffer(f.Payload)
@@ -44,18 +45,11 @@ func TestFrameWriterReaderRoundTrip(t *testing.T) {
 // all the same. Behind a good v2 frame on one stream it is rejected with
 // ErrFrameVersion, before anything is read or allocated on its say-so.
 func TestFrameReaderMixedVersions(t *testing.T) {
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	if err := fw.WriteFrame(7, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	buf := frames([]byte("v2"))
 	buf.Write(append([]byte{0, 0, 0, 6}, "legacy"...))
-	fr := NewFrameReader(&buf)
+	fr := NewFrameReader(buf)
 	f, err := fr.Next()
-	if err != nil || f.ID != 7 || string(f.Payload) != "v2" {
+	if err != nil || f.ID != 0 || string(f.Payload) != "v2" {
 		t.Fatalf("first = %+v, %v", f, err)
 	}
 	if _, err := fr.Next(); !errors.Is(err, ErrFrameVersion) {
@@ -64,15 +58,7 @@ func TestFrameReaderMixedVersions(t *testing.T) {
 }
 
 func TestFrameReaderRejectsBadVersion(t *testing.T) {
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	if err := fw.WriteFrame(1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := frames([]byte("x")).Bytes()
 	raw[4] = 9 // corrupt the version byte
 	if _, err := NewFrameReader(bytes.NewReader(raw)).Next(); !errors.Is(err, ErrFrameVersion) {
 		t.Errorf("err = %v, want ErrFrameVersion", err)
@@ -80,12 +66,7 @@ func TestFrameReaderRejectsBadVersion(t *testing.T) {
 }
 
 func TestFrameReaderRejectsOversizedFrame(t *testing.T) {
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	if err := fw.WriteFrame(1, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("write err = %v, want ErrFrameTooLarge", err)
-	}
-	// A corrupt v2 length word above the limit must be rejected too.
+	// A corrupt v2 length word above the limit is rejected.
 	raw := []byte{0x80 | 0x7f, 0xff, 0xff, 0xff, FrameV2, 0, 0, 0, 0, 0, 0, 0, 1}
 	if _, err := NewFrameReader(bytes.NewReader(raw)).Next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("read err = %v, want ErrFrameTooLarge", err)

@@ -119,20 +119,9 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	// The last payload is larger than the writer's and the reader's
-	// buffers.
+	// The last payload is larger than the reader's buffer.
 	payloads := [][]byte{{}, {1}, bytes.Repeat([]byte{0xab}, 100000)}
-	for i, p := range payloads {
-		if err := fw.WriteFrame(uint64(i), p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	fr := NewFrameReader(&buf)
+	fr := NewFrameReader(frames(payloads...))
 	for i, want := range payloads {
 		got, err := fr.Next()
 		if err != nil {
