@@ -12,81 +12,18 @@ import (
 
 	"partsvc/internal/adapt"
 	"partsvc/internal/api"
+	"partsvc/internal/casestudy"
 	"partsvc/internal/fleet"
 	"partsvc/internal/mail"
 	"partsvc/internal/metrics"
-	"partsvc/internal/netmodel"
 	"partsvc/internal/netmon"
 	"partsvc/internal/planner"
-	"partsvc/internal/seccrypto"
 	"partsvc/internal/sim"
 	"partsvc/internal/smock"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
 	"partsvc/internal/transport"
 )
-
-// adaptWorld is the case study deployed in-process: wrappers with
-// control listeners on every node, the NY primary, a generic server,
-// and a lookup — the same substrate the adaptation e2e tests run on.
-type adaptWorld struct {
-	tr       transport.Transport
-	net      *netmodel.Network
-	mon      *netmon.Monitor
-	keys     *seccrypto.KeyRing
-	primary  *mail.Server
-	engine   *smock.Engine
-	gs       *smock.GenericServer
-	lookup   *smock.Lookup
-	wrappers map[netmodel.NodeID]*smock.NodeWrapper
-}
-
-func newAdaptWorld() (*adaptWorld, error) {
-	w := &adaptWorld{
-		tr:   transport.NewInProc(),
-		keys: seccrypto.NewKeyRing(), wrappers: map[netmodel.NodeID]*smock.NodeWrapper{},
-	}
-	clock := transport.NewRealClock()
-	w.primary = mail.NewServer(w.keys, clock)
-	for _, u := range []string{"Alice", "Carol"} {
-		if err := w.primary.CreateAccount(u); err != nil {
-			return nil, err
-		}
-	}
-	reg := smock.NewRegistry()
-	if err := mail.RegisterFactories(reg, &mail.ServiceEnv{Primary: w.primary, Keys: w.keys}); err != nil {
-		return nil, err
-	}
-	w.net = topology.CaseStudy()
-	w.mon = netmon.New(w.net)
-	w.engine = smock.NewEngine(w.tr)
-	for _, node := range w.net.Nodes() {
-		wr := smock.NewNodeWrapper(node.ID, w.tr, reg, clock)
-		w.engine.RegisterWrapper(wr)
-		if _, err := wr.ServeControl(); err != nil {
-			return nil, err
-		}
-		w.wrappers[node.ID] = wr
-	}
-	addr, err := w.wrappers[topology.NYServer].Install(smock.InstallOrder{
-		Component: spec.CompMailServer, InstanceID: "mail-primary",
-	})
-	if err != nil {
-		return nil, err
-	}
-	svc := spec.MailService()
-	pl := planner.New(svc, w.net)
-	msPlace, err := pl.PrimaryPlacement(spec.CompMailServer, topology.NYServer)
-	if err != nil {
-		return nil, err
-	}
-	pl.AddExisting(msPlace)
-	w.engine.AdoptInstance(msPlace, addr)
-	w.gs = smock.NewGenericServer(svc, pl, w.engine)
-	w.lookup = smock.NewLookup()
-	w.engine.SetLookup(w.lookup)
-	return w, nil
-}
 
 // runAdapt deploys the case study in-process, starts the adaptation
 // controller, injects one fault, and streams every controller event
@@ -121,85 +58,53 @@ func runAdapt(args []string) error {
 		return runAdaptFleet()
 	}
 
-	w, err := newAdaptWorld()
+	w, err := casestudy.New(transport.NewInProc(), "Alice", "Carol")
 	if err != nil {
 		return err
 	}
 	// Warm up San Diego so Seattle anchors onto the sd-2 view — the
 	// case study's incremental state, and the fault's blast radius.
 	warm := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50}
-	if _, _, err := w.gs.Access(warm); err != nil {
+	if _, _, err := w.GS.Access(warm); err != nil {
 		return err
 	}
 	req := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SeaClient, User: "Carol", RateRPS: 50}
-	headAddr, dep, err := w.gs.Access(req)
+	headAddr, dep, err := w.GS.Access(req)
 	if err != nil {
 		return err
 	}
 	const service = "mail-head-carol"
-	if err := w.lookup.Register(smock.Entry{Service: service, ServerAddr: headAddr}); err != nil {
+	if err := w.Lookup.Register(smock.Entry{Service: service, ServerAddr: headAddr}); err != nil {
 		return err
 	}
 	fmt.Printf("deployed carol: %s\n", dep)
 
 	session := adapt.NewSession("carol", service, req, dep, headAddr)
-	reb := adapt.NewRebindEndpoint(w.tr, adapt.LookupResolver(w.lookup, service),
+	reb := adapt.NewRebindEndpoint(w.Tr, adapt.LookupResolver(w.Lookup, service),
 		adapt.RetryConfig{MaxAttempts: 12, BackoffMS: 25})
 	defer reb.Close()
 	session.Bind(reb)
 
-	ctrl := adapt.New(adapt.Config{
-		DebounceMS: 20, ProbeIntervalMS: 25, ProbeTimeoutMS: 500,
-		SuspicionThreshold: 2, DrainMS: 40,
-	}, w.mon, &adapt.EngineExecutor{
-		Server: w.gs, Engine: w.engine, Lookup: w.lookup,
-		Transport: w.tr, Spec: spec.MailService(),
-	}, adapt.NewRealScheduler())
-	ctrl.SetProber(adapt.NewTransportProber(w.tr), w.engine.ControlAddrs)
-
-	// The live view rides the operational API: events go controller ->
-	// bus -> SSE -> this process's own HTTP client. Anything else (curl,
-	// another psfctl adapt -attach) can watch the same stream.
-	srv := api.New(api.Config{Addr: "127.0.0.1:0"}, api.Control{
-		Spec: spec.MailService(), Server: w.gs, Engine: w.engine,
-		Lookup: w.lookup, Controller: ctrl, Mon: w.mon,
-		KillNode: func(id netmodel.NodeID) error {
-			wr, ok := w.wrappers[id]
-			if !ok {
-				return fmt.Errorf("no wrapper for %s", id)
-			}
-			wr.Close()
-			return nil
-		},
-	})
-	srv.AttachController(ctrl, nil)
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	fmt.Printf("events also live at http://%s/v1/events\n", srv.Addr())
+	ctrl := w.Loop(25)
 
 	adapted := make(chan struct{}, 1)
-	sctx, scancel := context.WithCancel(context.Background())
-	defer scancel()
-	streamDone := make(chan struct{})
-	go func() {
-		defer close(streamDone)
-		streamEvents(sctx, "http://"+srv.Addr(), "", "", func(e api.Event) { //nolint:errcheck // demo stream
-			printEvent(e)
-			if e.Kind == "adapted" {
-				select {
-				case adapted <- struct{}{}:
-				default:
-				}
+	stopView, err := liveView(api.Config{Addr: "127.0.0.1:0"}, w.Control(ctrl), func(e api.Event) {
+		if e.Kind == "adapted" {
+			select {
+			case adapted <- struct{}{}:
+			default:
 			}
-		})
-	}()
+		}
+	})
+	if err != nil {
+		return err
+	}
 
 	ctrl.Track(session)
 	ctrl.Start()
 	defer ctrl.Stop()
 
-	carol := mail.NewViewClient("Carol", 2, w.keys.SubRing(2), mail.NewRemote(reb))
+	carol := mail.NewViewClient("Carol", 2, w.Keys.SubRing(2), mail.NewRemote(reb))
 	if _, err := carol.Send("Alice", "baseline", []byte("pre-fault"), 2); err != nil {
 		return fmt.Errorf("baseline send: %v", err)
 	}
@@ -207,15 +112,15 @@ func runAdapt(args []string) error {
 	switch *fault {
 	case "node-crash":
 		fmt.Printf("-- killing node %s --\n", topology.SDClient)
-		w.wrappers[topology.SDClient].Close()
+		w.Wrappers[topology.SDClient].Close()
 	case "link-degrade":
 		fmt.Printf("-- degrading link %s~%s to 1500ms --\n", topology.SDGateway, topology.SeaGW)
-		if err := w.mon.ReportLink(topology.SDGateway, topology.SeaGW, 1500, 1, nil); err != nil {
+		if err := w.Mon.ReportLink(topology.SDGateway, topology.SeaGW, 1500, 1, nil); err != nil {
 			return err
 		}
 	case "link-down":
 		fmt.Printf("-- severing link %s~%s --\n", topology.SDGateway, topology.SeaGW)
-		if err := w.mon.ReportLink(topology.SDGateway, topology.SeaGW, 1e9, 1e-6, nil); err != nil {
+		if err := w.Mon.ReportLink(topology.SDGateway, topology.SeaGW, 1e9, 1e-6, nil); err != nil {
 			return err
 		}
 	default:
@@ -241,57 +146,101 @@ func runAdapt(args []string) error {
 		time.Sleep(25 * time.Millisecond)
 	}
 
-	// Graceful stop: the server says bye on the stream, the client
-	// returns, then the summary prints without interleaving.
-	shctx, shcancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer shcancel()
-	if err := srv.Shutdown(shctx); err != nil {
+	if err := stopView(); err != nil {
 		return err
 	}
-	<-streamDone
-
 	fmt.Printf("adapted: %s\n", session.Deployment())
 	fmt.Printf("head %s -> %s; %d sends, zero client-visible errors; primary inbox %d\n",
-		headAddr, session.HeadAddr(), *sends+1, w.primary.Store().InboxCount("Alice"))
+		headAddr, session.HeadAddr(), *sends+1, w.Primary.Store().InboxCount("Alice"))
 	return nil
 }
 
-// runAdaptFleet runs the sharded fleet control plane through the
-// relay kill/recovery/flap cycle on the virtual clock, with the
-// manager's wave lifecycle (wave-open/wave-close, per-session adapt
-// outcomes, governor deferrals, flap suppression) wired into the bus
-// and streamed back over SSE — replan waves as a live view, not just
-// counters.
+// liveView serves a loop's events on an operational API of its own and
+// prints them as this process reads them back over SSE — the same
+// stream curl, a dashboard or psfctl adapt -attach sees. onEvent, when
+// non-nil, also sees every event. stop shuts the server down, which
+// flushes the stream (buffered events drain before the bye), and
+// returns once the reader has printed everything.
+func liveView(cfg api.Config, ctl api.Control, onEvent func(api.Event)) (stop func() error, err error) {
+	srv := api.New(cfg, ctl)
+	srv.Attach(ctl.Controller, nil)
+	if err := srv.Start(); err != nil {
+		return nil, err
+	}
+	fmt.Printf("events live at http://%s/v1/events\n", srv.Addr())
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		streamEvents(ctx, "http://"+srv.Addr(), "", "", func(e api.Event) { //nolint:errcheck // demo stream
+			printEvent(e)
+			if onEvent != nil {
+				onEvent(e)
+			}
+		})
+	}()
+	return func() error {
+		defer cancel()
+		shctx, shcancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer shcancel()
+		err := srv.Shutdown(shctx)
+		<-done
+		return err
+	}, nil
+}
+
+// runAdaptFleet runs flapFleet with the loop's wave lifecycle
+// (wave-open/wave-close, per-session adapt outcomes, governor
+// deferrals, flap suppression) streamed as a live view — replan waves,
+// not just counters.
 func runAdaptFleet() error {
+	var stopView func() error
+	mgr, err := flapFleet(func(mgr *fleet.Manager) (err error) {
+		// The sim publishes faster than real time; a deep subscriber
+		// buffer keeps the live view lossless.
+		stopView, err = liveView(api.Config{Addr: "127.0.0.1:0", SubscriberBuffer: 8192},
+			api.Control{Controller: mgr.Controller}, nil)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if err := stopView(); err != nil {
+		return err
+	}
+
+	reg := metrics.DefaultRegistry
+	fmt.Printf("fleet run complete: %d sessions, %d waves, %d cutovers rate-limited, %d flaps suppressed\n",
+		len(mgr.Sessions()),
+		reg.Counter("fleet.waves").Load(),
+		reg.Counter("fleet.cutovers_rate_limited").Load(),
+		reg.Counter("fleet.flaps_suppressed").Load())
+	return nil
+}
+
+// flapFleet runs the sharded fleet through a relay kill/recovery/flap
+// cycle on the case-study topology (virtual clock): eight San Diego and
+// Seattle sessions, a 1/s cutover budget and a 60 s anti-flap window.
+// The first recovery rewires Seattle's chains under the token bucket;
+// the second outage forces repairs; the second recovery inside the
+// hysteresis window is suppressed as flap. watch, when non-nil, sees
+// the fleet before it bootstraps.
+func flapFleet(watch func(*fleet.Manager) error) (*fleet.Manager, error) {
 	env := sim.NewEnv()
+	defer env.Stop()
 	net := topology.CaseStudy()
 	mon := netmon.New(net)
 	mgr := fleet.New(fleet.Config{
 		Shards: 4, Workers: 2, DebounceMS: 20,
 		CutoverRatePerSec: 1, CutoverBurst: 1, HysteresisMS: 60000,
 	}, spec.MailService(), net, mon, adapt.NewSimScheduler(env))
-	srv := api.New(api.Config{
-		Addr: "127.0.0.1:0",
-		// The sim publishes faster than real time; a deep subscriber
-		// buffer keeps the live view lossless.
-		SubscriberBuffer: 8192,
-	}, api.Control{Fleet: mgr, Mon: mon})
-	srv.AttachFleet(mgr)
-	if err := srv.Start(); err != nil {
-		return err
+	if watch != nil {
+		if err := watch(mgr); err != nil {
+			return nil, err
+		}
 	}
-	fmt.Printf("fleet wave stream live at http://%s/v1/events\n", srv.Addr())
-
-	streamDone := make(chan struct{})
-	sctx, scancel := context.WithCancel(context.Background())
-	defer scancel()
-	go func() {
-		defer close(streamDone)
-		streamEvents(sctx, "http://"+srv.Addr(), "", "", printEvent) //nolint:errcheck // demo stream
-	}()
-
 	if _, err := mgr.AddPrimary(spec.CompMailServer, topology.NYServer); err != nil {
-		return err
+		return nil, err
 	}
 	for i := 0; i < 8; i++ {
 		req := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50}
@@ -302,30 +251,11 @@ func runAdaptFleet() error {
 	}
 	mgr.Bootstrap()
 	mgr.Start()
-	// Relay down/up/down/up: recovery rewires under the token bucket,
-	// the second recovery inside the hysteresis window is suppressed.
 	env.At(100, func() { _ = mon.ReportNodeDown(topology.SDGateway) })
 	env.At(10000, func() { _ = mon.ReportNodeUp(topology.SDGateway) })
 	env.At(20000, func() { _ = mon.ReportNodeDown(topology.SDGateway) })
 	env.At(30000, func() { _ = mon.ReportNodeUp(topology.SDGateway) })
 	env.RunUntil(60000)
 	mgr.Stop()
-	env.Stop()
-
-	// Shutdown flushes the stream (buffered events drain before the
-	// bye), so every wave prints before the summary.
-	shctx, shcancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer shcancel()
-	if err := srv.Shutdown(shctx); err != nil {
-		return err
-	}
-	<-streamDone
-
-	reg := metrics.DefaultRegistry
-	fmt.Printf("fleet run complete: %d sessions, %d waves, %d cutovers rate-limited, %d flaps suppressed\n",
-		len(mgr.Sessions()),
-		reg.Counter("fleet.waves").Load(),
-		reg.Counter("fleet.cutovers_rate_limited").Load(),
-		reg.Counter("fleet.flaps_suppressed").Load())
-	return nil
+	return mgr, nil
 }

@@ -11,11 +11,12 @@ import (
 
 	"partsvc/internal/adapt"
 	"partsvc/internal/api"
+	"partsvc/internal/casestudy"
 	"partsvc/internal/metrics"
-	"partsvc/internal/netmodel"
 	"partsvc/internal/planner"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
+	"partsvc/internal/transport"
 )
 
 // runServe deploys the case study in-process and serves the
@@ -32,47 +33,29 @@ func runServe(args []string) error {
 		return err
 	}
 
-	w, err := newAdaptWorld()
+	w, err := casestudy.New(transport.NewInProc(), "Alice", "Carol")
 	if err != nil {
 		return err
 	}
 	// Warm up San Diego so later Seattle sessions anchor onto the sd-2
 	// view — the case study's incremental state.
 	warm := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50}
-	if _, _, err := w.gs.Access(warm); err != nil {
+	if _, _, err := w.GS.Access(warm); err != nil {
 		return err
 	}
 
-	ctrl := adapt.New(adapt.Config{
-		DebounceMS: 20, ProbeIntervalMS: 250, ProbeTimeoutMS: 500,
-		SuspicionThreshold: 2, DrainMS: 40,
-	}, w.mon, &adapt.EngineExecutor{
-		Server: w.gs, Engine: w.engine, Lookup: w.lookup,
-		Transport: w.tr, Spec: spec.MailService(),
-	}, adapt.NewRealScheduler())
-	ctrl.SetProber(adapt.NewTransportProber(w.tr), w.engine.ControlAddrs)
+	ctrl := w.Loop(250)
 
 	registerPoolSection(metrics.DefaultRegistry)
-	w.gs.Planner().RegisterSolverMetrics(metrics.DefaultRegistry, "solver")
+	w.GS.Planner().RegisterSolverMetrics(metrics.DefaultRegistry, "solver")
 	srv := api.New(api.Config{
 		Addr: *addr, Token: *token, EnablePprof: *pprofOn,
-	}, api.Control{
-		Spec: spec.MailService(), Server: w.gs, Engine: w.engine,
-		Lookup: w.lookup, Controller: ctrl, Mon: w.mon,
-		KillNode: func(id netmodel.NodeID) error {
-			wr, ok := w.wrappers[id]
-			if !ok {
-				return fmt.Errorf("no wrapper for %s", id)
-			}
-			wr.Close()
-			return nil
-		},
-	})
+	}, w.Control(ctrl))
 	var extra func(adapt.Event)
 	if *echo {
 		extra = func(e adapt.Event) { fmt.Println(e) }
 	}
-	srv.AttachController(ctrl, extra)
+	srv.Attach(ctrl, extra)
 	ctrl.Start()
 	defer ctrl.Stop()
 	if err := srv.Start(); err != nil {

@@ -99,7 +99,7 @@ func streamOnce(ctx context.Context, base, token, query string, lastID *uint64, 
 // printEvent renders one control-plane event for the live views:
 //
 //	[  123ms] adapt  carol     stage: flip
-//	[  456ms] fleet  wave 3    wave-close: sessions=8 memo_hits=5 ...
+//	[  456ms] adapt  wave 3    wave-close: sessions=8 memo_hits=5 ...
 func printEvent(e api.Event) {
 	scope := e.Session
 	if scope == "" && e.Wave > 0 {

@@ -6,21 +6,16 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"partsvc/internal/adapt"
 	"partsvc/internal/api"
 	"partsvc/internal/bench"
 	"partsvc/internal/coherence"
-	"partsvc/internal/fleet"
 	"partsvc/internal/mail"
 	"partsvc/internal/metrics"
-	"partsvc/internal/netmon"
 	"partsvc/internal/planner"
 	"partsvc/internal/seccrypto"
-	"partsvc/internal/sim"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
 	"partsvc/internal/trace"
@@ -42,62 +37,20 @@ func registerPoolSection(reg *metrics.Registry) {
 	})
 }
 
-// registerFleetSection drives the session-sharded fleet control plane
-// through a relay kill/recovery/flap cycle on the case-study topology
-// (virtual clock) and exposes the multi-session counters: sessions per
-// shard, replan waves with sessions-per-wave quantiles, rate-limited
-// cutovers, and hysteresis-suppressed flaps. The fleet.* counters and
-// wave histograms land in reg as a side effect and render alongside.
+// registerFleetSection runs flapFleet and exposes what the loop's
+// fleet.* counters and wave histograms (which land in reg as a side
+// effect and render alongside) do not show: the sessions, their shard
+// occupancy and the live instances they share.
 func registerFleetSection(reg *metrics.Registry) {
-	env := sim.NewEnv()
-	net := topology.CaseStudy()
-	mon := netmon.New(net)
-	mgr := fleet.New(fleet.Config{
-		Shards: 4, Workers: 2, DebounceMS: 20,
-		CutoverRatePerSec: 1, CutoverBurst: 1, HysteresisMS: 60000,
-	}, spec.MailService(), net, mon, adapt.NewSimScheduler(env))
-	if _, err := mgr.AddPrimary(spec.CompMailServer, topology.NYServer); err != nil {
+	mgr, err := flapFleet(nil)
+	if err != nil {
 		panic(err) // static case-study construction; an error is a bug
 	}
-	for i := 0; i < 8; i++ {
-		req := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50}
-		if i%2 == 1 {
-			req.ClientNode, req.User = topology.SeaClient, "Carol"
-		}
-		mgr.AddSession(fmt.Sprintf("fleet-s%d", i), req)
-	}
-	mgr.Bootstrap()
-	mgr.Start()
-	// Relay down/up/down/up: the first recovery rewires Seattle's chains
-	// under the token bucket; the second outage forces repairs; the
-	// second recovery inside the hysteresis window is suppressed as flap.
-	env.At(100, func() { _ = mon.ReportNodeDown(topology.SDGateway) })
-	env.At(10000, func() { _ = mon.ReportNodeUp(topology.SDGateway) })
-	env.At(20000, func() { _ = mon.ReportNodeDown(topology.SDGateway) })
-	env.At(30000, func() { _ = mon.ReportNodeUp(topology.SDGateway) })
-	env.RunUntil(60000)
-	mgr.Stop()
-	env.Stop()
-
 	reg.RegisterSection("fleet", func() []metrics.KV {
-		shards := mgr.SessionsPerShard()
-		parts := make([]string, len(shards))
-		for i, c := range shards {
-			parts[i] = fmt.Sprint(c)
-		}
-		waveSessions := reg.Histogram("fleet.wave_sessions")
-		waveSpan := reg.Histogram("fleet.wave_span_ms")
 		return []metrics.KV{
 			metrics.KVf("sessions", "%d", len(mgr.Sessions())),
-			metrics.KVf("sessions_per_shard", "[%s]", strings.Join(parts, " ")),
+			metrics.KVf("sessions_per_shard", "%v", mgr.SessionsPerShard()),
 			metrics.KVf("instances_shared", "%d", mgr.Instances()),
-			metrics.KVf("replan_waves", "%d", reg.Counter("fleet.waves").Load()),
-			metrics.KVf("sessions_per_wave_p50", "%.0f", waveSessions.Quantile(0.50)),
-			metrics.KVf("sessions_per_wave_p99", "%.0f", waveSessions.Quantile(0.99)),
-			metrics.KVf("wave_span_ms_p50", "%.0f", waveSpan.Quantile(0.50)),
-			metrics.KVf("wave_span_ms_p99", "%.0f", waveSpan.Quantile(0.99)),
-			metrics.KVf("cutovers_rate_limited", "%d", reg.Counter("fleet.cutovers_rate_limited").Load()),
-			metrics.KVf("flaps_suppressed", "%d", reg.Counter("fleet.flaps_suppressed").Load()),
 		}
 	})
 }

@@ -26,7 +26,7 @@ type fakeExec struct {
 	published                             string
 }
 
-func (f *fakeExec) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
+func (f *fakeExec) RepairReplan(old *planner.Deployment, req planner.Request, _ *planner.ChangedSet) (*planner.Diff, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.replans++
@@ -268,6 +268,29 @@ func TestUntrackCancelsPendingRetry(t *testing.T) {
 		if e.AtMS != want[i] {
 			t.Errorf("failure %d at t=%.1f, want %.1f", i, e.AtMS, want[i])
 		}
+	}
+}
+
+// TestUntrackCancelsDeferredCommit: a cutover the rate limiter deferred
+// must not land on a session Untrack removed while it waited.
+func TestUntrackCancelsDeferredCommit(t *testing.T) {
+	exec := &fakeExec{diff: changedDiff(), addr: "new-head"}
+	h := newHarness(t, adapt.Config{DebounceMS: 10, CutoverRatePerSec: 1, CutoverBurst: 1}, exec)
+	h.ctrl.Start()
+	// The first wave (t=10) spends the only token; the second (t=30) is
+	// deferred to t≈1010, and the session is deleted at t=500.
+	h.env.At(0, func() { _ = h.mon.ReportNodeDown("b") })
+	h.env.At(20, func() { _ = h.mon.ReportNodeUp("b") })
+	h.env.At(500, func() { h.ctrl.Untrack(h.sess.Name) })
+	h.env.RunUntil(5000)
+	if n := len(h.eventsOf("deferred")); n != 1 {
+		t.Fatalf("got %d deferred commits, want 1: %v", n, h.events)
+	}
+	if _, deploys, _ := exec.counts(); deploys != 1 {
+		t.Fatalf("got %d deploys, want 1 (the deferred commit must not land after Untrack)", deploys)
+	}
+	if n := len(h.eventsOf("adapted")); n != 1 {
+		t.Fatalf("got %d adapted events, want 1", n)
 	}
 }
 

@@ -10,28 +10,34 @@ import (
 	"partsvc/internal/wire"
 )
 
-// Executor provides the cutover primitives the controller drives. The
-// real implementation (EngineExecutor) works against the smock engine
-// and lookup; benchmarks substitute a simulation model that mutates
-// virtual state instead of sending RPCs.
+// Executor is the loop's one seam to the world it manages: it plans,
+// and it realizes what the loop's registry decided. The real
+// implementation (EngineExecutor) works against the smock engine and
+// lookup; the simulator fleet and benchmarks substitute models that
+// plan and keep books without sending RPCs.
 type Executor interface {
-	// Replan computes the adaptation diff for a request against the
-	// current network (revalidating the reuse set as a side effect).
-	Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error)
+	// RepairReplan computes the adaptation diff for a request against
+	// the current network (revalidating the reuse set as a side effect).
+	// ch names the network elements that changed since the last wave, so
+	// a repair-capable planner can scope the re-search to them; nil
+	// means unknown — a full replan.
+	RepairReplan(old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error)
 	// Snapshot captures serialized state from the predecessors of the
 	// stateful placements the diff will install, keyed by placement Key.
 	// It is best-effort: a predecessor on a dead node yields no entry,
 	// and the replacement starts empty (data views rebuild through the
 	// coherence directory).
 	Snapshot(old *planner.Deployment, diff *planner.Diff) map[string][]byte
-	// Deploy realizes the diff, seeding fresh installs from states, and
-	// returns the new head address. On error the old deployment is still
-	// serving (deploy-before-teardown).
+	// Deploy realizes the diff's new deployment, seeding fresh installs
+	// from states, and returns its head address. Instances already
+	// running are reused. On error the old deployment is still serving
+	// (deploy-before-teardown).
 	Deploy(diff *planner.Diff, states map[string][]byte) (string, error)
 	// Publish (re-)binds the service name to the new head address in the
 	// namespace, replacing any previous binding.
 	Publish(service, addr string) error
-	// Discard tears down drained placements and forgets them.
+	// Discard tears down drained placements — the ones whose last
+	// reference the loop released — and forgets them.
 	Discard(placements []planner.Placement)
 }
 
@@ -45,7 +51,7 @@ const SnapshotMethod = "snapshot"
 // the generic server's planner (serialized with client access
 // requests), the deployment engine, and the lookup namespace.
 type EngineExecutor struct {
-	// Server provides Replan/NoteDeployed/Forget.
+	// Server provides RepairReplan/NoteDeployed/Forget.
 	Server *smock.GenericServer
 	// Engine deploys and tears down instances.
 	Engine *smock.Engine
@@ -60,12 +66,7 @@ type EngineExecutor struct {
 	Attrs map[string]string
 }
 
-// Replan implements Executor.
-func (x *EngineExecutor) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
-	return x.Server.Replan(old, req)
-}
-
-// RepairReplan implements RepairExecutor: the changed-element set flows
+// RepairReplan implements Executor: the changed-element set flows
 // through to the planner's incremental repair.
 func (x *EngineExecutor) RepairReplan(old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
 	return x.Server.RepairReplan(old, req, ch)

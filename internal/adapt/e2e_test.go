@@ -8,85 +8,27 @@ import (
 	"time"
 
 	"partsvc/internal/adapt"
+	"partsvc/internal/casestudy"
 	"partsvc/internal/mail"
 	"partsvc/internal/metrics"
-	"partsvc/internal/netmodel"
-	"partsvc/internal/netmon"
 	"partsvc/internal/planner"
-	"partsvc/internal/seccrypto"
 	"partsvc/internal/smock"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
 	"partsvc/internal/transport"
 )
 
-// world is the full case study wired for adaptation: topology, monitor,
-// wrappers with control listeners on every node, mail factories, a
-// pre-deployed primary, generic server, and lookup.
-type world struct {
-	tr       transport.Transport
-	net      *netmodel.Network
-	mon      *netmon.Monitor
-	keys     *seccrypto.KeyRing
-	primary  *mail.Server
-	engine   *smock.Engine
-	gs       *smock.GenericServer
-	lookup   *smock.Lookup
-	wrappers map[netmodel.NodeID]*smock.NodeWrapper
-}
+// world is the deployed case study plus the helpers the adaptation
+// tests share.
+type world struct{ *casestudy.World }
 
 func newWorldOn(t *testing.T, tr transport.Transport) *world {
 	t.Helper()
-	w := &world{tr: tr, keys: seccrypto.NewKeyRing(), wrappers: map[netmodel.NodeID]*smock.NodeWrapper{}}
-	clock := transport.NewRealClock()
-	w.primary = mail.NewServer(w.keys, clock)
-	for _, u := range []string{"Alice", "Bob", "Carol"} {
-		if err := w.primary.CreateAccount(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reg := smock.NewRegistry()
-	if err := mail.RegisterFactories(reg, &mail.ServiceEnv{Primary: w.primary, Keys: w.keys}); err != nil {
-		t.Fatal(err)
-	}
-	w.net = topology.CaseStudy()
-	w.mon = netmon.New(w.net)
-	w.engine = smock.NewEngine(w.tr)
-	for _, node := range w.net.Nodes() {
-		wr := smock.NewNodeWrapper(node.ID, w.tr, reg, clock)
-		w.engine.RegisterWrapper(wr)
-		if _, err := wr.ServeControl(); err != nil {
-			t.Fatal(err)
-		}
-		w.wrappers[node.ID] = wr
-	}
-
-	addr, err := w.wrappers[topology.NYServer].Install(smock.InstallOrder{
-		Component: spec.CompMailServer, InstanceID: "mail-primary",
-	})
+	cs, err := casestudy.New(tr, "Alice", "Bob", "Carol")
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := spec.MailService()
-	pl := planner.New(svc, w.net)
-	msPlace, err := pl.PrimaryPlacement(spec.CompMailServer, topology.NYServer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.AddExisting(msPlace)
-	w.engine.AdoptInstance(msPlace, addr)
-
-	w.gs = smock.NewGenericServer(svc, pl, w.engine)
-	w.lookup = smock.NewLookup()
-	w.engine.SetLookup(w.lookup)
-	return w
-}
-
-func (w *world) executor() *adapt.EngineExecutor {
-	return &adapt.EngineExecutor{
-		Server: w.gs, Engine: w.engine, Lookup: w.lookup,
-		Transport: w.tr, Spec: spec.MailService(),
-	}
+	return &world{cs}
 }
 
 // deploySD warms up the San Diego chain so Seattle anchors onto the
@@ -94,16 +36,16 @@ func (w *world) executor() *adapt.EngineExecutor {
 func (w *world) deploySD(t *testing.T) {
 	t.Helper()
 	req := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50}
-	addr, _, err := w.gs.Access(req)
+	addr, _, err := w.GS.Access(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := w.tr.Dial(addr)
+	ep, err := w.Tr.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	alice := mail.NewClient("Alice", w.keys, mail.NewRemote(ep))
+	alice := mail.NewClient("Alice", w.Keys, mail.NewRemote(ep))
 	if _, err := alice.Send("Bob", "warm up", []byte("x"), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +61,15 @@ const carolService = "mail-head-carol"
 func (w *world) trackCarol(t *testing.T, retry adapt.RetryConfig) (*adapt.Session, *adapt.RebindEndpoint, *planner.Deployment) {
 	t.Helper()
 	req := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SeaClient, User: "Carol", RateRPS: 50}
-	headAddr, dep, err := w.gs.Access(req)
+	headAddr, dep, err := w.GS.Access(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.lookup.Register(smock.Entry{Service: carolService, ServerAddr: headAddr}); err != nil {
+	if err := w.Lookup.Register(smock.Entry{Service: carolService, ServerAddr: headAddr}); err != nil {
 		t.Fatal(err)
 	}
 	session := adapt.NewSession("carol", carolService, req, dep, headAddr)
-	reb := adapt.NewRebindEndpoint(w.tr, adapt.LookupResolver(w.lookup, carolService), retry)
+	reb := adapt.NewRebindEndpoint(w.Tr, adapt.LookupResolver(w.Lookup, carolService), retry)
 	session.Bind(reb)
 	return session, reb, dep
 }
@@ -159,11 +101,7 @@ func runNodeCrashAdaptation(t *testing.T, tr transport.Transport) {
 	}
 
 	events := make(chan adapt.Event, 512)
-	ctrl := adapt.New(adapt.Config{
-		DebounceMS: 20, ProbeIntervalMS: 25, ProbeTimeoutMS: 500,
-		SuspicionThreshold: 2, DrainMS: 40,
-	}, w.mon, w.executor(), adapt.NewRealScheduler())
-	ctrl.SetProber(adapt.NewTransportProber(w.tr), w.engine.ControlAddrs)
+	ctrl := w.Loop(25)
 	ctrl.OnEvent(func(e adapt.Event) {
 		select {
 		case events <- e:
@@ -174,7 +112,7 @@ func runNodeCrashAdaptation(t *testing.T, tr transport.Transport) {
 	ctrl.Start()
 	defer ctrl.Stop()
 
-	carol := mail.NewViewClient("Carol", 2, w.keys.SubRing(2), mail.NewRemote(reb))
+	carol := mail.NewViewClient("Carol", 2, w.Keys.SubRing(2), mail.NewRemote(reb))
 
 	// Baseline traffic, plus a primary-side message that reaches Carol's
 	// local sea-2 view only through coherence fan-out: after the cutover
@@ -182,7 +120,7 @@ func runNodeCrashAdaptation(t *testing.T, tr transport.Transport) {
 	if _, err := carol.Send("Alice", "before", []byte("pre-crash"), 2); err != nil {
 		t.Fatalf("baseline send: %v", err)
 	}
-	if _, err := w.primary.Send("Alice", "Carol", "seed", []byte("carried"), 2); err != nil {
+	if _, err := w.Primary.Send("Alice", "Carol", "seed", []byte("carried"), 2); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool {
@@ -192,7 +130,7 @@ func runNodeCrashAdaptation(t *testing.T, tr transport.Transport) {
 
 	// Kill sd-2 — the node hosting the mail-store view Seattle chains
 	// through — and keep client traffic flowing the whole time.
-	w.wrappers[topology.SDClient].Close()
+	w.Wrappers[topology.SDClient].Close()
 
 	sent := 1 // "before"
 	adapted := false
@@ -232,9 +170,9 @@ func runNodeCrashAdaptation(t *testing.T, tr transport.Transport) {
 	// Every send made it to the primary exactly once: the rebind layer
 	// absorbed the outage without dropping or losing requests.
 	waitFor(t, 2*time.Second, func() bool {
-		return w.primary.Store().InboxCount("Alice") == sent
+		return w.Primary.Store().InboxCount("Alice") == sent
 	}, fmt.Sprintf("primary inbox must hold all %d sends (has %d)",
-		sent, w.primary.Store().InboxCount("Alice")))
+		sent, w.Primary.Store().InboxCount("Alice")))
 
 	// State carry: the pre-crash fan-out message survives in the
 	// migrated sea-2 view. (The primary never re-publishes history to a
@@ -269,7 +207,7 @@ func TestLinkDegradeRewireInProc(t *testing.T) {
 	}
 
 	events := make(chan adapt.Event, 512)
-	ctrl := adapt.New(adapt.Config{DebounceMS: 20, DrainMS: 40}, w.mon, w.executor(), adapt.NewRealScheduler())
+	ctrl := adapt.New(adapt.Config{DebounceMS: 20, DrainMS: 40}, w.Mon, w.Executor(), adapt.NewRealScheduler())
 	ctrl.OnEvent(func(e adapt.Event) {
 		select {
 		case events <- e:
@@ -280,11 +218,11 @@ func TestLinkDegradeRewireInProc(t *testing.T) {
 	ctrl.Start()
 	defer ctrl.Stop()
 
-	carol := mail.NewViewClient("Carol", 2, w.keys.SubRing(2), mail.NewRemote(reb))
+	carol := mail.NewViewClient("Carol", 2, w.Keys.SubRing(2), mail.NewRemote(reb))
 	if _, err := carol.Send("Alice", "before", []byte("pre-degrade"), 2); err != nil {
 		t.Fatalf("baseline send: %v", err)
 	}
-	if _, err := w.primary.Send("Alice", "Carol", "seed", []byte("carried"), 2); err != nil {
+	if _, err := w.Primary.Send("Alice", "Carol", "seed", []byte("carried"), 2); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool {
@@ -292,7 +230,7 @@ func TestLinkDegradeRewireInProc(t *testing.T) {
 		return err == nil && hasBody(msgs, "carried")
 	}, "seed message must fan out to the sea-2 view")
 
-	if err := w.mon.ReportLink(topology.SDGateway, topology.SeaGW, 1500, 1, nil); err != nil {
+	if err := w.Mon.ReportLink(topology.SDGateway, topology.SeaGW, 1500, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -330,9 +268,9 @@ func TestLinkDegradeRewireInProc(t *testing.T) {
 		t.Errorf("Seattle view must survive the rewire: %s", newDep)
 	}
 	waitFor(t, 2*time.Second, func() bool {
-		return w.primary.Store().InboxCount("Alice") == sent
+		return w.Primary.Store().InboxCount("Alice") == sent
 	}, fmt.Sprintf("primary inbox must hold all %d sends (has %d)",
-		sent, w.primary.Store().InboxCount("Alice")))
+		sent, w.Primary.Store().InboxCount("Alice")))
 	msgs, err := carol.Receive()
 	if err != nil {
 		t.Fatalf("post-rewire receive: %v", err)
@@ -353,14 +291,21 @@ func hasBody(msgs []*mail.Message, body string) bool {
 
 func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Helper()
+	if !eventually(d, cond) {
+		t.Fatal(msg)
+	}
+}
+
+// eventually polls cond until it holds or d elapses.
+func eventually(d time.Duration, cond func() bool) bool {
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
 		if cond() {
-			return
+			return true
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatal(msg)
+	return false
 }
 
 // TestParkedRequestCompletesOnFlipTCP: over real sockets, requests
@@ -400,11 +345,7 @@ func parkedAcrossFlip(t *testing.T) (first, last time.Duration) {
 
 	var mu sync.Mutex
 	var flipAt time.Time
-	ctrl := adapt.New(adapt.Config{
-		DebounceMS: 20, ProbeIntervalMS: 25, ProbeTimeoutMS: 500,
-		SuspicionThreshold: 2, DrainMS: 40,
-	}, w.mon, w.executor(), adapt.NewRealScheduler())
-	ctrl.SetProber(adapt.NewTransportProber(w.tr), w.engine.ControlAddrs)
+	ctrl := w.Loop(25)
 	ctrl.OnEvent(func(e adapt.Event) {
 		if e.Kind == "stage" && e.Detail == "flip" {
 			mu.Lock()
@@ -418,14 +359,14 @@ func parkedAcrossFlip(t *testing.T) (first, last time.Duration) {
 	ctrl.Start()
 	defer ctrl.Stop()
 
-	carol := mail.NewViewClient("Carol", 2, w.keys.SubRing(2), mail.NewRemote(reb))
+	carol := mail.NewViewClient("Carol", 2, w.Keys.SubRing(2), mail.NewRemote(reb))
 	if _, err := carol.Send("Alice", "before", []byte("pre-crash"), 2); err != nil {
 		t.Fatalf("baseline send: %v", err)
 	}
 
 	retries := metrics.DefaultRegistry.Counter("adapt.retries")
 	retriesBefore := retries.Load()
-	w.wrappers[topology.SDClient].Close()
+	w.Wrappers[topology.SDClient].Close()
 	const parked = 4
 	type result struct {
 		err    error

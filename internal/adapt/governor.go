@@ -1,11 +1,10 @@
-package fleet
+package adapt
 
-// governor is the fleet's global cutover brake. Per-session controllers
-// each cut over as soon as their replan says so; five thousand of them
-// reacting to one backbone event would re-deploy the world in a single
-// instant — a self-inflicted thundering herd — and a session sitting
-// near a latency tie would rewire on every minor oscillation. The
-// governor applies two policies at commit time:
+// governor is the loop's global cutover brake. Without it, five
+// thousand sessions reacting to one backbone event would re-deploy the
+// world in a single instant — a self-inflicted thundering herd — and a
+// session sitting near a latency tie would rewire on every minor
+// oscillation. The governor applies two policies at commit time:
 //
 //   - a token bucket paces cutovers fleet-wide: each commit spends one
 //     token, and when the bucket is dry the commit is deferred to the
@@ -17,9 +16,10 @@ package fleet
 //     node died under it — bypass hysteresis (but still pay a token:
 //     mass failure is exactly when pacing matters most).
 //
-// The governor runs on virtual time and is only touched from the
-// manager's sequential commit phase, so it needs no locking and its
-// decisions are deterministic.
+// The governor runs on the loop's clock and is only touched from the
+// sequential commit phase, so it needs no locking and its decisions
+// are deterministic. With a zero rate and window (the defaults) it
+// never intervenes.
 type governor struct {
 	ratePerSec   float64 // tokens per second; <= 0 disables pacing
 	burst        float64

@@ -1,15 +1,14 @@
 // Package api is the operational HTTP control plane: a live event bus
-// fanning adapt/fleet control-loop events out to SSE subscribers, a
+// fanning adaptation-loop events out to SSE subscribers, a
 // Prometheus text exposition of the metrics registry, span-tree
 // inspection, opt-in pprof, and a management API (submit a spec, plan,
 // deploy, adapt, kill a node) — the seam §6 of the paper leaves open:
 // a partitionable service that is managed while it runs, through the
 // same surface a human or a fleet orchestrator would use.
 //
-// Layering: adapt and fleet never import this package. They publish
-// through their existing callback sinks (Controller.OnEvent,
-// Manager.OnEvent); AttachController/AttachFleet adapt those into bus
-// events. The bus itself never blocks a publisher — slow subscribers
+// Layering: adapt never imports this package. The loop publishes
+// through its callback sink (Controller.OnEvent); Attach adapts that
+// into bus events. The bus itself never blocks a publisher — slow subscribers
 // drop (counted per subscriber), because the adaptation loop's timing
 // must not depend on an observer's read rate.
 package api
@@ -27,7 +26,7 @@ import (
 type Event struct {
 	Seq     uint64  `json:"seq"`
 	AtMS    float64 `json:"at_ms"`
-	Source  string  `json:"source"` // "adapt", "fleet", or "api"
+	Source  string  `json:"source"` // "adapt" or "api"
 	Kind    string  `json:"kind"`
 	Session string  `json:"session,omitempty"`
 	Wave    uint64  `json:"wave,omitempty"`

@@ -13,104 +13,34 @@ import (
 
 	"partsvc/internal/adapt"
 	"partsvc/internal/api"
+	"partsvc/internal/casestudy"
 	"partsvc/internal/mail"
 	"partsvc/internal/metrics"
-	"partsvc/internal/netmodel"
-	"partsvc/internal/netmon"
 	"partsvc/internal/planner"
-	"partsvc/internal/seccrypto"
-	"partsvc/internal/smock"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
 	"partsvc/internal/transport"
 )
 
-// apiWorld is the full case study wired for the operational API: the
-// same deployed world as the adapt e2e tests, but every control action
-// — deploy, kill, inspect — goes over HTTP.
+// apiWorld is the deployed case study wired for the operational API:
+// the same world as the adapt e2e tests, but every control action —
+// deploy, kill, inspect — goes over HTTP.
 type apiWorld struct {
-	tr       transport.Transport
-	net      *netmodel.Network
-	mon      *netmon.Monitor
-	keys     *seccrypto.KeyRing
-	primary  *mail.Server
-	engine   *smock.Engine
-	gs       *smock.GenericServer
-	lookup   *smock.Lookup
-	wrappers map[netmodel.NodeID]*smock.NodeWrapper
-	ctrl     *adapt.Controller
-	srv      *api.Server
-	base     string
+	*casestudy.World
+	ctrl *adapt.Controller
+	srv  *api.Server
+	base string
 }
 
 func newAPIWorld(t *testing.T) *apiWorld {
 	t.Helper()
-	w := &apiWorld{
-		tr: transport.NewInProc(), keys: seccrypto.NewKeyRing(),
-		wrappers: map[netmodel.NodeID]*smock.NodeWrapper{},
-	}
-	clock := transport.NewRealClock()
-	w.primary = mail.NewServer(w.keys, clock)
-	for _, u := range []string{"Alice", "Bob", "Carol"} {
-		if err := w.primary.CreateAccount(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reg := smock.NewRegistry()
-	if err := mail.RegisterFactories(reg, &mail.ServiceEnv{Primary: w.primary, Keys: w.keys}); err != nil {
-		t.Fatal(err)
-	}
-	w.net = topology.CaseStudy()
-	w.mon = netmon.New(w.net)
-	w.engine = smock.NewEngine(w.tr)
-	for _, node := range w.net.Nodes() {
-		wr := smock.NewNodeWrapper(node.ID, w.tr, reg, clock)
-		w.engine.RegisterWrapper(wr)
-		if _, err := wr.ServeControl(); err != nil {
-			t.Fatal(err)
-		}
-		w.wrappers[node.ID] = wr
-	}
-	addr, err := w.wrappers[topology.NYServer].Install(smock.InstallOrder{
-		Component: spec.CompMailServer, InstanceID: "mail-primary",
-	})
+	cs, err := casestudy.New(transport.NewInProc(), "Alice", "Bob", "Carol")
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := spec.MailService()
-	pl := planner.New(svc, w.net)
-	msPlace, err := pl.PrimaryPlacement(spec.CompMailServer, topology.NYServer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.AddExisting(msPlace)
-	w.engine.AdoptInstance(msPlace, addr)
-	w.gs = smock.NewGenericServer(svc, pl, w.engine)
-	w.lookup = smock.NewLookup()
-	w.engine.SetLookup(w.lookup)
-
-	w.ctrl = adapt.New(adapt.Config{
-		DebounceMS: 20, ProbeIntervalMS: 25, ProbeTimeoutMS: 500,
-		SuspicionThreshold: 2, DrainMS: 40,
-	}, w.mon, &adapt.EngineExecutor{
-		Server: w.gs, Engine: w.engine, Lookup: w.lookup,
-		Transport: w.tr, Spec: svc,
-	}, adapt.NewRealScheduler())
-	w.ctrl.SetProber(adapt.NewTransportProber(w.tr), w.engine.ControlAddrs)
-
-	w.srv = api.New(api.Config{Addr: "127.0.0.1:0", Registry: metrics.NewRegistry()}, api.Control{
-		Spec: svc, Server: w.gs, Engine: w.engine, Lookup: w.lookup,
-		Controller: w.ctrl, Mon: w.mon,
-		KillNode: func(id netmodel.NodeID) error {
-			wr, ok := w.wrappers[id]
-			if !ok {
-				return fmt.Errorf("no wrapper for %s", id)
-			}
-			wr.Close()
-			return nil
-		},
-	})
-	w.srv.AttachController(w.ctrl, nil)
+	w := &apiWorld{World: cs, ctrl: cs.Loop(25)}
+	w.srv = api.New(api.Config{Addr: "127.0.0.1:0", Registry: metrics.NewRegistry()}, cs.Control(w.ctrl))
+	w.srv.Attach(w.ctrl, nil)
 	w.ctrl.Start()
 	t.Cleanup(w.ctrl.Stop)
 	if err := w.srv.Start(); err != nil {
@@ -149,16 +79,16 @@ func (w *apiWorld) post(t *testing.T, path, body string, want int, out any) {
 func (w *apiWorld) deploySD(t *testing.T) {
 	t.Helper()
 	req := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50}
-	addr, _, err := w.gs.Access(req)
+	addr, _, err := w.GS.Access(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := w.tr.Dial(addr)
+	ep, err := w.Tr.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	alice := mail.NewClient("Alice", w.keys, mail.NewRemote(ep))
+	alice := mail.NewClient("Alice", w.Keys, mail.NewRemote(ep))
 	if _, err := alice.Send("Bob", "warm up", []byte("x"), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -227,15 +157,15 @@ func TestHTTPDrivenNodeCrashRecovery(t *testing.T) {
 
 	// Bind a client through the session's rebind endpoint (in-proc: the
 	// API deploys, the client dials what the lookup publishes).
-	sess, ok := w.srv.Session("carol")
+	sess, ok := w.ctrl.Session("carol")
 	if !ok {
-		t.Fatal("API lost track of the session it just created")
+		t.Fatal("the loop lost track of the session the API just created")
 	}
-	reb := adapt.NewRebindEndpoint(w.tr, adapt.LookupResolver(w.lookup, "head-carol"), adapt.RetryConfig{
+	reb := adapt.NewRebindEndpoint(w.Tr, adapt.LookupResolver(w.Lookup, "head-carol"), adapt.RetryConfig{
 		MaxAttempts: 12, BackoffMS: 25,
 	})
 	sess.Bind(reb)
-	carol := mail.NewViewClient("Carol", 2, w.keys.SubRing(2), mail.NewRemote(reb))
+	carol := mail.NewViewClient("Carol", 2, w.Keys.SubRing(2), mail.NewRemote(reb))
 	if _, err := carol.Send("Alice", "before", []byte("pre-crash"), 2); err != nil {
 		t.Fatalf("baseline send: %v", err)
 	}
@@ -313,9 +243,9 @@ func TestHTTPDrivenNodeCrashRecovery(t *testing.T) {
 
 	// Every send made it: the outage was absorbed, not dropped.
 	waitForE2E(t, 2*time.Second, func() bool {
-		return w.primary.Store().InboxCount("Alice") == sent
+		return w.Primary.Store().InboxCount("Alice") == sent
 	}, fmt.Sprintf("primary inbox must hold all %d sends (has %d)",
-		sent, w.primary.Store().InboxCount("Alice")))
+		sent, w.Primary.Store().InboxCount("Alice")))
 
 	// And the exposition over the same server stays lint-clean.
 	mresp, err := http.Get(w.base + "/metrics")

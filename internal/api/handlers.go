@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 
 	"partsvc/internal/adapt"
 	"partsvc/internal/netmodel"
@@ -199,25 +198,35 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 type sessionJSON struct {
 	Name       string          `json:"name"`
 	Service    string          `json:"service,omitempty"`
+	Shard      int             `json:"shard"`
 	HeadAddr   string          `json:"head_addr"`
 	Deployment *deploymentJSON `json:"deployment"`
 }
 
-func sessJSON(as *apiSession) sessionJSON {
+func sessJSON(sess *adapt.Session) sessionJSON {
 	return sessionJSON{
-		Name:       as.sess.Name,
-		Service:    as.service,
-		HeadAddr:   as.sess.HeadAddr(),
-		Deployment: depJSON(as.sess.Deployment()),
+		Name:       sess.Name,
+		Service:    sess.Service,
+		Shard:      sess.Shard(),
+		HeadAddr:   sess.HeadAddr(),
+		Deployment: depJSON(sess.Deployment()),
 	}
 }
 
+// session returns the loop's session called name, if any.
+func (s *Server) session(name string) (*adapt.Session, bool) {
+	if s.ctl.Controller == nil {
+		return nil, false
+	}
+	return s.ctl.Controller.Session(name)
+}
+
 // handleSessionCreate deploys a chain for the request, publishes the
-// head in the lookup namespace, and registers the session with the
-// adaptation controller — the HTTP form of GenericServer.Access plus
+// head in the lookup namespace, and tracks the session in the
+// adaptation loop — the HTTP form of GenericServer.Access plus
 // Controller.Track.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	if s.ctl.Server == nil || s.ctl.Lookup == nil {
+	if s.ctl.Server == nil || s.ctl.Lookup == nil || s.ctl.Controller == nil {
 		notConfigured(w, "deployment engine")
 		return
 	}
@@ -237,13 +246,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if service == "" {
 		service = "head-" + pr.Name
 	}
-	s.mu.Lock()
-	if _, dup := s.sessions[pr.Name]; dup {
-		s.mu.Unlock()
+	if _, dup := s.session(pr.Name); dup {
 		apiError(w, http.StatusConflict, "session %q already exists", pr.Name)
 		return
 	}
-	s.mu.Unlock()
 
 	headAddr, dep, err := s.ctl.Server.Access(req)
 	if err != nil {
@@ -254,91 +260,56 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusInternalServerError, "publish: %v", err)
 		return
 	}
-	as := &apiSession{sess: adapt.NewSession(pr.Name, service, req, dep, headAddr), service: service}
-	s.mu.Lock()
-	s.sessions[pr.Name] = as
-	s.mu.Unlock()
-	if s.ctl.Controller != nil {
-		s.ctl.Controller.Track(as.sess)
-	}
+	sess := adapt.NewSession(pr.Name, service, req, dep, headAddr)
+	s.ctl.Controller.Track(sess)
 	s.bus.Publish(Event{
 		Source: "api", Kind: "deployed", Session: pr.Name, AtMS: nowMS(),
 		Detail: dep.String(),
 	})
-	writeJSON(w, http.StatusCreated, sessJSON(as))
+	writeJSON(w, http.StatusCreated, sessJSON(sess))
 }
 
+// handleSessionList lists every session the loop tracks, in tracking
+// order — those created here and those tracked in-process alike — with
+// the loop's shard occupancy and its live instance count.
 func (s *Server) handleSessionList(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	out := make([]sessionJSON, 0, len(s.sessions))
-	for _, as := range s.sessions {
-		out = append(out, sessJSON(as))
+	body := map[string]any{"sessions": []sessionJSON{}}
+	if c := s.ctl.Controller; c != nil {
+		sessions := c.Sessions()
+		out := make([]sessionJSON, len(sessions))
+		for i, sess := range sessions {
+			out[i] = sessJSON(sess)
+		}
+		body["sessions"] = out
+		body["sessions_per_shard"] = c.SessionsPerShard()
+		body["instances"] = c.Instances()
 	}
-	s.mu.Unlock()
-	sortSessions(out)
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": out})
+	writeJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	s.mu.Lock()
-	as, ok := s.sessions[name]
-	s.mu.Unlock()
+	sess, ok := s.session(name)
 	if !ok {
 		apiError(w, http.StatusNotFound, "no session %q", name)
 		return
 	}
-	writeJSON(w, http.StatusOK, sessJSON(as))
+	writeJSON(w, http.StatusOK, sessJSON(sess))
 }
 
-// handleSessionDelete untracks the session, withdraws its lookup
-// entry, and tears down instances it exclusively owns: placements
-// still marked Reused were someone else's first (the shared primary,
-// another session's view) and stay up, as do placements any other API
-// session's current deployment touches.
+// handleSessionDelete untracks the session and withdraws its lookup
+// entry. Untracking releases the session's instances: those no other
+// session holds, and that the loop deployed, drain and are torn down.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	s.mu.Lock()
-	as, ok := s.sessions[name]
-	if ok {
-		delete(s.sessions, name)
-	}
-	others := make([]*apiSession, 0, len(s.sessions))
-	for _, o := range s.sessions {
-		others = append(others, o)
-	}
-	s.mu.Unlock()
+	sess, ok := s.session(name)
 	if !ok {
 		apiError(w, http.StatusNotFound, "no session %q", name)
 		return
 	}
-	if s.ctl.Controller != nil {
-		s.ctl.Controller.Untrack(name)
-	}
-	if s.ctl.Lookup != nil && as.service != "" {
-		s.ctl.Lookup.Deregister(as.service)
-	}
-	torn := 0
-	if dep := as.sess.Deployment(); dep != nil && s.ctl.Engine != nil {
-		shared := map[string]bool{}
-		for _, o := range others {
-			if od := o.sess.Deployment(); od != nil {
-				for _, p := range od.Placements {
-					shared[p.Key()] = true
-				}
-			}
-		}
-		for _, p := range dep.Placements {
-			if p.Reused || shared[p.Key()] {
-				continue
-			}
-			if err := s.ctl.Engine.Teardown(p); err == nil {
-				torn++
-			}
-			if s.ctl.Server != nil {
-				s.ctl.Server.Forget(p)
-			}
-		}
+	torn := s.ctl.Controller.Untrack(name)
+	if s.ctl.Lookup != nil && sess.Service != "" {
+		s.ctl.Lookup.Deregister(sess.Service)
 	}
 	s.bus.Publish(Event{
 		Source: "api", Kind: "teardown", Session: name, AtMS: nowMS(),
@@ -355,10 +326,7 @@ func (s *Server) handleSessionAdapt(w http.ResponseWriter, r *http.Request) {
 		notConfigured(w, "adaptation controller")
 		return
 	}
-	s.mu.Lock()
-	_, ok := s.sessions[name]
-	s.mu.Unlock()
-	if !ok {
+	if _, ok := s.session(name); !ok {
 		apiError(w, http.StatusNotFound, "no session %q", name)
 		return
 	}
@@ -424,43 +392,4 @@ func (s *Server) handleNetLink(w http.ResponseWriter, r *http.Request) {
 		Detail: fmt.Sprintf("%s~%s latency=%.0fms bw=%.1fMbps", lr.A, lr.B, lr.LatencyMS, lr.BandwidthMbps),
 	})
 	writeJSON(w, http.StatusOK, map[string]any{"reported": lr.A + "~" + lr.B})
-}
-
-func (s *Server) handleFleetSessions(w http.ResponseWriter, _ *http.Request) {
-	if s.ctl.Fleet == nil {
-		notConfigured(w, "fleet manager")
-		return
-	}
-	type fleetSessionJSON struct {
-		Name       string `json:"name"`
-		Shard      int    `json:"shard"`
-		Deployment string `json:"deployment"`
-	}
-	sessions := s.ctl.Fleet.Sessions()
-	out := make([]fleetSessionJSON, len(sessions))
-	for i, fs := range sessions {
-		dep := "<none>"
-		if d := fs.Deployment(); d != nil {
-			dep = d.String()
-		}
-		out[i] = fleetSessionJSON{Name: fs.Name, Shard: fs.Shard(), Deployment: dep}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": out})
-}
-
-func (s *Server) handleFleetShards(w http.ResponseWriter, _ *http.Request) {
-	if s.ctl.Fleet == nil {
-		notConfigured(w, "fleet manager")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"shards":             s.ctl.Fleet.Shards(),
-		"sessions_per_shard": s.ctl.Fleet.SessionsPerShard(),
-		"instances_shared":   s.ctl.Fleet.Instances(),
-	})
-}
-
-// sortSessions orders session listings by name for stable output.
-func sortSessions(list []sessionJSON) {
-	sort.Slice(list, func(i, j int) bool { return list[i].Name < list[j].Name })
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"partsvc/internal/adapt"
-	"partsvc/internal/fleet"
 	"partsvc/internal/metrics"
 	"partsvc/internal/netmodel"
 	"partsvc/internal/netmon"
@@ -78,21 +77,14 @@ type Control struct {
 	Engine *smock.Engine
 	// Lookup is the namespace session heads are published in.
 	Lookup *smock.Lookup
-	// Controller is the adaptation loop sessions register with.
+	// Controller is the adaptation loop: it holds every session
+	// (/v1/sessions).
 	Controller *adapt.Controller
-	// Fleet, when set, exposes /v1/fleet/*.
-	Fleet *fleet.Manager
 	// Mon receives fault injections (/v1/net/link).
 	Mon *netmon.Monitor
 	// KillNode hard-kills a node's wrapper (/v1/nodes/{id}/kill);
 	// deployments must observe it exactly as a crash.
 	KillNode func(netmodel.NodeID) error
-}
-
-// apiSession is one deployment created through POST /v1/sessions.
-type apiSession struct {
-	sess    *adapt.Session
-	service string
 }
 
 // Server mounts the operational API. Construct with New, then either
@@ -109,22 +101,20 @@ type Server struct {
 	latMu sync.Mutex
 	lat   map[string]*metrics.ShardedHistogram // per-route latency
 
-	mu       sync.Mutex
-	ln       net.Listener
-	sessions map[string]*apiSession
+	mu sync.Mutex
+	ln net.Listener
 }
 
-// New builds a server over a control surface. Attach event sources
-// (AttachController, AttachFleet) before traffic.
+// New builds a server over a control surface. Attach the loop's event
+// stream before traffic.
 func New(cfg Config, ctl Control) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		ctl:      ctl,
-		bus:      NewBus(cfg.BusRing),
-		mux:      http.NewServeMux(),
-		lat:      map[string]*metrics.ShardedHistogram{},
-		sessions: map[string]*apiSession{},
+		cfg: cfg,
+		ctl: ctl,
+		bus: NewBus(cfg.BusRing),
+		mux: http.NewServeMux(),
+		lat: map[string]*metrics.ShardedHistogram{},
 	}
 	s.routes()
 	return s
@@ -132,18 +122,6 @@ func New(cfg Config, ctl Control) *Server {
 
 // Bus returns the server's event bus (for in-process publishers).
 func (s *Server) Bus() *Bus { return s.bus }
-
-// Session returns the tracked adapt session deployed under name, if
-// any — in-process callers (tests, psfctl) bind client endpoints to it.
-func (s *Server) Session(name string) (*adapt.Session, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	as, ok := s.sessions[name]
-	if !ok {
-		return nil, false
-	}
-	return as.sess, true
-}
 
 // Handler returns the full middleware-wrapped handler (mountable on
 // any http.Server).
@@ -308,8 +286,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/sessions/{name}/adapt", s.observe("/v1/sessions/{name}/adapt", s.handleSessionAdapt))
 	s.mux.HandleFunc("POST /v1/nodes/{id}/kill", s.observe("/v1/nodes/{id}/kill", s.handleNodeKill))
 	s.mux.HandleFunc("POST /v1/net/link", s.observe("/v1/net/link", s.handleNetLink))
-	s.mux.HandleFunc("GET /v1/fleet/sessions", s.observe("/v1/fleet/sessions", s.handleFleetSessions))
-	s.mux.HandleFunc("GET /v1/fleet/shards", s.observe("/v1/fleet/shards", s.handleFleetShards))
 
 	if s.cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)

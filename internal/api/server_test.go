@@ -68,7 +68,7 @@ func TestNotConfigured(t *testing.T) {
 	for _, c := range []struct{ method, path, body string }{
 		{"POST", "/v1/plan", `{"interface":"x","node":"y"}`},
 		{"GET", "/v1/spec", ""},
-		{"GET", "/v1/fleet/shards", ""},
+		{"POST", "/v1/sessions", `{"name":"x","interface":"x","node":"y"}`},
 		{"POST", "/v1/nodes/ny-1/kill", ""},
 		{"POST", "/v1/net/link", `{"a":"x","b":"y","latency_ms":1,"bandwidth_mbps":1}`},
 	} {

@@ -1,36 +1,21 @@
 package api
 
-import (
-	"partsvc/internal/adapt"
-	"partsvc/internal/fleet"
-)
+import "partsvc/internal/adapt"
 
-// AttachController wires an adaptation controller's event stream into
-// the bus (and also to extra, when non-nil — psfctl keeps its stdout
-// stream this way). Must be called before Controller.Start.
-func (s *Server) AttachController(c *adapt.Controller, extra func(adapt.Event)) {
+// Attach wires the adaptation loop's event stream — per-session control
+// events plus the loop-wide observe/suspect/wave lifecycle (session "")
+// — into the bus, and also to extra, when non-nil (psfctl keeps its
+// stdout stream this way). OnWave stays free for report consumers
+// (benchmarks). Must be called before Controller.Start.
+func (s *Server) Attach(c *adapt.Controller, extra func(adapt.Event)) {
 	bus := s.bus
 	c.OnEvent(func(e adapt.Event) {
 		bus.Publish(Event{
 			AtMS: e.AtMS, Source: "adapt", Kind: e.Kind,
-			Session: e.Session, Detail: e.Detail,
+			Session: e.Session, Wave: e.Wave, Detail: e.Detail,
 		})
 		if extra != nil {
 			extra(e)
 		}
-	})
-}
-
-// AttachFleet wires a fleet manager's event stream — per-session
-// control events plus the manager-level wave-open/wave-close lifecycle
-// (session "") — into the bus. OnWave stays free for report consumers
-// (benchmarks). Must be called before Manager.Start.
-func (s *Server) AttachFleet(m *fleet.Manager) {
-	bus := s.bus
-	m.OnEvent(func(session string, e fleet.Event) {
-		bus.Publish(Event{
-			AtMS: e.AtMS, Source: "fleet", Kind: e.Kind,
-			Session: session, Wave: e.Wave, Detail: e.Detail,
-		})
 	})
 }

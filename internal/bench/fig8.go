@@ -126,7 +126,9 @@ type fig8Exec struct {
 	gen int
 }
 
-func (x *fig8Exec) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
+// RepairReplan ignores the changed-element set: the model always takes
+// the full replan path.
+func (x *fig8Exec) RepairReplan(old *planner.Deployment, req planner.Request, _ *planner.ChangedSet) (*planner.Diff, error) {
 	diff, err := x.pl.ReplanRewire(old, req)
 	if err != nil {
 		return nil, err

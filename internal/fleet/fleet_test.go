@@ -53,7 +53,7 @@ func newWorld(t *testing.T, cfg Config, sessions int) *world {
 func (w *world) transcript() string {
 	var b strings.Builder
 	for _, s := range w.mgr.Sessions() {
-		fmt.Fprintf(&b, "%s dep=%s\n", s.Name, depSummary(s.Deployment()))
+		fmt.Fprintf(&b, "%s dep=%s\n", s.Name, s.Deployment())
 		for _, e := range s.Events() {
 			fmt.Fprintf(&b, "  %s\n", e)
 		}
@@ -293,7 +293,7 @@ func TestNodeKillForcesThroughHysteresis(t *testing.T) {
 
 // TestSessionEventsAreBounded: a long-lived fleet emits events for every
 // affected session on every topology event, forever. A session keeps
-// its latest sessionEvents of them, oldest first, and the heap stops
+// its latest adapt.SessionEvents of them, oldest first, and the heap stops
 // growing once the rings are full.
 func TestSessionEventsAreBounded(t *testing.T) {
 	const sessions, waves = 50, 1000
@@ -350,8 +350,8 @@ func TestSessionEventsAreBounded(t *testing.T) {
 	}
 	for _, s := range w.mgr.Sessions() {
 		ev := s.Events()
-		if len(ev) != sessionEvents {
-			t.Fatalf("%s keeps %d events after %d waves, want the latest %d", s.Name, len(ev), waves, sessionEvents)
+		if len(ev) != adapt.SessionEvents {
+			t.Fatalf("%s keeps %d events after %d waves, want the latest %d", s.Name, len(ev), waves, adapt.SessionEvents)
 		}
 		if got := ev[len(ev)-1].Wave; got != lastWave {
 			t.Fatalf("%s: newest event is wave %d's, want wave %d's", s.Name, got, lastWave)

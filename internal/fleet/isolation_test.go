@@ -105,7 +105,7 @@ func clusterTranscript(w *world, prefix string) string {
 		if !strings.HasPrefix(s.Name, prefix) {
 			continue
 		}
-		fmt.Fprintf(&b, "%s dep=%s\n", s.Name, depSummary(s.Deployment()))
+		fmt.Fprintf(&b, "%s dep=%s\n", s.Name, s.Deployment())
 		for _, e := range s.Events() {
 			fmt.Fprintf(&b, "  [%10.1f] %s %s\n", e.AtMS, e.Kind, e.Detail)
 		}

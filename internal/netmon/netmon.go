@@ -53,6 +53,9 @@ func New(net *netmodel.Network) *Monitor {
 	return &Monitor{net: net}
 }
 
+// Network returns the network the monitor mutates.
+func (m *Monitor) Network() *netmodel.Network { return m.net }
+
 // Subscribe registers a notification callback. Callbacks run
 // synchronously, in registration order, under the monitor's report
 // call.
