@@ -411,9 +411,6 @@ func (c *Controller) OnEvent(fn func(Event)) { c.onEvent = fn }
 // before Start.
 func (c *Controller) OnWave(fn func(WaveReport)) { c.onWave = fn }
 
-// Shards returns the shard count.
-func (c *Controller) Shards() int { return len(c.planners) }
-
 // shardOf consistent-hashes a session name onto a shard.
 func (c *Controller) shardOf(name string) int {
 	h := fnv.New64a()

@@ -240,11 +240,14 @@ func TestUntrackCancelsPendingRetry(t *testing.T) {
 	h.env.At(0, func() { _ = h.mon.ReportNodeDown("b") })
 	// The replan at t=10 fails and arms a retry for t=30. The session is
 	// deleted first, and the executor heals, so a stray retry would both
-	// replan and deploy.
+	// replan and deploy. The same session is tracked again until t=90:
+	// only withdrawing the retry keeps it from firing.
 	h.env.At(20, func() {
 		h.ctrl.Untrack(h.sess.Name)
 		exec.set(func(f *fakeExec) { f.replanErr = nil })
 	})
+	h.env.At(25, func() { h.ctrl.Track(h.sess) })
+	h.env.At(90, func() { h.ctrl.Untrack(h.sess.Name) })
 	h.env.RunUntil(100)
 	if replans, deploys, _ := exec.counts(); replans != 1 || deploys != 0 {
 		t.Fatalf("after Untrack: %d replans and %d deploys, want 1 and 0 (the pending retry must not fire)", replans, deploys)
@@ -272,16 +275,19 @@ func TestUntrackCancelsPendingRetry(t *testing.T) {
 }
 
 // TestUntrackCancelsDeferredCommit: a cutover the rate limiter deferred
-// must not land on a session Untrack removed while it waited.
+// must not land on a session Untrack removed while it waited — not even
+// when the same session is tracked again before the commit's time.
 func TestUntrackCancelsDeferredCommit(t *testing.T) {
 	exec := &fakeExec{diff: changedDiff(), addr: "new-head"}
 	h := newHarness(t, adapt.Config{DebounceMS: 10, CutoverRatePerSec: 1, CutoverBurst: 1}, exec)
 	h.ctrl.Start()
 	// The first wave (t=10) spends the only token; the second (t=30) is
-	// deferred to t≈1010, and the session is deleted at t=500.
+	// deferred to t≈1010. The session is deleted at t=500 and tracked
+	// again at t=600, so only withdrawing the commit keeps it from landing.
 	h.env.At(0, func() { _ = h.mon.ReportNodeDown("b") })
 	h.env.At(20, func() { _ = h.mon.ReportNodeUp("b") })
 	h.env.At(500, func() { h.ctrl.Untrack(h.sess.Name) })
+	h.env.At(600, func() { h.ctrl.Track(h.sess) })
 	h.env.RunUntil(5000)
 	if n := len(h.eventsOf("deferred")); n != 1 {
 		t.Fatalf("got %d deferred commits, want 1: %v", n, h.events)

@@ -81,9 +81,10 @@ func checkRefs(t *testing.T, ctrl *adapt.Controller) {
 // deployment's instances withheld from the reuse set so that every
 // graph shape is costed afresh: the fresh chain leaves the degraded
 // link and the view behind it, and the diff lists every old placement
-// it drops in Remove — the shared view included. (The rewire path keeps a shared terminal out of Remove; a
-// plain Replan does not, so only the loop's registry stands between
-// this diff and a teardown of the view another session still holds.)
+// it drops in Remove — the shared view included. (The rewire path keeps
+// a shared terminal out of Remove; a plain Replan does not, so only the
+// loop's registry stands between this diff and a teardown of the view
+// another session still holds.)
 type offView struct {
 	*adapt.EngineExecutor
 	view    planner.Placement
@@ -289,13 +290,8 @@ func TestFleetDeploysOverTCP(t *testing.T) {
 	for _, st := range sites {
 		for name := range st.sessions {
 			for _, e := range w.Lookup.Find("head-"+name, nil) {
-				var s *adapt.Session
-				for _, t := range ctrl.Sessions() {
-					if t.Name == name {
-						s = t
-					}
-				}
-				if s == nil {
+				s, ok := ctrl.Session(name)
+				if !ok {
 					t.Fatalf("deleted session %s is still published at %s", name, e.ServerAddr)
 				}
 				if live, ok := w.Engine.AddrOf(s.Deployment().Placements[0]); !ok || live != e.ServerAddr {
