@@ -12,6 +12,8 @@ import (
 	"partsvc/internal/mail"
 	"partsvc/internal/netmodel"
 	"partsvc/internal/planner"
+	"partsvc/internal/property"
+	"partsvc/internal/smock"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
 	"partsvc/internal/transport"
@@ -161,6 +163,56 @@ func TestSharedTailSurvivesReplan(t *testing.T) {
 	if _, err := mail.NewClient("Alice", w.Keys, mail.NewRemote(ep)).Receive(); err != nil {
 		t.Fatalf("San Diego's chain stopped answering through the shared view: %v", err)
 	}
+}
+
+// TestEvictionTearsDownUntrackedInstance: San Diego's chain is
+// deployed by an access request outside the loop, and its view is
+// published under a service name; the loop tracks only New York, whose
+// chain does not touch San Diego. When sd-2's trust drops to 1, the
+// loop's replan of New York evicts the view (factored with TrustLevel-4
+// keys, it may no longer run there) yet comes back unchanged, so no
+// cutover runs. The loop must still tear the view down and withdraw its
+// lookup entry: no session's release will, because none holds it.
+func TestEvictionTearsDownUntrackedInstance(t *testing.T) {
+	w := newWorldOn(t, transport.NewInProc())
+	sdReq := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50}
+	_, sdDep, err := w.GS.Access(sdReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := sdDep.Placements[1]
+	viewAddr, ok := w.Engine.AddrOf(view)
+	if view.Component != spec.CompViewMailServer || view.Node != topology.SDClient || !ok {
+		t.Fatalf("San Diego must run a live view on sd-2: %s", sdDep)
+	}
+	if err := w.Lookup.Register(smock.Entry{Service: "sd-view", ServerAddr: viewAddr}); err != nil {
+		t.Fatal(err)
+	}
+	nyReq := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.NYClient, User: "Bob", RateRPS: 50}
+	nyHead, nyDep, err := w.GS.Access(nyReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	log := &eventLog{}
+	ctrl := adapt.New(adapt.Config{DrainMS: 20}, w.Mon, w.Executor(), adapt.NewRealScheduler())
+	ctrl.OnEvent(log.on)
+	ctrl.Track(adapt.NewSession("bob", "", nyReq, nyDep, nyHead))
+	if err := w.Mon.ReportNodeProps(topology.SDClient, property.Set{"TrustLevel": property.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Kick()
+
+	if n := log.count("unchanged", "", map[string]bool{"bob": true}); n != 1 {
+		t.Fatalf("New York's replan must come back unchanged:\n%s", log.dump())
+	}
+	if addr, ok := w.Engine.AddrOf(view); ok {
+		t.Fatalf("the evicted view still runs at %s", addr)
+	}
+	if got := w.Lookup.Find("sd-view", nil); len(got) != 0 {
+		t.Fatalf("lookup entries still point at the evicted view: %v", got)
+	}
+	checkRefs(t, ctrl)
 }
 
 // TestFleetDeploysOverTCP: a fleet of 102 sessions, a third on each

@@ -148,14 +148,25 @@ func (r *registry) finalize(released []planner.Placement) []planner.Placement {
 // evict marks a placement dead: revalidation decided the instance can
 // no longer run where it is. Dead entries stop being offered for reuse
 // immediately; their remaining references drain as the affected
-// sessions rewire, and the last release discards them.
-func (r *registry) evict(key string) {
+// sessions rewire, and the last release discards them. evict reports
+// whether no such release will come — the instance is held by no
+// session (pinned, or deployed outside the loop and never tracked) —
+// so the caller must discard it now: an evicted instance does not keep
+// running just because the loop does not own it.
+func (r *registry) evict(key string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e := r.entries[key]; e != nil {
-		e.dead = true
-		e.pinned = false
+	e := r.entries[key]
+	switch {
+	case e == nil:
+		return true
+	case e.refs == 0 && e.pinned:
+		delete(r.entries, key)
+		return true
 	}
+	e.dead = true
+	e.pinned = false
+	return false
 }
 
 // placements enumerates the live instances sorted by key — the reuse

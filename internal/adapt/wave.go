@@ -324,6 +324,7 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 	// theirs), and the node index is updated once, after the last commit.
 	lastCommitMS := startMS
 	evicted := map[string]bool{}
+	var unheld []planner.Placement
 	facts := map[*planner.Deployment]*depFacts{}
 	var moves []indexMove
 	for pos, s := range affected {
@@ -347,7 +348,9 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 		for _, p := range diff.Evicted {
 			if !evicted[p.Key()] {
 				evicted[p.Key()] = true
-				c.reg.evict(p.Key())
+				if c.reg.evict(p.Key()) {
+					unheld = append(unheld, p)
+				}
 				c.evictions.Inc()
 			}
 		}
@@ -400,6 +403,12 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 		report.Cutovers++
 	}
 	c.reindex(moves)
+	// No session's release will tear down an evicted instance no session
+	// holds, and a cutover may never run for it (its replan can come back
+	// unchanged): it goes now.
+	if len(unheld) > 0 {
+		c.exec.Discard(unheld)
+	}
 	report.SpanMS = lastCommitMS - startMS
 
 	c.waves.Inc()

@@ -27,9 +27,6 @@ type GenericServer struct {
 
 	mu sync.Mutex // the planner is not concurrent-safe
 	pl *planner.Planner
-	// unreported holds placements revalidation evicted during a replan
-	// that then failed; the next diff reports them (see RepairReplan).
-	unreported []planner.Placement
 }
 
 // NewGenericServer binds a specification, its planner, and an engine.
@@ -99,32 +96,12 @@ func (g *GenericServer) Replan(old *planner.Deployment, req planner.Request) (*p
 // invalidated domains are re-searched) and continues as a full replan
 // when the repair moves nothing or is infeasible. A nil or empty ch is
 // exactly Replan.
-//
-// Revalidation evicts from the shared reuse set once, for whichever
-// session replans first; when that session's replan then fails, the
-// eviction is carried to the next diff, so the engine still tears the
-// evicted instances down and the instances wired through them are still
-// found as orphans.
 func (g *GenericServer) RepairReplan(old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	before := append([]planner.Placement(nil), g.pl.Existing...)
 	diff, err := g.pl.RepairReplan(old, req, ch)
 	if err != nil {
-		kept := map[string]bool{}
-		for _, p := range g.pl.Existing {
-			kept[p.Key()] = true
-		}
-		for _, p := range before {
-			if !kept[p.Key()] {
-				g.unreported = append(g.unreported, p)
-			}
-		}
 		return nil, err
-	}
-	if len(g.unreported) > 0 {
-		diff.Evicted = append(g.unreported, diff.Evicted...)
-		g.unreported = nil
 	}
 	if orphans := g.engine.OrphanedBy(diff.Evicted); len(orphans) > 0 {
 		g.pl.DropExistingByKey(orphans...)
