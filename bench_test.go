@@ -272,14 +272,6 @@ func BenchmarkRPCThroughput(b *testing.B) {
 			t.ZeroCopyResponses = true
 			return t
 		}},
-		// ring is the co-located fast path: the same connection machinery
-		// over shared-memory SPSC rings instead of a loopback socket.
-		{"ring", func() transport.Transport {
-			t := transport.NewTCP()
-			t.Ring = true
-			t.ZeroCopyResponses = true
-			return t
-		}},
 	}
 	body := make([]byte, 256)
 	for _, tc := range transports {
@@ -339,12 +331,10 @@ func BenchmarkRPCThroughput(b *testing.B) {
 // BenchmarkRPCMultiCore is ablation A9: the data plane's scale-out
 // curve. It sweeps GOMAXPROCS × connections × transports with a fixed
 // population of 64 callers (the MPSC writer's contention point), so
-// the table answers two questions: how the lock-free write queue
-// scales when cores are added, and how much the shared-memory ring
-// buys over a loopback socket for co-located endpoints. Callers are
-// spread round-robin over the connections; all connections share one
-// transport (and therefore one stats plane), as in a real partition
-// server hosting several co-located components.
+// the table answers how the lock-free write queue scales when cores
+// are added. Callers are spread round-robin over the connections; all
+// connections share one transport (and therefore one stats plane), as
+// in a real partition server hosting several components.
 func BenchmarkRPCMultiCore(b *testing.B) {
 	h := transport.HandlerFunc(func(m *wire.Message) *wire.Message {
 		return &wire.Message{
@@ -359,12 +349,6 @@ func BenchmarkRPCMultiCore(b *testing.B) {
 		{"inproc", func() transport.Transport { return transport.NewInProc() }},
 		{"tcp", func() transport.Transport {
 			t := transport.NewTCP()
-			t.ZeroCopyResponses = true
-			return t
-		}},
-		{"ring", func() transport.Transport {
-			t := transport.NewTCP()
-			t.Ring = true
 			t.ZeroCopyResponses = true
 			return t
 		}},

@@ -21,9 +21,9 @@ func fatalf(format string, args ...any) {
 // live RPC data plane (no simulator) swept over GOMAXPROCS ×
 // transport × connections × caller populations, printing aggregate
 // req/s per cell. The caller axis separates the two regimes that
-// matter: 1 caller is the latency-bound case where the ring's
-// syscall elimination shows whole (nothing amortizes), 64 callers is
-// the throughput-bound case where the MPSC writer's batching is the
+// matter: 1 caller is the latency-bound case where each call pays a
+// whole round trip (nothing amortizes), 64 callers is the
+// throughput-bound case where the MPSC writer's batching is the
 // contended path. The same grid backs BenchmarkRPCMultiCore; this
 // mode exists so the table can be regenerated (and uploaded as a CI
 // artifact) without the testing harness.
@@ -35,12 +35,6 @@ func runMultiCore(callerList []int, msgBytes int, dur time.Duration, gomaxprocs 
 		{"inproc", func() transport.Transport { return transport.NewInProc() }},
 		{"tcp", func() transport.Transport {
 			t := transport.NewTCP()
-			t.ZeroCopyResponses = true
-			return t
-		}},
-		{"ring", func() transport.Transport {
-			t := transport.NewTCP()
-			t.Ring = true
 			t.ZeroCopyResponses = true
 			return t
 		}},

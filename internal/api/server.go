@@ -98,9 +98,6 @@ type Server struct {
 
 	httpSrv *http.Server
 
-	latMu sync.Mutex
-	lat   map[string]*metrics.ShardedHistogram // per-route latency
-
 	mu sync.Mutex
 	ln net.Listener
 }
@@ -114,7 +111,6 @@ func New(cfg Config, ctl Control) *Server {
 		ctl: ctl,
 		bus: NewBus(cfg.BusRing),
 		mux: http.NewServeMux(),
-		lat: map[string]*metrics.ShardedHistogram{},
 	}
 	s.routes()
 	return s
@@ -151,25 +147,17 @@ func (s *Server) authorized(r *http.Request) bool {
 
 // observe wraps a handler with per-endpoint latency and status
 // instrumentation: api.requests{route,code} counters and an
-// api.latency_ms{route} sharded histogram, both in the registry —
-// the API measures itself with the same metrics it exposes. A request
-// is recorded when its handler starts the response (or returns without
+// api.latency_ms{route} histogram, both in the registry — the API
+// measures itself with the same metrics it exposes. A request is
+// recorded when its handler starts the response (or returns without
 // one), before a byte of it can reach the client: a client that has
 // read a response can rely on the next scrape counting it.
 func (s *Server) observe(route string, h http.HandlerFunc) http.HandlerFunc {
-	s.latMu.Lock()
-	sh, ok := s.lat[route]
-	if !ok {
-		sh = &metrics.ShardedHistogram{}
-		s.lat[route] = sh
-		s.cfg.Registry.RegisterHistogramFunc("api.latency_ms", sh.Snapshot,
-			metrics.Label{Key: "route", Value: route})
-	}
-	s.latMu.Unlock()
+	lat := s.cfg.Registry.Histogram("api.latency_ms", metrics.Label{Key: "route", Value: route})
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, record: func(code int) {
-			sh.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+			lat.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 			s.cfg.Registry.CounterL("api.requests",
 				metrics.Label{Key: "route", Value: route},
 				metrics.Label{Key: "code", Value: strconv.Itoa(code)}).Inc()

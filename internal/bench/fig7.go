@@ -32,15 +32,15 @@ func RunFig7(cfg Config) []Row {
 // latency in the grid: each parallel worker records into its own
 // per-scenario shard and the shards merge in row order afterwards, so
 // the combined quantiles are identical at any worker count.
-func RunFig7Stats(cfg Config) ([]Row, *metrics.Recorder) {
+func RunFig7Stats(cfg Config) ([]Row, *Recorder) {
 	scs := Scenarios()
 	counts := cfg.clientCounts()
 	rows := make([]Row, len(scs)*len(counts))
-	recs := make([]*metrics.Recorder, len(rows))
+	recs := make([]*Recorder, len(rows))
 	forEach(cfg.Workers, len(rows), func(i int) {
 		rows[i], recs[i], _ = runScenario(cfg, scs[i/len(counts)], counts[i%len(counts)], 0)
 	})
-	merged := &metrics.Recorder{}
+	merged := &Recorder{}
 	for _, rec := range recs {
 		merged.Merge(rec)
 	}
@@ -68,7 +68,7 @@ func RunScenario(cfg Config, sc Scenario, clients int) Row {
 // virtual-clock tracer (capacity traceCap) to the world. Span
 // timestamps read env.Now, so repeated runs of the same Config produce
 // byte-identical span trees.
-func runScenario(cfg Config, sc Scenario, clients, traceCap int) (Row, *metrics.Recorder, *trace.Tracer) {
+func runScenario(cfg Config, sc Scenario, clients, traceCap int) (Row, *Recorder, *trace.Tracer) {
 	env := sim.NewEnvWith(sim.Options{Seed: scenarioSeed(cfg.Seed, sc.Name, clients)})
 	var tr *trace.Tracer
 	if traceCap > 0 {
@@ -76,7 +76,7 @@ func runScenario(cfg Config, sc Scenario, clients, traceCap int) (Row, *metrics.
 	}
 	w := &scenarioWorld{cfg: cfg, sc: sc, env: env, tr: tr}
 	w.build()
-	rec := &metrics.Recorder{}
+	rec := &Recorder{}
 	w.active = clients
 	for c := 0; c < clients; c++ {
 		w.startClient(rec)
@@ -165,7 +165,7 @@ func (w *scenarioWorld) build() {
 // startClient launches one client running the paper's workload:
 // SendsPerClient sends with a receive sweep after every ReceiveEvery
 // sends, at the maximum rate the deployment permits.
-func (w *scenarioWorld) startClient(rec *metrics.Recorder) {
+func (w *scenarioWorld) startClient(rec *Recorder) {
 	env, cfg := w.env, w.cfg
 	sends, receives := 0, 0
 	var beginSend func()

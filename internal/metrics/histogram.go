@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -9,11 +8,11 @@ import (
 // Histogram is a fixed-memory, concurrency-safe latency histogram with
 // logarithmic buckets: 8 sub-buckets per power of two over 2^-20 ..
 // 2^22 milliseconds, so any quantile is exact to within one bucket's
-// relative width (2^(1/8)-1 ≈ 9%). Unlike Recorder it never grows with
-// the sample count, and Observe is lock-free — the replacement for
-// ad-hoc sample slices on concurrent paths (per-RPC-method latencies).
-// The zero value is ready to use. Histograms with the same bucket
-// layout (all of them) merge losslessly.
+// relative width (2^(1/8)-1 ≈ 9%). It never grows with the sample
+// count, and Observe is lock-free, so concurrent paths (per-RPC-method
+// latencies, transport queue waits) record into one directly. The zero
+// value is ready to use. Histograms with the same bucket layout (all of
+// them) merge losslessly.
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	count  atomic.Uint64
@@ -184,19 +183,11 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.max.storeMax(o.max.load())
 }
 
-// Summary renders "mean=… p50=… p90=… p99=… max=… (n=…)".
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("mean=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f (n=%d)",
-		h.Mean(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Max(), h.Count())
-}
-
 // atomicFloat is a float64 updated with CAS loops (sum, min, max
 // accumulators shared across goroutines).
 type atomicFloat struct{ bits atomic.Uint64 }
 
 func (a *atomicFloat) load() float64 { return math.Float64frombits(a.bits.Load()) }
-
-func (a *atomicFloat) store(v float64) { a.bits.Store(math.Float64bits(v)) }
 
 func (a *atomicFloat) add(v float64) {
 	for {

@@ -150,4 +150,29 @@ func TestHistogramConcurrent(t *testing.T) {
 	if h.Min() < 0 || h.Max() > 50 {
 		t.Fatalf("min/max %g/%g outside [0, 50]", h.Min(), h.Max())
 	}
+
+	// A deterministic stream from every goroutine: the extremes are
+	// exact and the median lands where one goroutine alone puts it.
+	u := &Histogram{}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				u.Observe(float64(i % 100))
+			}
+		}()
+	}
+	wg.Wait()
+	if u.Count() != workers*per {
+		t.Fatalf("Count = %d, want %d", u.Count(), workers*per)
+	}
+	// An exact 0 sample reads back as the smallest subnormal (the "no
+	// sample" sentinel nudge), so bound it instead of comparing exactly.
+	if min, max := u.Min(), u.Max(); min > 1e-300 || max != 99 {
+		t.Fatalf("min=%v max=%v, want ~0 and 99", min, max)
+	}
+	if p50 := u.Quantile(0.5); p50 < 30 || p50 > 70 {
+		t.Fatalf("p50 = %v for uniform 0..99, want near 50", p50)
+	}
 }

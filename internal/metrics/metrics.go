@@ -1,21 +1,19 @@
-// Package metrics collects latency samples and renders the fixed-width
-// tables and series the experiment harness prints (the rows behind each
-// reproduced figure).
+// Package metrics holds the process's data-plane counters and latency
+// histograms, the registry that names them for /metrics and the stats
+// cmds, and the fixed-width tables the experiment harness prints.
 package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 )
 
 // Counter is a concurrency-safe monotonic counter for data-plane
-// events (frames, bytes, errors). The zero value is ready to use.
-// Unlike Recorder, Counter is safe for concurrent use: the transports
-// bump counters from many goroutines at once.
+// events (frames, bytes, errors). The zero value is ready to use. It
+// is one plain atomic; DESIGN.md §5d measures why that is enough on
+// the data path.
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
@@ -27,16 +25,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Rate returns this counter as a fraction of (this + other): pool hit
-// rates, error rates. Returns 0 when both are zero.
-func (c *Counter) Rate(other *Counter) float64 {
-	a, b := c.Load(), other.Load()
-	if a+b == 0 {
-		return 0
-	}
-	return float64(a) / float64(a+b)
-}
-
 // PerSec converts a count over an elapsed wall-clock duration into a
 // rate (events/sec throughput reporting); 0 when elapsed is not
 // positive.
@@ -45,114 +33,6 @@ func PerSec(n int64, elapsed time.Duration) float64 {
 		return 0
 	}
 	return float64(n) / elapsed.Seconds()
-}
-
-// Recorder accumulates float64 samples (milliseconds by convention).
-// The zero value is ready to use. Recorder is not safe for concurrent
-// use; simulation code is single-threaded by construction and real-time
-// callers should shard per goroutine.
-type Recorder struct {
-	samples []float64
-	sorted  bool
-}
-
-// Add appends a sample.
-func (r *Recorder) Add(v float64) {
-	r.samples = append(r.samples, v)
-	r.sorted = false
-}
-
-// Count returns the number of samples.
-func (r *Recorder) Count() int { return len(r.samples) }
-
-// Merge appends all of o's samples to r (o unchanged). This is the
-// combine step for the documented "shard per goroutine" pattern: each
-// worker records into its own Recorder and the fan-in merges the
-// shards. Quantiles of the merge equal quantiles of a single Recorder
-// fed the same samples in any order.
-func (r *Recorder) Merge(o *Recorder) {
-	if o == nil || len(o.samples) == 0 {
-		return
-	}
-	r.samples = append(r.samples, o.samples...)
-	r.sorted = false
-}
-
-// Mean returns the arithmetic mean (0 for no samples).
-func (r *Recorder) Mean() float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range r.samples {
-		sum += v
-	}
-	return sum / float64(len(r.samples))
-}
-
-// Min returns the smallest sample (0 for no samples).
-func (r *Recorder) Min() float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.sort()
-	return r.samples[0]
-}
-
-// Max returns the largest sample (0 for no samples).
-func (r *Recorder) Max() float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.sort()
-	return r.samples[len(r.samples)-1]
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank; 0 for no samples.
-func (r *Recorder) Percentile(p float64) float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.sort()
-	if p <= 0 {
-		return r.samples[0]
-	}
-	if p >= 100 {
-		return r.samples[len(r.samples)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(r.samples)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return r.samples[rank]
-}
-
-// Stddev returns the population standard deviation (0 for < 2 samples).
-func (r *Recorder) Stddev() float64 {
-	if len(r.samples) < 2 {
-		return 0
-	}
-	mean := r.Mean()
-	sum := 0.0
-	for _, v := range r.samples {
-		d := v - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(r.samples)))
-}
-
-func (r *Recorder) sort() {
-	if !r.sorted {
-		sort.Float64s(r.samples)
-		r.sorted = true
-	}
-}
-
-// Summary renders "mean=… p50=… p95=… max=… (n=…)".
-func (r *Recorder) Summary() string {
-	return fmt.Sprintf("mean=%.2f p50=%.2f p95=%.2f max=%.2f (n=%d)",
-		r.Mean(), r.Percentile(50), r.Percentile(95), r.Max(), r.Count())
 }
 
 // Table renders aligned experiment tables.

@@ -14,7 +14,6 @@ import (
 // renderer maps registry names onto Prometheus families:
 //
 //   - counters:   partsvc_<name>_total        (TYPE counter)
-//   - gauges:     partsvc_<name>              (TYPE gauge)
 //   - histograms: partsvc_<name>_bucket{le=…} cumulative, plus _sum and
 //     _count (TYPE histogram); only occupied buckets are emitted, the
 //     mandatory +Inf bucket always
@@ -39,24 +38,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, e := range r.counters {
 		counters = append(counters, e)
 	}
-	gauges := make(map[string]float64, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges[name] = g.Load()
-	}
-	hists := make([]promHist, 0, len(r.histograms)+len(r.histFuncs))
-	for name, h := range r.histograms {
-		hists = append(hists, promHist{name: name, h: h})
-	}
-	histFuncs := make([]*histFuncEntry, 0, len(r.histFuncs))
-	for _, e := range r.histFuncs {
-		histFuncs = append(histFuncs, e)
+	hists := make([]*histEntry, 0, len(r.histograms))
+	for _, e := range r.histograms {
+		hists = append(hists, e)
 	}
 	sections := make([]namedSection, len(r.sections))
 	copy(sections, r.sections)
 	r.mu.Unlock()
-	for _, e := range histFuncs {
-		hists = append(hists, promHist{name: e.name, labels: e.labels, h: e.fn()})
-	}
 
 	bw := bufio.NewWriter(w)
 
@@ -78,17 +66,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 
-	for _, fam := range sortedKeys(gauges) {
-		name := promName(fam, "")
-		fmt.Fprintf(bw, "# HELP %s Registry gauge %s.\n", name, fam)
-		fmt.Fprintf(bw, "# TYPE %s gauge\n", name)
-		fmt.Fprintf(bw, "%s %s\n", name, promFloat(gauges[fam]))
-	}
-
 	// Histogram families.
-	famH := map[string][]promHist{}
-	for _, ph := range hists {
-		famH[ph.name] = append(famH[ph.name], ph)
+	famH := map[string][]*histEntry{}
+	for _, e := range hists {
+		famH[e.name] = append(famH[e.name], e)
 	}
 	for _, fam := range sortedKeys(famH) {
 		name := promName(fam, "")
@@ -98,8 +79,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		sort.Slice(series, func(i, j int) bool {
 			return seriesKey("", series[i].labels) < seriesKey("", series[j].labels)
 		})
-		for _, ph := range series {
-			writePromHistogram(bw, name, ph)
+		for _, e := range series {
+			writePromHistogram(bw, name, e)
 		}
 	}
 
@@ -110,9 +91,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	seen := map[string]bool{}
 	for fam := range famC {
 		seen[promName(fam, "_total")] = true
-	}
-	for fam := range gauges {
-		seen[promName(fam, "")] = true
 	}
 	for fam := range famH {
 		base := promName(fam, "")
@@ -138,15 +116,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-type promHist struct {
-	name   string
-	labels []Label
-	h      *Histogram
-}
-
 // writePromHistogram renders one histogram series: cumulative occupied
 // buckets, the +Inf bucket, sum, and count.
-func writePromHistogram(w io.Writer, name string, ph promHist) {
+func writePromHistogram(w io.Writer, name string, ph *histEntry) {
 	var cum uint64
 	for _, b := range ph.h.Buckets() {
 		if b.Count == 0 || math.IsInf(b.UpperBound, 1) {

@@ -151,23 +151,22 @@ func TestPromHistogramOracle(t *testing.T) {
 }
 
 // TestPromExpositionLints feeds a populated registry — counters,
-// labeled counters, gauges, histograms, provider-backed histograms,
-// sections — through the format linter.
+// labeled counters, histograms, labeled histograms, sections — through
+// the format linter.
 func TestPromExpositionLints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("wire.pool_hits").Add(7)
 	r.CounterL("api.requests", Label{"route", "/v1/sessions"}, Label{"code", "200"}).Add(3)
 	r.CounterL("api.requests", Label{"route", "/v1/plan"}, Label{"code", "400"}).Add(1)
-	r.Gauge("fleet.sessions").Set(5000)
 	h := r.Histogram("rpc.client.send")
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i) * 0.37)
 	}
-	var sh ShardedHistogram
+	lat := r.Histogram("api.latency_ms", Label{"route", "/metrics"})
 	for i := 0; i < 50; i++ {
-		sh.Observe(float64(i) * 1.1)
+		lat.Observe(float64(i) * 1.1)
 	}
-	r.RegisterHistogramFunc("api.latency_ms", sh.Snapshot, Label{"route", "/metrics"})
+	r.Histogram("api.latency_ms", Label{"route", "/healthz"}).Observe(0.2)
 	r.RegisterSection("planner", func() []KV {
 		return []KV{
 			{Name: "plans", Value: "12"},
@@ -192,11 +191,14 @@ func TestPromExpositionLints(t *testing.T) {
 	if got := parsed["partsvc_wire_pool_hits_total"]; got != 7 {
 		t.Errorf("plain counter = %v, want 7", got)
 	}
-	if got := parsed["partsvc_fleet_sessions"]; got != 5000 {
-		t.Errorf("gauge = %v, want 5000", got)
-	}
 	if got := parsed[`partsvc_api_latency_ms_count{route="/metrics"}`]; got != 50 {
-		t.Errorf("provider histogram count = %v, want 50", got)
+		t.Errorf("labeled histogram count = %v, want 50", got)
+	}
+	if got := parsed[`partsvc_api_latency_ms_count{route="/healthz"}`]; got != 1 {
+		t.Errorf("second labeled series count = %v, want 1", got)
+	}
+	if n := strings.Count(text, "# TYPE partsvc_api_latency_ms histogram"); n != 1 {
+		t.Errorf("labeled series declared %d TYPE lines, want one family", n)
 	}
 	if got := parsed["partsvc_planner_plans"]; got != 12 {
 		t.Errorf("section gauge = %v, want 12", got)

@@ -23,19 +23,6 @@ func KVf(name, format string, args ...any) KV {
 	return KV{Name: name, Value: fmt.Sprintf(format, args...)}
 }
 
-// Gauge is a concurrency-safe instantaneous value (queue depths,
-// utilization ratios). The zero value is ready to use.
-type Gauge struct{ v atomicFloat }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.v.store(v) }
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d float64) { g.v.add(d) }
-
-// Load returns the current value.
-func (g *Gauge) Load() float64 { return g.v.load() }
-
 // Label is one key=value dimension on a metric series. Labeled series
 // under one name form a family — the shape Prometheus exposition
 // renders as `name{key="value"}`.
@@ -44,17 +31,15 @@ type Label struct {
 	Value string
 }
 
-// Registry is the process-wide metrics namespace: named counters,
-// gauges, and histograms owned by the registry, plus per-subsystem
-// snapshot sections. One Render call (or one HTTP scrape) shows every
-// subsystem in one format. Safe for concurrent use.
+// Registry is the process-wide metrics namespace: named counters and
+// histograms owned by the registry, plus per-subsystem snapshot
+// sections. One Render call (or one HTTP scrape) shows every subsystem
+// in one format. Safe for concurrent use.
 type Registry struct {
 	mu         sync.Mutex
 	sections   []namedSection
 	counters   map[string]*counterEntry
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	histFuncs  map[string]*histFuncEntry
+	histograms map[string]*histEntry
 }
 
 type namedSection struct {
@@ -70,22 +55,18 @@ type counterEntry struct {
 	c      *Counter
 }
 
-// histFuncEntry is one provider-backed histogram series: subsystems
-// that keep their own sharded recorders register a snapshot func
-// instead of observing into a registry-owned Histogram.
-type histFuncEntry struct {
+// histEntry is one histogram series, keyed like counterEntry.
+type histEntry struct {
 	name   string
 	labels []Label
-	fn     func() *Histogram
+	h      *Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*counterEntry{},
-		gauges:     map[string]*Gauge{},
-		histograms: map[string]*Histogram{},
-		histFuncs:  map[string]*histFuncEntry{},
+		histograms: map[string]*histEntry{},
 	}
 }
 
@@ -140,18 +121,6 @@ func (r *Registry) RegisterSection(name string, fn func() []KV) {
 	r.sections = append(r.sections, namedSection{name: name, fn: fn})
 }
 
-// UnregisterSection removes a named section (closed transports).
-func (r *Registry) UnregisterSection(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.sections {
-		if r.sections[i].name == name {
-			r.sections = append(r.sections[:i], r.sections[i+1:]...)
-			return
-		}
-	}
-}
-
 // Counter returns the named counter, creating it on first use. Names
 // are "section.metric" ("wire.pool_hits"); the part before the first
 // dot becomes the rendered section.
@@ -176,42 +145,22 @@ func (r *Registry) CounterL(name string, labels ...Label) *Counter {
 	return e.c
 }
 
-// RegisterHistogramFunc attaches a provider-backed histogram series:
-// fn is called at snapshot/scrape time and must return a merged
-// point-in-time Histogram (e.g. ShardedHistogram.Snapshot). Re-
-// registering a key replaces the provider.
-func (r *Registry) RegisterHistogramFunc(name string, fn func() *Histogram, labels ...Label) {
+// Histogram returns the histogram series for name plus a label set,
+// creating it on first use. The transports record per-RPC-method
+// latencies this way ("rpc.client.send"); series with the same name
+// and different labels render as one Prometheus family
+// ("api.latency_ms" with a route label).
+func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	labels = sortLabels(labels)
 	key := seriesKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.histFuncs[key] = &histFuncEntry{name: name, labels: labels, fn: fn}
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
+	e := r.histograms[key]
+	if e == nil {
+		e = &histEntry{name: name, labels: labels, h: &Histogram{}}
+		r.histograms[key] = e
 	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it on first use.
-// The transports record per-RPC-method latencies this way
-// ("rpc.client.send").
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.histograms[name]
-	if h == nil {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
+	return e.h
 }
 
 // Section is one named group of rendered metrics.
@@ -221,8 +170,8 @@ type Section struct {
 }
 
 // Snapshot renders every section and owned metric: registered sections
-// in registration order, then owned counters/gauges/histograms grouped
-// by name prefix (before the first dot) in alphabetical order.
+// in registration order, then owned counters and histograms grouped by
+// name prefix (before the first dot) in alphabetical order.
 // Histograms expand to count/mean/p50/p90/p99/max rows.
 func (r *Registry) Snapshot() []Section {
 	r.mu.Lock()
@@ -254,23 +203,10 @@ func (r *Registry) Snapshot() []Section {
 	for _, e := range r.counters {
 		add(e.name, e.labels, KVf("", "%d", e.c.Load()))
 	}
-	for name, g := range r.gauges {
-		add(name, nil, KVf("", "%.2f", g.Load()))
-	}
-	for name, h := range r.histograms {
-		addHist(name, nil, h)
-	}
-	histFuncs := make([]*histFuncEntry, 0, len(r.histFuncs))
-	for _, e := range r.histFuncs {
-		histFuncs = append(histFuncs, e)
+	for _, e := range r.histograms {
+		addHist(e.name, e.labels, e.h)
 	}
 	r.mu.Unlock()
-	// Providers run outside the registry lock: a snapshot func may take
-	// its subsystem's own locks, and must never deadlock against a
-	// concurrent metric registration.
-	for _, e := range histFuncs {
-		addHist(e.name, e.labels, e.fn())
-	}
 
 	out := make([]Section, 0, len(sections)+len(owned))
 	for _, s := range sections {

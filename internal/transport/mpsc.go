@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	_ "unsafe" // for go:linkname (runtime semaphores)
 
 	"partsvc/internal/metrics"
 )
@@ -15,9 +14,9 @@ import (
 // syscalls. This queue replaces them with a Vyukov-style intrusive
 // MPSC list: producers link nodes with one atomic swap + one atomic
 // store (no lock, no CAS loop), and the single writer goroutine
-// detaches consumed nodes in batches. Parking uses a raw runtime
-// semaphore behind a Dekker-style status word, so the producer-side
-// wake check is a single atomic load while the writer is running.
+// detaches consumed nodes in batches. Parking uses a one-slot channel
+// behind a Dekker-style status word, so the producer-side wake check is
+// a single atomic load while the writer is running.
 //
 // Queue states (see DESIGN.md §5e):
 //
@@ -32,18 +31,12 @@ import (
 // (a pool miss, never a correctness issue) — exactly the window the
 // old channel version had.
 
-//go:linkname runtime_Semacquire sync.runtime_Semacquire
-func runtime_Semacquire(s *uint32)
-
-//go:linkname runtime_Semrelease sync.runtime_Semrelease
-func runtime_Semrelease(s *uint32, handoff bool, skipframes int)
-
 const (
 	parkerAwake uint32 = iota
 	parkerParked
 )
 
-// parker blocks one goroutine on a runtime semaphore until another
+// parker blocks one goroutine on a one-slot channel until another
 // wakes it. The protocol is the classic store/load fence pair: the
 // sleeper publishes "parked" and re-checks its wait condition; the
 // waker publishes the condition and checks "parked". Sequential
@@ -53,10 +46,13 @@ const (
 // their condition in a loop.
 type parker struct {
 	status atomic.Uint32
-	sema   uint32
+	// token carries the one wakeup of a park cycle. Only the CAS
+	// winner sends, and the sleeper receives before it can park again,
+	// so the slot is never full when a send happens.
+	token chan struct{}
 	// parks/wakes make the park/wake traffic observable (transport
 	// Stats); nil disables counting.
-	parks, wakes *metrics.ShardedCounter
+	parks, wakes *metrics.Counter
 }
 
 // wake unparks the sleeper if it is (or is about to be) parked. The
@@ -66,32 +62,33 @@ func (p *parker) wake() {
 		if p.wakes != nil {
 			p.wakes.Add(1)
 		}
-		// No handoff: the sleeper goes to the run queue instead of
-		// preempting this producer. For the write queue this is the
-		// batching lever — the producer (and its runnable peers) keep
-		// queueing frames until the scheduler gets to the writer, which
-		// then flushes them all in one writev.
-		runtime_Semrelease(&p.sema, false, 0)
+		// A channel send readies the sleeper without yielding to it:
+		// the sleeper goes to the run queue instead of preempting this
+		// producer. For the write queue this is the batching lever — the
+		// producer (and its runnable peers) keep queueing frames until
+		// the scheduler gets to the writer, which then flushes them all
+		// in one writev.
+		p.token <- struct{}{}
 	}
 }
 
 // park blocks until wake, unless ready() already holds once the parked
-// flag is published. Exactly one semaphore release pairs with each
-// acquire: only the CAS winner (sleeper un-parking itself, or one
-// waker) flips the status back.
+// flag is published. Exactly one token send pairs with each receive:
+// only the CAS winner (sleeper un-parking itself, or one waker) flips
+// the status back.
 func (p *parker) park(ready func() bool) {
 	p.status.Store(parkerParked)
 	if ready() {
 		if p.status.CompareAndSwap(parkerParked, parkerAwake) {
 			return // un-parked ourselves before any waker committed
 		}
-		// A waker won the CAS and released the semaphore: consume it
-		// so the next park cycle starts balanced.
+		// A waker won the CAS and sent the token: consume it so the
+		// next park cycle starts balanced.
 	}
 	if p.parks != nil {
 		p.parks.Add(1)
 	}
-	runtime_Semacquire(&p.sema)
+	<-p.token
 }
 
 // wqNode is one frame linked into a writeQueue. Nodes are pooled: a
@@ -128,7 +125,7 @@ type writeQueue struct {
 // newWriteQueue returns an open queue reporting into stats (which may
 // be nil in tests).
 func newWriteQueue(stats *Stats) *writeQueue {
-	q := &writeQueue{stats: stats}
+	q := &writeQueue{stats: stats, p: parker{token: make(chan struct{}, 1)}}
 	stub := wqNodePool.Get().(*wqNode)
 	stub.frame = outFrame{}
 	stub.next.Store(nil)
@@ -204,7 +201,7 @@ func (q *writeQueue) nonEmpty() bool {
 func (q *writeQueue) isClosed() bool { return q.closed.Load() }
 
 // wqSpinYields bounds the scheduler-yield spin the consumer takes
-// before parking on the semaphore: on a loaded endpoint the next frame
+// before parking: on a loaded endpoint the next frame
 // is usually a few hundred nanoseconds away, and a yield is far
 // cheaper than a park/wake round trip.
 const wqSpinYields = 4

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -162,6 +164,65 @@ func TestMPSCWaitWakes(t *testing.T) {
 			t.Fatalf("consumer never woke on %s", trigger)
 		}
 	}
+}
+
+// TestMPSCParkWakeChurn repeats the park/wake handshake many times: one
+// producer pushes one frame per cycle and waits until it is consumed,
+// while the consumer pops and wait()s, so every cycle's push races the
+// consumer's park on the status word. The producer yields a varying
+// number of times before each push, so some cycles land before the
+// consumer's spin ends and some after it parked. A lost or duplicated
+// token shows up as a hang (the deadline) or a misordered frame.
+func TestMPSCParkWakeChurn(t *testing.T) {
+	const cycles = 100_000
+	var stats Stats
+	q := newWriteQueue(&stats)
+	var consumed atomic.Int64
+	errc := make(chan error, 1)
+	go func() {
+		var batch []outFrame
+		next := uint64(0)
+		for next < cycles {
+			batch = q.popBatch(batch[:0], 64)
+			for _, f := range batch {
+				if f.id != next {
+					errc <- fmt.Errorf("got frame %d, want %d", f.id, next)
+					return
+				}
+				next++
+				consumed.Store(int64(next))
+			}
+			if len(batch) == 0 {
+				q.wait()
+			}
+		}
+		errc <- nil
+	}()
+	go func() {
+		for i := 0; i < cycles; i++ {
+			for y := 0; y < i%8; y++ {
+				runtime.Gosched()
+			}
+			q.push(outFrame{id: uint64(i)})
+			for consumed.Load() <= int64(i) {
+				runtime.Gosched()
+			}
+		}
+	}()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("consumer stuck after %d of %d frames: a wakeup was lost", consumed.Load(), cycles)
+	}
+	snap := stats.Snapshot()
+	t.Logf("%d cycles: %d parks, %d wakes", cycles, snap.WriterParks, snap.WriterWakes)
+	if snap.WriterParks == 0 {
+		t.Fatal("the consumer never parked: the churn did not exercise the parker")
+	}
+	q.close()
 }
 
 // TestMPSCStatsDepth checks the snapshot-time write-queue depth gauge:

@@ -8,63 +8,52 @@ import (
 
 // Stats holds the per-transport data-plane counters. One Stats value is
 // shared by every endpoint and connection of a transport so the totals
-// describe the whole data plane. The counters are per-core sharded
-// (metrics.ShardedCounter): the hot path touches a shard picked by the
-// running P, so concurrent connections and callers never contend on one
-// cache line, and Snapshot merges the shards into exact totals.
+// describe the whole data plane. Every field is a plain atomic
+// metrics.Counter or a lock-free metrics.Histogram, so Snapshot reads
+// exact totals.
 type Stats struct {
 	// InFlight is the number of calls currently awaiting a response.
-	InFlight metrics.ShardedCounter
+	InFlight metrics.Counter
 	// FramesSent / FramesReceived count frames crossing the transport.
-	FramesSent     metrics.ShardedCounter
-	FramesReceived metrics.ShardedCounter
+	FramesSent     metrics.Counter
+	FramesReceived metrics.Counter
 	// BytesSent / BytesReceived count framed bytes (headers included).
-	BytesSent     metrics.ShardedCounter
-	BytesReceived metrics.ShardedCounter
+	BytesSent     metrics.Counter
+	BytesReceived metrics.Counter
 	// DecodeErrors counts frames whose payload failed to decode
 	// (transport_decode_errors: corrupt or hostile traffic).
-	DecodeErrors metrics.ShardedCounter
+	DecodeErrors metrics.Counter
 	// Shed counts requests refused by admission control: the worker
 	// pool and its queue were both full, so the server answered with a
 	// CodeOverloaded error instead of queueing.
-	Shed metrics.ShardedCounter
+	Shed metrics.Counter
 	// QueueDepth is the number of admitted requests currently waiting
 	// for (or held by the channel buffer ahead of) a worker.
-	QueueDepth metrics.ShardedCounter
+	QueueDepth metrics.Counter
 	// QueueWait records milliseconds each admitted request spent in the
 	// dispatch queue before a worker picked it up — time-in-queue is
 	// the first overload signal, visible well before shedding starts.
-	QueueWait metrics.ShardedHistogram
+	QueueWait metrics.Histogram
 	// liveQueues tracks the open MPSC write queues (registered at
 	// creation, dropped at close) so Snapshot can report aggregate
 	// write-queue depth by summing their sizes — keeping the per-frame
 	// push path free of any global counter.
 	liveQueues sync.Map // *writeQueue -> struct{}
-	// WriterParks / WriterWakes count semaphore round trips on the MPSC
+	// WriterParks / WriterWakes count park/wake round trips on the MPSC
 	// write queues: parks is writer goroutines going to sleep on an
 	// empty queue, wakes is producers releasing them. A low park rate
 	// under load means the spin-then-park coalescing is absorbing the
 	// traffic without scheduler round trips.
-	WriterParks metrics.ShardedCounter
-	WriterWakes metrics.ShardedCounter
+	WriterParks metrics.Counter
+	WriterWakes metrics.Counter
 	// WriteBatch records the frame count of each writev flush — the
 	// direct measure of write coalescing (batch p50 near 1 means no
 	// coalescing; under load it should track the caller concurrency).
-	WriteBatch metrics.ShardedHistogram
+	WriteBatch metrics.Histogram
 	// LocalCalls counts calls dispatched in process over an upgraded
 	// co-located linkage: calls that skipped the socket, the codec and
 	// the worker pool.
-	LocalCalls metrics.ShardedCounter
-	// RingConns counts ring (shared-memory) connections established via
-	// the co-located fast path.
-	RingConns metrics.ShardedCounter
-	// RingParks / RingWakes count semaphore round trips on ring
-	// producers and consumers (spin misses).
-	RingParks metrics.ShardedCounter
-	RingWakes metrics.ShardedCounter
-	// RingOccupancy is the number of bytes currently buffered across
-	// all rings (produced minus consumed).
-	RingOccupancy metrics.ShardedCounter
+	LocalCalls metrics.Counter
 }
 
 // StatsSnapshot is a point-in-time copy of one transport's counters,
@@ -100,14 +89,9 @@ type StatsSnapshot struct {
 	// LocalCalls is the number of calls served in process over upgraded
 	// co-located linkages.
 	LocalCalls uint64
-	// Ring transport counters (co-located fast path).
-	RingConns     uint64
-	RingParks     uint64
-	RingWakes     uint64
-	RingOccupancy int64
 }
 
-// Snapshot merges this transport's sharded counters into exact totals.
+// Snapshot copies this transport's counters.
 func (s *Stats) Snapshot() StatsSnapshot {
 	snap := StatsSnapshot{
 		InFlight:       s.InFlight.Load(),
@@ -119,25 +103,21 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Shed:           uint64(s.Shed.Load()),
 		QueueDepth:     s.QueueDepth.Load(),
 
-		WriterParks:   uint64(s.WriterParks.Load()),
-		WriterWakes:   uint64(s.WriterWakes.Load()),
-		LocalCalls:    uint64(s.LocalCalls.Load()),
-		RingConns:     uint64(s.RingConns.Load()),
-		RingParks:     uint64(s.RingParks.Load()),
-		RingWakes:     uint64(s.RingWakes.Load()),
-		RingOccupancy: s.RingOccupancy.Load(),
+		WriterParks: uint64(s.WriterParks.Load()),
+		WriterWakes: uint64(s.WriterWakes.Load()),
+		LocalCalls:  uint64(s.LocalCalls.Load()),
 	}
 	s.liveQueues.Range(func(k, _ any) bool {
 		snap.WriteQueueDepth += k.(*writeQueue).len()
 		return true
 	})
-	if qw := s.QueueWait.Snapshot(); qw.Count() > 0 {
+	if qw := &s.QueueWait; qw.Count() > 0 {
 		snap.QueueWaited = qw.Count()
 		snap.QueueWaitP50MS = qw.Quantile(0.50)
 		snap.QueueWaitP99MS = qw.Quantile(0.99)
 		snap.QueueWaitMaxMS = qw.Max()
 	}
-	if wb := s.WriteBatch.Snapshot(); wb.Count() > 0 {
+	if wb := &s.WriteBatch; wb.Count() > 0 {
 		snap.WriteBatches = wb.Count()
 		snap.WriteBatchP50 = wb.Quantile(0.50)
 		snap.WriteBatchP99 = wb.Quantile(0.99)
@@ -166,16 +146,5 @@ func (s StatsSnapshot) KVs() []metrics.KV {
 		metrics.KVf("write_batch_p99", "%.1f", s.WriteBatchP99),
 		metrics.KVf("write_batch_max", "%.0f", s.WriteBatchMax),
 		metrics.KVf("local_calls", "%d", s.LocalCalls),
-		metrics.KVf("ring_conns", "%d", s.RingConns),
-		metrics.KVf("ring_parks", "%d", s.RingParks),
-		metrics.KVf("ring_wakes", "%d", s.RingWakes),
-		metrics.KVf("ring_occupancy_bytes", "%d", s.RingOccupancy),
 	}
-}
-
-// RegisterMetrics exposes this transport's counters in reg under the
-// given section name ("transport.tcp"). Call UnregisterSection on
-// close if the registry outlives the transport.
-func (s *Stats) RegisterMetrics(reg *metrics.Registry, section string) {
-	reg.RegisterSection(section, func() []metrics.KV { return s.Snapshot().KVs() })
 }

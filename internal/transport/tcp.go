@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -31,10 +30,7 @@ import (
 //
 // An endpoint dialed by a node wrapper to an instance the same wrapper
 // serves stops using its connection after the upgrade handshake (see
-// upgrade.go) and invokes the listener's handler directly. With Ring
-// set, dials to addresses served by this same transport instance run
-// over a pair of shared-memory SPSC byte rings (see ring.go) instead of
-// a socket, with identical framing and semantics.
+// upgrade.go) and invokes the listener's handler directly.
 type TCP struct {
 	// Workers bounds concurrent handler invocations per listener
 	// (0 means DefaultWorkers()).
@@ -50,8 +46,7 @@ type TCP struct {
 	// WriteTimeout bounds each write flush on a connection (0 means
 	// DefaultWriteTimeout). A peer that stops reading makes the flush
 	// miss this deadline, which kills the connection instead of
-	// blocking its writer goroutine forever. Ring connections apply
-	// the same deadline to ring writes.
+	// blocking its writer goroutine forever.
 	WriteTimeout time.Duration
 	// ZeroCopyResponses makes endpoints decode responses zero-copy:
 	// returned messages are slab-backed (wire.UnmarshalMessageSlab),
@@ -60,41 +55,18 @@ type TCP struct {
 	// must not be used afterwards; turn it on for high-rate callers
 	// that own their responses end to end.
 	ZeroCopyResponses bool
-	// Ring enables the co-located fast path: Dial checks whether the
-	// address is served by this transport instance and, if so, wires
-	// the endpoint over shared-memory rings instead of a socket. A
-	// miss (remote address) falls back to TCP transparently, so the
-	// flag is safe to set unconditionally on co-locatable components.
+	// Ring is accepted and ignored, so configurations that set it keep
+	// compiling. Every dial is a socket; co-located linkages skip it
+	// through the upgrade handshake (upgrade.go) instead.
 	Ring bool
-	// RingSize is the per-direction ring capacity in bytes for ring
-	// connections (0 means DefaultRingSize; rounded up to a power of
-	// two). Frames larger than the ring stream through it like a
-	// socket buffer.
-	RingSize int
 
 	stats Stats
 
 	// local indexes this instance's live listeners by address, so an
-	// upgrade handshake or a Ring dial can detect co-location without
-	// touching the network.
+	// upgrade handshake can detect co-location without touching the
+	// network.
 	mu    sync.Mutex
 	local map[string]*tcpListener
-}
-
-// wireConn is the byte carrier under one connection: a real socket or
-// an in-process ring pair. Everything above it — framing, the MPSC
-// write queue, slab decode, admission control — is carrier-agnostic.
-type wireConn interface {
-	io.ReadWriteCloser
-	SetWriteDeadline(t time.Time) error
-}
-
-// vectorWriter is the optional gather-write fast path of a wireConn.
-// net.Buffers.WriteTo already does real writev on sockets; ring
-// connections implement this instead so a batch is one publish + one
-// wake rather than one Write per slice.
-type vectorWriter interface {
-	writeBuffers(bufs [][]byte) (int64, error)
 }
 
 // DefaultWorkers returns the default per-listener handler pool size:
@@ -171,7 +143,7 @@ const maxCoalesceYields = 3
 // on it) forever. When the queue closes it drains what is linked,
 // writes, and exits. The first write error is reported through onErr
 // (at most once) and stops the loop.
-func writeLoop(conn wireConn, q *writeQueue, timeout time.Duration, stats *Stats, onErr func(error)) {
+func writeLoop(conn net.Conn, q *writeQueue, timeout time.Duration, stats *Stats, onErr func(error)) {
 	var (
 		batch = make([]outFrame, 0, maxWriteBatch)
 		hdrs  = make([]byte, 0, wire.FrameHeaderLenV2*maxWriteBatch)
@@ -221,16 +193,9 @@ func writeLoop(conn wireConn, q *writeQueue, timeout time.Duration, stats *Stats
 		}
 		// WriteTo consumes (and may modify) the slice it is given, so
 		// hand it a view; the batch keeps the payloads for recycling.
-		// Ring connections take the gather list whole instead.
-		if vw, ok := conn.(vectorWriter); ok {
-			if _, err := vw.writeBuffers(iov); err != nil {
-				return err
-			}
-		} else {
-			w := iov
-			if _, err := (&w).WriteTo(conn); err != nil {
-				return err
-			}
+		w := iov
+		if _, err := (&w).WriteTo(conn); err != nil {
+			return err
 		}
 		stats.FramesSent.Add(int64(len(batch)))
 		stats.BytesSent.Add(int64(n))
@@ -303,7 +268,7 @@ func (t *TCP) Serve(addr string, h Handler) (Listener, error) {
 		t:            t,
 		ln:           ln,
 		h:            h,
-		conns:        map[wireConn]struct{}{},
+		conns:        map[net.Conn]struct{}{},
 		dispatch:     make(chan dispatchReq, depth),
 		quit:         make(chan struct{}),
 		writeTimeout: t.writeTimeout(),
@@ -326,8 +291,7 @@ func (t *TCP) Serve(addr string, h Handler) (Listener, error) {
 }
 
 // lookupLocal returns the live listener this instance serves on addr,
-// or nil — the co-location test behind the upgrade handshake and the
-// Ring fast path.
+// or nil — the co-location test behind the upgrade handshake.
 func (t *TCP) lookupLocal(addr string) *tcpListener {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -361,7 +325,7 @@ type tcpListener struct {
 	node atomic.Pointer[string]
 
 	mu     sync.Mutex
-	conns  map[wireConn]struct{}
+	conns  map[net.Conn]struct{}
 	closed bool
 }
 
@@ -418,7 +382,7 @@ func (l *tcpListener) Close() error {
 	l.mu.Lock()
 	already := l.closed
 	l.closed = true
-	conns := make([]wireConn, 0, len(l.conns))
+	conns := make([]net.Conn, 0, len(l.conns))
 	for c := range l.conns {
 		conns = append(conns, c)
 	}
@@ -433,31 +397,24 @@ func (l *tcpListener) Close() error {
 	return err
 }
 
+// acceptLoop registers each accepted connection and starts serving it,
+// until the listener closes.
 func (l *tcpListener) acceptLoop() {
 	for {
 		conn, err := l.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		if !l.adopt(conn) {
+		l.mu.Lock()
+		if l.closed {
+			l.mu.Unlock()
 			conn.Close()
 			return
 		}
-	}
-}
-
-// adopt registers a connection (socket or ring) and starts serving it.
-// false means the listener has already closed.
-func (l *tcpListener) adopt(conn wireConn) bool {
-	l.mu.Lock()
-	if l.closed {
+		l.conns[conn] = struct{}{}
 		l.mu.Unlock()
-		return false
+		go l.serveConn(conn)
 	}
-	l.conns[conn] = struct{}{}
-	l.mu.Unlock()
-	go l.serveConn(conn)
-	return true
 }
 
 // serveConn reads frames, admits each request to the bounded dispatch
@@ -471,7 +428,7 @@ func (l *tcpListener) adopt(conn wireConn) bool {
 // immediately. A frame that fails to decode gets a best-effort final
 // error response before the connection drops, and bumps the
 // transport_decode_errors counter.
-func (l *tcpListener) serveConn(conn wireConn) {
+func (l *tcpListener) serveConn(conn net.Conn) {
 	q := newWriteQueue(l.stats)
 	writerDone := make(chan struct{})
 	var connDown atomic.Bool
@@ -581,20 +538,8 @@ func isDecodeFraming(err error) bool {
 	return errors.Is(err, wire.ErrFrameTooLarge) || errors.Is(err, wire.ErrFrameVersion)
 }
 
-// Dial connects to a served address. With Ring set and the address
-// served by this same transport instance, the endpoint comes back
-// wired over shared-memory rings instead of a socket (identical
-// semantics, no syscalls); otherwise it is a TCP connection.
+// Dial connects to a served address over TCP.
 func (t *TCP) Dial(addr string) (Endpoint, error) {
-	if t.Ring {
-		if l := t.lookupLocal(addr); l != nil {
-			if e, ok := t.dialRing(l); ok {
-				return e, nil
-			}
-			// Listener closed between lookup and adopt: fall through to
-			// the socket path for the dial-refused error.
-		}
-	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
@@ -602,20 +547,9 @@ func (t *TCP) Dial(addr string) (Endpoint, error) {
 	return t.newEndpoint(conn, addr), nil
 }
 
-// dialRing wires an endpoint to a co-located listener over a fresh
-// ring pair. false means the listener refused (already closed).
-func (t *TCP) dialRing(l *tcpListener) (Endpoint, bool) {
-	cli, srv := newRingPair(t.RingSize, &t.stats)
-	if !l.adopt(srv) {
-		return nil, false
-	}
-	t.stats.RingConns.Add(1)
-	return t.newEndpoint(cli, l.Addr()), true
-}
-
 // newEndpoint builds the multiplexed client side over an established
-// byte carrier to addr and starts its reader and writer goroutines.
-func (t *TCP) newEndpoint(conn wireConn, addr string) *tcpEndpoint {
+// connection to addr and starts its reader and writer goroutines.
+func (t *TCP) newEndpoint(conn net.Conn, addr string) *tcpEndpoint {
 	e := &tcpEndpoint{
 		t:        t,
 		addr:     addr,
@@ -678,15 +612,15 @@ func putTimer(t *time.Timer) {
 	}
 }
 
-// tcpEndpoint is the multiplexed client side of one connection (socket
-// or ring). Any number of goroutines may Call concurrently: each call
+// tcpEndpoint is the multiplexed client side of one connection. Any
+// number of goroutines may Call concurrently: each call
 // is assigned a frame ID, linked onto the writer's MPSC queue, and
 // parked until the reader delivers the matching response. Close (or
 // connection death) interrupts every pending call.
 type tcpEndpoint struct {
 	t        *TCP
 	addr     string // as dialed: the key of the upgrade handshake's listener lookup
-	conn     wireConn
+	conn     net.Conn
 	timeout  time.Duration
 	zeroCopy bool
 	stats    *Stats

@@ -200,9 +200,18 @@ func TestTCPListenerCloseStopsService(t *testing.T) {
 	if _, err := ep.Call(&wire.Message{Kind: wire.KindRequest}); err != nil {
 		t.Fatal(err)
 	}
+	addr := ln.Addr()
 	ln.Close()
 	if _, err := ep.Call(&wire.Message{Kind: wire.KindRequest}); err == nil {
 		t.Error("call after listener close must fail")
+	}
+	// The co-location index forgets the listener, and a fresh dial is
+	// refused.
+	if l := tr.lookupLocal(addr); l != nil {
+		t.Error("closed listener still registered for upgrade handshakes")
+	}
+	if _, err := tr.Dial(addr); err == nil {
+		t.Error("dial to a closed listener succeeded")
 	}
 }
 
