@@ -42,7 +42,8 @@ type Executor interface {
 }
 
 // SnapshotMethod is the wire method stateful components answer with
-// their serialized store (see mail.Snapshotter). The controller speaks
+// their serialized store as the whole reply body (see
+// mail.Snapshotter). The controller speaks
 // it generically: any component that answers is migrated with state,
 // any that errors is redeployed stateless.
 const SnapshotMethod = "snapshot"
@@ -140,19 +141,11 @@ func fetchSnapshot(tr transport.Transport, addr string) ([]byte, error) {
 	if err := transport.AsError(resp); err != nil {
 		return nil, err
 	}
-	v, err := wire.Unmarshal(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	reply, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("adapt: snapshot reply is %T", v)
-	}
-	state, _ := reply["state"].([]byte)
-	if state == nil {
+	// The reply body is the state itself, and the response is ours.
+	if len(resp.Body) == 0 {
 		return nil, fmt.Errorf("adapt: snapshot reply carried no state")
 	}
-	return state, nil
+	return resp.Body, nil
 }
 
 // Deploy implements Executor: the engine applies the diff (evictions

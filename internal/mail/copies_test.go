@@ -17,13 +17,8 @@ import (
 // the way the next frame would.
 func sendRequest(t *testing.T, from, to, subject string, body []byte, sens int) (*wire.Message, []byte) {
 	t.Helper()
-	args, err := wire.Marshal(map[string]any{
-		"from": from, "to": to, "subject": subject, "body": body, "sens": int64(sens),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := (&wire.Message{Kind: wire.KindRequest, ID: 1, Method: "send", Body: args}).Marshal()
+	encoded := appendArgs(nil, "send", &args{user: from, to: to, subject: subject, sens: sens, body: body})
+	frame, err := (&wire.Message{Kind: wire.KindRequest, ID: 1, Method: "send", Body: encoded}).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

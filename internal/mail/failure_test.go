@@ -113,6 +113,35 @@ func TestApplyUpdateIgnoresMalformedData(t *testing.T) {
 	}
 }
 
+// TestReplicatedSendOutsideTheLevelsIsDropped: a pushUpdates batch
+// reaching the primary over NewHandler carries a send relabelled to
+// sensitivity 9. The primary's store has no ceiling, so only the
+// message decoder stands between that update and bob's inbox: it must
+// drop the update like any other that does not decode, or every later
+// receive of bob's fails transforming to a level no key exists for.
+func TestReplicatedSendOutsideTheLevelsIsDropped(t *testing.T) {
+	srv, keys, _ := newPrimary(t, "alice", "bob")
+	if _, err := srv.Send("alice", "bob", "ok", []byte("valid"), 2); err != nil {
+		t.Fatal(err)
+	}
+	env, err := keys.Seal("alice", 2, []byte("relabelled"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := appendMessage(nil, &Message{ID: 77, From: "alice", To: "bob", Subject: "bad", Body: env.Marshal(), Sensitivity: 9})
+	up := NewRemote(&callEndpoint{h: NewHandler(srv)})
+	if err := up.PushUpdates([]coherence.Update{{Origin: "vms", Seq: 1, Op: "send", Key: "bob", Data: bad}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.Store().InboxCount("bob"); n != 1 {
+		t.Errorf("bob's inbox holds %d messages, want the one valid message", n)
+	}
+	msgs, err := NewClient("bob", keys, srv).Receive()
+	if err != nil || len(msgs) != 1 || string(msgs[0].Body) != "valid" {
+		t.Errorf("bob's receive = %d messages, %v; want his one valid message", len(msgs), err)
+	}
+}
+
 func TestClientAccessors(t *testing.T) {
 	srv, keys, _ := newPrimary(t, "alice")
 	c := NewViewClient("alice", 2, keys.SubRing(2), srv)
@@ -325,12 +354,19 @@ func TestRestoreStoreErrors(t *testing.T) {
 	if _, err := RestoreStore([]byte{0x7f}, 0); err == nil {
 		t.Error("garbage must fail")
 	}
-	data, err := wire.Marshal(int64(7))
+	srv, _, _ := newPrimary(t, "alice", "bob")
+	if _, err := srv.Send("alice", "bob", "s", []byte("m"), 2); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := srv.Store().Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreStore(data, 0); err == nil {
-		t.Error("non-map must fail")
+	if _, err := RestoreStore(snap[:len(snap)-1], 0); err == nil {
+		t.Error("a truncated snapshot must fail")
+	}
+	if _, err := RestoreStore(append(snap, 0), 0); err == nil {
+		t.Error("trailing bytes must fail")
 	}
 }
 

@@ -1,8 +1,12 @@
 package mail
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"partsvc/internal/coherence"
@@ -12,9 +16,24 @@ import (
 )
 
 // RPC adapters: expose an Upstream over a transport (NewHandler) and
-// consume a remote Upstream through an endpoint (NewRemote). All
-// payloads use the wire value encoding, so the same bits flow over the
-// in-process transport, TCP, and the encryptor tunnel.
+// consume a remote Upstream through an endpoint (NewRemote). Every
+// method has a fixed layout for its request and its reply (wire's typed
+// layouts), so the same bits flow over the in-process transport, TCP,
+// and the encryptor tunnel:
+//
+//	method         request                          reply
+//	createAccount  user                             -
+//	send           from to subject sens:u64 body    id:u64
+//	receive        above:u64 user                   count:u32 message...
+//	addContact     user contact                     -
+//	contacts       user                             count:u32 contact...
+//	snapshot       -                                the store snapshot
+//	pushUpdates    count:u32 update...              -
+//
+// A message is id:u64 from to subject sens:u8 at:f64 body, the body
+// last so that a sealed one can be written in place (sealMessage); an
+// update is origin seq:u64 op key time:f64 data. The remaining fields
+// are strings and byte slices: a u32 length and the bytes.
 
 // NewHandler serves an Upstream as a transport.Handler. Each request
 // runs under a "mail.<method>" span continuing whatever trace context
@@ -23,142 +42,201 @@ func NewHandler(api Upstream) transport.Handler {
 	return transport.HandlerFunc(func(m *wire.Message) *wire.Message {
 		ctx, span := trace.StartRemote(context.Background(),
 			trace.SpanContext{TraceID: m.TraceID, SpanID: m.SpanID}, "mail."+m.Method)
-		reply, err := dispatch(ctx, api, m)
+		body, err := dispatch(ctx, api, m.Method, m.Body)
 		span.End()
 		if err != nil {
 			return transport.ErrorResponse(m, "%v", err)
-		}
-		body, err := wire.Marshal(reply)
-		if err != nil {
-			return transport.ErrorResponse(m, "encoding reply: %v", err)
 		}
 		return &wire.Message{Kind: wire.KindResponse, ID: m.ID, Method: m.Method, Body: body}
 	})
 }
 
-func dispatch(ctx context.Context, api Upstream, m *wire.Message) (map[string]any, error) {
-	// A send's mail body points into the request instead of being
-	// copied out of it: every provider either seals it, re-encodes it
-	// upstream or clones it into its store before returning, so nothing
-	// keeps it past the request. The short strings beside it are copied
-	// (views retain them), and so are the arguments of every other
-	// method — a pushUpdates batch lives on in replica logs.
-	args, err := decodeArgs(m.Body, m.Method == "send")
+func dispatch(ctx context.Context, api Upstream, method string, body []byte) ([]byte, error) {
+	a, err := decodeArgs(method, body)
 	if err != nil {
 		return nil, err
 	}
-	str := func(k string) string { s, _ := args[k].(string); return s }
-	switch m.Method {
+	var res result
+	switch method {
 	case "createAccount":
-		return map[string]any{}, api.CreateAccount(str("user"))
+		err = api.CreateAccount(a.user)
 	case "send":
-		body, _ := args["body"].([]byte)
-		sens, _ := args["sens"].(int64)
-		id, err := SendCtx(ctx, api, str("from"), str("to"), str("subject"), body, int(sens))
-		return map[string]any{"id": int64(id)}, err
+		res.id, err = SendCtx(ctx, api, a.user, a.to, a.subject, a.body, a.sens)
 	case "receive":
-		above, _ := args["above"].(int64)
-		msgs, err := ReceiveCtx(ctx, api, str("user"), int(above))
-		if err != nil {
-			return nil, err
-		}
-		encoded := make([]any, len(msgs))
-		for i, msg := range msgs {
-			data, err := encodeMessage(msg)
-			if err != nil {
-				return nil, err
-			}
-			encoded[i] = data
-		}
-		return map[string]any{"msgs": encoded}, nil
+		res.msgs, err = ReceiveCtx(ctx, api, a.user, a.sens)
 	case "addContact":
-		return map[string]any{}, api.AddContact(str("user"), str("contact"))
+		err = api.AddContact(a.user, a.contact)
 	case "contacts":
-		contacts, err := api.Contacts(str("user"))
-		if err != nil {
-			return nil, err
-		}
-		out := make([]any, len(contacts))
-		for i, c := range contacts {
-			out[i] = c
-		}
-		return map[string]any{"contacts": out}, nil
+		res.contacts, err = api.Contacts(a.user)
 	case "pushUpdates":
-		items, _ := args["batch"].([]any)
-		batch := make([]coherence.Update, 0, len(items))
-		for _, item := range items {
-			u, err := decodeUpdate(item)
-			if err != nil {
-				return nil, err
-			}
-			batch = append(batch, u)
-		}
-		return map[string]any{}, PushUpdatesCtx(ctx, api, batch)
+		err = PushUpdatesCtx(ctx, api, a.batch)
 	case "snapshot":
 		sn, ok := api.(Snapshotter)
 		if !ok {
 			return nil, fmt.Errorf("mail: %T holds no migratable state", api)
 		}
-		state, err := sn.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"state": state}, nil
-	default:
-		return nil, fmt.Errorf("mail: unknown method %q", m.Method)
+		res.state, err = sn.Snapshot()
 	}
-}
-
-// unmarshal decodes one wire value; with alias set its byte slices
-// share data's memory (wire.UnmarshalAlias).
-func unmarshal(data []byte, alias bool) (any, error) {
-	if alias {
-		return wire.UnmarshalAlias(data)
-	}
-	return wire.Unmarshal(data)
-}
-
-// decodeArgs decodes an argument or reply map.
-func decodeArgs(body []byte, alias bool) (map[string]any, error) {
-	if len(body) == 0 {
-		return map[string]any{}, nil
-	}
-	v, err := unmarshal(body, alias)
 	if err != nil {
 		return nil, err
 	}
-	args, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("mail: args are %T, want map", v)
-	}
-	return args, nil
+	return appendResult(method, &res), nil
 }
 
-func encodeUpdate(u coherence.Update) map[string]any {
-	return map[string]any{
-		"origin": u.Origin, "seq": int64(u.Seq), "op": u.Op,
-		"key": u.Key, "data": u.Data, "time": u.TimeMS,
-	}
+// args holds one request's arguments and result one reply's values:
+// each method uses the fields its layout lists, in that order.
+type args struct {
+	user, to, subject, contact string
+	sens                       int // send's sensitivity, receive's floor
+	body                       []byte
+	batch                      []coherence.Update
 }
 
-func decodeUpdate(v any) (coherence.Update, error) {
-	f, ok := v.(map[string]any)
-	if !ok {
-		return coherence.Update{}, fmt.Errorf("mail: update is %T", v)
+type result struct {
+	id       uint64
+	msgs     []*Message
+	contacts []string
+	state    []byte
+}
+
+// size bounds the encoding of a, whichever fields the method writes.
+func (a *args) size() int {
+	n := 24 + len(a.user) + len(a.to) + len(a.subject) + len(a.contact) + len(a.body)
+	for i := range a.batch {
+		n += updateLen(&a.batch[i])
 	}
-	u := coherence.Update{}
-	u.Origin, _ = f["origin"].(string)
-	if seq, ok := f["seq"].(int64); ok {
-		u.Seq = uint64(seq)
+	return n
+}
+
+func appendArgs(b []byte, method string, a *args) []byte {
+	switch method {
+	case "createAccount", "contacts":
+		b = wire.AppendString(b, a.user)
+	case "addContact":
+		b = wire.AppendString(wire.AppendString(b, a.user), a.contact)
+	case "send":
+		b = wire.AppendString(wire.AppendString(wire.AppendString(b, a.user), a.to), a.subject)
+		b = wire.AppendString(binary.BigEndian.AppendUint64(b, uint64(a.sens)), a.body)
+	case "receive":
+		b = wire.AppendString(binary.BigEndian.AppendUint64(b, uint64(a.sens)), a.user)
+	case "pushUpdates":
+		b = binary.BigEndian.AppendUint32(b, uint32(len(a.batch)))
+		for i := range a.batch {
+			b = appendUpdate(b, &a.batch[i])
+		}
 	}
-	u.Op, _ = f["op"].(string)
-	u.Key, _ = f["key"].(string)
-	u.Data, _ = f["data"].([]byte)
-	u.TimeMS, _ = f["time"].(float64)
+	return b
+}
+
+func decodeArgs(method string, body []byte) (a args, err error) {
+	r := wire.NewReader(body)
+	switch method {
+	case "createAccount", "contacts":
+		a.user = r.Text()
+	case "addContact":
+		a.user, a.contact = r.Text(), r.Text()
+	case "send":
+		// The mail body points into the request: every provider seals it
+		// or re-encodes it upstream before returning. The short strings
+		// beside it are copied (views retain them).
+		a.user, a.to, a.subject, a.sens, a.body = r.Text(), r.Text(), r.Text(), int(r.Uint64()), r.Bytes()
+	case "receive":
+		a.sens, a.user = int(r.Uint64()), r.Text()
+	case "pushUpdates":
+		// A batch lives on in replica logs: its updates point into one
+		// copy of the request.
+		r = wire.NewReader(bytes.Clone(body))
+		a.batch = make([]coherence.Update, r.Count(updateMin))
+		for i := range a.batch {
+			decodeUpdate(&r, &a.batch[i])
+		}
+	case "snapshot":
+	default:
+		return a, fmt.Errorf("mail: unknown method %q", method)
+	}
+	return a, r.Done()
+}
+
+// appendResult encodes a reply into a buffer of its own, so the caller
+// owns the response.
+func appendResult(method string, res *result) []byte {
+	switch method {
+	case "send":
+		return binary.BigEndian.AppendUint64(make([]byte, 0, 8), res.id)
+	case "receive":
+		n := 4
+		for _, m := range res.msgs {
+			n += messageLen(m)
+		}
+		b := binary.BigEndian.AppendUint32(make([]byte, 0, n), uint32(len(res.msgs)))
+		for _, m := range res.msgs {
+			b = appendMessage(b, m)
+		}
+		return b
+	case "contacts":
+		return appendStrings(nil, res.contacts)
+	case "snapshot":
+		return res.state
+	}
+	return nil
+}
+
+// decodeResult decodes a reply the caller owns: received messages share
+// one array, and their bodies and a snapshot point into the reply.
+func decodeResult(method string, body []byte) (res result, err error) {
+	r := wire.NewReader(body)
+	switch method {
+	case "send":
+		res.id = r.Uint64()
+	case "receive":
+		msgs := make([]Message, r.Count(messageMin))
+		res.msgs = make([]*Message, len(msgs))
+		for i := range msgs {
+			decodeMessage(&r, &msgs[i])
+			res.msgs[i] = &msgs[i]
+		}
+	case "contacts":
+		res.contacts = make([]string, r.Count(4))
+		for i := range res.contacts {
+			res.contacts[i] = r.Text()
+		}
+	case "snapshot":
+		if len(body) == 0 {
+			return res, errors.New("mail: snapshot reply carried no state")
+		}
+		return result{state: body}, nil
+	}
+	return res, r.Done()
+}
+
+func appendStrings(b []byte, list []string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(list)))
+	for _, s := range list {
+		b = wire.AppendString(b, s)
+	}
+	return b
+}
+
+// updateMin is the encoded size of an update whose fields are empty.
+const updateMin = 4 + 8 + 4 + 4 + 8 + 4
+
+func updateLen(u *coherence.Update) int {
+	return updateMin + len(u.Origin) + len(u.Op) + len(u.Key) + len(u.Data)
+}
+
+func appendUpdate(b []byte, u *coherence.Update) []byte {
+	b = binary.BigEndian.AppendUint64(wire.AppendString(b, u.Origin), u.Seq)
+	b = wire.AppendString(wire.AppendString(b, u.Op), u.Key)
+	return wire.AppendString(binary.BigEndian.AppendUint64(b, math.Float64bits(u.TimeMS)), u.Data)
+}
+
+// decodeUpdate reads an update whose Data points into the input. One
+// without an origin, a sequence number or an operation fails r.
+func decodeUpdate(r *wire.Reader, u *coherence.Update) {
+	*u = coherence.Update{Origin: r.Text(), Seq: r.Uint64(), Op: r.Text(), Key: r.Text(), TimeMS: r.Float64(), Data: r.Bytes()}
 	if u.Origin == "" || u.Seq == 0 || u.Op == "" {
-		return coherence.Update{}, fmt.Errorf("mail: incomplete update encoding")
+		r.Fail(errors.New("mail: incomplete update encoding"))
 	}
-	return u, nil
 }
 
 // Remote is a client stub: an Upstream backed by a transport endpoint.
@@ -179,36 +257,30 @@ func (r *Remote) Close() error { return r.ep.Close() }
 // call performs one proxied RPC under a "proxy.<method>" span (a new
 // root when ctx carries no trace), so the remote side's spans link
 // causally back to this stub.
-func (r *Remote) call(ctx context.Context, method string, args map[string]any) (map[string]any, error) {
+func (r *Remote) call(ctx context.Context, method string, a *args) (result, error) {
 	// The encoded arguments are scratch: once the call has returned and
 	// the reply is decoded, the transport has framed them (or a
 	// co-located handler has returned and let go of them), so the buffer
 	// goes back to the pool.
-	scratch := wire.GetBufferSize(wire.EncodedLen(args))
-	body, err := wire.AppendValue(scratch, args)
-	if err != nil {
-		wire.PutBuffer(scratch)
-		return nil, err
-	}
+	body := appendArgs(wire.GetBufferSize(a.size()), method, a)
 	defer wire.PutBuffer(body)
 	ctx, span := trace.Start(ctx, "proxy."+method)
-	id := r.id.Add(1)
-	resp, err := transport.Call(ctx, r.ep, &wire.Message{Kind: wire.KindRequest, ID: id, Method: method, Body: body})
+	resp, err := transport.Call(ctx, r.ep, &wire.Message{Kind: wire.KindRequest, ID: r.id.Add(1), Method: method, Body: body})
 	span.End()
 	if err != nil {
-		return nil, err
+		return result{}, err
 	}
 	if err := transport.AsError(resp); err != nil {
-		return nil, err
+		return result{}, err
 	}
 	// The response is this call's own (DESIGN §5i: the caller owns the
 	// response), so what is decoded from it points into it.
-	return decodeArgs(resp.Body, true)
+	return decodeResult(method, resp.Body)
 }
 
 // CreateAccount implements API.
 func (r *Remote) CreateAccount(user string) error {
-	_, err := r.call(context.Background(), "createAccount", map[string]any{"user": user})
+	_, err := r.call(context.Background(), "createAccount", &args{user: user})
 	return err
 }
 
@@ -219,14 +291,8 @@ func (r *Remote) Send(from, to, subject string, body []byte, sensitivity int) (u
 
 // SendCtx is Send continuing the trace in ctx.
 func (r *Remote) SendCtx(ctx context.Context, from, to, subject string, body []byte, sensitivity int) (uint64, error) {
-	reply, err := r.call(ctx, "send", map[string]any{
-		"from": from, "to": to, "subject": subject, "body": body, "sens": int64(sensitivity),
-	})
-	if err != nil {
-		return 0, err
-	}
-	id, _ := reply["id"].(int64)
-	return uint64(id), nil
+	res, err := r.call(ctx, "send", &args{user: from, to: to, subject: subject, sens: sensitivity, body: body})
+	return res.id, err
 }
 
 // Receive implements API.
@@ -235,56 +301,23 @@ func (r *Remote) Receive(user string) ([]*Message, error) {
 }
 
 // ReceiveCtx is Receive continuing the trace in ctx, for messages whose
-// sensitivity is above the floor. A floor of 0 is not sent: a request
-// without one asks for the whole inbox. The returned bodies point into
-// the reply, which nothing else refers to.
+// sensitivity is above the floor (0 asks for the whole inbox). The
+// returned bodies point into the reply, which nothing else refers to.
 func (r *Remote) ReceiveCtx(ctx context.Context, user string, above int) ([]*Message, error) {
-	args := map[string]any{"user": user}
-	if above > 0 {
-		args["above"] = int64(above)
-	}
-	reply, err := r.call(ctx, "receive", args)
-	if err != nil {
-		return nil, err
-	}
-	items, _ := reply["msgs"].([]any)
-	out := make([]*Message, 0, len(items))
-	for _, item := range items {
-		data, ok := item.([]byte)
-		if !ok {
-			return nil, fmt.Errorf("mail: message entry is %T", item)
-		}
-		m, err := decodeMessage(data, true)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
+	res, err := r.call(ctx, "receive", &args{user: user, sens: above})
+	return res.msgs, err
 }
 
 // AddContact implements API.
 func (r *Remote) AddContact(user, contact string) error {
-	_, err := r.call(context.Background(), "addContact", map[string]any{"user": user, "contact": contact})
+	_, err := r.call(context.Background(), "addContact", &args{user: user, contact: contact})
 	return err
 }
 
 // Contacts implements API.
 func (r *Remote) Contacts(user string) ([]string, error) {
-	reply, err := r.call(context.Background(), "contacts", map[string]any{"user": user})
-	if err != nil {
-		return nil, err
-	}
-	items, _ := reply["contacts"].([]any)
-	out := make([]string, 0, len(items))
-	for _, item := range items {
-		s, ok := item.(string)
-		if !ok {
-			return nil, fmt.Errorf("mail: contact entry is %T", item)
-		}
-		out = append(out, s)
-	}
-	return out, nil
+	res, err := r.call(context.Background(), "contacts", &args{user: user})
+	return res.contacts, err
 }
 
 // Snapshotter is implemented by stateful mail components (Server, View)
@@ -298,15 +331,8 @@ type Snapshotter interface {
 // Snapshot fetches the remote instance's serialized store state (the
 // "snapshot" method). Stateless instances answer with an error.
 func (r *Remote) Snapshot() ([]byte, error) {
-	reply, err := r.call(context.Background(), "snapshot", map[string]any{})
-	if err != nil {
-		return nil, err
-	}
-	state, _ := reply["state"].([]byte)
-	if state == nil {
-		return nil, fmt.Errorf("mail: snapshot reply carried no state")
-	}
-	return state, nil
+	res, err := r.call(context.Background(), "snapshot", &args{})
+	return res.state, err
 }
 
 // SnapshotRemote dials addr on tr and fetches that instance's state
@@ -328,10 +354,6 @@ func (r *Remote) PushUpdates(batch []coherence.Update) error {
 
 // PushUpdatesCtx is PushUpdates continuing the trace in ctx.
 func (r *Remote) PushUpdatesCtx(ctx context.Context, batch []coherence.Update) error {
-	items := make([]any, len(batch))
-	for i, u := range batch {
-		items[i] = encodeUpdate(u)
-	}
-	_, err := r.call(ctx, "pushUpdates", map[string]any{"batch": items})
+	_, err := r.call(ctx, "pushUpdates", &args{batch: batch})
 	return err
 }

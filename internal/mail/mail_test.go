@@ -45,8 +45,8 @@ func TestStoreAccountsAndFolders(t *testing.T) {
 	}
 	s.EnsureAccount("bob")
 	s.EnsureAccount("bob") // idempotent
-	if got := s.Users(); len(got) != 2 || got[0] != "alice" {
-		t.Errorf("Users = %v", got)
+	if got := sortedKeys(s.accounts, nil); len(got) != 2 || got[0] != "alice" {
+		t.Errorf("accounts = %v", got)
 	}
 	if _, err := s.Folder("ghost", FolderInbox); err == nil {
 		t.Error("folder of missing account must fail")

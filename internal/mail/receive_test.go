@@ -280,40 +280,36 @@ func TestFloorAppliesToProvidersWithoutReceiveCtx(t *testing.T) {
 	}
 }
 
-// receiveCount sends a raw receive request to a handler and returns how
-// many messages the reply carries.
-func receiveCount(t *testing.T, h transport.Handler, args map[string]any) int {
+// receiveCount sends a raw receive request for bob with the given
+// floor to a handler and returns how many messages the reply carries.
+func receiveCount(t *testing.T, h transport.Handler, above int) int {
 	t.Helper()
-	body, err := wire.Marshal(args)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := appendArgs(nil, "receive", &args{user: "bob", sens: above})
 	resp := h.Handle(&wire.Message{Kind: wire.KindRequest, ID: 1, Method: "receive", Body: body})
 	if err := transport.AsError(resp); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := decodeArgs(resp.Body, false)
+	res, err := decodeResult("receive", resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs, _ := reply["msgs"].([]any)
-	return len(msgs)
+	return len(res.msgs)
 }
 
-// TestReceiveRequestWithoutFloorGetsWholeInbox: `above` is optional on
-// the wire; a peer that does not send it is served everything.
+// TestReceiveRequestWithoutFloorGetsWholeInbox: a floor of 0 on the
+// wire asks for everything; a floor asks for what is above it.
 func TestReceiveRequestWithoutFloorGetsWholeInbox(t *testing.T) {
 	srv, _, clock := newPrimary(t, "alice", "bob")
 	view := newTestView(t, srv, "vms-sd", 4, coherence.WriteThrough{}, clock, 1<<32)
 	sendAtLevels(t, srv, "bob", 1, 2, 3, 4, 5)
 	for name, h := range map[string]transport.Handler{"primary": NewHandler(srv), "view": NewHandler(view)} {
-		if got := receiveCount(t, h, map[string]any{"user": "bob"}); got != 5 {
+		if got := receiveCount(t, h, 0); got != 5 {
 			t.Errorf("%s: a request without a floor returned %d messages, want all 5", name, got)
 		}
-		if got := receiveCount(t, h, map[string]any{"user": "bob", "above": int64(3)}); got != 2 {
+		if got := receiveCount(t, h, 3); got != 2 {
 			t.Errorf("%s: above 3 returned %d messages, want levels 4 and 5", name, got)
 		}
-		if got := receiveCount(t, h, map[string]any{"user": "bob", "above": int64(seccrypto.MaxLevel)}); got != 0 {
+		if got := receiveCount(t, h, seccrypto.MaxLevel); got != 0 {
 			t.Errorf("%s: above the highest level returned %d messages, want none", name, got)
 		}
 	}
@@ -529,8 +525,9 @@ func TestReceiveBodiesPointIntoTheReplyOnly(t *testing.T) {
 
 // TestDeliverFilesOneCopyInBothFolders: a delivery shares one immutable
 // message between the recipient's inbox and the sender's sent folder,
-// it is the store's own (the sender may reuse its buffer), and the
-// per-folder duplicate rule still holds.
+// filed with the very body it was handed (deliver takes ownership; a
+// sealed body is not copied again), and the per-folder duplicate rule
+// still holds.
 func TestDeliverFilesOneCopyInBothFolders(t *testing.T) {
 	s := NewStore(0)
 	s.EnsureAccount("alice")
@@ -542,7 +539,6 @@ func TestDeliverFilesOneCopyInBothFolders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scribble(body)
 	inbox, sent := s.accounts["bob"].Folders[FolderInbox], s.accounts["alice"].Folders[FolderSent]
 	if len(inbox) != 1 || len(sent) != 1 {
 		t.Fatalf("inbox holds %d and sent %d messages, want 1 and 1", len(inbox), len(sent))
@@ -550,8 +546,8 @@ func TestDeliverFilesOneCopyInBothFolders(t *testing.T) {
 	if inbox[0] != sent[0] {
 		t.Error("inbox and sent folder hold separate copies of one delivery")
 	}
-	if string(inbox[0].Body) != "sealed" {
-		t.Error("the filed message shares the sender's buffer")
+	if &inbox[0].Body[0] != &body[0] {
+		t.Error("deliver copied the body it was handed")
 	}
 	if err := s.deliver(&Message{ID: 10, From: "alice", To: "ghost", Sensitivity: 2}); err == nil {
 		t.Error("the primary store must refuse mail for an unknown recipient")

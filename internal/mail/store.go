@@ -9,7 +9,6 @@ package mail
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -56,7 +55,7 @@ type filed struct {
 	owned []byte
 }
 
-// file returns the store's own copy of m.
+// file returns a copy of m, body included, as a store files it.
 func (m *Message) file() *filed {
 	f := &filed{Message: *m}
 	f.Body = append([]byte(nil), m.Body...)
@@ -100,9 +99,6 @@ func NewStore(maxSensitivity int) *Store {
 	return &Store{maxSensitivity: maxSensitivity, accounts: map[string]*Account{}}
 }
 
-// MaxSensitivity returns the store's ceiling (0 = unrestricted).
-func (s *Store) MaxSensitivity() int { return s.maxSensitivity }
-
 // CreateAccount adds an account; creating an existing account is an
 // error.
 func (s *Store) CreateAccount(user string) error {
@@ -135,18 +131,6 @@ func (s *Store) HasAccount(user string) bool {
 	defer s.mu.RUnlock()
 	_, ok := s.accounts[user]
 	return ok
-}
-
-// Users returns the account names, sorted.
-func (s *Store) Users() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.accounts))
-	for u := range s.accounts {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // AssignID allocates a message ID (primary store only).
@@ -216,11 +200,14 @@ func (s *Store) Append(user, folder string, m *Message) error {
 	return nil
 }
 
-// deliver files one copy of a sealed message into the recipient's inbox
-// and, when the sender has an account here, the sender's sent folder,
-// under one lock acquisition. An unrestricted store (the primary)
-// refuses mail for an unknown recipient; a view's store creates the
-// account, since a replicated delivery may precede it.
+// deliver files a sealed message into the recipient's inbox and, when
+// the sender has an account here, the sender's sent folder: one value
+// in both, under one lock acquisition. The store takes m.Body as it is,
+// without a copy, so the caller hands over bytes nothing will write to
+// again: a body sealed for this delivery, or one pointing into the data
+// of a replicated update. An unrestricted store (the primary) refuses
+// mail for an unknown recipient; a view's store creates the account,
+// since a replicated delivery may precede it.
 func (s *Store) deliver(m *Message) error {
 	if err := s.checkCeiling(m); err != nil {
 		return err
@@ -230,16 +217,11 @@ func (s *Store) deliver(m *Message) error {
 	if _, ok := s.accounts[m.To]; !ok && s.maxSensitivity == 0 {
 		return fmt.Errorf("mail: no account %q", m.To)
 	}
-	to := s.account(m.To)
-	var f *filed
+	to, f := s.account(m.To), &filed{Message: *m}
 	if to.claim(FolderInbox, m.ID) {
-		f = m.file()
 		to.Folders[FolderInbox] = append(to.Folders[FolderInbox], f)
 	}
 	if from, ok := s.accounts[m.From]; ok && from.claim(FolderSent, m.ID) {
-		if f == nil {
-			f = m.file()
-		}
 		from.Folders[FolderSent] = append(from.Folders[FolderSent], f)
 	}
 	return nil

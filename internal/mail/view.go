@@ -168,15 +168,11 @@ func (v *View) SendCtx(ctx context.Context, from, to, subject string, body []byt
 	if !v.store.Admissible(sensitivity) {
 		return SendCtx(ctx, v.upstream, from, to, subject, body, sensitivity)
 	}
-	m, err := sealMessage(v.keys, v.store, from, to, subject, body, sensitivity, v.clock.NowMS())
+	m, data, err := sealMessage(v.keys, v.store, from, to, subject, body, sensitivity, v.clock.NowMS())
 	if err != nil {
 		return 0, err
 	}
 	if err := v.store.deliver(m); err != nil {
-		return 0, err
-	}
-	data, err := encodeMessage(m)
-	if err != nil {
 		return 0, err
 	}
 	if seq, flush := v.replica.Write("send", m.To, data, v.clock.NowMS()); flush {

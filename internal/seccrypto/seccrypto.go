@@ -12,6 +12,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -40,31 +41,30 @@ type Envelope struct {
 	Ciphertext []byte
 }
 
-// Marshal encodes the envelope with the wire format.
-func (e *Envelope) Marshal() ([]byte, error) {
-	return wire.Marshal(map[string]any{
-		"user": e.User, "level": int64(e.Level), "nonce": e.Nonce, "ct": e.Ciphertext,
-	})
+// nonceSize and tagSize are AES-GCM's standard nonce and tag lengths.
+const nonceSize, tagSize = 12, 16
+
+// SealedLen is the encoded size of an envelope sealing n bytes to user.
+// The layout is the user, the level (one byte), the nonce and the
+// ciphertext, each string and byte field a u32 length and its bytes.
+func SealedLen(user string, n int) int { return 4 + len(user) + 1 + 4 + nonceSize + 4 + n + tagSize }
+
+// Marshal encodes the envelope.
+func (e *Envelope) Marshal() []byte {
+	dst := make([]byte, 0, SealedLen(e.User, len(e.Ciphertext)-tagSize))
+	dst = append(wire.AppendString(dst, e.User), byte(e.Level))
+	return wire.AppendString(wire.AppendString(dst, e.Nonce), e.Ciphertext)
 }
 
-// UnmarshalEnvelope decodes an envelope.
+// UnmarshalEnvelope decodes an envelope. Its Nonce and Ciphertext share
+// data's memory, so the envelope is valid only while data is left alone.
 func UnmarshalEnvelope(data []byte) (*Envelope, error) {
-	v, err := wire.Unmarshal(data)
-	if err != nil {
-		return nil, err
+	r := wire.NewReader(data)
+	e := &Envelope{User: r.Text(), Level: int(r.Byte()), Nonce: r.Bytes(), Ciphertext: r.Bytes()}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("seccrypto: envelope: %w", err)
 	}
-	m, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("seccrypto: envelope is %T", v)
-	}
-	e := &Envelope{}
-	e.User, _ = m["user"].(string)
-	if lvl, ok := m["level"].(int64); ok {
-		e.Level = int(lvl)
-	}
-	e.Nonce, _ = m["nonce"].([]byte)
-	e.Ciphertext, _ = m["ct"].([]byte)
-	if e.User == "" || e.Level == 0 || len(e.Nonce) == 0 {
+	if e.User == "" || e.Level < 1 || e.Level > MaxLevel || len(e.Nonce) != nonceSize {
 		return nil, fmt.Errorf("seccrypto: incomplete envelope")
 	}
 	return e, nil
@@ -190,20 +190,34 @@ func (k *KeyRing) sealer(user string, level int) (*sealer, error) {
 	return built, nil
 }
 
+// AppendSeal appends to dst the envelope sealing plaintext to (user,
+// level): the layout up to the ciphertext is written first and the
+// ciphertext is sealed in place after it, so when dst has
+// SealedLen(user, len(plaintext)) bytes to spare nothing is allocated.
+// On error dst is returned unmodified.
+func (k *KeyRing) AppendSeal(dst []byte, user string, level int, plaintext []byte) ([]byte, error) {
+	s, err := k.sealer(user, level)
+	if err != nil {
+		return dst, err
+	}
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(append(wire.AppendString(dst, user), byte(level)), nonceSize)
+	dst = append(dst, make([]byte, nonceSize)...)
+	nonce := dst[len(dst)-nonceSize:]
+	if _, err := rand.Read(nonce); err != nil {
+		return dst[:start], fmt.Errorf("seccrypto: nonce: %w", err)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(plaintext)+tagSize))
+	return s.aead.Seal(dst, nonce, plaintext, s.ad), nil
+}
+
 // Seal encrypts plaintext to (user, level).
 func (k *KeyRing) Seal(user string, level int, plaintext []byte) (*Envelope, error) {
-	s, err := k.sealer(user, level)
+	data, err := k.AppendSeal(make([]byte, 0, SealedLen(user, len(plaintext))), user, level, plaintext)
 	if err != nil {
 		return nil, err
 	}
-	nonce := make([]byte, s.aead.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, fmt.Errorf("seccrypto: nonce: %w", err)
-	}
-	return &Envelope{
-		User: user, Level: level, Nonce: nonce,
-		Ciphertext: s.aead.Seal(nil, nonce, plaintext, s.ad),
-	}, nil
+	return UnmarshalEnvelope(data)
 }
 
 // Open decrypts an envelope; it fails if the ring lacks the key or the
@@ -212,6 +226,9 @@ func (k *KeyRing) Open(e *Envelope) ([]byte, error) {
 	s, err := k.sealer(e.User, e.Level)
 	if err != nil {
 		return nil, err
+	}
+	if len(e.Nonce) != nonceSize {
+		return nil, fmt.Errorf("seccrypto: nonce of %d bytes, want %d", len(e.Nonce), nonceSize)
 	}
 	pt, err := s.aead.Open(nil, e.Nonce, e.Ciphertext, s.ad)
 	if err != nil {

@@ -244,9 +244,9 @@ func TestEnvelopeMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := env.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	data := env.Marshal()
+	if len(data) != SealedLen("alice", len("wire me")) || cap(data) != len(data) {
+		t.Errorf("Marshal gave %d bytes (capacity %d), want SealedLen = %d", len(data), cap(data), SealedLen("alice", 7))
 	}
 	got, err := UnmarshalEnvelope(data)
 	if err != nil {
@@ -265,10 +265,74 @@ func TestUnmarshalEnvelopeErrors(t *testing.T) {
 	if _, err := UnmarshalEnvelope([]byte{0xff}); err == nil {
 		t.Error("garbage must fail")
 	}
-	data, _ := (&Envelope{}).Marshal()
-	if _, err := UnmarshalEnvelope(data); err == nil {
+	if _, err := UnmarshalEnvelope((&Envelope{}).Marshal()); err == nil {
 		t.Error("incomplete envelope must fail")
 	}
+	short := &Envelope{User: "alice", Level: 1, Nonce: make([]byte, 8)}
+	if _, err := UnmarshalEnvelope(short.Marshal()); err == nil {
+		t.Error("an envelope with a short nonce must fail")
+	}
+	k := ringWith(t, "alice")
+	if _, err := k.Open(short); err == nil {
+		t.Error("opening an envelope with a short nonce must fail, not panic")
+	}
+}
+
+// TestAppendSealSealsInPlace: with SealedLen bytes to spare AppendSeal
+// writes the envelope behind what dst holds without allocating, and the
+// result decodes and opens; a failed seal leaves dst as it was.
+func TestAppendSealSealsInPlace(t *testing.T) {
+	k := ringWith(t, "alice")
+	pt := bytes.Repeat([]byte{7}, 1<<10)
+	prefix := []byte("head")
+	buf := make([]byte, 0, len(prefix)+SealedLen("alice", len(pt)))
+	var out []byte
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if out, err = k.AppendSeal(append(buf[:0], prefix...), "alice", 3, pt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || &out[0] != &buf[:1][0] || len(out) != cap(buf) {
+		t.Errorf("AppendSeal: %.0f allocations, %d of %d bytes, same array %v", allocs, len(out), cap(buf), &out[0] == &buf[:1][0])
+	}
+	env, err := UnmarshalEnvelope(out[len(prefix):])
+	if err != nil || !bytes.Equal(out[:len(prefix)], prefix) {
+		t.Fatalf("sealed envelope does not decode behind its prefix: %v", err)
+	}
+	if got, err := k.Open(env); err != nil || !bytes.Equal(got, pt) {
+		t.Errorf("open = %d bytes, %v", len(got), err)
+	}
+	if got, err := k.AppendSeal(prefix, "ghost", 3, pt); err == nil || !bytes.Equal(got, prefix) {
+		t.Errorf("a seal without a key = %q, %v; want dst unchanged and an error", got, err)
+	}
+}
+
+// FuzzUnmarshalEnvelope: the decoder never panics, and every envelope
+// it accepts re-encodes to exactly its input.
+func FuzzUnmarshalEnvelope(f *testing.F) {
+	k := NewKeyRing()
+	if err := k.GenerateUserKeys("alice", MaxLevel); err != nil {
+		f.Fatal(err)
+	}
+	for _, pt := range []string{"", "hello"} {
+		env, err := k.Seal("alice", 3, []byte(pt))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(env.Marshal())
+	}
+	f.Add([]byte{0, 0, 0, 1, 'u', 1, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := UnmarshalEnvelope(data)
+		if err != nil {
+			return
+		}
+		if re := e.Marshal(); !bytes.Equal(re, data) {
+			t.Fatalf("accepted envelope re-encodes to %x, input %x", re, data)
+		}
+		_, _ = k.Open(e) // must not panic
+	})
 }
 
 // TestQuickSealOpenIdentity: arbitrary payloads round-trip at arbitrary

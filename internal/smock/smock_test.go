@@ -1,6 +1,7 @@
 package smock_test
 
 import (
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
@@ -537,8 +538,8 @@ func TestGenericProxyLookupMiss(t *testing.T) {
 }
 
 // receiveTap wraps a transport and notes, for every "receive" request a
-// served handler answers, the sensitivity floor it carried (0 when
-// absent) and how many messages the reply held.
+// served handler answers, the sensitivity floor it carried and how many
+// messages the reply held.
 type receiveTap struct {
 	transport.Transport
 	mu   sync.Mutex
@@ -553,15 +554,14 @@ func (r *receiveTap) Serve(addr string, h transport.Handler) (transport.Listener
 		if m.Method != "receive" || resp == nil || resp.Kind != wire.KindResponse {
 			return resp
 		}
-		args, errA := wire.Unmarshal(m.Body)
-		reply, errR := wire.Unmarshal(resp.Body)
-		if errA != nil || errR != nil {
+		// mail's receive layouts: the request opens with the floor
+		// (above:u64), the reply with the message count (count:u32).
+		if len(m.Body) < 8 || len(resp.Body) < 4 {
 			return resp
 		}
-		above, _ := args.(map[string]any)["above"].(int64)
-		msgs, _ := reply.(map[string]any)["msgs"].([]any)
+		above, msgs := binary.BigEndian.Uint64(m.Body), binary.BigEndian.Uint32(resp.Body)
 		r.mu.Lock()
-		r.seen = append(r.seen, tappedReceive{int(above), len(msgs)})
+		r.seen = append(r.seen, tappedReceive{int(above), int(msgs)})
 		r.mu.Unlock()
 		return resp
 	}))

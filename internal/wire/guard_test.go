@@ -30,7 +30,7 @@ func TestAppendValueDepthGuard(t *testing.T) {
 	for i := 0; i < MaxDepth+2; i++ {
 		v = []any{v}
 	}
-	if _, err := AppendValue(nil, v); !errors.Is(err, ErrTooDeep) {
+	if _, err := appendValue(nil, v, 0); !errors.Is(err, ErrTooDeep) {
 		t.Errorf("err = %v, want ErrTooDeep", err)
 	}
 }
@@ -54,10 +54,10 @@ func TestAppendValueLengthGuard(t *testing.T) {
 	// branch itself is covered by code inspection; what must hold here
 	// is that values well within the u32 prefix still encode and that
 	// the guard did not change small-value behaviour.
-	if _, err := AppendValue(nil, string(make([]byte, 1<<16))); err != nil {
+	if _, err := appendValue(nil, string(make([]byte, 1<<16)), 0); err != nil {
 		t.Errorf("64 KiB string must encode: %v", err)
 	}
-	if _, err := AppendValue(nil, make([]byte, 1<<16)); err != nil {
+	if _, err := appendValue(nil, make([]byte, 1<<16), 0); err != nil {
 		t.Errorf("64 KiB bytes must encode: %v", err)
 	}
 }

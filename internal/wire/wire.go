@@ -1,8 +1,11 @@
 // Package wire implements the framework's binary wire format: length-
-// prefixed frames carrying tagged, self-describing values. It is the
-// custom serialization layer that stands in for Java object mobility —
-// component state snapshots, requests, and responses all travel in this
-// encoding (see DESIGN.md, substitution table).
+// prefixed frames, each carrying one Message, the custom serialization
+// layer that stands in for Java RMI (see DESIGN.md, substitution
+// table). A Message's body is opaque here. Services give each method
+// a fixed typed layout, written with AppendString and the big-endian
+// appenders of encoding/binary and read back with a Reader (the mail
+// protocol, DESIGN.md §5i); free-form control-plane bodies, such as
+// install orders, use the tagged value encoding below.
 //
 // The value encoding is a compact tagged union:
 //
@@ -62,14 +65,10 @@ var ErrTooDeep = errors.New("wire: value nesting exceeds depth limit")
 // wire otherwise).
 var ErrTooLong = errors.New("wire: value length overflows u32 prefix")
 
-// AppendValue appends the encoding of v to buf. Supported types: nil,
+// appendValue appends the encoding of v to buf. Supported types: nil,
 // bool, int/int32/int64, float64, string, []byte, []any, and
 // map[string]any (recursively, at most MaxDepth deep). Unsupported
 // types and lengths beyond the u32 prefix return an error.
-func AppendValue(buf []byte, v any) ([]byte, error) {
-	return appendValue(buf, v, 0)
-}
-
 func appendValue(buf []byte, v any, depth int) ([]byte, error) {
 	if depth > MaxDepth {
 		return nil, ErrTooDeep
@@ -155,13 +154,10 @@ func appendInt(buf []byte, x int64) []byte {
 // does not alias data. Nesting beyond MaxDepth is rejected with
 // ErrTooDeep, bounding stack use on hostile input.
 func DecodeValue(data []byte) (v any, rest []byte, err error) {
-	return decodeValue(data, 0, false)
+	return decodeValue(data, 0)
 }
 
-// decodeValue decodes one value. With alias set, byte slices share
-// data's memory instead of copying it; strings are copied either way
-// (they are short, and callers keep them).
-func decodeValue(data []byte, depth int, alias bool) (v any, rest []byte, err error) {
+func decodeValue(data []byte, depth int) (v any, rest []byte, err error) {
 	if depth > MaxDepth {
 		return nil, nil, ErrTooDeep
 	}
@@ -206,9 +202,6 @@ func decodeValue(data []byte, depth int, alias bool) (v any, rest []byte, err er
 		if tag == tagString {
 			return string(data[:n]), data[n:], nil
 		}
-		if alias {
-			return data[:n:n], data[n:], nil
-		}
 		payload := make([]byte, n)
 		copy(payload, data[:n])
 		return payload, data[n:], nil
@@ -221,7 +214,7 @@ func decodeValue(data []byte, depth int, alias bool) (v any, rest []byte, err er
 		out := make([]any, 0, min(int(n), 1024))
 		for i := uint32(0); i < n; i++ {
 			var item any
-			item, data, err = decodeValue(data, depth+1, alias)
+			item, data, err = decodeValue(data, depth+1)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -237,7 +230,7 @@ func decodeValue(data []byte, depth int, alias bool) (v any, rest []byte, err er
 		out := make(map[string]any, min(int(n), 1024))
 		for i := uint32(0); i < n; i++ {
 			var kv, vv any
-			kv, data, err = decodeValue(data, depth+1, alias)
+			kv, data, err = decodeValue(data, depth+1)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -245,7 +238,7 @@ func decodeValue(data []byte, depth int, alias bool) (v any, rest []byte, err er
 			if !ok {
 				return nil, nil, fmt.Errorf("wire: map key has type %T, want string", kv)
 			}
-			vv, data, err = decodeValue(data, depth+1, alias)
+			vv, data, err = decodeValue(data, depth+1)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -257,61 +250,13 @@ func decodeValue(data []byte, depth int, alias bool) (v any, rest []byte, err er
 	}
 }
 
-// EncodedLen returns len(Marshal(v)) without encoding, for callers that
-// size a buffer up front (GetBufferSize(EncodedLen(v))). Unsupported
-// types and nesting past MaxDepth count as zero: AppendValue rejects
-// them, so the size only has to be exact for values that encode.
-func EncodedLen(v any) int { return encodedLen(v, 0) }
-
-func encodedLen(v any, depth int) int {
-	if depth > MaxDepth {
-		return 0
-	}
-	switch x := v.(type) {
-	case nil:
-		return 1
-	case bool:
-		return 2
-	case int, int32, int64, float64:
-		return 9
-	case string:
-		return keyedLen(x)
-	case []byte:
-		return 5 + len(x)
-	case []any:
-		n := 5
-		for _, item := range x {
-			n += encodedLen(item, depth+1)
-		}
-		return n
-	case map[string]any:
-		n := 5
-		for k, item := range x {
-			n += keyedLen(k) + encodedLen(item, depth+1)
-		}
-		return n
-	}
-	return 0
-}
-
-// Marshal encodes a single value into one allocation of exactly the
-// encoded size.
-func Marshal(v any) ([]byte, error) {
-	return AppendValue(make([]byte, 0, EncodedLen(v)), v)
-}
+// Marshal encodes a single value.
+func Marshal(v any) ([]byte, error) { return appendValue(nil, v, 0) }
 
 // Unmarshal decodes a single value and requires the buffer to be fully
-// consumed.
-func Unmarshal(data []byte) (any, error) { return unmarshal(data, false) }
-
-// UnmarshalAlias is Unmarshal without the payload copies: every []byte
-// in the result shares data's memory, so the result is valid only while
-// data is left alone. Strings are still copied. It suits a handler
-// decoding a request body it will not keep past the request.
-func UnmarshalAlias(data []byte) (any, error) { return unmarshal(data, true) }
-
-func unmarshal(data []byte, alias bool) (any, error) {
-	v, rest, err := decodeValue(data, 0, alias)
+// consumed. Strings and byte slices are copied.
+func Unmarshal(data []byte) (any, error) {
+	v, rest, err := decodeValue(data, 0)
 	if err != nil {
 		return nil, err
 	}
