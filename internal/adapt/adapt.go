@@ -16,12 +16,12 @@
 //     through a shared wave memo and share the diff;
 //   - the commit phase walks the wave in session order under a cutover
 //     governor (token-bucket pacing, anti-flap hysteresis), moving each
-//     session's references in a refcounted registry of instances: the
-//     registry decides when an instance is deployed (first acquire) and
-//     torn down (last release, after a drain), the Executor makes it
-//     happen — a staged cutover (snapshot state → deploy → publish →
-//     flip client bindings → drain → release) so clients keep getting
-//     answers while the service re-partitions under them;
+//     session's references in the executor's table of instances
+//     (smock.Table): an instance no one holds is torn down after a
+//     drain, and the Executor realizes the rest — a staged cutover
+//     (snapshot state → deploy → publish → flip client bindings → drain
+//     → release) so clients keep getting answers while the service
+//     re-partitions under them;
 //   - a failed replan or cutover is retried with backoff.
 //
 // The loop is clock-abstracted (Scheduler): the same state machine runs
@@ -42,6 +42,7 @@ import (
 	"partsvc/internal/netmodel"
 	"partsvc/internal/netmon"
 	"partsvc/internal/planner"
+	"partsvc/internal/smock"
 )
 
 // Config tunes the loop's timing, thresholds and scale. All durations
@@ -173,8 +174,11 @@ type Session struct {
 	// dep is the current deployment, facts what the loop derives from
 	// it. Both are immutable and shared by every session of the wave
 	// group that planned them.
-	dep      *planner.Deployment
-	facts    *depFacts
+	dep   *planner.Deployment
+	facts *depFacts
+	// held names the instances dep runs on, in placement order: the
+	// session's references in the table.
+	held     []string
 	head     string
 	bindings []Flippable
 	// events is a ring of the latest SessionEvents events; once full,
@@ -304,7 +308,7 @@ type Controller struct {
 	// a planner of the shard's own.
 	planners []Executor
 	gov      *governor
-	reg      *registry
+	tab      *smock.Table
 	prober   Prober
 	// targets enumerates probe targets (typically Engine.ControlAddrs).
 	targets func() map[netmodel.NodeID]string
@@ -321,12 +325,13 @@ type Controller struct {
 	routeLookups        *metrics.Counter
 	cutovers            *metrics.Counter
 	cutoversRateLimited *metrics.Counter
+	deploys, discards   *metrics.Counter
 	flapsSuppressed     *metrics.Counter
 	evictions           *metrics.Counter
 	probesSent          *metrics.Counter
 	probesFailed        *metrics.Counter
 
-	// waveMu serializes everything that moves registry references:
+	// waveMu serializes everything that moves table references:
 	// waves, deferred commits, drains, Track and Untrack.
 	waveMu sync.Mutex
 
@@ -358,8 +363,9 @@ func New(cfg Config, mon *netmon.Monitor, exec Executor, sched Scheduler) *Contr
 }
 
 // NewSharded is New with one Executor per shard: shard i's wave groups
-// are replanned through execs[i], and cutovers go through execs[0].
-// cfg.Shards is ignored; len(execs) is the shard count.
+// are replanned through execs[i], and cutovers go through execs[0],
+// whose table the loop keeps its references in. cfg.Shards is ignored;
+// len(execs) is the shard count.
 func NewSharded(cfg Config, mon *netmon.Monitor, execs []Executor, sched Scheduler) *Controller {
 	cfg = cfg.withDefaults()
 	cfg.Shards = len(execs)
@@ -367,7 +373,7 @@ func NewSharded(cfg Config, mon *netmon.Monitor, execs []Executor, sched Schedul
 	c := &Controller{
 		cfg: cfg, mon: mon, net: mon.Network(), exec: execs[0], sched: sched, planners: execs,
 		gov: newGovernor(cfg.CutoverRatePerSec, cfg.CutoverBurst, cfg.HysteresisMS),
-		reg: newRegistry(),
+		tab: execs[0].Table(),
 
 		waves:               reg.Counter("fleet.waves"),
 		waveSessions:        reg.Histogram("fleet.wave_sessions"),
@@ -379,6 +385,8 @@ func NewSharded(cfg Config, mon *netmon.Monitor, execs []Executor, sched Schedul
 		routeLookups:        reg.Counter("fleet.route_lookups"),
 		cutovers:            reg.Counter("fleet.cutovers"),
 		cutoversRateLimited: reg.Counter("fleet.cutovers_rate_limited"),
+		deploys:             reg.Counter("fleet.deploys"),
+		discards:            reg.Counter("fleet.discards"),
 		flapsSuppressed:     reg.Counter("fleet.flaps_suppressed"),
 		evictions:           reg.Counter("fleet.evictions"),
 		probesSent:          reg.Counter("adapt.probes_sent"),
@@ -418,13 +426,11 @@ func (c *Controller) shardOf(name string) int {
 	return int(h.Sum64() % uint64(len(c.planners)))
 }
 
-// Pin registers standing infrastructure (e.g. the primary MailServer)
-// that every session may share and the loop never tears down.
-func (c *Controller) Pin(p planner.Placement) { c.reg.pin(p) }
-
 // Track adds a session to keep valid. May be called before or after
 // Start. A session arriving with a deployment holds a reference on each
-// of its placements; those it reused from outside the loop are pinned.
+// of its instances (see smock.Table.Acquire): the loop takes over those
+// its access request deployed, and leaves pinned the ones it reused
+// from outside the loop.
 func (c *Controller) Track(s *Session) {
 	c.waveMu.Lock()
 	defer c.waveMu.Unlock()
@@ -445,9 +451,10 @@ func (c *Controller) Track(s *Session) {
 	facts := s.facts
 	s.mu.Unlock()
 	if dep != nil {
-		for _, p := range dep.Placements {
-			c.reg.acquire(p)
-		}
+		held := c.acquire(dep)
+		s.mu.Lock()
+		s.held = held
+		s.mu.Unlock()
 		c.reindex([]indexMove{{s: s, new: facts}})
 	}
 }
@@ -487,19 +494,12 @@ func (c *Controller) Untrack(name string) int {
 	s.disarm(true)
 	s.mu.Lock()
 	s.tracked, s.retries = false, 0
-	dep, facts := s.dep, s.facts
+	held, facts := s.held, s.facts
 	s.mu.Unlock()
 	if facts != nil {
 		c.reindex([]indexMove{{s: s, old: facts}})
 	}
-	if dep == nil {
-		return 0
-	}
-	gone := c.release(dep)
-	if len(gone) > 0 {
-		c.drain(s, 0, gone)
-	}
-	return len(gone)
+	return c.release(s, 0, held)
 }
 
 // Sessions returns the tracked sessions in tracking order.
@@ -532,13 +532,9 @@ func (c *Controller) SessionsPerShard() []int {
 	return out
 }
 
-// Instances returns the number of live instances in the registry:
-// pinned ones plus those some session holds, draining ones excluded.
-func (c *Controller) Instances() int { return len(c.reg.placements()) }
-
-// Placements enumerates the registry's live instances sorted by key —
-// the reuse set a registry-synced shard planner plans against.
-func (c *Controller) Placements() []planner.Placement { return c.reg.placements() }
+// Instances returns the number of live instances in the table: pinned
+// ones plus those some session holds, draining ones excluded.
+func (c *Controller) Instances() int { return len(c.tab.AppendLive(nil)) }
 
 // Kick runs an immediate wave over every tracked session, bypassing the
 // debounce window — the management API's "adapt now". Synchronous: it

@@ -11,6 +11,7 @@ import (
 	"partsvc/internal/planner"
 	"partsvc/internal/property"
 	"partsvc/internal/sim"
+	"partsvc/internal/smock"
 )
 
 // fakeExec is an in-memory Executor: every stage is a counter, the
@@ -24,6 +25,16 @@ type fakeExec struct {
 
 	replans, deploys, publishes, discards int
 	published                             string
+	tab                                   *smock.Table
+}
+
+func (f *fakeExec) Table() *smock.Table {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.tab == nil {
+		f.tab = smock.NewTable()
+	}
+	return f.tab
 }
 
 func (f *fakeExec) RepairReplan(old *planner.Deployment, req planner.Request, _ *planner.ChangedSet) (*planner.Diff, error) {
@@ -58,7 +69,7 @@ func (f *fakeExec) Publish(service, addr string) error {
 	return nil
 }
 
-func (f *fakeExec) Discard(placements []planner.Placement) {
+func (f *fakeExec) Discard(ids []string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.discards++

@@ -10,12 +10,15 @@ import (
 	"partsvc/internal/wire"
 )
 
-// Executor is the loop's one seam to the world it manages: it plans,
-// and it realizes what the loop's registry decided. The real
-// implementation (EngineExecutor) works against the smock engine and
-// lookup; the simulator fleet and benchmarks substitute models that
-// plan and keep books without sending RPCs.
+// Executor is the loop's one seam to the world it manages: it hands the
+// loop the table of what runs where, plans against it, and realizes
+// what the loop decided there. The real implementation (EngineExecutor)
+// works against the smock engine and lookup; the simulator fleet and
+// benchmarks substitute models that plan and install nothing.
 type Executor interface {
+	// Table is the record of what runs where. The loop counts session
+	// references in it; planners read their reuse sets from it.
+	Table() *smock.Table
 	// RepairReplan computes the adaptation diff for a request against
 	// the current network (revalidating the reuse set as a side effect).
 	// ch names the network elements that changed since the last wave, so
@@ -30,15 +33,16 @@ type Executor interface {
 	Snapshot(old *planner.Deployment, diff *planner.Diff) map[string][]byte
 	// Deploy realizes the diff's new deployment, seeding fresh installs
 	// from states, and returns its head address. Instances already
-	// running are reused. On error the old deployment is still serving
-	// (deploy-before-teardown).
+	// running are reused; fresh ones enter the table pinned until the
+	// loop acquires them. On error nothing was installed and the old
+	// deployment is still serving (deploy-before-teardown).
 	Deploy(diff *planner.Diff, states map[string][]byte) (string, error)
 	// Publish (re-)binds the service name to the new head address in the
 	// namespace, replacing any previous binding.
 	Publish(service, addr string) error
-	// Discard tears down drained placements — the ones whose last
-	// reference the loop released — and forgets them.
-	Discard(placements []planner.Placement)
+	// Discard tears down instances the loop finalized — drained, or
+	// evicted with no holder. The loop then removes them from the table.
+	Discard(ids []string)
 }
 
 // SnapshotMethod is the wire method stateful components answer with
@@ -52,7 +56,7 @@ const SnapshotMethod = "snapshot"
 // the generic server's planner (serialized with client access
 // requests), the deployment engine, and the lookup namespace.
 type EngineExecutor struct {
-	// Server provides RepairReplan/NoteDeployed/Forget.
+	// Server provides RepairReplan.
 	Server *smock.GenericServer
 	// Engine deploys and tears down instances.
 	Engine *smock.Engine
@@ -66,6 +70,9 @@ type EngineExecutor struct {
 	// Attrs, when non-nil, are attached to Publish registrations.
 	Attrs map[string]string
 }
+
+// Table implements Executor: the engine's table.
+func (x *EngineExecutor) Table() *smock.Table { return x.Engine.Table() }
 
 // RepairReplan implements Executor: the changed-element set flows
 // through to the planner's incremental repair.
@@ -84,11 +91,10 @@ func (x *EngineExecutor) stateful(component string) bool {
 
 // Snapshot implements Executor. Every stateful placement in the new
 // deployment gets a pre-cutover snapshot from its best predecessor:
-// the live same-key instance when one exists (it may be replaced by
-// the engine's stale-rewire path), otherwise a removed or evicted
-// instance of the same component (the migration case — the state moves
-// to a different node, shedding what the destination's trust ceiling
-// forbids on restore).
+// the same-key instance when one runs (the engine may supersede it),
+// otherwise a removed or evicted instance of the same component (the
+// migration case — the state moves to a different node, shedding what
+// the destination's trust ceiling forbids on restore).
 func (x *EngineExecutor) Snapshot(old *planner.Deployment, diff *planner.Diff) map[string][]byte {
 	states := map[string][]byte{}
 	for _, p := range diff.New.Placements {
@@ -148,19 +154,10 @@ func fetchSnapshot(tr transport.Transport, addr string) ([]byte, error) {
 	return resp.Body, nil
 }
 
-// Deploy implements Executor: the engine applies the diff (evictions
-// torn down, fresh installs seeded from states), and the planner's
-// reuse set is updated to match.
+// Deploy implements Executor: the engine applies the diff, fresh
+// installs seeded from states.
 func (x *EngineExecutor) Deploy(diff *planner.Diff, states map[string][]byte) (string, error) {
-	addr, err := x.Engine.ApplyWith(diff, smock.ApplyOptions{
-		StateFor: func(p planner.Placement) []byte { return states[p.Key()] },
-	})
-	if err != nil {
-		return "", err
-	}
-	x.Server.Forget(diff.Evicted...)
-	x.Server.NoteDeployed(diff.New)
-	return addr, nil
+	return x.Engine.Apply(diff, states)
 }
 
 // Publish implements Executor. Register replaces any existing entry
@@ -173,12 +170,10 @@ func (x *EngineExecutor) Publish(service, addr string) error {
 	return x.Lookup.Register(smock.Entry{Service: service, Attrs: x.Attrs, ServerAddr: addr})
 }
 
-// Discard implements Executor: drained instances are torn down
-// (deregistering their lookup entries via the engine) and dropped from
-// the planner's reuse set.
-func (x *EngineExecutor) Discard(placements []planner.Placement) {
-	for _, p := range placements {
-		_ = x.Engine.Teardown(p) // best-effort: the node may be gone
+// Discard implements Executor: the engine tears the instances down,
+// deregistering their lookup entries.
+func (x *EngineExecutor) Discard(ids []string) {
+	for _, id := range ids {
+		_ = x.Engine.Teardown(id) // best-effort: the node may be gone
 	}
-	x.Server.Forget(placements...)
 }

@@ -1,16 +1,21 @@
 package adapt
 
-// RefCounts returns the registry's references per placement key, for
-// the external tests' refcount invariant: they must equal the sum over
-// the tracked sessions' deployments.
+// RefCounts returns the table's references per placement key, for the
+// external tests' refcount invariant: they must equal the sum over the
+// tracked sessions' deployments.
 func (c *Controller) RefCounts() map[string]int {
-	c.reg.mu.Lock()
-	defer c.reg.mu.Unlock()
 	out := map[string]int{}
-	for key, e := range c.reg.entries {
-		if e.refs > 0 {
-			out[key] = e.refs
+	for _, inst := range c.tab.Instances() {
+		if inst.Refs > 0 {
+			out[inst.Place.Key()] += inst.Refs
 		}
 	}
 	return out
+}
+
+// Held returns the instance IDs the session holds references on.
+func (s *Session) Held() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.held
 }

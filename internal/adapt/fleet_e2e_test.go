@@ -56,7 +56,7 @@ func (l *eventLog) count(kind, detail string, sessions map[string]bool) int {
 	return n
 }
 
-// checkRefs asserts the registry invariant: every placement's reference
+// checkRefs asserts the table invariant: every placement's reference
 // count is the number of tracked sessions whose deployment holds it.
 func checkRefs(t *testing.T, ctrl *adapt.Controller) {
 	t.Helper()
@@ -79,14 +79,14 @@ func checkRefs(t *testing.T, ctrl *adapt.Controller) {
 	}
 }
 
-// offView replans with the planner's plain Replan, the old
-// deployment's instances withheld from the reuse set so that every
-// graph shape is costed afresh: the fresh chain leaves the degraded
-// link and the view behind it, and the diff lists every old placement
-// it drops in Remove — the shared view included. (The rewire path keeps
-// a shared terminal out of Remove; a plain Replan does not, so only the
-// loop's registry stands between this diff and a teardown of the view
-// another session still holds.)
+// offView replans with the planner's plain Replan against the table
+// minus the old deployment's instances, so that every graph shape is
+// costed afresh: the fresh chain leaves the degraded link and the view
+// behind it, and the diff lists every old placement it drops in Remove
+// — the shared view included. (The rewire path keeps a shared terminal
+// out of Remove; a plain Replan does not, so only the table's reference
+// counts stand between this diff and a teardown of the view another
+// session still holds.)
 type offView struct {
 	*adapt.EngineExecutor
 	view    planner.Placement
@@ -96,7 +96,6 @@ type offView struct {
 func (x *offView) RepairReplan(old *planner.Deployment, req planner.Request, _ *planner.ChangedSet) (*planner.Diff, error) {
 	pl := x.Server.Planner()
 	pl.DropExisting(old.Placements...)
-	defer pl.AddExisting(old.Placements...)
 	diff, err := pl.Replan(old, req)
 	if err == nil && strings.Contains(fmt.Sprint(diff.Remove), x.view.Key()) {
 		x.removed.Store(true)
@@ -110,7 +109,7 @@ func (x *offView) RepairReplan(old *planner.Deployment, req planner.Request, _ *
 // removes the view; San Diego, which does not cross that link, keeps
 // its deployment. Remove is a release: the view, still held by San
 // Diego, must stay up and answer, while the Decryptor only Seattle held
-// drains and is torn down; the registry must count exactly the
+// drains and is torn down; the table must count exactly the
 // deployments' holds before and after the wave.
 func TestSharedTailSurvivesReplan(t *testing.T) {
 	w := newWorldOn(t, transport.NewInProc())
@@ -224,7 +223,7 @@ func TestEvictionTearsDownUntrackedInstance(t *testing.T) {
 // San Diego sessions fail and are deleted — while New York and Seattle
 // keep sending across the fault with no client-visible error and no
 // lost acknowledged send. After the drain the engine runs exactly the
-// registry's live instances, the registry counts exactly the
+// table's live instances, the table counts exactly the
 // deployments' holds, and every published head is a live instance.
 func TestFleetDeploysOverTCP(t *testing.T) {
 	const perSite = 34
@@ -338,7 +337,7 @@ func TestFleetDeploysOverTCP(t *testing.T) {
 	}
 	checkRefs(t, ctrl)
 	waitFor(t, 2*time.Second, func() bool { return w.Engine.InstanceCount() == ctrl.Instances() },
-		fmt.Sprintf("engine runs %d instances, the registry holds %d live", w.Engine.InstanceCount(), ctrl.Instances()))
+		fmt.Sprintf("engine runs %d instances, the table holds %d live", w.Engine.InstanceCount(), ctrl.Instances()))
 	for _, st := range sites {
 		for name := range st.sessions {
 			for _, e := range w.Lookup.Find("head-"+name, nil) {

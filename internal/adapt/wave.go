@@ -324,7 +324,7 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 	// theirs), and the node index is updated once, after the last commit.
 	lastCommitMS := startMS
 	evicted := map[string]bool{}
-	var unheld []planner.Placement
+	var unheld []string
 	facts := map[*planner.Deployment]*depFacts{}
 	var moves []indexMove
 	for pos, s := range affected {
@@ -343,14 +343,12 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 			c.emit(s, Event{AtMS: now, Wave: wave, Kind: "replan"})
 		}
 		diff := r.diff
-		// Evictions are registry-level facts, applied once per wave no
+		// Evictions are table-level facts, applied once per wave no
 		// matter how many sessions' replans reported them.
 		for _, p := range diff.Evicted {
 			if !evicted[p.Key()] {
 				evicted[p.Key()] = true
-				if c.reg.evict(p.Key()) {
-					unheld = append(unheld, p)
-				}
+				unheld = append(unheld, c.tab.Evict(p.Key())...)
 				c.evictions.Inc()
 			}
 		}
@@ -406,9 +404,7 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 	// No session's release will tear down an evicted instance no session
 	// holds, and a cutover may never run for it (its replan can come back
 	// unchanged): it goes now.
-	if len(unheld) > 0 {
-		c.exec.Discard(unheld)
-	}
+	c.discard(unheld)
 	report.SpanMS = lastCommitMS - startMS
 
 	c.waves.Inc()
@@ -489,39 +485,34 @@ func (c *Controller) isStopped() bool {
 	return c.stopped
 }
 
-// commit moves one session onto diff.New: acquire-before-release against
-// the registry (deploy-before-teardown at fleet scope), with the staged
-// cutover when the registry says something must be deployed or the
-// session has a head to move. The caller folds the returned footprint
-// change into the affected-session index. On error the session is left
-// on its old deployment, which is still serving.
+// commit moves one session onto diff.New: acquire-before-release in
+// the table (deploy-before-teardown at fleet scope), with the staged
+// cutover when something must be deployed or the session has a head to
+// move. The caller folds the returned footprint change into the
+// affected-session index. On error the session is left on its old
+// deployment, which is still serving.
 func (c *Controller) commit(s *Session, wave uint64, diff *planner.Diff, facts *depFacts, bootstrap bool) (indexMove, error) {
 	now := c.sched.NowMS()
 	s.mu.Lock()
-	old, oldFacts, head := s.dep, s.facts, s.head
+	old, oldFacts, oldHeld, head := s.dep, s.facts, s.held, s.head
 	var bindings []Flippable
 	if len(s.bindings) > 0 {
 		bindings = append(bindings, s.bindings...)
 	}
 	s.mu.Unlock()
 
-	var fresh []planner.Placement
-	for _, p := range diff.New.Placements {
-		if c.reg.acquire(p) {
-			fresh = append(fresh, p)
-		}
-	}
-	if len(fresh) > 0 || s.Service != "" || len(bindings) > 0 {
-		addr, err := c.cutover(s, wave, old, bindings, diff)
-		if err != nil {
-			c.reg.rollback(diff.New.Placements, fresh)
+	var held []string
+	if s.Service != "" || len(bindings) > 0 || !c.tab.Covers(diff.New) {
+		var err error
+		if head, held, err = c.cutover(s, wave, old, bindings, diff); err != nil {
 			return indexMove{}, err
 		}
-		head = addr
+	} else {
+		held = c.acquire(diff.New)
 	}
 
 	s.mu.Lock()
-	s.dep, s.facts, s.head = diff.New, facts, head
+	s.dep, s.facts, s.held, s.head = diff.New, facts, held, head
 	if !bootstrap {
 		s.lastCutoverMS = now
 	}
@@ -531,9 +522,7 @@ func (c *Controller) commit(s *Session, wave uint64, diff *planner.Diff, facts *
 	// The old deployment's references go last; what no session holds any
 	// more drains before teardown: requests already past the flip may
 	// still be in flight through it.
-	if gone := c.release(old); len(gone) > 0 {
-		c.drain(s, wave, gone)
-	}
+	c.release(s, wave, oldHeld)
 	kind := "adapted"
 	if bootstrap {
 		kind = "planned"
@@ -543,10 +532,13 @@ func (c *Controller) commit(s *Session, wave uint64, diff *planner.Diff, facts *
 }
 
 // cutover runs the executor's stages for one commit and returns the new
-// head address. The invariant is deploy-before-teardown: until the new
-// deployment is serving and the bindings have flipped, the old one keeps
-// running, so any failure here leaves clients exactly where they were.
-func (c *Controller) cutover(s *Session, wave uint64, old *planner.Deployment, bindings []Flippable, diff *planner.Diff) (string, error) {
+// head address and the instances the session now holds. The invariant
+// is deploy-before-teardown: until the new deployment is serving and
+// the bindings have flipped, the old one keeps running, so any failure
+// here leaves clients exactly where they were. The new deployment's
+// references are taken as soon as it is deployed; a failed publish
+// releases them again, and what nobody else holds drains away.
+func (c *Controller) cutover(s *Session, wave uint64, old *planner.Deployment, bindings []Flippable, diff *planner.Diff) (string, []string, error) {
 	c.stage(s, wave, "snapshot")
 	var states map[string][]byte
 	if len(diff.Install) > 0 {
@@ -555,52 +547,63 @@ func (c *Controller) cutover(s *Session, wave uint64, old *planner.Deployment, b
 	c.stage(s, wave, "deploy")
 	addr, err := c.exec.Deploy(diff, states)
 	if err != nil {
-		return "", fmt.Errorf("deploy: %v (old deployment still serving)", err)
+		return "", nil, fmt.Errorf("deploy: %v (old deployment still serving)", err)
 	}
+	held := c.acquire(diff.New)
 	if s.Service != "" {
 		c.stage(s, wave, "publish")
 		if err := c.exec.Publish(s.Service, addr); err != nil {
-			return "", fmt.Errorf("publish: %v (old deployment still serving)", err)
+			c.release(s, wave, held)
+			return "", nil, fmt.Errorf("publish: %v (old deployment still serving)", err)
 		}
 	}
 	c.stage(s, wave, "flip")
 	for _, b := range bindings {
 		b.SetAddr(addr)
 	}
-	return addr, nil
+	return addr, held, nil
 }
 
 func (c *Controller) stage(s *Session, wave uint64, name string) {
 	c.emit(s, Event{Wave: wave, Kind: "stage", Detail: name})
 }
 
-// release drops a deployment's references and returns the placements
-// whose last reference went with them.
-func (c *Controller) release(dep *planner.Deployment) []planner.Placement {
-	if dep == nil {
-		return nil
-	}
-	var gone []planner.Placement
-	for _, p := range dep.Placements {
-		if c.reg.release(p.Key()) {
-			gone = append(gone, p)
-		}
-	}
-	return gone
+// acquire takes one reference on every instance dep runs on.
+func (c *Controller) acquire(dep *planner.Deployment) []string {
+	held, entered := c.tab.Acquire(dep)
+	c.deploys.Add(int64(entered))
+	return held
 }
 
-// drain tears released placements down after DrainMS, minus any a later
+// release drops a session's references, drains the instances whose
+// last reference went with them, and returns how many did.
+func (c *Controller) release(s *Session, wave uint64, held []string) int {
+	gone := c.tab.Release(held)
+	if len(gone) > 0 {
+		c.discards.Add(int64(len(gone)))
+		c.drain(s, wave, gone)
+	}
+	return len(gone)
+}
+
+// drain tears released instances down after DrainMS, minus any a later
 // commit acquired again in the meantime.
-func (c *Controller) drain(s *Session, wave uint64, released []planner.Placement) {
+func (c *Controller) drain(s *Session, wave uint64, released []string) {
 	c.stage(s, wave, "drain")
 	c.sched.After(c.cfg.DrainMS, func() {
 		c.waveMu.Lock()
-		if dead := c.reg.finalize(released); len(dead) > 0 {
-			c.exec.Discard(dead)
-		}
+		c.discard(c.tab.Finalize(released))
 		c.waveMu.Unlock()
 		c.stage(s, wave, "teardown")
 	})
+}
+
+// discard has the executor tear instances down and forgets them.
+func (c *Controller) discard(ids []string) {
+	if len(ids) > 0 {
+		c.exec.Discard(ids)
+		c.tab.Remove(ids...)
+	}
 }
 
 // fail reports a failed replan or cutover and arms the session's retry.

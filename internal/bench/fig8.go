@@ -9,6 +9,7 @@ import (
 	"partsvc/internal/netmon"
 	"partsvc/internal/planner"
 	"partsvc/internal/sim"
+	"partsvc/internal/smock"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
 )
@@ -115,53 +116,20 @@ func Fig8Table(rows []Fig8Row) string {
 }
 
 // fig8Exec implements adapt.Executor against the planner alone: the
-// modeled world has no listeners to install, so deploying a diff is
-// bookkeeping (the planner's reuse set) plus a fresh head address. The
-// replan pass mirrors smock.GenericServer.Replan's orphan handling for
-// chain deployments: placements are head-first, so everything in front
-// of an evicted placement is transitively wired through it and must be
-// dropped from the reuse set before the second pass.
+// modeled world has no listeners to install, so the table the loop
+// keeps its references in is the whole deployed state, and deploying a
+// diff is nothing but a fresh head address.
 type fig8Exec struct {
 	pl  *planner.Planner
-	gen int
+	tab *smock.Table
 }
+
+func (x *fig8Exec) Table() *smock.Table { return x.tab }
 
 // RepairReplan ignores the changed-element set: the model always takes
 // the full replan path.
 func (x *fig8Exec) RepairReplan(old *planner.Deployment, req planner.Request, _ *planner.ChangedSet) (*planner.Diff, error) {
-	diff, err := x.pl.ReplanRewire(old, req)
-	if err != nil {
-		return nil, err
-	}
-	if old == nil || len(diff.Evicted) == 0 {
-		return diff, nil
-	}
-	evicted := map[string]bool{}
-	for _, p := range diff.Evicted {
-		evicted[p.Key()] = true
-	}
-	last := -1
-	for i, p := range old.Placements {
-		if evicted[p.Key()] {
-			last = i
-		}
-	}
-	var orphans []string
-	for i := 0; i < last; i++ {
-		if p := old.Placements[i]; !evicted[p.Key()] {
-			orphans = append(orphans, p.Key())
-		}
-	}
-	if len(orphans) == 0 {
-		return diff, nil
-	}
-	x.pl.DropExistingByKey(orphans...)
-	diff2, err := x.pl.Replan(old, req)
-	if err != nil {
-		return nil, err
-	}
-	diff2.Evicted = append(diff.Evicted, diff2.Evicted...)
-	return diff2, nil
+	return x.tab.RepairReplan(x.pl, old, req, nil)
 }
 
 func (x *fig8Exec) Snapshot(old *planner.Deployment, diff *planner.Diff) map[string][]byte {
@@ -169,16 +137,12 @@ func (x *fig8Exec) Snapshot(old *planner.Deployment, diff *planner.Diff) map[str
 }
 
 func (x *fig8Exec) Deploy(diff *planner.Diff, states map[string][]byte) (string, error) {
-	x.gen++
-	x.pl.AddExisting(diff.New.Placements...)
-	return fmt.Sprintf("sim-head-%d", x.gen), nil
+	return "sim-head", nil
 }
 
 func (x *fig8Exec) Publish(service, addr string) error { return nil }
 
-func (x *fig8Exec) Discard(placements []planner.Placement) {
-	x.pl.DropExisting(placements...)
-}
+func (x *fig8Exec) Discard(ids []string) {}
 
 // fig8World is the modeled client side of one scenario run. Everything
 // here executes on the simulation loop, so the plain maps are safe.
@@ -234,28 +198,28 @@ func runFig8Scenario(cfg Fig8Config, sc Fig8Scenario) Fig8Row {
 	// Diego chain (Alice), and the tracked Seattle session (Carol) whose
 	// chain runs sea-2 -> sd-2 -> (anchor) — squarely in the blast
 	// radius of every scripted fault.
+	tab := smock.NewTable()
 	primary, err := pl.PrimaryPlacement(spec.CompMailServer, topology.NYServer)
 	if err != nil {
 		panic(err)
 	}
-	pl.AddExisting(primary)
-	warm := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50}
-	warmDep, err := pl.Plan(warm)
-	if err != nil {
-		panic(err)
+	tab.Adopt(primary, "")
+	plan := func(req planner.Request) *planner.Deployment {
+		pl.Existing = tab.AppendLive(pl.Existing[:0])
+		dep, err := pl.Plan(req)
+		if err != nil {
+			panic(err)
+		}
+		return dep
 	}
-	pl.AddExisting(warmDep.Placements...)
+	tab.Record(plan(planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50}))
 	req := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SeaClient, User: "Carol", RateRPS: 50}
-	dep, err := pl.Plan(req)
-	if err != nil {
-		panic(err)
-	}
-	pl.AddExisting(dep.Placements...)
+	dep := plan(req)
 
 	w := &fig8World{net: net, crashed: map[netmodel.NodeID]bool{}, cfg: cfg}
-	w.sess = adapt.NewSession("carol", "", req, dep, "sim-head-0")
+	w.sess = adapt.NewSession("carol", "", req, dep, "sim-head")
 
-	exec := &fig8Exec{pl: pl}
+	exec := &fig8Exec{pl: pl, tab: tab}
 	var events []adapt.Event
 	ctrl := adapt.New(adapt.Config{
 		DebounceMS:         50,

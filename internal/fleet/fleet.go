@@ -1,8 +1,9 @@
 // Package fleet runs the adaptation loop at fleet scale on the
 // simulator: internal/adapt's Controller, with one planner per shard
-// standing in for a deployment engine. Each shard planner plans against
-// the loop's refcounted registry of instances, so the registry is the
-// whole deployed state and Deploy/Discard have nothing left to do.
+// standing in for a deployment engine. Every shard planner plans
+// against one shared table of instances, in which the loop mints and
+// counts them, so the table is the whole deployed state and
+// Deploy/Discard have nothing left to do.
 package fleet
 
 import (
@@ -12,6 +13,7 @@ import (
 	"partsvc/internal/netmodel"
 	"partsvc/internal/netmon"
 	"partsvc/internal/planner"
+	"partsvc/internal/smock"
 	"partsvc/internal/spec"
 )
 
@@ -26,7 +28,7 @@ type (
 // Manager is a loop whose shards plan with their own planners.
 type Manager struct {
 	*adapt.Controller
-	primaries *planner.Planner
+	primaries *shardPlanner
 }
 
 // New builds a fleet over a shared network, its monitor, and a
@@ -44,38 +46,38 @@ func New(cfg Config, svc *spec.Service, net *netmodel.Network, mon *netmon.Monit
 	for shards < cfg.Shards {
 		shards <<= 1
 	}
-	m := &Manager{}
+	tab := smock.NewTable()
 	execs := make([]adapt.Executor, shards)
 	for i := range execs {
-		execs[i] = &shardPlanner{pl: planner.New(svc, net), m: m}
+		execs[i] = &shardPlanner{pl: planner.New(svc, net), tab: tab}
 	}
-	m.primaries = execs[0].(*shardPlanner).pl
-	m.Controller = adapt.NewSharded(cfg, mon, execs, sched)
-	return m
+	return &Manager{Controller: adapt.NewSharded(cfg, mon, execs, sched), primaries: execs[0].(*shardPlanner)}
 }
 
 // AddPrimary registers service-owner infrastructure (e.g. the primary
 // MailServer) shared by every session and exempt from teardown.
 func (m *Manager) AddPrimary(component string, node netmodel.NodeID) (planner.Placement, error) {
-	p, err := m.primaries.PrimaryPlacement(component, node)
+	p, err := m.primaries.pl.PrimaryPlacement(component, node)
 	if err != nil {
 		return planner.Placement{}, err
 	}
-	m.Pin(p)
+	m.primaries.tab.Adopt(p, "")
 	return p, nil
 }
 
 // shardPlanner is a shard's Executor: every computation plans against
-// the registry as it stood when the wave began (the commit phase has not
+// the table as it stood when the wave began (the commit phase has not
 // started yet), on one route epoch. Only one shard worker at a time uses
 // a shardPlanner.
 type shardPlanner struct {
-	pl *planner.Planner
-	m  *Manager
+	pl  *planner.Planner
+	tab *smock.Table
 }
 
+func (x *shardPlanner) Table() *smock.Table { return x.tab }
+
 func (x *shardPlanner) RepairReplan(old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
-	x.pl.Existing = append(x.pl.Existing[:0], x.m.Placements()...)
+	x.pl.Existing = x.tab.AppendLive(x.pl.Existing[:0])
 	x.pl.PinRoutes(x.pl.Net.Routes())
 	defer x.pl.PinRoutes(nil)
 	return x.pl.RepairReplan(old, req, ch)
@@ -87,4 +89,4 @@ func (x *shardPlanner) Deploy(*planner.Diff, map[string][]byte) (string, error) 
 
 func (x *shardPlanner) Publish(string, string) error { return nil }
 
-func (x *shardPlanner) Discard([]planner.Placement) {}
+func (x *shardPlanner) Discard([]string) {}

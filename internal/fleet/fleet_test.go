@@ -96,7 +96,7 @@ func TestBootstrapSharesComputationsAndInstances(t *testing.T) {
 			t.Fatalf("session %s has no deployment after bootstrap", s.Name)
 		}
 	}
-	// Same-shape sessions share every instance: the registry holds the
+	// Same-shape sessions share every instance: the table holds the
 	// union of two chains (plus the pinned primary), nowhere near one
 	// chain per session.
 	if got := w.mgr.Instances(); got >= n {

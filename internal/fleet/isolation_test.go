@@ -126,7 +126,7 @@ func TestCrossSessionIsolation(t *testing.T) {
 		w := isoWorld(t)
 		if torture {
 			// Cluster A's bad day: a link improvement triggers a wave of
-			// paced optimization rewires onto a-sd-2 (the registry is warm
+			// paced optimization rewires onto a-sd-2 (the table is warm
 			// with Alice's San Diego chain), then the relay dies while one
 			// of those cutovers is still deferred — a node-kill
 			// mid-cutover, stranding a queued commit onto a now-partitioned

@@ -546,7 +546,7 @@ func (pl *Planner) DropExistingByKey(keys ...string) {
 // PrimaryPlacement builds the Placement for a component pre-deployed by
 // the service owner (e.g. the primary MailServer in New York), deriving
 // its offered properties from its first implemented interface evaluated
-// at the node. Register the result with AddExisting before planning.
+// at the node. Register the result for reuse before planning.
 func (pl *Planner) PrimaryPlacement(component string, node netmodel.NodeID) (Placement, error) {
 	comp, ok := pl.Service.Component(component)
 	if !ok {
@@ -572,5 +572,7 @@ func (pl *Planner) PrimaryPlacement(component string, node netmodel.NodeID) (Pla
 	if err != nil {
 		return Placement{}, fmt.Errorf("planner: evaluating offers of %s at %s: %w", component, node, err)
 	}
-	return Placement{Component: component, Node: node, Config: config, Offers: offers}, nil
+	p := Placement{Component: component, Node: node, Config: config, Offers: offers}
+	p.sealKeys()
+	return p, nil
 }

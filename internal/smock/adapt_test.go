@@ -83,8 +83,7 @@ func TestTeardownDeregistersLookup(t *testing.T) {
 	if err := w.lookup.Register(smock.Entry{Service: "mail-head", ServerAddr: addr}); err != nil {
 		t.Fatal(err)
 	}
-	head := dep.Placements[0]
-	if err := w.engine.Teardown(head); err != nil {
+	if err := w.engine.Teardown(idOf(t, w.engine.Table(), dep.Placements[0])); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.lookup.Find("mail-head", nil); len(got) != 0 {
@@ -95,6 +94,21 @@ func TestTeardownDeregistersLookup(t *testing.T) {
 	if got := w.lookup.Find("mail", nil); len(got) != 1 {
 		t.Fatalf("unrelated lookup entry lost: %v", got)
 	}
+}
+
+// idOf returns the ID of the one instance running p.
+func idOf(t *testing.T, tab *smock.Table, p planner.Placement) string {
+	t.Helper()
+	var ids []string
+	for _, inst := range tab.Instances() {
+		if inst.Place.Key() == p.Key() {
+			ids = append(ids, inst.ID)
+		}
+	}
+	if len(ids) != 1 {
+		t.Fatalf("%s runs as %v, want one instance", p, ids)
+	}
+	return ids[0]
 }
 
 // TestConcurrentApplySerialized is the -race regression for the per-
@@ -120,7 +134,6 @@ func TestConcurrentApplySerialized(t *testing.T) {
 		Evicted: []planner.Placement{head},
 	}
 	const rounds = 20
-	gen0 := w.engine.Generation()
 	count0 := w.engine.InstanceCount()
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -129,7 +142,7 @@ func TestConcurrentApplySerialized(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := w.engine.Apply(diff); err != nil {
+				if _, err := w.engine.Apply(diff, nil); err != nil {
 					errs[g] = err
 					return
 				}
@@ -142,9 +155,6 @@ func TestConcurrentApplySerialized(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
 	}
-	if got := w.engine.Generation(); got != gen0+2*rounds {
-		t.Fatalf("generation = %d, want %d (every apply counted once)", got, gen0+2*rounds)
-	}
 	if got := w.engine.InstanceCount(); got != count0 {
 		t.Fatalf("instance count = %d, want %d (reinstalls must not leak)", got, count0)
 	}
@@ -153,8 +163,9 @@ func TestConcurrentApplySerialized(t *testing.T) {
 	}
 }
 
-// TestOrphanedBy: instances transitively wired through a dead provider
-// are reported as orphans; instances on other chains are not.
+// TestOrphanedBy: the table reports the current instances transitively
+// wired through a dead provider as orphans; instances on other chains
+// are not.
 func TestOrphanedBy(t *testing.T) {
 	w := newWorld(t)
 	// Warm up San Diego, then deploy Seattle's chain, which runs
@@ -182,7 +193,7 @@ func TestOrphanedBy(t *testing.T) {
 	if len(dead) == 0 {
 		t.Fatalf("Seattle chain should traverse sd-2: %s", dep)
 	}
-	orphans := w.engine.OrphanedBy(dead)
+	orphans := w.engine.Table().OrphanedBy(dead)
 	want := map[string]bool{}
 	for _, p := range dep.Placements {
 		if p.Node == topology.SeaClient {
@@ -201,7 +212,7 @@ func TestOrphanedBy(t *testing.T) {
 		}
 	}
 	// A dead set that nothing chains through orphans nothing.
-	if got := w.engine.OrphanedBy(nil); got != nil {
+	if got := w.engine.Table().OrphanedBy(nil); got != nil {
 		t.Fatalf("OrphanedBy(nil) = %v, want nil", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"fmt"
 	"maps"
-	"sort"
 	"sync"
 
 	"partsvc/internal/netmodel"
@@ -14,47 +13,31 @@ import (
 
 // Engine is the deployment engine: it realizes a planner deployment by
 // sending install orders to node wrappers, provider-first, wiring each
-// component to its upstream's serving address (Figure 1, step 5).
+// component to its upstream's serving address (Figure 1, step 5). What
+// runs where is recorded in its Table.
 type Engine struct {
-	tr transport.Transport
+	tab *Table
 
 	// applyMu serializes whole adaptation diffs: two concurrent Apply
 	// calls must never interleave their teardown and deploy phases over
 	// the same placements (e.mu only makes the individual phases atomic).
-	applyMu    sync.Mutex
-	generation int // completed Apply count, read via Generation
+	applyMu sync.Mutex
 
 	mu       sync.Mutex
 	wrappers map[netmodel.NodeID]*NodeWrapper
-	// instances tracks live instances by placement key so reused
-	// placements resolve to their existing address and edge secret.
-	instances map[string]instanceInfo
-	counter   int
 	// lookup, when set, is deregistered on teardown so stale entries
 	// never outlive their instances.
 	lookup *Lookup
 }
 
-type instanceInfo struct {
-	addr        string
-	serveSecret []byte
-	instanceID  string
-	node        netmodel.NodeID
-	// upstreams is the provider address this instance was installed
-	// with, per required interface (empty for terminals and adopted
-	// instances). A reuse whose planned provider wiring resolves
-	// differently is stale and must be reinstalled; because deployments
-	// resolve providers before their clients, a replaced provider
-	// cascades fresh wiring toward the client. Data views recover their
-	// state from the coherence directory, so the replacement is
-	// state-preserving. OrphanedBy follows the same record.
-	upstreams map[string]string
+// NewEngine returns an engine. Its install orders travel through the
+// wrappers, each over its node's transport.
+func NewEngine(transport.Transport) *Engine {
+	return &Engine{tab: NewTable(), wrappers: map[netmodel.NodeID]*NodeWrapper{}}
 }
 
-// NewEngine returns an engine over one transport.
-func NewEngine(tr transport.Transport) *Engine {
-	return &Engine{tr: tr, wrappers: map[netmodel.NodeID]*NodeWrapper{}, instances: map[string]instanceInfo{}}
-}
+// Table returns the engine's record of what runs where.
+func (e *Engine) Table() *Table { return e.tab }
 
 // RegisterWrapper makes a node's wrapper available for installs.
 func (e *Engine) RegisterWrapper(w *NodeWrapper) {
@@ -70,58 +53,6 @@ func (e *Engine) SetLookup(l *Lookup) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.lookup = l
-}
-
-// Generation returns the number of adaptation diffs applied so far.
-// Concurrent adapters can use it as an optimistic check: observe the
-// generation, plan, and skip the apply if another diff landed meanwhile.
-func (e *Engine) Generation() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.generation
-}
-
-// OrphanedBy returns the placement keys (sorted) of live instances
-// whose upstream wiring chains transitively through any of the dead
-// placements. An orphan is installed and answering, but every request
-// it forwards hits a dead provider — so a planner must not anchor a
-// new chain at it; it has to be re-planned (and re-wired) explicitly.
-func (e *Engine) OrphanedBy(dead []planner.Placement) []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	deadAddrs := map[string]bool{}
-	for _, p := range dead {
-		if info, ok := e.instances[p.Key()]; ok {
-			deadAddrs[info.addr] = true
-		}
-	}
-	if len(deadAddrs) == 0 {
-		return nil
-	}
-	var orphans []string
-	for changed := true; changed; {
-		changed = false
-		for key, info := range e.instances {
-			if deadAddrs[info.addr] {
-				continue
-			}
-			wiredToDead := false
-			for _, ua := range info.upstreams {
-				if deadAddrs[ua] {
-					wiredToDead = true
-					break
-				}
-			}
-			if !wiredToDead {
-				continue
-			}
-			deadAddrs[info.addr] = true
-			orphans = append(orphans, key)
-			changed = true
-		}
-	}
-	sort.Strings(orphans)
-	return orphans
 }
 
 // ControlAddrs returns the wrapper control address of every registered
@@ -142,110 +73,88 @@ func (e *Engine) ControlAddrs() map[netmodel.NodeID]string {
 }
 
 // AdoptInstance records a pre-deployed instance (e.g. the primary
-// MailServer) so plans can link to it.
+// MailServer) so plans can link to it. It is pinned: the loop never
+// tears it down.
 func (e *Engine) AdoptInstance(p planner.Placement, addr string) {
+	e.tab.Adopt(p, addr)
+}
+
+// Teardown uninstalls an instance, deregisters its lookup entries and
+// removes it from the table. Adopted instances (installed outside the
+// engine) are only forgotten.
+func (e *Engine) Teardown(id string) error {
+	e.tab.mu.Lock()
+	inst := e.tab.removeLocked(id)
+	e.tab.mu.Unlock()
+	if inst == nil {
+		return fmt.Errorf("smock: no instance %s", id)
+	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.instances[p.Key()] = instanceInfo{addr: addr, node: p.Node}
+	lookup, w := e.lookup, e.wrappers[inst.Place.Node]
+	e.mu.Unlock()
+	if lookup != nil {
+		lookup.DeregisterAddr(inst.Addr)
+	}
+	if inst.adopted {
+		return nil // its owner uninstalls it
+	}
+	if w == nil {
+		return fmt.Errorf("smock: no wrapper for node %s", inst.Place.Node)
+	}
+	return w.Uninstall(id)
 }
 
-// Teardown uninstalls a placement's instance and forgets it. Adopted
-// instances (installed outside the engine) are only forgotten.
-func (e *Engine) Teardown(p planner.Placement) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	key := p.Key()
-	info, ok := e.instances[key]
-	if !ok {
-		return fmt.Errorf("smock: no instance for %s", key)
-	}
-	delete(e.instances, key)
-	if e.lookup != nil {
-		e.lookup.DeregisterAddr(info.addr)
-	}
-	if info.instanceID == "" {
-		return nil // adopted; its owner uninstalls it
-	}
-	w, ok := e.wrappers[info.node]
-	if !ok {
-		return fmt.Errorf("smock: no wrapper for node %s", info.node)
-	}
-	return w.Uninstall(info.instanceID)
-}
-
-// Apply realizes a planner adaptation diff: instances evicted by
-// revalidation are torn down immediately (their nodes may no longer be
-// trusted with them), the new deployment is executed, and instances the
-// diff marks Remove are left running to drain — live components
-// installed earlier may still be wired through them, and safe teardown
-// requires the quiescence detection that both the paper and this
-// reproduction defer ("needs to carefully consider the internal state
-// of components as well as any partially processed requests"). It
-// returns the new head address.
-func (e *Engine) Apply(diff *planner.Diff) (string, error) {
-	return e.ApplyWith(diff, ApplyOptions{})
-}
-
-// ApplyOptions customize how a diff is realized.
-type ApplyOptions struct {
-	// StateFor, when non-nil, supplies a serialized state snapshot for a
-	// placement about to be installed (nil means install stateless). The
-	// adaptation controller uses this to carry component state captured
-	// from a predecessor instance across a cutover.
-	StateFor func(p planner.Placement) []byte
-}
-
-// ApplyWith is Apply with options. Whole diffs are serialized per
-// engine: concurrent callers queue on an apply lock so two adaptations
-// can never interleave their teardown and deploy phases.
-func (e *Engine) ApplyWith(diff *planner.Diff, opts ApplyOptions) (string, error) {
+// Apply realizes a planner adaptation diff: the current instances of
+// evicted placements are torn down (their nodes may no longer be
+// trusted with them), and the new deployment is executed, fresh
+// installs seeded from states (serialized state snapshots by placement
+// key). Instances the diff marks Remove, and instances a stale-wired
+// reuse supersedes, are left running to drain: live components may
+// still be wired through them. Whole diffs are serialized per engine.
+// It returns the new head address.
+func (e *Engine) Apply(diff *planner.Diff, states map[string][]byte) (string, error) {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
 	for _, p := range diff.Evicted {
-		// Teardown is best-effort: the instance's node may already have
-		// left the network.
-		_ = e.Teardown(p)
+		e.tab.mu.Lock()
+		inst := e.tab.cur[p.Key()]
+		e.tab.mu.Unlock()
+		if inst != nil {
+			_ = e.Teardown(inst.ID) // best-effort: its node may be gone
+		}
 	}
-	addr, err := e.executeWith(diff.New, opts.StateFor)
-	if err != nil {
-		return "", err
-	}
-	e.mu.Lock()
-	e.generation++
-	e.mu.Unlock()
-	return addr, nil
+	return e.execute(diff.New, states)
 }
 
-// AddrOf resolves a placement to its live instance address.
+// AddrOf resolves a placement to the address of its instance (see
+// Table.Addr).
 func (e *Engine) AddrOf(p planner.Placement) (string, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	info, ok := e.instances[p.Key()]
-	return info.addr, ok
+	return e.tab.Addr(p.Key())
 }
 
-// InstanceCount returns the number of live instances the engine knows.
-func (e *Engine) InstanceCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.instances)
-}
+// InstanceCount returns the number of instances in the table.
+func (e *Engine) InstanceCount() int { return len(e.tab.Instances()) }
 
-// Execute deploys every new placement of the deployment, providers
-// first, and returns the address of the head component (the
-// service-specific proxy target). Reused placements resolve to their
-// recorded addresses.
+// Execute deploys every placement of the deployment without a reusable
+// instance, providers first, and returns the address of the head
+// component (the service-specific proxy target).
 func (e *Engine) Execute(dep *planner.Deployment) (string, error) {
-	return e.executeWith(dep, nil)
+	return e.execute(dep, nil)
 }
 
-// executeWith is Execute with an optional state source for fresh
-// installs (including the stale-rewire replacement path). Placements
-// are in pre-order of the linkage graph, so a reverse index walk
-// resolves every provider subtree before the client that wires to it;
-// each edge carries the interface name the client requires, which keys
-// the wrapper's upstream map.
-func (e *Engine) executeWith(dep *planner.Deployment, stateFor func(p planner.Placement) []byte) (string, error) {
+// execute realizes dep. Placements are in pre-order of the linkage
+// graph, so a reverse index walk resolves every provider subtree before
+// the client that wires to it; each edge carries the interface name the
+// client requires, which keys the wrapper's upstream map. A current
+// instance is reused when it is adopted, a terminal (a branch of the
+// plan ends at it and it keeps its own wiring), or wired to exactly the
+// planned providers; otherwise a fresh instance supersedes it, and
+// because providers resolve before their clients, a replaced provider
+// cascades fresh wiring toward the client. The fresh instances enter
+// the table together, pinned, once all are installed; if one install
+// fails the others are uninstalled, so a failed execute changes
+// nothing.
+func (e *Engine) execute(dep *planner.Deployment, states map[string][]byte) (head string, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := len(dep.Placements)
@@ -264,69 +173,67 @@ func (e *Engine) executeWith(dep *planner.Deployment, stateFor func(p planner.Pl
 		linked[ed.To] = true
 		providers[ed.From] = append(providers[ed.From], ed)
 	}
-	addrs := make([]string, n)
-	secretOf := make([][]byte, n) // secretOf[i] = serve secret of placement i
+	got := make([]*entry, n)
+	var fresh []*entry
+	defer func() {
+		e.tab.mu.Lock()
+		defer e.tab.mu.Unlock()
+		for _, inst := range fresh {
+			if err != nil {
+				_ = e.wrappers[inst.Place.Node].Uninstall(inst.ID)
+			} else {
+				e.tab.enterLocked(inst)
+			}
+		}
+	}()
 	for i := n - 1; i >= 0; i-- {
 		p := dep.Placements[i]
-		key := p.Key()
 		order := InstallOrder{
 			Component:       p.Component,
 			Config:          p.Config,
+			State:           states[p.Key()],
 			Upstreams:       map[string]string{},
 			UpstreamSecrets: map[string][]byte{},
 		}
+		upstreams := map[string]string{}
 		for _, ed := range providers[i] {
-			order.Upstreams[ed.Iface] = addrs[ed.To]
-			order.UpstreamSecrets[ed.Iface] = secretOf[ed.To]
+			up := got[ed.To]
+			order.Upstreams[ed.Iface] = up.Addr
+			order.UpstreamSecrets[ed.Iface] = up.secret
+			upstreams[ed.Iface] = up.ID
 		}
-		if info, ok := e.instances[key]; ok {
-			adopted := info.instanceID == ""
-			// A terminal reuse (a branch of the plan ends at this instance)
-			// keeps its own upstream wiring; interior positions must match
-			// the planned providers' addresses exactly.
-			terminal := len(providers[i]) == 0
-			if adopted || terminal || maps.Equal(info.upstreams, order.Upstreams) {
-				addrs[i] = info.addr
-				secretOf[i] = info.serveSecret
-				continue
-			}
-			// Stale wiring: the plan routes this instance to different
-			// providers than it was installed with. Replace it; the old
-			// listener is closed and a fresh instance is wired below.
-			delete(e.instances, key)
-			if w, ok := e.wrappers[info.node]; ok {
-				_ = w.Uninstall(info.instanceID)
-			}
-		} else if p.Reused {
-			return "", fmt.Errorf("smock: plan reuses unknown instance %s", key)
+		e.tab.mu.Lock()
+		cur := e.tab.cur[p.Key()]
+		e.tab.mu.Unlock()
+		if cur != nil && (cur.adopted || len(providers[i]) == 0 || maps.Equal(cur.upstreams, upstreams)) {
+			got[i] = cur
+			continue
+		}
+		if cur == nil && p.Reused {
+			return "", fmt.Errorf("smock: plan reuses unknown instance %s", p.Key())
 		}
 		w, ok := e.wrappers[p.Node]
 		if !ok {
 			return "", fmt.Errorf("smock: no wrapper registered for node %s", p.Node)
 		}
-		e.counter++
-		order.InstanceID = fmt.Sprintf("%s#%d", key, e.counter)
-		if stateFor != nil {
-			order.State = stateFor(p)
-		}
+		e.tab.mu.Lock()
+		inst := e.tab.mintLocked(p, upstreams)
+		e.tab.mu.Unlock()
+		order.InstanceID = inst.ID
 		if i > 0 {
 			// Generate the secret this instance shares with its client.
-			order.ServeSecret = make([]byte, 32)
-			if _, err := rand.Read(order.ServeSecret); err != nil {
+			inst.secret = make([]byte, 32)
+			if _, err := rand.Read(inst.secret); err != nil {
 				return "", fmt.Errorf("smock: edge secret: %w", err)
 			}
-			secretOf[i] = order.ServeSecret
+			order.ServeSecret = inst.secret
 		}
-		addr, err := w.Install(order)
-		if err != nil {
+		if inst.Addr, err = w.Install(order); err != nil {
 			return "", err
 		}
-		addrs[i] = addr
-		e.instances[key] = instanceInfo{
-			addr: addr, serveSecret: order.ServeSecret,
-			instanceID: order.InstanceID, node: p.Node,
-			upstreams: order.Upstreams,
-		}
+		inst.Pinned = true
+		fresh = append(fresh, inst)
+		got[i] = inst
 	}
-	return addrs[0], nil
+	return got[0].Addr, nil
 }

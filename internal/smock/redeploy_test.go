@@ -53,7 +53,7 @@ func TestRedeployAfterLinkSecured(t *testing.T) {
 			t.Fatalf("secured link must drop the tunnel: %s", diff.New)
 		}
 	}
-	addr, err := w.engine.Apply(diff)
+	addr, err := w.engine.Apply(diff, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +113,14 @@ func TestRedeployAfterTrustDrop(t *testing.T) {
 	if !evictedView {
 		t.Fatalf("the SD view must be evicted: %v", diff.Evicted)
 	}
-	before := w.engine.InstanceCount()
-	addr, err := w.engine.Apply(diff)
+	addr, err := w.engine.Apply(diff, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.engine.InstanceCount() >= before+len(diff.Install) {
-		// Eviction removed at least the view instance.
-		t.Errorf("eviction must shrink the instance set: %d -> %d (+%d installs)",
-			before, w.engine.InstanceCount(), len(diff.Install))
+	for _, p := range diff.Evicted {
+		if at, ok := w.engine.AddrOf(p); ok {
+			t.Errorf("evicted %s still runs at %s", p, at)
+		}
 	}
 	ep, err := w.tr.Dial(addr)
 	if err != nil {

@@ -36,15 +36,28 @@ func NewGenericServer(_ *spec.Service, pl *planner.Planner, engine *Engine) *Gen
 	return &GenericServer{pl: pl, engine: engine}
 }
 
-// Planner exposes the planner (e.g. to pre-register primaries).
-func (g *GenericServer) Planner() *planner.Planner { return g.pl }
+// Planner exposes the planner, its reuse set read from the engine's
+// table.
+func (g *GenericServer) Planner() *planner.Planner {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.syncLocked()
+}
+
+// syncLocked reads the planner's reuse set from the table.
+func (g *GenericServer) syncLocked() *planner.Planner {
+	g.pl.Existing = g.engine.tab.AppendLive(g.pl.Existing[:0])
+	return g.pl
+}
 
 // Access plans and deploys for one client request, returning the head
-// component address and the deployment.
+// component address and the deployment. What it deploys is pinned in
+// the table — held outside the adaptation loop until a tracked session
+// takes it over — and so offered for reuse to every later plan.
 func (g *GenericServer) Access(req planner.Request) (string, *planner.Deployment, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	dep, err := g.pl.Plan(req)
+	dep, err := g.syncLocked().Plan(req)
 	if err != nil {
 		return "", nil, err
 	}
@@ -52,82 +65,29 @@ func (g *GenericServer) Access(req planner.Request) (string, *planner.Deployment
 	if err != nil {
 		return "", nil, err
 	}
-	// Future requests may reuse and link to what was just deployed.
-	g.pl.AddExisting(dep.Placements...)
 	return addr, dep, nil
 }
 
 // PlanOnly runs the planner for one request without deploying anything
-// — a dry run for the operational API's /v1/plan endpoint. The result
-// is not registered as existing, so a later Access is unaffected.
+// — a dry run for the operational API's /v1/plan endpoint.
 func (g *GenericServer) PlanOnly(req planner.Request) (*planner.Deployment, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.pl.Plan(req)
+	return g.syncLocked().Plan(req)
 }
 
-// Replan runs the planner's revalidate-and-replan under the server's
-// planner lock, so an adaptation controller and client access requests
-// serialize on the same planner state.
-//
-// Eviction can orphan live instances: still valid where they run, but
-// wired (transitively) through an evicted provider, so every request
-// they forward hits a dead address. The planner must not anchor a new
-// chain at an orphan; when the engine reports any, they are dropped
-// from the reuse set and the plan is recomputed so the whole chain
-// downstream of the break is planned — and therefore re-wired —
-// afresh. Orphans are not torn down here: the engine replaces same-key
-// instances in place (carrying their state), and any orphan the new
-// plan abandons lands in Remove for the normal drain-then-discard
-// path.
-//
-// The no-op case goes through the planner's rewire check
-// (planner.ReplanRewire): a network change that invalidates nothing may
-// still have moved the latency optimum away from wiring the anchor cut
-// keeps frozen (a degraded interior link); the session is then
-// re-wired to the freshly optimal chain.
-func (g *GenericServer) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
-	return g.RepairReplan(old, req, nil)
-}
-
-// RepairReplan is Replan with the network elements a monitoring event
-// touched: the planner first repairs the old deployment incrementally
-// (placements away from the change keep their assignments, only
-// invalidated domains are re-searched) and continues as a full replan
-// when the repair moves nothing or is infeasible. A nil or empty ch is
-// exactly Replan.
+// RepairReplan runs the orphan-aware replan (Table.RepairReplan) under
+// the server's planner lock, so an adaptation controller and client
+// access requests serialize on the same planner state. ch names the
+// network elements a monitoring event touched: the planner first
+// repairs the old deployment incrementally and continues as a full
+// replan — through the rewire check, which re-wires a session whose
+// frozen wiring a degraded interior link made slow — when the repair
+// moves nothing or is infeasible. A nil or empty ch is the full replan.
 func (g *GenericServer) RepairReplan(old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	diff, err := g.pl.RepairReplan(old, req, ch)
-	if err != nil {
-		return nil, err
-	}
-	if orphans := g.engine.OrphanedBy(diff.Evicted); len(orphans) > 0 {
-		g.pl.DropExistingByKey(orphans...)
-		diff2, err := g.pl.Replan(old, req)
-		if err != nil {
-			return nil, err
-		}
-		diff2.Evicted = append(diff.Evicted, diff2.Evicted...)
-		return diff2, nil
-	}
-	return diff, nil
-}
-
-// NoteDeployed registers an adaptation's fresh placements for reuse by
-// future access requests.
-func (g *GenericServer) NoteDeployed(dep *planner.Deployment) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.pl.AddExisting(dep.Placements...)
-}
-
-// Forget drops torn-down placements from the planner's reuse set.
-func (g *GenericServer) Forget(placements ...planner.Placement) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.pl.DropExisting(placements...)
+	return g.engine.tab.RepairReplan(g.pl, old, req, ch)
 }
 
 // Handler serves Access over a transport. Request meta: interface,

@@ -529,8 +529,8 @@ func TestEngineErrorPaths(t *testing.T) {
 	if _, err := engine.Execute(dep); err == nil || !strings.Contains(err.Error(), "edges") {
 		t.Errorf("a multi-placement deployment without edges must fail, got %v", err)
 	}
-	// Teardown of an unknown placement.
-	if err := engine.Teardown(planner.Placement{Component: "X", Node: "y"}); err == nil {
+	// Teardown of an unknown instance.
+	if err := engine.Teardown("X@y{}#1"); err == nil {
 		t.Error("unknown teardown must fail")
 	}
 	// AddrOf on unknown placement.

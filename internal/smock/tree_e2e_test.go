@@ -351,11 +351,10 @@ func TestTreeDeploymentEndToEnd(t *testing.T) {
 			t.Fatalf("repair placed %s on dead node %s", p.Component, victim)
 		}
 	}
-	addr2, err := w.engine.Apply(diff)
+	addr2, err := w.engine.Apply(diff, nil)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	w.gs.NoteDeployed(diff.New)
 	t.Logf("repaired deployment after killing %s: %s", victim, diff.New)
 
 	// The repaired tree answers with zero client-visible errors, and
