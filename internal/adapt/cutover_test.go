@@ -430,3 +430,55 @@ func sdHead(t *testing.T, w *world) string {
 	t.Fatal("San Diego runs no head")
 	return ""
 }
+
+// TestAnchorHoldsUpstreamChain: a session that anchors on another
+// session's instance holds that instance's upstream chain. Alice's and
+// Carol's sessions share San Diego's view; when the NY–SD link turns
+// secure, Alice replans onto a chain that ends at an instance of the
+// old one, and releases the rest. The old chain behind that anchor must
+// not drain: every receive and every level-5 send through Alice's
+// rebind endpoint keeps working after the drain.
+func TestAnchorHoldsUpstreamChain(t *testing.T) {
+	w := newWorldOn(t, transport.NewInProc())
+	const aliceService = "mail-head-alice"
+	req := planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50}
+	headAddr, dep, err := w.GS.Access(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Lookup.Register(smock.Entry{Service: aliceService, ServerAddr: headAddr}); err != nil {
+		t.Fatal(err)
+	}
+	aliceSession := adapt.NewSession("alice", aliceService, req, dep, headAddr)
+	reb := adapt.NewRebindEndpoint(w.Tr, adapt.LookupResolver(w.Lookup, aliceService), adapt.RetryConfig{})
+	aliceSession.Bind(reb)
+	carol, _, carolDep := w.trackCarol(t, adapt.RetryConfig{})
+	if !strings.Contains(carolDep.String(), "ViewMailServer@sd-2{TrustLevel=4}*") {
+		t.Fatalf("Carol must anchor on San Diego's view: %s", carolDep)
+	}
+
+	ctrl := adapt.New(adapt.Config{DebounceMS: 20, DrainMS: 40}, w.Mon, w.Executor(), adapt.NewRealScheduler())
+	ctrl.Track(aliceSession)
+	ctrl.Track(carol)
+	ctrl.Start()
+	defer ctrl.Stop()
+
+	secure := true
+	if err := w.Mon.ReportLink(topology.NYServer, topology.SDGateway, -1, -1, &secure); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return aliceSession.Deployment() != dep },
+		"Alice must replan once the NY–SD link is secure")
+	time.Sleep(200 * time.Millisecond) // well past the 40 ms drain
+
+	alice := mail.NewClient("Alice", w.Keys, mail.NewRemote(reb))
+	for i := 0; i < 3; i++ {
+		if _, err := alice.Send("Bob", "top", []byte("level 5"), 5); err != nil {
+			t.Fatalf("level-5 send %d after the drain (chain %s): %v", i, aliceSession.Deployment(), err)
+		}
+		if _, err := alice.Receive(); err != nil {
+			t.Fatalf("receive %d after the drain (chain %s): %v", i, aliceSession.Deployment(), err)
+		}
+	}
+	checkBooks(t, w, ctrl)
+}

@@ -1,16 +1,16 @@
 package adapt
 
-// RefCounts returns the table's references per placement key, for the
-// external tests' refcount invariant: they must equal the sum over the
-// tracked sessions' deployments.
-func (c *Controller) RefCounts() map[string]int {
-	out := map[string]int{}
+// RefCounts returns the table's references per instance ID and each
+// instance's placement key, for the external tests' refcount invariant.
+func (c *Controller) RefCounts() (refs map[string]int, keys map[string]string) {
+	refs, keys = map[string]int{}, map[string]string{}
 	for _, inst := range c.tab.Instances() {
+		keys[inst.ID] = inst.Place.Key()
 		if inst.Refs > 0 {
-			out[inst.Place.Key()] += inst.Refs
+			refs[inst.ID] = inst.Refs
 		}
 	}
-	return out
+	return refs, keys
 }
 
 // Held returns the instance IDs the session holds references on.

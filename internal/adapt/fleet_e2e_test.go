@@ -56,25 +56,38 @@ func (l *eventLog) count(kind, detail string, sessions map[string]bool) int {
 	return n
 }
 
-// checkRefs asserts the table invariant: every placement's reference
-// count is the number of tracked sessions whose deployment holds it.
+// checkRefs asserts the table invariant: every instance's reference
+// count is the number of tracked sessions holding it, and a session
+// holds its deployment's placements, in order, followed by the upstream
+// chains its terminals forward into.
 func checkRefs(t *testing.T, ctrl *adapt.Controller) {
 	t.Helper()
+	got, keys := ctrl.RefCounts()
 	want := map[string]int{}
 	for _, s := range ctrl.Sessions() {
-		if dep := s.Deployment(); dep != nil {
-			for _, p := range dep.Placements {
-				want[p.Key()]++
+		dep := s.Deployment()
+		if dep == nil {
+			continue
+		}
+		held := s.Held()
+		if len(held) < len(dep.Placements) {
+			t.Fatalf("%s holds %d instances for %d placements", s.Name, len(held), len(dep.Placements))
+		}
+		for i, p := range dep.Placements {
+			if keys[held[i]] != p.Key() {
+				t.Fatalf("%s holds %s for placement %s", s.Name, held[i], p.Key())
 			}
 		}
+		for _, id := range held {
+			want[id]++
+		}
 	}
-	got := ctrl.RefCounts()
 	if len(got) != len(want) {
-		t.Fatalf("registry holds references on %d placements, deployments on %d:\n  registry %v\n  sessions %v", len(got), len(want), got, want)
+		t.Fatalf("the table holds references on %d instances, sessions on %d:\n  table    %v\n  sessions %v", len(got), len(want), got, want)
 	}
-	for key, n := range want {
-		if got[key] != n {
-			t.Fatalf("%s: %d registry references, %d deployments hold it", key, got[key], n)
+	for id, n := range want {
+		if got[id] != n {
+			t.Fatalf("%s: %d table references, %d sessions hold it", id, got[id], n)
 		}
 	}
 }

@@ -15,7 +15,6 @@ package api
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"partsvc/internal/metrics"
 )
@@ -59,17 +58,12 @@ func (f Filter) Match(e Event) bool {
 // closes. A subscriber that falls behind loses events (Dropped counts
 // them) — it never backpressures publishers.
 type Subscription struct {
-	C       <-chan Event
-	ch      chan Event
-	bus     *Bus
-	id      int
-	filter  Filter
-	dropped atomic.Uint64
+	C      <-chan Event
+	ch     chan Event
+	bus    *Bus
+	id     int
+	filter Filter
 }
-
-// Dropped returns the number of events this subscriber lost to a full
-// buffer.
-func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
 // Cancel detaches the subscription and closes its channel. Idempotent;
 // safe to race with bus Close.
@@ -143,7 +137,6 @@ func (b *Bus) Publish(e Event) Event {
 		select {
 		case s.ch <- e:
 		default:
-			s.dropped.Add(1)
 			b.dropped.Inc()
 		}
 	}
@@ -189,13 +182,6 @@ func (b *Bus) ReplayAfter(after uint64, f Filter) []Event {
 		}
 	}
 	return out
-}
-
-// Seq returns the last assigned sequence number.
-func (b *Bus) Seq() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seq
 }
 
 // Close shuts the bus: every subscriber channel closes, later Publish

@@ -13,7 +13,7 @@ import (
 // static counterparts.
 func TestFig7ShapeMatchesPaper(t *testing.T) {
 	cfg := DefaultConfig()
-	rows := RunFig7(cfg)
+	rows := runFig7(cfg)
 	byKey := map[string]map[int]Row{}
 	for _, r := range rows {
 		if byKey[r.Scenario] == nil {
@@ -75,8 +75,8 @@ func TestFig7ShapeMatchesPaper(t *testing.T) {
 func TestFig7Deterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxClients = 3
-	a := RunFig7(cfg)
-	b := RunFig7(cfg)
+	a := runFig7(cfg)
+	b := runFig7(cfg)
 	if len(a) != len(b) {
 		t.Fatal("row counts differ")
 	}
@@ -113,7 +113,7 @@ func TestFig7TableRendering(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxClients = 1
 	cfg.SendsPerClient = 10
-	out := Fig7Table(RunFig7(cfg))
+	out := Fig7Table(runFig7(cfg))
 	for _, want := range []string{"scenario", "avg_send_ms", "DS500", "SS"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
@@ -224,4 +224,10 @@ func TestPlannerScaling(t *testing.T) {
 	if !strings.Contains(out, "propagations") {
 		t.Errorf("scaling table:\n%s", out)
 	}
+}
+
+// runFig7 returns the Figure 7 rows of RunFig7Stats.
+func runFig7(cfg Config) []Row {
+	rows, _ := RunFig7Stats(cfg)
+	return rows
 }

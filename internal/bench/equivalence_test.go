@@ -25,7 +25,7 @@ func rowsString(rows []Row) string { return Fig7Table(rows) }
 func TestEngineEquivalence(t *testing.T) {
 	base := smallConfig()
 	base.Workers = 1
-	want := rowsString(RunFig7(base))
+	want := rowsString(runFig7(base))
 
 	variants := []struct {
 		name string
@@ -39,7 +39,7 @@ func TestEngineEquivalence(t *testing.T) {
 			cfg := smallConfig()
 			cfg.Workers = 1
 			v.mut(&cfg)
-			got := rowsString(RunFig7(cfg))
+			got := rowsString(runFig7(cfg))
 			if got != want {
 				t.Fatalf("variant %s diverges from the serial baseline:\n--- want\n%s--- got\n%s",
 					v.name, want, got)
@@ -66,7 +66,7 @@ func TestSweepParallelEquivalence(t *testing.T) {
 func TestClientCountsOverride(t *testing.T) {
 	cfg := smallConfig()
 	cfg.ClientCounts = []int{2, 5}
-	rows := RunFig7(cfg)
+	rows := runFig7(cfg)
 	scs := Scenarios()
 	if len(rows) != len(scs)*2 {
 		t.Fatalf("rows = %d, want %d", len(rows), len(scs)*2)
@@ -79,7 +79,7 @@ func TestClientCountsOverride(t *testing.T) {
 		}
 	}
 	// Counts shared with the grid sweep must agree exactly.
-	grid := RunFig7(smallConfig())
+	grid := runFig7(smallConfig())
 	for _, row := range rows {
 		if row.Clients != 2 {
 			continue

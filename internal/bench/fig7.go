@@ -18,20 +18,15 @@ type Row struct {
 	Sends    int
 }
 
-// RunFig7 reproduces Figure 7: every scenario at each grid client
+// RunFig7Stats reproduces Figure 7: every scenario at each grid client
 // count (1..MaxClients, or ClientCounts when set). Scenario runs are
 // independent sim.Envs, so the grid fans out over a bounded worker
 // pool (Config.Workers, default GOMAXPROCS); rows appear scenario-major
-// in Scenarios() order and are byte-identical to a serial run.
-func RunFig7(cfg Config) []Row {
-	rows, _ := RunFig7Stats(cfg)
-	return rows
-}
-
-// RunFig7Stats is RunFig7 plus a merged recorder holding every send
-// latency in the grid: each parallel worker records into its own
-// per-scenario shard and the shards merge in row order afterwards, so
-// the combined quantiles are identical at any worker count.
+// in Scenarios() order and are byte-identical to a serial run. The
+// recorder holds every send latency in the grid: each parallel worker
+// records into its own per-scenario shard and the shards merge in row
+// order afterwards, so the combined quantiles are identical at any
+// worker count.
 func RunFig7Stats(cfg Config) ([]Row, *Recorder) {
 	scs := Scenarios()
 	counts := cfg.clientCounts()
@@ -81,9 +76,8 @@ func runScenario(cfg Config, sc Scenario, clients, traceCap int) (Row, *Recorder
 	for c := 0; c < clients; c++ {
 		w.startClient(rec)
 	}
-	// Time-driven policies flush from a background flusher (the Smock
-	// runtime's periodic FlushIfDue loop); it drains once after the last
-	// client finishes and exits.
+	// Time-driven policies flush from a background flusher; it drains
+	// once after the last client finishes and exits.
 	if w.replica != nil {
 		if _, timeDriven := w.replica.Policy().NextDeadline(0); timeDriven {
 			w.startFlusher()

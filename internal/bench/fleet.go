@@ -12,7 +12,6 @@ import (
 	"partsvc/internal/netmodel"
 	"partsvc/internal/netmon"
 	"partsvc/internal/planner"
-	"partsvc/internal/property"
 	"partsvc/internal/sim"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
@@ -95,17 +94,17 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	nodes := net.Nodes()
 	// Deterministic role assignment regardless of seed: the primary host
 	// is fully trusted; client sites alternate branch/partner trust.
-	nodes[0].Props["TrustLevel"] = property.Int(5)
+	nodes[0].Credentials["trust"] = "5"
 	sites := make([]netmodel.NodeID, cfg.Sites)
 	for i := range sites {
 		n := nodes[1+i%(len(nodes)-1)]
-		trust := int64(4)
+		n.Credentials["trust"] = "4"
 		if i%2 == 1 {
-			trust = 2
+			n.Credentials["trust"] = "2"
 		}
-		n.Props["TrustLevel"] = property.Int(trust)
 		sites[i] = n.ID
 	}
+	net.Translate(topology.MailTranslation())
 
 	env := sim.NewEnv()
 	defer env.Stop()

@@ -22,8 +22,8 @@ type golden struct {
 
 func goldens() []golden {
 	return []golden{
-		{"fig7_default.txt", func() string { return Fig7Table(RunFig7(DefaultConfig())) }},
-		{"fig7_small.txt", func() string { return Fig7Table(RunFig7(smallConfig())) }},
+		{"fig7_default.txt", func() string { return Fig7Table(runFig7(DefaultConfig())) }},
+		{"fig7_small.txt", func() string { return Fig7Table(runFig7(smallConfig())) }},
 		{"trace_trees.sha256", traceTreeDigests},
 		{"fig8_default.txt", func() string { return Fig8Table(RunFig8(DefaultFig8Config())) }},
 	}

@@ -48,15 +48,6 @@ func (r *Recorder) Mean() float64 {
 	return sum / float64(len(r.samples))
 }
 
-// Min returns the smallest sample (0 for no samples).
-func (r *Recorder) Min() float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.sort()
-	return r.samples[0]
-}
-
 // Max returns the largest sample (0 for no samples).
 func (r *Recorder) Max() float64 {
 	if len(r.samples) == 0 {

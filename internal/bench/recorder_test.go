@@ -151,3 +151,12 @@ func TestRecorderMergeAfterSort(t *testing.T) {
 		t.Fatalf("median after merge = %g, want 2", got)
 	}
 }
+
+// Min returns the smallest sample (0 for no samples).
+func (r *Recorder) Min() float64 {
+	if len(r.samples) == 0 {
+		return 0
+	}
+	r.sort()
+	return r.samples[0]
+}

@@ -8,7 +8,6 @@ import (
 	"partsvc/internal/netmodel"
 	"partsvc/internal/netmon"
 	"partsvc/internal/planner"
-	"partsvc/internal/property"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
 )
@@ -125,8 +124,9 @@ func a11Net(cfg A11Config, n int) (*netmodel.Network, []*netmodel.Node, error) {
 		return nil, nil, err
 	}
 	nodes := net.Nodes()
-	nodes[0].Props["TrustLevel"] = property.Int(5)
-	nodes[1].Props["TrustLevel"] = property.Int(4)
+	nodes[0].Credentials["trust"] = "5"
+	nodes[1].Credentials["trust"] = "4"
+	net.Translate(topology.MailTranslation())
 	return net, nodes, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"partsvc/internal/coherence"
 	"partsvc/internal/metrics"
 	"partsvc/internal/planner"
-	"partsvc/internal/property"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
 )
@@ -104,8 +103,9 @@ func PlannerScaling(sizes []int, seed int64) ([]ScalingRow, error) {
 		}
 		// Ensure a primary host and a client exist regardless of seed.
 		nodes := net.Nodes()
-		nodes[0].Props["TrustLevel"] = property.Int(5)
-		nodes[1].Props["TrustLevel"] = property.Int(4)
+		nodes[0].Credentials["trust"] = "5"
+		nodes[1].Credentials["trust"] = "4"
+		net.Translate(topology.MailTranslation())
 
 		pl := planner.New(spec.MailService(), net)
 		ms, err := pl.PrimaryPlacement(spec.CompMailServer, nodes[0].ID)

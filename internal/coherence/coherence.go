@@ -107,44 +107,6 @@ func (None) NextDeadline(float64) (float64, bool) { return 0, false }
 
 func (None) String() string { return "none" }
 
-// ConflictMap declares which operation pairs conflict. A read operation
-// that conflicts with a pending remote write forces synchronization; a
-// non-conflicting operation proceeds on possibly stale state. Maps are
-// dynamic: entries can be declared at any time (the paper's "dynamic
-// conflict maps ... allow expression of a wide range of service-specific
-// weak consistency protocols").
-type ConflictMap struct {
-	mu    sync.RWMutex
-	pairs map[[2]string]bool
-}
-
-// NewConflictMap returns an empty map (nothing conflicts).
-func NewConflictMap() *ConflictMap {
-	return &ConflictMap{pairs: map[[2]string]bool{}}
-}
-
-// Declare sets whether ops a and b conflict (symmetric).
-func (c *ConflictMap) Declare(a, b string, conflict bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pairs[pairKey(a, b)] = conflict
-}
-
-// Conflicts reports whether ops a and b conflict; undeclared pairs do
-// not conflict.
-func (c *ConflictMap) Conflicts(a, b string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.pairs[pairKey(a, b)]
-}
-
-func pairKey(a, b string) [2]string {
-	if b < a {
-		a, b = b, a
-	}
-	return [2]string{a, b}
-}
-
 // Replica is the coherence agent attached to one replicated view
 // instance: it logs local writes, decides when the policy requires a
 // flush, and applies remote updates exactly once.
@@ -258,23 +220,6 @@ func (r *Replica) ApplyRemote(batch []Update) int {
 	return applied
 }
 
-// StaleFor reports whether an incoming operation conflicts with any
-// pending local update under the conflict map: a conflicting read on a
-// peer must trigger synchronization first.
-func (r *Replica) StaleFor(op string, cm *ConflictMap) bool {
-	if cm == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, u := range r.pending {
-		if cm.Conflicts(op, u.Op) {
-			return true
-		}
-	}
-	return false
-}
-
 // Directory is the coherence directory for one service: it tracks the
 // replicas of each view and fans flushed batches out to the others
 // (directory-based protocol, Section 3.2).
@@ -330,25 +275,6 @@ func (d *Directory) Register(view string, r *Replica) {
 	r.ApplyRemote(history)
 }
 
-// Unregister removes a replica of a view.
-func (d *Directory) Unregister(view, replicaID string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.views[view], replicaID)
-}
-
-// Replicas returns the registered replica IDs of a view, sorted.
-func (d *Directory) Replicas(view string) []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.views[view]))
-	for id := range d.views[view] {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Publish accepts a flushed batch for a view and fans it out to every
 // other registered replica. It returns the number of replicas updated.
 func (d *Directory) Publish(view string, batch []Update) int {
@@ -377,11 +303,4 @@ func (d *Directory) Publish(view string, batch []Update) int {
 	d.updatesPublished.Add(uint64(len(batch)))
 	d.replicasUpdated.Add(uint64(n))
 	return n
-}
-
-// HistoryLen returns the number of updates logged for a view.
-func (d *Directory) HistoryLen(view string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.log[view])
 }

@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -124,44 +125,6 @@ func TestReplicaApplyRemoteExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestConflictMap(t *testing.T) {
-	cm := NewConflictMap()
-	if cm.Conflicts("read", "send") {
-		t.Error("undeclared pairs do not conflict")
-	}
-	cm.Declare("read", "send", true)
-	if !cm.Conflicts("read", "send") || !cm.Conflicts("send", "read") {
-		t.Error("conflicts must be symmetric")
-	}
-	cm.Declare("read", "send", false)
-	if cm.Conflicts("read", "send") {
-		t.Error("conflict maps are dynamic; redeclaration must win")
-	}
-}
-
-func TestReplicaStaleFor(t *testing.T) {
-	cm := NewConflictMap()
-	cm.Declare("receive", "send", true)
-	r := NewReplica("sd", None{}, nil)
-	if r.StaleFor("receive", cm) {
-		t.Error("no pending writes, not stale")
-	}
-	r.Write("send", "alice", nil, 1)
-	if !r.StaleFor("receive", cm) {
-		t.Error("pending conflicting write must make reads stale")
-	}
-	if r.StaleFor("browse", cm) {
-		t.Error("non-conflicting op is not stale")
-	}
-	if r.StaleFor("receive", nil) {
-		t.Error("nil conflict map never conflicts")
-	}
-	r.TakePending(2)
-	if r.StaleFor("receive", cm) {
-		t.Error("flushed replica is not stale")
-	}
-}
-
 func TestDirectoryFanOut(t *testing.T) {
 	d := NewDirectory()
 	var atB, atC int
@@ -171,7 +134,7 @@ func TestDirectoryFanOut(t *testing.T) {
 	d.Register("VMS", a)
 	d.Register("VMS", b)
 	d.Register("VMS", c)
-	if got := d.Replicas("VMS"); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
+	if got := replicaIDs(d, "VMS"); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
 		t.Errorf("replicas = %v", got)
 	}
 	a.Write("send", "k", []byte("x"), 1)
@@ -182,8 +145,8 @@ func TestDirectoryFanOut(t *testing.T) {
 	if atB != 1 || atC != 1 {
 		t.Errorf("applied b=%d c=%d", atB, atC)
 	}
-	if d.HistoryLen("VMS") != 1 {
-		t.Errorf("history = %d", d.HistoryLen("VMS"))
+	if historyLen(d, "VMS") != 1 {
+		t.Errorf("history = %d", historyLen(d, "VMS"))
 	}
 }
 
@@ -200,24 +163,6 @@ func TestDirectoryCatchUpOnRegister(t *testing.T) {
 	d.Register("VMS", late)
 	if caught != 2 {
 		t.Errorf("late replica caught up %d updates, want 2", caught)
-	}
-}
-
-func TestDirectoryUnregister(t *testing.T) {
-	d := NewDirectory()
-	a := NewReplica("a", WriteThrough{}, nil)
-	gone := 0
-	b := NewReplica("b", WriteThrough{}, func(Update) { gone++ })
-	d.Register("VMS", a)
-	d.Register("VMS", b)
-	d.Unregister("VMS", "b")
-	a.Write("send", "k", nil, 1)
-	d.Publish("VMS", a.TakePending(1))
-	if gone != 0 {
-		t.Error("unregistered replica must not receive updates")
-	}
-	if got := d.Replicas("VMS"); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Errorf("replicas = %v", got)
 	}
 }
 
@@ -300,4 +245,23 @@ func TestRequeueRestoresOrder(t *testing.T) {
 	if r.Pending() != 3 {
 		t.Errorf("requeue with nothing excepted kept %d of 3 updates", r.Pending())
 	}
+}
+
+// replicaIDs returns the registered replica IDs of a view, sorted.
+func replicaIDs(d *Directory, view string) []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]string, 0, len(d.views[view]))
+	for id := range d.views[view] {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// historyLen returns the number of updates logged for a view.
+func historyLen(d *Directory, view string) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.log[view])
 }

@@ -122,7 +122,7 @@ func TestQuickLateJoinerConverges(t *testing.T) {
 		caught := 0
 		late := NewReplica("late", WriteThrough{}, func(Update) { caught++ })
 		dir.Register("view", late)
-		return caught == n && dir.HistoryLen("view") == n
+		return caught == n && historyLen(dir, "view") == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -22,7 +22,6 @@ type (
 	Config     = adapt.Config
 	WaveReport = adapt.WaveReport
 	Session    = adapt.Session
-	Event      = adapt.Event
 )
 
 // Manager is a loop whose shards plan with their own planners.

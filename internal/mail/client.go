@@ -22,9 +22,6 @@ func NewClient(user string, keys *seccrypto.KeyRing, api API) *Client {
 	return &Client{user: user, keys: keys, api: api}
 }
 
-// User returns the client's user name.
-func (c *Client) User() string { return c.user }
-
 // Send submits a plaintext message at a sensitivity level; sealing
 // happens inside the trusted provider component.
 func (c *Client) Send(to, subject string, body []byte, sensitivity int) (uint64, error) {
@@ -89,9 +86,6 @@ type ViewClient struct {
 func NewViewClient(user string, trust int, keys *seccrypto.KeyRing, api API) *ViewClient {
 	return &ViewClient{user: user, trust: trust, keys: keys, api: api}
 }
-
-// User returns the client's user name.
-func (c *ViewClient) User() string { return c.user }
 
 // Send submits a message; sensitivities above the client's trust are
 // rejected locally.

@@ -18,8 +18,8 @@ import (
 func TestViewOperationsDelegation(t *testing.T) {
 	srv, keys, clock := newPrimary(t)
 	v := newTestView(t, srv, "vms", 3, coherence.None{}, clock, 1<<32)
-	if v.Trust() != 3 {
-		t.Errorf("Trust = %d", v.Trust())
+	if v.trust != 3 {
+		t.Errorf("trust = %d", v.trust)
 	}
 	// Account creation flows upstream and mirrors locally.
 	if err := v.CreateAccount("dave"); err != nil {
@@ -145,7 +145,7 @@ func TestReplicatedSendOutsideTheLevelsIsDropped(t *testing.T) {
 func TestClientAccessors(t *testing.T) {
 	srv, keys, _ := newPrimary(t, "alice")
 	c := NewViewClient("alice", 2, keys.SubRing(2), srv)
-	if c.User() != "alice" {
+	if c.user != "alice" {
 		t.Error("ViewClient.User")
 	}
 }
@@ -232,58 +232,6 @@ func TestRelayHandlerErrorPath(t *testing.T) {
 	resp := relay.Handle(&wire.Message{Kind: wire.KindRequest})
 	if transport.AsError(resp) == nil {
 		t.Error("dead relay must produce an error response")
-	}
-}
-
-// TestConflictMapForcesFlushOnReceive: with a send/receive conflict
-// declared, a receive sweep synchronizes pending writes first; without
-// the map, reads serve stale local state.
-func TestConflictMapForcesFlushOnReceive(t *testing.T) {
-	srv, keys, clock := newPrimary(t, "alice", "bob")
-	cm := coherence.NewConflictMap()
-	cm.Declare("receive", "send", true)
-	v, err := NewView(ViewConfig{
-		ID: "vms", Trust: 4, Keys: keys.SubRing(4),
-		Upstream: srv, Policy: coherence.CountBound{Bound: 100},
-		Conflicts: cm, Clock: clock,
-	}, 1<<32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Directory().Register(ViewName, v.Replica())
-	if _, err := v.Send("alice", "bob", "s", []byte("m"), 2); err != nil {
-		t.Fatal(err)
-	}
-	if srv.Store().InboxCount("bob") != 0 {
-		t.Fatal("send must still be pending under the loose bound")
-	}
-	// The conflicting receive forces the flush.
-	if _, err := v.Receive("bob"); err != nil {
-		t.Fatal(err)
-	}
-	if srv.Store().InboxCount("bob") != 1 {
-		t.Error("conflict-driven receive must flush pending sends")
-	}
-	if v.Pending() != 0 {
-		t.Error("pending must be drained")
-	}
-
-	// Control: without a conflict map the receive does not flush.
-	v2, err := NewView(ViewConfig{
-		ID: "vms2", Trust: 4, Keys: keys.SubRing(4),
-		Upstream: srv, Policy: coherence.CountBound{Bound: 100}, Clock: clock,
-	}, 1<<33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v2.Send("alice", "bob", "s2", []byte("m"), 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v2.Receive("bob"); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Pending() != 1 {
-		t.Error("without a conflict map the receive must not flush")
 	}
 }
 

@@ -335,18 +335,6 @@ func (r *Remote) Snapshot() ([]byte, error) {
 	return res.state, err
 }
 
-// SnapshotRemote dials addr on tr and fetches that instance's state
-// snapshot — the adaptation controller's state-capture primitive.
-func SnapshotRemote(tr transport.Transport, addr string) ([]byte, error) {
-	ep, err := tr.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	r := NewRemote(ep)
-	defer r.Close()
-	return r.Snapshot()
-}
-
 // PushUpdates implements UpdateSink.
 func (r *Remote) PushUpdates(batch []coherence.Update) error {
 	return r.PushUpdatesCtx(context.Background(), batch)

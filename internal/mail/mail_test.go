@@ -335,30 +335,6 @@ func TestViewSensitivityCeilingOnReplication(t *testing.T) {
 	}
 }
 
-func TestViewPeriodicFlush(t *testing.T) {
-	srv, _, clock := newPrimary(t, "alice", "bob")
-	v := newTestView(t, srv, "vms-sd", 4, coherence.Periodic{PeriodMS: 500}, clock, 1<<32)
-	if _, err := v.Send("alice", "bob", "s", []byte("m"), 2); err != nil {
-		t.Fatal(err)
-	}
-	if flushed, _ := v.FlushIfDue(); flushed {
-		t.Error("must not flush before the deadline")
-	}
-	clock.now = 600
-	flushed, err := v.FlushIfDue()
-	if err != nil || !flushed {
-		t.Errorf("flush = %v, %v", flushed, err)
-	}
-	if srv.Store().InboxCount("bob") != 1 {
-		t.Error("periodic flush must reach the primary")
-	}
-	// Nothing pending: due deadline flushes nothing.
-	clock.now = 1200
-	if flushed, _ := v.FlushIfDue(); flushed {
-		t.Error("no pending writes, no flush")
-	}
-}
-
 func TestChainedViewsSeattleToSanDiego(t *testing.T) {
 	srv, keys, clock := newPrimary(t, "alice", "carol")
 	sd := newTestView(t, srv, "vms-sd", 4, coherence.WriteThrough{}, clock, 1<<32)
@@ -429,8 +405,8 @@ func TestClientDecryptionIsEndToEnd(t *testing.T) {
 	if err != nil || len(got) != 1 || got[0] != "bob" {
 		t.Errorf("contacts = %v, %v", got, err)
 	}
-	if alice.User() != "alice" {
-		t.Error("User()")
+	if alice.user != "alice" {
+		t.Error("user")
 	}
 }
 

@@ -79,9 +79,9 @@ func TestViewReceiveUpstreamFailureSurfaces(t *testing.T) {
 	if err != nil || len(msgs) != 2 {
 		t.Fatalf("receive = %d messages, %v; want 2", len(msgs), err)
 	}
-	if spy.CallCount != 1 || spy.LastMethod != "receive" || spy.LastAbove != view.Trust() {
+	if spy.CallCount != 1 || spy.LastMethod != "receive" || spy.LastAbove != view.trust {
 		t.Errorf("upstream saw %d calls, last %s above %d; want one receive above %d",
-			spy.CallCount, spy.LastMethod, spy.LastAbove, view.Trust())
+			spy.CallCount, spy.LastMethod, spy.LastAbove, view.trust)
 	}
 	if spy.LastReturned != 1 {
 		t.Errorf("upstream returned %d messages, want only the level-4 one", spy.LastReturned)

@@ -39,6 +39,18 @@ func TestViewSnapshotIsCoherent(t *testing.T) {
 	}
 }
 
+// snapshotRemote dials addr on tr and fetches that instance's state
+// snapshot through a Remote.
+func snapshotRemote(tr transport.Transport, addr string) ([]byte, error) {
+	ep, err := tr.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	r := NewRemote(ep)
+	defer r.Close()
+	return r.Snapshot()
+}
+
 // TestSnapshotRemoteRoundTrip: the "snapshot" wire method carries a
 // view's serialized store across the transport — the controller's
 // state-capture path during a cutover.
@@ -54,7 +66,7 @@ func TestSnapshotRemoteRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	snap, err := SnapshotRemote(tr, ln.Addr())
+	snap, err := snapshotRemote(tr, ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +93,7 @@ func TestSnapshotOfStatelessComponentErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	_, err = SnapshotRemote(tr, ln.Addr())
+	_, err = snapshotRemote(tr, ln.Addr())
 	if err == nil || !strings.Contains(err.Error(), "no migratable state") {
 		t.Fatalf("err = %v, want a no-migratable-state failure", err)
 	}

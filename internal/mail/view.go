@@ -51,14 +51,13 @@ func (s *Server) PushUpdatesCtx(ctx context.Context, batch []coherence.Update) e
 // permits, kept coherent with the primary through a pluggable
 // weak-consistency policy.
 type View struct {
-	id        string
-	store     *Store
-	keys      *seccrypto.KeyRing
-	clock     transport.Clock
-	upstream  Upstream
-	replica   *coherence.Replica
-	conflicts *coherence.ConflictMap
-	trust     int
+	id       string
+	store    *Store
+	keys     *seccrypto.KeyRing
+	clock    transport.Clock
+	upstream Upstream
+	replica  *coherence.Replica
+	trust    int
 	// flushMu serializes flushes, and guards pushedSeq, the highest local
 	// sequence number a push has delivered: see flushCtx.
 	flushMu   sync.Mutex
@@ -79,12 +78,6 @@ type ViewConfig struct {
 	Upstream Upstream
 	// Policy is the coherence policy for local writes.
 	Policy coherence.Policy
-	// Conflicts, when non-nil, is the view's dynamic conflict map: an
-	// incoming operation that conflicts with pending local writes forces
-	// a flush first, giving read-your-writes through any replica
-	// ("coherence actions are triggered based on dynamic conflict
-	// maps"). A nil map never forces synchronization.
-	Conflicts *coherence.ConflictMap
 	// Clock provides time for timestamps and time-driven policies.
 	Clock transport.Clock
 	// Snapshot, when non-nil, seeds the view's store from a migrated
@@ -118,13 +111,12 @@ func NewView(cfg ViewConfig, idBase uint64) (*View, error) {
 	}
 	store.nextID = idBase
 	v := &View{
-		id:        cfg.ID,
-		store:     store,
-		keys:      cfg.Keys,
-		clock:     cfg.Clock,
-		upstream:  cfg.Upstream,
-		conflicts: cfg.Conflicts,
-		trust:     cfg.Trust,
+		id:       cfg.ID,
+		store:    store,
+		keys:     cfg.Keys,
+		clock:    cfg.Clock,
+		upstream: cfg.Upstream,
+		trust:    cfg.Trust,
 	}
 	v.replica = coherence.NewReplica(cfg.ID, cfg.Policy, func(u coherence.Update) {
 		applyUpdate(store, u)
@@ -137,9 +129,6 @@ func (v *View) Replica() *coherence.Replica { return v.replica }
 
 // Store exposes the view's partial store (for tests and tools).
 func (v *View) Store() *Store { return v.store }
-
-// Trust returns the view's factored trust level.
-func (v *View) Trust() int { return v.trust }
 
 // CreateAccount delegates account creation to the primary (keys are
 // generated there) and mirrors the account locally.
@@ -198,14 +187,6 @@ func (v *View) Receive(user string) ([]*Message, error) {
 // this node may not keep. An upstream failure fails the receive — the
 // local messages alone would pass for the whole inbox.
 func (v *View) ReceiveCtx(ctx context.Context, user string, above int) ([]*Message, error) {
-	// A receive that conflicts with pending local writes (per the
-	// dynamic conflict map) synchronizes first, so the reader observes
-	// its replica's own recent sends at the primary and siblings.
-	if v.replica.StaleFor("receive", v.conflicts) {
-		if err := v.flushCtx(ctx, 0); err != nil {
-			return nil, fmt.Errorf("mail: conflict-driven flush: %w", err)
-		}
-	}
 	v.store.EnsureAccount(user)
 	local, err := receiveFrom(v.store, v.keys, user, above)
 	if err != nil {
@@ -284,16 +265,6 @@ func (v *View) flushCtx(ctx context.Context, own uint64) error {
 	}
 	v.pushedSeq = batch[len(batch)-1].Seq
 	return nil
-}
-
-// FlushIfDue flushes when a time-driven policy's deadline has passed.
-// It reports whether a flush happened.
-func (v *View) FlushIfDue() (bool, error) {
-	deadline, ok := v.replica.NextDeadline()
-	if !ok || v.clock.NowMS() < deadline || v.replica.Pending() == 0 {
-		return false, nil
-	}
-	return true, v.Flush()
 }
 
 // Pending returns the number of unpropagated local writes.

@@ -161,28 +161,6 @@ func (h *Histogram) Buckets() []BucketCount {
 	return out
 }
 
-// Merge folds o's samples into h (o unchanged). Merging is
-// order-independent: quantiles of the merge equal quantiles of the
-// combined sample multiset to within bucket resolution.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	for i := 0; i < histBuckets; i++ {
-		if n := o.counts[i].Load(); n > 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	n := o.count.Load()
-	if n == 0 {
-		return
-	}
-	h.count.Add(n)
-	h.sum.add(o.sum.load())
-	h.min.storeMin(o.min.load())
-	h.max.storeMax(o.max.load())
-}
-
 // atomicFloat is a float64 updated with CAS loops (sum, min, max
 // accumulators shared across goroutines).
 type atomicFloat struct{ bits atomic.Uint64 }

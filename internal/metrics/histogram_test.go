@@ -64,40 +64,6 @@ func TestHistogramQuantilesVsOracle(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	whole := &Histogram{}
-	parts := []*Histogram{{}, {}, {}}
-	var samples []float64
-	for i := 0; i < 3000; i++ {
-		v := rng.ExpFloat64() * 10
-		samples = append(samples, v)
-		whole.Observe(v)
-		parts[i%3].Observe(v)
-	}
-	merged := &Histogram{}
-	for _, p := range parts {
-		merged.Merge(p)
-	}
-	if merged.Count() != whole.Count() {
-		t.Fatalf("merged count %d != whole count %d", merged.Count(), whole.Count())
-	}
-	// Sums accumulate in different orders, so only bitwise-near.
-	if math.Abs(merged.Sum()-whole.Sum()) > 1e-9*whole.Sum() {
-		t.Fatalf("merged sum %g != whole sum %g", merged.Sum(), whole.Sum())
-	}
-	if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Fatalf("merged min/max %g/%g != whole %g/%g",
-			merged.Min(), merged.Max(), whole.Min(), whole.Max())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if merged.Quantile(q) != whole.Quantile(q) {
-			t.Errorf("q%.2f: merged %g != whole %g", q, merged.Quantile(q), whole.Quantile(q))
-		}
-	}
-	checkQuantiles(t, merged, samples)
-}
-
 func TestHistogramZeroAndExtremes(t *testing.T) {
 	h := &Histogram{}
 	h.Observe(0)

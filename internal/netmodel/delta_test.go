@@ -46,6 +46,18 @@ func deltaTestNet(t *testing.T, nodes, chords int, seed int64) *Network {
 }
 
 // forceAllTrees materializes every single-source tree of the cache.
+// reusedTrees counts the single-source trees next carries over from
+// prev by pointer: the ones a copy-on-write delta did not rebuild.
+func reusedTrees(prev, next *RouteCache) int {
+	n := 0
+	for src := range next.trees {
+		if t := next.trees[src].Load(); t != nil && t == prev.trees[src].Load() {
+			n++
+		}
+	}
+	return n
+}
+
 func forceAllTrees(rc *RouteCache) {
 	for _, from := range rc.NodeIDs() {
 		for _, to := range rc.NodeIDs() {
@@ -134,25 +146,25 @@ func TestRouteCacheLinkDeltaEquivalence(t *testing.T) {
 // keep none.
 func TestRouteCacheLinkDeltaReuse(t *testing.T) {
 	n := deltaTestNet(t, 24, 30, 7)
-	forceAllTrees(n.Routes())
+	prev := n.Routes()
+	forceAllTrees(prev)
 	links := n.Links()
 	l := links[0]
 
 	l.LatencyMS += 500 // degrade: non-improving
 	n.InvalidateRoutesLinkDelta(l.A, l.B)
 	rc := n.Routes()
-	if rc.ReusedTrees() == 0 {
+	if got := reusedTrees(prev, rc); got == 0 {
 		t.Fatalf("degrading one of %d links reused no trees", len(links))
-	}
-	if rc.ReusedTrees() >= rc.NumNodes() {
+	} else if got >= rc.NumNodes() {
 		t.Fatalf("reused %d of %d trees: the changed link's own trees must rebuild",
-			rc.ReusedTrees(), rc.NumNodes())
+			got, rc.NumNodes())
 	}
 
 	forceAllTrees(rc)
 	l.LatencyMS = 1 // improve: every tree is suspect
 	n.InvalidateRoutesLinkDelta(l.A, l.B)
-	if got := n.Routes().ReusedTrees(); got != 0 {
+	if got := reusedTrees(rc, n.Routes()); got != 0 {
 		t.Fatalf("improving change reused %d trees, want 0", got)
 	}
 }

@@ -88,21 +88,6 @@ func TestLinkLookupBidirectional(t *testing.T) {
 	}
 }
 
-func TestTransferMS(t *testing.T) {
-	l := Link{BandwidthMbps: 8}
-	// 1 MB over 8 Mb/s = 1s = 1000 ms.
-	got := l.TransferMS(1_000_000)
-	if math.Abs(got-1000) > 1e-9 {
-		t.Errorf("TransferMS = %v, want 1000", got)
-	}
-	if (Link{}).TransferMS(100) != 0 {
-		t.Error("zero bandwidth transfers in zero time (unspecified)")
-	}
-	if l.TransferMS(0) != 0 {
-		t.Error("zero bytes transfer in zero time")
-	}
-}
-
 func TestNodesLinksSorted(t *testing.T) {
 	n := diamond(t)
 	nodes := n.Nodes()
@@ -225,14 +210,18 @@ func TestTranslate(t *testing.T) {
 	if err := n.AddNode(Node{ID: "a", Credentials: map[string]string{"trust": "4"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AddNode(Node{ID: "b", Credentials: map[string]string{"trust": "2"}, Props: property.Set{"TrustLevel": property.Int(5)}}); err != nil {
+	if err := n.AddNode(Node{ID: "b", Credentials: map[string]string{"trust": "2"}, Props: property.Set{"TrustLevel": property.Int(5), "Legacy": property.Bool(true)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.AddLink(Link{A: "a", B: "b", Secure: true}); err != nil {
 		t.Fatal(err)
 	}
 	nodeFn := func(creds map[string]string) property.Set {
-		return property.Set{"TrustLevel": property.Parse(creds["trust"])}
+		out := property.Set{}
+		if tr := creds["trust"]; tr != "" {
+			out["TrustLevel"] = property.Parse(tr)
+		}
+		return out
 	}
 	linkFn := func(creds map[string]string) property.Set {
 		return property.Set{"Confidentiality": property.Bool(creds["secure"] == "T")}
@@ -243,32 +232,33 @@ func TestTranslate(t *testing.T) {
 		t.Errorf("translated trust = %v", a.Props)
 	}
 	b, _ := n.Node("b")
-	if !b.Props["TrustLevel"].Equal(property.Int(5)) {
-		t.Error("explicit properties must take precedence over translation")
+	if !b.Props["TrustLevel"].Equal(property.Int(2)) {
+		t.Errorf("translation must replace hand-set properties: %v", b.Props)
+	}
+	if _, still := b.Props["Legacy"]; still {
+		t.Error("a property no credential produces must be withdrawn")
 	}
 	l, _ := n.Link("a", "b")
 	if !l.Props["Confidentiality"].Equal(property.Bool(true)) {
 		t.Errorf("translated link props = %v", l.Props)
 	}
-	// nil translation funcs are a no-op.
+	// A downgraded credential lowers the level; a revoked one withdraws it.
+	b.Credentials["trust"] = "1"
+	delete(a.Credentials, "trust")
+	before := n.Routes()
+	n.Translate(nodeFn, nil)
+	if !b.Props["TrustLevel"].Equal(property.Int(1)) {
+		t.Errorf("downgraded trust = %v", b.Props)
+	}
+	if _, still := a.Props["TrustLevel"]; still {
+		t.Errorf("revoked trust must be withdrawn: %v", a.Props)
+	}
+	if n.Routes() == before {
+		t.Error("translation must invalidate the route cache")
+	}
+	// nil translation funcs leave props alone.
 	n.Translate(nil, nil)
-}
-
-func TestNodesBySite(t *testing.T) {
-	n := New()
-	for _, spec := range []struct {
-		id   NodeID
-		site string
-	}{{"n2", "x"}, {"n1", "x"}, {"n3", "y"}} {
-		if err := n.AddNode(Node{ID: spec.id, Site: spec.site}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := n.NodesBySite("x")
-	if len(got) != 2 || got[0] != "n1" || got[1] != "n2" {
-		t.Errorf("NodesBySite(x) = %v", got)
-	}
-	if got := n.NodesBySite("zzz"); got != nil {
-		t.Errorf("unknown site = %v", got)
+	if !b.Props["TrustLevel"].Equal(property.Int(1)) || !l.Props["Confidentiality"].Equal(property.Bool(true)) {
+		t.Errorf("nil translation changed props: %v %v", b.Props, l.Props)
 	}
 }

@@ -55,9 +55,6 @@ type RouteCache struct {
 	// lookups counts every served lookup, misses the ones that had to
 	// build the source's tree; hits are the difference.
 	lookups, misses atomic.Uint64
-	// reusedTrees counts trees carried over from the previous epoch by a
-	// copy-on-write link delta (see deltaLink); 0 for full rebuilds.
-	reusedTrees int
 }
 
 // spTree is the materialized single-source shortest-path tree: per
@@ -169,11 +166,6 @@ func (rc *RouteCache) Counters() (hits, misses uint64) {
 // AddLookups reports n PathAt calls.
 func (rc *RouteCache) AddLookups(n uint64) { rc.lookups.Add(n) }
 
-// ReusedTrees returns how many single-source trees this cache inherited
-// from the previous epoch through a copy-on-write link delta instead of
-// recomputing them; 0 for caches built from scratch.
-func (rc *RouteCache) ReusedTrees() int { return rc.reusedTrees }
-
 // deltaLink builds the next-epoch cache after the single link (a, b)
 // changed latency or bandwidth, reusing everything the change cannot
 // have touched: the node interning, the CSR adjacency structure, and —
@@ -221,7 +213,6 @@ func (rc *RouteCache) deltaLink(n *Network, epoch uint64, a, b NodeID) *RouteCac
 		for src := range rc.trees {
 			if t := rc.trees[src].Load(); t != nil {
 				nc.trees[src].Store(t)
-				nc.reusedTrees++
 			}
 		}
 		return nc
@@ -238,7 +229,6 @@ func (rc *RouteCache) deltaLink(n *Network, epoch uint64, a, b NodeID) *RouteCac
 		for src := range rc.trees {
 			if t := rc.trees[src].Load(); t != nil && !t.usesEdge(ai, bi) {
 				nc.trees[src].Store(t)
-				nc.reusedTrees++
 			}
 		}
 	}
@@ -255,7 +245,7 @@ func (rc *RouteCache) Path(from, to NodeID) (Path, bool) {
 
 // PathEnv returns the cached path together with its aggregate
 // link-property environment (the property-wise minimum across the
-// path's links, as Path.Env computes). env is nil for loopback paths —
+// path's links). env is nil for loopback paths —
 // the caller supplies the intra-node environment — and must be treated
 // as read-only otherwise.
 func (rc *RouteCache) PathEnv(from, to NodeID) (Path, property.Set, bool) {
@@ -309,8 +299,8 @@ func (rc *RouteCache) buildOnce(src int32) *spTree {
 // buildTree runs heap Dijkstra from src over the dense adjacency and
 // materializes every target's Path, bottleneck, and environment. The
 // extraction order (ties broken by node index, i.e. by node ID) and the
-// strict-improvement relaxation match Network.ShortestPath exactly, so
-// cached paths are identical to the uncached reference implementation.
+// strict-improvement relaxation match the uncached reference Dijkstra
+// in the tests exactly, so cached paths are identical to its paths.
 func (rc *RouteCache) buildTree(src int32) *spTree {
 	n := len(rc.ids)
 	dist := make([]float64, n)
@@ -340,7 +330,7 @@ func (rc *RouteCache) buildTree(src int32) *spTree {
 			if done[nb] {
 				continue
 			}
-			// Strict improvement only, mirroring ShortestPath: with
+			// Strict improvement only, mirroring the reference: with
 			// zero-latency links an equal-distance rewrite could make
 			// prev cyclic.
 			if nd := it.dist + rc.adjLat[ei]; nd < dist[nb] {
@@ -363,8 +353,8 @@ func (rc *RouteCache) buildTree(src int32) *spTree {
 	// already materialized: path slices are built by appending one hop
 	// to the parent's (copied) node list, and the environment and
 	// bottleneck fold incrementally (min/intersection is associative
-	// and commutative, so folding source-out equals Path.Env's
-	// head-to-tail fold).
+	// and commutative, so folding source-out equals the
+	// reference Path.Env's head-to-tail fold).
 	bneck := make([]float64, n)
 	bneck[src] = math.Inf(1)
 	for _, ti := range order {
@@ -398,7 +388,7 @@ func (rc *RouteCache) edgeIndex(a, b int32) int32 {
 
 // foldEnv extends a parent path environment across one more link:
 // property-wise minimum over the intersection of property names, the
-// same aggregation Path.Env performs.
+// same aggregation as the reference Path.Env in the tests.
 func foldEnv(parent property.Set, parentIsSource bool, link property.Set) property.Set {
 	if parentIsSource {
 		return link.Clone()

@@ -126,7 +126,7 @@ func TestRouteCacheEnvMatchesPathEnv(t *testing.T) {
 // reflects the new shortest path.
 func TestRouteCacheEpochInvalidation(t *testing.T) {
 	n := diamond(t)
-	before := n.RouteEpoch()
+	before := n.Routes().Epoch()
 	p, ok := n.ShortestPath("a", "d")
 	if !ok || len(p.Nodes) != 3 || p.Nodes[1] != "b" {
 		t.Fatalf("baseline path must be a-b-d, got %v", p.Nodes)
@@ -147,7 +147,7 @@ func TestRouteCacheEpochInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n.RouteEpoch() == before {
+	if n.Routes().Epoch() == before {
 		t.Fatal("mutators must bump the route epoch")
 	}
 	p, ok = n.ShortestPath("a", "d")

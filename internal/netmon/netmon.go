@@ -7,9 +7,7 @@
 // A Monitor owns mutations to a netmodel.Network: reports of changed
 // link or node characteristics are applied through it, and subscribers
 // (typically an adaptation loop around planner.Replan) are notified
-// with a summary of what changed. The monitor also bridges the trust
-// layer: re-running credential translation on demand lets dRBAC
-// revocations surface as property changes.
+// with a summary of what changed.
 package netmon
 
 import (
@@ -85,8 +83,8 @@ func (m *Monitor) notifyInvalidate(changes []Change, invalidate func()) {
 }
 
 // ReportNodeProps applies new service-relevant properties to a node
-// (e.g. a re-translated TrustLevel after a credential revocation) and
-// notifies subscribers of the differences.
+// (e.g. a lowered TrustLevel) and notifies subscribers of the
+// differences.
 func (m *Monitor) ReportNodeProps(id netmodel.NodeID, props property.Set) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -191,47 +189,4 @@ func (m *Monitor) ReportLink(a, b netmodel.NodeID, latencyMS, bandwidthMbps floa
 		m.notifyInvalidate(changes, func() { m.net.InvalidateRoutesLinkDelta(a, b) })
 	}
 	return nil
-}
-
-// Retranslate re-runs credential translation over the whole network and
-// reports every resulting property change: the bridge from the trust
-// layer's continuous credential monitoring ("the dRBAC implementation
-// takes responsibility for continuous monitoring of credential
-// validity") to the planner's view of the world. Unlike
-// netmodel.Network.Translate, re-translation REPLACES previously
-// translated values (a revoked credential must lower a trust level).
-func (m *Monitor) Retranslate(nodeFn netmodel.TranslationFunc) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var changes []Change
-	for _, node := range m.net.Nodes() {
-		if nodeFn == nil {
-			continue
-		}
-		fresh := nodeFn(node.Credentials)
-		for name, v := range fresh {
-			old, had := node.Props[name]
-			if had && old.Equal(v) {
-				continue
-			}
-			oldStr := "<unset>"
-			if had {
-				oldStr = old.String()
-			}
-			changes = append(changes, Change{
-				Kind: "node", Subject: string(node.ID), Field: name, Old: oldStr, New: v.String(),
-			})
-			node.Props[name] = v
-		}
-		// Properties the translation no longer produces are withdrawn.
-		for name, old := range node.Props {
-			if _, still := fresh[name]; !still {
-				changes = append(changes, Change{
-					Kind: "node", Subject: string(node.ID), Field: name, Old: old.String(), New: "<unset>",
-				})
-				delete(node.Props, name)
-			}
-		}
-	}
-	m.notify(changes)
 }

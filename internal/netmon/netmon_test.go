@@ -9,7 +9,6 @@ import (
 	"partsvc/internal/property"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
-	"partsvc/internal/trust"
 )
 
 func TestReportNodePropsNotifiesOnRealChangesOnly(t *testing.T) {
@@ -84,80 +83,13 @@ func TestMultipleSubscribersInOrder(t *testing.T) {
 	}
 }
 
-// TestRetranslateWithdrawsRevokedProperties: re-running credential
-// translation replaces and withdraws stale properties.
-func TestRetranslate(t *testing.T) {
-	net := netmodel.New()
-	if err := net.AddNode(netmodel.Node{
-		ID: "n1", Credentials: map[string]string{"trust": "4"},
-		Props: property.Set{"TrustLevel": property.Int(4), "Legacy": property.Bool(true)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	m := New(net)
-	var got []Change
-	m.Subscribe(func(cs []Change) { got = append(got, cs...) })
-
-	nodeFn := func(creds map[string]string) property.Set {
-		return property.Set{"TrustLevel": property.Parse(creds["trust"])}
-	}
-	// Simulate a downgrade: the credential now says trust 2.
-	n, _ := net.Node("n1")
-	n.Credentials["trust"] = "2"
-	m.Retranslate(nodeFn)
-
-	if !n.Props["TrustLevel"].Equal(property.Int(2)) {
-		t.Errorf("trust not replaced: %v", n.Props)
-	}
-	if _, still := n.Props["Legacy"]; still {
-		t.Error("withdrawn property must be removed")
-	}
-	fields := map[string]bool{}
-	for _, c := range got {
-		fields[c.Field] = true
-	}
-	if !fields["TrustLevel"] || !fields["Legacy"] {
-		t.Errorf("changes = %v", got)
-	}
-}
-
-// TestAdaptationLoopWithTrustRevocation closes the Section 6 circle:
-// dRBAC revocation -> re-translation -> monitor notification -> replan.
-// Revoking the partner org's delegatable credential strips Seattle's
-// trust, evicting its view and forcing the partner client onto a plan
-// that does not cache there.
+// TestAdaptationLoopWithTrustRevocation: credential revocation ->
+// mail translation -> replan. Withdrawing the Seattle nodes' trust
+// credentials withdraws their TrustLevel, which evicts the Seattle view
+// and denies service to the now-untrusted site; re-issuing the
+// credentials restores local caching.
 func TestAdaptationLoopWithTrustRevocation(t *testing.T) {
-	// Trust structure as credentials.
-	store := trust.NewStore()
-	pi := trust.NewPropertyIssuer(store)
-	for lvl := 2; lvl <= 5; lvl++ {
-		pi.MapRole(trust.Role("mailcorp.trust"+string(rune('0'+lvl))),
-			property.Set{"TrustLevel": property.Int(int64(lvl))})
-	}
-	must := func(c trust.Credential) {
-		t.Helper()
-		if err := store.Issue(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, n := range []string{"ny-1", "ny-2", "ny-3"} {
-		must(trust.Credential{Subject: n, Role: "mailcorp.trust5", Issuer: "mailcorp"})
-	}
-	for _, n := range []string{"sd-1", "sd-2"} {
-		must(trust.Credential{Subject: n, Role: "mailcorp.trust4", Issuer: "mailcorp"})
-	}
-	must(trust.Credential{Subject: "partner", Role: "mailcorp.trust2", Issuer: "mailcorp", Delegatable: true})
-	for _, n := range []string{"sea-1", "sea-2"} {
-		must(trust.Credential{Subject: n, Role: "mailcorp.trust2", Issuer: "partner"})
-	}
-
 	net := topology.CaseStudy()
-	for _, node := range net.Nodes() {
-		node.Credentials = map[string]string{"entity": string(node.ID)}
-		delete(node.Props, "TrustLevel")
-	}
-	net.Translate(pi.NodeTranslation(), nil)
-
 	pl := planner.New(spec.MailService(), net)
 	ms, err := pl.PrimaryPlacement(spec.CompMailServer, topology.NYServer)
 	if err != nil {
@@ -172,68 +104,54 @@ func TestAdaptationLoopWithTrustRevocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl.AddExisting(old.Placements...)
-	hasSeaView := false
-	for _, p := range old.Placements {
-		if p.Component == spec.CompViewMailServer && p.Node == topology.SeaClient {
-			hasSeaView = true
+	seaView := func(ps []planner.Placement) bool {
+		for _, p := range ps {
+			if p.Component == spec.CompViewMailServer && p.Node == topology.SeaClient {
+				return true
+			}
 		}
+		return false
 	}
-	if !hasSeaView {
+	if !seaView(old.Placements) {
 		t.Fatalf("initial Seattle plan must cache locally: %s", old)
 	}
-
-	// The adaptation loop: monitor subscribes the replanner.
-	mon := New(net)
-	var notified []Change
-	mon.Subscribe(func(cs []Change) { notified = append(notified, cs...) })
-
-	// dRBAC revocation: the partner loses its delegation, so Seattle's
-	// chains no longer prove trust2.
-	if n := store.Revoke("partner", "mailcorp.trust2"); n != 1 {
-		t.Fatalf("revoked %d credentials", n)
-	}
-	mon.Retranslate(pi.NodeTranslation())
-	if len(notified) == 0 {
-		t.Fatal("revocation must surface as property changes")
+	// setTrust re-issues (or, with "", revokes) the Seattle nodes' trust
+	// credential and re-runs the mail translation.
+	setTrust := func(trust string) {
+		for _, id := range []netmodel.NodeID{topology.SeaGW, topology.SeaClient} {
+			n, _ := net.Node(id)
+			if trust == "" {
+				delete(n.Credentials, "trust")
+			} else {
+				n.Credentials["trust"] = trust
+			}
+		}
+		net.Translate(topology.MailTranslation())
 	}
 
 	// With every Seattle trust credential gone, the site cannot host or
 	// even head a deployment: the replan fails — service is correctly
 	// denied to the now-untrusted site — and the eviction pass drops the
 	// Seattle view from the reuse set.
+	setTrust("")
+	if n, _ := net.Node(topology.SeaClient); n.Props["TrustLevel"].IsValid() {
+		t.Fatalf("revocation must withdraw the trust level: %v", n.Props)
+	}
 	if _, err := pl.Replan(old, seaReq); err == nil {
 		t.Fatal("replan must fail while Seattle holds no trust credential")
 	}
-	evictedView := false
-	for _, p := range pl.Existing {
-		if p.Component == spec.CompViewMailServer && p.Node == topology.SeaClient {
-			evictedView = true
-		}
-	}
-	if evictedView {
+	if seaView(pl.Existing) {
 		t.Error("the Seattle view must have been evicted from the reuse set")
 	}
 
-	// Recovery: mailcorp certifies the Seattle nodes directly; the
-	// monitor re-translates and the replanner restores local caching.
-	for _, n := range []string{"sea-1", "sea-2"} {
-		must(trust.Credential{Subject: n, Role: "mailcorp.trust2", Issuer: "mailcorp"})
-	}
-	mon.Retranslate(pi.NodeTranslation())
+	// Recovery: the credentials are re-issued and the replanner restores
+	// local caching.
+	setTrust("2")
 	diff, err := pl.Replan(old, seaReq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := false
-	for _, p := range diff.New.Placements {
-		if p.Component == spec.CompViewMailServer && p.Node == topology.SeaClient {
-			restored = true
-		}
-	}
-	if !restored {
+	if !seaView(diff.New.Placements) {
 		t.Errorf("re-issued credentials must restore Seattle caching: %s", diff.New)
-	}
-	if err := pl.Verify(diff.New, seaReq); err != nil {
-		t.Errorf("replanned deployment invalid: %v", err)
 	}
 }

@@ -36,31 +36,31 @@ func TestReportLinkInvalidatesRoutes(t *testing.T) {
 	net := triangle(t)
 	m := New(net)
 
-	p, ok := net.ShortestPath("a", "b")
+	p, ok := net.Routes().Path("a", "b")
 	if !ok || len(p.Nodes) != 3 || p.LatencyMS != 2 {
 		t.Fatalf("baseline must detour a-c-b at 2 ms, got %v (%.1f ms)", p.Nodes, p.LatencyMS)
 	}
-	epoch := net.RouteEpoch()
+	epoch := net.Routes().Epoch()
 
 	// The direct link speeds up past the detour.
 	if err := m.ReportLink("a", "b", 0.5, -1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if net.RouteEpoch() == epoch {
+	if net.Routes().Epoch() == epoch {
 		t.Fatal("a latency change must bump the route epoch")
 	}
-	p, ok = net.ShortestPath("a", "b")
+	p, ok = net.Routes().Path("a", "b")
 	if !ok || len(p.Nodes) != 2 || p.LatencyMS != 0.5 {
 		t.Fatalf("post-report route must take the direct link, got %v (%.1f ms)", p.Nodes, p.LatencyMS)
 	}
 
 	// A no-op report (same values) must not churn the epoch: unchanged
 	// networks keep their cache warm.
-	epoch = net.RouteEpoch()
+	epoch = net.Routes().Epoch()
 	if err := m.ReportLink("a", "b", 0.5, -1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if net.RouteEpoch() != epoch {
+	if net.Routes().Epoch() != epoch {
 		t.Fatal("a no-op report must not invalidate routes")
 	}
 }
@@ -71,11 +71,11 @@ func TestReportLinkInvalidatesRoutes(t *testing.T) {
 func TestSubscriberSeesFreshRoutes(t *testing.T) {
 	net := triangle(t)
 	m := New(net)
-	net.ShortestPath("a", "b") // warm the cache on the old topology
+	net.Routes().Path("a", "b") // warm the cache on the old topology
 
 	var sawLatency float64
 	m.Subscribe(func([]Change) {
-		p, ok := net.ShortestPath("a", "b")
+		p, ok := net.Routes().Path("a", "b")
 		if !ok {
 			t.Error("route lost inside subscriber")
 			return
@@ -96,11 +96,11 @@ func TestSubscriberSeesFreshRoutes(t *testing.T) {
 func TestReportNodePropsInvalidatesRoutes(t *testing.T) {
 	net := triangle(t)
 	m := New(net)
-	epoch := net.RouteEpoch()
+	epoch := net.Routes().Epoch()
 	if err := m.ReportNodeProps("a", property.Set{"TrustLevel": property.Int(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if net.RouteEpoch() == epoch {
+	if net.Routes().Epoch() == epoch {
 		t.Fatal("a node property change must bump the route epoch")
 	}
 }

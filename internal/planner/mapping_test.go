@@ -42,8 +42,8 @@ func TestFig6NewYorkDeployment(t *testing.T) {
 		User: "Alice", RateRPS: 50,
 	})
 	want := []string{spec.CompMailClient, spec.CompMailServer}
-	if !reflect.DeepEqual(dep.Chain(), want) {
-		t.Fatalf("NY chain = %v, want %v\ndeployment: %s", dep.Chain(), want, dep)
+	if !reflect.DeepEqual(componentsOf(dep), want) {
+		t.Fatalf("NY chain = %v, want %v\ndeployment: %s", componentsOf(dep), want, dep)
 	}
 	if dep.Placements[0].Node != topology.NYClient {
 		t.Errorf("MailClient must be at the client node, got %s", dep.Placements[0].Node)
@@ -66,8 +66,8 @@ func TestFig6SanDiegoDeployment(t *testing.T) {
 		User: "Alice", RateRPS: 50,
 	})
 	want := []string{spec.CompMailClient, spec.CompViewMailServer, spec.CompEncryptor, spec.CompDecryptor, spec.CompMailServer}
-	if !reflect.DeepEqual(dep.Chain(), want) {
-		t.Fatalf("SD chain = %v, want %v\ndeployment: %s", dep.Chain(), want, dep)
+	if !reflect.DeepEqual(componentsOf(dep), want) {
+		t.Fatalf("SD chain = %v, want %v\ndeployment: %s", componentsOf(dep), want, dep)
 	}
 	sites := map[string]string{}
 	for _, p := range dep.Placements {
@@ -110,8 +110,8 @@ func TestFig6SeattleDeployment(t *testing.T) {
 		User: "Carol", RateRPS: 50,
 	})
 	want := []string{spec.CompViewMailClient, spec.CompViewMailServer, spec.CompEncryptor, spec.CompDecryptor, spec.CompViewMailServer}
-	if !reflect.DeepEqual(dep.Chain(), want) {
-		t.Fatalf("Seattle chain = %v, want %v\ndeployment: %s", dep.Chain(), want, dep)
+	if !reflect.DeepEqual(componentsOf(dep), want) {
+		t.Fatalf("Seattle chain = %v, want %v\ndeployment: %s", componentsOf(dep), want, dep)
 	}
 	nodeSite := func(i int) string {
 		n, _ := pl.Net.Node(dep.Placements[i].Node)
@@ -145,11 +145,11 @@ func TestDirectInsecureConnectionRejected(t *testing.T) {
 		Interface: spec.IfaceClient, ClientNode: topology.SDClient,
 		User: "Alice", RateRPS: 50,
 	})
-	chain := dep.Chain()
+	chain := componentsOf(dep)
 	// Every edge that crosses an insecure link must have an Encryptor on
 	// its client side (ciphertext is the only traffic allowed there).
 	for _, e := range dep.Edges {
-		env := e.Path.Env(pl.Net, pl.LoopbackEnv)
+		_, env, _ := pl.Net.Routes().PathEnv(e.Path.Nodes[0], e.Path.Nodes[len(e.Path.Nodes)-1])
 		if conf, ok := env["Confidentiality"].AsBool(); ok && !conf {
 			if chain[e.From] != spec.CompEncryptor {
 				t.Errorf("insecure edge %v not fronted by an Encryptor (from %s)", e.Path.Nodes, chain[e.From])
@@ -169,8 +169,8 @@ func TestAccessControlCondition(t *testing.T) {
 		Interface: spec.IfaceClient, ClientNode: topology.NYClient,
 		User: "Carol", RateRPS: 10,
 	})
-	if dep.Chain()[0] != spec.CompViewMailClient {
-		t.Errorf("Carol must get the restricted ViewMailClient, got %v", dep.Chain())
+	if componentsOf(dep)[0] != spec.CompViewMailClient {
+		t.Errorf("Carol must get the restricted ViewMailClient, got %v", componentsOf(dep))
 	}
 }
 
@@ -211,13 +211,13 @@ func TestLoadConditionForcesCache(t *testing.T) {
 		User: "Alice", RateRPS: 200, Objective: MinCost,
 	})
 	found := false
-	for _, name := range dep.Chain() {
+	for _, name := range componentsOf(dep) {
 		if name == spec.CompViewMailServer {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("min-cost plan at 200 rps must include ViewMailServer: %v", dep.Chain())
+		t.Errorf("min-cost plan at 200 rps must include ViewMailServer: %v", componentsOf(dep))
 	}
 	// It is the load that forces it: the cheapest chain at a rate the
 	// slow link carries has no view, and the exhaustive reference — which
@@ -227,9 +227,9 @@ func TestLoadConditionForcesCache(t *testing.T) {
 		Interface: spec.IfaceClient, ClientNode: topology.SDClient,
 		User: "Alice", RateRPS: 50, Objective: MinCost,
 	})
-	for _, name := range low.Chain() {
+	for _, name := range componentsOf(low) {
 		if name == spec.CompViewMailServer {
-			t.Errorf("min-cost plan at 50 rps needs no ViewMailServer: %v", low.Chain())
+			t.Errorf("min-cost plan at 50 rps needs no ViewMailServer: %v", componentsOf(low))
 		}
 	}
 	ref := caseStudyPlanner(t)
@@ -270,13 +270,13 @@ func TestObjectiveMaxCapacity(t *testing.T) {
 	// The max-capacity plan must include the view (RRF multiplies
 	// effective capacity across the slow link five-fold).
 	hasView := false
-	for _, n := range dep.Chain() {
+	for _, n := range componentsOf(dep) {
 		if n == spec.CompViewMailServer {
 			hasView = true
 		}
 	}
 	if !hasView {
-		t.Errorf("max-capacity plan should cache: %v", dep.Chain())
+		t.Errorf("max-capacity plan should cache: %v", componentsOf(dep))
 	}
 	lat := planOrFail(t, pl, Request{
 		Interface: spec.IfaceClient, ClientNode: topology.SDClient,
@@ -317,8 +317,8 @@ func TestRequireProps(t *testing.T) {
 		Interface: spec.IfaceClient, ClientNode: topology.NYClient, User: "Alice",
 		RequireProps: property.Set{"TrustLevel": property.Int(4)}, RateRPS: 10,
 	})
-	if dep.Chain()[0] != spec.CompMailClient {
-		t.Errorf("Alice's plan = %v", dep.Chain())
+	if componentsOf(dep)[0] != spec.CompMailClient {
+		t.Errorf("Alice's plan = %v", componentsOf(dep))
 	}
 }
 
@@ -379,13 +379,13 @@ func TestDeployPenaltySuppressesLANCache(t *testing.T) {
 	pl := caseStudyPlanner(t)
 	req := Request{Interface: spec.IfaceClient, ClientNode: topology.NYClient, User: "Alice", RateRPS: 50}
 	direct := planOrFail(t, pl, req)
-	if len(direct.Chain()) != 2 {
-		t.Fatalf("default penalty must give the direct NY chain: %v", direct.Chain())
+	if len(componentsOf(direct)) != 2 {
+		t.Fatalf("default penalty must give the direct NY chain: %v", componentsOf(direct))
 	}
 	pl.DeployPenaltyMS = 0
 	free := planOrFail(t, pl, req)
-	if len(free.Chain()) <= 2 {
-		t.Errorf("zero penalty should add the LAN cache: %v", free.Chain())
+	if len(componentsOf(free)) <= 2 {
+		t.Errorf("zero penalty should add the LAN cache: %v", componentsOf(free))
 	}
 	if free.ExpectedLatencyMS >= direct.ExpectedLatencyMS {
 		t.Errorf("the cached plan must have lower raw latency: %v vs %v",
@@ -413,4 +413,14 @@ func TestObjectiveString(t *testing.T) {
 			t.Errorf("Objective(%d) = %q, want %q", o, got, want)
 		}
 	}
+}
+
+// componentsOf returns the component names of a deployment in placement
+// order, head first.
+func componentsOf(d *Deployment) []string {
+	out := make([]string, len(d.Placements))
+	for i, p := range d.Placements {
+		out[i] = p.Component
+	}
+	return out
 }

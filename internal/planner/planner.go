@@ -210,16 +210,6 @@ type Deployment struct {
 	CapacityRPS float64
 }
 
-// Chain returns the component names of the deployment in placement
-// order, head first.
-func (d Deployment) Chain() []string {
-	out := make([]string, len(d.Placements))
-	for i, p := range d.Placements {
-		out[i] = p.Component
-	}
-	return out
-}
-
 // String renders a chain as "MC@sd-2 -> VMS@sd-2{...} -> ..." and a
 // deployment that branches in nested form, every placement followed by
 // its providers: "Portal@sd-2(Encryptor2@sd-2(Server@ny-1), LogServer@sd-2)".

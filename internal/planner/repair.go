@@ -32,19 +32,6 @@ func (c *ChangedSet) AddLink(a, b netmodel.NodeID) {
 	c.links[[2]netmodel.NodeID{a, b}] = true
 }
 
-// Merge folds another change set into this one.
-func (c *ChangedSet) Merge(o *ChangedSet) {
-	if o == nil {
-		return
-	}
-	for n := range o.nodes {
-		c.nodes[n] = true
-	}
-	for l := range o.links {
-		c.links[l] = true
-	}
-}
-
 // Empty reports whether nothing changed.
 func (c *ChangedSet) Empty() bool {
 	return c == nil || (len(c.nodes) == 0 && len(c.links) == 0)

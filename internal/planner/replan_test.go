@@ -200,7 +200,7 @@ func TestReplanAfterLatencyChange(t *testing.T) {
 	if err := netmon.New(pl.Net).ReportLink(topology.NYServer, topology.SeaGW, 50, -1, nil); err != nil {
 		t.Fatal(err)
 	}
-	want, ok := pl.Net.ShortestPath(topology.NYServer, topology.SeaGW)
+	want, ok := pl.Net.Routes().Path(topology.NYServer, topology.SeaGW)
 	if !ok || len(want.Nodes) != 2 {
 		t.Fatalf("direct link must now be the shortest NY-Sea route, got %v", want.Nodes)
 	}
@@ -212,7 +212,7 @@ func TestReplanAfterLatencyChange(t *testing.T) {
 	for _, e := range diff.New.Edges {
 		from := diff.New.Placements[e.From].Node
 		to := diff.New.Placements[e.To].Node
-		sp, ok := pl.Net.ShortestPath(from, to)
+		sp, ok := pl.Net.Routes().Path(from, to)
 		if !ok {
 			t.Fatalf("edge %s->%s lost its route", from, to)
 		}

@@ -166,8 +166,7 @@ func TestPlanTreeSD(t *testing.T) {
 			portalNode = p.Node
 		}
 	}
-	path, _ := pl.Net.ShortestPath(portalNode, encNode)
-	env := path.Env(pl.Net, pl.LoopbackEnv)
+	_, env, _ := pl.Net.Routes().PathEnv(portalNode, encNode)
 	if conf, ok := env["Confidentiality"].AsBool(); ok && !conf {
 		t.Errorf("plaintext Portal->Encryptor2 hop must be secure: %s", dep)
 	}

@@ -62,9 +62,6 @@ func Ref(name string) Expr { return Expr{ref: name} }
 // IsRef reports whether the expression is an environment reference.
 func (e Expr) IsRef() bool { return e.ref != "" }
 
-// RefName returns the reference name, or "" for literal expressions.
-func (e Expr) RefName() string { return e.ref }
-
 // LitValue returns the literal value, or an invalid Value for references.
 func (e Expr) LitValue() Value { return e.lit }
 
@@ -141,11 +138,6 @@ type Condition struct {
 // CondEq builds an equality/satisfaction condition.
 func CondEq(subject string, v Value) Condition {
 	return Condition{Subject: subject, Op: OpEq, Arg: Lit(v)}
-}
-
-// CondExact builds a strict-equality condition.
-func CondExact(subject string, v Value) Condition {
-	return Condition{Subject: subject, Op: OpExact, Arg: Lit(v)}
 }
 
 // CondIn builds an interval-membership condition (inclusive bounds).

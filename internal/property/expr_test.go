@@ -63,7 +63,7 @@ func TestExprEval(t *testing.T) {
 
 func TestExprAccessors(t *testing.T) {
 	r := Ref("Node.X")
-	if !r.IsRef() || r.RefName() != "Node.X" || r.IsZero() {
+	if !r.IsRef() || r.String() != "Node.X" || r.IsZero() {
 		t.Error("Ref accessors wrong")
 	}
 	l := Lit(Bool(true))
@@ -76,7 +76,7 @@ func TestExprAccessors(t *testing.T) {
 }
 
 func TestParseExpr(t *testing.T) {
-	if e := ParseExpr("Node.TrustLevel"); !e.IsRef() || e.RefName() != "Node.TrustLevel" {
+	if e := ParseExpr("Node.TrustLevel"); !e.IsRef() || e.String() != "Node.TrustLevel" {
 		t.Errorf("ParseExpr ref = %v", e)
 	}
 	if e := ParseExpr("T"); e.IsRef() || !e.LitValue().Equal(Bool(true)) {
@@ -99,8 +99,8 @@ func TestConditionHolds(t *testing.T) {
 		{CondEq("User", Str("Alice")), true},
 		{CondEq("User", Str("Bob")), false},
 		{CondEq("Node.TrustLevel", Int(3)), true}, // satisfaction: 4 >= 3
-		{CondExact("Node.TrustLevel", Int(3)), false},
-		{CondExact("Node.TrustLevel", Int(4)), true},
+		{Condition{Subject: "Node.TrustLevel", Op: OpExact, Arg: Lit(Int(3))}, false},
+		{Condition{Subject: "Node.TrustLevel", Op: OpExact, Arg: Lit(Int(4))}, true},
 		{CondIn("Node.TrustLevel", 2, 5), true},
 		{CondIn("Node.TrustLevel", 1, 3), false},
 		{CondGE("Node.TrustLevel", 4), true},
@@ -121,7 +121,7 @@ func TestConditionString(t *testing.T) {
 		want string
 	}{
 		{CondEq("User", Str("Alice")), "User = Alice"},
-		{CondExact("X", Int(2)), "X == 2"},
+		{Condition{Subject: "X", Op: OpExact, Arg: Lit(Int(2))}, "X == 2"},
 		{CondIn("Node.TrustLevel", 1, 3), "Node.TrustLevel in (1,3)"},
 		{CondGE("Node.TrustLevel", 2), "Node.TrustLevel >= 2"},
 	} {
@@ -137,7 +137,7 @@ func TestParseCondition(t *testing.T) {
 		want Condition
 	}{
 		{"User = Alice", CondEq("User", Str("Alice"))},
-		{"X == 2", CondExact("X", Int(2))},
+		{"X == 2", Condition{Subject: "X", Op: OpExact, Arg: Lit(Int(2))}},
 		{"Node.TrustLevel in (1,3)", CondIn("Node.TrustLevel", 1, 3)},
 		{"Node.TrustLevel >= 2", CondGE("Node.TrustLevel", 2)},
 	}
@@ -163,7 +163,7 @@ func TestParseConditionRefRHS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Arg.IsRef() || c.Arg.RefName() != "Node.TrustLevel" {
+	if !c.Arg.IsRef() || c.Arg.String() != "Node.TrustLevel" {
 		t.Errorf("RHS reference not parsed: %v", c)
 	}
 	if !c.Holds(testScope()) {

@@ -178,26 +178,13 @@ func (t RuleTable) Apply(property string, in, env Value) (Value, error) {
 	return m.Apply(in, env)
 }
 
-// ApplySet transforms a whole implemented property set across an
+// ApplySetRO transforms a whole implemented property set across an
 // environment property set, returning the effective set visible on the
 // far side of the environment. This is the planner's view of "what the
-// client component actually receives" (Section 3.3, condition 2).
-func (t RuleTable) ApplySet(impl, env Set) (Set, error) {
-	out := make(Set, len(impl))
-	for name, in := range impl {
-		v, err := t.Apply(name, in, env[name])
-		if err != nil {
-			return nil, err
-		}
-		out[name] = v
-	}
-	return out, nil
-}
-
-// ApplySetRO is ApplySet with copy-on-write semantics for read-heavy
-// callers: when the environment leaves every property unchanged — the
-// common case for trusted, secured paths — the input set itself is
-// returned and no allocation happens. The result must therefore be
+// client component actually receives" (Section 3.3, condition 2). It
+// is copy-on-write: when the environment leaves every property
+// unchanged — the common case for trusted, secured paths — the input
+// set itself is returned and no allocation happens. The result must therefore be
 // treated as read-only whenever the input must stay intact.
 func (t RuleTable) ApplySetRO(impl, env Set) (Set, error) {
 	var out Set

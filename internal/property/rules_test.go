@@ -105,7 +105,7 @@ func TestRuleTableApplySet(t *testing.T) {
 	}
 	impl := Set{"Confidentiality": Bool(true), "TrustLevel": Int(5), "User": Str("Alice")}
 	env := Set{"Confidentiality": Bool(false), "TrustLevel": Int(3)}
-	out, err := table.ApplySet(impl, env)
+	out, err := table.ApplySetRO(impl, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestRuleTableApplySetSecureEnv(t *testing.T) {
 	table := RuleTable{"Confidentiality": ConfidentialityRule("Confidentiality")}
 	impl := Set{"Confidentiality": Bool(true)}
 	env := Set{"Confidentiality": Bool(true)}
-	out, err := table.ApplySet(impl, env)
+	out, err := table.ApplySetRO(impl, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,8 @@ func TestRuleTableApplySetSecureEnv(t *testing.T) {
 
 func TestRuleTableApplySetError(t *testing.T) {
 	table := RuleTable{"X": {Property: "X"}} // empty table, no default
-	if _, err := table.ApplySet(Set{"X": Int(1)}, Set{"X": Int(2)}); err == nil {
-		t.Error("rule failure must propagate from ApplySet")
+	if _, err := table.ApplySetRO(Set{"X": Int(1)}, Set{"X": Int(2)}); err == nil {
+		t.Error("rule failure must propagate from ApplySetRO")
 	}
 }
 

@@ -34,11 +34,6 @@ func IntervalType(name string, lo, hi int64) Type {
 // StringType declares an unconstrained string property.
 func StringType(name string) Type { return Type{Name: name, Kind: KindString} }
 
-// EnumType declares a string property restricted to the given values.
-func EnumType(name string, values ...string) Type {
-	return Type{Name: name, Kind: KindString, Enum: values}
-}
-
 // Check reports whether v is an allowable value for the declaration.
 // A nil error means the value is allowed.
 func (t Type) Check(v Value) error {
@@ -59,35 +54,6 @@ func (t Type) Check(v Value) error {
 			}
 			return fmt.Errorf("property %s: value %q not in enumeration {%s}", t.Name, v.s, strings.Join(t.Enum, ","))
 		}
-	}
-	return nil
-}
-
-// Values enumerates the allowable values of the declaration. For
-// unbounded kinds (unconstrained strings) it returns nil; callers that
-// need exhaustive enumeration must treat nil as "unbounded".
-func (t Type) Values() []Value {
-	switch t.Kind {
-	case KindBool:
-		return []Value{Bool(false), Bool(true)}
-	case KindInt:
-		if t.Hi < t.Lo {
-			return nil
-		}
-		vs := make([]Value, 0, t.Hi-t.Lo+1)
-		for i := t.Lo; i <= t.Hi; i++ {
-			vs = append(vs, Int(i))
-		}
-		return vs
-	case KindString:
-		if len(t.Enum) == 0 {
-			return nil
-		}
-		vs := make([]Value, len(t.Enum))
-		for i, e := range t.Enum {
-			vs[i] = Str(e)
-		}
-		return vs
 	}
 	return nil
 }

@@ -38,31 +38,12 @@ func TestStringAndEnumTypeCheck(t *testing.T) {
 	if err := st.Check(Str("anything")); err != nil {
 		t.Errorf("unconstrained string must allow any value: %v", err)
 	}
-	et := EnumType("Codec", "h261", "mjpeg")
+	et := Type{Name: "Codec", Kind: KindString, Enum: []string{"h261", "mjpeg"}}
 	if err := et.Check(Str("h261")); err != nil {
 		t.Errorf("enumerated value must be allowed: %v", err)
 	}
 	if err := et.Check(Str("vp9")); err == nil {
 		t.Error("non-enumerated value must be rejected")
-	}
-}
-
-func TestTypeValuesEnumeration(t *testing.T) {
-	if got := BoolType("C").Values(); len(got) != 2 {
-		t.Errorf("Boolean enumerates 2 values, got %d", len(got))
-	}
-	got := IntervalType("TL", 1, 5).Values()
-	if len(got) != 5 || !got[0].Equal(Int(1)) || !got[4].Equal(Int(5)) {
-		t.Errorf("interval (1,5) enumerates [1..5], got %v", got)
-	}
-	if got := StringType("U").Values(); got != nil {
-		t.Errorf("unconstrained string must be unbounded (nil), got %v", got)
-	}
-	if got := EnumType("E", "a", "b").Values(); len(got) != 2 {
-		t.Errorf("enum enumerates its members, got %v", got)
-	}
-	if got := IntervalType("bad", 5, 1).Values(); got != nil {
-		t.Errorf("empty interval enumerates nothing, got %v", got)
 	}
 }
 
@@ -74,7 +55,7 @@ func TestTypeString(t *testing.T) {
 		{BoolType("C"), "C: Boolean {T,F}"},
 		{IntervalType("TL", 1, 5), "TL: Interval (1,5)"},
 		{StringType("U"), "U: String"},
-		{EnumType("E", "a", "b"), "E: Enum {a,b}"},
+		{Type{Name: "E", Kind: KindString, Enum: []string{"a", "b"}}, "E: Enum {a,b}"},
 	} {
 		if got := c.ty.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)

@@ -12,10 +12,7 @@
 // lost across an insecure link).
 package property
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Kind enumerates the value kinds a property can take.
 type Kind int
@@ -143,15 +140,6 @@ func Parse(text string) Value {
 		return Int(i)
 	}
 	return Str(text)
-}
-
-// MustKind panics unless v has the given kind. It is a programming-error
-// guard for internal call sites that have already validated kinds.
-func (v Value) MustKind(k Kind) Value {
-	if v.kind != k {
-		panic(fmt.Sprintf("property: value %v has kind %v, want %v", v, v.kind, k))
-	}
-	return v
 }
 
 // Min returns the smaller of two values of the same orderable kind

@@ -144,15 +144,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestMustKindPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustKind must panic on kind mismatch")
-		}
-	}()
-	Int(1).MustKind(KindBool)
-}
-
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindBool: "bool", KindInt: "interval", KindString: "string", KindInvalid: "invalid",

@@ -126,14 +126,6 @@ func (k *KeyRing) GenerateUserKeys(user string, levels int) error {
 	return nil
 }
 
-// HasKey reports whether the ring holds the key for (user, level).
-func (k *KeyRing) HasKey(user string, level int) bool {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	_, ok := k.keys[keyID{user, level}]
-	return ok
-}
-
 // SubRing returns a new ring holding only keys with level <= maxLevel:
 // the escrow operation used when instantiating a view on a node of
 // limited trust ("whether the node ... can be entrusted with the keys

@@ -33,30 +33,6 @@ func BenchmarkSimCore(b *testing.B) {
 			}
 		})
 	})
-	b.Run(fmt.Sprintf("queue/callback-%d", n), func(b *testing.B) {
-		benchEvents(b, func(env *Env) {
-			for i := 0; i < n/2; i++ {
-				q := NewQueue(env)
-				items := 10
-				var consume func(any)
-				consume = func(any) {
-					if items--; items > 0 {
-						q.GetFn(consume)
-					}
-				}
-				q.GetFn(consume)
-				var produce func()
-				sent := 10
-				produce = func() {
-					q.Put(0)
-					if sent--; sent > 0 {
-						env.After(1, produce)
-					}
-				}
-				env.After(1, produce)
-			}
-		})
-	})
 }
 
 // startTimerEntities schedules n self-rescheduling callback chains of

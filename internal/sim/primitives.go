@@ -1,105 +1,5 @@
 package sim
 
-// Queue is an unbounded FIFO mailbox between callbacks. GetFn delivers
-// the oldest item to a callback, parking it until one arrives; Put
-// never blocks. The zero value is not usable; create queues with
-// NewQueue.
-type Queue struct {
-	env     *Env
-	items   []any // ring: live items are items[head:]
-	head    int
-	waiters []func(v any) // ring: live waiters are waiters[whead:], FIFO
-	whead   int
-}
-
-// NewQueue returns an empty queue bound to the environment.
-func NewQueue(env *Env) *Queue {
-	return &Queue{env: env}
-}
-
-// Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) - q.head }
-
-func (q *Queue) popItem() any {
-	v := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.items, q.head = q.items[:0], 0
-	} else if q.head > len(q.items)/2 {
-		// Compact once the dead prefix dominates: a queue that always
-		// keeps a backlog must not grow its backing array with total
-		// Puts ever made (standard deque compaction, amortized O(1)).
-		n := copy(q.items, q.items[q.head:])
-		for i := n; i < len(q.items); i++ {
-			q.items[i] = nil
-		}
-		q.items, q.head = q.items[:n], 0
-	}
-	return v
-}
-
-func (q *Queue) takeWaiter() (func(v any), bool) {
-	if q.whead == len(q.waiters) {
-		return nil, false
-	}
-	w := q.waiters[q.whead]
-	q.waiters[q.whead] = nil
-	q.whead++
-	if q.whead == len(q.waiters) {
-		q.waiters, q.whead = q.waiters[:0], 0
-	} else if q.whead > len(q.waiters)/2 {
-		n := copy(q.waiters, q.waiters[q.whead:])
-		for i := n; i < len(q.waiters); i++ {
-			q.waiters[i] = nil
-		}
-		q.waiters, q.whead = q.waiters[:n], 0
-	}
-	return w, true
-}
-
-// Put appends an item and wakes the oldest waiting consumer, if any.
-// Put may be called from any callback, or before Run.
-func (q *Queue) Put(v any) {
-	q.items = append(q.items, v)
-	if fn, ok := q.takeWaiter(); ok {
-		// Wake the waiter through an event at the current time and
-		// re-check on dispatch, since another consumer may take the item
-		// first.
-		q.env.schedule(q.env.now, q.wakeFn(fn))
-	}
-}
-
-// wakeFn resumes a parked waiter: deliver if an item is present,
-// otherwise re-park it at the back of the waiter list.
-func (q *Queue) wakeFn(fn func(v any)) func() {
-	return func() {
-		q.env.blocked--
-		q.GetFn(fn)
-	}
-}
-
-// GetFn delivers the oldest item to fn: synchronously when one is
-// queued, otherwise later, when one arrives. Waiting consumers are
-// served in strict FIFO order.
-func (q *Queue) GetFn(fn func(v any)) {
-	if q.Len() > 0 {
-		fn(q.popItem())
-		return
-	}
-	q.waiters = append(q.waiters, fn)
-	q.env.blocked++
-}
-
-// TryGet removes and returns the oldest item without blocking; ok is
-// false when the queue is empty.
-func (q *Queue) TryGet() (v any, ok bool) {
-	if q.Len() == 0 {
-		return nil, false
-	}
-	return q.popItem(), true
-}
-
 // Resource is a counted resource (semaphore) with FIFO admission: the
 // building block for modeling server capacity and exclusive locks.
 type Resource struct {
@@ -123,9 +23,6 @@ func NewResource(env *Env, capacity int) *Resource {
 	}
 	return &Resource{env: env, capacity: capacity}
 }
-
-// InUse returns the currently acquired units.
-func (r *Resource) InUse() int { return r.inUse }
 
 func (r *Resource) dropFrontWaiter() {
 	r.waiters[r.whead] = waiter{}
@@ -190,9 +87,6 @@ func (m *Mutex) LockFn(fn func()) { m.r.AcquireFn(1, fn) }
 
 // Unlock releases the mutex.
 func (m *Mutex) Unlock() { m.r.Release(1) }
-
-// Locked reports whether the mutex is held.
-func (m *Mutex) Locked() bool { return m.r.InUse() > 0 }
 
 // Link models a network link with propagation latency and serialized
 // transmission: transfers queue behind one another (FIFO) and each takes

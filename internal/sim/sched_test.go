@@ -183,20 +183,16 @@ func TestTimerAtAfterStop(t *testing.T) {
 	}
 }
 
-// TestCallbackPrimitives exercises GetFn/AcquireFn/LockFn/TransferFn
+// TestCallbackPrimitives exercises AcquireFn/LockFn/TransferFn
 // together on one environment: synchronous grants run inline, parked
 // waiters resume through events at the release time.
 func TestCallbackPrimitives(t *testing.T) {
 	env := NewEnv()
-	q := NewQueue(env)
 	res := NewResource(env, 1)
 	mu := NewMutex(env)
 	link := NewLink(env, 10, 0) // latency-only
 
 	var order []string
-	// The consumer parks first; a timer feeds it.
-	q.GetFn(func(v any) { order = append(order, "got:"+v.(string)) })
-	env.At(1, func() { q.Put("x") })
 	// Two acquirers contend for the same resource.
 	res.AcquireFn(1, func() {
 		order = append(order, "first-acquired")
@@ -219,28 +215,10 @@ func TestCallbackPrimitives(t *testing.T) {
 	env.Run()
 
 	want := fmt.Sprint([]string{
-		"first-acquired", "locked", "got:x", "first-released", "second-acquired@5", "xfer@10 d=10",
+		"first-acquired", "locked", "first-released", "second-acquired@5", "xfer@10 d=10",
 	})
 	if got := fmt.Sprint(order); got != want {
 		t.Fatalf("order = %v\nwant    %v", got, want)
-	}
-}
-
-// TestGetFnSynchronousWhenReady: a nonempty queue delivers to GetFn
-// without consuming an event.
-func TestGetFnSynchronousWhenReady(t *testing.T) {
-	env := NewEnv()
-	q := NewQueue(env)
-	q.Put(7)
-	delivered := false
-	q.GetFn(func(v any) {
-		if v.(int) != 7 {
-			t.Fatalf("got %v, want 7", v)
-		}
-		delivered = true
-	})
-	if !delivered {
-		t.Fatal("GetFn on a nonempty queue must deliver synchronously")
 	}
 }
 
@@ -250,27 +228,6 @@ func TestGetFnSynchronousWhenReady(t *testing.T) {
 func TestRingsCompactUnderBacklog(t *testing.T) {
 	env := NewEnv()
 	const churn = 100000
-
-	q := NewQueue(env)
-	for i := 0; i < 10; i++ {
-		q.Put(i) // permanent backlog: the queue never fully drains
-	}
-	for i := 0; i < churn; i++ {
-		q.Put(i)
-		q.TryGet()
-	}
-	if c := cap(q.items); c > 1024 {
-		t.Fatalf("items backing array grew to %d for a 10-item backlog", c)
-	}
-
-	q.waiters = append(q.waiters, func(any) {})
-	for i := 0; i < churn; i++ {
-		q.waiters = append(q.waiters, func(any) {})
-		q.takeWaiter()
-	}
-	if c := cap(q.waiters); c > 1024 {
-		t.Fatalf("waiters backing array grew to %d for a 1-waiter backlog", c)
-	}
 
 	r := NewResource(env, 1)
 	r.waiters = append(r.waiters, waiter{n: 1})

@@ -3,7 +3,7 @@
 // Figure 7 experiments. Virtual time is in milliseconds.
 //
 // The scheduler has one tier: callback events (Env.At/Env.After and the
-// *Fn primitives on Queue, Resource, Mutex and Link), invoked inline
+// *Fn primitives on Resource, Mutex and Link), invoked inline
 // with no goroutine handoff, so a hot loop costs one event-queue
 // operation per step. Stateful component logic is written as
 // continuation chains over those primitives. Events fire in one total
@@ -23,7 +23,7 @@ type Env struct {
 	now     float64
 	q       *calQueue
 	seq     int64
-	blocked int // callback waiters parked on queues/resources (not timed)
+	blocked int // callback waiters parked on resources (not timed)
 	rng     *rand.Rand
 
 	inRun   bool

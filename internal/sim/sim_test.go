@@ -91,58 +91,6 @@ func TestRunUntilHorizon(t *testing.T) {
 	}
 }
 
-func TestQueueFIFOAndBlocking(t *testing.T) {
-	env := NewEnv()
-	q := NewQueue(env)
-	var got []int
-	var consume func(v any)
-	consume = func(v any) {
-		got = append(got, v.(int))
-		if len(got) < 3 {
-			q.GetFn(consume)
-		}
-	}
-	q.GetFn(consume)
-	i := 0
-	ticker(env, 10, 3, func() { i++; q.Put(i) })
-	env.Run()
-	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Errorf("got %v", got)
-	}
-}
-
-func TestQueueTryGet(t *testing.T) {
-	env := NewEnv()
-	q := NewQueue(env)
-	if _, ok := q.TryGet(); ok {
-		t.Error("empty TryGet must fail")
-	}
-	q.Put("x")
-	if q.Len() != 1 {
-		t.Error("Len wrong")
-	}
-	v, ok := q.TryGet()
-	if !ok || v != "x" {
-		t.Errorf("TryGet = %v, %v", v, ok)
-	}
-}
-
-func TestQueueMultipleConsumersFIFO(t *testing.T) {
-	env := NewEnv()
-	q := NewQueue(env)
-	var got []string
-	for _, name := range []string{"c1", "c2"} {
-		name := name
-		q.GetFn(func(v any) { got = append(got, name+":"+v.(string)) })
-	}
-	env.At(1, func() { q.Put("a") })
-	env.At(2, func() { q.Put("b") })
-	env.Run()
-	if !reflect.DeepEqual(got, []string{"c1:a", "c2:b"}) {
-		t.Errorf("got %v", got)
-	}
-}
-
 // hold acquires one unit of r, holds it for d ms, and reports the
 // [acquired, released] span.
 func hold(env *Env, r *Resource, d float64, done func(span [2]float64)) {
@@ -167,7 +115,7 @@ func TestResourceContention(t *testing.T) {
 	if !reflect.DeepEqual(spans, want) {
 		t.Errorf("spans = %v, want serialized %v", spans, want)
 	}
-	if r.InUse() != 0 {
+	if r.inUse != 0 {
 		t.Error("resource not fully released")
 	}
 }
@@ -199,7 +147,7 @@ func TestMutex(t *testing.T) {
 	m := NewMutex(env)
 	var order []string
 	m.LockFn(func() {
-		if !m.Locked() {
+		if m.r.inUse == 0 {
 			t.Error("mutex must report locked")
 		}
 		env.After(5, func() {
@@ -215,7 +163,7 @@ func TestMutex(t *testing.T) {
 	if !reflect.DeepEqual(order, []string{"w1", "w2"}) {
 		t.Errorf("order = %v", order)
 	}
-	if m.Locked() {
+	if m.r.inUse != 0 {
 		t.Error("mutex must be free at end")
 	}
 }
@@ -266,6 +214,8 @@ func TestDeadlockPanics(t *testing.T) {
 		}
 	}()
 	env := NewEnv()
-	NewQueue(env).GetFn(func(any) {})
+	m := NewMutex(env)
+	m.LockFn(func() {})
+	m.LockFn(func() {}) // parked behind a holder that never unlocks
 	env.Run()
 }

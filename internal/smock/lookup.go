@@ -2,11 +2,7 @@ package smock
 
 import (
 	"fmt"
-	"strings"
 	"sync"
-
-	"partsvc/internal/transport"
-	"partsvc/internal/wire"
 )
 
 // Entry is one registered service in the lookup namespace.
@@ -113,52 +109,4 @@ func (l *Lookup) Find(service string, attrs map[string]string) []Entry {
 		}
 	}
 	return out
-}
-
-// Handler exposes the lookup service over a transport: method
-// "register" with meta {service, addr, attr.<k>: v}, method
-// "deregister" with meta {service}, and method "lookup" with meta
-// {service?, attr.<k>: v} returning meta {addr, service} of the first
-// match.
-func (l *Lookup) Handler() transport.Handler {
-	return transport.HandlerFunc(func(m *wire.Message) *wire.Message {
-		// Registered entries outlive the request, and transport requests
-		// are zero-copy (their strings alias a slab released after the
-		// response) — everything stored must own its bytes.
-		attrs := map[string]string{}
-		for k, v := range m.Meta {
-			if len(k) > 5 && k[:5] == "attr." {
-				attrs[strings.Clone(k[5:])] = strings.Clone(v)
-			}
-		}
-		switch m.Method {
-		case "register":
-			err := l.Register(Entry{
-				Service:    strings.Clone(m.Meta["service"]),
-				Attrs:      attrs,
-				ServerAddr: strings.Clone(m.Meta["addr"]),
-			})
-			if err != nil {
-				return transport.ErrorResponse(m, "%v", err)
-			}
-			return &wire.Message{Kind: wire.KindResponse, ID: m.ID}
-		case "deregister":
-			removed := l.Deregister(m.Meta["service"])
-			return &wire.Message{
-				Kind: wire.KindResponse, ID: m.ID,
-				Meta: map[string]string{"removed": fmt.Sprint(removed)},
-			}
-		case "lookup":
-			found := l.Find(m.Meta["service"], attrs)
-			if len(found) == 0 {
-				return transport.ErrorResponse(m, "lookup: no service matches")
-			}
-			return &wire.Message{
-				Kind: wire.KindResponse, ID: m.ID,
-				Meta: map[string]string{"service": found[0].Service, "addr": found[0].ServerAddr},
-			}
-		default:
-			return transport.ErrorResponse(m, "lookup: unknown method %q", m.Method)
-		}
-	})
 }

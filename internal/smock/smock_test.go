@@ -283,28 +283,6 @@ func TestLookupService(t *testing.T) {
 	if got := l.Find("mail", nil); len(got) != 1 || got[0].ServerAddr != "c" {
 		t.Errorf("replaced entry = %v", got)
 	}
-
-	// Transport handler surface.
-	h := l.Handler()
-	resp := h.Handle(&wire.Message{Kind: wire.KindRequest, Method: "register",
-		Meta: map[string]string{"service": "svc", "addr": "z", "attr.k": "v"}})
-	if transport.AsError(resp) != nil {
-		t.Fatalf("register via handler: %v", transport.AsError(resp))
-	}
-	resp = h.Handle(&wire.Message{Kind: wire.KindRequest, Method: "lookup",
-		Meta: map[string]string{"attr.k": "v"}})
-	if transport.AsError(resp) != nil || resp.Meta["addr"] != "z" {
-		t.Errorf("lookup via handler = %+v", resp)
-	}
-	resp = h.Handle(&wire.Message{Kind: wire.KindRequest, Method: "lookup",
-		Meta: map[string]string{"attr.k": "missing"}})
-	if transport.AsError(resp) == nil {
-		t.Error("failed lookup must error")
-	}
-	resp = h.Handle(&wire.Message{Kind: wire.KindRequest, Method: "bogus"})
-	if transport.AsError(resp) == nil {
-		t.Error("unknown method must error")
-	}
 }
 
 // TestRegistryValidation covers factory registration errors.

@@ -134,25 +134,64 @@ func (t *Table) Covers(dep *planner.Deployment) bool {
 // modeled world installs nothing) gets one, pinned if the plan reused
 // it: it was deployed outside the loop. A draining instance is revived,
 // and a pinned one the plan did not reuse — the engine or an access
-// request just installed it — is taken over by the loop. The returned
-// slice is shared with every caller that acquired the same instances
-// (a wave group's sessions): treat it as read-only.
+// request just installed it — is taken over by the loop.
+//
+// A terminal of dep (a placement with no provider in dep) that runs on
+// an existing instance forwards into that instance's upstream chain,
+// which dep does not list. Acquire holds that chain too: its IDs follow
+// the placements' in the returned slice, so Release drops them with
+// the rest, and another session's release cannot drain them under the
+// anchor. Chain instances are only held: never taken over, pins kept.
+//
+// The returned slice is shared with every caller that acquired the
+// same instances (a wave group's sessions): treat it as read-only.
 func (t *Table) Acquire(dep *planner.Deployment) (ids []string, entered int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ids = t.resolveLocked(dep, func(p planner.Placement) bool { return p.Reused }, t.ids[:0])
-	for i, id := range t.ids {
-		e := t.byID[id]
+	n := len(t.ids)
+	for i := 0; i < n; i++ {
+		e := t.byID[t.ids[i]]
 		if e.Refs == 0 && (!e.Pinned || !dep.Placements[i].Reused) {
 			e.Pinned = false
 			entered++
 		}
 		e.Refs++
+		if isTerminal(dep, i) {
+			t.ids = t.appendChainLocked(t.ids, n, e)
+		}
+	}
+	slices.Sort(t.ids[n:]) // upstreams is a map: keep its order out of Release's
+	for _, id := range t.ids[n:] {
+		t.byID[id].Refs++
 	}
 	if !slices.Equal(t.ids, t.held) {
 		t.held = slices.Clone(t.ids)
 	}
 	return t.held, entered
+}
+
+// isTerminal reports whether placement i of dep has no provider in dep.
+func isTerminal(dep *planner.Deployment, i int) bool {
+	for _, ed := range dep.Edges {
+		if ed.From == i {
+			return false
+		}
+	}
+	return true
+}
+
+// appendChainLocked appends to ids the instances e's upstream wiring
+// reaches, transitively, skipping those already in ids[from:].
+func (t *Table) appendChainLocked(ids []string, from int, e *entry) []string {
+	for _, up := range e.upstreams {
+		u := t.byID[up]
+		if u == nil || slices.Contains(ids[from:], up) {
+			continue
+		}
+		ids = t.appendChainLocked(append(ids, up), from, u)
+	}
+	return ids
 }
 
 // Release drops one reference per ID and returns those whose last

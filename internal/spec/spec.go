@@ -190,36 +190,6 @@ func (c Component) ImplementsInterface(name string) (InterfaceSpec, bool) {
 	return InterfaceSpec{}, false
 }
 
-// RequiresInterface returns the Requires entry for the named interface,
-// if present.
-func (c Component) RequiresInterface(name string) (InterfaceSpec, bool) {
-	for _, is := range c.Requires {
-		if is.Name == name {
-			return is, true
-		}
-	}
-	return InterfaceSpec{}, false
-}
-
-// IsTransparentFor reports whether the component passes the named
-// property of the named interface through from its own required linkage:
-// it both implements and requires the interface but does not generate a
-// value for the property. Wrapper components such as the Encryptor —
-// which implements ServerInterface(Confidentiality=T) and requires it
-// downstream — are transparent for TrustLevel: the level offered to
-// their clients is whatever their provider offers.
-func (c Component) IsTransparentFor(iface, prop string) bool {
-	impl, ok := c.ImplementsInterface(iface)
-	if !ok {
-		return false
-	}
-	if _, generated := impl.Props[prop]; generated {
-		return false
-	}
-	_, requiresSame := c.RequiresInterface(iface)
-	return requiresSame
-}
-
 // ConditionsHold evaluates all deployment conditions against the scope.
 func (c Component) ConditionsHold(sc property.Scope) bool {
 	for _, cond := range c.Conditions {

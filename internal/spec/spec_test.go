@@ -25,7 +25,7 @@ func TestMailServiceShape(t *testing.T) {
 	if mc.IsView() {
 		t.Error("MailClient is not a view")
 	}
-	req, ok := mc.RequiresInterface(IfaceServer)
+	req, ok := requiresInterface(mc, IfaceServer)
 	if !ok {
 		t.Fatal("MailClient must require ServerInterface")
 	}
@@ -83,34 +83,6 @@ func TestViewsOf(t *testing.T) {
 	}
 }
 
-func TestIsTransparentFor(t *testing.T) {
-	s := MailService()
-	vms, _ := s.Component(CompViewMailServer)
-	// VMS generates both Confidentiality and TrustLevel: not transparent.
-	if vms.IsTransparentFor(IfaceServer, PropTrustLevel) {
-		t.Error("ViewMailServer generates TrustLevel; not transparent")
-	}
-	// A hypothetical pure proxy is transparent for ungenerated props.
-	proxy := Component{
-		Name:       "Proxy",
-		Implements: []InterfaceSpec{{Name: IfaceServer, Props: map[string]property.Expr{PropConfidentiality: property.Lit(property.Bool(true))}}},
-		Requires:   []InterfaceSpec{{Name: IfaceServer}},
-	}
-	if !proxy.IsTransparentFor(IfaceServer, PropTrustLevel) {
-		t.Error("proxy must be transparent for TrustLevel")
-	}
-	if proxy.IsTransparentFor(IfaceServer, PropConfidentiality) {
-		t.Error("proxy generates Confidentiality; not transparent")
-	}
-	enc, _ := s.Component(CompEncryptor)
-	// Encryptor requires DecryptorInterface, not ServerInterface, so the
-	// narrow same-interface transparency does not apply (the planner's
-	// effective-set propagation handles the cross-interface case).
-	if enc.IsTransparentFor(IfaceServer, PropTrustLevel) {
-		t.Error("Encryptor requires a different interface; IsTransparentFor is same-interface only")
-	}
-}
-
 func TestConditionsHold(t *testing.T) {
 	s := MailService()
 	mc, _ := s.Component(CompMailClient)
@@ -157,7 +129,7 @@ func TestInterfaceSpecEvalProps(t *testing.T) {
 func TestInterfaceSpecString(t *testing.T) {
 	s := MailService()
 	mc, _ := s.Component(CompMailClient)
-	req, _ := mc.RequiresInterface(IfaceServer)
+	req, _ := requiresInterface(mc, IfaceServer)
 	got := req.String()
 	if !strings.Contains(got, "ServerInterface(") || !strings.Contains(got, "Confidentiality=T") || !strings.Contains(got, "TrustLevel=4") {
 		t.Errorf("InterfaceSpec.String() = %q", got)
@@ -215,4 +187,15 @@ func TestServiceAccessorsMissing(t *testing.T) {
 	if ty, ok := s.PropertyType(PropTrustLevel); !ok || ty.Kind != property.KindInt {
 		t.Errorf("TrustLevel type = %v, %v", ty, ok)
 	}
+}
+
+// requiresInterface returns the component's Requires entry for the
+// named interface, if present.
+func requiresInterface(c Component, name string) (InterfaceSpec, bool) {
+	for _, is := range c.Requires {
+		if is.Name == name {
+			return is, true
+		}
+	}
+	return InterfaceSpec{}, false
 }

@@ -49,7 +49,7 @@ func TestXMLRoundTripMailService(t *testing.T) {
 	}
 	// Property expressions survive, including environment references.
 	vms, _ := got.Component(CompViewMailServer)
-	if !vms.Factors[PropTrustLevel].IsRef() || vms.Factors[PropTrustLevel].RefName() != "Node.TrustLevel" {
+	if !vms.Factors[PropTrustLevel].IsRef() || vms.Factors[PropTrustLevel].String() != "Node.TrustLevel" {
 		t.Errorf("factored expression lost: %v", vms.Factors)
 	}
 	impl, _ := vms.ImplementsInterface(IfaceServer)

@@ -44,19 +44,17 @@ var siteTrust = map[string]int64{
 // CaseStudy builds the Figure-5 network: three sites with fast secure
 // internal links (0 ms / 100 Mb/s) and slow insecure inter-site links
 // (NY–SD 200 ms / 20 Mb/s; SD–Seattle 100 ms / 50 Mb/s; NY–Seattle
-// 400 ms / 8 Mb/s). Node and link properties are already translated for
-// the mail service: nodes carry TrustLevel per site, links carry
-// Confidentiality (T on secure links).
+// 400 ms / 8 Mb/s). Nodes carry site and trust credentials, links
+// whether they are secure; the mail translation turns those into the
+// TrustLevel and Confidentiality properties the planner reads.
 func CaseStudy() *netmodel.Network {
 	n := netmodel.New()
 	add := func(id netmodel.NodeID, site string) {
-		trust := siteTrust[site]
 		err := n.AddNode(netmodel.Node{
 			ID:             id,
 			Site:           site,
 			CPUCapacityRPS: 2000,
-			Credentials:    map[string]string{"site": site, "trust": fmt.Sprint(trust)},
-			Props:          property.Set{"TrustLevel": property.Int(trust)},
+			Credentials:    map[string]string{"site": site, "trust": fmt.Sprint(siteTrust[site])},
 		})
 		if err != nil {
 			panic(err) // static construction; an error is a programming bug
@@ -73,7 +71,6 @@ func CaseStudy() *netmodel.Network {
 	link := func(a, b netmodel.NodeID, latencyMS, mbps float64, secure bool) {
 		err := n.AddLink(netmodel.Link{
 			A: a, B: b, LatencyMS: latencyMS, BandwidthMbps: mbps, Secure: secure,
-			Props: property.Set{"Confidentiality": property.Bool(secure)},
 		})
 		if err != nil {
 			panic(err)
@@ -89,21 +86,15 @@ func CaseStudy() *netmodel.Network {
 	link(NYServer, SDGateway, 200, 20, false)
 	link(SDGateway, SeaGW, 100, 50, false)
 	link(NYServer, SeaGW, 400, 8, false)
+	n.Translate(MailTranslation())
 	return n
-}
-
-// SecureLoopbackEnv is the property environment of intra-node
-// communication in the case study: co-located components interact
-// confidentially.
-func SecureLoopbackEnv() property.Set {
-	return property.Set{"Confidentiality": property.Bool(true)}
 }
 
 // MailTranslation returns the service-specific translation functions for
 // the mail service: node "trust" credentials become TrustLevel, link
-// "secure" credentials become Confidentiality. This mirrors Section
-// 3.3's credential-to-property translation step; internal/trust provides
-// the service-independent dRBAC alternative of Section 6.
+// "secure" credentials become Confidentiality. This is Section 3.3's
+// credential-to-property translation step; every generator in this
+// package ends with it.
 func MailTranslation() (nodeFn, linkFn netmodel.TranslationFunc) {
 	nodeFn = func(creds map[string]string) property.Set {
 		out := property.Set{}
@@ -152,8 +143,8 @@ func DefaultWaxman(n int, seed int64) WaxmanConfig {
 // alpha * exp(-d / (beta * L)), where d is Euclidean distance and L the
 // plane diagonal. Link latency is proportional to distance (1 ms per
 // 100 units), bandwidth is drawn from {8, 20, 50, 100} Mb/s, and links
-// are secure with probability 1/2. Node trust levels are drawn from
-// 1..5. The result is deterministic for a given config.
+// are secure with probability 1/2. Node trust credentials are drawn
+// from 1..5. The result is deterministic for a given config.
 func Waxman(cfg WaxmanConfig) (*netmodel.Network, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("topology: Waxman needs at least 1 node, got %d", cfg.Nodes)
@@ -172,11 +163,9 @@ func Waxman(cfg WaxmanConfig) (*netmodel.Network, error) {
 	for i := range pts {
 		pts[i] = pt{rng.Float64() * cfg.PlaneSize, rng.Float64() * cfg.PlaneSize}
 		ids[i] = netmodel.NodeID(fmt.Sprintf("w%03d", i))
-		trust := int64(rng.Intn(5) + 1)
 		if err := n.AddNode(netmodel.Node{
 			ID: ids[i], Site: "waxman", CPUCapacityRPS: 2000,
-			Credentials: map[string]string{"trust": fmt.Sprint(trust)},
-			Props:       property.Set{"TrustLevel": property.Int(trust)},
+			Credentials: map[string]string{"trust": fmt.Sprint(rng.Intn(5) + 1)},
 		}); err != nil {
 			return nil, err
 		}
@@ -194,7 +183,6 @@ func Waxman(cfg WaxmanConfig) (*netmodel.Network, error) {
 			LatencyMS:     d / 100,
 			BandwidthMbps: bws[rng.Intn(len(bws))],
 			Secure:        secure,
-			Props:         property.Set{"Confidentiality": property.Bool(secure)},
 		})
 	}
 	for i := 0; i < cfg.Nodes; i++ {
@@ -283,6 +271,7 @@ func Waxman(cfg WaxmanConfig) (*netmodel.Network, error) {
 			}
 		}
 	}
+	n.Translate(MailTranslation())
 	return n, nil
 }
 
@@ -299,11 +288,9 @@ func BarabasiAlbert(n, m int, seed int64) (*netmodel.Network, error) {
 	ids := make([]netmodel.NodeID, n)
 	for i := 0; i < n; i++ {
 		ids[i] = netmodel.NodeID(fmt.Sprintf("b%03d", i))
-		trust := int64(rng.Intn(5) + 1)
 		if err := net.AddNode(netmodel.Node{
 			ID: ids[i], Site: "ba", CPUCapacityRPS: 2000,
-			Credentials: map[string]string{"trust": fmt.Sprint(trust)},
-			Props:       property.Set{"TrustLevel": property.Int(trust)},
+			Credentials: map[string]string{"trust": fmt.Sprint(rng.Intn(5) + 1)},
 		}); err != nil {
 			return nil, err
 		}
@@ -319,7 +306,6 @@ func BarabasiAlbert(n, m int, seed int64) (*netmodel.Network, error) {
 			LatencyMS:     float64(rng.Intn(40) + 1),
 			BandwidthMbps: bws[rng.Intn(len(bws))],
 			Secure:        secure,
-			Props:         property.Set{"Confidentiality": property.Bool(secure)},
 		})
 	}
 	// Degree-weighted target list (each edge endpoint appears once).
@@ -358,5 +344,6 @@ func BarabasiAlbert(n, m int, seed int64) (*netmodel.Network, error) {
 			}
 		}
 	}
+	net.Translate(MailTranslation())
 	return net, nil
 }

@@ -43,7 +43,36 @@ func TestCaseStudyMatchesFigure5(t *testing.T) {
 	}
 }
 
+// TestCaseStudyTrustLevels: every generator's node and link properties
+// are exactly the mail translation of its credentials, so no hand-set
+// property can creep back beside them; and the case study's
+// credentials carry the per-site trust levels of Figure 5.
 func TestCaseStudyTrustLevels(t *testing.T) {
+	waxman, err := Waxman(DefaultWaxman(32, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba, err := BarabasiAlbert(40, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeFn, linkFn := MailTranslation()
+	for name, n := range map[string]*netmodel.Network{"case study": CaseStudy(), "waxman": waxman, "barabasi-albert": ba} {
+		for _, node := range n.Nodes() {
+			if want := nodeFn(node.Credentials); !sameProps(node.Props, want) {
+				t.Errorf("%s: node %s props %v, want the translation %v of %v", name, node.ID, node.Props, want, node.Credentials)
+			}
+		}
+		for _, l := range n.Links() {
+			creds := map[string]string{"secure": "F"}
+			if l.Secure {
+				creds["secure"] = "T"
+			}
+			if want := linkFn(creds); !sameProps(l.Props, want) {
+				t.Errorf("%s: link %s~%s props %v, want %v", name, l.A, l.B, l.Props, want)
+			}
+		}
+	}
 	n := CaseStudy()
 	for _, c := range []struct {
 		id    netmodel.NodeID
@@ -59,16 +88,29 @@ func TestCaseStudyTrustLevels(t *testing.T) {
 	}
 }
 
+// sameProps reports whether two sets hold the same names with equal
+// values (kinds included).
+func sameProps(a, b property.Set) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name, v := range a {
+		if w, ok := b[name]; !ok || !v.Equal(w) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestCaseStudySites(t *testing.T) {
-	n := CaseStudy()
-	if got := len(n.NodesBySite(SiteNewYork)); got != 3 {
-		t.Errorf("NY nodes = %d, want 3", got)
+	sites := map[string]int{}
+	for _, node := range CaseStudy().Nodes() {
+		sites[node.Site]++
 	}
-	if got := len(n.NodesBySite(SiteSanDiego)); got != 2 {
-		t.Errorf("SD nodes = %d, want 2", got)
-	}
-	if got := len(n.NodesBySite(SiteSeattle)); got != 2 {
-		t.Errorf("Seattle nodes = %d, want 2", got)
+	for site, want := range map[string]int{SiteNewYork: 3, SiteSanDiego: 2, SiteSeattle: 2} {
+		if sites[site] != want {
+			t.Errorf("%s nodes = %d, want %d", site, sites[site], want)
+		}
 	}
 }
 
@@ -76,19 +118,17 @@ func TestCaseStudySites(t *testing.T) {
 // confidentiality; intra-site paths keep it.
 func TestCaseStudyPathEnvironments(t *testing.T) {
 	n := CaseStudy()
-	inter, ok := n.ShortestPath(SDClient, NYServer)
+	_, env, ok := n.Routes().PathEnv(SDClient, NYServer)
 	if !ok {
 		t.Fatal("SD->NY path must exist")
 	}
-	env := inter.Env(n, SecureLoopbackEnv())
 	if !env["Confidentiality"].Equal(property.Bool(false)) {
 		t.Errorf("inter-site path must be insecure: %v", env)
 	}
-	intra, ok := n.ShortestPath(NYClient, NYServer)
+	_, env, ok = n.Routes().PathEnv(NYClient, NYServer)
 	if !ok {
 		t.Fatal("NY intra path must exist")
 	}
-	env = intra.Env(n, SecureLoopbackEnv())
 	if !env["Confidentiality"].Equal(property.Bool(true)) {
 		t.Errorf("intra-site path must be secure: %v", env)
 	}
@@ -98,7 +138,7 @@ func TestCaseStudyPathEnvironments(t *testing.T) {
 // through San Diego (100+200=300ms) rather than the direct 400ms link.
 func TestCaseStudySeattleRouting(t *testing.T) {
 	n := CaseStudy()
-	p, ok := n.ShortestPath(SeaClient, NYServer)
+	p, ok := n.Routes().Path(SeaClient, NYServer)
 	if !ok {
 		t.Fatal("path must exist")
 	}

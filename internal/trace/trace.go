@@ -235,15 +235,6 @@ func ContextWithSpan(ctx context.Context, tr *Tracer, sc SpanContext) context.Co
 	return context.WithValue(ctx, ctxKey{}, ctxSpan{tr: tr, sc: sc})
 }
 
-// FromContext returns the active span context and its tracer, if any.
-func FromContext(ctx context.Context) (*Tracer, SpanContext, bool) {
-	cs, ok := ctx.Value(ctxKey{}).(ctxSpan)
-	if !ok {
-		return nil, SpanContext{}, false
-	}
-	return cs.tr, cs.sc, true
-}
-
 // Start begins a span named name as a child of the context's active
 // span. With no active span it consults the Default tracer, which
 // records only when enabled — so uninstrumented flows pay one atomic

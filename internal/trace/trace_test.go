@@ -108,7 +108,7 @@ func TestContextPropagation(t *testing.T) {
 	if child.TraceID != root.TraceID || child.Parent != root.SpanID {
 		t.Errorf("child not linked: trace %d parent %d", child.TraceID, child.Parent)
 	}
-	if _, got, ok := FromContext(ctx2); !ok || got != child.Context() {
+	if cs, ok := ctx2.Value(ctxKey{}).(ctxSpan); !ok || cs.sc != child.Context() {
 		t.Error("returned ctx does not carry the child span")
 	}
 	child.End()

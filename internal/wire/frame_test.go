@@ -87,7 +87,7 @@ func TestBufferPoolRoundTrip(t *testing.T) {
 	}
 	b = append(b, strings.Repeat("x", 100)...)
 	PutBuffer(b)
-	hits, misses := PoolStats()
+	hits, misses := poolStats()
 	if hits+misses == 0 {
 		t.Error("pool stats not counting")
 	}

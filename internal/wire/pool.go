@@ -121,11 +121,6 @@ func PutBuffer(b []byte) {
 	}
 }
 
-// PoolStats reports cumulative buffer pool hits and misses.
-func PoolStats() (hits, misses uint64) {
-	return poolHits.Load(), poolMisses.Load()
-}
-
 // PoolSnapshot is a point-in-time copy of the buffer pool counters.
 // The pool is process-wide (shared by every transport in the process),
 // so its numbers belong in a process-wide stats section, never in a

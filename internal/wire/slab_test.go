@@ -224,12 +224,12 @@ func TestPoolHitRateUnderSlabDecode(t *testing.T) {
 	for i := 0; i < 32; i++ { // warm every class
 		decodeAll()
 	}
-	h0, m0 := PoolStats()
+	h0, m0 := poolStats()
 	const rounds = 1000
 	for i := 0; i < rounds; i++ {
 		decodeAll()
 	}
-	h1, m1 := PoolStats()
+	h1, m1 := poolStats()
 	hits, misses := h1-h0, m1-m0
 	rate := float64(hits) / float64(hits+misses)
 	if rate < 0.95 {
@@ -246,13 +246,13 @@ func BenchmarkPoolHitRate(b *testing.B) {
 			PutBuffer(GetBufferSize(n))
 		}
 	}
-	h0, m0 := PoolStats()
+	h0, m0 := poolStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		PutBuffer(GetBufferSize(sizes[i%len(sizes)]))
 	}
 	b.StopTimer()
-	h1, m1 := PoolStats()
+	h1, m1 := poolStats()
 	hits, misses := h1-h0, m1-m0
 	if hits+misses > 0 {
 		b.ReportMetric(float64(hits)/float64(hits+misses), "hit-rate")
@@ -400,4 +400,10 @@ func FuzzSlabRoundTrip(f *testing.F) {
 			t.Fatalf("round trip changed message: %+v != %+v", m, want)
 		}
 	})
+}
+
+// poolStats reports cumulative buffer pool hits and misses.
+func poolStats() (hits, misses uint64) {
+	p := SnapshotPool()
+	return p.Hits, p.Misses
 }
