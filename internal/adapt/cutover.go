@@ -47,9 +47,9 @@ type Executor interface {
 
 // SnapshotMethod is the wire method stateful components answer with
 // their serialized store as the whole reply body (see
-// mail.Snapshotter). The controller speaks
-// it generically: any component that answers is migrated with state,
-// any that errors is redeployed stateless.
+// mail.Upstream's Snapshot). The controller speaks it generically: any
+// component that answers is migrated with state, any that errors is
+// redeployed stateless.
 const SnapshotMethod = "snapshot"
 
 // EngineExecutor implements Executor against a live smock deployment:

@@ -42,7 +42,7 @@ func (p *TransportProber) Probe(node netmodel.NodeID, addr string, timeoutMS flo
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS*float64(time.Millisecond)))
 		defer cancel()
 	}
-	resp, err := transport.Call(ctx, ep, &wire.Message{Kind: wire.KindRequest, ID: 1, Method: "status"})
+	resp, err := ep.CallContext(ctx, &wire.Message{Kind: wire.KindRequest, ID: 1, Method: "status"})
 	if err != nil {
 		return err
 	}

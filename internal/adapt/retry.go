@@ -28,18 +28,14 @@ type RetryConfig struct {
 	// 10ms); each subsequent retry doubles it. A SetAddr ends the wait
 	// early.
 	BackoffMS float64
-	// RetryResponse decides whether an application-level error response
-	// is worth retrying (default Transient). A request can reach a live
-	// relay whose own upstream died mid-cutover; the failure comes back
-	// as an error *response*, not a transport error, but rebinding still
-	// fixes it.
-	RetryResponse func(err error) bool
 }
 
 // Transient reports whether an error (possibly an application response
 // wrapping a relay's upstream failure) looks like a connectivity
 // problem that re-resolving and retrying can fix, rather than a real
-// application error.
+// application error. A request can reach a live relay whose own
+// upstream died mid-cutover; the failure comes back as an error
+// *response*, not a transport error, but rebinding still fixes it.
 func Transient(err error) bool {
 	if err == nil {
 		return false
@@ -63,9 +59,6 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	}
 	if c.BackoffMS <= 0 {
 		c.BackoffMS = 10
-	}
-	if c.RetryResponse == nil {
-		c.RetryResponse = Transient
 	}
 	return c
 }
@@ -197,7 +190,7 @@ func (r *RebindEndpoint) Call(m *wire.Message) (*wire.Message, error) {
 	return r.CallContext(context.Background(), m)
 }
 
-// CallContext implements transport.ContextEndpoint with the retry
+// CallContext implements transport.Endpoint with the retry
 // loop: transport-level failures re-resolve, redial, and try again —
 // after the backoff or as soon as SetAddr repoints the endpoint — until
 // the attempt budget or the context runs out. A co-location
@@ -229,12 +222,12 @@ func (r *RebindEndpoint) CallContext(ctx context.Context, m *wire.Message) (*wir
 			lastErr = err
 			continue
 		}
-		resp, err := transport.Call(ctx, ep, m)
+		resp, err := ep.CallContext(ctx, m)
 		if err == nil {
 			// A live target can still relay a dead upstream's failure back
 			// as an error response; those rebind and retry like transport
 			// errors. Genuine application errors return immediately.
-			if appErr := transport.AsError(resp); appErr != nil && r.cfg.RetryResponse(appErr) {
+			if appErr := transport.AsError(resp); appErr != nil && Transient(appErr) {
 				lastErr = appErr
 				r.drop(ep)
 				continue

@@ -193,7 +193,11 @@ func (c *countingTransport) Dial(addr string) (transport.Endpoint, error) {
 }
 
 func (e *countingEndpoint) Call(m *wire.Message) (*wire.Message, error) {
-	resp, err := e.Endpoint.Call(m)
+	return e.CallContext(context.Background(), m)
+}
+
+func (e *countingEndpoint) CallContext(ctx context.Context, m *wire.Message) (*wire.Message, error) {
+	resp, err := e.Endpoint.CallContext(ctx, m)
 	if err != nil {
 		e.tr.failedCalls.Add(1)
 		if e.tr.onFailedCall != nil {

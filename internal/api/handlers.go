@@ -133,14 +133,14 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	spans := s.cfg.Tracer.Spans()
+	spans := trace.Default.Spans()
 	if r.URL.Query().Get("format") == "json" {
 		writeJSON(w, http.StatusOK, spans)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "%d spans retained (total %d recorded)\n",
-		len(spans), s.cfg.Tracer.Total())
+		len(spans), trace.Default.Total())
 	fmt.Fprint(w, trace.Tree(spans))
 }
 

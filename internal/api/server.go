@@ -17,7 +17,6 @@ import (
 	"partsvc/internal/netmon"
 	"partsvc/internal/smock"
 	"partsvc/internal/spec"
-	"partsvc/internal/trace"
 )
 
 // Config tunes the HTTP layer.
@@ -35,11 +34,6 @@ type Config struct {
 	// Registry backs /metrics and /v1/metrics.json (default
 	// metrics.DefaultRegistry).
 	Registry *metrics.Registry
-	// Tracer backs /v1/trace (default trace.Default).
-	Tracer *trace.Tracer
-	// BusRing is the event replay-ring capacity (default
-	// DefaultRingSize).
-	BusRing int
 	// SubscriberBuffer is each SSE subscriber's channel depth (default
 	// 64). A subscriber further behind than this drops events.
 	SubscriberBuffer int
@@ -52,9 +46,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Registry == nil {
 		c.Registry = metrics.DefaultRegistry
-	}
-	if c.Tracer == nil {
-		c.Tracer = trace.Default
 	}
 	if c.HeartbeatMS <= 0 {
 		c.HeartbeatMS = 15000
@@ -109,7 +100,7 @@ func New(cfg Config, ctl Control) *Server {
 	s := &Server{
 		cfg: cfg,
 		ctl: ctl,
-		bus: NewBus(cfg.BusRing),
+		bus: NewBus(DefaultRingSize),
 		mux: http.NewServeMux(),
 	}
 	s.routes()

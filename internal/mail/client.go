@@ -3,6 +3,7 @@ package mail
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"partsvc/internal/seccrypto"
 )
@@ -25,40 +26,48 @@ func NewClient(user string, keys *seccrypto.KeyRing, api API) *Client {
 // Send submits a plaintext message at a sensitivity level; sealing
 // happens inside the trusted provider component.
 func (c *Client) Send(to, subject string, body []byte, sensitivity int) (uint64, error) {
-	return c.api.Send(c.user, to, subject, body, sensitivity)
+	return c.SendCtx(context.Background(), to, subject, body, sensitivity)
 }
 
 // SendCtx is Send continuing the trace in ctx — the entry point tools
 // use to root a trace at the client.
 func (c *Client) SendCtx(ctx context.Context, to, subject string, body []byte, sensitivity int) (uint64, error) {
-	return SendCtx(ctx, c.api, c.user, to, subject, body, sensitivity)
+	return c.api.SendCtx(ctx, c.user, to, subject, body, sensitivity)
 }
 
 // Receive fetches the inbox and decrypts every body with the user's
 // keys.
 func (c *Client) Receive() ([]*Message, error) {
-	return c.ReceiveCtx(context.Background())
-}
-
-// ReceiveCtx is Receive continuing the trace in ctx.
-func (c *Client) ReceiveCtx(ctx context.Context) ([]*Message, error) {
-	msgs, err := ReceiveCtx(ctx, c.api, c.user, 0)
+	msgs, err := c.api.ReceiveCtx(context.Background(), c.user, 0)
 	if err != nil {
 		return nil, err
 	}
+	return openInbox(c.keys, c.user, msgs, math.MaxInt)
+}
+
+// openInbox decrypts the user's messages in place and returns those
+// whose sensitivity is at most ceiling, dropping the rest unopened. A
+// message that is not an envelope, is sealed for another user or does
+// not open fails the whole receive.
+func openInbox(keys *seccrypto.KeyRing, user string, msgs []*Message, ceiling int) ([]*Message, error) {
+	out := msgs[:0]
 	for _, m := range msgs {
 		env, err := seccrypto.UnmarshalEnvelope(m.Body)
 		if err != nil {
 			return nil, fmt.Errorf("mail: message %d: %w", m.ID, err)
 		}
-		if env.User != c.user {
-			return nil, fmt.Errorf("mail: message %d sealed for %q, not %q", m.ID, env.User, c.user)
+		if env.User != user {
+			return nil, fmt.Errorf("mail: message %d sealed for %q, not %q", m.ID, env.User, user)
 		}
-		if m.Body, err = c.keys.Open(env); err != nil {
+		if m.Sensitivity > ceiling {
+			continue
+		}
+		if m.Body, err = keys.Open(env); err != nil {
 			return nil, fmt.Errorf("mail: decrypting message %d: %w", m.ID, err)
 		}
+		out = append(out, m)
 	}
-	return msgs, nil
+	return out, nil
 }
 
 // AddContact updates the address book (full client feature).
@@ -93,30 +102,16 @@ func (c *ViewClient) Send(to, subject string, body []byte, sensitivity int) (uin
 	if sensitivity > c.trust {
 		return 0, fmt.Errorf("mail: view client at trust %d cannot send sensitivity %d", c.trust, sensitivity)
 	}
-	return c.api.Send(c.user, to, subject, body, sensitivity)
+	return c.api.SendCtx(context.Background(), c.user, to, subject, body, sensitivity)
 }
 
 // Receive fetches and decrypts the inbox; messages the client's key
 // escrow cannot open (above its trust) are elided rather than failing
 // the whole sweep.
 func (c *ViewClient) Receive() ([]*Message, error) {
-	msgs, err := c.api.Receive(c.user)
+	msgs, err := c.api.ReceiveCtx(context.Background(), c.user, 0)
 	if err != nil {
 		return nil, err
 	}
-	out := msgs[:0]
-	for _, m := range msgs {
-		env, err := seccrypto.UnmarshalEnvelope(m.Body)
-		if err != nil {
-			return nil, fmt.Errorf("mail: message %d: %w", m.ID, err)
-		}
-		if m.Sensitivity > c.trust {
-			continue
-		}
-		if m.Body, err = c.keys.Open(env); err != nil {
-			return nil, fmt.Errorf("mail: decrypting message %d: %w", m.ID, err)
-		}
-		out = append(out, m)
-	}
-	return out, nil
+	return openInbox(c.keys, c.user, msgs, c.trust)
 }

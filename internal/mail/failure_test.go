@@ -1,6 +1,7 @@
 package mail
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -72,13 +73,13 @@ func TestViewFlushFailureSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Send("alice", "bob", "ok", []byte("works"), 2); err != nil {
+	if _, err := v.SendCtx(context.Background(), "alice", "bob", "ok", []byte("works"), 2); err != nil {
 		t.Fatal(err)
 	}
 	// The tunnel's provider goes away: write-through sends now fail
 	// loudly instead of losing mail.
 	ln.Close()
-	if _, err := v.Send("alice", "bob", "broken", []byte("lost?"), 2); err == nil {
+	if _, err := v.SendCtx(context.Background(), "alice", "bob", "broken", []byte("lost?"), 2); err == nil {
 		t.Fatal("send through a dead tunnel must fail")
 	} else if !strings.Contains(err.Error(), "flush") {
 		t.Errorf("error should identify the flush path: %v", err)
@@ -130,7 +131,7 @@ func TestReplicatedSendOutsideTheLevelsIsDropped(t *testing.T) {
 	}
 	bad := appendMessage(nil, &Message{ID: 77, From: "alice", To: "bob", Subject: "bad", Body: env.Marshal(), Sensitivity: 9})
 	up := NewRemote(&callEndpoint{h: NewHandler(srv)})
-	if err := up.PushUpdates([]coherence.Update{{Origin: "vms", Seq: 1, Op: "send", Key: "bob", Data: bad}}); err != nil {
+	if err := up.PushUpdatesCtx(context.Background(), []coherence.Update{{Origin: "vms", Seq: 1, Op: "send", Key: "bob", Data: bad}}); err != nil {
 		t.Fatal(err)
 	}
 	if n := srv.Store().InboxCount("bob"); n != 1 {
@@ -323,7 +324,7 @@ func TestRestoreStoreErrors(t *testing.T) {
 func TestViewMigrationViaSnapshot(t *testing.T) {
 	srv, keys, clock := newPrimary(t, "alice", "bob")
 	src := newTestView(t, srv, "vms-src", 4, coherence.None{}, clock, 1<<32)
-	if _, err := src.Send("alice", "bob", "cached", []byte("m"), 2); err != nil {
+	if _, err := src.SendCtx(context.Background(), "alice", "bob", "cached", []byte("m"), 2); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := src.Store().Snapshot()

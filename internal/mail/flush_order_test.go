@@ -24,10 +24,6 @@ type jitteryUpstream struct {
 	overlap   atomic.Int64 // pushes that began while another was in flight
 }
 
-func (u *jitteryUpstream) PushUpdates(batch []coherence.Update) error {
-	return u.PushUpdatesCtx(context.Background(), batch)
-}
-
 func (u *jitteryUpstream) PushUpdatesCtx(ctx context.Context, batch []coherence.Update) error {
 	if u.inFlight.Add(1) > 1 {
 		u.overlap.Add(1)
@@ -66,7 +62,7 @@ func sendConcurrently(v *View, senders, perSender int) (acked []uint64, failed i
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				id, err := v.Send("alice", "bob", "s", []byte("body"), 2)
+				id, err := v.SendCtx(context.Background(), "alice", "bob", "s", []byte("body"), 2)
 				mu.Lock()
 				if err != nil {
 					failed++
@@ -168,7 +164,7 @@ func TestFailedFlushKeepsUnacknowledgedWrites(t *testing.T) {
 	}
 	var ids []uint64
 	for i := 0; i < 3; i++ {
-		id, err := v.Send("alice", "bob", "s", []byte("body"), 2)
+		id, err := v.SendCtx(context.Background(), "alice", "bob", "s", []byte("body"), 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,21 +61,17 @@ func dispatch(ctx context.Context, api Upstream, method string, body []byte) ([]
 	case "createAccount":
 		err = api.CreateAccount(a.user)
 	case "send":
-		res.id, err = SendCtx(ctx, api, a.user, a.to, a.subject, a.body, a.sens)
+		res.id, err = api.SendCtx(ctx, a.user, a.to, a.subject, a.body, a.sens)
 	case "receive":
-		res.msgs, err = ReceiveCtx(ctx, api, a.user, a.sens)
+		res.msgs, err = api.ReceiveCtx(ctx, a.user, a.sens)
 	case "addContact":
 		err = api.AddContact(a.user, a.contact)
 	case "contacts":
 		res.contacts, err = api.Contacts(a.user)
 	case "pushUpdates":
-		err = PushUpdatesCtx(ctx, api, a.batch)
+		err = api.PushUpdatesCtx(ctx, a.batch)
 	case "snapshot":
-		sn, ok := api.(Snapshotter)
-		if !ok {
-			return nil, fmt.Errorf("mail: %T holds no migratable state", api)
-		}
-		res.state, err = sn.Snapshot()
+		res.state, err = api.Snapshot()
 	}
 	if err != nil {
 		return nil, err
@@ -265,7 +261,7 @@ func (r *Remote) call(ctx context.Context, method string, a *args) (result, erro
 	body := appendArgs(wire.GetBufferSize(a.size()), method, a)
 	defer wire.PutBuffer(body)
 	ctx, span := trace.Start(ctx, "proxy."+method)
-	resp, err := transport.Call(ctx, r.ep, &wire.Message{Kind: wire.KindRequest, ID: r.id.Add(1), Method: method, Body: body})
+	resp, err := r.ep.CallContext(ctx, &wire.Message{Kind: wire.KindRequest, ID: r.id.Add(1), Method: method, Body: body})
 	span.End()
 	if err != nil {
 		return result{}, err
@@ -284,25 +280,14 @@ func (r *Remote) CreateAccount(user string) error {
 	return err
 }
 
-// Send implements API.
-func (r *Remote) Send(from, to, subject string, body []byte, sensitivity int) (uint64, error) {
-	return r.SendCtx(context.Background(), from, to, subject, body, sensitivity)
-}
-
-// SendCtx is Send continuing the trace in ctx.
+// SendCtx implements API.
 func (r *Remote) SendCtx(ctx context.Context, from, to, subject string, body []byte, sensitivity int) (uint64, error) {
 	res, err := r.call(ctx, "send", &args{user: from, to: to, subject: subject, sens: sensitivity, body: body})
 	return res.id, err
 }
 
-// Receive implements API.
-func (r *Remote) Receive(user string) ([]*Message, error) {
-	return r.ReceiveCtx(context.Background(), user, 0)
-}
-
-// ReceiveCtx is Receive continuing the trace in ctx, for messages whose
-// sensitivity is above the floor (0 asks for the whole inbox). The
-// returned bodies point into the reply, which nothing else refers to.
+// ReceiveCtx implements API. The returned bodies point into the reply,
+// which nothing else refers to.
 func (r *Remote) ReceiveCtx(ctx context.Context, user string, above int) ([]*Message, error) {
 	res, err := r.call(ctx, "receive", &args{user: user, sens: above})
 	return res.msgs, err
@@ -320,27 +305,14 @@ func (r *Remote) Contacts(user string) ([]string, error) {
 	return res.contacts, err
 }
 
-// Snapshotter is implemented by stateful mail components (Server, View)
-// whose store can be serialized for migration. Relay components
-// (encryptor, decryptor, client proxy) do not implement it: they hold
-// no state worth carrying across a cutover.
-type Snapshotter interface {
-	Snapshot() ([]byte, error)
-}
-
-// Snapshot fetches the remote instance's serialized store state (the
-// "snapshot" method). Stateless instances answer with an error.
+// Snapshot implements Upstream: it fetches the serialized store state
+// of the instance behind the endpoint (the "snapshot" method).
 func (r *Remote) Snapshot() ([]byte, error) {
 	res, err := r.call(context.Background(), "snapshot", &args{})
 	return res.state, err
 }
 
-// PushUpdates implements UpdateSink.
-func (r *Remote) PushUpdates(batch []coherence.Update) error {
-	return r.PushUpdatesCtx(context.Background(), batch)
-}
-
-// PushUpdatesCtx is PushUpdates continuing the trace in ctx.
+// PushUpdatesCtx implements Upstream.
 func (r *Remote) PushUpdatesCtx(ctx context.Context, batch []coherence.Update) error {
 	_, err := r.call(ctx, "pushUpdates", &args{batch: batch})
 	return err

@@ -2,6 +2,7 @@ package mail
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -238,10 +239,10 @@ func TestViewSendWithinTrustStaysLocalUntilFlush(t *testing.T) {
 	srv, keys, clock := newPrimary(t, "alice", "bob")
 	v := newTestView(t, srv, "vms-sd", 4, coherence.CountBound{Bound: 3}, clock, 1<<32)
 
-	if _, err := v.Send("alice", "bob", "s1", []byte("m1"), 2); err != nil {
+	if _, err := v.SendCtx(context.Background(), "alice", "bob", "s1", []byte("m1"), 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Send("alice", "bob", "s2", []byte("m2"), 2); err != nil {
+	if _, err := v.SendCtx(context.Background(), "alice", "bob", "s2", []byte("m2"), 2); err != nil {
 		t.Fatal(err)
 	}
 	if v.Pending() != 2 {
@@ -251,7 +252,7 @@ func TestViewSendWithinTrustStaysLocalUntilFlush(t *testing.T) {
 		t.Error("primary must not see unflushed sends")
 	}
 	// Third send reaches the bound and flushes.
-	if _, err := v.Send("alice", "bob", "s3", []byte("m3"), 2); err != nil {
+	if _, err := v.SendCtx(context.Background(), "alice", "bob", "s3", []byte("m3"), 2); err != nil {
 		t.Fatal(err)
 	}
 	if v.Pending() != 0 {
@@ -275,7 +276,7 @@ func TestViewForwardsHighSensitivityUpstream(t *testing.T) {
 	srv, keys, clock := newPrimary(t, "alice", "bob")
 	v := newTestView(t, srv, "vms-sea", 2, coherence.None{}, clock, 1<<33)
 
-	if _, err := v.Send("alice", "bob", "top", []byte("classified"), 4); err != nil {
+	if _, err := v.SendCtx(context.Background(), "alice", "bob", "top", []byte("classified"), 4); err != nil {
 		t.Fatal(err)
 	}
 	if v.Store().InboxCount("bob") != 0 {
@@ -466,7 +467,7 @@ func TestRemoteOverTransportWithTunnel(t *testing.T) {
 		t.Errorf("remote contacts = %v, %v", contacts, err)
 	}
 	// Remote receive path.
-	remoteMsgs, err := upstream.Receive("bob")
+	remoteMsgs, err := upstream.ReceiveCtx(context.Background(), "bob", 0)
 	if err != nil || len(remoteMsgs) != 1 {
 		t.Errorf("remote receive = %v, %v", remoteMsgs, err)
 	}
@@ -502,5 +503,38 @@ func TestRemoteUnknownMethod(t *testing.T) {
 	err := transport.AsError(resp)
 	if err == nil || !strings.Contains(err.Error(), "unknown method") {
 		t.Errorf("resp = %+v", resp)
+	}
+}
+
+// misdirectingUpstream answers every receive with another user's inbox:
+// what a faulty or hostile provider between a client and the primary
+// can do.
+type misdirectingUpstream struct {
+	*Server
+	inboxOf string
+}
+
+func (u misdirectingUpstream) ReceiveCtx(ctx context.Context, _ string, above int) ([]*Message, error) {
+	return u.Server.ReceiveCtx(ctx, u.inboxOf, above)
+}
+
+// TestClientsRejectForeignEnvelopes: a client opens only envelopes
+// sealed for its own user. The restricted client's key ring is a
+// SubRing of the master ring, which holds every user's keys up to its
+// trust, so without the check it would hand Carol Bob's plaintext.
+func TestClientsRejectForeignEnvelopes(t *testing.T) {
+	srv, keys, _ := newPrimary(t, "alice", "bob", "carol")
+	if _, err := srv.Send("alice", "bob", "for bob", []byte("bob's secret"), 2); err != nil {
+		t.Fatal(err)
+	}
+	up := misdirectingUpstream{Server: srv, inboxOf: "bob"}
+	for name, receive := range map[string]func() ([]*Message, error){
+		"Client":     NewClient("carol", keys, up).Receive,
+		"ViewClient": NewViewClient("carol", 2, keys.SubRing(2), up).Receive,
+	} {
+		msgs, err := receive()
+		if err == nil || !strings.Contains(err.Error(), `sealed for "bob"`) {
+			t.Errorf("%s: carol's receive of bob's inbox = %d messages, %v; want a sealed-for-bob error", name, len(msgs), err)
+		}
 	}
 }

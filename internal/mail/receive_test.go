@@ -29,17 +29,13 @@ type spyUpstream struct {
 	CallCount    int
 }
 
-func (s *spyUpstream) Receive(user string) ([]*Message, error) {
-	return s.ReceiveCtx(context.Background(), user, 0)
-}
-
 func (s *spyUpstream) ReceiveCtx(ctx context.Context, user string, above int) ([]*Message, error) {
 	s.LastMethod, s.LastAbove = "receive", above
 	s.CallCount++
 	if s.Err != nil {
 		return nil, s.Err
 	}
-	msgs, err := ReceiveCtx(ctx, s.Upstream, user, above)
+	msgs, err := s.Upstream.ReceiveCtx(ctx, user, above)
 	s.LastReturned = len(msgs)
 	return msgs, err
 }
@@ -75,7 +71,7 @@ func TestViewReceiveUpstreamFailureSurfaces(t *testing.T) {
 	srv.Directory().Register(ViewName, view.Replica())
 	sendAtLevels(t, srv, "bob", 1, 4)
 
-	msgs, err := view.Receive("bob")
+	msgs, err := view.ReceiveCtx(context.Background(), "bob", 0)
 	if err != nil || len(msgs) != 2 {
 		t.Fatalf("receive = %d messages, %v; want 2", len(msgs), err)
 	}
@@ -88,17 +84,17 @@ func TestViewReceiveUpstreamFailureSurfaces(t *testing.T) {
 	}
 
 	spy.Err = errors.New("tunnel: closed")
-	if msgs, err := view.Receive("bob"); !errors.Is(err, spy.Err) {
+	if msgs, err := view.ReceiveCtx(context.Background(), "bob", 0); !errors.Is(err, spy.Err) {
 		t.Errorf("receive over a failing upstream = %d messages, %v; want the upstream's error", len(msgs), err)
 	}
 	spy.Err = nil
-	if msgs, err := view.Receive("bob"); err != nil || len(msgs) != 2 {
+	if msgs, err := view.ReceiveCtx(context.Background(), "bob", 0); err != nil || len(msgs) != 2 {
 		t.Errorf("receive after the upstream recovered = %d messages, %v", len(msgs), err)
 	}
 
 	// Nobody upstream knows erin: the view's (empty) local result stands.
 	calls := spy.CallCount
-	if msgs, err := view.Receive("erin"); err != nil || len(msgs) != 0 {
+	if msgs, err := view.ReceiveCtx(context.Background(), "erin", 0); err != nil || len(msgs) != 0 {
 		t.Errorf("receive for a user unknown upstream = %d messages, %v; want none and no error", len(msgs), err)
 	}
 	if spy.CallCount != calls+1 {
@@ -106,7 +102,7 @@ func TestViewReceiveUpstreamFailureSurfaces(t *testing.T) {
 	}
 	// Asked for the whole inbox, the primary still reports the missing
 	// account.
-	if _, err := srv.Receive("erin"); err == nil {
+	if _, err := srv.ReceiveCtx(context.Background(), "erin", 0); err == nil {
 		t.Error("an unfloored receive for an unknown account must fail")
 	}
 }
@@ -114,7 +110,7 @@ func TestViewReceiveUpstreamFailureSurfaces(t *testing.T) {
 // sealedBodies returns the (sealed) bodies of a receive by message ID.
 func sealedBodies(t *testing.T, api API, user string) map[uint64][]byte {
 	t.Helper()
-	msgs, err := api.Receive(user)
+	msgs, err := api.ReceiveCtx(context.Background(), user, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,32 +250,6 @@ func TestChainedViewsReturnEachMessageOnce(t *testing.T) {
 	}
 }
 
-// plainUpstream hides everything but the plain API and the update sink:
-// a provider without ReceiveCtx, which returns whole inboxes only.
-type plainUpstream struct {
-	API
-	UpdateSink
-}
-
-// TestFloorAppliesToProvidersWithoutReceiveCtx: the floor is part of
-// the request, not of the provider — over an upstream that can only
-// return the whole inbox the view still passes on each message once.
-func TestFloorAppliesToProvidersWithoutReceiveCtx(t *testing.T) {
-	srv, _, clock := newPrimary(t, "alice", "bob")
-	view, err := NewView(ViewConfig{
-		ID: "vms-sd", Trust: 4, Keys: srv.Keys().SubRing(4),
-		Upstream: plainUpstream{srv, srv}, Policy: coherence.WriteThrough{}, Clock: clock,
-	}, 1<<32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Directory().Register(ViewName, view.Replica())
-	sendAtLevels(t, srv, "bob", 1, 2, 3, 4, 5)
-	if got := sealedBodies(t, view, "bob"); len(got) != 5 {
-		t.Errorf("the view returned %d distinct messages, want 5", len(got))
-	}
-}
-
 // receiveCount sends a raw receive request for bob with the given
 // floor to a handler and returns how many messages the reply carries.
 func receiveCount(t *testing.T, h transport.Handler, above int) int {
@@ -331,7 +301,7 @@ func TestConcurrentReadersAndSendersOnOneUser(t *testing.T) {
 			defer sending.Done()
 			for i := 0; i < perSender; i++ {
 				// Level 5 goes to the primary, the rest stay at the view.
-				if _, err := view.Send("alice", "bob", "s", []byte(fmt.Sprintf("%d/%d", s, i)), 1+(s+i)%5); err != nil {
+				if _, err := view.SendCtx(context.Background(), "alice", "bob", "s", []byte(fmt.Sprintf("%d/%d", s, i)), 1+(s+i)%5); err != nil {
 					t.Error(err)
 					return
 				}
@@ -389,7 +359,7 @@ func TestSnapshotCarriesNoCachedTransform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Receive("bob"); err != nil {
+	if _, err := srv.ReceiveCtx(context.Background(), "bob", 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range srv.Store().accounts["bob"].Folders[FolderInbox] {
@@ -447,9 +417,13 @@ type callEndpoint struct {
 	last *wire.Message
 }
 
-func (e *callEndpoint) Call(m *wire.Message) (*wire.Message, error) {
+func (e *callEndpoint) CallContext(_ context.Context, m *wire.Message) (*wire.Message, error) {
 	e.last = e.h.Handle(m)
 	return e.last, nil
+}
+
+func (e *callEndpoint) Call(m *wire.Message) (*wire.Message, error) {
+	return e.CallContext(context.Background(), m)
 }
 
 func (e *callEndpoint) Close() error { return nil }
@@ -492,7 +466,7 @@ func TestReceiveBodiesPointIntoTheReplyOnly(t *testing.T) {
 		scribble(m.Body)
 	}
 
-	sealed, err := remote.Receive("bob")
+	sealed, err := remote.ReceiveCtx(context.Background(), "bob", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,14 +20,17 @@ import (
 type API interface {
 	// CreateAccount provisions a user, generating per-level keys.
 	CreateAccount(user string) error
-	// Send files a message; the body is sealed at the sender's
-	// sensitivity level before it leaves the trusted component.
-	Send(from, to, subject string, body []byte, sensitivity int) (uint64, error)
-	// Receive returns the user's inbox with every body transformed to
-	// the recipient's key. The bodies are read-only: a provider may
-	// return its stored bytes, so a caller reassigns Body (as the
-	// clients do when they decrypt) and never writes into it.
-	Receive(user string) ([]*Message, error)
+	// SendCtx files a message; the body is sealed at the sender's
+	// sensitivity level before it leaves the trusted component. ctx
+	// carries the trace the call continues, so a coherence flush the
+	// send triggers deep in the chain still parents on its span.
+	SendCtx(ctx context.Context, from, to, subject string, body []byte, sensitivity int) (uint64, error)
+	// ReceiveCtx returns the messages of the user's inbox whose
+	// sensitivity is above the floor (0 = the whole inbox), every body
+	// transformed to the recipient's key. The bodies are read-only: a
+	// provider may return its stored bytes, so a caller reassigns Body
+	// (as the clients do when they decrypt) and never writes into it.
+	ReceiveCtx(ctx context.Context, user string, above int) ([]*Message, error)
 	// AddContact and Contacts maintain the user's address book (not
 	// available through the restricted ViewMailClient).
 	AddContact(user, contact string) error
@@ -76,7 +79,7 @@ func (s *Server) Keys() *seccrypto.KeyRing { return s.keys }
 // Store exposes the primary store (read-mostly, for tests and tools).
 func (s *Server) Store() *Store { return s.store }
 
-// Snapshot serializes the primary store for migration (Snapshotter).
+// Snapshot serializes the primary store for migration.
 func (s *Server) Snapshot() ([]byte, error) { return s.store.Snapshot() }
 
 // CreateAccount provisions the user and generates per-level keys
@@ -88,7 +91,7 @@ func (s *Server) CreateAccount(user string) error {
 	if err := s.keys.GenerateUserKeys(user, seccrypto.MaxLevel); err != nil {
 		return err
 	}
-	s.publish("createAccount", user, nil)
+	s.publish(context.Background(), "createAccount", user, nil)
 	return nil
 }
 
@@ -108,20 +111,15 @@ func (s *Server) SendCtx(ctx context.Context, from, to, subject string, body []b
 	if err := s.store.deliver(m); err != nil {
 		return 0, err
 	}
-	s.publishCtx(ctx, "send", m.To, data)
+	s.publish(ctx, "send", m.To, data)
 	return m.ID, nil
 }
 
-// Receive returns the user's inbox, each body transformed to the
-// recipient's key at the message's sensitivity level.
-func (s *Server) Receive(user string) ([]*Message, error) {
-	return s.ReceiveCtx(context.Background(), user, 0)
-}
-
-// ReceiveCtx is Receive restricted to messages whose sensitivity is
-// above the floor. A floored receive is a view asking for what it may
-// not hold itself; for a user this server has never heard of that is
-// nothing, not an error.
+// ReceiveCtx returns the user's inbox above the floor, each body
+// transformed to the recipient's key at the message's sensitivity
+// level. A floored receive is a view asking for what it may not hold
+// itself; for a user this server has never heard of that is nothing,
+// not an error.
 func (s *Server) ReceiveCtx(_ context.Context, user string, above int) ([]*Message, error) {
 	if above > 0 && !s.store.HasAccount(user) {
 		return nil, nil
@@ -134,7 +132,7 @@ func (s *Server) AddContact(user, contact string) error {
 	if err := s.store.AddContact(user, contact); err != nil {
 		return err
 	}
-	s.publish("addContact", user+"\x00"+contact, nil)
+	s.publish(context.Background(), "addContact", user+"\x00"+contact, nil)
 	return nil
 }
 
@@ -143,14 +141,10 @@ func (s *Server) Contacts(user string) ([]string, error) {
 	return s.store.Contacts(user)
 }
 
-// publish logs a primary write and fans it out to replicas immediately.
-func (s *Server) publish(op, key string, data []byte) {
-	s.publishCtx(context.Background(), op, key, data)
-}
-
-// publishCtx is publish under a "coherence.flush" span: the primary is
-// write-through, so every primary write is its own flush.
-func (s *Server) publishCtx(ctx context.Context, op, key string, data []byte) {
+// publish logs a primary write and fans it out to replicas immediately,
+// under a "coherence.flush" span: the primary is write-through, so every
+// primary write is its own flush.
+func (s *Server) publish(ctx context.Context, op, key string, data []byte) {
 	now := s.clock.NowMS()
 	s.replica.Write(op, key, data, now)
 	batch := s.replica.TakePending(now)

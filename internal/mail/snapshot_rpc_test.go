@@ -1,10 +1,13 @@
 package mail
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"partsvc/internal/coherence"
+	"partsvc/internal/smock"
+	"partsvc/internal/spec"
 	"partsvc/internal/transport"
 )
 
@@ -14,7 +17,7 @@ import (
 func TestViewSnapshotIsCoherent(t *testing.T) {
 	srv, _, clock := newPrimary(t, "alice", "bob")
 	v := newTestView(t, srv, "vms", 4, coherence.CountBound{Bound: 100}, clock, 1<<32)
-	if _, err := v.Send("alice", "bob", "s", []byte("m"), 2); err != nil {
+	if _, err := v.SendCtx(context.Background(), "alice", "bob", "s", []byte("m"), 2); err != nil {
 		t.Fatal(err)
 	}
 	if v.Pending() == 0 {
@@ -57,7 +60,7 @@ func snapshotRemote(tr transport.Transport, addr string) ([]byte, error) {
 func TestSnapshotRemoteRoundTrip(t *testing.T) {
 	srv, _, clock := newPrimary(t, "alice", "bob")
 	v := newTestView(t, srv, "vms", 4, coherence.WriteThrough{}, clock, 1<<32)
-	if _, err := v.Send("alice", "bob", "s", []byte("m"), 2); err != nil {
+	if _, err := v.SendCtx(context.Background(), "alice", "bob", "s", []byte("m"), 2); err != nil {
 		t.Fatal(err)
 	}
 	tr := transport.NewInProc()
@@ -79,22 +82,39 @@ func TestSnapshotRemoteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotOfStatelessComponentErrors: relays hold no migratable
-// state; asking one for a snapshot is an application error, not a
-// panic — the controller treats it as "redeploy stateless".
+// TestSnapshotOfStatelessComponentErrors: the restricted client's relay
+// holds no migratable state and serves only send and receive; asking it
+// for a snapshot is an application error, not a panic — the controller
+// treats it as "redeploy stateless".
 func TestSnapshotOfStatelessComponentErrors(t *testing.T) {
-	srv, _, clock := newPrimary(t, "alice", "bob")
-	v := newTestView(t, srv, "vms", 4, coherence.WriteThrough{}, clock, 1<<32)
-	// Model a relay: forwards the full Upstream API, holds no store.
-	relay := struct{ Upstream }{v}
+	srv, keys, _ := newPrimary(t, "alice", "bob")
+	reg := smock.NewRegistry()
+	if err := RegisterFactories(reg, &ServiceEnv{Primary: srv, Keys: keys}); err != nil {
+		t.Fatal(err)
+	}
 	tr := transport.NewInProc()
-	ln, err := tr.Serve("", NewHandler(relay))
+	lnSrv, err := tr.Serve("", NewHandler(srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lnSrv.Close()
+	up, err := tr.Dial(lnSrv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay, err := reg.Activate(spec.CompViewMailClient, &smock.ActivationContext{
+		Upstreams: map[string]transport.Endpoint{spec.IfaceServer: up},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := tr.Serve("", relay)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 	_, err = snapshotRemote(tr, ln.Addr())
-	if err == nil || !strings.Contains(err.Error(), "no migratable state") {
-		t.Fatalf("err = %v, want a no-migratable-state failure", err)
+	if err == nil || !strings.Contains(err.Error(), "not available in the restricted client") {
+		t.Fatalf("err = %v, want the restricted client's refusal", err)
 	}
 }

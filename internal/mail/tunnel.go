@@ -161,7 +161,7 @@ func (e *EncryptorEndpoint) callContext(ctx context.Context, m *wire.Message, sp
 	if err != nil {
 		return nil, err
 	}
-	resp, err := transport.Call(ctx, e.inner, &wire.Message{
+	resp, err := e.inner.CallContext(ctx, &wire.Message{
 		Kind: wire.KindRequest, ID: m.ID, Method: TunnelMethod, Body: sealed,
 	})
 	wire.PutBuffer(sealed)

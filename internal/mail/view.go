@@ -12,27 +12,21 @@ import (
 	"partsvc/internal/transport"
 )
 
-// UpdateSink accepts coherence batches pushed from downstream replicas.
-type UpdateSink interface {
-	// PushUpdates applies a replica's flushed batch.
-	PushUpdates(batch []coherence.Update) error
-}
-
-// Upstream is what a view links to: the full mail API plus the
-// coherence push path. The primary Server, another View, and the
-// encryptor tunnel all satisfy it.
+// Upstream is what a view links to and what NewHandler serves: the full
+// mail API plus the coherence push path and the migration snapshot. The
+// primary Server, another View, and Remote (over any endpoint, the
+// encryptor tunnel included) all satisfy it.
 type Upstream interface {
 	API
-	UpdateSink
+	// PushUpdatesCtx applies a downstream replica's flushed batch.
+	PushUpdatesCtx(ctx context.Context, batch []coherence.Update) error
+	// Snapshot serializes the provider's store for migration.
+	Snapshot() ([]byte, error)
 }
 
-// PushUpdates applies a batch at the primary and republishes it to the
-// other replicas (directory fan-out).
-func (s *Server) PushUpdates(batch []coherence.Update) error {
-	return s.PushUpdatesCtx(context.Background(), batch)
-}
-
-// PushUpdatesCtx is PushUpdates under a "coherence.apply" span.
+// PushUpdatesCtx applies a batch at the primary under a
+// "coherence.apply" span and republishes it to the other replicas
+// (directory fan-out).
 func (s *Server) PushUpdatesCtx(ctx context.Context, batch []coherence.Update) error {
 	_, span := trace.Start(ctx, "coherence.apply")
 	if span != nil {
@@ -140,22 +134,16 @@ func (v *View) CreateAccount(user string) error {
 	return nil
 }
 
-// Send files the message locally when its sensitivity is within the
+// SendCtx files the message locally when its sensitivity is within the
 // node's trust (sealing with the escrowed key) and logs a coherence
 // write; messages above the ceiling are forwarded upstream untouched —
 // they must neither be stored nor sealed here ("this influences whether
 // or not messages of a given sensitivity level are sent to or stored in
 // the corresponding ViewMailServer"). The policy decides when pending
-// writes flush upstream.
-func (v *View) Send(from, to, subject string, body []byte, sensitivity int) (uint64, error) {
-	return v.SendCtx(context.Background(), from, to, subject, body, sensitivity)
-}
-
-// SendCtx is Send continuing the trace in ctx (upstream forwards and
-// policy-triggered flushes parent on the send's span).
+// writes flush upstream; forwards and flushes parent on ctx's span.
 func (v *View) SendCtx(ctx context.Context, from, to, subject string, body []byte, sensitivity int) (uint64, error) {
 	if !v.store.Admissible(sensitivity) {
-		return SendCtx(ctx, v.upstream, from, to, subject, body, sensitivity)
+		return v.upstream.SendCtx(ctx, from, to, subject, body, sensitivity)
 	}
 	m, data, err := sealMessage(v.keys, v.store, from, to, subject, body, sensitivity, v.clock.NowMS())
 	if err != nil {
@@ -172,16 +160,11 @@ func (v *View) SendCtx(ctx context.Context, from, to, subject string, body []byt
 	return m.ID, nil
 }
 
-// Receive serves the user's inbox from the local replica (the cache hit
-// path) and fetches only messages above the view's ceiling from
-// upstream — those are never stored locally.
-func (v *View) Receive(user string) ([]*Message, error) {
-	return v.ReceiveCtx(context.Background(), user, 0)
-}
-
-// ReceiveCtx is Receive continuing the trace in ctx, restricted to
-// messages whose sensitivity is above the floor. The view answers from
-// its own store what it may hold and asks upstream only for the rest,
+// ReceiveCtx serves the user's inbox above the floor from the local
+// replica (the cache hit path) and fetches from upstream only messages
+// above the view's ceiling — those are never stored locally. The view
+// answers from its own store what it may hold and asks upstream only
+// for the rest,
 // sensitivity above max(above, trust): along a chain of views every
 // message is returned by exactly one store, and the link carries what
 // this node may not keep. An upstream failure fails the receive — the
@@ -199,7 +182,7 @@ func (v *View) ReceiveCtx(ctx context.Context, user string, above int) ([]*Messa
 	}
 	// An upstream that has never heard of the user answers a floored
 	// receive with no messages, so any error here is a real one.
-	remote, err := ReceiveCtx(ctx, v.upstream, user, floor)
+	remote, err := v.upstream.ReceiveCtx(ctx, user, floor)
 	if err != nil {
 		return nil, fmt.Errorf("mail: view %s: receiving above level %d from upstream: %w", v.id, floor, err)
 	}
@@ -257,7 +240,7 @@ func (v *View) flushCtx(ctx context.Context, own uint64) error {
 	if span != nil {
 		span.SetAttr("updates", strconv.Itoa(len(batch)))
 	}
-	err := PushUpdatesCtx(ctx, v.upstream, batch)
+	err := v.upstream.PushUpdatesCtx(ctx, batch)
 	span.End()
 	if err != nil {
 		v.replica.Requeue(batch, own)
@@ -271,7 +254,7 @@ func (v *View) flushCtx(ctx context.Context, own uint64) error {
 func (v *View) Pending() int { return v.replica.Pending() }
 
 // Snapshot flushes pending writes upstream, then serializes the view's
-// store for migration (Snapshotter): the snapshot is coherent — nothing
+// store for migration: the snapshot is coherent — nothing
 // in it is still waiting to propagate — so a successor seeded from it
 // starts with no invisible writes.
 func (v *View) Snapshot() ([]byte, error) {
@@ -281,16 +264,11 @@ func (v *View) Snapshot() ([]byte, error) {
 	return v.store.Snapshot()
 }
 
-// PushUpdates lets this view serve as the upstream of another view
+// PushUpdatesCtx lets this view serve as the upstream of another view
 // (the Seattle-to-San-Diego chaining of Figure 6): the batch is applied
 // locally (subject to the sensitivity ceiling) and forwarded toward the
 // primary.
-func (v *View) PushUpdates(batch []coherence.Update) error {
-	return v.PushUpdatesCtx(context.Background(), batch)
-}
-
-// PushUpdatesCtx is PushUpdates continuing the trace in ctx.
 func (v *View) PushUpdatesCtx(ctx context.Context, batch []coherence.Update) error {
 	v.replica.ApplyRemote(batch)
-	return PushUpdatesCtx(ctx, v.upstream, batch)
+	return v.upstream.PushUpdatesCtx(ctx, batch)
 }

@@ -455,14 +455,18 @@ func (pl *Planner) placementForCached(comp *spec.Component, node netmodel.NodeID
 	return p, ok
 }
 
+// loopbackEnv is the property environment of intra-node linkage
+// (components co-located on one node): confidential. Shared and
+// read-only.
+var loopbackEnv = property.Set{"Confidentiality": property.Bool(true)}
+
 // linkageEnv returns the property environment of a linkage between two
-// dense node indices: the planner's loopback environment for co-located
-// components, otherwise the cached link aggregate. The returned set is
-// shared and read-only.
+// dense node indices: loopbackEnv for co-located components, otherwise
+// the cached link aggregate. The returned set is shared and read-only.
 func (pl *Planner) linkageEnv(from, to int32) (property.Set, bool) {
 	path, env, ok := pl.memo.path(from, to)
 	if ok && path.IsLoopback() {
-		env = pl.LoopbackEnv
+		env = loopbackEnv
 	}
 	return env, ok
 }

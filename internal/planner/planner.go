@@ -314,9 +314,6 @@ type Planner struct {
 	Service *spec.Service
 	// Net is the planner's view of the network.
 	Net *netmodel.Network
-	// LoopbackEnv is the property environment of intra-node linkage
-	// (components co-located on one node); typically confidential.
-	LoopbackEnv property.Set
 	// MaxChainLen bounds linkage chain enumeration (components per
 	// chain); 0 means the default of 6.
 	MaxChainLen int
@@ -360,7 +357,6 @@ func New(svc *spec.Service, net *netmodel.Network) *Planner {
 	return &Planner{
 		Service:         svc,
 		Net:             net,
-		LoopbackEnv:     property.Set{"Confidentiality": property.Bool(true)},
 		DeployPenaltyMS: 5,
 		SolverStats:     &solver.Stats{},
 	}

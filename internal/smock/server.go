@@ -200,7 +200,7 @@ func (p *GenericProxy) CallContext(ctx context.Context, m *wire.Message) (*wire.
 		span.End()
 		return nil, fmt.Errorf("smock: proxy binding: %w", err)
 	}
-	resp, err := transport.Call(ctx, ep, m)
+	resp, err := ep.CallContext(ctx, m)
 	span.End()
 	return resp, err
 }

@@ -43,18 +43,38 @@ type NodeWrapper struct {
 	clk  transport.Clock
 
 	mu          sync.Mutex
-	listeners   map[string]transport.Listener // instanceID -> listener
-	addrs       map[string]string             // instanceID -> address
-	control     transport.Listener            // ServeControl listener, if any
-	controlAddr string                        // survives Close: probes must keep targeting a crashed node
+	hosted      map[string]hosted  // instanceID -> what the wrapper opened for it
+	control     transport.Listener // ServeControl listener, if any
+	controlAddr string             // survives Close: probes must keep targeting a crashed node
+}
+
+// hosted is what a wrapper opened for one instance: the listener it
+// serves on and the endpoints it dialed to the instance's providers.
+// The wrapper owns both and closes both when the instance goes.
+type hosted struct {
+	ln        transport.Listener
+	addr      string
+	upstreams []transport.Endpoint
+}
+
+// close stops serving the instance, then releases its provider links.
+func (h hosted) close() error {
+	err := h.ln.Close()
+	closeAll(h.upstreams)
+	return err
+}
+
+func closeAll(eps []transport.Endpoint) {
+	for _, ep := range eps {
+		ep.Close()
+	}
 }
 
 // NewNodeWrapper returns a wrapper for one node.
 func NewNodeWrapper(node netmodel.NodeID, tr transport.Transport, reg *Registry, clk transport.Clock) *NodeWrapper {
 	return &NodeWrapper{
 		node: node, tr: tr, reg: reg, clk: clk,
-		listeners: map[string]transport.Listener{},
-		addrs:     map[string]string{},
+		hosted: map[string]hosted{},
 	}
 }
 
@@ -67,7 +87,8 @@ func (w *NodeWrapper) Node() netmodel.NodeID { return w.node }
 // hosts itself is linked in process: the listener of every instance is
 // tagged with the node, and each upstream endpoint is offered the
 // co-location handshake (transport.Upgrade), which only an endpoint to
-// a listener tagged with the same node accepts.
+// a listener tagged with the same node accepts. A failed install closes
+// every endpoint it dialed.
 func (w *NodeWrapper) Install(order InstallOrder) (string, error) {
 	ctx := &ActivationContext{
 		InstanceID:      order.InstanceID,
@@ -79,60 +100,64 @@ func (w *NodeWrapper) Install(order InstallOrder) (string, error) {
 		ServeSecret:     order.ServeSecret,
 		Clock:           w.clk,
 	}
+	var inst hosted
 	for iface, addr := range order.Upstreams {
 		ep, err := w.tr.Dial(addr)
 		if err != nil {
+			closeAll(inst.upstreams)
 			return "", fmt.Errorf("smock: wrapper %s: dialing %s provider %s: %w", w.node, iface, addr, err)
 		}
+		inst.upstreams = append(inst.upstreams, ep)
 		transport.Upgrade(ep, string(w.node))
 		ctx.Upstreams[iface] = ep
 	}
 	h, err := w.reg.Activate(order.Component, ctx)
 	if err != nil {
+		closeAll(inst.upstreams)
 		return "", err
 	}
-	ln, err := w.tr.Serve("", h)
-	if err != nil {
+	if inst.ln, err = w.tr.Serve("", h); err != nil {
+		closeAll(inst.upstreams)
 		return "", fmt.Errorf("smock: wrapper %s: serving %s: %w", w.node, order.InstanceID, err)
 	}
-	transport.TagNode(ln, string(w.node))
+	transport.TagNode(inst.ln, string(w.node))
+	inst.addr = inst.ln.Addr()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, dup := w.listeners[order.InstanceID]; dup {
-		ln.Close()
+	if _, dup := w.hosted[order.InstanceID]; dup {
+		inst.close()
 		return "", fmt.Errorf("smock: wrapper %s: instance %q already installed", w.node, order.InstanceID)
 	}
-	w.listeners[order.InstanceID] = ln
-	w.addrs[order.InstanceID] = ln.Addr()
-	return ln.Addr(), nil
+	w.hosted[order.InstanceID] = inst
+	return inst.addr, nil
 }
 
 // AddrOf returns the serving address of an installed instance.
 func (w *NodeWrapper) AddrOf(instanceID string) (string, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	addr, ok := w.addrs[instanceID]
-	return addr, ok
+	inst, ok := w.hosted[instanceID]
+	return inst.addr, ok
 }
 
 // Instances returns the number of hosted instances.
 func (w *NodeWrapper) Instances() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.listeners)
+	return len(w.hosted)
 }
 
-// Uninstall stops serving an instance.
+// Uninstall stops serving an instance and closes the endpoints Install
+// dialed for it.
 func (w *NodeWrapper) Uninstall(instanceID string) error {
 	w.mu.Lock()
-	ln, ok := w.listeners[instanceID]
-	delete(w.listeners, instanceID)
-	delete(w.addrs, instanceID)
+	inst, ok := w.hosted[instanceID]
+	delete(w.hosted, instanceID)
 	w.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("smock: wrapper %s: no instance %q", w.node, instanceID)
 	}
-	return ln.Close()
+	return inst.close()
 }
 
 // Close stops all hosted instances and the control listener: the whole
@@ -140,10 +165,9 @@ func (w *NodeWrapper) Uninstall(instanceID string) error {
 func (w *NodeWrapper) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for id, ln := range w.listeners {
-		ln.Close()
-		delete(w.listeners, id)
-		delete(w.addrs, id)
+	for id, inst := range w.hosted {
+		inst.close()
+		delete(w.hosted, id)
 	}
 	if w.control != nil {
 		w.control.Close()

@@ -32,33 +32,21 @@ func (f HandlerFunc) Handle(m *wire.Message) *wire.Message { return f(m) }
 
 // Endpoint is a client connection to a served address. Endpoints are
 // safe for concurrent use: multiplexed transports keep every
-// concurrent Call in flight at once, and Close interrupts calls still
+// concurrent call in flight at once, and Close interrupts calls still
 // waiting with ErrClosed.
 type Endpoint interface {
-	// Call sends a message and waits for the response.
+	// CallContext sends a message and waits for the response, abandoned
+	// when ctx is cancelled.
+	CallContext(ctx context.Context, m *wire.Message) (*wire.Message, error)
+	// Call is CallContext with context.Background().
 	Call(m *wire.Message) (*wire.Message, error)
 	// Close releases the endpoint.
 	Close() error
 }
 
-// ContextEndpoint is implemented by endpoints whose calls can be
-// bounded by a caller-supplied context.
-type ContextEndpoint interface {
-	Endpoint
-	// CallContext is Call, abandoned when ctx is cancelled.
-	CallContext(ctx context.Context, m *wire.Message) (*wire.Message, error)
-}
-
-// Call invokes ep with ctx when the endpoint supports cancellation and
-// falls back to a plain Call otherwise.
+// Call is ep.CallContext(ctx, m).
 func Call(ctx context.Context, ep Endpoint, m *wire.Message) (*wire.Message, error) {
-	if ce, ok := ep.(ContextEndpoint); ok {
-		return ce.CallContext(ctx, m)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return ep.Call(m)
+	return ep.CallContext(ctx, m)
 }
 
 // Listener is a served address.

@@ -190,6 +190,9 @@ func (p *countingPrimary) ReceiveCtx(ctx context.Context, user string, above int
 // measured call.
 type handlerEndpoint struct{ h transport.Handler }
 
+func (e handlerEndpoint) CallContext(_ context.Context, m *wire.Message) (*wire.Message, error) {
+	return e.h.Handle(m), nil
+}
 func (e handlerEndpoint) Call(m *wire.Message) (*wire.Message, error) { return e.h.Handle(m), nil }
 func (e handlerEndpoint) Close() error                                { return nil }
 
