@@ -1,15 +1,33 @@
 package partsvc
 
 import (
+	"fmt"
 	"go/ast"
+	"go/constant"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// The three guards in this file read the repository's non-test Go — the
+// module, cmd/, examples/ and the benchmark/ module — type-checked once
+// and shared. Code that only tests use belongs in a _test.go file, a
+// setting nothing sets is a constant, and a flag nobody can find in the
+// docs is a flag nobody runs; each guard fails on the first kind of
+// thing it finds. Each allowlist holds at most 10 entries, each with the
+// reason it stays.
 
 // productionCallerAllowlist names the exported functions that may lack a
 // production caller, each with the tests that need it and why. Keys are
@@ -24,20 +42,91 @@ var productionCallerAllowlist = map[string]string{
 	"smock.RemoteInstall": "install client of the smock wrapper tests and FuzzInstallOrder",
 }
 
-// TestExportedFuncsHaveProductionCallers fails on an exported function
-// or method declared in a non-test file of the module (benchmark/
-// included) whose name no non-test file mentions anywhere outside its
-// own declaration. The check is by name, so it is conservative: a name
-// shared with any other identifier passes. Code that only tests call
-// belongs in a _test.go file, or goes.
-func TestExportedFuncsHaveProductionCallers(t *testing.T) {
-	if len(productionCallerAllowlist) > 10 {
-		t.Fatalf("the allowlist has %d entries; keep it to 10", len(productionCallerAllowlist))
+// unsetKnobAllowlist names the exported fields of *Config and *Options
+// structs that no non-test code may write, keyed "package.Type.Field".
+var unsetKnobAllowlist = map[string]string{}
+
+// uncitedFlagAllowlist names the cmd/ flags the docs may leave uncited,
+// keyed "program -name".
+var uncitedFlagAllowlist = map[string]string{}
+
+// modulePkg is one package of the repository's non-test Go.
+type modulePkg struct {
+	path  string
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// typedModule is every modulePkg type-checked, in dependency order, and
+// the packages outside the repository that they import.
+type typedModule struct {
+	fset     *token.FileSet
+	pkgs     []*modulePkg
+	imported []*types.Package
+}
+
+var (
+	moduleOnce sync.Once
+	module     *typedModule
+	moduleErr  error
+)
+
+// loadModule returns the shared type-check, doing it on first use.
+func loadModule(t *testing.T) *typedModule {
+	t.Helper()
+	moduleOnce.Do(func() { module, moduleErr = typeCheckModule() })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
 	}
-	type decl struct{ key, pos string }
-	var decls []decl
-	uses := map[string]int{}
-	fset := token.NewFileSet()
+	return module
+}
+
+// moduleImporter checks module packages from source, each once, and
+// hands every other import path to the standard library's importer.
+type moduleImporter struct {
+	m        *typedModule
+	byPath   map[string]*modulePkg
+	checking map[string]bool
+	std      types.Importer
+}
+
+func (im *moduleImporter) Import(path string) (*types.Package, error) {
+	p, ok := im.byPath[path]
+	if !ok {
+		return im.std.Import(path)
+	}
+	if p.types != nil {
+		return p.types, nil
+	}
+	if im.checking[path] {
+		return nil, fmt.Errorf("import cycle through %s", path)
+	}
+	im.checking[path] = true
+	p.info = &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	conf := types.Config{Importer: im}
+	pkg, err := conf.Check(path, im.m.fset, p.files, p.info)
+	if err != nil {
+		return nil, err
+	}
+	p.types = pkg
+	im.m.pkgs = append(im.m.pkgs, p)
+	return pkg, nil
+}
+
+// typeCheckModule parses every non-test .go file under the repository
+// root, skipping testdata and dot-directories, and type-checks each
+// package. The benchmark/ module's path is partsvc/benchmark and it
+// replaces partsvc with this directory, so a directory's import path is
+// its path below the root.
+func typeCheckModule() (*typedModule, error) {
+	m := &typedModule{fset: token.NewFileSet()}
+	byPath := map[string]*modulePkg{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -51,47 +140,157 @@ func TestExportedFuncsHaveProductionCallers(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(m.fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		own := map[*ast.Ident]bool{}
-		for _, n := range f.Decls {
-			fd, ok := n.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			own[fd.Name] = true
-			if !fd.Name.IsExported() {
-				continue
-			}
-			key := f.Name.Name + "." + fd.Name.Name
-			if fd.Recv != nil && len(fd.Recv.List) == 1 {
-				key = f.Name.Name + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
-			}
-			decls = append(decls, decl{key, fset.Position(fd.Pos()).String()})
+		ipath := "partsvc"
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
+			ipath += "/" + dir
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !own[id] {
-				uses[id.Name]++
-			}
-			return true
-		})
+		p := byPath[ipath]
+		if p == nil {
+			p = &modulePkg{path: ipath}
+			byPath[ipath] = p
+		}
+		p.files = append(p.files, f)
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
+	}
+	paths := make([]string, 0, len(byPath))
+	for path := range byPath {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	std, err := exportData(byPath)
+	if err != nil {
+		return nil, err
+	}
+	im := &moduleImporter{m: m, byPath: byPath, checking: map[string]bool{}, std: importer.ForCompiler(m.fset, "gc", std)}
+	for _, path := range paths {
+		if _, err := im.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	seen := map[*types.Package]bool{}
+	for _, p := range m.pkgs {
+		for _, imp := range p.types.Imports() {
+			if _, mod := byPath[imp.Path()]; !mod && !seen[imp] {
+				seen[imp] = true
+				m.imported = append(m.imported, imp)
+			}
+		}
+	}
+	return m, nil
+}
+
+// exportData locates the compiler's export data for every package
+// outside the repository that a module package imports, with one
+// `go list -export` (the gc importer would otherwise run it once per
+// import path), and returns it as an importer lookup.
+func exportData(byPath map[string]*modulePkg) (func(string) (io.ReadCloser, error), error) {
+	args := []string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}
+	seen := map[string]bool{}
+	for _, p := range byPath {
+		for _, f := range p.files {
+			for _, spec := range f.Imports {
+				path, _ := strconv.Unquote(spec.Path.Value)
+				if _, mod := byPath[path]; !mod && path != "unsafe" && !seen[path] {
+					seen[path] = true
+					args = append(args, path)
+				}
+			}
+		}
+	}
+	var stderr strings.Builder
+	cmd := exec.Command("go", args...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %v: %s", err, stderr.String())
+	}
+	files := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok {
+			files[path] = file
+		}
+	}
+	return func(path string) (io.ReadCloser, error) {
+		file, ok := files[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(file)
+	}, nil
+}
+
+// funcKey names a function "package.Name" or a method
+// "package.Type.Name".
+func funcKey(f *types.Func) string {
+	key := f.Pkg().Name() + "."
+	if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+		if n := namedOf(recv.Type()); n != nil {
+			key += n.Obj().Name() + "."
+		}
+	}
+	return key + f.Name()
+}
+
+// namedOf returns the named type behind t or *t, or nil.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+// TestExportedFuncsHaveProductionCallers fails on an exported function
+// or method declared in non-test Go that no non-test file uses. A use is
+// an identifier the type-checker resolves to the function (a call, a
+// method value or expression, a reference; a selector's Sel included),
+// so a name shared with another identifier does not count. A method also counts as used when its type
+// T or *T implements an interface declared in a module package or a
+// package the module imports, and the method is one of that interface's:
+// String for fmt.Stringer, Close for io.Closer, CallContext for
+// transport.Endpoint.
+func TestExportedFuncsHaveProductionCallers(t *testing.T) {
+	if len(productionCallerAllowlist) > 10 {
+		t.Fatalf("the allowlist has %d entries; keep it to 10", len(productionCallerAllowlist))
+	}
+	m := loadModule(t)
+	used := map[*types.Func]bool{}
+	for _, p := range m.pkgs {
+		for _, obj := range p.info.Uses {
+			if f, ok := obj.(*types.Func); ok {
+				used[f.Origin()] = true
+			}
+		}
+	}
+	for _, f := range interfaceMethods(m) {
+		used[f] = true
 	}
 	var unused []string
 	allowed := map[string]bool{}
-	for _, d := range decls {
-		name := d.key[strings.LastIndexByte(d.key, '.')+1:]
-		if _, ok := productionCallerAllowlist[d.key]; ok {
-			allowed[d.key] = true
-			continue
-		}
-		if uses[name] == 0 {
-			unused = append(unused, d.pos+": "+d.key)
+	for _, p := range m.pkgs {
+		for _, file := range p.files {
+			for _, d := range file.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				f := p.info.Defs[fd.Name].(*types.Func)
+				key := funcKey(f)
+				if _, ok := productionCallerAllowlist[key]; ok {
+					allowed[key] = true
+					continue
+				}
+				if !used[f] {
+					unused = append(unused, m.fset.Position(fd.Pos()).String()+": "+key)
+				}
+			}
 		}
 	}
 	sort.Strings(unused)
@@ -105,17 +304,310 @@ func TestExportedFuncsHaveProductionCallers(t *testing.T) {
 	}
 }
 
-// recvName returns the type name of a method receiver expression.
-func recvName(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.StarExpr:
-		return recvName(x.X)
-	case *ast.IndexExpr:
-		return recvName(x.X)
-	case *ast.IndexListExpr:
-		return recvName(x.X)
-	case *ast.Ident:
-		return x.Name
+// interfaceMethods returns the methods of module types that implement a
+// method of an interface declared in a module package, a package the
+// module imports, or the universe (error).
+func interfaceMethods(m *typedModule) []*types.Func {
+	var ifaces []*types.Interface
+	addIfaces := func(scope *types.Scope) {
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() > 0 {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.IsMethodSet() && it.NumMethods() > 0 {
+				ifaces = append(ifaces, it)
+			}
+		}
 	}
-	return "?"
+	addIfaces(types.Universe)
+	for _, p := range m.pkgs {
+		addIfaces(p.types.Scope())
+	}
+	for _, p := range m.imported {
+		addIfaces(p.Scope())
+	}
+	var out []*types.Func
+	for _, p := range m.pkgs {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if _, isIface := tn.Type().Underlying().(*types.Interface); isIface {
+				continue
+			}
+			ptr := types.NewPointer(tn.Type())
+			mset := types.NewMethodSet(ptr)
+			if mset.Len() == 0 {
+				continue
+			}
+		next:
+			for _, it := range ifaces {
+				for i := 0; i < it.NumMethods(); i++ {
+					if im := it.Method(i); mset.Lookup(im.Pkg(), im.Name()) == nil {
+						continue next
+					}
+				}
+				if !types.Implements(ptr, it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					im := it.Method(i)
+					out = append(out, mset.Lookup(im.Pkg(), im.Name()).Obj().(*types.Func).Origin())
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestConfigFieldsAreSet fails on an exported field of a struct type
+// named *Config or *Options that no non-test file writes: a knob nothing
+// turns is a constant. A write is a keyed or positional composite
+// literal, an assignment or ++/-- through a selector, or taking the
+// field's address (flag.IntVar(&cfg.Workers, …)). Writes inside a method
+// of the config type itself do not count, or its withDefaults would
+// hide every default nothing overrides.
+func TestConfigFieldsAreSet(t *testing.T) {
+	if len(unsetKnobAllowlist) > 10 {
+		t.Fatalf("the allowlist has %d entries; keep it to 10", len(unsetKnobAllowlist))
+	}
+	m := loadModule(t)
+	type knob struct {
+		key, pos string
+		owner    *types.TypeName
+	}
+	knobs := map[*types.Var]knob{}
+	for _, p := range m.pkgs {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					knobs[f] = knob{p.types.Name() + "." + name + "." + f.Name(), m.fset.Position(f.Pos()).String(), tn}
+				}
+			}
+		}
+	}
+	set := map[*types.Var]bool{}
+	for _, p := range m.pkgs {
+		for _, file := range p.files {
+			for _, d := range file.Decls {
+				var self *types.TypeName
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					if n := namedOf(p.info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()); n != nil {
+						self = n.Obj()
+					}
+				}
+				write := func(v *types.Var) {
+					if k, ok := knobs[v]; ok && k.owner != self {
+						set[v] = true
+					}
+				}
+				writeSel := func(e ast.Expr) {
+					if se, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						if sel := p.info.Selections[se]; sel != nil && sel.Kind() == types.FieldVal {
+							write(sel.Obj().(*types.Var))
+						}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.CompositeLit:
+						st, ok := p.info.Types[x].Type.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, elt := range x.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if v, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+									write(v)
+								}
+							} else {
+								write(st.Field(i))
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range x.Lhs {
+							writeSel(lhs)
+						}
+					case *ast.IncDecStmt:
+						writeSel(x.X)
+					case *ast.UnaryExpr:
+						if x.Op == token.AND {
+							writeSel(x.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	var unset []string
+	allowed := map[string]bool{}
+	for v, k := range knobs {
+		if _, ok := unsetKnobAllowlist[k.key]; ok {
+			allowed[k.key] = true
+			continue
+		}
+		if !set[v] {
+			unset = append(unset, k.pos+": "+k.key)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s is set by no non-test code: make it a constant, or delete it", u)
+	}
+	for key := range unsetKnobAllowlist {
+		if !allowed[key] {
+			t.Errorf("allowlist entry %s names no config field", key)
+		}
+	}
+}
+
+// flagDefiners are the flag package's functions and *FlagSet methods
+// that define a flag; the flag's name is their first constant string
+// argument.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolVar": true, "Int": true, "IntVar": true, "Int64": true, "Int64Var": true,
+	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "String": true, "StringVar": true,
+	"Float64": true, "Float64Var": true, "Duration": true, "DurationVar": true,
+	"Var": true, "Func": true, "BoolFunc": true, "TextVar": true,
+}
+
+// flagCitationDocs are where a flag must be cited: the files and the
+// directories whose files are read.
+var flagCitationDocs = []string{
+	"README.md",
+	"EXPERIMENTS.md",
+	filepath.Join(".github", "workflows", "ci.yml"),
+	"scripts",
+	filepath.Join(".claude", "skills", "verify", "SKILL.md"),
+}
+
+// TestFlagsAreCited fails on a flag a cmd/ program defines that no doc
+// cites as -name (or --name). A citation counts only on a line, or in a
+// fenced markdown block, that names the program, so a one-letter flag
+// cannot pass on another program's line.
+func TestFlagsAreCited(t *testing.T) {
+	if len(uncitedFlagAllowlist) > 10 {
+		t.Fatalf("the allowlist has %d entries; keep it to 10", len(uncitedFlagAllowlist))
+	}
+	m := loadModule(t)
+	units, err := citationUnits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{}
+	counts := map[string]int{}
+	for _, p := range m.pkgs {
+		prog, ok := strings.CutPrefix(p.path, "partsvc/cmd/")
+		if !ok {
+			continue
+		}
+		var text []string
+		names := regexp.MustCompile(`\b` + regexp.QuoteMeta(prog) + `\b`)
+		for _, u := range units {
+			if names.MatchString(u) {
+				text = append(text, u)
+			}
+		}
+		cited := strings.Join(text, "\n")
+		for _, file := range p.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				se, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				f, ok := p.info.Uses[se.Sel].(*types.Func)
+				if !ok || f.Pkg() == nil || f.Pkg().Path() != "flag" || !flagDefiners[f.Name()] {
+					return true
+				}
+				pos := m.fset.Position(call.Pos()).String()
+				name := ""
+				for _, arg := range call.Args {
+					if v := p.info.Types[arg].Value; v != nil && v.Kind() == constant.String {
+						name = constant.StringVal(v)
+						break
+					}
+				}
+				if name == "" {
+					t.Errorf("%s: flag name is not a constant", pos)
+					return true
+				}
+				counts[prog]++
+				key := prog + " -" + name
+				if _, ok := uncitedFlagAllowlist[key]; ok {
+					allowed[key] = true
+					return true
+				}
+				if !regexp.MustCompile(`(^|[^\w-])--?` + regexp.QuoteMeta(name) + `($|[^\w-])`).MatchString(cited) {
+					t.Errorf("%s: %s is cited in no doc line that names %s: cite it, or fold it into its default", pos, key, prog)
+				}
+				return true
+			})
+		}
+	}
+	t.Logf("flags defined per program: %v", counts)
+	for key := range uncitedFlagAllowlist {
+		if !allowed[key] {
+			t.Errorf("allowlist entry %s names no flag", key)
+		}
+	}
+}
+
+// citationUnits splits the citation docs into the units a citation is
+// judged by: a fenced block of a markdown file, or any other line.
+func citationUnits() ([]string, error) {
+	var units []string
+	for _, doc := range flagCitationDocs {
+		err := filepath.WalkDir(doc, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			markdown := strings.HasSuffix(path, ".md")
+			var block []string
+			fenced := false
+			for _, line := range strings.Split(string(data), "\n") {
+				if markdown && strings.HasPrefix(strings.TrimSpace(line), "```") {
+					if fenced {
+						units = append(units, strings.Join(block, "\n"))
+						block = block[:0]
+					}
+					fenced = !fenced
+					continue
+				}
+				if fenced {
+					block = append(block, line)
+				} else {
+					units = append(units, line)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return units, nil
 }

@@ -26,7 +26,7 @@
 //
 // Scenario runs fan out over a bounded worker pool; output is
 // byte-identical for every -workers value (each scenario is its own
-// deterministic simulation with a derived RNG seed).
+// deterministic simulation).
 package main
 
 import (
@@ -58,15 +58,12 @@ func main() {
 	multicore := flag.Bool("multicore", false, "live RPC scale-out sweep: GOMAXPROCS × transport × connections (A9)")
 	callers := flag.String("callers", "1,64", "comma-separated caller counts for -multicore")
 	cellDur := flag.Duration("dur", 2*time.Second, "measurement time per -multicore cell")
-	gmpList := flag.String("gomaxprocs", "1,2,4", "comma-separated GOMAXPROCS values for -multicore")
 	fleetRun := flag.Bool("fleet", false, "session-sharded fleet control plane benchmark (A10)")
 	solverRun := flag.Bool("solver", false, "planner scaling + repair-vs-fresh curve (A11)")
 	solverSizes := flag.String("solver-sizes", "", "comma-separated Waxman sizes for -solver (default 8,16,32,64,128,256)")
 	fleetSessions := flag.Int("fleet-sessions", 0, "override -fleet session count (default 5000)")
 	fleetNodes := flag.Int("fleet-nodes", 0, "override -fleet Waxman topology size (default 128)")
 	fleetSites := flag.Int("fleet-sites", 0, "override -fleet client site count (default 8)")
-	fleetEvents := flag.Int("fleet-events", 0, "override -fleet scripted link event count (default 4)")
-	fleetShards := flag.Int("fleet-shards", 0, "override -fleet shard count (default 8)")
 	timing := flag.Bool("timing", false, "add wall-clock wave latency to -fleet output (non-deterministic)")
 	httpAddr := flag.String("http", "", "serve the operational API (/metrics, /v1/events) for this address while the bench runs")
 	flag.Parse()
@@ -163,12 +160,6 @@ func main() {
 		if *fleetSites > 0 {
 			fc.Sites = *fleetSites
 		}
-		if *fleetEvents > 0 {
-			fc.Events = *fleetEvents
-		}
-		if *fleetShards > 0 {
-			fc.Shards = *fleetShards
-		}
 		fc.Workers = *workers
 		fc.Timing = *timing
 		fmt.Printf("Fleet control plane (A10): %d sessions, %d shards, %d-node Waxman, %d link events:\n",
@@ -180,17 +171,12 @@ func main() {
 		}
 		fmt.Print(bench.FleetTable(res))
 	case *multicore:
-		gmp, err := parseCounts(*gmpList)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mailbench:", err)
-			os.Exit(1)
-		}
 		callerList, err := parseCounts(*callers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mailbench:", err)
 			os.Exit(1)
 		}
-		runMultiCore(callerList, 256, *cellDur, gmp)
+		runMultiCore(callerList, 256, *cellDur)
 	case *traceSc != "":
 		if *sends == 0 {
 			cfg.SendsPerClient = 5 // keep the printed span tree readable

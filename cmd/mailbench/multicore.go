@@ -18,7 +18,7 @@ func fatalf(format string, args ...any) {
 }
 
 // runMultiCore is the A9 harness behind `mailbench -multicore`: the
-// live RPC data plane (no simulator) swept over GOMAXPROCS ×
+// live RPC data plane (no simulator) swept over GOMAXPROCS 1, 2, 4 ×
 // transport × connections × caller populations, printing aggregate
 // req/s per cell. The caller axis separates the two regimes that
 // matter: 1 caller is the latency-bound case where each call pays a
@@ -27,7 +27,7 @@ func fatalf(format string, args ...any) {
 // contended path. The same grid backs BenchmarkRPCMultiCore; this
 // mode exists so the table can be regenerated (and uploaded as a CI
 // artifact) without the testing harness.
-func runMultiCore(callerList []int, msgBytes int, dur time.Duration, gomaxprocs []int) {
+func runMultiCore(callerList []int, msgBytes int, dur time.Duration) {
 	transports := []struct {
 		name string
 		mk   func() transport.Transport
@@ -44,7 +44,7 @@ func runMultiCore(callerList []int, msgBytes int, dur time.Duration, gomaxprocs 
 	fmt.Printf("A9 multi-core RPC scale-out: %dB echo, %v per cell (host: %d CPUs)\n\n",
 		msgBytes, dur, runtime.NumCPU())
 	fmt.Printf("%-12s %-8s %-7s %-9s %12s %12s\n", "gomaxprocs", "transport", "conns", "callers", "req/s", "ns/op")
-	for _, gmp := range gomaxprocs {
+	for _, gmp := range []int{1, 2, 4} {
 		for _, tc := range transports {
 			for _, conns := range []int{1, 4} {
 				for _, callers := range callerList {

@@ -163,7 +163,7 @@ func runAdapt(args []string) error {
 // returns once the reader has printed everything.
 func liveView(cfg api.Config, ctl api.Control, onEvent func(api.Event)) (stop func() error, err error) {
 	srv := api.New(cfg, ctl)
-	srv.Attach(ctl.Controller, nil)
+	srv.Attach(ctl.Controller)
 	if err := srv.Start(); err != nil {
 		return nil, err
 	}

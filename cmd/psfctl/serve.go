@@ -9,7 +9,6 @@ import (
 	"syscall"
 	"time"
 
-	"partsvc/internal/adapt"
 	"partsvc/internal/api"
 	"partsvc/internal/casestudy"
 	"partsvc/internal/metrics"
@@ -28,7 +27,6 @@ func runServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	token := fs.String("token", "", "bearer token gating the management endpoints")
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof/")
-	echo := fs.Bool("echo", false, "also print controller events to stdout")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -51,11 +49,7 @@ func runServe(args []string) error {
 	srv := api.New(api.Config{
 		Addr: *addr, Token: *token, EnablePprof: *pprofOn,
 	}, w.Control(ctrl))
-	var extra func(adapt.Event)
-	if *echo {
-		extra = func(e adapt.Event) { fmt.Println(e) }
-	}
-	srv.Attach(ctrl, extra)
+	srv.Attach(ctrl)
 	ctrl.Start()
 	defer ctrl.Stop()
 	if err := srv.Start(); err != nil {

@@ -65,13 +65,6 @@ type Config struct {
 	// client bindings flip, letting in-flight requests finish before
 	// teardown (default 100).
 	DrainMS float64
-	// RetryBackoffMS is the delay before retrying a failed adaptation;
-	// it doubles per consecutive failure (default 200).
-	RetryBackoffMS float64
-	// MaxAdaptRetries bounds consecutive retries of a failing adaptation
-	// per session (default 3). After that the session waits for the next
-	// network change.
-	MaxAdaptRetries int
 	// Shards is the number of session shards. It partitions state and
 	// decides which shard planner handles which session, so it is part
 	// of a fleet's deterministic identity. 0 means one shard for New and
@@ -104,12 +97,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainMS <= 0 {
 		c.DrainMS = 100
 	}
-	if c.RetryBackoffMS <= 0 {
-		c.RetryBackoffMS = 200
-	}
-	if c.MaxAdaptRetries <= 0 {
-		c.MaxAdaptRetries = 3
-	}
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
@@ -118,6 +105,14 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// A failed adaptation is retried after retryBackoffMS, doubling per
+// consecutive failure, at most maxAdaptRetries times per session; after
+// that the session waits for the next network change.
+const (
+	retryBackoffMS  = 200
+	maxAdaptRetries = 3
+)
 
 // Event is one observable step of the loop, timestamped on its clock.
 // Loop-wide kinds (Session ""): "observe" (changes arrived), "suspect"
@@ -147,11 +142,6 @@ func (e Event) String() string {
 	return s
 }
 
-// SessionEvents is how many of its latest events a session keeps: a
-// long-lived fleet emits two or three per affected session per topology
-// event, forever.
-const SessionEvents = 256
-
 // Session is one client-facing deployment the loop keeps valid: the
 // planning request, the current deployment, and the client bindings to
 // flip when the head moves. All mutation happens through the loop;
@@ -178,13 +168,9 @@ type Session struct {
 	facts *depFacts
 	// held names the instances dep runs on, in placement order: the
 	// session's references in the table.
-	held     []string
-	head     string
-	bindings []Flippable
-	// events is a ring of the latest SessionEvents events; once full,
-	// evHead is the oldest.
-	events        []ringEvent
-	evHead        int
+	held          []string
+	head          string
+	bindings      []Flippable
 	lastCutoverMS float64
 	tracked       bool
 	pendingCancel func() bool   // a deferred commit
@@ -223,42 +209,8 @@ func (s *Session) HeadAddr() string {
 	return s.head
 }
 
-// Events returns a copy of the session's latest events (at most
-// SessionEvents of them), oldest first.
-func (s *Session) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Event, 0, len(s.events))
-	for _, part := range [][]ringEvent{s.events[s.evHead:], s.events[:s.evHead]} {
-		for _, e := range part {
-			out = append(out, Event{AtMS: e.atMS, Wave: e.wave, Kind: e.kind, Session: s.Name, Detail: e.detail})
-		}
-	}
-	return out
-}
-
-// ringEvent is an Event as a session keeps it: without the session's
-// own name, which is most of a fleet's event memory.
-type ringEvent struct {
-	atMS         float64
-	wave         uint64
-	kind, detail string
-}
-
 // Shard returns the shard the session hashed onto.
 func (s *Session) Shard() int { return s.shard }
-
-func (s *Session) record(ev Event) {
-	e := ringEvent{atMS: ev.AtMS, wave: ev.Wave, kind: ev.Kind, detail: ev.Detail}
-	s.mu.Lock()
-	if len(s.events) < SessionEvents {
-		s.events = append(s.events, e)
-	} else {
-		s.events[s.evHead] = e
-		s.evHead = (s.evHead + 1) % SessionEvents
-	}
-	s.mu.Unlock()
-}
 
 func (s *Session) snapshot() (*planner.Deployment, *depFacts) {
 	s.mu.Lock()
@@ -645,16 +597,14 @@ func (c *Controller) probe() {
 	c.mu.Unlock()
 }
 
-// emit records e in the session's stream (when s is non-nil) and
-// forwards it to the event sink. A zero AtMS is stamped with the
-// current time.
+// emit names e's session (when s is non-nil) and forwards it to the
+// event sink. A zero AtMS is stamped with the current time.
 func (c *Controller) emit(s *Session, e Event) {
 	if e.AtMS == 0 {
 		e.AtMS = c.sched.NowMS()
 	}
 	if s != nil {
 		e.Session = s.Name
-		s.record(e)
 	}
 	if c.onEvent != nil {
 		c.onEvent(e)

@@ -185,7 +185,7 @@ func (h *harness) eventsOf(kind string) []adapt.Event {
 // debounce window produce ONE replan, 50ms after the second change.
 func TestDebounceBatchesBursts(t *testing.T) {
 	exec := &fakeExec{diff: unchangedDiff()}
-	h := newHarness(t, adapt.Config{DebounceMS: 50, RetryBackoffMS: 1000}, exec)
+	h := newHarness(t, adapt.Config{DebounceMS: 50}, exec)
 	h.ctrl.Start()
 	report := func(trust int64) func() {
 		return func() {
@@ -212,11 +212,11 @@ func TestDebounceBatchesBursts(t *testing.T) {
 }
 
 // TestReplanFailureRetriesWithBackoff: a persistently failing replan is
-// retried MaxAdaptRetries times with doubling backoff, then abandoned
+// retried three times with doubling backoff from 200ms, then abandoned
 // until the next network change.
 func TestReplanFailureRetriesWithBackoff(t *testing.T) {
 	exec := &fakeExec{replanErr: errors.New("no feasible plan")}
-	h := newHarness(t, adapt.Config{DebounceMS: 10, RetryBackoffMS: 20, MaxAdaptRetries: 3}, exec)
+	h := newHarness(t, adapt.Config{DebounceMS: 10}, exec)
 	h.ctrl.Start()
 	h.env.At(0, func() {
 		_ = h.mon.ReportNodeDown("b")
@@ -231,8 +231,8 @@ func TestReplanFailureRetriesWithBackoff(t *testing.T) {
 	if len(fails) != 4 {
 		t.Fatalf("got %d failed events, want 4: %v", len(fails), fails)
 	}
-	// t=10 initial; retries after 20, 40, 80ms of backoff.
-	want := []float64{10, 30, 70, 150}
+	// t=10 initial; retries after 200, 400, 800ms of backoff.
+	want := []float64{10, 210, 610, 1410}
 	for i, e := range fails {
 		if e.AtMS != want[i] {
 			t.Errorf("failure %d at t=%.1f, want %.1f", i, e.AtMS, want[i])
@@ -246,20 +246,20 @@ func TestReplanFailureRetriesWithBackoff(t *testing.T) {
 // name starts with a fresh retry budget.
 func TestUntrackCancelsPendingRetry(t *testing.T) {
 	exec := &fakeExec{diff: changedDiff(), addr: "new-head", replanErr: errors.New("no feasible plan")}
-	h := newHarness(t, adapt.Config{DebounceMS: 10, RetryBackoffMS: 20, MaxAdaptRetries: 3}, exec)
+	h := newHarness(t, adapt.Config{DebounceMS: 10}, exec)
 	h.ctrl.Start()
 	h.env.At(0, func() { _ = h.mon.ReportNodeDown("b") })
-	// The replan at t=10 fails and arms a retry for t=30. The session is
-	// deleted first, and the executor heals, so a stray retry would both
-	// replan and deploy. The same session is tracked again until t=90:
-	// only withdrawing the retry keeps it from firing.
+	// The replan at t=10 fails and arms a retry for t=210. The session
+	// is deleted first, and the executor heals, so a stray retry would
+	// both replan and deploy. The same session is tracked again until
+	// t=300: only withdrawing the retry keeps it from firing.
 	h.env.At(20, func() {
 		h.ctrl.Untrack(h.sess.Name)
 		exec.set(func(f *fakeExec) { f.replanErr = nil })
 	})
 	h.env.At(25, func() { h.ctrl.Track(h.sess) })
-	h.env.At(90, func() { h.ctrl.Untrack(h.sess.Name) })
-	h.env.RunUntil(100)
+	h.env.At(300, func() { h.ctrl.Untrack(h.sess.Name) })
+	h.env.RunUntil(400)
 	if replans, deploys, _ := exec.counts(); replans != 1 || deploys != 0 {
 		t.Fatalf("after Untrack: %d replans and %d deploys, want 1 and 0 (the pending retry must not fire)", replans, deploys)
 	}
@@ -267,14 +267,14 @@ func TestUntrackCancelsPendingRetry(t *testing.T) {
 	// A new session under the same name fails its first replan: its
 	// retries run on their own schedule, not blocked or stretched by the
 	// deleted session's state.
-	h.env.At(100, func() {
+	h.env.At(400, func() {
 		exec.set(func(f *fakeExec) { f.replanErr = errors.New("no feasible plan") })
 		h.ctrl.Track(adapt.NewSession(h.sess.Name, "svc", h.sess.Req, h.sess.Deployment(), "old-head"))
 		_ = h.mon.ReportNodeUp("b")
 	})
 	h.env.RunUntil(5000)
 	fails := h.eventsOf("failed")
-	want := []float64{10, 110, 130, 170, 250}
+	want := []float64{10, 410, 610, 1010, 1810}
 	if len(fails) != len(want) {
 		t.Fatalf("got %d failed events, want %d: %v", len(fails), len(want), fails)
 	}
@@ -317,7 +317,7 @@ func TestUntrackCancelsDeferredCommit(t *testing.T) {
 // the cutover once the executor heals.
 func TestDeployFailureKeepsOldBindingThenRecovers(t *testing.T) {
 	exec := &fakeExec{diff: changedDiff(), addr: "new-head", deployErr: errors.New("node wrapper unreachable")}
-	h := newHarness(t, adapt.Config{DebounceMS: 10, RetryBackoffMS: 20, DrainMS: 5}, exec)
+	h := newHarness(t, adapt.Config{DebounceMS: 10, DrainMS: 5}, exec)
 	flip := &flipRecorder{}
 	h.sess.Bind(flip)
 	h.ctrl.Start()
@@ -325,7 +325,7 @@ func TestDeployFailureKeepsOldBindingThenRecovers(t *testing.T) {
 		_ = h.mon.ReportNodeDown("b")
 	})
 	// Verify the failure left everything in place, then heal the
-	// executor before the retry fires at t=30.
+	// executor before the retry fires at t=210.
 	h.env.At(20, func() {
 		if got := h.sess.HeadAddr(); got != "old-head" {
 			t.Errorf("session head = %q after failed deploy, want old-head", got)
@@ -365,7 +365,7 @@ func TestDeployFailureKeepsOldBindingThenRecovers(t *testing.T) {
 func TestProbeSuspicionThresholdAndRecovery(t *testing.T) {
 	exec := &fakeExec{diff: unchangedDiff()}
 	h := newHarness(t, adapt.Config{
-		DebounceMS: 5, ProbeIntervalMS: 10, SuspicionThreshold: 3, RetryBackoffMS: 1000,
+		DebounceMS: 5, ProbeIntervalMS: 10, SuspicionThreshold: 3,
 	}, exec)
 	var mu sync.Mutex
 	dead := true

@@ -307,12 +307,26 @@ func newCutoverWorld(t *testing.T) (*world, *faultExec, *adapt.Controller, *adap
 	w.deploySD(t)
 	carol, _, _ := w.trackCarol(t, adapt.RetryConfig{})
 	x := newFaultExec(w, installs)
-	// Failed cutovers are retried by hand (Kick), never by the clock.
-	ctrl := adapt.New(adapt.Config{DrainMS: 20, RetryBackoffMS: 1e9}, w.Mon, x, adapt.NewRealScheduler())
+	ctrl := adapt.New(adapt.Config{DrainMS: cutoverDrainMS}, w.Mon, x, handRetried{adapt.NewRealScheduler()})
 	t.Cleanup(ctrl.Stop)
 	ctrl.Track(carol)
 	checkBooks(t, w, ctrl)
 	return w, x, ctrl, carol
+}
+
+// cutoverDrainMS is the drain of the per-phase tests' loop.
+const cutoverDrainMS = 20
+
+// handRetried is the wall clock for drains only: failed cutovers are
+// retried by hand (Kick), never by the clock, so a timer longer than
+// the drain (the retry backoff) never fires.
+type handRetried struct{ *adapt.RealScheduler }
+
+func (s handRetried) After(delayMS float64, fn func()) func() bool {
+	if delayMS > cutoverDrainMS {
+		return func() bool { return true }
+	}
+	return s.RealScheduler.After(delayMS, fn)
 }
 
 // rewired reports whether Carol's chain left the degraded link.

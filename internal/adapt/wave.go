@@ -613,7 +613,7 @@ func (c *Controller) fail(s *Session, wave uint64, detail string) {
 }
 
 // scheduleRetry arms a one-session wave after a backoff that doubles
-// per consecutive failure, up to MaxAdaptRetries; after that the
+// per consecutive failure, up to maxAdaptRetries; after that the
 // session waits for the next network change. Retries carry no
 // changed-element set: the failed attempt consumed it, so they take the
 // full-replan path.
@@ -623,10 +623,10 @@ func (c *Controller) scheduleRetry(s *Session) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.retryCancel != nil || s.retries >= c.cfg.MaxAdaptRetries {
+	if s.retryCancel != nil || s.retries >= maxAdaptRetries {
 		return
 	}
-	delay := c.cfg.RetryBackoffMS * float64(int(1)<<s.retries)
+	delay := retryBackoffMS * float64(int(1)<<s.retries)
 	s.retries++
 	s.retryCancel = c.sched.After(delay, func() {
 		s.mu.Lock()

@@ -40,7 +40,7 @@ func newAPIWorld(t *testing.T) *apiWorld {
 	}
 	w := &apiWorld{World: cs, ctrl: cs.Loop(25)}
 	w.srv = api.New(api.Config{Addr: "127.0.0.1:0", Registry: metrics.NewRegistry()}, cs.Control(w.ctrl))
-	w.srv.Attach(w.ctrl, nil)
+	w.srv.Attach(w.ctrl)
 	w.ctrl.Start()
 	t.Cleanup(w.ctrl.Stop)
 	if err := w.srv.Start(); err != nil {

@@ -37,21 +37,19 @@ type Config struct {
 	// SubscriberBuffer is each SSE subscriber's channel depth (default
 	// 64). A subscriber further behind than this drops events.
 	SubscriberBuffer int
-	// HeartbeatMS is the SSE keepalive-comment period (default 15000).
-	HeartbeatMS int
-	// ShutdownGraceMS bounds Shutdown's drain (default 5000).
-	ShutdownGraceMS int
 }
+
+// heartbeatPeriod is the SSE keepalive-comment period, and
+// shutdownGrace bounds Shutdown's drain when its context has no
+// deadline.
+const (
+	heartbeatPeriod = 15 * time.Second
+	shutdownGrace   = 5 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Registry == nil {
 		c.Registry = metrics.DefaultRegistry
-	}
-	if c.HeartbeatMS <= 0 {
-		c.HeartbeatMS = 15000
-	}
-	if c.ShutdownGraceMS <= 0 {
-		c.ShutdownGraceMS = 5000
 	}
 	return c
 }
@@ -106,9 +104,6 @@ func New(cfg Config, ctl Control) *Server {
 	s.routes()
 	return s
 }
-
-// Bus returns the server's event bus (for in-process publishers).
-func (s *Server) Bus() *Bus { return s.bus }
 
 // Handler returns the full middleware-wrapped handler (mountable on
 // any http.Server).
@@ -217,7 +212,7 @@ func (s *Server) Addr() string {
 
 // Shutdown drains gracefully: a final shutdown event is published, the
 // bus closes (every SSE handler returns), and the HTTP server stops
-// accepting and waits for in-flight requests up to ShutdownGraceMS.
+// accepting and waits for in-flight requests up to shutdownGrace.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.bus.Publish(Event{Source: "api", Kind: "shutdown", AtMS: nowMS()})
 	s.bus.Close()
@@ -226,8 +221,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx,
-			time.Duration(s.cfg.ShutdownGraceMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, shutdownGrace)
 		defer cancel()
 	}
 	return s.httpSrv.Shutdown(ctx)

@@ -17,6 +17,11 @@ import (
 // scopes to one session (plus session-less events), ?kind=a,b to an
 // event-kind set.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	s.streamEvents(w, r, heartbeatPeriod)
+}
+
+// streamEvents is handleEvents with a keepalive comment every heartbeat.
+func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, heartbeat time.Duration) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -60,7 +65,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	fl.Flush()
 
-	heartbeat := time.Duration(s.cfg.HeartbeatMS) * time.Millisecond
 	ticker := time.NewTicker(heartbeat)
 	defer ticker.Stop()
 	ctx := r.Context()

@@ -102,8 +102,8 @@ func TestSSEStreamDeliversPublishedEvents(t *testing.T) {
 	// Published after the subscription: must arrive live, in order,
 	// with the bus seq as the SSE id.
 	go func() {
-		s.Bus().Publish(Event{Source: "adapt", Kind: "suspect", Detail: "node sd-2"})
-		s.Bus().Publish(Event{Source: "adapt", Kind: "replan", Session: "carol"})
+		s.bus.Publish(Event{Source: "adapt", Kind: "suspect", Detail: "node sd-2"})
+		s.bus.Publish(Event{Source: "adapt", Kind: "replan", Session: "carol"})
 	}()
 	f1, err := readFrame(br)
 	if err != nil {
@@ -134,9 +134,9 @@ func TestSSEKindAndSessionFilters(t *testing.T) {
 	defer cancel()
 
 	go func() {
-		s.Bus().Publish(Event{Kind: "replan", Session: "dave"})   // wrong session
-		s.Bus().Publish(Event{Kind: "stage", Session: "carol"})   // wrong kind
-		s.Bus().Publish(Event{Kind: "adapted", Session: "carol"}) // match
+		s.bus.Publish(Event{Kind: "replan", Session: "dave"})   // wrong session
+		s.bus.Publish(Event{Kind: "stage", Session: "carol"})   // wrong kind
+		s.bus.Publish(Event{Kind: "adapted", Session: "carol"}) // match
 	}()
 	f, err := readFrame(br)
 	if err != nil {
@@ -154,8 +154,8 @@ func TestSSEReconnectReplay(t *testing.T) {
 	s, ts := newTestServer(t, Config{}, Control{})
 
 	br, cancel := openSSE(t, ts.URL, "", "")
-	s.Bus().Publish(Event{Kind: "one"})
-	s.Bus().Publish(Event{Kind: "two"})
+	s.bus.Publish(Event{Kind: "one"})
+	s.bus.Publish(Event{Kind: "two"})
 	f1, err := readFrame(br)
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +170,8 @@ func TestSSEReconnectReplay(t *testing.T) {
 	cancel() // connection drops
 
 	// Missed while away.
-	s.Bus().Publish(Event{Kind: "three"})
-	s.Bus().Publish(Event{Kind: "four"})
+	s.bus.Publish(Event{Kind: "three"})
+	s.bus.Publish(Event{Kind: "four"})
 
 	br2, cancel2 := openSSE(t, ts.URL, "", strconv.FormatUint(f2.id, 10))
 	defer cancel2()
@@ -190,7 +190,7 @@ func TestSSEReconnectReplay(t *testing.T) {
 		t.Fatalf("replay ids %d, %d not contiguous with %d", f3.id, f4.id, f2.id)
 	}
 	// And live events keep flowing after the replay with no duplicates.
-	s.Bus().Publish(Event{Kind: "five"})
+	s.bus.Publish(Event{Kind: "five"})
 	f5, err := readFrame(br2)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestSSEReconnectReplay(t *testing.T) {
 // clients can tell a planned stop from a network hiccup.
 func TestSSEShutdownSendsBye(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s := New(Config{Addr: "127.0.0.1:0", Registry: reg, ShutdownGraceMS: 2000}, Control{})
+	s := New(Config{Addr: "127.0.0.1:0", Registry: reg}, Control{})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,11 @@ func TestSSEShutdownSendsBye(t *testing.T) {
 }
 
 func TestSSEHeartbeat(t *testing.T) {
-	_, ts := newTestServer(t, Config{HeartbeatMS: 30}, Control{})
+	s := New(Config{Registry: metrics.NewRegistry()}, Control{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.streamEvents(w, r, 30*time.Millisecond)
+	}))
+	defer ts.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/events", nil)

@@ -64,9 +64,6 @@ type Config struct {
 	// parallel (each runs its own sim.Env); 0 means GOMAXPROCS. Results
 	// are byte-identical to a serial run regardless of the setting.
 	Workers int
-	// Seed derives the per-scenario RNG seed handed to each sim.Env, so
-	// stochastic workloads stay reproducible under any Workers value.
-	Seed int64
 }
 
 // DefaultConfig returns the documented default parameters.
@@ -93,8 +90,6 @@ func DefaultConfig() Config {
 		ProxyOverheadMS: 0.05,
 
 		MissEvery: 5,
-
-		Seed: 1,
 	}
 }
 

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 )
@@ -90,32 +89,6 @@ func TestClientCountsOverride(t *testing.T) {
 					row.Scenario, row, g)
 			}
 		}
-	}
-}
-
-// TestScenarioSeedDerivation: seeds are stable, distinct across
-// scenarios/counts, and never zero (zero would collapse to the Env
-// default and alias distinct runs).
-func TestScenarioSeedDerivation(t *testing.T) {
-	seen := map[int64]string{}
-	for _, sc := range Scenarios() {
-		for _, n := range []int{1, 2, 100, 10000} {
-			s := scenarioSeed(1, sc.Name, n)
-			if s == 0 {
-				t.Fatalf("seed(%s,%d) = 0", sc.Name, n)
-			}
-			if s != scenarioSeed(1, sc.Name, n) {
-				t.Fatalf("seed(%s,%d) unstable", sc.Name, n)
-			}
-			key := fmt.Sprintf("%s/%d", sc.Name, n)
-			if prev, dup := seen[s]; dup {
-				t.Fatalf("seed collision: %s and %s both map to %d", prev, key, s)
-			}
-			seen[s] = key
-		}
-	}
-	if scenarioSeed(1, "SS", 1) == scenarioSeed(2, "SS", 1) {
-		t.Fatal("sweep seed must perturb scenario seeds")
 	}
 }
 

@@ -64,7 +64,7 @@ func RunScenario(cfg Config, sc Scenario, clients int) Row {
 // timestamps read env.Now, so repeated runs of the same Config produce
 // byte-identical span trees.
 func runScenario(cfg Config, sc Scenario, clients, traceCap int) (Row, *Recorder, *trace.Tracer) {
-	env := sim.NewEnvWith(sim.Options{Seed: scenarioSeed(cfg.Seed, sc.Name, clients)})
+	env := sim.NewEnv()
 	var tr *trace.Tracer
 	if traceCap > 0 {
 		tr = trace.NewTracer(traceCap, env.Now)

@@ -49,9 +49,6 @@ type Fig8Config struct {
 	ServiceMS float64
 	// Workers bounds scenario-sweep parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Seed feeds scenarioSeed (the model is randomness-free; the seed
-	// only keeps env construction uniform with the other benchmarks).
-	Seed int64
 }
 
 // DefaultFig8Config returns the configuration used for the A7 table.
@@ -188,7 +185,7 @@ type fig8Sample struct{ start, latency float64 }
 // modeled executor, prober, and client. Deterministic: same config,
 // same row, at any sweep parallelism.
 func runFig8Scenario(cfg Fig8Config, sc Fig8Scenario) Fig8Row {
-	env := sim.NewEnvWith(sim.Options{Seed: scenarioSeed(cfg.Seed, "fig8/"+sc.Name, 1)})
+	env := sim.NewEnv()
 
 	net := topology.CaseStudy()
 	mon := netmon.New(net)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -49,27 +48,4 @@ func forEach(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// scenarioSeed derives the deterministic RNG seed for one scenario run
-// from the sweep seed, the scenario name, and the client count — a
-// function of the run's identity, never of its schedule, so parallel
-// and serial sweeps seed identically.
-func scenarioSeed(seed int64, scenario string, clients int) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := range buf {
-		buf[i] = byte(uint64(seed) >> (8 * i))
-	}
-	h.Write(buf[:])
-	h.Write([]byte(scenario))
-	for i := range buf {
-		buf[i] = byte(uint64(clients) >> (8 * i))
-	}
-	h.Write(buf[:])
-	s := int64(h.Sum64())
-	if s == 0 {
-		s = 1
-	}
-	return s
 }

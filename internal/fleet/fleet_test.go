@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"partsvc/internal/adapt"
@@ -24,6 +25,30 @@ type world struct {
 	net *netmodel.Network
 	mon *netmon.Monitor
 	mgr *Manager
+
+	mu     sync.Mutex
+	events map[string][]adapt.Event // per session, in emit order
+}
+
+// listen collects the loop's per-session events from its event sink.
+// Call it before Bootstrap.
+func (w *world) listen() {
+	w.events = map[string][]adapt.Event{}
+	w.mgr.OnEvent(func(e adapt.Event) {
+		if e.Session == "" {
+			return
+		}
+		w.mu.Lock()
+		w.events[e.Session] = append(w.events[e.Session], e)
+		w.mu.Unlock()
+	})
+}
+
+// eventsOf returns the events session name was sent so far.
+func (w *world) eventsOf(name string) []adapt.Event {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]adapt.Event(nil), w.events[name]...)
 }
 
 func newWorld(t *testing.T, cfg Config, sessions int) *world {
@@ -31,6 +56,7 @@ func newWorld(t *testing.T, cfg Config, sessions int) *world {
 	w := &world{env: sim.NewEnv(), net: topology.CaseStudy()}
 	w.mon = netmon.New(w.net)
 	w.mgr = New(cfg, spec.MailService(), w.net, w.mon, adapt.NewSimScheduler(w.env))
+	w.listen()
 	if _, err := w.mgr.AddPrimary(spec.CompMailServer, topology.NYServer); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +80,7 @@ func (w *world) transcript() string {
 	var b strings.Builder
 	for _, s := range w.mgr.Sessions() {
 		fmt.Fprintf(&b, "%s dep=%s\n", s.Name, s.Deployment())
-		for _, e := range s.Events() {
+		for _, e := range w.eventsOf(s.Name) {
 			fmt.Fprintf(&b, "  %s\n", e)
 		}
 	}
@@ -221,7 +247,7 @@ func TestGovernorPacesAndSuppresses(t *testing.T) {
 	// instant, and successive commits are a full token period apart.
 	var commits []float64
 	for _, s := range w.mgr.Sessions() {
-		for _, e := range s.Events() {
+		for _, e := range w.eventsOf(s.Name) {
 			if e.Kind == "adapted" && e.Wave == recovery.Wave {
 				commits = append(commits, e.AtMS)
 			}
@@ -291,11 +317,10 @@ func TestNodeKillForcesThroughHysteresis(t *testing.T) {
 	}
 }
 
-// TestSessionEventsAreBounded: a long-lived fleet emits events for every
-// affected session on every topology event, forever. A session keeps
-// its latest adapt.SessionEvents of them, oldest first, and the heap stops
-// growing once the rings are full.
-func TestSessionEventsAreBounded(t *testing.T) {
+// TestSessionStateIsBounded: a long-lived fleet replans every session
+// on every topology event, forever, and its heap must not grow with the
+// waves: the loop keeps no per-session history.
+func TestSessionStateIsBounded(t *testing.T) {
 	const sessions, waves = 50, 1000
 	w := &world{env: sim.NewEnv(), net: topology.CaseStudy()}
 	defer w.env.Stop()
@@ -348,23 +373,8 @@ func TestSessionEventsAreBounded(t *testing.T) {
 	if lastWave != waves+1 { // the bootstrap was wave 1
 		t.Fatalf("last wave %d, want %d: not every event opened a wave", lastWave, waves+1)
 	}
-	for _, s := range w.mgr.Sessions() {
-		ev := s.Events()
-		if len(ev) != adapt.SessionEvents {
-			t.Fatalf("%s keeps %d events after %d waves, want the latest %d", s.Name, len(ev), waves, adapt.SessionEvents)
-		}
-		if got := ev[len(ev)-1].Wave; got != lastWave {
-			t.Fatalf("%s: newest event is wave %d's, want wave %d's", s.Name, got, lastWave)
-		}
-		for i := 1; i < len(ev); i++ {
-			if ev[i].Wave < ev[i-1].Wave {
-				t.Fatalf("%s: events out of order at %d: wave %d after wave %d", s.Name, i, ev[i].Wave, ev[i-1].Wave)
-			}
-		}
-	}
-	// Unbounded streams grow by two events per session per wave: about
-	// 4 MB over these 900 waves. The rings fill shortly after wave 100
-	// and then nothing grows.
+	// Per-session event streams would grow by two events per session per
+	// wave: about 4 MB over these 900 waves.
 	if grown := int64(heapAt1000) - int64(heapAt100); grown > 1<<20 {
 		t.Fatalf("heap grew %d KB between wave 100 and wave %d (%d -> %d KB)", grown>>10, waves, heapAt100>>10, heapAt1000>>10)
 	} else {

@@ -66,6 +66,7 @@ func isoWorld(t *testing.T) *world {
 		Shards: 4, Workers: 4, DebounceMS: 20,
 		CutoverRatePerSec: 1, CutoverBurst: 1, HysteresisMS: 60000,
 	}, spec.MailService(), w.net, w.mon, adapt.NewSimScheduler(w.env))
+	w.listen()
 	for _, prefix := range []string{"a-", "b-"} {
 		if _, err := w.mgr.AddPrimary(spec.CompMailServer, netmodel.NodeID(prefix+"ny-1")); err != nil {
 			t.Fatal(err)
@@ -106,7 +107,7 @@ func clusterTranscript(w *world, prefix string) string {
 			continue
 		}
 		fmt.Fprintf(&b, "%s dep=%s\n", s.Name, s.Deployment())
-		for _, e := range s.Events() {
+		for _, e := range w.eventsOf(s.Name) {
 			fmt.Fprintf(&b, "  [%10.1f] %s %s\n", e.AtMS, e.Kind, e.Detail)
 		}
 	}
@@ -158,7 +159,7 @@ func TestCrossSessionIsolation(t *testing.T) {
 	waveCluster := map[uint64]map[string]bool{}
 	for _, s := range w.mgr.Sessions() {
 		prefix := s.Name[:2]
-		for _, e := range s.Events() {
+		for _, e := range w.eventsOf(s.Name) {
 			if prefix == "a-" && e.Kind == "adapted" {
 				aAdapted++
 			}

@@ -9,8 +9,8 @@ import (
 )
 
 // Client is the full MailClient component: composes, sends, receives,
-// and decrypts messages, and manages the address book. It holds its
-// user's own keys (all levels) for decrypting received mail.
+// and decrypts messages. It holds its user's own keys (all levels) for
+// decrypting received mail.
 type Client struct {
 	user string
 	keys *seccrypto.KeyRing
@@ -70,20 +70,10 @@ func openInbox(keys *seccrypto.KeyRing, user string, msgs []*Message, ceiling in
 	return out, nil
 }
 
-// AddContact updates the address book (full client feature).
-func (c *Client) AddContact(contact string) error {
-	return c.api.AddContact(c.user, contact)
-}
-
-// Contacts reads the address book (full client feature).
-func (c *Client) Contacts() ([]string, error) {
-	return c.api.Contacts(c.user)
-}
-
 // ViewClient is the ViewMailClient object view: the restricted client
-// deployed for less-trusted principals. It supports only send and
-// receive — no address book — and caps outgoing sensitivity at its
-// node's trust level (the object-view restriction of Section 3.1).
+// deployed for less-trusted principals. It caps outgoing sensitivity
+// at its node's trust level (the object-view restriction of Section
+// 3.1).
 type ViewClient struct {
 	user  string
 	trust int

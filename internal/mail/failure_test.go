@@ -125,11 +125,11 @@ func TestReplicatedSendOutsideTheLevelsIsDropped(t *testing.T) {
 	if _, err := srv.Send("alice", "bob", "ok", []byte("valid"), 2); err != nil {
 		t.Fatal(err)
 	}
-	env, err := keys.Seal("alice", 2, []byte("relabelled"))
+	sealed, err := keys.AppendSeal(nil, "alice", 2, []byte("relabelled"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := appendMessage(nil, &Message{ID: 77, From: "alice", To: "bob", Subject: "bad", Body: env.Marshal(), Sensitivity: 9})
+	bad := appendMessage(nil, &Message{ID: 77, From: "alice", To: "bob", Subject: "bad", Body: sealed, Sensitivity: 9})
 	up := NewRemote(&callEndpoint{h: NewHandler(srv)})
 	if err := up.PushUpdatesCtx(context.Background(), []coherence.Update{{Origin: "vms", Seq: 1, Op: "send", Key: "bob", Data: bad}}); err != nil {
 		t.Fatal(err)

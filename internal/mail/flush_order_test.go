@@ -86,7 +86,7 @@ func TestConcurrentWriteThroughSendersLoseNothing(t *testing.T) {
 	srv, _, clock := newPrimary(t, "alice", "bob")
 	up := &jitteryUpstream{Server: srv}
 	v, err := NewView(ViewConfig{
-		ID: "vms", Trust: 4, Keys: srv.Keys().SubRing(4),
+		ID: "vms", Trust: 4, Keys: srv.keys.SubRing(4),
 		Upstream: up, Policy: coherence.WriteThrough{}, Clock: clock,
 	}, 1<<32)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestFailedPushAcknowledgesNoRider(t *testing.T) {
 	srv, _, clock := newPrimary(t, "alice", "bob")
 	up := &jitteryUpstream{Server: srv, failEvery: 3}
 	v, err := NewView(ViewConfig{
-		ID: "vms", Trust: 4, Keys: srv.Keys().SubRing(4),
+		ID: "vms", Trust: 4, Keys: srv.keys.SubRing(4),
 		Upstream: up, Policy: coherence.WriteThrough{}, Clock: clock,
 	}, 1<<32)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestFailedFlushKeepsUnacknowledgedWrites(t *testing.T) {
 	srv, _, clock := newPrimary(t, "alice", "bob")
 	up := &jitteryUpstream{Server: srv, failEvery: 1}
 	v, err := NewView(ViewConfig{
-		ID: "vms", Trust: 4, Keys: srv.Keys().SubRing(4),
+		ID: "vms", Trust: 4, Keys: srv.keys.SubRing(4),
 		Upstream: up, Policy: coherence.None{}, Clock: clock,
 	}, 1<<32)
 	if err != nil {

@@ -212,7 +212,7 @@ func TestServerContacts(t *testing.T) {
 func newTestView(t *testing.T, srv *Server, id string, trust int, policy coherence.Policy, clock transport.Clock, idBase uint64) *View {
 	t.Helper()
 	v, err := NewView(ViewConfig{
-		ID: id, Trust: trust, Keys: srv.Keys().SubRing(trust),
+		ID: id, Trust: trust, Keys: srv.keys.SubRing(trust),
 		Upstream: srv, Policy: policy, Clock: clock,
 	}, idBase)
 	if err != nil {
@@ -341,7 +341,7 @@ func TestChainedViewsSeattleToSanDiego(t *testing.T) {
 	sd := newTestView(t, srv, "vms-sd", 4, coherence.WriteThrough{}, clock, 1<<32)
 	srv.Directory().Register(ViewName, sd.Replica())
 	sea, err := NewView(ViewConfig{
-		ID: "vms-sea", Trust: 2, Keys: srv.Keys().SubRing(2),
+		ID: "vms-sea", Trust: 2, Keys: srv.keys.SubRing(2),
 		Upstream: sd, Policy: coherence.WriteThrough{}, Clock: clock,
 	}, 1<<33)
 	if err != nil {
@@ -349,7 +349,7 @@ func TestChainedViewsSeattleToSanDiego(t *testing.T) {
 	}
 	srv.Directory().Register(ViewName, sea.Replica())
 
-	carol := NewViewClient("carol", 2, srv.Keys().SubRing(2), sea)
+	carol := NewViewClient("carol", 2, srv.keys.SubRing(2), sea)
 	if _, err := carol.Send("alice", "hello", []byte("from seattle"), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestChainedViewsSeattleToSanDiego(t *testing.T) {
 
 func TestViewClientRestrictions(t *testing.T) {
 	srv, _, _ := newPrimary(t, "alice", "carol")
-	carol := NewViewClient("carol", 2, srv.Keys().SubRing(2), srv)
+	carol := NewViewClient("carol", 2, srv.keys.SubRing(2), srv)
 	if _, err := carol.Send("alice", "s", []byte("m"), 3); err == nil {
 		t.Error("view client must reject sends above its trust")
 	}
@@ -398,13 +398,6 @@ func TestClientDecryptionIsEndToEnd(t *testing.T) {
 	alice := NewClient("alice", keys, srv)
 	if _, err := alice.Send("bob", "s", []byte("payload"), 2); err != nil {
 		t.Fatal(err)
-	}
-	if err := alice.AddContact("bob"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := alice.Contacts()
-	if err != nil || len(got) != 1 || got[0] != "bob" {
-		t.Errorf("contacts = %v, %v", got, err)
 	}
 	if alice.user != "alice" {
 		t.Error("user")

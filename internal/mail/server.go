@@ -73,9 +73,6 @@ func NewServer(keys *seccrypto.KeyRing, clock transport.Clock) *Server {
 // Directory exposes the coherence directory for replica registration.
 func (s *Server) Directory() *coherence.Directory { return s.dir }
 
-// Keys exposes the full key ring (for escrow when deploying views).
-func (s *Server) Keys() *seccrypto.KeyRing { return s.keys }
-
 // Store exposes the primary store (read-mostly, for tests and tools).
 func (s *Server) Store() *Store { return s.store }
 

@@ -79,6 +79,9 @@ type Network struct {
 	nodes map[NodeID]*Node
 	links map[edgeKey]*Link
 	adj   map[NodeID][]NodeID
+	// linkFn is the link translation Translate last applied, which
+	// TranslateLink re-applies to one link.
+	linkFn TranslationFunc
 
 	routesMu sync.Mutex
 	epoch    uint64
@@ -253,17 +256,28 @@ func (n *Network) Translate(nodeFn, linkFn TranslationFunc) {
 		}
 	}
 	if linkFn != nil {
+		n.linkFn = linkFn
 		for _, l := range n.links {
-			creds := map[string]string{"secure": "F"}
-			if l.Secure {
-				creds["secure"] = "T"
-			}
-			if l.Props = linkFn(creds); l.Props == nil {
-				l.Props = property.Set{}
-			}
+			n.TranslateLink(l)
 		}
 	}
 	n.InvalidateRoutes()
+}
+
+// TranslateLink replaces l's Props with the translation of its
+// credentials by the link function Translate last applied; before any,
+// l is left untouched. The caller invalidates routes.
+func (n *Network) TranslateLink(l *Link) {
+	if n.linkFn == nil {
+		return
+	}
+	creds := map[string]string{"secure": "F"}
+	if l.Secure {
+		creds["secure"] = "T"
+	}
+	if l.Props = n.linkFn(creds); l.Props == nil {
+		l.Props = property.Set{}
+	}
 }
 
 // Path is a sequence of nodes connected by links.

@@ -179,11 +179,11 @@ func (m *Monitor) ReportLink(a, b netmodel.NodeID, latencyMS, bandwidthMbps floa
 			Old: fmt.Sprint(link.Secure), New: fmt.Sprint(*secure),
 		})
 		link.Secure = *secure
-		link.Props["Confidentiality"] = property.Bool(*secure)
+		m.net.TranslateLink(link)
 	}
 	if secureChanged {
-		// Property mutation aliases maps the route cache may share;
-		// only a full invalidation is safe.
+		// The link's props changed under every cached path environment
+		// through it; only a full invalidation is safe.
 		m.notify(changes)
 	} else {
 		m.notifyInvalidate(changes, func() { m.net.InvalidateRoutesLinkDelta(a, b) })

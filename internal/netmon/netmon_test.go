@@ -69,6 +69,28 @@ func TestReportLink(t *testing.T) {
 	}
 }
 
+// TestSecureFlipRetranslatesLink: a secure flip reported through
+// ReportLink leaves the link's props equal to the translation of its
+// credentials, as Translate would derive them, in both directions.
+func TestSecureFlipRetranslatesLink(t *testing.T) {
+	net := topology.CaseStudy()
+	m := New(net)
+	_, linkFn := topology.MailTranslation()
+	l, _ := net.Link(topology.NYServer, topology.SDGateway)
+	for _, secure := range []bool{true, false} {
+		if err := m.ReportLink(topology.NYServer, topology.SDGateway, -1, -1, &secure); err != nil {
+			t.Fatal(err)
+		}
+		creds := map[string]string{"secure": "F"}
+		if secure {
+			creds["secure"] = "T"
+		}
+		if got, want := l.Props.String(), linkFn(creds).String(); got != want {
+			t.Errorf("secure=%v: link props %s, want the translation %s", secure, got, want)
+		}
+	}
+}
+
 func TestMultipleSubscribersInOrder(t *testing.T) {
 	net := topology.CaseStudy()
 	m := New(net)

@@ -49,13 +49,6 @@ const nonceSize, tagSize = 12, 16
 // ciphertext, each string and byte field a u32 length and its bytes.
 func SealedLen(user string, n int) int { return 4 + len(user) + 1 + 4 + nonceSize + 4 + n + tagSize }
 
-// Marshal encodes the envelope.
-func (e *Envelope) Marshal() []byte {
-	dst := make([]byte, 0, SealedLen(e.User, len(e.Ciphertext)-tagSize))
-	dst = append(wire.AppendString(dst, e.User), byte(e.Level))
-	return wire.AppendString(wire.AppendString(dst, e.Nonce), e.Ciphertext)
-}
-
 // UnmarshalEnvelope decodes an envelope. Its Nonce and Ciphertext share
 // data's memory, so the envelope is valid only while data is left alone.
 func UnmarshalEnvelope(data []byte) (*Envelope, error) {

@@ -6,7 +6,17 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"partsvc/internal/wire"
 )
+
+// Marshal encodes the envelope field by field: the oracle that
+// AppendSeal's in-place layout and UnmarshalEnvelope are held to.
+func (e *Envelope) Marshal() []byte {
+	dst := make([]byte, 0, SealedLen(e.User, len(e.Ciphertext)-tagSize))
+	dst = append(wire.AppendString(dst, e.User), byte(e.Level))
+	return wire.AppendString(wire.AppendString(dst, e.Nonce), e.Ciphertext)
+}
 
 func ringWith(t *testing.T, users ...string) *KeyRing {
 	t.Helper()

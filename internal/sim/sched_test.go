@@ -260,25 +260,6 @@ func TestStopSemantics(t *testing.T) {
 	env.Run()
 }
 
-// TestEnvRandDeterministic: same seed, same draws; different seeds
-// diverge.
-func TestEnvRandDeterministic(t *testing.T) {
-	draw := func(seed int64) [4]int64 {
-		env := NewEnvWith(Options{Seed: seed})
-		var out [4]int64
-		for i := range out {
-			out[i] = env.Rand().Int63()
-		}
-		return out
-	}
-	if draw(7) != draw(7) {
-		t.Fatal("same seed must reproduce the same draws")
-	}
-	if draw(7) == draw(8) {
-		t.Fatal("different seeds should diverge")
-	}
-}
-
 // TestPoolAndPurgeStats: canceled timers are purged lazily and event
 // records recycle through the pool.
 func TestPoolAndPurgeStats(t *testing.T) {

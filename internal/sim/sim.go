@@ -14,7 +14,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Env is a simulation environment: a virtual clock and an event queue.
@@ -24,7 +23,6 @@ type Env struct {
 	q       *calQueue
 	seq     int64
 	blocked int // callback waiters parked on resources (not timed)
-	rng     *rand.Rand
 
 	inRun   bool
 	stopped bool
@@ -33,27 +31,9 @@ type Env struct {
 	stats Stats
 }
 
-// Options configures an environment beyond the defaults.
-type Options struct {
-	// Seed seeds the environment's deterministic RNG (Env.Rand); zero
-	// selects a fixed default seed. Sweeps that run many environments in
-	// parallel derive a distinct seed per run so results never depend on
-	// execution order.
-	Seed int64
-}
-
-// NewEnv returns an empty environment at time zero with default
-// options (fixed RNG seed).
-func NewEnv() *Env { return NewEnvWith(Options{}) }
-
-// NewEnvWith returns an empty environment at time zero.
-func NewEnvWith(opt Options) *Env {
+// NewEnv returns an empty environment at time zero.
+func NewEnv() *Env {
 	e := &Env{}
-	seed := opt.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	e.rng = rand.New(rand.NewSource(seed))
 	e.q = newCalQueue(&e.stats)
 	e.q.free = e.freeEvent
 	return e
@@ -61,11 +41,6 @@ func NewEnvWith(opt Options) *Env {
 
 // Now returns the current virtual time in milliseconds.
 func (e *Env) Now() float64 { return e.now }
-
-// Rand returns the environment's deterministic RNG. Stochastic models
-// must draw all randomness from it (never the global source) so runs
-// stay reproducible and independent of sweep parallelism.
-func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // Stats reports scheduler counters accumulated so far.
 func (e *Env) Stats() Stats { return e.stats }

@@ -91,11 +91,3 @@ func (r *Registry) Activate(component string, ctx *ActivationContext) (transport
 	}
 	return h, nil
 }
-
-// Components returns the registered component names (unordered length
-// check helper for tests).
-func (r *Registry) Components() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.factories)
-}

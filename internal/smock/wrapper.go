@@ -132,14 +132,6 @@ func (w *NodeWrapper) Install(order InstallOrder) (string, error) {
 	return inst.addr, nil
 }
 
-// AddrOf returns the serving address of an installed instance.
-func (w *NodeWrapper) AddrOf(instanceID string) (string, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	inst, ok := w.hosted[instanceID]
-	return inst.addr, ok
-}
-
 // Instances returns the number of hosted instances.
 func (w *NodeWrapper) Instances() int {
 	w.mu.Lock()

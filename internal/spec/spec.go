@@ -51,15 +51,6 @@ type InterfaceSpec struct {
 	Props map[string]property.Expr
 }
 
-// Clone returns a deep copy of the interface spec.
-func (is InterfaceSpec) Clone() InterfaceSpec {
-	c := InterfaceSpec{Name: is.Name, Props: make(map[string]property.Expr, len(is.Props))}
-	for k, v := range is.Props {
-		c.Props[k] = v
-	}
-	return c
-}
-
 // EvalProps resolves all property expressions against a scope, returning
 // the concrete property set.
 func (is InterfaceSpec) EvalProps(sc property.Scope) (property.Set, error) {

@@ -157,15 +157,6 @@ func TestViewKindString(t *testing.T) {
 	}
 }
 
-func TestInterfaceSpecClone(t *testing.T) {
-	orig := InterfaceSpec{Name: "I", Props: map[string]property.Expr{"A": property.Lit(property.Int(1))}}
-	c := orig.Clone()
-	c.Props["B"] = property.Lit(property.Int(2))
-	if _, leaked := orig.Props["B"]; leaked {
-		t.Error("Clone must deep-copy the property map")
-	}
-}
-
 func TestInterfaceDeclHasProperty(t *testing.T) {
 	d := InterfaceDecl{Name: "I", Properties: []string{"A", "B"}}
 	if !d.HasProperty("A") || d.HasProperty("C") {

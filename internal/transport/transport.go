@@ -164,14 +164,10 @@ type InProc struct {
 	mu       sync.RWMutex
 	handlers map[string]Handler
 	next     int
-	stats    Stats
 }
 
 // NewInProc returns an empty in-process transport.
 func NewInProc() *InProc { return &InProc{handlers: map[string]Handler{}} }
-
-// Stats returns a snapshot of the transport's data-plane counters.
-func (t *InProc) Stats() StatsSnapshot { return t.stats.Snapshot() }
 
 // Serve registers a handler under addr (auto-assigned when empty).
 func (t *InProc) Serve(addr string, h Handler) (Listener, error) {
@@ -247,9 +243,6 @@ func (e *inprocEndpoint) callContext(ctx context.Context, m *wire.Message) (*wir
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchAddr, e.addr)
 	}
-	stats := &e.t.stats
-	stats.InFlight.Add(1)
-	defer stats.InFlight.Add(-1)
 	// Round-trip through the wire encoding even in process, so the
 	// in-process transport exercises exactly the same serialization
 	// paths as TCP (catching non-encodable payloads in tests). The
@@ -259,15 +252,12 @@ func (e *inprocEndpoint) callContext(ctx context.Context, m *wire.Message) (*wir
 		wire.PutBuffer(data)
 		return nil, fmt.Errorf("transport: encoding request: %w", err)
 	}
-	stats.FramesSent.Add(1)
-	stats.BytesSent.Add(int64(len(data)))
 	// Requests decode zero-copy exactly as on the TCP server side, so
 	// handlers see the same slab-backed messages (and the same lifetime
 	// rules) whichever transport runs under them.
 	req, err := wire.UnmarshalMessageSlab(data)
 	if err != nil {
 		wire.PutBuffer(data)
-		stats.DecodeErrors.Add(1)
 		return nil, fmt.Errorf("transport: decoding request: %w", err)
 	}
 	resp := serveObserved(h, req)
@@ -283,12 +273,9 @@ func (e *inprocEndpoint) callContext(ctx context.Context, m *wire.Message) (*wir
 		wire.PutBuffer(data)
 		return nil, fmt.Errorf("transport: encoding response: %w", err)
 	}
-	stats.FramesReceived.Add(1)
-	stats.BytesReceived.Add(int64(len(data)))
 	out, err := wire.UnmarshalMessage(data)
 	wire.PutBuffer(data)
 	if err != nil {
-		stats.DecodeErrors.Add(1)
 		return nil, fmt.Errorf("transport: decoding response: %w", err)
 	}
 	return out, nil
