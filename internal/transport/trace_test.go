@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -201,8 +202,22 @@ func TestStatsTwoConcurrentTransports(t *testing.T) {
 	}()
 	wg.Wait()
 
-	check := func(name string, st StatsSnapshot, calls int) {
+	// A frame is counted sent once its writev returns, which can be after
+	// the reply it carried has come back: wait for each side's writer to
+	// count its last frame, then hold every count to exactly its calls.
+	settled := func(tr *TCP, calls int) StatsSnapshot {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			st := tr.Stats()
+			if st.FramesSent >= uint64(calls) || time.Now().After(deadline) {
+				return st
+			}
+			runtime.Gosched()
+		}
+	}
+	check := func(name string, tr *TCP, calls int) {
 		t.Helper()
+		st := settled(tr, calls)
 		if st.FramesSent != uint64(calls) || st.FramesReceived != uint64(calls) {
 			t.Errorf("%s: frames %d/%d, want %d/%d — counters leaked across transports",
 				name, st.FramesSent, st.FramesReceived, calls, calls)
@@ -211,10 +226,10 @@ func TestStatsTwoConcurrentTransports(t *testing.T) {
 			t.Errorf("%s: in_flight %d after drain", name, st.InFlight)
 		}
 	}
-	check("clientA", cliA.Stats(), callsA)
-	check("serverA", srvA.Stats(), callsA)
-	check("clientB", cliB.Stats(), callsB)
-	check("serverB", srvB.Stats(), callsB)
+	check("clientA", cliA, callsA)
+	check("serverA", srvA, callsA)
+	check("clientB", cliB, callsB)
+	check("serverB", srvB, callsB)
 	if cliA.Stats().BytesSent <= cliB.Stats().BytesSent {
 		t.Errorf("clientA bytes %d not > clientB bytes %d despite larger bodies",
 			cliA.Stats().BytesSent, cliB.Stats().BytesSent)
