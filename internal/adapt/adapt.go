@@ -57,9 +57,10 @@ type Config struct {
 	ProbeIntervalMS float64
 	// ProbeTimeoutMS bounds each probe (default 1000).
 	ProbeTimeoutMS float64
-	// SuspicionThreshold is the number of consecutive probe failures
-	// before a node is declared down (default 2). One lost heartbeat is
-	// suspicion; only repetition is evidence.
+	// SuspicionThreshold is the number of consecutive strikes before a
+	// node is declared down (default 2). A missed probe is a strike, and
+	// so is a connection to the node that its far side ended. One strike
+	// is suspicion; only repetition is evidence.
 	SuspicionThreshold int
 	// DrainMS is how long released instances keep running after the
 	// client bindings flip, letting in-flight requests finish before
@@ -212,6 +213,26 @@ func (s *Session) HeadAddr() string {
 // Shard returns the shard the session hashed onto.
 func (s *Session) Shard() int { return s.shard }
 
+// settle records a good verdict: a retry armed for an earlier failure
+// is withdrawn, and the failure count restarts.
+func (s *Session) settle() {
+	s.disarm(true)
+	s.mu.Lock()
+	s.retries = 0
+	s.mu.Unlock()
+}
+
+// heldPlacements returns the instances the session holds for its own
+// placements, without an anchor's upstream chain.
+func (s *Session) heldPlacements() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dep == nil {
+		return nil
+	}
+	return s.held[:min(len(s.held), len(s.dep.Placements))]
+}
+
 func (s *Session) snapshot() (*planner.Deployment, *depFacts) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -246,6 +267,11 @@ type depFacts struct {
 	// footprint is every node a placement sits on or an edge path
 	// traverses — the elements whose degradation can affect the session.
 	footprint []netmodel.NodeID
+	// chain is every node the upstream chain an anchored placement
+	// forwards into runs on or routes through (chainFacts): a node that
+	// dies there breaks the session too.
+	chain   []netmodel.NodeID
+	chained bool
 }
 
 // Controller is the adaptation loop. Construct with New (or fleet.New),
@@ -282,6 +308,7 @@ type Controller struct {
 	evictions           *metrics.Counter
 	probesSent          *metrics.Counter
 	probesFailed        *metrics.Counter
+	auditViolations     *metrics.Counter
 
 	// waveMu serializes everything that moves table references:
 	// waves, deferred commits, drains, Track and Untrack.
@@ -290,16 +317,19 @@ type Controller struct {
 	mu             sync.Mutex
 	sessions       []*Session // global order
 	nextIdx        int
-	byNode         map[netmodel.NodeID]map[*Session]struct{}
+	byNode         nodeIndex // by footprint
+	byChain        nodeIndex // by anchored chain
 	started        bool
 	stopped        bool
 	debounceCancel func() bool
+	waveNow        bool // the armed wave is a breaking change's: no debounce
 	pendingAll     bool
 	pending        map[*Session]struct{}
 	pendingCh      *planner.ChangedSet // changed elements since the last wave
 	waveSeq        uint64
 	probeCancel    func() bool
-	suspicion      map[netmodel.NodeID]int // consecutive probe misses
+	suspicion      map[netmodel.NodeID]int  // consecutive strikes
+	confirming     map[netmodel.NodeID]bool // evidence awaiting its probe
 	down           map[netmodel.NodeID]bool
 }
 
@@ -343,19 +373,23 @@ func NewSharded(cfg Config, mon *netmon.Monitor, execs []Executor, sched Schedul
 		evictions:           reg.Counter("fleet.evictions"),
 		probesSent:          reg.Counter("adapt.probes_sent"),
 		probesFailed:        reg.Counter("adapt.probes_failed"),
+		auditViolations:     reg.Counter("adapt.audit_violations"),
 
-		byNode:    map[netmodel.NodeID]map[*Session]struct{}{},
-		pending:   map[*Session]struct{}{},
-		suspicion: map[netmodel.NodeID]int{},
-		down:      map[netmodel.NodeID]bool{},
+		byNode:     nodeIndex{},
+		byChain:    nodeIndex{},
+		pending:    map[*Session]struct{}{},
+		suspicion:  map[netmodel.NodeID]int{},
+		confirming: map[netmodel.NodeID]bool{},
+		down:       map[netmodel.NodeID]bool{},
 	}
 	return c
 }
 
 // SetProber installs the failure detector: every ProbeIntervalMS the
 // loop probes each node targets enumerates, and SuspicionThreshold
-// consecutive misses report the node down to the monitor. Must be
-// called before Start.
+// consecutive strikes report the node down to the monitor. The prober's
+// data-path evidence (Prober.OnPeerLost) is a strike too, confirmed or
+// cleared by one immediate probe. Must be called before Start.
 func (c *Controller) SetProber(p Prober, targets func() map[netmodel.NodeID]string) {
 	c.prober = p
 	c.targets = targets
@@ -404,6 +438,7 @@ func (c *Controller) Track(s *Session) {
 	s.mu.Unlock()
 	if dep != nil {
 		held := c.acquire(dep)
+		c.chainFacts(facts, dep, held)
 		s.mu.Lock()
 		s.held = held
 		s.mu.Unlock()
@@ -521,6 +556,7 @@ func (c *Controller) Start() {
 	}
 	c.mon.Subscribe(c.onChanges)
 	if c.cfg.ProbeIntervalMS > 0 && c.prober != nil && c.targets != nil {
+		c.prober.OnPeerLost(c.peerLost)
 		c.mu.Lock()
 		c.probeCancel = c.sched.After(c.cfg.ProbeIntervalMS, c.probe)
 		c.mu.Unlock()
@@ -566,26 +602,17 @@ func (c *Controller) probe() {
 		c.probesSent.Inc()
 		err := c.prober.Probe(node, targets[node], c.cfg.ProbeTimeoutMS)
 		c.mu.Lock()
-		switch {
-		case err != nil:
-			c.probesFailed.Inc()
-			c.suspicion[node]++
-			if c.suspicion[node] >= c.cfg.SuspicionThreshold && !c.down[node] {
-				c.down[node] = true
-				declareDown = append(declareDown, node)
-			}
-		case c.down[node]:
-			delete(c.down, node)
-			declareUp = append(declareUp, node)
-			fallthrough
-		default:
-			c.suspicion[node] = 0
-		}
+		down, up := c.strikeLocked(node, err)
 		c.mu.Unlock()
+		if down {
+			declareDown = append(declareDown, node)
+		}
+		if up {
+			declareUp = append(declareUp, node)
+		}
 	}
 	for _, node := range declareDown {
-		c.emit(nil, Event{Kind: "suspect", Detail: fmt.Sprintf("node %s unresponsive after %d probes", node, c.cfg.SuspicionThreshold)})
-		_ = c.mon.ReportNodeDown(node)
+		c.suspect(node, fmt.Sprintf("node %s unresponsive after %d probes", node, c.cfg.SuspicionThreshold))
 	}
 	for _, node := range declareUp {
 		_ = c.mon.ReportNodeUp(node)
@@ -595,6 +622,102 @@ func (c *Controller) probe() {
 		c.probeCancel = c.sched.After(c.cfg.ProbeIntervalMS, c.probe)
 	}
 	c.mu.Unlock()
+}
+
+// strikeLocked folds one probe outcome into a node's suspicion. A miss
+// is a strike, and the one that reaches SuspicionThreshold declares the
+// node down (down is true); an answer clears the count and brings a
+// declared node back up (up is true).
+func (c *Controller) strikeLocked(node netmodel.NodeID, err error) (down, up bool) {
+	if err == nil {
+		c.suspicion[node] = 0
+		if c.down[node] {
+			delete(c.down, node)
+			return false, true
+		}
+		return false, false
+	}
+	c.probesFailed.Inc()
+	c.suspicion[node]++
+	if c.suspicion[node] >= c.cfg.SuspicionThreshold && !c.down[node] {
+		c.down[node] = true
+		return true, false
+	}
+	return false, false
+}
+
+// suspect announces a node the detector declared down and reports it
+// to the monitor.
+func (c *Controller) suspect(node netmodel.NodeID, detail string) {
+	c.emit(nil, Event{Kind: "suspect", Detail: detail})
+	_ = c.mon.ReportNodeDown(node)
+}
+
+// peerLost receives the data path's evidence (Prober.OnPeerLost): a
+// connection to addr ended from the far side. It runs on the
+// transport's reader goroutine, so it only schedules the confirmation.
+func (c *Controller) peerLost(addr string) {
+	if !c.isStopped() {
+		c.sched.After(0, func() { c.confirm(addr) })
+	}
+}
+
+// confirm turns evidence against addr into suspicion of the node that
+// serves it: the evidence is one strike, and one immediate probe of the
+// node's control address is the next — or clears it. An address that
+// neither the table nor the probe targets know is ignored, and so is
+// evidence against a node already down or already being confirmed, or
+// arriving after Stop; the periodic rounds remain the fallback.
+func (c *Controller) confirm(addr string) {
+	targets := c.targets()
+	node, ok := c.nodeServing(addr, targets)
+	ctl, probeable := targets[node]
+	if !ok || !probeable {
+		return
+	}
+	c.mu.Lock()
+	if c.stopped || c.down[node] || c.confirming[node] {
+		c.mu.Unlock()
+		return
+	}
+	c.confirming[node] = true
+	c.suspicion[node]++
+	c.mu.Unlock()
+
+	c.probesSent.Inc()
+	err := c.prober.Probe(node, ctl, c.cfg.ProbeTimeoutMS)
+	c.mu.Lock()
+	delete(c.confirming, node)
+	var down, up bool
+	if !c.stopped {
+		down, up = c.strikeLocked(node, err)
+	}
+	c.mu.Unlock()
+	switch {
+	case down:
+		c.suspect(node, fmt.Sprintf("node %s lost its connection %s and missed a probe", node, addr))
+	case up:
+		_ = c.mon.ReportNodeUp(node)
+	}
+}
+
+// nodeServing maps an address to its node: an instance's address
+// through the table, else a node's control address.
+func (c *Controller) nodeServing(addr string, targets map[netmodel.NodeID]string) (netmodel.NodeID, bool) {
+	if addr == "" {
+		return "", false
+	}
+	for _, in := range c.tab.Instances() {
+		if in.Addr == addr {
+			return in.Place.Node, true
+		}
+	}
+	for node, ctl := range targets {
+		if ctl == addr {
+			return node, true
+		}
+	}
+	return "", false
 }
 
 // emit names e's session (when s is non-nil) and forwards it to the

@@ -75,6 +75,9 @@ func (f *fakeExec) Discard(ids []string) {
 	f.discards++
 }
 
+// Verify accepts every deployment: the fake plans nothing to check.
+func (f *fakeExec) Verify(*planner.Deployment, planner.Request) error { return nil }
+
 func (f *fakeExec) set(fn func(*fakeExec)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -169,6 +172,14 @@ func newHarness(t *testing.T, cfg adapt.Config, exec *fakeExec) *harness {
 	return h
 }
 
+// improve reports the a~b link faster: an improvement-only change, which
+// arms the debounce window.
+func (h *harness) improve(t *testing.T, latencyMS float64) {
+	if err := h.mon.ReportLink("a", "b", latencyMS, -1, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func (h *harness) eventsOf(kind string) []adapt.Event {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -218,9 +229,7 @@ func TestReplanFailureRetriesWithBackoff(t *testing.T) {
 	exec := &fakeExec{replanErr: errors.New("no feasible plan")}
 	h := newHarness(t, adapt.Config{DebounceMS: 10}, exec)
 	h.ctrl.Start()
-	h.env.At(0, func() {
-		_ = h.mon.ReportNodeDown("b")
-	})
+	h.env.At(0, func() { h.improve(t, 0.5) })
 	h.env.RunUntil(5000)
 
 	replans, _, _ := exec.counts()
@@ -248,7 +257,7 @@ func TestUntrackCancelsPendingRetry(t *testing.T) {
 	exec := &fakeExec{diff: changedDiff(), addr: "new-head", replanErr: errors.New("no feasible plan")}
 	h := newHarness(t, adapt.Config{DebounceMS: 10}, exec)
 	h.ctrl.Start()
-	h.env.At(0, func() { _ = h.mon.ReportNodeDown("b") })
+	h.env.At(0, func() { h.improve(t, 0.5) })
 	// The replan at t=10 fails and arms a retry for t=210. The session
 	// is deleted first, and the executor heals, so a stray retry would
 	// both replan and deploy. The same session is tracked again until
@@ -270,7 +279,7 @@ func TestUntrackCancelsPendingRetry(t *testing.T) {
 	h.env.At(400, func() {
 		exec.set(func(f *fakeExec) { f.replanErr = errors.New("no feasible plan") })
 		h.ctrl.Track(adapt.NewSession(h.sess.Name, "svc", h.sess.Req, h.sess.Deployment(), "old-head"))
-		_ = h.mon.ReportNodeUp("b")
+		h.improve(t, 0.25)
 	})
 	h.env.RunUntil(5000)
 	fails := h.eventsOf("failed")
@@ -419,9 +428,7 @@ func TestStopCancelsPendingWork(t *testing.T) {
 		return nil
 	}), func() map[netmodel.NodeID]string { return map[netmodel.NodeID]string{"a": "addr-a"} })
 	h.ctrl.Start()
-	h.env.At(0, func() {
-		_ = h.mon.ReportNodeDown("b") // arms the debounce
-	})
+	h.env.At(0, func() { h.improve(t, 0.5) }) // arms the debounce
 	h.env.At(5, func() { h.ctrl.Stop() })
 	h.env.RunUntil(1000)
 

@@ -43,6 +43,10 @@ type Executor interface {
 	// Discard tears down instances the loop finalized — drained, or
 	// evicted with no holder. The loop then removes them from the table.
 	Discard(ids []string)
+	// Verify checks a deployment against its request on the current
+	// network: the three validity conditions (planner.Planner.Verify).
+	// The loop's audit asks it of every session.
+	Verify(dep *planner.Deployment, req planner.Request) error
 }
 
 // SnapshotMethod is the wire method stateful components answer with
@@ -78,6 +82,11 @@ func (x *EngineExecutor) Table() *smock.Table { return x.Engine.Table() }
 // through to the planner's incremental repair.
 func (x *EngineExecutor) RepairReplan(old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
 	return x.Server.RepairReplan(old, req, ch)
+}
+
+// Verify implements Executor through the generic server's planner.
+func (x *EngineExecutor) Verify(dep *planner.Deployment, req planner.Request) error {
+	return x.Server.Verify(dep, req)
 }
 
 // stateful reports whether a component's instances hold migratable

@@ -224,6 +224,9 @@ func checkBooks(t *testing.T, w *world, ctrl *adapt.Controller) {
 		t.Fatalf("books disagree: %s", last)
 	}
 	checkRefs(t, ctrl)
+	if v := ctrl.Audit(); len(v) > 0 {
+		t.Fatalf("audit: %v", v)
+	}
 }
 
 // seattleTwice deploys San Diego's chain untracked and Carol's Seattle

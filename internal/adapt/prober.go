@@ -16,6 +16,10 @@ import (
 // the suspicion threshold.
 type Prober interface {
 	Probe(node netmodel.NodeID, addr string, timeoutMS float64) error
+	// OnPeerLost installs the sink for the data path's evidence: fn is
+	// told the address of every connection its peer ended. fn must not
+	// block. A prober with no data path to watch ignores it.
+	OnPeerLost(fn func(addr string))
 }
 
 // TransportProber probes by sending a "status" request to the wrapper
@@ -27,6 +31,16 @@ type TransportProber struct{ tr transport.Transport }
 // NewTransportProber probes over tr.
 func NewTransportProber(tr transport.Transport) *TransportProber {
 	return &TransportProber{tr: tr}
+}
+
+// OnPeerLost implements Prober: when the prober runs over TCP, every
+// client connection of that transport that its peer ended is reported.
+// Component endpoints dialed through the same TCP are the data path it
+// watches; other transports report nothing.
+func (p *TransportProber) OnPeerLost(fn func(addr string)) {
+	if tcp, ok := p.tr.(*transport.TCP); ok {
+		tcp.OnPeerLost(fn)
+	}
 }
 
 // Probe implements Prober.
@@ -71,3 +85,6 @@ type ProberFunc func(node netmodel.NodeID, addr string, timeoutMS float64) error
 func (f ProberFunc) Probe(node netmodel.NodeID, addr string, timeoutMS float64) error {
 	return f(node, addr, timeoutMS)
 }
+
+// OnPeerLost implements Prober: a probe function watches no data path.
+func (ProberFunc) OnPeerLost(func(addr string)) {}

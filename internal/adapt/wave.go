@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,7 +38,9 @@ type WaveReport struct {
 
 // onChanges is the loop's netmon subscription. It runs under the
 // monitor's notify path, so it only classifies the changes into the
-// pending-wave session set and arms the debounce timer.
+// pending-wave session set and arms the wave: at once when a change
+// broke a deployment it affects — debouncing a dead session only
+// delays its repair — and after the debounce window otherwise.
 func (c *Controller) onChanges(changes []netmon.Change) {
 	c.mu.Lock()
 	if c.stopped {
@@ -47,9 +50,14 @@ func (c *Controller) onChanges(changes []netmon.Change) {
 	if c.pendingCh == nil {
 		c.pendingCh = planner.NewChangedSet()
 	}
+	broke := false
 	for _, ch := range changes {
-		for _, s := range c.affectedByLocked(ch) {
+		affected := c.affectedByLocked(ch)
+		for _, s := range affected {
 			c.pending[s] = struct{}{}
+		}
+		if !broke && !c.waveNow && nodeDown(ch) {
+			broke = c.anyBrokenLocked(affected)
 		}
 		switch ch.Kind {
 		case "node":
@@ -60,10 +68,20 @@ func (c *Controller) onChanges(changes []netmon.Change) {
 			}
 		}
 	}
-	if c.debounceCancel != nil {
-		c.debounceCancel() // extend the window: the burst is still going
+	switch {
+	case c.waveNow: // a breaking change armed the wave: nothing delays it
+	case broke:
+		if c.debounceCancel != nil {
+			c.debounceCancel()
+		}
+		c.waveNow = true
+		c.debounceCancel = c.sched.After(0, c.debounceExpired)
+	default:
+		if c.debounceCancel != nil {
+			c.debounceCancel() // extend the window: the burst is still going
+		}
+		c.debounceCancel = c.sched.After(c.cfg.DebounceMS, c.debounceExpired)
 	}
-	c.debounceCancel = c.sched.After(c.cfg.DebounceMS, c.debounceExpired)
 	c.mu.Unlock()
 	if c.onEvent != nil {
 		detail := changes[0].String()
@@ -114,8 +132,14 @@ func (c *Controller) affectedByLocked(ch netmon.Change) []*Session {
 	switch ch.Kind {
 	case "node":
 		node := netmodel.NodeID(ch.Subject)
-		if ch.Field == "up" && ch.New != "true" {
-			return scoped(node, "")
+		if nodeDown(ch) {
+			out := scoped(node, "")
+			for s := range c.byChain[node] {
+				if _, dup := c.byNode[node][s]; !dup {
+					out = append(out, s)
+				}
+			}
+			return out
 		}
 		// A recovery is an opportunity for its partition; a property
 		// change (trust drop or raise) can repel sessions using the node
@@ -137,6 +161,33 @@ func (c *Controller) affectedByLocked(ch netmon.Change) []*Session {
 	return nil
 }
 
+// nodeDown reports whether a change takes a node down: the one change
+// the monitor reports that can break a deployment. A severed link is
+// reported as a latency and bandwidth change, and routing still uses it
+// when nothing else connects its ends.
+func nodeDown(ch netmon.Change) bool {
+	return ch.Kind == "node" && ch.Field == "up" && ch.New != "true"
+}
+
+// anyBrokenLocked reports whether a change left one of the sessions it
+// affects on a broken deployment (depBroken). Each distinct deployment
+// is judged once, and the first broken one ends the search.
+func (c *Controller) anyBrokenLocked(affected []*Session) bool {
+	rc := c.net.Routes()
+	judged := map[*planner.Deployment]bool{}
+	for _, s := range affected {
+		dep, _ := s.snapshot()
+		if dep == nil || judged[dep] {
+			continue
+		}
+		judged[dep] = true
+		if c.depBroken(dep, rc) {
+			return true
+		}
+	}
+	return false
+}
+
 // improved reports whether old→new is an improvement (higherIsBetter
 // selects the ordering). Unparseable values degrade to "improved" so
 // scoping stays conservative.
@@ -154,7 +205,7 @@ func improved(oldS, newS string, higherIsBetter bool) bool {
 
 func (c *Controller) debounceExpired() {
 	c.mu.Lock()
-	c.debounceCancel = nil
+	c.debounceCancel, c.waveNow = nil, false
 	if c.stopped {
 		c.mu.Unlock()
 		return
@@ -326,6 +377,7 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 	evicted := map[string]bool{}
 	var unheld []string
 	facts := map[*planner.Deployment]*depFacts{}
+	refreshed := map[*depFacts]*depFacts{}
 	var moves []indexMove
 	for pos, s := range affected {
 		r := slots[pos]
@@ -353,15 +405,21 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 			}
 		}
 		old, _ := s.snapshot()
-		if diff.Unchanged() && old != nil {
+		// A session still holding instances that left the table's index
+		// (evicted, or superseded by a fresh instance of the same key)
+		// must move onto the current ones, even when its placements did
+		// not change.
+		stale := old != nil && !c.tab.Current(s.heldPlacements())
+		if diff.Unchanged() && old != nil && !stale {
 			report.Unchanged++
-			s.mu.Lock()
-			s.retries = 0
-			s.mu.Unlock()
+			s.settle()
+			if mv, ok := c.rerouted(s, rc, refreshed); ok {
+				moves = append(moves, mv)
+			}
 			c.emit(s, Event{AtMS: now, Wave: wave, Kind: "unchanged"})
 			continue
 		}
-		forced := bootstrap || c.depBroken(old, rc)
+		forced := bootstrap || stale || c.depBroken(old, rc)
 		if !bootstrap {
 			s.mu.Lock()
 			lastCut := s.lastCutoverMS
@@ -511,13 +569,14 @@ func (c *Controller) commit(s *Session, wave uint64, diff *planner.Diff, facts *
 		held = c.acquire(diff.New)
 	}
 
+	c.chainFacts(facts, diff.New, held)
 	s.mu.Lock()
 	s.dep, s.facts, s.held, s.head = diff.New, facts, held, head
 	if !bootstrap {
 		s.lastCutoverMS = now
 	}
-	s.retries = 0
 	s.mu.Unlock()
+	s.settle()
 
 	// The old deployment's references go last; what no session holds any
 	// more drains before teardown: requests already past the flip may
@@ -645,31 +704,46 @@ type indexMove struct {
 	old, new *depFacts
 }
 
-// reindex swaps sessions' entries in the node→sessions index from their
-// old deployments' footprints to the new ones (either may be nil).
+// reindex swaps sessions' entries in the node indexes from their old
+// deployments' facts to the new ones (either may be nil).
 func (c *Controller) reindex(moves []indexMove) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, mv := range moves {
-		if mv.old != nil {
-			for _, n := range mv.old.footprint {
-				if set := c.byNode[n]; set != nil {
-					delete(set, mv.s)
-					if len(set) == 0 {
-						delete(c.byNode, n)
-					}
-				}
-			}
-		}
+		var footprint, chain []netmodel.NodeID
 		if mv.new != nil {
-			for _, n := range mv.new.footprint {
-				set := c.byNode[n]
-				if set == nil {
-					set = map[*Session]struct{}{}
-					c.byNode[n] = set
-				}
-				set[mv.s] = struct{}{}
-			}
+			footprint, chain = mv.new.footprint, mv.new.chain
+			c.byNode.add(mv.s, footprint)
+			c.byChain.add(mv.s, chain)
+		}
+		if mv.old != nil {
+			c.byNode.remove(mv.s, mv.old.footprint, footprint)
+			c.byChain.remove(mv.s, mv.old.chain, chain)
+		}
+	}
+}
+
+// nodeIndex maps a node to the sessions whose deployments it affects.
+type nodeIndex map[netmodel.NodeID]map[*Session]struct{}
+
+func (x nodeIndex) add(s *Session, nodes []netmodel.NodeID) {
+	for _, n := range nodes {
+		set := x[n]
+		if set == nil {
+			set = map[*Session]struct{}{}
+			x[n] = set
+		}
+		set[s] = struct{}{}
+	}
+}
+
+// remove drops s from the nodes it is indexed under, except those in
+// kept (a move adds its new nodes first). An emptied set stays, with
+// its capacity: sessions rerouted off a node tend to come back.
+func (x nodeIndex) remove(s *Session, nodes, kept []netmodel.NodeID) {
+	for _, n := range nodes {
+		if !slices.Contains(kept, n) {
+			delete(x[n], s)
 		}
 	}
 }
@@ -694,6 +768,82 @@ func factsOf(dep *planner.Deployment) *depFacts {
 		}
 	}
 	return f
+}
+
+// rerouted refreshes the footprint of a session whose deployment a wave
+// kept: its linkages follow the current routes, which may no longer be
+// the ones it was planned on. It returns the index move when the
+// footprint changed. Sessions sharing facts share the refreshed ones.
+func (c *Controller) rerouted(s *Session, rc *netmodel.RouteCache, refreshed map[*depFacts]*depFacts) (indexMove, bool) {
+	dep, old := s.snapshot()
+	if old == nil {
+		return indexMove{}, false
+	}
+	f, ok := refreshed[old]
+	if !ok {
+		f = &depFacts{summary: old.summary, chain: old.chain, chained: old.chained}
+		for _, p := range dep.Placements {
+			f.footprint = appendNew(f.footprint, p.Node)
+		}
+		for _, e := range dep.Edges {
+			path, _ := rc.Path(dep.Placements[e.From].Node, dep.Placements[e.To].Node)
+			for _, n := range path.Nodes {
+				f.footprint = appendNew(f.footprint, n)
+			}
+		}
+		if sameNodes(f.footprint, old.footprint) {
+			f = old
+		}
+		refreshed[old] = f
+	}
+	if f == old {
+		return indexMove{}, false
+	}
+	s.mu.Lock()
+	s.facts = f
+	s.mu.Unlock()
+	return indexMove{s: s, old: old, new: f}, true
+}
+
+func appendNew(nodes []netmodel.NodeID, n netmodel.NodeID) []netmodel.NodeID {
+	if slices.Contains(nodes, n) {
+		return nodes
+	}
+	return append(nodes, n)
+}
+
+func sameNodes(a, b []netmodel.NodeID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for _, n := range a {
+		if !slices.Contains(b, n) {
+			return false
+		}
+	}
+	return true
+}
+
+// chainFacts records in f, once, the upstream chain an anchored
+// deployment forwards into: held lists dep's instances and then that
+// chain's (smock.Table.Acquire). The chain's nodes and the current
+// routes between each instance and its providers are f.chain — a node
+// dying there breaks the session as surely as one under its own
+// placements. Every session of a wave group holds the same chain.
+func (c *Controller) chainFacts(f *depFacts, dep *planner.Deployment, held []string) {
+	if f.chained || len(held) <= len(dep.Placements) {
+		return
+	}
+	f.chained = true
+	rc := c.net.Routes()
+	for _, w := range c.tab.Wiring(held) {
+		path, _ := rc.Path(w[0], w[1])
+		for _, n := range append([]netmodel.NodeID{w[0], w[1]}, path.Nodes...) {
+			if !slices.Contains(f.chain, n) {
+				f.chain = append(f.chain, n)
+			}
+		}
+	}
 }
 
 // depSummary renders a deployment as its placement chain.

@@ -241,6 +241,22 @@ func TestHTTPDrivenNodeCrashRecovery(t *testing.T) {
 		t.Errorf("adapted deployment still uses the dead node: %s", got.Deployment.Summary)
 	}
 
+	// The loop's books hold after the recovery: GET /v1/audit is clean.
+	aresp, err := http.Get(w.base + "/v1/audit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer aresp.Body.Close()
+	var audit struct {
+		Violations []string `json:"violations"`
+	}
+	if err := json.NewDecoder(aresp.Body).Decode(&audit); err != nil {
+		t.Fatal(err)
+	}
+	if aresp.StatusCode != http.StatusOK || len(audit.Violations) != 0 {
+		t.Errorf("GET /v1/audit after recovery: %d %v, want 200 and no violations", aresp.StatusCode, audit.Violations)
+	}
+
 	// Every send made it: the outage was absorbed, not dropped.
 	waitForE2E(t, 2*time.Second, func() bool {
 		return w.Primary.Store().InboxCount("Alice") == sent

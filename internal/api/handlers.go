@@ -318,6 +318,21 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": name, "instances_torn_down": torn})
 }
 
+// handleAudit runs the loop's audit: 200 with an empty violation list
+// when every invariant holds, 409 with the list when one does not.
+func (s *Server) handleAudit(w http.ResponseWriter, _ *http.Request) {
+	if s.ctl.Controller == nil {
+		notConfigured(w, "adaptation controller")
+		return
+	}
+	violations := s.ctl.Controller.Audit()
+	code := http.StatusOK
+	if len(violations) > 0 {
+		code = http.StatusConflict
+	}
+	writeJSON(w, code, map[string]any{"violations": append([]string{}, violations...)})
+}
+
 // handleSessionAdapt forces an immediate adaptation pass (no debounce
 // wait) over every tracked session.
 func (s *Server) handleSessionAdapt(w http.ResponseWriter, r *http.Request) {

@@ -259,6 +259,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/sessions/{name}/adapt", s.observe("/v1/sessions/{name}/adapt", s.handleSessionAdapt))
 	s.mux.HandleFunc("POST /v1/nodes/{id}/kill", s.observe("/v1/nodes/{id}/kill", s.handleNodeKill))
 	s.mux.HandleFunc("POST /v1/net/link", s.observe("/v1/net/link", s.handleNetLink))
+	s.mux.HandleFunc("GET /v1/audit", s.observe("/v1/audit", s.handleAudit))
 
 	if s.cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -141,6 +141,10 @@ func (x *fig8Exec) Publish(service, addr string) error { return nil }
 
 func (x *fig8Exec) Discard(ids []string) {}
 
+func (x *fig8Exec) Verify(dep *planner.Deployment, req planner.Request) error {
+	return x.pl.Verify(dep, req)
+}
+
 // fig8World is the modeled client side of one scenario run. Everything
 // here executes on the simulation loop, so the plain maps are safe.
 type fig8World struct {

@@ -89,3 +89,7 @@ func (x *shardPlanner) Deploy(*planner.Diff, map[string][]byte) (string, error) 
 func (x *shardPlanner) Publish(string, string) error { return nil }
 
 func (x *shardPlanner) Discard([]string) {}
+
+func (x *shardPlanner) Verify(dep *planner.Deployment, req planner.Request) error {
+	return x.pl.Verify(dep, req)
+}

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -138,6 +139,12 @@ func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evict
 	g, err := pl.graphOf(old)
 	if err != nil {
 		return nil, false // foreign deployment: replan fresh
+	}
+	for i := range g {
+		key := old.Placements[i].Key()
+		if g[i].anchor != nil && !slices.ContainsFunc(pl.Existing, func(e Placement) bool { return e.Key() == key }) {
+			return nil, false // the anchored instance left the reuse set: replan fresh
+		}
 	}
 	evictedKeys := make(map[string]bool, len(evicted))
 	for _, p := range evicted {

@@ -224,3 +224,48 @@ func sameDeploymentKeys(a, b *Deployment) bool {
 	}
 	return true
 }
+
+// Verify independently validates a deployment against a request under
+// the *current* network state: every placement's conditions hold, every
+// linkage's effective properties satisfy the requirer, and the request
+// rate fits the deployment's capacity. It reconstructs the linkage
+// graph from the deployment (graphOf). A nil error means the deployment
+// is valid now. The adaptation loop's audit asks it of every session.
+func (pl *Planner) Verify(dep *Deployment, req Request) error {
+	// Verify is a public entry point of its own: it reads the
+	// epoch-current routes even on a planner pinned to a wave's.
+	pl.beginPlanOn(pl.Net.Routes())
+	defer pl.endPlan()
+	g, err := pl.graphOf(dep)
+	if err != nil {
+		return err
+	}
+	// Condition 1 at every placement (head sees the request user).
+	for i, p := range dep.Placements {
+		if g[i].anchor != nil {
+			continue
+		}
+		if _, ok := pl.placementFor(g[i].comp, p.Node, req, i); !ok {
+			return fmt.Errorf("planner: conditions for %s no longer hold", p)
+		}
+	}
+	cands := make([]cand, len(dep.Placements))
+	cs := make([]*cand, len(cands))
+	for i, p := range dep.Placements {
+		cands[i] = pl.memo.candOf(p)
+		cs[i] = &cands[i]
+	}
+	paths, missing := pl.memo.routesOf(g, cs)
+	if missing >= 0 {
+		return fmt.Errorf("planner: no route %s -> %s", cs[g[missing].parent].Node, cs[missing].Node)
+	}
+	if pl.checkProperties(g, cs, req) != valid {
+		return fmt.Errorf("planner: property compatibility violated")
+	}
+	if req.RateRPS > 0 {
+		if capacity := pl.capacityRPS(g, cs, paths, flowCoeff(g, cs)); req.RateRPS > capacity {
+			return fmt.Errorf("planner: rate %.1f exceeds deployment capacity %.1f", req.RateRPS, capacity)
+		}
+	}
+	return nil
+}

@@ -205,7 +205,7 @@ func (e *Engine) execute(dep *planner.Deployment, states map[string][]byte) (hea
 		e.tab.mu.Lock()
 		cur := e.tab.cur[p.Key()]
 		e.tab.mu.Unlock()
-		if cur != nil && (cur.adopted || len(providers[i]) == 0 || maps.Equal(cur.upstreams, upstreams)) {
+		if cur != nil && (cur.adopted || len(providers[i]) == 0 || maps.Equal(cur.Upstreams, upstreams)) {
 			got[i] = cur
 			continue
 		}

@@ -90,6 +90,14 @@ func (g *GenericServer) RepairReplan(old *planner.Deployment, req planner.Reques
 	return g.engine.tab.RepairReplan(g.pl, old, req, ch)
 }
 
+// Verify checks a deployment against req on the current network
+// (planner.Planner.Verify), under the server's planner lock.
+func (g *GenericServer) Verify(dep *planner.Deployment, req planner.Request) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.pl.Verify(dep, req)
+}
+
 // Handler serves Access over a transport. Request meta: interface,
 // node, user, rate. Response meta: addr, deployment.
 func (g *GenericServer) Handler() transport.Handler {

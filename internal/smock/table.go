@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"partsvc/internal/netmodel"
 	"partsvc/internal/planner"
 )
 
@@ -44,15 +45,16 @@ type Instance struct {
 	// Refs counts the tracked sessions holding the instance.
 	Refs         int
 	Pinned, Dead bool
+	// Upstreams is the provider instance ID per required interface. It
+	// is shared with the table: read-only.
+	Upstreams map[string]string
 }
 
 type entry struct {
 	Instance
-	key    string
-	secret []byte // shared with the instance's client
-	// upstreams is the provider instance ID per required interface.
-	upstreams map[string]string
-	adopted   bool // installed outside the engine: teardown only forgets it
+	key     string
+	secret  []byte // shared with the instance's client
+	adopted bool   // installed outside the engine: teardown only forgets it
 }
 
 // NewTable returns an empty table.
@@ -65,7 +67,7 @@ func (t *Table) mintLocked(p planner.Placement, upstreams map[string]string) *en
 	t.seq++
 	key := p.Key()
 	p.Reused = false
-	return &entry{Instance: Instance{ID: fmt.Sprintf("%s#%d", key, t.seq), Place: p}, key: key, upstreams: upstreams}
+	return &entry{Instance: Instance{ID: fmt.Sprintf("%s#%d", key, t.seq), Place: p, Upstreams: upstreams}, key: key}
 }
 
 // enterLocked makes e its key's current instance.
@@ -116,16 +118,71 @@ func (t *Table) Record(dep *planner.Deployment) {
 	t.resolveLocked(dep, func(planner.Placement) bool { return true }, nil)
 }
 
-// Covers reports whether every placement of dep has a current instance.
+// Covers reports whether every placement of dep has a current instance
+// wired as dep says — to the current instances of its providers in dep,
+// as the engine would wire it — so that acquiring dep needs no deploy.
+// An adopted instance keeps its own wiring, and a modeled one (no
+// address: nothing was installed) has none to redo.
 func (t *Table) Covers(dep *planner.Deployment) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, p := range dep.Placements {
-		if t.cur[p.Key()] == nil {
+	for i, p := range dep.Placements {
+		e := t.cur[p.Key()]
+		if e == nil {
+			return false
+		}
+		if e.adopted || e.Addr == "" {
+			continue
+		}
+		wired := 0
+		for _, ed := range dep.Edges {
+			if ed.From != i {
+				continue
+			}
+			wired++
+			if up := t.cur[dep.Placements[ed.To].Key()]; up == nil || e.Upstreams[ed.Iface] != up.ID {
+				return false
+			}
+		}
+		if wired > 0 && wired != len(e.Upstreams) {
 			return false
 		}
 	}
 	return true
+}
+
+// Current reports whether every instance in ids is its key's current
+// instance: none was evicted, superseded or torn down.
+func (t *Table) Current(ids []string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, id := range ids {
+		e := t.byID[id]
+		if e == nil || t.cur[e.key] != e {
+			return false
+		}
+	}
+	return true
+}
+
+// Wiring returns, for every instance in ids the table lists, its node
+// paired with the node of each instance it is wired to.
+func (t *Table) Wiring(ids []string) [][2]netmodel.NodeID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out [][2]netmodel.NodeID
+	for _, id := range ids {
+		e := t.byID[id]
+		if e == nil {
+			continue
+		}
+		for _, up := range e.Upstreams {
+			if u := t.byID[up]; u != nil {
+				out = append(out, [2]netmodel.NodeID{e.Place.Node, u.Place.Node})
+			}
+		}
+	}
+	return out
 }
 
 // Acquire adds a session reference to the current instance of every
@@ -184,7 +241,7 @@ func isTerminal(dep *planner.Deployment, i int) bool {
 // appendChainLocked appends to ids the instances e's upstream wiring
 // reaches, transitively, skipping those already in ids[from:].
 func (t *Table) appendChainLocked(ids []string, from int, e *entry) []string {
-	for _, up := range e.upstreams {
+	for _, up := range e.Upstreams {
 		u := t.byID[up]
 		if u == nil || slices.Contains(ids[from:], up) {
 			continue
@@ -210,17 +267,48 @@ func (t *Table) Release(ids []string) (gone []string) {
 }
 
 // Finalize ends the drain of released instances: those still without a
-// reference leave the index and are returned for teardown.
+// reference leave the index and are returned for teardown — unless a
+// live instance (held or pinned) forwards into one through its upstream
+// wiring: a pinned client keeps its whole upstream chain serving,
+// referenced or not.
 func (t *Table) Finalize(released []string) (out []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	var serving map[string]bool
 	for _, id := range released {
 		if e := t.byID[id]; e != nil && e.Refs == 0 && !e.Pinned && !slices.Contains(out, id) {
+			if serving == nil {
+				serving = t.servingLocked()
+			}
+			if serving[id] {
+				continue
+			}
 			t.unindexLocked(e)
 			out = append(out, id)
 		}
 	}
 	return out
+}
+
+// servingLocked returns the instances some live instance (held or
+// pinned, not evicted) forwards into, transitively.
+func (t *Table) servingLocked() map[string]bool {
+	serving := map[string]bool{}
+	var walk func(e *entry)
+	walk = func(e *entry) {
+		for _, up := range e.Upstreams {
+			if u := t.byID[up]; u != nil && !serving[up] {
+				serving[up] = true
+				walk(u)
+			}
+		}
+	}
+	for _, e := range t.byID {
+		if (e.Refs > 0 || e.Pinned) && !e.Dead {
+			walk(e)
+		}
+	}
+	return serving
 }
 
 // Evict marks a key's current instance dead: revalidation decided it
@@ -318,23 +406,29 @@ func (t *Table) Instances() []Instance {
 }
 
 // OrphanedBy returns the keys (sorted) of current instances whose
-// upstream wiring chains through the current instance of a dead
-// placement. An orphan answers, but every request it forwards hits a
-// dead provider: a planner must not anchor a new chain at it.
+// upstream wiring chains through a dead instance: one of a dead
+// placement's key (its current one, or one it superseded that still
+// serves a chain), or one evicted earlier. An orphan answers, but every
+// request it forwards hits a dead provider: a planner must not anchor a
+// new chain at it.
 func (t *Table) OrphanedBy(dead []planner.Placement) []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	gone := map[string]bool{}
+	keys := make(map[string]bool, len(dead))
 	for _, p := range dead {
-		if e := t.cur[p.Key()]; e != nil {
-			gone[e.ID] = true
+		keys[p.Key()] = true
+	}
+	gone := map[string]bool{}
+	for id, e := range t.byID {
+		if e.Dead || keys[e.key] {
+			gone[id] = true
 		}
 	}
 	var orphans []string
 	for changed := len(gone) > 0; changed; {
 		changed = false
 		for id, e := range t.byID {
-			for _, up := range e.upstreams {
+			for _, up := range e.Upstreams {
 				if gone[up] && !gone[id] {
 					gone[id], changed = true, true
 					if t.cur[e.key] == e {
@@ -354,21 +448,30 @@ func (t *Table) OrphanedBy(dead []planner.Placement) []string {
 // set and the plan is recomputed, so the chain downstream of the break
 // is planned — and re-wired — afresh; the engine supersedes the
 // orphans the new plan keeps, and those it abandons land in Remove.
+//
+// A diff that keeps the old deployment is an answer only while that
+// deployment still passes Verify. When it does not (a severed route, a
+// saturated link under an instance it anchors on), nothing replaces it:
+// that is an error, not a verdict to keep it.
 func (t *Table) RepairReplan(pl *planner.Planner, old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
 	pl.Existing = t.AppendLive(pl.Existing[:0])
 	diff, err := pl.RepairReplan(old, req, ch)
 	if err != nil {
 		return nil, err
 	}
-	orphans := t.OrphanedBy(diff.Evicted)
-	if len(orphans) == 0 {
-		return diff, nil
+	if orphans := t.OrphanedBy(diff.Evicted); len(orphans) > 0 {
+		pl.DropExistingByKey(orphans...)
+		diff2, err := pl.Replan(old, req)
+		if err != nil {
+			return nil, err
+		}
+		diff2.Evicted = append(diff.Evicted, diff2.Evicted...)
+		diff = diff2
 	}
-	pl.DropExistingByKey(orphans...)
-	diff2, err := pl.Replan(old, req)
-	if err != nil {
-		return nil, err
+	if old != nil && diff.Unchanged() {
+		if err := pl.Verify(old, req); err != nil {
+			return nil, fmt.Errorf("smock: nothing replaces a deployment that no longer holds: %w", err)
+		}
 	}
-	diff2.Evicted = append(diff.Evicted, diff2.Evicted...)
-	return diff2, nil
+	return diff, nil
 }

@@ -60,6 +60,9 @@ type TCP struct {
 	// network.
 	mu    sync.Mutex
 	local map[string]*tcpListener
+	// lost are told the dialed address of every client connection its
+	// peer ended (OnPeerLost).
+	lost []func(addr string)
 }
 
 // DefaultWorkers returns the default per-listener handler pool size:
@@ -107,6 +110,27 @@ func NewTCP() *TCP { return &TCP{} }
 
 // Stats returns a snapshot of the transport's data-plane counters.
 func (t *TCP) Stats() StatsSnapshot { return t.stats.Snapshot() }
+
+// OnPeerLost registers fn to be told the dialed address of every client
+// connection that its peer, not a local Close, ended: the reader saw
+// EOF or a reset before anything else took the endpoint down. Each
+// endpoint reports at most once. fn runs on the connection's reader
+// goroutine and must not block.
+func (t *TCP) OnPeerLost(fn func(addr string)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.lost = append(t.lost, fn)
+}
+
+// peerLost tells every OnPeerLost sink that addr's peer went away.
+func (t *TCP) peerLost(addr string) {
+	t.mu.Lock()
+	lost := t.lost
+	t.mu.Unlock()
+	for _, fn := range lost {
+		fn(addr)
+	}
+}
 
 // outFrame is one frame queued for a connection's writer goroutine.
 // Payloads come from the wire buffer pool and are returned to it after
@@ -554,7 +578,7 @@ func (t *TCP) newEndpoint(conn net.Conn, addr string) *tcpEndpoint {
 		pending: map[uint64]chan callResult{},
 	}
 	go e.readLoop()
-	go writeLoop(conn, e.q, t.writeTimeout(), &t.stats, e.shutdown)
+	go writeLoop(conn, e.q, t.writeTimeout(), &t.stats, func(err error) { e.shutdown(err) })
 	return e
 }
 
@@ -834,12 +858,12 @@ func (e *tcpEndpoint) terminalErr() error {
 
 // shutdown takes the endpoint down exactly once: it records the
 // terminal error, closes the connection and write queue, and fails
-// every pending call.
-func (e *tcpEndpoint) shutdown(cause error) {
+// every pending call. It reports whether cause was the one that did.
+func (e *tcpEndpoint) shutdown(cause error) bool {
 	e.mu.Lock()
 	if e.down {
 		e.mu.Unlock()
-		return
+		return false
 	}
 	e.down = true
 	if cause == nil {
@@ -856,6 +880,7 @@ func (e *tcpEndpoint) shutdown(cause error) {
 	close(e.done)
 	e.q.close()
 	e.conn.Close()
+	return true
 }
 
 // readLoop demultiplexes response frames to their waiting callers.
@@ -864,7 +889,11 @@ func (e *tcpEndpoint) readLoop() {
 	for {
 		f, err := fr.Next()
 		if err != nil {
-			e.shutdown(fmt.Errorf("transport: reading response: %w", err))
+			// A read that fails before anything local took the endpoint
+			// down means the peer ended the connection.
+			if e.shutdown(fmt.Errorf("transport: reading response: %w", err)) {
+				e.t.peerLost(e.addr)
+			}
 			return
 		}
 		e.stats.FramesReceived.Add(1)

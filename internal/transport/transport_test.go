@@ -361,3 +361,57 @@ func TestTCPDoubleCloseIsIdempotent(t *testing.T) {
 		t.Errorf("second close must be a no-op: %v", err)
 	}
 }
+
+// TestPeerLostReportsOncePerEndpoint: closing a listener reports each
+// client endpoint connected to it exactly once, by its dialed address;
+// an endpoint closed locally reports nothing, before or after.
+func TestPeerLostReportsOncePerEndpoint(t *testing.T) {
+	tr := NewTCP()
+	var mu sync.Mutex
+	var lost []string
+	tr.OnPeerLost(func(addr string) {
+		mu.Lock()
+		defer mu.Unlock()
+		lost = append(lost, addr)
+	})
+	reports := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), lost...)
+	}
+	ln, err := tr.Serve("", echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eps []Endpoint
+	for i := 0; i < 3; i++ {
+		ep, err := tr.Dial(ln.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		if _, err := ep.Call(&wire.Message{Kind: wire.KindRequest, ID: 1, Method: "ping"}); err != nil {
+			t.Fatal(err)
+		}
+		eps = append(eps, ep)
+	}
+	eps[2].Close()
+	time.Sleep(20 * time.Millisecond)
+	if got := reports(); len(got) != 0 {
+		t.Fatalf("a local Close reported %v", got)
+	}
+
+	ln.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(reports()) < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	for _, ep := range eps {
+		ep.Close()
+	}
+	time.Sleep(20 * time.Millisecond)
+	got := reports()
+	if len(got) != 2 || got[0] != ln.Addr() || got[1] != ln.Addr() {
+		t.Fatalf("peer-lost reports = %v, want %s once for each of the two open endpoints", got, ln.Addr())
+	}
+}
