@@ -208,3 +208,61 @@ func TestPeerLostRecoversWithinOneProbePeriodTCP(t *testing.T) {
 		t.Fatalf("send after the cutover: %v", err)
 	}
 }
+
+// TestRecoveryVersusProbeIntervalTCP measures kill → adapted over real
+// sockets with no traffic in flight, at several probe periods, with the
+// prober as the only source of detection and with the data path's
+// evidence beside it. Alone, the prober needs two missed probes, so
+// recovery can never beat one period; the evidence does not wait for
+// one. go test -v logs the table EXPERIMENTS.md quotes.
+func TestRecoveryVersusProbeIntervalTCP(t *testing.T) {
+	for _, periodMS := range []float64{25, 50, 100, 200} {
+		period := time.Duration(periodMS * float64(time.Millisecond))
+		for _, evidence := range []bool{false, true} {
+			took := recoverAfterKill(t, periodMS, evidence)
+			t.Logf("probe period %v, data-path evidence %v: adapted %v after the kill", period, evidence, took)
+			if !evidence && took < period*9/10 {
+				t.Errorf("the prober alone adapted %v after the kill, inside one %v period", took, period)
+			}
+			if evidence && periodMS >= 200 && took >= period {
+				t.Errorf("with evidence, adapted %v after the kill: not inside one %v period", took, period)
+			}
+		}
+	}
+}
+
+// recoverAfterKill kills sd-2 under an idle Seattle session and returns
+// how long the loop took to move it. Without evidence the prober is
+// wrapped in a ProberFunc, which watches no data path.
+func recoverAfterKill(t *testing.T, periodMS float64, evidence bool) time.Duration {
+	t.Helper()
+	w := newWorldOn(t, transport.NewTCP())
+	w.deploySD(t)
+	session, reb, _ := w.trackCarol(t, adapt.RetryConfig{})
+	defer reb.Close()
+	ctrl := w.Loop(periodMS)
+	if !evidence {
+		ctrl.SetProber(adapt.ProberFunc(adapt.NewTransportProber(w.Tr).Probe), w.Engine.ControlAddrs)
+	}
+	adapted := make(chan time.Time, 1)
+	ctrl.OnEvent(func(e adapt.Event) {
+		if e.Kind == "adapted" {
+			select {
+			case adapted <- time.Now():
+			default:
+			}
+		}
+	})
+	ctrl.Track(session)
+	ctrl.Start()
+	defer ctrl.Stop()
+	kill := time.Now()
+	w.Wrappers[topology.SDClient].Close()
+	select {
+	case at := <-adapted:
+		return at.Sub(kill)
+	case <-time.After(5 * time.Second):
+		t.Fatalf("probe period %v ms: no adaptation within 5 s", periodMS)
+		return 0
+	}
+}

@@ -2,4 +2,4 @@
 
 package adapt_test
 
-const raceEnabled = false
+const defaultSchedules = 1000

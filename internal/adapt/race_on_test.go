@@ -2,6 +2,7 @@
 
 package adapt_test
 
-// raceEnabled reports that this binary was built with the race
-// detector.
-const raceEnabled = true
+// defaultSchedules is how many seeded fault schedules TestFaultSchedules
+// runs: fewer under the race detector, which makes planning about ten
+// times slower.
+const defaultSchedules = 100

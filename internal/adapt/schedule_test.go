@@ -25,10 +25,6 @@ import (
 
 var schedules = flag.Int("schedules", defaultSchedules, "seeded fault schedules TestFaultSchedules runs")
 
-// defaultSchedules is 1 000, or 100 under the race detector, which
-// makes planning about ten times slower.
-var defaultSchedules = map[bool]int{false: 1000, true: 100}[raceEnabled]
-
 // schedProber answers for every node that is not crashed, and hands the
 // schedule the loop's evidence sink.
 type schedProber struct {
@@ -61,7 +57,6 @@ type scheduleWorld struct {
 	env    *sim.Env
 	mon    *netmon.Monitor
 	gs     *smock.GenericServer
-	engine *smock.Engine
 	ctrl   *adapt.Controller
 	prober *schedProber
 	reqs   []planner.Request
@@ -112,7 +107,6 @@ func newScheduleWorld(seed int64) *scheduleWorld {
 		}))
 	}
 	engine := smock.NewEngine(tr)
-	w.engine = engine
 	wrappers := map[netmodel.NodeID]*smock.NodeWrapper{}
 	for _, n := range net.Nodes() {
 		wrappers[n.ID] = smock.NewNodeWrapper(n.ID, tr, reg, transport.NewRealClock())

@@ -751,20 +751,12 @@ func (x nodeIndex) remove(s *Session, nodes, kept []netmodel.NodeID) {
 // factsOf derives the loop's view of a deployment.
 func factsOf(dep *planner.Deployment) *depFacts {
 	f := &depFacts{summary: depSummary(dep)}
-	add := func(n netmodel.NodeID) {
-		for _, seen := range f.footprint {
-			if seen == n {
-				return
-			}
-		}
-		f.footprint = append(f.footprint, n)
-	}
 	for _, p := range dep.Placements {
-		add(p.Node)
+		f.footprint = appendNew(f.footprint, p.Node)
 	}
 	for _, e := range dep.Edges {
 		for _, n := range e.Path.Nodes {
-			add(n)
+			f.footprint = appendNew(f.footprint, n)
 		}
 	}
 	return f
@@ -839,9 +831,7 @@ func (c *Controller) chainFacts(f *depFacts, dep *planner.Deployment, held []str
 	for _, w := range c.tab.Wiring(held) {
 		path, _ := rc.Path(w[0], w[1])
 		for _, n := range append([]netmodel.NodeID{w[0], w[1]}, path.Nodes...) {
-			if !slices.Contains(f.chain, n) {
-				f.chain = append(f.chain, n)
-			}
+			f.chain = appendNew(f.chain, n)
 		}
 	}
 }
