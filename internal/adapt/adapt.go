@@ -270,8 +270,7 @@ type depFacts struct {
 	// chain is every node the upstream chain an anchored placement
 	// forwards into runs on or routes through (chainFacts): a node that
 	// dies there breaks the session too.
-	chain   []netmodel.NodeID
-	chained bool
+	chain []netmodel.NodeID
 }
 
 // Controller is the adaptation loop. Construct with New (or fleet.New),

@@ -68,19 +68,17 @@ func (c *Controller) onChanges(changes []netmon.Change) {
 			}
 		}
 	}
-	switch {
-	case c.waveNow: // a breaking change armed the wave: nothing delays it
-	case broke:
+	// A wave a breaking change armed goes as armed; any other burst
+	// extends the window.
+	if !c.waveNow {
 		if c.debounceCancel != nil {
 			c.debounceCancel()
 		}
-		c.waveNow = true
-		c.debounceCancel = c.sched.After(0, c.debounceExpired)
-	default:
-		if c.debounceCancel != nil {
-			c.debounceCancel() // extend the window: the burst is still going
+		delay := c.cfg.DebounceMS
+		if broke {
+			delay, c.waveNow = 0, true
 		}
-		c.debounceCancel = c.sched.After(c.cfg.DebounceMS, c.debounceExpired)
+		c.debounceCancel = c.sched.After(delay, c.debounceExpired)
 	}
 	c.mu.Unlock()
 	if c.onEvent != nil {
@@ -773,7 +771,7 @@ func (c *Controller) rerouted(s *Session, rc *netmodel.RouteCache, refreshed map
 	}
 	f, ok := refreshed[old]
 	if !ok {
-		f = &depFacts{summary: old.summary, chain: old.chain, chained: old.chained}
+		f = &depFacts{summary: old.summary, chain: old.chain}
 		for _, p := range dep.Placements {
 			f.footprint = appendNew(f.footprint, p.Node)
 		}
@@ -823,10 +821,9 @@ func sameNodes(a, b []netmodel.NodeID) bool {
 // dying there breaks the session as surely as one under its own
 // placements. Every session of a wave group holds the same chain.
 func (c *Controller) chainFacts(f *depFacts, dep *planner.Deployment, held []string) {
-	if f.chained || len(held) <= len(dep.Placements) {
+	if f.chain != nil || len(held) <= len(dep.Placements) {
 		return
 	}
-	f.chained = true
 	rc := c.net.Routes()
 	for _, w := range c.tab.Wiring(held) {
 		path, _ := rc.Path(w[0], w[1])
