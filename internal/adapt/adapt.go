@@ -264,12 +264,13 @@ type depFacts struct {
 	// session's planned/adapted event and the deployment-shape part of
 	// its wave key.
 	summary string
-	// footprint is every node a placement sits on or an edge path
+	// footprint is every node a placement sits on or an edge's route
 	// traverses — the elements whose degradation can affect the session.
 	footprint []netmodel.NodeID
-	// chain is every node the upstream chain an anchored placement
-	// forwards into runs on or routes through (chainFacts): a node that
-	// dies there breaks the session too.
+	// chain is every other node the upstream chain an anchored placement
+	// forwards into runs on or routes through: a node that dies there
+	// breaks the session too, but the chain's latency is not the
+	// session's to replan.
 	chain []netmodel.NodeID
 }
 
@@ -430,16 +431,12 @@ func (c *Controller) Track(s *Session) {
 	s.mu.Lock()
 	s.tracked = true
 	dep := s.dep
-	if dep != nil {
-		s.facts = factsOf(dep)
-	}
-	facts := s.facts
 	s.mu.Unlock()
 	if dep != nil {
 		held := c.acquire(dep)
-		c.chainFacts(facts, dep, held)
+		facts := c.factsOf(dep, held, c.net.Routes())
 		s.mu.Lock()
-		s.held = held
+		s.held, s.facts = held, facts
 		s.mu.Unlock()
 		c.reindex([]indexMove{{s: s, new: facts}})
 	}
@@ -701,15 +698,14 @@ func (c *Controller) confirm(addr string) {
 }
 
 // nodeServing maps an address to its node: an instance's address
-// through the table, else a node's control address.
+// through the table, else a node's control address. An instance the
+// loop is tearing down maps to nothing (smock.Table.NodeServing).
 func (c *Controller) nodeServing(addr string, targets map[netmodel.NodeID]string) (netmodel.NodeID, bool) {
 	if addr == "" {
 		return "", false
 	}
-	for _, in := range c.tab.Instances() {
-		if in.Addr == addr {
-			return in.Place.Node, true
-		}
+	if node, ok := c.tab.NodeServing(addr); ok {
+		return node, true
 	}
 	for node, ctl := range targets {
 		if ctl == addr {

@@ -2,8 +2,10 @@ package adapt_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,5 +266,77 @@ func recoverAfterKill(t *testing.T, periodMS float64, evidence bool) time.Durati
 	case <-time.After(5 * time.Second):
 		t.Fatalf("probe period %v ms: no adaptation within 5 s", periodMS)
 		return 0
+	}
+}
+
+// countingProber is a TransportProber that counts its probes and the
+// data-path evidence its transport reports.
+type countingProber struct {
+	*adapt.TransportProber
+	probes, reports atomic.Int64
+}
+
+func (p *countingProber) Probe(node netmodel.NodeID, addr string, timeoutMS float64) error {
+	p.probes.Add(1)
+	return p.TransportProber.Probe(node, addr, timeoutMS)
+}
+
+func (p *countingProber) OnPeerLost(fn func(addr string)) {
+	p.TransportProber.OnPeerLost(func(addr string) {
+		p.reports.Add(1)
+		fn(addr)
+	})
+}
+
+// TestTeardownIsNotEvidenceTCP: a rewire over real sockets drains the
+// superseded Seattle instances and tears them down, which ends a client
+// connection still open to the old head from the far side. The teardown
+// forgets an instance before it closes it, so that report finds no
+// node: no strike, no confirming probe, no suspect.
+func TestTeardownIsNotEvidenceTCP(t *testing.T) {
+	w := newWorldOn(t, transport.NewTCP())
+	w.deploySD(t)
+	session, reb, _ := w.trackCarol(t, adapt.RetryConfig{})
+	defer reb.Close()
+	ctrl := w.Loop(60000) // no periodic round during the test
+	p := &countingProber{TransportProber: adapt.NewTransportProber(w.Tr)}
+	ctrl.SetProber(p, w.Engine.ControlAddrs)
+	var mu sync.Mutex
+	var kinds []string
+	ctrl.OnEvent(func(e adapt.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		kinds = append(kinds, e.Kind+":"+e.Detail)
+	})
+	ctrl.Track(session)
+	ctrl.Start()
+	defer ctrl.Stop()
+	// A client that never flips keeps its connection to the old head.
+	stale, err := w.Tr.Dial(session.HeadAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stale.Close()
+	carol := mail.NewViewClient("Carol", 2, w.Keys.SubRing(2), mail.NewRemote(stale))
+	if _, err := carol.Send("Alice", "before", []byte("old chain"), 2); err != nil {
+		t.Fatalf("send through the old chain: %v", err)
+	}
+
+	degradeSDSeattle(t, w)
+	waitFor(t, 5*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Contains(kinds, "stage:teardown")
+	}, "the rewire tore nothing down")
+	if !rewired(session) {
+		t.Fatalf("Carol was not rewired off the degraded link: %s", session.Deployment())
+	}
+	waitFor(t, 5*time.Second, func() bool { return p.reports.Load() > 0 },
+		"the teardown ended no connection from the far side")
+	time.Sleep(50 * time.Millisecond) // let the reports' confirmations run
+	mu.Lock()
+	defer mu.Unlock()
+	if n := p.probes.Load(); n != 0 || slices.ContainsFunc(kinds, func(k string) bool { return strings.HasPrefix(k, "suspect:") }) {
+		t.Fatalf("%d teardown reports cost %d probes; events %v", p.reports.Load(), n, kinds)
 	}
 }

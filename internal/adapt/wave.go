@@ -133,9 +133,7 @@ func (c *Controller) affectedByLocked(ch netmon.Change) []*Session {
 		if nodeDown(ch) {
 			out := scoped(node, "")
 			for s := range c.byChain[node] {
-				if _, dup := c.byNode[node][s]; !dup {
-					out = append(out, s)
-				}
+				out = append(out, s) // chain and footprint are disjoint
 			}
 			return out
 		}
@@ -442,12 +440,7 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 			c.scheduleCommit(s, wave, diff, commitAt-now)
 			continue
 		}
-		f := facts[diff.New]
-		if f == nil {
-			f = factsOf(diff.New)
-			facts[diff.New] = f
-		}
-		mv, err := c.commit(s, wave, diff, f, bootstrap)
+		mv, err := c.commit(s, wave, diff, facts, bootstrap)
 		if err != nil {
 			report.Failed++
 			c.fail(s, wave, err.Error())
@@ -522,7 +515,7 @@ func (c *Controller) scheduleCommit(s *Session, wave uint64, diff *planner.Diff,
 		if !current || c.isStopped() {
 			return
 		}
-		mv, err := c.commit(s, wave, diff, factsOf(diff.New), false)
+		mv, err := c.commit(s, wave, diff, map[*planner.Deployment]*depFacts{}, false)
 		if err != nil {
 			c.fail(s, wave, err.Error())
 			return
@@ -544,10 +537,11 @@ func (c *Controller) isStopped() bool {
 // commit moves one session onto diff.New: acquire-before-release in
 // the table (deploy-before-teardown at fleet scope), with the staged
 // cutover when something must be deployed or the session has a head to
-// move. The caller folds the returned footprint change into the
-// affected-session index. On error the session is left on its old
-// deployment, which is still serving.
-func (c *Controller) commit(s *Session, wave uint64, diff *planner.Diff, facts *depFacts, bootstrap bool) (indexMove, error) {
+// move. facts caches the facts of the deployments committed so far. The
+// caller folds the returned footprint change into the affected-session
+// index. On error the session is left on its old deployment, which is
+// still serving.
+func (c *Controller) commit(s *Session, wave uint64, diff *planner.Diff, facts map[*planner.Deployment]*depFacts, bootstrap bool) (indexMove, error) {
 	now := c.sched.NowMS()
 	s.mu.Lock()
 	old, oldFacts, oldHeld, head := s.dep, s.facts, s.held, s.head
@@ -567,9 +561,13 @@ func (c *Controller) commit(s *Session, wave uint64, diff *planner.Diff, facts *
 		held = c.acquire(diff.New)
 	}
 
-	c.chainFacts(facts, diff.New, held)
+	f := facts[diff.New]
+	if f == nil {
+		f = c.factsOf(diff.New, held, c.net.Routes())
+		facts[diff.New] = f
+	}
 	s.mu.Lock()
-	s.dep, s.facts, s.held, s.head = diff.New, facts, held, head
+	s.dep, s.facts, s.held, s.head = diff.New, f, held, head
 	if !bootstrap {
 		s.lastCutoverMS = now
 	}
@@ -584,8 +582,8 @@ func (c *Controller) commit(s *Session, wave uint64, diff *planner.Diff, facts *
 	if bootstrap {
 		kind = "planned"
 	}
-	c.emit(s, Event{Wave: wave, Kind: kind, Detail: facts.summary})
-	return indexMove{s: s, old: oldFacts, new: facts}, nil
+	c.emit(s, Event{Wave: wave, Kind: kind, Detail: f.summary})
+	return indexMove{s: s, old: oldFacts, new: f}, nil
 }
 
 // cutover runs the executor's stages for one commit and returns the new
@@ -708,15 +706,13 @@ func (c *Controller) reindex(moves []indexMove) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, mv := range moves {
-		var footprint, chain []netmodel.NodeID
-		if mv.new != nil {
-			footprint, chain = mv.new.footprint, mv.new.chain
-			c.byNode.add(mv.s, footprint)
-			c.byChain.add(mv.s, chain)
-		}
 		if mv.old != nil {
-			c.byNode.remove(mv.s, mv.old.footprint, footprint)
-			c.byChain.remove(mv.s, mv.old.chain, chain)
+			c.byNode.remove(mv.s, mv.old.footprint)
+			c.byChain.remove(mv.s, mv.old.chain)
+		}
+		if mv.new != nil {
+			c.byNode.add(mv.s, mv.new.footprint)
+			c.byChain.add(mv.s, mv.new.chain)
 		}
 	}
 }
@@ -735,26 +731,40 @@ func (x nodeIndex) add(s *Session, nodes []netmodel.NodeID) {
 	}
 }
 
-// remove drops s from the nodes it is indexed under, except those in
-// kept (a move adds its new nodes first). An emptied set stays, with
-// its capacity: sessions rerouted off a node tend to come back.
-func (x nodeIndex) remove(s *Session, nodes, kept []netmodel.NodeID) {
+func (x nodeIndex) remove(s *Session, nodes []netmodel.NodeID) {
 	for _, n := range nodes {
-		if !slices.Contains(kept, n) {
-			delete(x[n], s)
+		if set := x[n]; set != nil {
+			delete(set, s)
+			if len(set) == 0 {
+				delete(x, n)
+			}
 		}
 	}
 }
 
-// factsOf derives the loop's view of a deployment.
-func factsOf(dep *planner.Deployment) *depFacts {
+// factsOf derives the loop's view of a deployment whose instances are
+// held (placements first, then an anchor's upstream chain; see
+// smock.Table.Acquire), its linkages and the chain's following the
+// routes in rc.
+func (c *Controller) factsOf(dep *planner.Deployment, held []string, rc *netmodel.RouteCache) *depFacts {
 	f := &depFacts{summary: depSummary(dep)}
 	for _, p := range dep.Placements {
 		f.footprint = appendNew(f.footprint, p.Node)
 	}
 	for _, e := range dep.Edges {
-		for _, n := range e.Path.Nodes {
+		path, _ := rc.Path(dep.Placements[e.From].Node, dep.Placements[e.To].Node)
+		for _, n := range path.Nodes {
 			f.footprint = appendNew(f.footprint, n)
+		}
+	}
+	if len(held) > len(dep.Placements) {
+		for _, w := range c.tab.Wiring(held) {
+			path, _ := rc.Path(w[0], w[1])
+			for _, n := range append(w[:], path.Nodes...) {
+				if !slices.Contains(f.footprint, n) {
+					f.chain = appendNew(f.chain, n)
+				}
+			}
 		}
 	}
 	return f
@@ -765,23 +775,16 @@ func factsOf(dep *planner.Deployment) *depFacts {
 // the ones it was planned on. It returns the index move when the
 // footprint changed. Sessions sharing facts share the refreshed ones.
 func (c *Controller) rerouted(s *Session, rc *netmodel.RouteCache, refreshed map[*depFacts]*depFacts) (indexMove, bool) {
-	dep, old := s.snapshot()
+	s.mu.Lock()
+	dep, old, held := s.dep, s.facts, s.held
+	s.mu.Unlock()
 	if old == nil {
 		return indexMove{}, false
 	}
 	f, ok := refreshed[old]
 	if !ok {
-		f = &depFacts{summary: old.summary, chain: old.chain}
-		for _, p := range dep.Placements {
-			f.footprint = appendNew(f.footprint, p.Node)
-		}
-		for _, e := range dep.Edges {
-			path, _ := rc.Path(dep.Placements[e.From].Node, dep.Placements[e.To].Node)
-			for _, n := range path.Nodes {
-				f.footprint = appendNew(f.footprint, n)
-			}
-		}
-		if sameNodes(f.footprint, old.footprint) {
+		f = c.factsOf(dep, held, rc)
+		if sameNodes(f.footprint, old.footprint) && sameNodes(f.chain, old.chain) {
 			f = old
 		}
 		refreshed[old] = f
@@ -812,25 +815,6 @@ func sameNodes(a, b []netmodel.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// chainFacts records in f, once, the upstream chain an anchored
-// deployment forwards into: held lists dep's instances and then that
-// chain's (smock.Table.Acquire). The chain's nodes and the current
-// routes between each instance and its providers are f.chain — a node
-// dying there breaks the session as surely as one under its own
-// placements. Every session of a wave group holds the same chain.
-func (c *Controller) chainFacts(f *depFacts, dep *planner.Deployment, held []string) {
-	if f.chain != nil || len(held) <= len(dep.Placements) {
-		return
-	}
-	rc := c.net.Routes()
-	for _, w := range c.tab.Wiring(held) {
-		path, _ := rc.Path(w[0], w[1])
-		for _, n := range append([]netmodel.NodeID{w[0], w[1]}, path.Nodes...) {
-			f.chain = appendNew(f.chain, n)
-		}
-	}
 }
 
 // depSummary renders a deployment as its placement chain.

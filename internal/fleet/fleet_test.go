@@ -207,9 +207,7 @@ func TestOutputInvariantUnderWorkersAndShards(t *testing.T) {
 // deployment is a forced cutover, so hysteresis must NOT stop the
 // repair. The second recovery then invites the same optimization rewire
 // again, inside the hysteresis window: that is a flap, and the governor
-// must suppress it entirely. The outages partition the San Diego
-// sessions from the primary: they are reported failed and retried in
-// one-session waves, which are not among the four the changes open.
+// must suppress it entirely.
 func TestGovernorPacesAndSuppresses(t *testing.T) {
 	w := newWorld(t, Config{
 		Shards: 4, Workers: 2, DebounceMS: 20,
@@ -217,11 +215,7 @@ func TestGovernorPacesAndSuppresses(t *testing.T) {
 	}, 8)
 	w.mgr.Bootstrap()
 	var reports []WaveReport
-	w.mgr.OnWave(func(r WaveReport) {
-		if r.Sessions > 1 {
-			reports = append(reports, r)
-		}
-	})
+	w.mgr.OnWave(func(r WaveReport) { reports = append(reports, r) })
 	w.mgr.Start()
 
 	w.env.At(100, func() { _ = w.mon.ReportNodeDown(topology.SDGateway) })

@@ -355,13 +355,15 @@ func (t *Table) removeLocked(id string) *entry {
 }
 
 // AppendLive appends the live current instances' placements, sorted by
-// key — the reuse set every planner plans against — to dst.
+// key — the reuse set every planner plans against — to dst. An
+// instance wired into a dead or torn-down one is not live: no plan may
+// anchor on it.
 func (t *Table) AppendLive(dst []planner.Placement) []planner.Placement {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	live := t.scratch[:0]
 	for _, e := range t.cur {
-		if e.Refs > 0 || e.Pinned {
+		if (e.Refs > 0 || e.Pinned) && !t.brokenLocked(e) {
 			live = append(live, e)
 		}
 	}
@@ -372,6 +374,18 @@ func (t *Table) AppendLive(dst []planner.Placement) []planner.Placement {
 	clear(live)
 	t.scratch = live
 	return dst
+}
+
+// brokenLocked reports whether e forwards, through its upstream wiring,
+// into an instance that is dead or gone. Nothing repairs such a chain
+// when no session holds it: a pinned client keeps it serving (Finalize).
+func (t *Table) brokenLocked(e *entry) bool {
+	for _, up := range e.Upstreams {
+		if u := t.byID[up]; u == nil || u.Dead || t.brokenLocked(u) {
+			return true
+		}
+	}
+	return false
 }
 
 // Addr resolves a key to its current instance's address, or else to
@@ -392,6 +406,21 @@ func (t *Table) Addr(key string) (string, bool) {
 		return "", false
 	}
 	return e.Addr, true
+}
+
+// NodeServing returns the node of the instance served at addr, unless
+// that instance is leaving: finalized for teardown (no reference, not
+// pinned, out of the index), so that whatever ends its connections is
+// the teardown itself, not its node.
+func (t *Table) NodeServing(addr string) (netmodel.NodeID, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, e := range t.byID {
+		if e.Addr == addr && (e.Refs > 0 || e.Pinned || t.cur[e.key] == e) {
+			return e.Place.Node, true
+		}
+	}
+	return "", false
 }
 
 // Instances returns every instance.

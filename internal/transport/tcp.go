@@ -60,9 +60,9 @@ type TCP struct {
 	// network.
 	mu    sync.Mutex
 	local map[string]*tcpListener
-	// lost are told the dialed address of every client connection its
+	// lost is told the dialed address of every client connection its
 	// peer ended (OnPeerLost).
-	lost []func(addr string)
+	lost func(addr string)
 }
 
 // DefaultWorkers returns the default per-listener handler pool size:
@@ -111,24 +111,24 @@ func NewTCP() *TCP { return &TCP{} }
 // Stats returns a snapshot of the transport's data-plane counters.
 func (t *TCP) Stats() StatsSnapshot { return t.stats.Snapshot() }
 
-// OnPeerLost registers fn to be told the dialed address of every client
+// OnPeerLost sets fn to be told the dialed address of every client
 // connection that its peer, not a local Close, ended: the reader saw
 // EOF or a reset before anything else took the endpoint down. Each
-// endpoint reports at most once. fn runs on the connection's reader
-// goroutine and must not block.
+// endpoint reports at most once. fn replaces any earlier sink; it runs
+// on the connection's reader goroutine and must not block.
 func (t *TCP) OnPeerLost(fn func(addr string)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.lost = append(t.lost, fn)
+	t.lost = fn
 }
 
-// peerLost tells every OnPeerLost sink that addr's peer went away.
+// peerLost tells the OnPeerLost sink that addr's peer went away.
 func (t *TCP) peerLost(addr string) {
 	t.mu.Lock()
 	lost := t.lost
 	t.mu.Unlock()
-	for _, fn := range lost {
-		fn(addr)
+	if lost != nil {
+		lost(addr)
 	}
 }
 
