@@ -1,5 +1,5 @@
 // Package partsvc's root benchmark suite maps one testing.B target to
-// each evaluation artifact (see DESIGN.md's per-experiment index):
+// each evaluation artifact (see EXPERIMENTS.md's index):
 //
 //	BenchmarkFig3EnumerateChains    — Figure 3 linkage enumeration (E2)
 //	BenchmarkFig6Plan/*             — Figure 6 deployments (E5)

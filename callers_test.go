@@ -487,20 +487,13 @@ var flagDefiners = map[string]bool{
 	"Var": true, "Func": true, "BoolFunc": true, "TextVar": true,
 }
 
-// flagCitationDocs are where a flag must be cited: the files and the
-// directories whose files are read.
-var flagCitationDocs = []string{
-	"README.md",
-	"EXPERIMENTS.md",
-	filepath.Join(".github", "workflows", "ci.yml"),
-	"scripts",
-	filepath.Join(".claude", "skills", "verify", "SKILL.md"),
-}
-
-// TestFlagsAreCited fails on a flag a cmd/ program defines that no doc
-// cites as -name (or --name). A citation counts only on a line, or in a
-// fenced markdown block, that names the program, so a one-letter flag
-// cannot pass on another program's line.
+// TestFlagsAreCited fails on a flag a cmd/ program defines that no
+// citation doc cites as -name (or --name). A citation counts only on a
+// line, or in a fenced markdown block, that names the program, so a
+// one-letter flag cannot pass on another program's line. The reverse
+// holds too: every -flag that follows a program's name in a doc's
+// command (`go run ./cmd/psfctl plan -case-study`, `./psfctl serve
+// -addr …`) must be one that program defines.
 func TestFlagsAreCited(t *testing.T) {
 	if len(uncitedFlagAllowlist) > 10 {
 		t.Fatalf("the allowlist has %d entries; keep it to 10", len(uncitedFlagAllowlist))
@@ -511,17 +504,18 @@ func TestFlagsAreCited(t *testing.T) {
 		t.Fatal(err)
 	}
 	allowed := map[string]bool{}
-	counts := map[string]int{}
+	defined := map[string]map[string]bool{}
 	for _, p := range m.pkgs {
 		prog, ok := strings.CutPrefix(p.path, "partsvc/cmd/")
 		if !ok {
 			continue
 		}
+		defined[prog] = map[string]bool{}
 		var text []string
 		names := regexp.MustCompile(`\b` + regexp.QuoteMeta(prog) + `\b`)
 		for _, u := range units {
-			if names.MatchString(u) {
-				text = append(text, u)
+			if names.MatchString(u.text) {
+				text = append(text, u.text)
 			}
 		}
 		cited := strings.Join(text, "\n")
@@ -551,7 +545,7 @@ func TestFlagsAreCited(t *testing.T) {
 					t.Errorf("%s: flag name is not a constant", pos)
 					return true
 				}
-				counts[prog]++
+				defined[prog][name] = true
 				key := prog + " -" + name
 				if _, ok := uncitedFlagAllowlist[key]; ok {
 					allowed[key] = true
@@ -564,7 +558,31 @@ func TestFlagsAreCited(t *testing.T) {
 			})
 		}
 	}
+	counts := map[string]int{}
+	for prog, flags := range defined {
+		counts[prog] = len(flags)
+	}
 	t.Logf("flags defined per program: %v", counts)
+	for _, u := range units {
+		for _, c := range u.commands() {
+			for _, words := range shellCommands(c.text) {
+				prog := ""
+				for _, w := range words {
+					if p := programNamed(w, defined); p != "" {
+						prog = p
+						continue
+					}
+					name, _, _ := strings.Cut(strings.TrimLeft(w, "-"), "=")
+					if prog == "" || !strings.HasPrefix(w, "-") || name == "" || name == "h" || name == "help" {
+						continue
+					}
+					if !defined[prog][name] {
+						t.Errorf("%s: %s cites %s, which %s does not define", c.pos, c.text, w, prog)
+					}
+				}
+			}
+		}
+	}
 	for key := range uncitedFlagAllowlist {
 		if !allowed[key] {
 			t.Errorf("allowlist entry %s names no flag", key)
@@ -572,42 +590,13 @@ func TestFlagsAreCited(t *testing.T) {
 	}
 }
 
-// citationUnits splits the citation docs into the units a citation is
-// judged by: a fenced block of a markdown file, or any other line.
-func citationUnits() ([]string, error) {
-	var units []string
-	for _, doc := range flagCitationDocs {
-		err := filepath.WalkDir(doc, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return err
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			markdown := strings.HasSuffix(path, ".md")
-			var block []string
-			fenced := false
-			for _, line := range strings.Split(string(data), "\n") {
-				if markdown && strings.HasPrefix(strings.TrimSpace(line), "```") {
-					if fenced {
-						units = append(units, strings.Join(block, "\n"))
-						block = block[:0]
-					}
-					fenced = !fenced
-					continue
-				}
-				if fenced {
-					block = append(block, line)
-				} else {
-					units = append(units, line)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+// programNamed returns the program a command word names — psfctl,
+// ./psfctl, ./cmd/psfctl — or "".
+func programNamed(word string, programs map[string]map[string]bool) string {
+	for prog := range programs {
+		if word == prog || strings.HasSuffix(word, "/"+prog) {
+			return prog
 		}
 	}
-	return units, nil
+	return ""
 }

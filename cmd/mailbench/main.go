@@ -1,7 +1,7 @@
 // Command mailbench regenerates the paper's evaluation artifacts: the
 // Figure 7 latency table (nine scenarios over the deterministic network
 // simulator), the Section 4.2 one-time cost breakdown, and the ablation
-// sweeps indexed in DESIGN.md.
+// sweeps indexed in EXPERIMENTS.md.
 //
 // Usage:
 //

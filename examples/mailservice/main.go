@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"partsvc/internal/mail"
 	"partsvc/internal/netmodel"
@@ -20,6 +22,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run deploys the case study, sends mail from each site and prints the
+// three deployments and the inboxes to w.
+func run(w io.Writer) error {
 	tr := transport.NewInProc()
 	clock := transport.NewRealClock()
 	keys := seccrypto.NewKeyRing()
@@ -29,12 +39,12 @@ func main() {
 	primary := mail.NewServer(keys, clock)
 	for _, u := range []string{"Alice", "Bob", "Carol"} {
 		if err := primary.CreateAccount(u); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	reg := smock.NewRegistry()
 	if err := mail.RegisterFactories(reg, &mail.ServiceEnv{Primary: primary, Keys: keys}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	net := topology.CaseStudy()
@@ -49,14 +59,14 @@ func main() {
 		Component: spec.CompMailServer, InstanceID: "mail-primary",
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	svc := spec.MailService()
 	pl := planner.New(svc, net)
 	msPlace, err := pl.PrimaryPlacement(spec.CompMailServer, topology.NYServer)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pl.AddExisting(msPlace)
 	engine.AdoptInstance(msPlace, addr)
@@ -65,68 +75,78 @@ func main() {
 	gs := smock.NewGenericServer(svc, pl, engine)
 	ln, err := tr.Serve("generic-mail", gs.Handler())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lookup := smock.NewLookup()
 	if err := lookup.Register(smock.Entry{
 		Service: "mail", Attrs: map[string]string{"type": "mail"}, ServerAddr: ln.Addr(),
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	proxyFor := func(node netmodel.NodeID, user string) *smock.GenericProxy {
+	proxyFor := func(node netmodel.NodeID, user string) (*smock.GenericProxy, error) {
 		p, err := smock.NewGenericProxy(tr, lookup, "mail", map[string]string{"type": "mail"})
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		p.Interface = spec.IfaceClient
 		p.Node = node
 		p.User = user
 		p.RateRPS = 50
-		return p
+		return p, nil
 	}
 
 	// --- New York: Alice gets a direct connection to the server.
-	nyProxy := proxyFor(topology.NYClient, "Alice")
+	nyProxy, err := proxyFor(topology.NYClient, "Alice")
+	if err != nil {
+		return err
+	}
 	aliceNY := mail.NewClient("Alice", keys, mail.NewRemote(nyProxy))
 	if _, err := aliceNY.Send("Bob", "welcome", []byte("hello from New York"), 3); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("NY deployment:     ", nyProxy.Deployment)
+	fmt.Fprintln(w, "NY deployment:     ", nyProxy.Deployment)
 
 	// --- San Diego: Alice gets a local cache plus an encryptor tunnel.
-	sdProxy := proxyFor(topology.SDClient, "Alice")
+	sdProxy, err := proxyFor(topology.SDClient, "Alice")
+	if err != nil {
+		return err
+	}
 	aliceSD := mail.NewClient("Alice", keys, mail.NewRemote(sdProxy))
 	if _, err := aliceSD.Send("Bob", "branch office", []byte("hello from San Diego"), 4); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("SD deployment:     ", sdProxy.Deployment)
+	fmt.Fprintln(w, "SD deployment:     ", sdProxy.Deployment)
 
 	// --- Seattle: partner user Carol gets the restricted client chained
 	// to San Diego's view.
-	seaProxy := proxyFor(topology.SeaClient, "Carol")
+	seaProxy, err := proxyFor(topology.SeaClient, "Carol")
+	if err != nil {
+		return err
+	}
 	carol := mail.NewViewClient("Carol", 2, keys.SubRing(2), mail.NewRemote(seaProxy))
 	if _, err := carol.Send("Alice", "partner note", []byte("hello from Seattle"), 2); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("Seattle deployment:", seaProxy.Deployment)
+	fmt.Fprintln(w, "Seattle deployment:", seaProxy.Deployment)
 
 	// Everyone's mail arrived, transparently re-encrypted per recipient.
 	bob := mail.NewClient("Bob", keys, primary)
 	msgs, err := bob.Receive()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nBob's inbox (%d messages):\n", len(msgs))
+	fmt.Fprintf(w, "\nBob's inbox (%d messages):\n", len(msgs))
 	for _, m := range msgs {
-		fmt.Printf("  from %-6s sens=%d  %q: %s\n", m.From, m.Sensitivity, m.Subject, m.Body)
+		fmt.Fprintf(w, "  from %-6s sens=%d  %q: %s\n", m.From, m.Sensitivity, m.Subject, m.Body)
 	}
 	aliceMsgs, err := aliceNY.Receive()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("Alice's inbox (%d messages):\n", len(aliceMsgs))
+	fmt.Fprintf(w, "Alice's inbox (%d messages):\n", len(aliceMsgs))
 	for _, m := range aliceMsgs {
-		fmt.Printf("  from %-6s sens=%d  %q: %s\n", m.From, m.Sensitivity, m.Subject, m.Body)
+		fmt.Fprintf(w, "  from %-6s sens=%d  %q: %s\n", m.From, m.Sensitivity, m.Subject, m.Body)
 	}
+	return nil
 }

@@ -2,13 +2,16 @@
 // the real runtime: a ViewMailServer replica is stood up next to a
 // remote client, absorbs writes under a count-bound weak-consistency
 // policy, and the paper's staleness/latency trade-off is visible in the
-// pending-update counters; a late-joining replica catches up from the
-// directory's history.
+// pending-update counters; a replica registered later holds what the
+// primary holds, and a snapshot moved to a less-trusted node keeps only
+// what that node may hold.
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"partsvc/internal/coherence"
 	"partsvc/internal/mail"
@@ -17,12 +20,20 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run replicates a mail server into views and prints, after each step,
+// what the view and the primary hold to w.
+func run(w io.Writer) error {
 	keys := seccrypto.NewKeyRing()
 	clock := transport.NewRealClock()
 	primary := mail.NewServer(keys, clock)
 	for _, u := range []string{"Alice", "Bob"} {
 		if err := primary.CreateAccount(u); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -37,34 +48,34 @@ func main() {
 		Clock:    clock,
 	}, 1<<32)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	primary.Directory().Register(mail.ViewName, branch.Replica())
 
 	alice := mail.NewClient("Alice", keys, branch)
-	fmt.Println("sending 7 messages through the branch view (bound = 5):")
+	fmt.Fprintln(w, "sending 7 messages through the branch view (bound = 5):")
 	for i := 1; i <= 7; i++ {
 		sens := 2
 		if i%2 == 0 {
 			sens = 4 // mixed sensitivities; high ones shed on migration below
 		}
 		if _, err := alice.Send("Bob", fmt.Sprintf("msg %d", i), []byte("body"), sens); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  after send %d: view pending=%d, primary inbox=%d\n",
+		fmt.Fprintf(w, "  after send %d: view pending=%d, primary inbox=%d\n",
 			i, branch.Pending(), primary.Store().InboxCount("Bob"))
 	}
-	fmt.Println("the bound forced one flush at send 5; sends 6-7 are still pending")
+	fmt.Fprintln(w, "the bound forced one flush at send 5; sends 6-7 are still pending")
 
 	// Explicit flush propagates the rest.
 	if err := branch.Flush(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("after explicit flush: primary inbox=%d\n", primary.Store().InboxCount("Bob"))
+	fmt.Fprintf(w, "after explicit flush: primary inbox=%d\n", primary.Store().InboxCount("Bob"))
 
-	// A replica created later catches up from the directory history —
-	// this is component replication with state migration: the new
-	// instance reconstructs its data view from the coherence log.
+	// A replica created later starts with what the primary holds —
+	// component replication with state migration: the new instance's
+	// data view is whole before it serves its first read.
 	late, err := mail.NewView(mail.ViewConfig{
 		ID:       "vms-late",
 		Trust:    4,
@@ -74,19 +85,19 @@ func main() {
 		Clock:    clock,
 	}, 1<<33)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	primary.Directory().Register(mail.ViewName, late.Replica())
-	fmt.Printf("late replica after catch-up: inbox=%d (matches primary)\n",
+	fmt.Fprintf(w, "late replica after catch-up: inbox=%d (matches primary)\n",
 		late.Store().InboxCount("Bob"))
 
 	// Reads at the late replica are local and correctly re-encrypted.
 	bob := mail.NewClient("Bob", keys, late)
 	msgs, err := bob.Receive()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("bob receives %d messages from the late replica; first body: %q\n",
+	fmt.Fprintf(w, "bob receives %d messages from the late replica; first body: %q\n",
 		len(msgs), msgs[0].Body)
 
 	// Component migration via custom serialization: the branch view's
@@ -95,9 +106,9 @@ func main() {
 	// Migrating to a less-trusted node sheds over-ceiling messages.
 	snap, err := branch.Store().Snapshot()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nsnapshot of the branch view: %d bytes\n", len(snap))
+	fmt.Fprintf(w, "\nsnapshot of the branch view: %d bytes\n", len(snap))
 	moved, err := mail.NewView(mail.ViewConfig{
 		ID:       "vms-moved",
 		Trust:    2, // destination node is less trusted
@@ -108,8 +119,9 @@ func main() {
 		Snapshot: snap,
 	}, 1<<34)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("migrated to a trust-2 node: inbox=%d of %d (level<=2 carried over; level-4 shed)\n",
+	fmt.Fprintf(w, "migrated to a trust-2 node: inbox=%d of %d (level<=2 carried over; level-4 shed)\n",
 		moved.Store().InboxCount("Bob"), branch.Store().InboxCount("Bob"))
+	return nil
 }

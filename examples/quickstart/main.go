@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"partsvc/internal/netmodel"
 	"partsvc/internal/planner"
@@ -17,6 +19,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds the service and network, deploys the Greeter for a client
+// and prints the deployment and the reply to w.
+func run(w io.Writer) error {
 	// 1. Declare the service: a Greeter component implementing
 	// GreetInterface, requiring nothing.
 	svc := &spec.Service{
@@ -34,21 +44,21 @@ func main() {
 		ModRules: property.RuleTable{},
 	}
 	if err := svc.Validate(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 2. Describe the network: two nodes on a fast link.
 	net := netmodel.New()
 	for _, id := range []netmodel.NodeID{"client-node", "server-node"} {
 		if err := net.AddNode(netmodel.Node{ID: id, CPUCapacityRPS: 1000}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if err := net.AddLink(netmodel.Link{
 		A: "client-node", B: "server-node", LatencyMS: 1, BandwidthMbps: 100, Secure: true,
 		Props: property.Set{"Confidentiality": property.Bool(true)},
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 3. Register the component factory and a wrapper per node.
@@ -63,7 +73,7 @@ func main() {
 		}), nil
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	engine := smock.NewEngine(tr)
 	clock := transport.NewRealClock()
@@ -78,19 +88,20 @@ func main() {
 		Interface: "GreetInterface", ClientNode: "client-node", RateRPS: 10,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("deployment:", dep)
+	fmt.Fprintln(w, "deployment:", dep)
 
 	// 5. Call the deployed component.
 	ep, err := tr.Dial(addr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer ep.Close()
 	resp, err := ep.Call(&wire.Message{Kind: wire.KindRequest, Method: "greet", Body: []byte("world")})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("response:", string(resp.Body))
+	fmt.Fprintln(w, "response:", string(resp.Body))
+	return nil
 }

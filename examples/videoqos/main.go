@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"partsvc/internal/netmodel"
 	"partsvc/internal/planner"
@@ -81,12 +83,12 @@ func videoService() *spec.Service {
 }
 
 // network builds: viewer -- goodLink(fps 60) -- relay -- badLink(fps 10) -- studio.
-func network() *netmodel.Network {
+func network() (*netmodel.Network, error) {
 	net := netmodel.New()
 	for _, id := range []netmodel.NodeID{"viewer", "relay", "studio"} {
 		props := property.Set{"HasContent": property.Bool(id == "studio")}
 		if err := net.AddNode(netmodel.Node{ID: id, CPUCapacityRPS: 1000, Props: props}); err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 	}
 	// Link environments carry a FrameRate property: what the link can
@@ -96,27 +98,38 @@ func network() *netmodel.Network {
 		A: "viewer", B: "relay", LatencyMS: 5, BandwidthMbps: 100, Secure: true,
 		Props: property.Set{"FrameRate": property.Int(60)},
 	}); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	if err := net.AddLink(netmodel.Link{
 		A: "relay", B: "studio", LatencyMS: 40, BandwidthMbps: 8, Secure: true,
 		Props: property.Set{"FrameRate": property.Int(10)},
 	}); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	return net
+	return net, nil
 }
 
 func main() {
-	svc := videoService()
-	if err := svc.Validate(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	net := network()
+}
+
+// run plans the player for a viewer at the studio and one across the
+// WAN and prints both deployments and the planner's rejections to w.
+func run(w io.Writer) error {
+	svc := videoService()
+	if err := svc.Validate(); err != nil {
+		return err
+	}
+	net, err := network()
+	if err != nil {
+		return err
+	}
 	pl := planner.New(svc, net)
 	src, err := pl.PrimaryPlacement("VideoSource", "studio")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pl.AddExisting(src)
 
@@ -125,22 +138,22 @@ func main() {
 	nearPl.AddExisting(src)
 	near, err := nearPl.Plan(planner.Request{Interface: "PlayerInterface", ClientNode: "studio", RateRPS: 5})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("viewer at the studio:   ", near)
+	fmt.Fprintln(w, "viewer at the studio:   ", near)
 
 	// ...but across the 10 fps link the raw stream violates the
 	// player's 24 fps requirement, so the planner inserts a Transcoder
 	// downstream of the bottleneck.
 	far, err := pl.Plan(planner.Request{Interface: "PlayerInterface", ClientNode: "viewer", RateRPS: 5})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("viewer across the WAN:  ", far)
-	fmt.Printf("  expected latency %.2f ms, %d new component(s)\n", far.ExpectedLatencyMS, far.NewComponents)
+	fmt.Fprintln(w, "viewer across the WAN:  ", far)
+	fmt.Fprintf(w, "  expected latency %.2f ms, %d new component(s)\n", far.ExpectedLatencyMS, far.NewComponents)
 	for _, p := range far.Placements {
 		if p.Component == "Transcoder" {
-			fmt.Printf("  transcoder at %s: offers %s\n", p.Node, p.Offers)
+			fmt.Fprintf(w, "  transcoder at %s: offers %s\n", p.Node, p.Offers)
 		}
 	}
 	// Note the two transcoders: the frame-rate cap rule forbids serving
@@ -150,5 +163,6 @@ func main() {
 	// the bytes crossing the 8 Mb/s bottleneck (filters placed before
 	// slow links, exactly the adaptation the framework exists for).
 	st := pl.Stats()
-	fmt.Printf("  planner rejected %d property-invalid mappings (frame-rate rule at work)\n", st.RejectedProps)
+	fmt.Fprintf(w, "  planner rejected %d property-invalid mappings (frame-rate rule at work)\n", st.RejectedProps)
+	return nil
 }

@@ -216,7 +216,8 @@ func TestPeerLostRecoversWithinOneProbePeriodTCP(t *testing.T) {
 // prober as the only source of detection and with the data path's
 // evidence beside it. Alone, the prober needs two missed probes, so
 // recovery can never beat one period; the evidence does not wait for
-// one. go test -v logs the table EXPERIMENTS.md quotes.
+// one. go test -v logs kill → adapted per probe period, with and
+// without the evidence.
 func TestRecoveryVersusProbeIntervalTCP(t *testing.T) {
 	for _, periodMS := range []float64{25, 50, 100, 200} {
 		period := time.Duration(periodMS * float64(time.Millisecond))

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: it regenerates the paper's
 // evaluation artifacts — the nine Figure 7 scenarios over the
 // discrete-event simulator, the Section 4.2 one-time cost breakdown,
-// and the ablation sweeps indexed in DESIGN.md — and prints the same
+// and the ablation sweeps indexed in EXPERIMENTS.md — and prints the same
 // rows the paper reports.
 package bench
 

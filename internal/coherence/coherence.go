@@ -1,10 +1,10 @@
 // Package coherence implements Smock's cache coherence layer (HPDC'02,
 // Section 3.2): replicated component instances are kept consistent at
-// the granularity of views using a directory-based protocol. Coherence
-// actions are triggered by dynamic conflict maps and pluggable
-// weak-consistency policies — write-through, count-bound ("limit the
-// number of unpropagated messages at each replica", the knob behind the
-// paper's DS500/DS1000 scenarios), time-driven, and none.
+// the granularity of views using a directory-based protocol. When a
+// replica propagates is decided by a pluggable weak-consistency policy —
+// write-through, count-bound ("limit the number of unpropagated messages
+// at each replica", the knob behind the paper's DS500/DS1000 scenarios),
+// time-driven, and none.
 //
 // The package is pure coordination logic over an abstract update log:
 // the Smock run-time drives it with wall-clock time and real transports,
@@ -26,7 +26,8 @@ type Update struct {
 	Origin string
 	// Seq is the origin-local sequence number (1-based, dense).
 	Seq uint64
-	// Op names the operation (conflict maps are keyed on it).
+	// Op names the operation; the apply function a replica is built
+	// with dispatches on it.
 	Op string
 	// Key identifies the object written (e.g. a mailbox name).
 	Key string

@@ -12,8 +12,8 @@ import (
 
 // Counter is a concurrency-safe monotonic counter for data-plane
 // events (frames, bytes, errors). The zero value is ready to use. It
-// is one plain atomic; DESIGN.md §5d measures why that is enough on
-// the data path.
+// is one plain atomic: a TCP call bumps about eight counters, so a
+// per-CPU striped counter would save at most about 1 % of a call.
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.

@@ -22,7 +22,7 @@ const (
 
 // MailService returns the security-sensitive mail service specification
 // of Figure 2. Differences from the paper's (incomplete) listing are
-// deliberate completions, documented in DESIGN.md:
+// deliberate completions:
 //
 //   - ViewMailClient's elided body is filled in as an object view that
 //     implements ClientInterface and requires a server at least as

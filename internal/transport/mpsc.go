@@ -18,7 +18,7 @@ import (
 // behind a Dekker-style status word, so the producer-side wake check is
 // a single atomic load while the writer is running.
 //
-// Queue states (see DESIGN.md §5e):
+// Queue states:
 //
 //	open    — push links nodes, pop detaches them, the parker
 //	          exchanges wakeups when the writer runs dry.

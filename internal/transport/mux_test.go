@@ -357,11 +357,11 @@ func TestMuxStatsCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := tr.Stats()
 	// Client sent 10 requests, server sent 10 responses: both halves
 	// share the transport's counters.
-	if st.FramesSent < 20 || st.FramesReceived < 20 {
-		t.Errorf("frames sent/received = %d/%d, want >= 20 each", st.FramesSent, st.FramesReceived)
+	st := settledStats(tr, 20)
+	if st.FramesSent != 20 || st.FramesReceived != 20 {
+		t.Errorf("frames sent/received = %d/%d, want 20 each", st.FramesSent, st.FramesReceived)
 	}
 	if st.BytesSent == 0 || st.BytesReceived == 0 {
 		t.Errorf("bytes sent/received = %d/%d", st.BytesSent, st.BytesReceived)

@@ -202,22 +202,10 @@ func TestStatsTwoConcurrentTransports(t *testing.T) {
 	}()
 	wg.Wait()
 
-	// A frame is counted sent once its writev returns, which can be after
-	// the reply it carried has come back: wait for each side's writer to
-	// count its last frame, then hold every count to exactly its calls.
-	settled := func(tr *TCP, calls int) StatsSnapshot {
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			st := tr.Stats()
-			if st.FramesSent >= uint64(calls) || time.Now().After(deadline) {
-				return st
-			}
-			runtime.Gosched()
-		}
-	}
+	// Hold every count to exactly its calls.
 	check := func(name string, tr *TCP, calls int) {
 		t.Helper()
-		st := settled(tr, calls)
+		st := settledStats(tr, uint64(calls))
 		if st.FramesSent != uint64(calls) || st.FramesReceived != uint64(calls) {
 			t.Errorf("%s: frames %d/%d, want %d/%d — counters leaked across transports",
 				name, st.FramesSent, st.FramesReceived, calls, calls)
@@ -233,6 +221,22 @@ func TestStatsTwoConcurrentTransports(t *testing.T) {
 	if cliA.Stats().BytesSent <= cliB.Stats().BytesSent {
 		t.Errorf("clientA bytes %d not > clientB bytes %d despite larger bodies",
 			cliA.Stats().BytesSent, cliB.Stats().BytesSent)
+	}
+}
+
+// settledStats returns tr's counters once it has counted sent frames,
+// or after two seconds. A frame is counted sent once its writev
+// returns, which can be after the reply it carried has come back, so a
+// test that holds FramesSent to a count waits for the writer to count
+// its last frame first.
+func settledStats(tr *TCP, sent uint64) StatsSnapshot {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		st := tr.Stats()
+		if st.FramesSent >= sent || time.Now().After(deadline) {
+			return st
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // struct itself are pooled, so a steady-state decode performs zero
 // allocations for messages without Meta entries.
 //
-// Lifetime rules (see DESIGN.md §5d):
+// Lifetime rules:
 //
 //   - The decoder takes ownership of data on success: the payload goes
 //     back to the buffer pool when the message is released. On error,

@@ -1,12 +1,11 @@
 // Package wire implements the framework's binary wire format: length-
 // prefixed frames, each carrying one Message, the custom serialization
-// layer that stands in for Java RMI (see DESIGN.md, substitution
-// table). There is one encoding, typed layouts: fields in a fixed order
+// layer that stands in for Java RMI (see DESIGN.md, substitutions). There is one encoding, typed layouts: fields in a fixed order
 // with no tags or keys, written with AppendString and the big-endian
 // appenders of encoding/binary and read back with a Reader. The message
 // envelope is one (Message). Its body is opaque here; a service gives
-// each of its methods a layout of its own (the mail protocol, DESIGN.md
-// §5i; smock's install orders).
+// each of its methods a layout of its own (the mail protocol,
+// mail/handler.go; smock's install orders).
 package wire
 
 import "errors"
