@@ -18,7 +18,7 @@ func TestVideoqosInsertsTranscoders(t *testing.T) {
 		"viewer across the WAN:   VideoPlayer@viewer -> Transcoder@viewer -> Transcoder@studio -> VideoSource@studio*",
 		"  transcoder at viewer: offers FrameRate=24",
 		"  transcoder at studio: offers FrameRate=24",
-		"  planner rejected 4 property-invalid mappings (frame-rate rule at work)",
+		"  planner rejected 2 property-invalid mappings (frame-rate rule at work)",
 	} {
 		if !strings.Contains(out.String(), want+"\n") {
 			t.Errorf("output lacks %q:\n%s", want, out.String())

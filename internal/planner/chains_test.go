@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"partsvc/internal/property"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
 )
@@ -136,19 +137,39 @@ func TestEnumerateChainsServerInterface(t *testing.T) {
 	}
 }
 
-// TestEnumerateChainsWithAnchors: existing instances appear as chain
-// terminals marked with "*".
+// TestEnumerateChainsWithAnchors: an existing instance becomes a chain
+// terminal marked with "*" only when it cuts an upstream linkage. The
+// registered primary requires nothing, so it is no anchor: the plain
+// MailServer position already holds it as a reused candidate, and the
+// primary adds no graph. A registered ViewMailServer with recorded
+// offers does cut one, so it terminates chains as an anchor.
 func TestEnumerateChainsWithAnchors(t *testing.T) {
 	pl := mailPlanner(t)
+	bare := len(pl.EnumerateGraphs(spec.IfaceClient))
 	ms, err := pl.PrimaryPlacement(spec.CompMailServer, topology.NYServer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pl.AddExisting(ms)
 	chains := pl.EnumerateGraphs(spec.IfaceClient)
-	found := false
+	if len(chains) != bare {
+		t.Errorf("registering the primary enumerates %d graphs, want the %d of the bare specification", len(chains), bare)
+	}
 	for _, c := range chains {
 		if chainKey(c) == "MailClient>MailServer*" {
+			t.Error("the primary requires nothing but was enumerated as an anchor: MailClient>MailServer*")
+		}
+	}
+
+	vms := Placement{
+		Component: spec.CompViewMailServer, Node: topology.SDClient,
+		Config: property.Set{"TrustLevel": property.Int(4)},
+		Offers: property.Set{"TrustLevel": property.Int(4)},
+	}
+	pl.AddExisting(vms)
+	found := false
+	for _, c := range pl.EnumerateGraphs(spec.IfaceClient) {
+		if chainKey(c) == "MailClient>ViewMailServer*" {
 			found = true
 			if c[1].anchor == nil {
 				t.Error("terminal must be an anchor element")
@@ -156,7 +177,7 @@ func TestEnumerateChainsWithAnchors(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("anchored chain MailClient>MailServer* not enumerated")
+		t.Error("anchored chain MailClient>ViewMailServer* not enumerated")
 	}
 }
 

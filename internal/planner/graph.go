@@ -96,7 +96,8 @@ func (g Graph) names(b *strings.Builder, i int) {
 // valid linkages"): starting from the requested interface, it finds the
 // components that implement it and recurses through each of their
 // required interfaces, stopping at components with no requirements or at
-// already-deployed instances that implement the needed interface.
+// already-deployed instances that implement the needed interface and
+// cut an upstream linkage (anchorsFor).
 // Components may repeat along a branch (a ViewMailServer may link to
 // another ViewMailServer); enumeration is bounded by MaxChainLen
 // components per graph. Within a planner call the result is computed
@@ -188,14 +189,19 @@ func (pl *Planner) enumerate(iface string) []Graph {
 }
 
 // anchorsFor lists the registered instances that can terminate a
-// linkage over iface: they implement it and have recorded effective
-// properties to stand in for their already-deployed upstream.
+// linkage over iface: they implement it, have recorded effective
+// properties to stand in for their already-deployed upstream, and have
+// an upstream to stand for. An instance whose component requires
+// nothing cuts no linkage: the unanchored leaf position already holds
+// it as a reused candidate, and graphOf reads it back as that position,
+// so offering it as an anchor too would only solve the same mappings
+// twice.
 func (ru *reuseSet) anchorsFor(pl *Planner, iface string) []graphNode {
 	var out []graphNode
 	for i := range ru.existing {
 		e := &ru.existing[i]
 		comp, ok := pl.component(e.Component)
-		if !ok {
+		if !ok || len(comp.Requires) == 0 {
 			continue
 		}
 		if _, implements := comp.ImplementsInterface(iface); implements && len(e.Offers) > 0 {

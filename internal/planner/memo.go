@@ -2,6 +2,7 @@ package planner
 
 import (
 	"math"
+	"slices"
 
 	"partsvc/internal/netmodel"
 	"partsvc/internal/property"
@@ -57,6 +58,13 @@ type planMemo struct {
 	assigned []*cand
 	states   []int32
 	kids     []int32
+	// leastW is lowerBound's scratch: the least weight on each
+	// position's path from the head.
+	leastW []float64
+	// latencies records whether every link latency is non-negative, the
+	// assumption lowerBound's triangle inequality rests on: 0 until
+	// checked, then 1 (it holds) or -1.
+	latencies int8
 }
 
 // cand is one candidate placement as the search sees it: the placement
@@ -82,6 +90,9 @@ type candList struct {
 	// rejected counts the nodes whose deployment conditions failed;
 	// every graph that uses the list adds it to RejectedConditions.
 	rejected int
+	// reused reports that some candidate is a registered instance, which
+	// deploys at no penalty (graphModel.lowerBound).
+	reused bool
 }
 
 // reuseSet is everything derived from Planner.Existing, valid for one
@@ -252,6 +263,21 @@ func newPlanMemo(net *netmodel.Network, routes *netmodel.RouteCache) *planMemo {
 	return mm
 }
 
+// latenciesNonNegative reports whether every link latency of net is
+// non-negative, checking once per call.
+func (mm *planMemo) latenciesNonNegative(net *netmodel.Network) bool {
+	if mm.latencies == 0 {
+		mm.latencies = 1
+		for _, l := range net.Links() {
+			if !(l.LatencyMS >= 0) {
+				mm.latencies = -1
+				break
+			}
+		}
+	}
+	return mm.latencies > 0
+}
+
 // path resolves the route between two dense node indices, counting the
 // lookup.
 func (mm *planMemo) path(from, to int32) (netmodel.Path, property.Set, bool) {
@@ -395,6 +421,7 @@ func (pl *Planner) candidates(comp *spec.Component, req Request) *candList {
 			l.cands = append(l.cands, ru.reused(mm.candAt(p, mm.nodeIdx[i])))
 		}
 	}
+	l.reused = slices.ContainsFunc(l.cands, func(c cand) bool { return c.Reused })
 	ru.lists[comp] = l
 	return l
 }

@@ -282,6 +282,9 @@ type Stats struct {
 	// ChainsEnumerated is the number of valid linkage graphs found in
 	// step 1.
 	ChainsEnumerated int
+	// GraphsBounded counts the graphs skipped unsolved because their
+	// lower bound exceeded the best cost already found.
+	GraphsBounded int
 	// MappingsTried is the number of complete node assignments that
 	// reached exact validation; assignments the solver pruned by
 	// propagation or bound are never counted.
@@ -379,6 +382,7 @@ func (pl *Planner) PinRoutes(rc *netmodel.RouteCache) { pl.pinnedRoutes = rc }
 func (s Stats) KVs() []metrics.KV {
 	return []metrics.KV{
 		metrics.KVf("chains_enumerated", "%d", s.ChainsEnumerated),
+		metrics.KVf("graphs_bounded", "%d", s.GraphsBounded),
 		metrics.KVf("mappings_tried", "%d", s.MappingsTried),
 		metrics.KVf("rejected_conditions", "%d", s.RejectedConditions),
 		metrics.KVf("rejected_props", "%d", s.RejectedProps),

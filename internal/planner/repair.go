@@ -94,7 +94,11 @@ func (c *ChangedSet) String() string {
 // an improvement elsewhere or a degraded link under the pinned wiring
 // is invisible to it, so it continues exactly as ReplanRewire does — a
 // replan over the full reuse set, and on a no-op there too, the rewire
-// check. When nothing is adopted the repaired deployment (the old
+// check. The repaired mapping is valid now, and the replan can make it
+// too: its primary cost, priced as a plan prices it, seeds the replan's
+// upper bound and the rewire check's, and only a seeded search that
+// finds nothing runs again unseeded, so the answer is the unseeded one.
+// When nothing is adopted the repaired deployment (the old
 // placements re-costed under current routes) is returned. With no old
 // deployment or an empty change set, or when repair is infeasible under
 // its pins (or the deployment does not describe a linkage graph of the
@@ -109,7 +113,7 @@ func (pl *Planner) RepairReplan(old *Deployment, req Request, ch *ChangedSet) (*
 		return pl.ReplanRewire(old, req)
 	}
 	evicted := pl.RevalidateExisting()
-	dep, ok := pl.tryRepair(old, req, ch, evicted)
+	dep, priced, ok := pl.tryRepair(old, req, ch, evicted)
 	if !ok {
 		// Fallback: the full pass revalidates again (finding nothing new —
 		// the evictions above already pruned the reuse set), so the diff
@@ -126,24 +130,31 @@ func (pl *Planner) RepairReplan(old *Deployment, req Request, ch *ChangedSet) (*
 	if !repaired.Unchanged() || len(evicted) > 0 {
 		return repaired, nil
 	}
-	if diff, err := pl.Replan(old, req); err == nil && !diff.Unchanged() {
+	diff, err := pl.replan(old, req, pl.primaryOf(req.Objective, priced))
+	if err != nil {
+		diff, err = pl.Replan(old, req)
+	}
+	if err == nil && !diff.Unchanged() {
 		return diff, nil
 	}
-	return pl.rewireCheck(old, req, repaired), nil
+	return pl.rewireCheck(old, req, repaired, priced), nil
 }
 
 // tryRepair pins every placement of the old deployment that the change
 // cannot have affected and re-solves the rest. ok=false requests a
-// fresh full replan.
-func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evicted []Placement) (*Deployment, bool) {
+// fresh full replan. priced is the repaired deployment as a plan prices
+// it: a plan's anchors carry the upstream latency their registration
+// records, where the old deployment's copy of a reused leaf may record
+// another, so priced reprices those hops.
+func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evicted []Placement) (dep, priced *Deployment, ok bool) {
 	g, err := pl.graphOf(old)
 	if err != nil {
-		return nil, false // foreign deployment: replan fresh
+		return nil, nil, false // foreign deployment: replan fresh
 	}
 	for i := range g {
 		key := old.Placements[i].Key()
 		if g[i].anchor != nil && !slices.ContainsFunc(pl.Existing, func(e Placement) bool { return e.Key() == key }) {
-			return nil, false // the anchored instance left the reuse set: replan fresh
+			return nil, nil, false // the anchored instance left the reuse set: replan fresh
 		}
 	}
 	evictedKeys := make(map[string]bool, len(evicted))
@@ -182,11 +193,11 @@ func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evict
 		}
 	}
 	if dirty[0] {
-		return nil, false // the head is pinned at the client node; replan fresh
+		return nil, nil, false // the head is pinned at the client node; replan fresh
 	}
 	m, ok := pl.newModel(g, req)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	prev := make([]int, n)
 	for v := 0; v < n; v++ {
@@ -204,7 +215,7 @@ func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evict
 			// The previous placement is no longer a candidate (conditions
 			// moved, instance evicted): re-open the variable.
 			if v == 0 {
-				return nil, false
+				return nil, nil, false
 			}
 			dirty[v] = true
 			continue
@@ -215,7 +226,18 @@ func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evict
 	s.Stats, s.UpperBound = pl.SolverStats, nil
 	sol, _, solved := s.Repair(m, prev, dirty)
 	if !solved {
-		return nil, false
+		return nil, nil, false
 	}
-	return sol.Result.(*Deployment), true
+	dep = sol.Result.(*Deployment)
+	in := flowCoeff(g, m.assigned(sol.Assign))
+	repriced := *dep
+	ru := pl.reuseNow()
+	for v := range g {
+		if a := g[v].anchor; a != nil {
+			if i, ok := ru.byKey[a.key]; ok {
+				repriced.ExpectedLatencyMS += in[v] * (ru.existing[i].UpstreamMS - a.UpstreamMS)
+			}
+		}
+	}
+	return dep, &repriced, true
 }

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"math"
 
 	"partsvc/internal/property"
 )
@@ -97,10 +98,15 @@ func (pl *Planner) stillValid(p Placement) bool {
 // old (which may be nil for a first deployment). The old deployment's
 // placements are assumed to be registered via AddExisting.
 func (pl *Planner) Replan(old *Deployment, req Request) (*Diff, error) {
+	return pl.replan(old, req, math.Inf(1))
+}
+
+// replan is Replan with its plan seeded at ub (see plan).
+func (pl *Planner) replan(old *Deployment, req Request, ub float64) (*Diff, error) {
 	pl.beginPlan()
 	defer pl.endPlan()
 	evicted := pl.RevalidateExisting()
-	dep, err := pl.Plan(req)
+	dep, err := pl.plan(req, ub)
 	if err != nil {
 		return nil, fmt.Errorf("planner: replan: %w", err)
 	}
@@ -157,7 +163,7 @@ func (pl *Planner) ReplanRewire(old *Deployment, req Request) (*Diff, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pl.rewireCheck(old, req, diff), nil
+	return pl.rewireCheck(old, req, diff, diff.New), nil
 }
 
 // rewireCheck decides whether a no-op adaptation (nothing to install or
@@ -176,8 +182,9 @@ func (pl *Planner) ReplanRewire(old *Deployment, req Request) (*Diff, error) {
 // Same-key placements in an adopted rewire land in Install (the engine
 // reinstalls them in place, carrying state), and Remove is restricted
 // to the dropped wiring so shared tails keep running. Any other diff
-// passes through untouched.
-func (pl *Planner) rewireCheck(old *Deployment, req Request, noop *Diff) *Diff {
+// passes through untouched. priced is noop.New as a plan prices it (see
+// tryRepair).
+func (pl *Planner) rewireCheck(old *Deployment, req Request, noop *Diff, priced *Deployment) *Diff {
 	if old == nil || len(old.Edges) == 0 || !noop.Unchanged() || len(noop.Evicted) > 0 {
 		return noop
 	}
@@ -192,7 +199,15 @@ func (pl *Planner) rewireCheck(old *Deployment, req Request, noop *Diff) *Diff {
 		}
 	}
 	pl.DropExistingByKey(keys...)
-	fresh, err := pl.Replan(old, req)
+	// The old wiring installed anew is a mapping the search can still
+	// make, at the no-op's cost plus a deploy penalty per dropped
+	// instance: that cost seeds the search.
+	again := *priced
+	again.NewComponents += len(own)
+	fresh, err := pl.replan(old, req, pl.primaryOf(req.Objective, &again))
+	if err != nil {
+		fresh, err = pl.Replan(old, req)
+	}
 	if err != nil || sameDeploymentKeys(fresh.New, old) {
 		pl.AddExisting(own...)
 		return noop

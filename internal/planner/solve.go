@@ -45,6 +45,9 @@ type position struct {
 	bits float64
 	// caching marks a component with RRF < 1.
 	caching bool
+	// reusable marks a domain holding a registered instance, whose
+	// deploy penalty is zero.
+	reusable bool
 	// cands is the domain; values are indices into it. The list is
 	// shared with every other model of the call that places the same
 	// component.
@@ -59,30 +62,32 @@ func (m *graphModel) Bounded() bool        { return m.req.Objective != MaxCapaci
 
 // add appends the next graph position with its domain. It reports false
 // when the domain is empty.
-func (m *graphModel) add(weight float64, cands []cand) bool {
+func (m *graphModel) add(weight float64, cands []cand, reusable bool) bool {
 	comp := m.g[len(m.pos)].comp
 	bh := comp.Behaviors
 	m.pos = append(m.pos, position{
-		weight:  weight,
-		bits:    m.req.RateRPS * weight * float64(bh.RequestBytes+bh.ResponseBytes) * 8,
-		caching: bh.EffectiveRRF() < 1,
-		cands:   cands,
-		links:   m.mm.linksOf(comp),
+		weight:   weight,
+		bits:     m.req.RateRPS * weight * float64(bh.RequestBytes+bh.ResponseBytes) * 8,
+		caching:  bh.EffectiveRRF() < 1,
+		reusable: reusable,
+		cands:    cands,
+		links:    m.mm.linksOf(comp),
 	})
 	return len(cands) > 0
 }
 
-// domainOf returns the domain of a non-head position: an anchor is
-// pinned, anything else ranges over the component's candidate list
-// (whose condition rejections are accounted once per use).
-func (m *graphModel) domainOf(comp *spec.Component, anchor *cand) []cand {
+// domainOf returns the domain of a non-head position and whether it
+// holds a registered instance: an anchor is pinned, anything else
+// ranges over the component's candidate list (whose condition
+// rejections are accounted once per use).
+func (m *graphModel) domainOf(comp *spec.Component, anchor *cand) ([]cand, bool) {
 	if anchor != nil {
 		m.mm.pins = append(m.mm.pins, *anchor)
-		return m.mm.pins[len(m.mm.pins)-1:]
+		return m.mm.pins[len(m.mm.pins)-1:], anchor.Reused
 	}
 	l := m.pl.candidates(comp, m.req)
 	m.pl.stats.RejectedConditions += l.rejected
-	return l.cands
+	return l.cands, l.reused
 }
 
 // Compatible prunes pairs no complete assignment can redeem: linkages
@@ -215,15 +220,81 @@ func (pl *Planner) newModel(g Graph, req Request) (*graphModel, bool) {
 	m := &pl.memo.model
 	*m = graphModel{pl: pl, mm: pl.memo, req: req, g: g, pos: m.pos[:0]}
 	pl.memo.pins = pl.memo.pins[:0]
-	m.add(1, head)
+	m.add(1, head, head[0].Reused)
 	for i := 1; i < len(g); i++ {
 		p := g[i].parent
 		w := m.pos[p].weight * g[p].comp.Behaviors.EffectiveRRF()
-		if !m.add(w, m.domainOf(g[i].comp, g[i].anchor)) {
+		cands, reusable := m.domainOf(g[i].comp, g[i].anchor)
+		if !m.add(w, cands, reusable) {
 			return nil, false
 		}
 	}
 	return m, true
+}
+
+// boundEps is the solver's pruning tolerance: a graph whose bound comes
+// within it of the incumbent is searched, so ties reach the tie-break.
+const boundEps = 1e-9
+
+// lowerBound returns an admissible lower bound on the MinLatency
+// primary cost of every mapping of the model's graph. It reads the
+// domains only, in O(positions): no table is built and nothing is
+// propagated, so a graph it rules out costs next to nothing. A mapping
+// pays, whatever it places where:
+//   - the head's own term: its service time and deploy penalty;
+//   - per position, the least deploy penalty in its domain, plus its
+//     weight × (its service time + the anchor's UpstreamMS). Every hop
+//     costs at least the provider's service time (and an anchor's
+//     upstream), and the flow into a position is never below its weight;
+//   - the round trips of the hops. For a position whose domain has one
+//     candidate, the hops on its path from the head carry at least the
+//     least weight on that path and cross at least the route latency
+//     from the head's node to its node: routes are latency-shortest, so
+//     route latencies obey the triangle inequality. Paths share hops,
+//     so only the largest of these path terms is added.
+//
+// ok=false when an input breaks an assumption of that argument: a
+// negative link latency, deploy penalty, service time, message size,
+// upstream, RRF or weight.
+func (m *graphModel) lowerBound() (lb float64, ok bool) {
+	pl, mm := m.pl, m.mm
+	pen := pl.DeployPenaltyMS
+	if pen < 0 || !mm.latenciesNonNegative(pl.Net) {
+		return 0, false
+	}
+	least := func(p *position) float64 {
+		if p.reusable {
+			return 0
+		}
+		return pen
+	}
+	cpu := m.g[0].comp.Behaviors.CPUMSPerRequest
+	if cpu < 0 {
+		return 0, false
+	}
+	lb = cpu + least(&m.pos[0])
+	head := m.pos[0].cands[0].node
+	mm.leastW = slices.Grow(mm.leastW[:0], len(m.pos))[:len(m.pos)]
+	mm.leastW[0] = math.Inf(1)
+	var path float64
+	for v := 1; v < len(m.pos); v++ {
+		p, bh := &m.pos[v], m.g[v].comp.Behaviors
+		var up float64
+		if a := m.g[v].anchor; a != nil {
+			up = a.UpstreamMS
+		}
+		if !(p.weight >= 0) || bh.CPUMSPerRequest < 0 || bh.RequestBytes+bh.ResponseBytes < 0 || up < 0 {
+			return 0, false
+		}
+		lb += least(p) + p.weight*(bh.CPUMSPerRequest+up)
+		mm.leastW[v] = min(mm.leastW[m.g[v].parent], p.weight)
+		if len(p.cands) == 1 {
+			if r, _, routed := mm.path(head, p.cands[0].node); routed {
+				path = max(path, mm.leastW[v]*2*r.LatencyMS)
+			}
+		}
+	}
+	return lb + path, true
 }
 
 // Plan satisfies a client request: every valid linkage graph becomes a
@@ -234,6 +305,15 @@ func (pl *Planner) newModel(g Graph, req Request) (*graphModel, bool) {
 // (validity condition 3); an error carries the accumulated rejection
 // statistics.
 func (pl *Planner) Plan(req Request) (*Deployment, error) {
+	return pl.plan(req, math.Inf(1))
+}
+
+// plan is Plan with the search's upper bound seeded at ub, the primary
+// cost of a deployment known to be valid now: what cannot come within
+// the solver's eps of it is not searched. A seed never changes which
+// deployment wins when one reaches it; when none does, plan fails and
+// the caller plans unseeded.
+func (pl *Planner) plan(req Request, ub float64) (*Deployment, error) {
 	pl.beginPlan()
 	defer pl.endPlan()
 	if _, ok := pl.Net.Node(req.ClientNode); !ok {
@@ -249,16 +329,16 @@ func (pl *Planner) Plan(req Request) (*Deployment, error) {
 	}
 	// Solve small linkage graphs first and thread the best primary cost
 	// seen so far into every later search as a seeded upper bound: cheap
-	// direct chains establish an incumbent that prunes the much larger
-	// searches of long (and often infeasible) graphs. better is a strict
-	// total order, so neither the ordering nor the seeding changes which
+	// direct chains establish an incumbent that rules out the much larger
+	// searches of long (and often infeasible) graphs, most of them by
+	// lowerBound before any table is built. better is a strict total
+	// order, so neither the ordering nor the seeding changes which
 	// deployment wins — only how much of the space is searched.
 	order := make([]int, len(graphs))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return len(graphs[order[a]]) < len(graphs[order[b]]) })
-	ub := math.Inf(1)
 	var best *Deployment
 	for _, gi := range order {
 		dep := pl.solveOne(graphs[gi], req, &ub)
@@ -283,11 +363,17 @@ func (pl *Planner) Plan(req Request) (*Deployment, error) {
 
 // solveOne maps one linkage graph through the call's constraint engine.
 // ub seeds the search with the best primary cost of the sibling graphs
-// solved so far.
+// solved so far; a graph whose lower bound exceeds it is skipped unsolved.
 func (pl *Planner) solveOne(g Graph, req Request, ub *float64) *Deployment {
 	m, ok := pl.newModel(g, req)
 	if !ok {
 		return nil
+	}
+	if req.Objective == MinLatency && !math.IsInf(*ub, 1) {
+		if lb, ok := m.lowerBound(); ok && lb > *ub+boundEps {
+			pl.stats.GraphsBounded++
+			return nil
+		}
 	}
 	s := &pl.memo.engine
 	s.Stats, s.UpperBound = pl.SolverStats, ub

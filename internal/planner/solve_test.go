@@ -543,7 +543,7 @@ func TestSolverRepairOverheadGuard(t *testing.T) {
 	start := time.Now()
 	pl.beginPlan()
 	evicted := pl.RevalidateExisting()
-	repaired, ok := pl.tryRepair(dep, req, ch, evicted)
+	repaired, _, ok := pl.tryRepair(dep, req, ch, evicted)
 	pl.endPlan()
 	repairNS := time.Since(start)
 	if !ok || len(evicted) != 0 {
