@@ -189,13 +189,12 @@ func (pl *Planner) enumerate(iface string) []Graph {
 }
 
 // anchorsFor lists the registered instances that can terminate a
-// linkage over iface: they implement it, have recorded effective
-// properties to stand in for their already-deployed upstream, and have
-// an upstream to stand for. An instance whose component requires
-// nothing cuts no linkage: the unanchored leaf position already holds
-// it as a reused candidate, and graphOf reads it back as that position,
-// so offering it as an anchor too would only solve the same mappings
-// twice.
+// linkage over iface: they implement it and have recorded effective
+// properties to stand in for their already-deployed upstream. An
+// instance whose component requires nothing has no upstream to cut: the
+// plain leaf position already holds it as a reused candidate (graphOf
+// reads it back as that position), so as an anchor it would only have
+// the same mappings solved twice.
 func (ru *reuseSet) anchorsFor(pl *Planner, iface string) []graphNode {
 	var out []graphNode
 	for i := range ru.existing {

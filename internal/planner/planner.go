@@ -283,7 +283,7 @@ type Stats struct {
 	// step 1.
 	ChainsEnumerated int
 	// GraphsBounded counts the graphs skipped unsolved because their
-	// lower bound exceeded the best cost already found.
+	// lower bound exceeded the best cost already found or seeded.
 	GraphsBounded int
 	// MappingsTried is the number of complete node assignments that
 	// reached exact validation; assignments the solver pruned by

@@ -310,9 +310,11 @@ func (pl *Planner) Plan(req Request) (*Deployment, error) {
 
 // plan is Plan with the search's upper bound seeded at ub, the primary
 // cost of a deployment known to be valid now: what cannot come within
-// the solver's eps of it is not searched. A seed never changes which
-// deployment wins when one reaches it; when none does, plan fails and
-// the caller plans unseeded.
+// the solver's eps of it is not searched. A seed never changes the
+// answer. A mapping within eps of it is never pruned, and on a complete
+// assignment the search's bound is its exact cost, so a seeded search
+// that finds a deployment finds the unseeded one; when nothing reaches
+// the seed, plan fails and the caller plans unseeded.
 func (pl *Planner) plan(req Request, ub float64) (*Deployment, error) {
 	pl.beginPlan()
 	defer pl.endPlan()
