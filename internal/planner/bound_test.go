@@ -50,6 +50,7 @@ func checkBounds(t *testing.T, label string, pl *Planner, req Request) int {
 // recorded upstream latency in play), and on Waxman networks over
 // several seeds with and without a neighbour's deployment in the reuse
 // set. The bound also has to do work: the case study skips graphs by it.
+// A negative deploy penalty or link latency gets no bound.
 func TestGraphBoundIsAdmissible(t *testing.T) {
 	checked := 0
 	bare, registered := caseStudyPlanner(t), caseStudyPlanner(t)
@@ -87,6 +88,28 @@ func TestGraphBoundIsAdmissible(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no graph had an optimum to hold the bound to")
+	}
+
+	// An input that breaks the argument gets no bound at all.
+	for _, breakIt := range []func(pl *Planner){
+		func(pl *Planner) { pl.DeployPenaltyMS = -1 },
+		func(pl *Planner) {
+			l, _ := pl.Net.Link(topology.NYServer, topology.SDGateway)
+			l.LatencyMS = -1
+		},
+	} {
+		pl := caseStudyPlanner(t)
+		breakIt(pl)
+		req := figure6Requests(MinLatency)[1]
+		pl.beginPlan()
+		for _, g := range pl.enumerate(req.Interface) {
+			if m, ok := pl.newModel(g, req); ok {
+				if _, ok := m.lowerBound(); ok {
+					t.Errorf("graph %s: bounded although an input is negative", g.Names())
+				}
+			}
+		}
+		pl.endPlan()
 	}
 }
 
