@@ -86,6 +86,12 @@ type Network struct {
 	routesMu sync.Mutex
 	epoch    uint64
 	routes   *RouteCache
+	// propGen counts full invalidations: everything but a latency or
+	// bandwidth figure (liveness, node and link properties, the node
+	// and link sets) changes through one. envs interns the path
+	// environments of the current generation.
+	propGen uint64
+	envs    *envTable
 }
 
 type edgeKey struct{ a, b NodeID }
@@ -151,11 +157,28 @@ func (n *Network) AddLink(link Link) error {
 // route cache. Every mutation of the topology or of link
 // characteristics must call it (AddNode, AddLink, and Translate do so
 // themselves; the netmon monitor calls it when applying reports).
+//
+// It also starts a new property generation (PropGen). Only
+// InvalidateRoutesLinkDelta keeps the generation, so a mutation that
+// is not a link's latency or bandwidth must come through here.
 func (n *Network) InvalidateRoutes() {
 	n.routesMu.Lock()
 	n.epoch++
 	n.routes = nil
+	n.propGen++
+	n.envs = nil
 	n.routesMu.Unlock()
+}
+
+// PropGen returns the network's property generation: it moves with
+// every InvalidateRoutes — a node's liveness or properties, a link's
+// property set, the node or link set — and not with a link delta
+// (latency, bandwidth). What depends only on those properties, not on
+// the routes, stays valid while it holds.
+func (n *Network) PropGen() uint64 {
+	n.routesMu.Lock()
+	defer n.routesMu.Unlock()
+	return n.propGen
 }
 
 // InvalidateRoutesLinkDelta bumps the route epoch after the latency or
@@ -164,9 +187,10 @@ func (n *Network) InvalidateRoutes() {
 // discarding it: the node interning and adjacency structure carry over,
 // and for non-improving changes so does every shortest-path tree that
 // avoids the edge. Falls back to a plain invalidation when no cache is
-// outstanding or the delta cannot be applied. Callers mutating link
-// property sets (not just latency/bandwidth figures) must use
-// InvalidateRoutes: cached environments alias those maps.
+// outstanding or the delta cannot be applied. It keeps the property
+// generation (PropGen) and its interned environments, so callers
+// mutating anything but latency/bandwidth figures must use
+// InvalidateRoutes.
 func (n *Network) InvalidateRoutesLinkDelta(a, b NodeID) {
 	n.routesMu.Lock()
 	defer n.routesMu.Unlock()
@@ -186,7 +210,10 @@ func (n *Network) Routes() *RouteCache {
 	n.routesMu.Lock()
 	defer n.routesMu.Unlock()
 	if n.routes == nil || n.routes.epoch != n.epoch {
-		n.routes = newRouteCache(n, n.epoch)
+		if n.envs == nil {
+			n.envs = newEnvTable(n.propGen)
+		}
+		n.routes = newRouteCache(n, n.epoch, n.envs)
 	}
 	return n.routes
 }

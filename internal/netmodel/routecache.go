@@ -43,7 +43,11 @@ type RouteCache struct {
 	adjNode  []int32
 	adjLat   []float64
 	adjBW    []float64
-	adjProps []property.Set
+	adjEnv   []EnvID // the link's property set, interned in envs
+
+	// envs interns path environments for the property generation the
+	// cache belongs to; every cache of that generation shares it.
+	envs *envTable
 
 	loopback []Path // per-node single-element paths, built once
 
@@ -66,6 +70,7 @@ type RouteCache struct {
 type spTree struct {
 	paths  []Path
 	envs   []property.Set
+	envIDs []EnvID
 	reach  []bool
 	parent []int32
 }
@@ -79,10 +84,11 @@ func (t *spTree) usesEdge(a, b int32) bool {
 
 // newRouteCache interns the network's nodes and links into dense arrays.
 // Trees are built lazily per source on first lookup.
-func newRouteCache(n *Network, epoch uint64) *RouteCache {
+func newRouteCache(n *Network, epoch uint64, envs *envTable) *RouteCache {
 	nodes := n.Nodes() // sorted by ID: dense index order == ID order
 	rc := &RouteCache{
 		epoch:    epoch,
+		envs:     envs,
 		ids:      make([]NodeID, len(nodes)),
 		idx:      make(map[NodeID]int32, len(nodes)),
 		down:     make([]bool, len(nodes)),
@@ -114,7 +120,9 @@ func newRouteCache(n *Network, epoch uint64) *RouteCache {
 	rc.adjNode = make([]int32, 0, total)
 	rc.adjLat = make([]float64, 0, total)
 	rc.adjBW = make([]float64, 0, total)
-	rc.adjProps = make([]property.Set, 0, total)
+	rc.adjEnv = make([]EnvID, 0, total)
+	envs.mu.Lock()
+	defer envs.mu.Unlock()
 	for i, id := range rc.ids {
 		if rc.down[i] {
 			continue
@@ -127,7 +135,7 @@ func newRouteCache(n *Network, epoch uint64) *RouteCache {
 			rc.adjNode = append(rc.adjNode, rc.idx[nb])
 			rc.adjLat = append(rc.adjLat, l.LatencyMS)
 			rc.adjBW = append(rc.adjBW, l.BandwidthMbps)
-			rc.adjProps = append(rc.adjProps, l.Props)
+			rc.adjEnv = append(rc.adjEnv, envs.intern(l.Props))
 		}
 	}
 	return rc
@@ -181,9 +189,8 @@ func (rc *RouteCache) AddLookups(n uint64) { rc.lookups.Add(n) }
 // Bandwidth and link-property values only affect paths that traverse
 // the edge, which reuse already excludes. A latency *decrease* can
 // reroute any source, so it drops all trees (the interning is still
-// reused). Returns nil when the delta cannot be applied (unknown link
-// or property-set changes, which alias shared maps); the caller falls
-// back to a full rebuild.
+// reused). Returns nil when the delta cannot be applied (an unknown
+// link); the caller falls back to a full rebuild.
 func (rc *RouteCache) deltaLink(n *Network, epoch uint64, a, b NodeID) *RouteCache {
 	ai, aok := rc.idx[a]
 	bi, bok := rc.idx[b]
@@ -202,6 +209,8 @@ func (rc *RouteCache) deltaLink(n *Network, epoch uint64, a, b NodeID) *RouteCac
 		loopback: rc.loopback,
 		adjStart: rc.adjStart,
 		adjNode:  rc.adjNode,
+		adjEnv:   rc.adjEnv,
+		envs:     rc.envs,
 		trees:    make([]atomic.Pointer[spTree], len(rc.ids)),
 	}
 	eab := rc.edgeIndex(ai, bi)
@@ -209,7 +218,7 @@ func (rc *RouteCache) deltaLink(n *Network, epoch uint64, a, b NodeID) *RouteCac
 	if eab < 0 || eba < 0 {
 		// The edge was filtered out at interning time (an endpoint was
 		// down): the routable topology is unchanged, keep everything.
-		nc.adjLat, nc.adjBW, nc.adjProps = rc.adjLat, rc.adjBW, rc.adjProps
+		nc.adjLat, nc.adjBW = rc.adjLat, rc.adjBW
 		for src := range rc.trees {
 			if t := rc.trees[src].Load(); t != nil {
 				nc.trees[src].Store(t)
@@ -220,7 +229,6 @@ func (rc *RouteCache) deltaLink(n *Network, epoch uint64, a, b NodeID) *RouteCac
 	improved := link.LatencyMS < rc.adjLat[eab]
 	nc.adjLat = append([]float64(nil), rc.adjLat...)
 	nc.adjBW = append([]float64(nil), rc.adjBW...)
-	nc.adjProps = rc.adjProps
 	for _, ei := range []int32{eab, eba} {
 		nc.adjLat[ei] = link.LatencyMS
 		nc.adjBW[ei] = link.BandwidthMbps
@@ -266,21 +274,61 @@ func (rc *RouteCache) PathEnv(from, to NodeID) (Path, property.Set, bool) {
 // PathAt is PathEnv by dense index (see Index). It does not count
 // itself: the caller reports its lookups through AddLookups.
 func (rc *RouteCache) PathAt(from, to int32) (Path, property.Set, bool) {
-	if rc.down[from] || rc.down[to] {
+	t, ok := rc.treeTo(from, to)
+	if !ok {
 		return Path{}, nil, false
 	}
-	if from == to {
+	if t == nil {
 		return rc.loopback[from], nil, true
+	}
+	return t.paths[to], t.envs[to], true
+}
+
+// PathEnvAt is PathAt with the environment named by its interned ID
+// (LoopbackEnv for a loopback path) instead of the set: Env resolves
+// it.
+func (rc *RouteCache) PathEnvAt(from, to int32) (Path, EnvID, bool) {
+	t, ok := rc.treeTo(from, to)
+	if !ok {
+		return Path{}, 0, false
+	}
+	if t == nil {
+		return rc.loopback[from], LoopbackEnv, true
+	}
+	return t.paths[to], t.envIDs[to], true
+}
+
+// treeTo returns the tree that routes from to to, or nil for a
+// loopback; ok=false when there is no route.
+func (rc *RouteCache) treeTo(from, to int32) (*spTree, bool) {
+	if rc.down[from] || rc.down[to] {
+		return nil, false
+	}
+	if from == to {
+		return nil, true
 	}
 	t := rc.trees[from].Load()
 	if t == nil {
 		t = rc.buildOnce(from)
 	}
-	if !t.reach[to] {
-		return Path{}, nil, false
-	}
-	return t.paths[to], t.envs[to], true
+	return t, t.reach[to]
 }
+
+// Env returns the environment an EnvID names (nil for LoopbackEnv). It
+// is shared and read-only.
+func (rc *RouteCache) Env(id EnvID) property.Set {
+	if id == LoopbackEnv {
+		return nil
+	}
+	rc.envs.mu.Lock()
+	defer rc.envs.mu.Unlock()
+	return rc.envs.sets.Set(int32(id) - 1)
+}
+
+// PropGen returns the property generation of the network the cache was
+// built in (see Network.PropGen): its node interning and its EnvIDs are
+// those of that generation.
+func (rc *RouteCache) PropGen() uint64 { return rc.envs.gen }
 
 // buildOnce builds the single-source tree of src unless another caller
 // got there first, and counts the miss.
@@ -344,6 +392,7 @@ func (rc *RouteCache) buildTree(src int32) *spTree {
 	t := &spTree{
 		paths:  make([]Path, n),
 		envs:   make([]property.Set, n),
+		envIDs: make([]EnvID, n),
 		reach:  make([]bool, n),
 		parent: prev,
 	}
@@ -357,6 +406,8 @@ func (rc *RouteCache) buildTree(src int32) *spTree {
 	// reference Path.Env's head-to-tail fold).
 	bneck := make([]float64, n)
 	bneck[src] = math.Inf(1)
+	rc.envs.mu.Lock()
+	defer rc.envs.mu.Unlock()
 	for _, ti := range order {
 		if ti == src {
 			continue
@@ -369,7 +420,12 @@ func (rc *RouteCache) buildTree(src int32) *spTree {
 		nodes[len(parent)] = rc.ids[ti]
 		bneck[ti] = math.Min(bneck[pi], rc.adjBW[ei])
 		t.paths[ti] = Path{Nodes: nodes, LatencyMS: dist[ti], BottleneckMbps: bneck[ti]}
-		t.envs[ti] = foldEnv(t.envs[pi], pi == src, rc.adjProps[ei])
+		if pi == src {
+			t.envIDs[ti] = rc.adjEnv[ei]
+		} else {
+			t.envIDs[ti] = rc.envs.fold(t.envIDs[pi], rc.adjEnv[ei])
+		}
+		t.envs[ti] = rc.envs.sets.Set(int32(t.envIDs[ti]) - 1)
 		t.reach[ti] = true
 	}
 	return t
@@ -386,16 +442,51 @@ func (rc *RouteCache) edgeIndex(a, b int32) int32 {
 	return -1
 }
 
-// foldEnv extends a parent path environment across one more link:
-// property-wise minimum over the intersection of property names, the
-// same aggregation as the reference Path.Env in the tests.
-func foldEnv(parent property.Set, parentIsSource bool, link property.Set) property.Set {
-	if parentIsSource {
-		return link.Clone()
+// EnvID names a path's aggregate link-property environment by content:
+// within one property generation of the network (Network.PropGen), two
+// paths whose environments are equal sets have the same ID, whichever
+// epoch's cache served them. A latency change that re-routes a pair
+// onto a path with another environment therefore changes the pair's
+// ID, and one that keeps the environment keeps it.
+type EnvID int32
+
+// LoopbackEnv is the ID of a loopback path, for which the cache holds
+// no environment (the caller supplies the intra-node one).
+const LoopbackEnv EnvID = 0
+
+// envTable interns the path environments of one property generation.
+// Link property sets do not change within a generation (a change to one
+// starts the next), so the fold of a parent environment across one more
+// link is memoized by the two IDs.
+type envTable struct {
+	gen  uint64
+	mu   sync.Mutex
+	sets property.Interner // EnvID-1 -> set
+	// folds memoizes fold: (parent path's ID, link's ID) -> ID.
+	folds map[[2]EnvID]EnvID
+}
+
+func newEnvTable(gen uint64) *envTable {
+	return &envTable{gen: gen, folds: map[[2]EnvID]EnvID{}}
+}
+
+// intern returns the ID of a set's content. The caller holds mu.
+func (t *envTable) intern(s property.Set) EnvID {
+	return EnvID(t.sets.Intern(s) + 1)
+}
+
+// fold extends a path environment across one more link: property-wise
+// minimum over the intersection of property names, the same aggregation
+// as the reference Path.Env in the tests. The caller holds mu.
+func (t *envTable) fold(parent, link EnvID) EnvID {
+	key := [2]EnvID{parent, link}
+	if id, ok := t.folds[key]; ok {
+		return id
 	}
+	ps, ls := t.sets.Set(int32(parent)-1), t.sets.Set(int32(link)-1)
 	env := property.Set{}
-	for name, v := range parent {
-		lv, ok := link[name]
+	for name, v := range ps {
+		lv, ok := ls[name]
 		if !ok {
 			continue
 		}
@@ -403,7 +494,9 @@ func foldEnv(parent property.Set, parentIsSource bool, link property.Set) proper
 			env[name] = m
 		}
 	}
-	return env
+	id := t.intern(env)
+	t.folds[key] = id
+	return id
 }
 
 // spItem is one heap entry: a tentative distance to a node.

@@ -209,3 +209,68 @@ func TestRouteCacheLoopback(t *testing.T) {
 		t.Fatalf("loopback path malformed: %+v ok=%v", p, ok)
 	}
 }
+
+// TestEnvIDsNameContent: on random topologies, the EnvID PathEnvAt
+// returns names the environment PathAt returns — content-equal
+// environments share an ID, different ones never do, a loopback is
+// LoopbackEnv — and the IDs outlive link deltas: after a series of
+// latency changes, every pair whose environment is unchanged keeps its
+// ID and the property generation does not move. InvalidateRoutes starts
+// a new generation.
+func TestEnvIDsNameContent(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		net := randomNetwork(t, 12, 0.3, seed)
+		gen := net.PropGen()
+		byID := map[EnvID]property.Set{}
+		check := func(rc *RouteCache) {
+			t.Helper()
+			n := int32(rc.NumNodes())
+			for from := int32(0); from < n; from++ {
+				for to := int32(0); to < n; to++ {
+					_, env, ok := rc.PathAt(from, to)
+					_, id, idOK := rc.PathEnvAt(from, to)
+					if ok != idOK {
+						t.Fatalf("seed %d: %d->%d: PathAt ok=%v, PathEnvAt ok=%v", seed, from, to, ok, idOK)
+					}
+					if !ok {
+						continue
+					}
+					if (from == to) != (id == LoopbackEnv) {
+						t.Fatalf("seed %d: %d->%d: EnvID %d", seed, from, to, id)
+					}
+					if from == to {
+						continue
+					}
+					if !rc.Env(id).Equal(env) {
+						t.Fatalf("seed %d: %d->%d: EnvID %d names %v, the path's environment is %v", seed, from, to, id, rc.Env(id), env)
+					}
+					if prev, seen := byID[id]; seen && !prev.Equal(env) {
+						t.Fatalf("seed %d: EnvID %d names both %v and %v", seed, id, prev, env)
+					}
+					byID[id] = env
+					for other, set := range byID {
+						if other != id && set.Equal(env) {
+							t.Fatalf("seed %d: %v has two IDs, %d and %d", seed, env, id, other)
+						}
+					}
+				}
+			}
+		}
+		check(net.Routes())
+		rng := rand.New(rand.NewSource(seed))
+		links := net.Links()
+		for k := 0; k < 10; k++ {
+			l := links[rng.Intn(len(links))]
+			l.LatencyMS = float64(rng.Intn(30))
+			net.InvalidateRoutesLinkDelta(l.A, l.B)
+			check(net.Routes())
+		}
+		if net.PropGen() != gen || net.Routes().PropGen() != gen {
+			t.Fatalf("seed %d: latency deltas moved the property generation %d -> %d", seed, gen, net.PropGen())
+		}
+		net.InvalidateRoutes()
+		if net.PropGen() == gen || net.Routes().PropGen() != net.PropGen() {
+			t.Fatalf("seed %d: InvalidateRoutes kept the property generation %d", seed, gen)
+		}
+	}
+}

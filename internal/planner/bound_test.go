@@ -28,7 +28,7 @@ func checkBounds(t *testing.T, label string, pl *Planner, req Request) int {
 			t.Errorf("%s: graph %s: no bound on inputs that break no assumption", label, g.Names())
 			continue
 		}
-		s := &pl.memo.engine
+		s := &pl.engine
 		s.Stats, s.UpperBound = pl.SolverStats, nil
 		sol, _, solved := s.Solve(m)
 		if !solved {

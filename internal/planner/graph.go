@@ -100,8 +100,8 @@ func (g Graph) names(b *strings.Builder, i int) {
 // cut an upstream linkage (anchorsFor).
 // Components may repeat along a branch (a ViewMailServer may link to
 // another ViewMailServer); enumeration is bounded by MaxChainLen
-// components per graph. Within a planner call the result is computed
-// once per reuse-set generation.
+// components per graph. The result is kept with the reuse layer
+// (memo.go): it is computed once per reuse set.
 //
 // For the mail service this reproduces Figure 3: every path from
 // MailClient or ViewMailClient to MailServer, optionally passing through
@@ -126,7 +126,7 @@ func (pl *Planner) enumerate(iface string) []Graph {
 	choicesFor := func(iface string) []graphNode {
 		c, ok := choices[iface]
 		if !ok {
-			c = ru.anchorsFor(pl, iface)
+			c = pl.anchorsFor(ru, iface)
 			for _, comp := range pl.implementersOf(iface) {
 				c = append(c, graphNode{comp: comp})
 			}
@@ -195,7 +195,7 @@ func (pl *Planner) enumerate(iface string) []Graph {
 // plain leaf position already holds it as a reused candidate (graphOf
 // reads it back as that position), so as an anchor it would only have
 // the same mappings solved twice.
-func (ru *reuseSet) anchorsFor(pl *Planner, iface string) []graphNode {
+func (pl *Planner) anchorsFor(ru *reuseLayer, iface string) []graphNode {
 	var out []graphNode
 	for i := range ru.existing {
 		e := &ru.existing[i]
@@ -204,6 +204,7 @@ func (ru *reuseSet) anchorsFor(pl *Planner, iface string) []graphNode {
 			continue
 		}
 		if _, implements := comp.ImplementsInterface(iface); implements && len(e.Offers) > 0 {
+			e.stand = pl.standOf(e)
 			out = append(out, graphNode{comp: comp, anchor: e})
 		}
 	}
@@ -266,6 +267,7 @@ func (pl *Planner) graphOf(dep *Deployment) (Graph, error) {
 		case provided[i] == len(comp.Requires):
 		case provided[i] == 0 && p.Reused:
 			c := pl.memo.candOf(p)
+			c.stand = pl.standOf(&c)
 			g[i].anchor = &c
 		default:
 			return nil, fmt.Errorf("planner: %s links %d of its %d required interfaces",

@@ -108,7 +108,7 @@ func (pl *Planner) validate(g Graph, cs []*cand, req Request) (*Deployment, verd
 		*p = cs[i].Placement
 		// Clone: the walk's offer sets are memo-owned and shared, and a
 		// deployment outlives the call (AddExisting registers it for reuse).
-		p.Offers = pl.memo.walks[pl.memo.states[i]].offers.Clone()
+		p.Offers = pl.memo.stateAt(i).offers.Clone()
 		if in[i] > 0 {
 			var up float64
 			for c := i + 1; c < g[i].end; c++ {
@@ -145,35 +145,46 @@ func (mm *planMemo) routesOf(g Graph, cs []*cand) (paths []netmodel.Path, missin
 // checks it against the requiring component's (scope-evaluated)
 // requirements (walkStep has the rules). Anchor terminals contribute
 // their recorded effective properties. Each step is memoized by the
-// subtree it closes, so an assignment that shares a subtree with an
-// earlier one re-walks only the positions in front of it, and the walk
-// stops at the first step that fails. The walk states of a valid
-// assignment are left in memo.states for validate to read the offers
-// from.
+// subtree it closes and the environments of its linkages, so an
+// assignment that shares a subtree with an earlier one — in this call
+// or an earlier one — re-walks only the positions in front of it, and
+// the walk stops at the first step that fails. The walk states of a
+// valid assignment are left in memo.states for validate to read the
+// offers from (stateAt).
 func (pl *Planner) checkProperties(g Graph, cs []*cand, req Request) verdict {
 	mm := pl.memo
 	mm.states = slices.Grow(mm.states[:0], len(g))[:len(g)]
 	// Reverse pre-order closes every provider subtree before its client.
 	for i := len(g) - 1; i >= 0; i-- {
-		key := walkKey{head: i == 0, iface: g[i].iface}
-		if i == 0 {
-			key.iface = req.Interface
+		if a := g[i].anchor; a != nil && i > 0 {
+			mm.states[i] = a.stand
+			continue
 		}
-		if a := g[i].anchor; a != nil {
-			key.stand = &a.Placement
-		}
-		kids := mm.kids[:0]
+		kids, envs := mm.kids[:0], mm.envs[:0]
 		for c := i + 1; c < g[i].end; c = g[c].end {
 			kids = append(kids, mm.states[c])
+			envs = append(envs, mm.link(mm.linksOf(g[c].comp), cs[i].node, cs[c].node).env)
 		}
-		mm.kids = kids
-		st := pl.walk(g[i].comp, cs[i], key, kids, req)
-		if v := mm.walks[st].verdict; v != valid {
+		mm.kids, mm.envs = kids, envs
+		if i == 0 {
+			mm.states[0] = pl.walkHead(g[0].comp, cs[0], kids, envs, req)
+			return mm.headWalks[mm.states[0]].verdict
+		}
+		st := pl.walk(g[i].comp, cs[i], g[i].iface, kids, envs)
+		if v := mm.props.walks[st].verdict; v != valid {
 			return v
 		}
 		mm.states[i] = st
 	}
 	return valid
+}
+
+// stateAt returns the walk state checkProperties left for position i.
+func (mm *planMemo) stateAt(i int) *walkState {
+	if i == 0 {
+		return &mm.headWalks[mm.states[0]]
+	}
+	return &mm.props.walks[mm.states[i]]
 }
 
 // flowCoeff returns the request rate arriving at each position per unit

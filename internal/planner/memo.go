@@ -6,65 +6,171 @@ import (
 
 	"partsvc/internal/netmodel"
 	"partsvc/internal/property"
-	"partsvc/internal/solver"
 	"partsvc/internal/spec"
 )
 
-// planMemo holds every pure answer one public planner call computes, so
-// that each is computed once and afterwards read from a map or an
-// array. The call is the scope: RepairReplan's repair, its Replan and
-// its rewire Replan are three planning passes over one network state
-// and share one memo; the memo is created when the outermost call
-// begins and dropped when it ends, so nothing memoized can outlive a
-// network or specification change. A call plans one request: what
-// depends on it (head placements, the head's walk step) is not keyed by
-// it. Two things can move inside a call
-// and are guarded explicitly: the route handle (a pass that begins
-// under a different RouteCache starts over with an empty memo) and the
-// reuse set (everything derived from Planner.Existing lives in a
-// reuseSet tagged with the generation it was built for).
+// The planner remembers what it derives in three layers, split by what
+// each entry depends on, so that a call re-derives only what can have
+// moved since the last one:
+//
+//   - propLayer: what node liveness, node and link properties and the
+//     specification decide — interned placement identities, placements,
+//     interface property evaluations, candidate lists before reuse
+//     substitution, and the property walk. It lives on the Planner
+//     across calls while its propKey holds. No route is part of it: the
+//     walk reads a linkage's environment by its interned content
+//     (netmodel.EnvID), so a latency change that re-routes a pair onto a
+//     path with another environment meets other walk states, never a
+//     stale one.
+//   - reuseLayer: what the reuse set (Planner.Existing) decides on top
+//     of that — the registered instances as candidates, the enumerated
+//     graphs and the reuse-substituted candidate lists. The property
+//     layer keeps a few, found by the reuse set's content: callers
+//     reassign Existing wholesale before a call (the table's live
+//     instances), with no generation to compare.
+//   - planMemo: one call. The route epoch's link costs, what the request
+//     decides (head placements, the head's walk step) and the search
+//     scratch. RepairReplan's repair, its Replan and its rewire Replan
+//     are passes over one network state and share it; it is dropped when
+//     the outermost call ends. Two things can move inside a call and are
+//     guarded: the route handle (a pass that begins under a different
+//     RouteCache starts a new one) and the reuse set (every method that
+//     changes Existing bumps Planner.gen, and the next reuseNow looks the
+//     layer up again).
 type planMemo struct {
 	routes *netmodel.RouteCache
-	// nodes is the live node table in ID order; nodeIdx[i] is the dense
-	// route-cache index of nodes[i], -1 when the (pinned) cache predates
-	// the node — such a node has no routes and is pruned by propagation.
-	nodes   []*netmodel.Node
-	nodeIdx []int32
-	// lookups counts PathAt calls not yet reported to the route cache.
+	props  *propLayer
+	// lookups counts route lookups not yet reported to the route cache.
 	lookups uint64
 
-	// engine is the constraint engine of the call: one Solver for every
-	// graph, so its working arrays are allocated once.
-	engine solver.Solver
+	links map[*spec.Component]*linkTable
+	// latencies records whether every link latency is non-negative, the
+	// assumption lowerBound's triangle inequality rests on: 0 until
+	// checked, then 1 (it holds) or -1.
+	latencies int8
 
-	places map[placeKey]placeResult
-	evals  map[evalKey]evalResult
-	keyIDs map[placeID]int32
-	dupIDs map[dupID]int32
-	links  map[*spec.Component]*linkTable
-	walks  []walkState
-	walkID map[walkKey]int32
-	// joinID interns the provider side of a position with several
-	// providers (see walkKey.next).
-	joinID map[[2]int32]int32
-	reuse  *reuseSet
+	// reuse is the reuse layer of generation reuseGen; heads holds the
+	// head candidates under it.
+	reuse    *reuseLayer
+	reuseGen uint64
+	heads    map[*spec.Component][]cand
+	// headPlaces memoizes the head placements, which see the request
+	// user; headWalks and headWalkID the head's walk steps, which see
+	// its RequireProps.
+	headPlaces map[placeKey]placeResult
+	headWalks  []walkState
+	headWalkID map[walkKey]int32
 
 	// The model being solved (a call solves its graphs one at a time)
 	// with the one-candidate domains of its anchors, and Evaluate's
-	// scratch: the assignment as candidates and as walk states, and the
-	// provider states of the position being walked.
+	// scratch: the assignment as candidates and as walk states (states[0]
+	// indexes headWalks, the rest the property layer's walks), and the
+	// provider states of the position being walked with the environments
+	// of the linkages to them.
 	model    graphModel
 	pins     []cand
 	assigned []*cand
 	states   []int32
 	kids     []int32
+	envs     []netmodel.EnvID
 	// leastW is lowerBound's scratch: the least weight on each
 	// position's path from the head.
 	leastW []float64
-	// latencies records whether every link latency is non-negative, the
-	// assumption lowerBound's triangle inequality rests on: 0 until
-	// checked, then 1 (it holds) or -1.
-	latencies int8
+}
+
+// propKey is what the property layer depends on, beside the node
+// snapshot (propLayer.current). The network's property generation moves
+// with every mutation but a link's latency or bandwidth
+// (netmodel.Network.PropGen); the route cache's is the one its node
+// indices and EnvIDs come from, which a pinned cache may hold back.
+type propKey struct {
+	net      *netmodel.Network
+	svc      *spec.Service
+	netGen   uint64
+	routeGen uint64
+}
+
+// propLayerCap bounds the walk states a property layer accumulates
+// while its key holds; past it the layer starts over.
+const propLayerCap = 1 << 16
+
+// maxReuseLayers is how many reuse sets a property layer remembers. The
+// rewire check alternates between a session's full reuse set and the
+// set without its own wiring, and a fleet shard meets several sites'.
+const maxReuseLayers = 8
+
+type propLayer struct {
+	key propKey
+	// nodes is the live node table in ID order; nodeIdx[i] is the dense
+	// route-cache index of nodes[i], -1 when the (pinned) cache predates
+	// the node — such a node has no routes and is pruned by propagation.
+	nodes   []*netmodel.Node
+	nodeIdx []int32
+	// down and props snapshot each node's liveness and properties when
+	// the layer was built. A node's properties can be written in place
+	// without an invalidation, so the generations cannot vouch for
+	// them: every call compares.
+	down  []bool
+	props []property.Set
+
+	places map[placeKey]placeResult
+	evals  map[evalKey]evalResult
+	keyIDs map[placeID]int32
+	dupIDs map[dupID]int32
+	// lists holds each component's candidates before reuse substitution.
+	lists  map[*spec.Component]*candList
+	walks  []walkState
+	walkID map[walkKey]int32
+	// joinID interns the provider side of a position with several
+	// providers, edgeID one provider with its linkage environment (see
+	// join).
+	joinID map[[2]int32]int32
+	edgeID map[[2]int32]int32
+	// offers interns anchor offers by content; stands maps an anchor's
+	// (placement key, offers) to its walk state.
+	offers property.Interner
+	stands map[[2]int32]int32
+	// reuse holds the reuse layers, most recently used first.
+	reuse []*reuseLayer
+}
+
+func newPropLayer(key propKey, routes *netmodel.RouteCache) *propLayer {
+	pr := &propLayer{
+		key:    key,
+		nodes:  key.net.Nodes(),
+		places: map[placeKey]placeResult{},
+		evals:  map[evalKey]evalResult{},
+		keyIDs: map[placeID]int32{},
+		dupIDs: map[dupID]int32{},
+		lists:  map[*spec.Component]*candList{},
+		walkID: make(map[walkKey]int32, 256),
+		joinID: map[[2]int32]int32{},
+		edgeID: map[[2]int32]int32{},
+		stands: map[[2]int32]int32{},
+	}
+	pr.nodeIdx = make([]int32, len(pr.nodes))
+	pr.down = make([]bool, len(pr.nodes))
+	pr.props = make([]property.Set, len(pr.nodes))
+	for i, n := range pr.nodes {
+		idx, ok := routes.Index(n.ID)
+		if !ok {
+			idx = -1
+		}
+		pr.nodeIdx[i] = idx
+		pr.down[i], pr.props[i] = n.Down, n.Props.Clone()
+	}
+	return pr
+}
+
+// current reports whether every node still has the liveness and
+// properties the layer was built under.
+func (pr *propLayer) current() bool {
+	for i, n := range pr.nodes {
+		if n.Down != pr.down[i] || !n.Props.Equal(pr.props[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // cand is one candidate placement as the search sees it: the placement
@@ -81,6 +187,9 @@ type cand struct {
 	// no-duplicate-replica rule compares it, and a cache's RRF applies
 	// at its first occurrence along a chain.
 	dup int32
+	// stand is, for an anchor, its walk state: its recorded Offers
+	// standing in for its upstream (standOf).
+	stand int32
 }
 
 // candList is the domain of a graph position whose component may run on
@@ -95,17 +204,33 @@ type candList struct {
 	reused bool
 }
 
-// reuseSet is everything derived from Planner.Existing, valid for one
-// generation of it.
-type reuseSet struct {
-	gen uint64
+// reuseLayer is everything derived from one reuse set's content.
+type reuseLayer struct {
+	// maxLen is the chain-length bound the graphs were enumerated under.
+	maxLen int
 	// existing is Existing as candidates (Reused set), in order; byKey
 	// finds an entry by interned placement key.
 	existing []cand
 	byKey    map[int32]int32
 	graphs   map[string][]Graph
 	lists    map[*spec.Component]*candList
-	heads    map[*spec.Component][]cand
+}
+
+// holds reports whether the layer was built for this reuse set: the
+// same instances in the same order, with the same configurations,
+// recorded offers and upstream latencies.
+func (ru *reuseLayer) holds(existing []Placement, maxLen int) bool {
+	if ru.maxLen != maxLen || len(ru.existing) != len(existing) {
+		return false
+	}
+	for i := range existing {
+		a, b := &ru.existing[i].Placement, &existing[i]
+		if a.Component != b.Component || a.Node != b.Node || a.UpstreamMS != b.UpstreamMS ||
+			!a.Config.Equal(b.Config) || !a.Offers.Equal(b.Offers) {
+			return false
+		}
+	}
+	return true
 }
 
 type placeID struct {
@@ -152,7 +277,12 @@ type linkCost struct {
 	hopMS float64
 	// bneckMbps is the route's bottleneck bandwidth (+Inf on loopback).
 	bneckMbps float64
+	// env is the route's interned environment, noEnv without a route.
+	env netmodel.EnvID
 }
+
+// noEnv marks a linkage with no route.
+const noEnv netmodel.EnvID = -1
 
 // linkTable holds the link costs of one provider component, per
 // (client node, provider node) index pair. Rows are allocated and
@@ -174,19 +304,21 @@ const (
 )
 
 // walkKey identifies one step of the property walk (validity condition
-// 2): a candidate serving its client over iface, given the walk state
-// of its provider side. What a position offers depends only on the
-// positions of its subtree, so the state of a subtree is shared by
-// every assignment — and every linkage graph — that contains it.
+// 2): a candidate serving its client over iface, given the walk states
+// of its providers and the environments of the linkages to them. What a
+// position offers depends only on the positions of its subtree, so the
+// state of a subtree is shared by every assignment — every linkage
+// graph, and every call while the property layer holds — that contains
+// it. The head's steps are keyed the same way in the call's memo.
 type walkKey struct {
 	place int32 // interned placement key of the candidate
-	// next is the provider side: -1 at a terminal, the provider's walk
-	// state for a single provider, and for several the interned join of
-	// their states in requirement order (below -1, see join).
+	// next and env are the provider side: -1 and noEnv at a terminal; a
+	// single provider's walk state and linkage environment; for several,
+	// the interned join of (state, environment) pairs in requirement
+	// order (below -1, see join) and noEnv.
 	next  int32
-	head  bool       // position 0: serves the requested interface, no pass-through
-	iface string     // the interface it serves its client over
-	stand *Placement // anchor terminal: its recorded Offers stand in for the upstream
+	env   netmodel.EnvID
+	iface string // the interface it serves its client over
 }
 
 type walkState struct {
@@ -199,8 +331,9 @@ type walkState struct {
 
 // beginPlan opens a planning pass: it resets the search statistics and
 // snapshots the route counters, and — when this is the outermost call,
-// or the route handle moved — starts an empty memo. Passes nest (every
-// public entry point brackets itself); endPlan closes them.
+// or the route handle moved — starts the call's memo over the property
+// layer its key selects. Passes nest (every public entry point brackets
+// itself); endPlan closes them.
 func (pl *Planner) beginPlan() {
 	routes := pl.pinnedRoutes
 	if routes == nil {
@@ -212,55 +345,54 @@ func (pl *Planner) beginPlan() {
 func (pl *Planner) beginPlanOn(routes *netmodel.RouteCache) {
 	pl.flushLookups()
 	if pl.depth == 0 || pl.memo.routes != routes {
-		pl.memo = newPlanMemo(pl.Net, routes)
+		pl.memo = &planMemo{
+			routes:     routes,
+			props:      pl.propsFor(routes),
+			links:      map[*spec.Component]*linkTable{},
+			heads:      map[*spec.Component][]cand{},
+			headPlaces: map[placeKey]placeResult{},
+			headWalkID: map[walkKey]int32{},
+		}
 	}
 	pl.depth++
 	pl.stats = Stats{}
 	pl.hits0, pl.misses0 = routes.Counters()
 }
 
+// propsFor returns the property layer for a call on routes: the kept
+// one while its key holds, else a new one.
+func (pl *Planner) propsFor(routes *netmodel.RouteCache) *propLayer {
+	key := propKey{net: pl.Net, svc: pl.Service, netGen: pl.Net.PropGen(), routeGen: routes.PropGen()}
+	if pr := pl.props; pr != nil && pr.key == key && len(pr.walks) <= propLayerCap && pr.current() {
+		pl.layers.PropLayerKept++
+		return pr
+	}
+	pl.layers.PropLayerRebuilt++
+	pl.props = newPropLayer(key, routes)
+	return pl.props
+}
+
 // endPlan closes the pass beginPlan opened, folding the route-cache
-// counter deltas of the pass into the statistics, and drops the memo
-// with the outermost one.
+// counter deltas of the pass into the statistics, and drops the call's
+// memo with the outermost one.
 func (pl *Planner) endPlan() {
 	pl.flushLookups()
 	h, m := pl.memo.routes.Counters()
 	pl.stats.RouteCacheHits = int(h - pl.hits0)
 	pl.stats.RouteCacheMisses = int(m - pl.misses0)
+	pl.stats.layerCounts = pl.layers
 	pl.depth--
 	if pl.depth == 0 {
 		pl.memo = nil
 	}
 }
 
-// flushLookups reports the memo's batched PathAt calls to its cache.
+// flushLookups reports the memo's batched route lookups to its cache.
 func (pl *Planner) flushLookups() {
 	if mm := pl.memo; mm != nil && mm.lookups > 0 {
 		mm.routes.AddLookups(mm.lookups)
 		mm.lookups = 0
 	}
-}
-
-func newPlanMemo(net *netmodel.Network, routes *netmodel.RouteCache) *planMemo {
-	mm := &planMemo{
-		routes: routes,
-		nodes:  net.Nodes(),
-		places: map[placeKey]placeResult{},
-		evals:  map[evalKey]evalResult{},
-		keyIDs: map[placeID]int32{},
-		dupIDs: map[dupID]int32{},
-		links:  map[*spec.Component]*linkTable{},
-		walkID: make(map[walkKey]int32, 256),
-	}
-	mm.nodeIdx = make([]int32, len(mm.nodes))
-	for i, n := range mm.nodes {
-		idx, ok := routes.Index(n.ID)
-		if !ok {
-			idx = -1
-		}
-		mm.nodeIdx[i] = idx
-	}
-	return mm
 }
 
 // latenciesNonNegative reports whether every link latency of net is
@@ -295,27 +427,27 @@ func (mm *planMemo) candOf(p Placement) cand {
 	if !ok {
 		idx = -1
 	}
-	return mm.candAt(p, idx)
+	return mm.props.candAt(p, idx)
 }
 
 // candAt is candOf for a caller that knows the node's dense index.
-func (mm *planMemo) candAt(p Placement, node int32) cand {
+func (pr *propLayer) candAt(p Placement, node int32) cand {
 	if p.idKey == "" {
 		p.sealKeys()
 	}
 	c := cand{Placement: p, node: node}
 	pid := placeID{p.Component, p.Node, p.cfgFP}
-	id, ok := mm.keyIDs[pid]
+	id, ok := pr.keyIDs[pid]
 	if !ok {
-		id = int32(len(mm.keyIDs))
-		mm.keyIDs[pid] = id
+		id = int32(len(pr.keyIDs))
+		pr.keyIDs[pid] = id
 	}
 	c.key = id
 	did := dupID{p.Component, p.cfgFP}
-	id, ok = mm.dupIDs[did]
+	id, ok = pr.dupIDs[did]
 	if !ok {
-		id = int32(len(mm.dupIDs))
-		mm.dupIDs[did] = id
+		id = int32(len(pr.dupIDs))
+		pr.dupIDs[did] = id
 	}
 	c.dup = id
 	return c
@@ -335,7 +467,7 @@ func (mm *planMemo) linksOf(comp *spec.Component) *linkTable {
 // client at node `from`, resolving the route the first time.
 func (mm *planMemo) link(t *linkTable, from, to int32) linkCost {
 	if from < 0 || to < 0 {
-		return linkCost{hopMS: math.Inf(1)}
+		return linkCost{hopMS: math.Inf(1), env: noEnv}
 	}
 	row := t.rows[from]
 	if row == nil {
@@ -347,29 +479,47 @@ func (mm *planMemo) link(t *linkTable, from, to int32) linkCost {
 	}
 	c := row[to]
 	if c.hopMS != c.hopMS {
-		c = linkCost{hopMS: math.Inf(1)}
-		if path, _, ok := mm.path(from, to); ok {
-			c = linkCost{hopMS: hopMS(t.comp.Behaviors, path), bneckMbps: path.BottleneckMbps}
+		c = linkCost{hopMS: math.Inf(1), env: noEnv}
+		mm.lookups++
+		if path, env, ok := mm.routes.PathEnvAt(from, to); ok {
+			c = linkCost{hopMS: hopMS(t.comp.Behaviors, path), bneckMbps: path.BottleneckMbps, env: env}
 		}
 		row[to] = c
 	}
 	return c
 }
 
-// reuseNow returns the reuse-set derivations for the planner's current
-// generation, rebuilding them when Existing has changed since.
-func (pl *Planner) reuseNow() *reuseSet {
+// reuseNow returns the reuse layer of the planner's current reuse set,
+// looking it up again when Existing has changed since the last call.
+func (pl *Planner) reuseNow() *reuseLayer {
 	mm := pl.memo
-	if mm.reuse != nil && mm.reuse.gen == pl.gen {
+	if mm.reuse != nil && mm.reuseGen == pl.gen {
 		return mm.reuse
 	}
-	ru := &reuseSet{
-		gen:      pl.gen,
+	mm.reuse, mm.reuseGen = pl.reuseFor(), pl.gen
+	clear(mm.heads)
+	return mm.reuse
+}
+
+// reuseFor finds the property layer's reuse layer for Existing, or
+// builds it, evicting the least recently used beyond maxReuseLayers.
+func (pl *Planner) reuseFor() *reuseLayer {
+	mm, pr := pl.memo, pl.memo.props
+	for i, ru := range pr.reuse {
+		if ru.holds(pl.Existing, pl.maxLen()) {
+			copy(pr.reuse[1:i+1], pr.reuse[:i])
+			pr.reuse[0] = ru
+			pl.layers.ReuseLayerKept++
+			return ru
+		}
+	}
+	pl.layers.ReuseLayerRebuilt++
+	ru := &reuseLayer{
+		maxLen:   pl.maxLen(),
 		existing: make([]cand, len(pl.Existing)),
 		byKey:    make(map[int32]int32, len(pl.Existing)),
 		graphs:   map[string][]Graph{},
 		lists:    map[*spec.Component]*candList{},
-		heads:    map[*spec.Component][]cand{},
 	}
 	for i, e := range pl.Existing {
 		e.Reused = true
@@ -378,13 +528,17 @@ func (pl *Planner) reuseNow() *reuseSet {
 			ru.byKey[ru.existing[i].key] = int32(i)
 		}
 	}
-	mm.reuse = ru
+	if len(pr.reuse) < maxReuseLayers {
+		pr.reuse = append(pr.reuse, nil)
+	}
+	copy(pr.reuse[1:], pr.reuse)
+	pr.reuse[0] = ru
 	return ru
 }
 
 // reused substitutes the registered instance for a fresh candidate that
 // names the same component, node and factored configuration.
-func (ru *reuseSet) reused(c cand) cand {
+func (ru *reuseLayer) reused(c cand) cand {
 	if i, ok := ru.byKey[c.key]; ok {
 		return ru.existing[i]
 	}
@@ -396,12 +550,11 @@ func (ru *reuseSet) reused(c cand) cand {
 // lives in the primary; replication happens through data views), and
 // everything else ranges over the nodes whose deployment conditions
 // hold, with registered instances substituted where they match.
-func (pl *Planner) candidates(comp *spec.Component, req Request) *candList {
+func (pl *Planner) candidates(comp *spec.Component) *candList {
 	ru := pl.reuseNow()
 	if l := ru.lists[comp]; l != nil {
 		return l
 	}
-	mm := pl.memo
 	l := &candList{}
 	if pl.isStatefulPrimary(comp) {
 		for _, e := range ru.existing {
@@ -411,18 +564,42 @@ func (pl *Planner) candidates(comp *spec.Component, req Request) *candList {
 		}
 	}
 	if len(l.cands) == 0 { // not a primary, or no instance of it yet
-		l.cands = make([]cand, 0, len(mm.nodes))
-		for i, node := range mm.nodes {
-			p, ok := pl.placementForCached(comp, node.ID, req, 1)
-			if !ok {
-				l.rejected++
-				continue
+		// The fresh list is shared until a registered instance replaces
+		// one of its candidates.
+		fresh := pl.freshCandidates(comp)
+		l.cands, l.rejected = fresh.cands, fresh.rejected
+		shared := true
+		for i, c := range fresh.cands {
+			if r := ru.reused(c); r.Reused {
+				if shared {
+					l.cands, shared = slices.Clone(fresh.cands), false
+				}
+				l.cands[i] = r
 			}
-			l.cands = append(l.cands, ru.reused(mm.candAt(p, mm.nodeIdx[i])))
 		}
 	}
 	l.reused = slices.ContainsFunc(l.cands, func(c cand) bool { return c.Reused })
 	ru.lists[comp] = l
+	return l
+}
+
+// freshCandidates lists the nodes where comp's deployment conditions
+// hold as fresh candidates, before any reuse substitution.
+func (pl *Planner) freshCandidates(comp *spec.Component) *candList {
+	pr := pl.memo.props
+	if l := pr.lists[comp]; l != nil {
+		return l
+	}
+	l := &candList{cands: make([]cand, 0, len(pr.nodes))}
+	for i, node := range pr.nodes {
+		p, ok := pl.placementForCached(comp, node.ID, Request{}, 1)
+		if !ok {
+			l.rejected++
+			continue
+		}
+		l.cands = append(l.cands, pr.candAt(p, pr.nodeIdx[i]))
+	}
+	pr.lists[comp] = l
 	return l
 }
 
@@ -431,54 +608,62 @@ func (pl *Planner) candidates(comp *spec.Component, req Request) *candList {
 // request user in scope. Empty when the conditions fail.
 func (pl *Planner) headCandidate(comp *spec.Component, req Request) []cand {
 	ru := pl.reuseNow()
-	if h, ok := ru.heads[comp]; ok {
+	if h, ok := pl.memo.heads[comp]; ok {
 		return h
 	}
 	var h []cand
 	if p, ok := pl.placementForCached(comp, req.ClientNode, req, 0); ok {
 		h = []cand{ru.reused(pl.memo.candOf(p))}
 	}
-	ru.heads[comp] = h
+	pl.memo.heads[comp] = h
 	return h
 }
 
 // evalImplProps memoizes InterfaceSpec.EvalProps for the component's
 // implementation of iface, scoped at the candidate's node and config.
 func (pl *Planner) evalImplProps(comp *spec.Component, iface string, c *cand) (property.Set, error) {
+	evals := pl.memo.props.evals
 	key := evalKey{comp, iface, false, c.key}
-	if r, ok := pl.memo.evals[key]; ok {
+	if r, ok := evals[key]; ok {
 		return r.props, r.err
 	}
 	impl, _ := comp.ImplementsInterface(iface)
 	props, err := impl.EvalProps(pl.scopeAt(c.Placement))
-	pl.memo.evals[key] = evalResult{props, err}
+	evals[key] = evalResult{props, err}
 	return props, err
 }
 
 // evalReqProps memoizes the component's i-th required interface
 // evaluated at the candidate.
 func (pl *Planner) evalReqProps(comp *spec.Component, i int, c *cand) (property.Set, error) {
+	evals := pl.memo.props.evals
 	key := evalKey{comp, comp.Requires[i].Name, true, c.key}
-	if r, ok := pl.memo.evals[key]; ok {
+	if r, ok := evals[key]; ok {
 		return r.props, r.err
 	}
 	props, err := comp.Requires[i].EvalProps(pl.scopeAt(c.Placement))
-	pl.memo.evals[key] = evalResult{props, err}
+	evals[key] = evalResult{props, err}
 	return props, err
 }
 
-// placementForCached memoizes placementFor. Callers still account
-// rejections themselves, exactly as with the uncached call.
+// placementForCached memoizes placementFor: a head placement (pos 0)
+// sees the request user and is memoized for the call, any other in the
+// property layer. Callers still account rejections themselves, exactly
+// as with the uncached call.
 func (pl *Planner) placementForCached(comp *spec.Component, node netmodel.NodeID, req Request, pos int) (Placement, bool) {
+	places := pl.memo.props.places
+	if pos == 0 {
+		places = pl.memo.headPlaces
+	}
 	key := placeKey{comp, node, pos == 0}
-	if r, ok := pl.memo.places[key]; ok {
+	if r, ok := places[key]; ok {
 		return r.p, r.ok
 	}
 	p, ok := pl.placementFor(comp, node, req, pos)
 	if ok {
 		p.sealKeys()
 	}
-	pl.memo.places[key] = placeResult{p, ok}
+	places[key] = placeResult{p, ok}
 	return p, ok
 }
 
@@ -487,54 +672,98 @@ func (pl *Planner) placementForCached(comp *spec.Component, node netmodel.NodeID
 // read-only.
 var loopbackEnv = property.Set{"Confidentiality": property.Bool(true)}
 
-// linkageEnv returns the property environment of a linkage between two
-// dense node indices: loopbackEnv for co-located components, otherwise
-// the cached link aggregate. The returned set is shared and read-only.
-func (pl *Planner) linkageEnv(from, to int32) (property.Set, bool) {
-	path, env, ok := pl.memo.path(from, to)
-	if ok && path.IsLoopback() {
-		env = loopbackEnv
+// envSet returns the property environment an interned linkage
+// environment names: loopbackEnv for co-located components, otherwise
+// the route's link aggregate. The returned set is shared and read-only.
+func (mm *planMemo) envSet(env netmodel.EnvID) property.Set {
+	if env == netmodel.LoopbackEnv {
+		return loopbackEnv
 	}
-	return env, ok
+	return mm.routes.Env(env)
 }
 
-// join folds the walk states of a position's providers into the one
-// value its walk key carries. One provider is its own state, so a
-// single-provider position needs no lookup here.
-func (mm *planMemo) join(kids []int32) int32 {
-	if len(kids) == 0 {
-		return -1
+// standOf returns the walk state of an anchor terminal: its recorded
+// Offers stand in for its already-deployed upstream, so the state is
+// decided by the placement and the offers' content.
+func (pl *Planner) standOf(c *cand) int32 {
+	pr := pl.memo.props
+	oid := pr.offers.Intern(c.Offers)
+	key := [2]int32{c.key, oid}
+	if id, ok := pr.stands[key]; ok {
+		return id
 	}
-	id := kids[0]
-	for _, k := range kids[1:] {
-		pair := [2]int32{id, k}
-		j, ok := mm.joinID[pair]
+	id := int32(len(pr.walks))
+	pr.walks = append(pr.walks, walkState{offers: pr.offers.Set(oid), node: c.node, verdict: valid})
+	pr.stands[key] = id
+	return id
+}
+
+// join folds the walk states of a position's providers, each with the
+// environment of the linkage to it, into the provider side of its walk
+// key.
+func (pr *propLayer) join(kids []int32, envs []netmodel.EnvID) (int32, netmodel.EnvID) {
+	switch len(kids) {
+	case 0:
+		return -1, noEnv
+	case 1:
+		return kids[0], envs[0]
+	}
+	id := pr.edge(kids[0], envs[0])
+	for k := 1; k < len(kids); k++ {
+		pair := [2]int32{id, pr.edge(kids[k], envs[k])}
+		j, ok := pr.joinID[pair]
 		if !ok {
-			if mm.joinID == nil {
-				mm.joinID = map[[2]int32]int32{}
-			}
-			j = int32(-2 - len(mm.joinID))
-			mm.joinID[pair] = j
+			j = int32(-2 - len(pr.joinID))
+			pr.joinID[pair] = j
 		}
 		id = j
+	}
+	return id, noEnv
+}
+
+// edge interns one provider's walk state with its linkage environment.
+func (pr *propLayer) edge(state int32, env netmodel.EnvID) int32 {
+	pair := [2]int32{state, int32(env)}
+	id, ok := pr.edgeID[pair]
+	if !ok {
+		id = int32(len(pr.edgeID))
+		pr.edgeID[pair] = id
 	}
 	return id
 }
 
 // walk returns the property-walk state of candidate c of component comp
-// at the step key describes, given the states of its providers in
-// requirement order (key.place and key.next are filled in here).
-func (pl *Planner) walk(comp *spec.Component, c *cand, key walkKey, kids []int32, req Request) int32 {
-	mm := pl.memo
-	key.place, key.next = c.key, mm.join(kids)
-	if id, ok := mm.walkID[key]; ok {
+// serving its client over iface, given the states of its providers in
+// requirement order and the environments of the linkages to them.
+func (pl *Planner) walk(comp *spec.Component, c *cand, iface string, kids []int32, envs []netmodel.EnvID) int32 {
+	pr := pl.memo.props
+	key := walkKey{place: c.key, iface: iface}
+	key.next, key.env = pr.join(kids, envs)
+	if id, ok := pr.walkID[key]; ok {
 		return id
 	}
 	st := walkState{node: c.node}
-	st.offers, st.verdict = pl.walkStep(comp, c, key, kids, req)
-	id := int32(len(mm.walks))
-	mm.walks = append(mm.walks, st)
-	mm.walkID[key] = id
+	st.offers, st.verdict = pl.walkStep(comp, c, iface, false, kids, envs, Request{})
+	id := int32(len(pr.walks))
+	pr.walks = append(pr.walks, st)
+	pr.walkID[key] = id
+	return id
+}
+
+// walkHead is walk for the head, whose step also holds the request's
+// RequireProps: its states live in the call's memo, indexing headWalks.
+func (pl *Planner) walkHead(comp *spec.Component, c *cand, kids []int32, envs []netmodel.EnvID, req Request) int32 {
+	mm := pl.memo
+	key := walkKey{place: c.key, iface: req.Interface}
+	key.next, key.env = mm.props.join(kids, envs)
+	if id, ok := mm.headWalkID[key]; ok {
+		return id
+	}
+	st := walkState{node: c.node}
+	st.offers, st.verdict = pl.walkStep(comp, c, req.Interface, true, kids, envs, req)
+	id := int32(len(mm.headWalks))
+	mm.headWalks = append(mm.headWalks, st)
+	mm.headWalkID[key] = id
 	return id
 }
 
@@ -548,17 +777,16 @@ func (pl *Planner) walk(comp *spec.Component, c *cand, key walkKey, kids []int32
 // wrapper components like the Encryptor are transparent for TrustLevel)
 // overlaid with the properties it generates itself (letting them
 // re-establish Confidentiality). The providers' states are valid: the
-// walk stops at the first failure.
-func (pl *Planner) walkStep(comp *spec.Component, c *cand, key walkKey, kids []int32, req Request) (property.Set, verdict) {
-	iface := key.iface
+// walk stops at the first failure. The head serves the requested
+// interface with no pass-through.
+func (pl *Planner) walkStep(comp *spec.Component, c *cand, iface string, head bool, kids []int32, envs []netmodel.EnvID, req Request) (property.Set, verdict) {
+	mm := pl.memo
 	var received property.Set
 	for k, id := range kids {
-		nx := pl.memo.walks[id]
-		env, ok := pl.linkageEnv(c.node, nx.node)
-		if !ok {
+		if envs[k] == noEnv {
 			return nil, noPath
 		}
-		got, err := pl.Service.ModRules.ApplySetRO(nx.offers, env)
+		got, err := pl.Service.ModRules.ApplySetRO(mm.props.walks[id].offers, mm.envSet(envs[k]))
 		if err != nil {
 			return nil, badProps
 		}
@@ -572,7 +800,7 @@ func (pl *Planner) walkStep(comp *spec.Component, c *cand, key walkKey, kids []i
 			received = weakest(received, got)
 		}
 	}
-	if key.head {
+	if head {
 		// The head's own implemented properties must satisfy any explicit
 		// client expectations on the requested interface.
 		var offers property.Set
@@ -585,9 +813,6 @@ func (pl *Planner) walkStep(comp *spec.Component, c *cand, key walkKey, kids []i
 			return nil, badProps
 		}
 		return offers, valid
-	}
-	if key.stand != nil {
-		return key.stand.Offers, valid
 	}
 	gen, err := pl.evalImplProps(comp, iface, c)
 	if err != nil {

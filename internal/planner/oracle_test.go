@@ -281,6 +281,17 @@ func (pl *Planner) validateChain(chain Chain, cs []*cand, req Request) (*Deploym
 	return dep, valid
 }
 
+// linkageEnv returns the property environment of a linkage between two
+// dense node indices as the route cache serves it: loopbackEnv for
+// co-located components, otherwise the path's link aggregate.
+func (pl *Planner) linkageEnv(from, to int32) (property.Set, bool) {
+	path, env, ok := pl.memo.path(from, to)
+	if ok && path.IsLoopback() {
+		env = loopbackEnv
+	}
+	return env, ok
+}
+
 // chainProperties is validity condition 2 along a chain, from the
 // terminal back to the client, with nothing memoized: what each position
 // offers its client, or the first failure.

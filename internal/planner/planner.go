@@ -306,6 +306,16 @@ type Stats struct {
 	// build a single-source tree, over the duration of the plan call.
 	RouteCacheHits   int
 	RouteCacheMisses int
+	layerCounts
+}
+
+// layerCounts counts, over the planner's life, how often what it keeps
+// between calls (memo.go) was found valid or had to be rebuilt: the
+// property layer once per call, the reuse layer once per reuse set a
+// call plans against.
+type layerCounts struct {
+	PropLayerKept, PropLayerRebuilt   int
+	ReuseLayerKept, ReuseLayerRebuilt int
 }
 
 // Planner binds a service specification to a network and plans
@@ -338,14 +348,22 @@ type Planner struct {
 	SolverStats *solver.Stats
 
 	stats Stats
-	// memo holds everything a public call computes once (memo.go). It
-	// exists only while a call is in progress: depth counts the nested
-	// entries (RepairReplan runs Replan runs Plan) that share it.
+	// memo holds what one public call computes once (memo.go). It exists
+	// only while a call is in progress: depth counts the nested entries
+	// (RepairReplan runs Replan runs Plan) that share it.
 	memo  *planMemo
 	depth int
+	// props is the property layer, kept across calls while its key
+	// holds, with the reuse layers under it (memo.go); layers counts
+	// what was kept and rebuilt.
+	props  *propLayer
+	layers layerCounts
+	// engine is the constraint engine: one Solver for every graph, so
+	// its working arrays are allocated once.
+	engine solver.Solver
 	// gen is the reuse-set generation: every method that changes
-	// Existing bumps it, and whatever the memo derives from the reuse
-	// set is rebuilt when it has moved.
+	// Existing bumps it, and the call's memo looks its reuse layer up
+	// again when it has moved.
 	gen uint64
 	// pinnedRoutes, when non-nil, overrides the epoch-current route
 	// handle for every plan call (see PinRoutes).
@@ -390,6 +408,10 @@ func (s Stats) KVs() []metrics.KV {
 		metrics.KVf("rejected_no_path", "%d", s.RejectedNoPath),
 		metrics.KVf("route_cache_hits", "%d", s.RouteCacheHits),
 		metrics.KVf("route_cache_misses", "%d", s.RouteCacheMisses),
+		metrics.KVf("prop_layer_kept", "%d", s.PropLayerKept),
+		metrics.KVf("prop_layer_rebuilt", "%d", s.PropLayerRebuilt),
+		metrics.KVf("reuse_layer_kept", "%d", s.ReuseLayerKept),
+		metrics.KVf("reuse_layer_rebuilt", "%d", s.ReuseLayerRebuilt),
 	}
 }
 

@@ -222,7 +222,7 @@ func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evict
 		}
 		prev[v] = idx
 	}
-	s := &pl.memo.engine
+	s := &pl.engine
 	s.Stats, s.UpperBound = pl.SolverStats, nil
 	sol, _, solved := s.Repair(m, prev, dirty)
 	if !solved {

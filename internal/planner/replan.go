@@ -61,6 +61,18 @@ func (pl *Planner) RevalidateExisting() []Placement {
 	return evicted
 }
 
+// InvalidExisting returns the registered instances RevalidateExisting
+// would evict now, without evicting them.
+func (pl *Planner) InvalidExisting() []Placement {
+	var invalid []Placement
+	for _, p := range pl.Existing {
+		if !pl.stillValid(p) {
+			invalid = append(invalid, p)
+		}
+	}
+	return invalid
+}
+
 // stillValid re-derives placement validity under current node
 // properties.
 func (pl *Planner) stillValid(p Placement) bool {

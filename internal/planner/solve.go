@@ -85,7 +85,7 @@ func (m *graphModel) domainOf(comp *spec.Component, anchor *cand) ([]cand, bool)
 		m.mm.pins = append(m.mm.pins, *anchor)
 		return m.mm.pins[len(m.mm.pins)-1:], anchor.Reused
 	}
-	l := m.pl.candidates(comp, m.req)
+	l := m.pl.candidates(comp)
 	m.pl.stats.RejectedConditions += l.rejected
 	return l.cands, l.reused
 }
@@ -377,7 +377,7 @@ func (pl *Planner) solveOne(g Graph, req Request, ub *float64) *Deployment {
 			return nil
 		}
 	}
-	s := &pl.memo.engine
+	s := &pl.engine
 	s.Stats, s.UpperBound = pl.SolverStats, ub
 	sol, _, solved := s.Solve(m)
 	if !solved {

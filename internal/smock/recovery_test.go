@@ -1,0 +1,178 @@
+package smock_test
+
+import (
+	"fmt"
+	"testing"
+
+	"partsvc/internal/netmodel"
+	"partsvc/internal/netmon"
+	"partsvc/internal/planner"
+	"partsvc/internal/smock"
+	"partsvc/internal/spec"
+	"partsvc/internal/topology"
+)
+
+// twoStepRepairReplan is Table.RepairReplan as it ran before it decided
+// the orphans ahead of the search, kept as its oracle: the planner's
+// RepairReplan first, and when that diff's evictions orphan live
+// instances, a second, orphan-aware Replan whose diff replaces it.
+func twoStepRepairReplan(tab *smock.Table, pl *planner.Planner, old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
+	pl.Existing = tab.AppendLive(pl.Existing[:0])
+	diff, err := pl.RepairReplan(old, req, ch)
+	if err != nil {
+		return nil, err
+	}
+	if orphans := tab.OrphanedBy(diff.Evicted); len(orphans) > 0 {
+		pl.DropExistingByKey(orphans...)
+		diff2, err := pl.Replan(old, req)
+		if err != nil {
+			return nil, err
+		}
+		diff2.Evicted = append(diff.Evicted, diff2.Evicted...)
+		diff = diff2
+	}
+	if old != nil && diff.Unchanged() {
+		if err := pl.Verify(old, req); err != nil {
+			return nil, fmt.Errorf("smock: nothing replaces a deployment that no longer holds: %w", err)
+		}
+	}
+	return diff, nil
+}
+
+// diffString renders everything a diff tells the engine.
+func diffString(d *planner.Diff) string {
+	keys := func(ps []planner.Placement) []string {
+		out := make([]string, len(ps))
+		for i, p := range ps {
+			out[i] = p.Key()
+		}
+		return out
+	}
+	return fmt.Sprintf("%s (%.9f ms, %.3f rps, %d new) install %v remove %v evicted %v",
+		d.New, d.New.ExpectedLatencyMS, d.New.CapacityRPS, d.New.NewComponents,
+		keys(d.Install), keys(d.Remove), keys(d.Evicted))
+}
+
+// TestNodeDeathRecoverySearchesOnce deploys the three Figure 6 sessions
+// and adapts each of them, first to a latency change on the Seattle
+// chain's tunnel and then to the death of sd-2, with Table.RepairReplan
+// and with the two-step oracle above. Every diff, and every error, is
+// the oracle's. Where nothing is orphaned (the latency change) both
+// take the same path and count the same solves. After sd-2 dies, the
+// Seattle chain's sea-2 instances are orphans of the dead view they are
+// wired into, and Table.RepairReplan searches once: it counts the
+// solves of one Replan over the reuse set without the evicted instances
+// and the orphans and no repair, where the oracle ran a full search
+// first and threw its answer away. The death of every other node that
+// hosts no primary is checked against the oracle as well.
+func TestNodeDeathRecoverySearchesOnce(t *testing.T) {
+	w := newWorld(t)
+	reqs := []planner.Request{
+		{Interface: spec.IfaceClient, ClientNode: topology.NYClient, User: "Alice", RateRPS: 50},
+		{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50},
+		{Interface: spec.IfaceClient, ClientNode: topology.SeaClient, User: "Carol", RateRPS: 50},
+	}
+	const seattle = 2
+	var err error
+	deps := make([]*planner.Deployment, len(reqs))
+	for i, req := range reqs {
+		if _, deps[i], err = w.gs.Access(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pl := w.gs.Planner()
+	tab := w.engine.Table()
+	mon := netmon.New(pl.Net)
+
+	type counts struct{ solves, repairs uint64 }
+	read := func() counts {
+		return counts{pl.SolverStats.Solves.Load(), pl.SolverStats.Repairs.Load()}
+	}
+	adapt := func(step string, ch *planner.ChangedSet) (oracle, got []counts) {
+		t.Helper()
+		for i, req := range reqs {
+			c0 := read()
+			want, wantErr := twoStepRepairReplan(tab, pl, deps[i], req, ch)
+			c1 := read()
+			diff, err := w.gs.RepairReplan(deps[i], req, ch)
+			c2 := read()
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%s, session %d: err %v, oracle err %v", step, i, err, wantErr)
+			}
+			if err == nil && diffString(diff) != diffString(want) {
+				t.Fatalf("%s, session %d:\n  got    %s\n  oracle %s", step, i, diffString(diff), diffString(want))
+			}
+			oracle = append(oracle, counts{c1.solves - c0.solves, c1.repairs - c0.repairs})
+			got = append(got, counts{c2.solves - c1.solves, c2.repairs - c1.repairs})
+		}
+		return oracle, got
+	}
+
+	link, _ := pl.Net.Link(topology.SDGateway, topology.SeaGW)
+	if err := mon.ReportLink(topology.SDGateway, topology.SeaGW, link.LatencyMS+50, -1, nil); err != nil {
+		t.Fatal(err)
+	}
+	ch := planner.NewChangedSet()
+	ch.AddLink(topology.SDGateway, topology.SeaGW)
+	oracle, got := adapt("sd-1~sea-1 +50 ms", ch)
+	for i := range got {
+		if got[i] != oracle[i] {
+			t.Errorf("latency change, session %d: counted %+v, the oracle %+v; with no orphan the path is the oracle's", i, got[i], oracle[i])
+		}
+	}
+
+	if err := mon.ReportNodeDown(topology.SDClient); err != nil {
+		t.Fatal(err)
+	}
+	// One Replan over the reuse set the recovery plans against.
+	one := planner.New(spec.MailService(), pl.Net)
+	one.Existing = tab.AppendLive(nil)
+	orphans := tab.OrphanedBy(one.RevalidateExisting())
+	if len(orphans) == 0 {
+		t.Fatal("killing sd-2 orphans nothing; the scenario checks nothing")
+	}
+	one.DropExistingByKey(orphans...)
+	if _, err := one.Replan(deps[seattle], reqs[seattle]); err != nil {
+		t.Fatal(err)
+	}
+	single := one.SolverStats.Solves.Load()
+
+	ch = planner.NewChangedSet()
+	ch.AddNode(topology.SDClient)
+	oracle, got = adapt("sd-2 down", ch)
+	if want := (counts{solves: single}); got[seattle] != want {
+		t.Errorf("Seattle's recovery counted %+v, want one search: %+v", got[seattle], want)
+	}
+	if oracle[seattle].solves <= single {
+		t.Errorf("the oracle counted %d solves, one search is %d: the scenario does not reach the second search", oracle[seattle].solves, single)
+	}
+	t.Logf("Seattle after sd-2 died: %d solves (oracle %d solves, %d repairs)", got[seattle].solves, oracle[seattle].solves, oracle[seattle].repairs)
+
+	// Every other node's death, each in a world of its own, answers as
+	// the oracle does too.
+	for _, victim := range []netmodel.NodeID{topology.NYClient, topology.SDGateway, topology.SeaGW, topology.SeaClient} {
+		w := newWorld(t)
+		deps := make([]*planner.Deployment, len(reqs))
+		for i, req := range reqs {
+			if _, deps[i], err = w.gs.Access(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pl := w.gs.Planner()
+		if err := netmon.New(pl.Net).ReportNodeDown(victim); err != nil {
+			t.Fatal(err)
+		}
+		ch := planner.NewChangedSet()
+		ch.AddNode(victim)
+		for i, req := range reqs {
+			want, wantErr := twoStepRepairReplan(w.engine.Table(), pl, deps[i], req, ch)
+			diff, err := w.gs.RepairReplan(deps[i], req, ch)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%s down, session %d: err %v, oracle err %v", victim, i, err, wantErr)
+			}
+			if err == nil && diffString(diff) != diffString(want) {
+				t.Fatalf("%s down, session %d:\n  got    %s\n  oracle %s", victim, i, diffString(diff), diffString(want))
+			}
+		}
+	}
+}

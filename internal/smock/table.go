@@ -474,9 +474,12 @@ func (t *Table) OrphanedBy(dead []planner.Placement) []string {
 // RepairReplan plans req against the table's live instances
 // (planner.RepairReplan; a nil ch is a full replan with the rewire
 // check). When eviction orphans live instances, they leave the reuse
-// set and the plan is recomputed, so the chain downstream of the break
-// is planned — and re-wired — afresh; the engine supersedes the
-// orphans the new plan keeps, and those it abandons land in Remove.
+// set with the evicted ones and the request is planned afresh
+// (planner.Replan), so the chain downstream of the break is planned —
+// and re-wired — anew; the engine supersedes the orphans the new plan
+// keeps, and those it abandons land in Remove. The evictions are
+// decided before anything is searched, by the validity test
+// revalidation applies, so a recovery searches once.
 //
 // A diff that keeps the old deployment is an answer only while that
 // deployment still passes Verify. When it does not (a severed route, a
@@ -484,18 +487,17 @@ func (t *Table) OrphanedBy(dead []planner.Placement) []string {
 // that is an error, not a verdict to keep it.
 func (t *Table) RepairReplan(pl *planner.Planner, old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
 	pl.Existing = t.AppendLive(pl.Existing[:0])
-	diff, err := pl.RepairReplan(old, req, ch)
-	if err != nil {
-		return nil, err
-	}
-	if orphans := t.OrphanedBy(diff.Evicted); len(orphans) > 0 {
+	var diff *planner.Diff
+	var err error
+	if orphans := t.OrphanedBy(pl.InvalidExisting()); len(orphans) > 0 {
+		evicted := pl.RevalidateExisting()
 		pl.DropExistingByKey(orphans...)
-		diff2, err := pl.Replan(old, req)
-		if err != nil {
+		if diff, err = pl.Replan(old, req); err != nil {
 			return nil, err
 		}
-		diff2.Evicted = append(diff.Evicted, diff2.Evicted...)
-		diff = diff2
+		diff.Evicted = append(evicted, diff.Evicted...)
+	} else if diff, err = pl.RepairReplan(old, req, ch); err != nil {
+		return nil, err
 	}
 	if old != nil && diff.Unchanged() {
 		if err := pl.Verify(old, req); err != nil {

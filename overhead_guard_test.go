@@ -126,14 +126,18 @@ func TestEventBusOverheadGuard(t *testing.T) {
 	}
 }
 
-// TestPlanAllocGuard bounds what one plan allocates. Allocation counts
-// repeat exactly from run to run, so unlike the timing guards above
-// this one is not env-gated: the Figure-6 San Diego request, planned
-// against the registered primary on a warm route cache, stays under
-// 3 000 allocations (18 371 when every linkage graph rebuilt its
-// candidates, its routes and a Deployment per leaf), and the planner's
-// inner-loop route lookup — RouteCache.PathAt by dense index — allocates
-// nothing.
+// TestPlanAllocGuard bounds what one plan allocates, on both of the
+// planner's paths. Allocation counts repeat exactly from run to run, so
+// unlike the timing guards above this one is not env-gated: the
+// Figure-6 San Diego request against the registered primary on a warm
+// route cache. A cold plan — a planner that keeps nothing yet, so it
+// builds its property and reuse layers — stays under 3 000 allocations
+// (18 371 when every linkage graph rebuilt its candidates, its routes
+// and a Deployment per leaf). A warm plan — the same planner again,
+// nothing changed — rebuilds only the call's link costs, head entries
+// and scratch, and stays under 360 (303 measured). The planner's
+// inner-loop route lookup — RouteCache.PathAt by dense index —
+// allocates nothing.
 func TestPlanAllocGuard(t *testing.T) {
 	pl := newCaseStudyPlanner(t)
 	req := planner.Request{
@@ -142,14 +146,28 @@ func TestPlanAllocGuard(t *testing.T) {
 	if _, err := pl.Plan(req); err != nil {
 		t.Fatal(err)
 	}
-	plan := testing.AllocsPerRun(20, func() {
+	existing := pl.Existing
+	cold := testing.AllocsPerRun(20, func() {
+		fresh := planner.New(pl.Service, pl.Net)
+		fresh.Existing = existing
+		if _, err := fresh.Plan(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	warm := testing.AllocsPerRun(20, func() {
 		if _, err := pl.Plan(req); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("Plan(sd): %.0f allocations", plan)
-	if plan > 3000 {
-		t.Errorf("Plan(sd) allocates %.0f objects, budget is 3000", plan)
+	t.Logf("Plan(sd): %.0f allocations cold, %.0f warm", cold, warm)
+	if cold > 3000 {
+		t.Errorf("a cold Plan(sd) allocates %.0f objects, budget is 3000", cold)
+	}
+	if warm > 360 {
+		t.Errorf("a warm Plan(sd) allocates %.0f objects, budget is 360", warm)
+	}
+	if st := pl.Stats(); st.PropLayerKept == 0 || st.ReuseLayerKept == 0 {
+		t.Errorf("the warm plans kept nothing: %+v", st)
 	}
 
 	rc := pl.Net.Routes()
