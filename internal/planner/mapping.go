@@ -167,10 +167,10 @@ func (pl *Planner) checkProperties(g Graph, cs []*cand, req Request) verdict {
 		}
 		mm.kids, mm.envs = kids, envs
 		if i == 0 {
-			mm.states[0] = pl.walkHead(g[0].comp, cs[0], kids, envs, req)
+			mm.states[0] = pl.walk(g[0].comp, cs[0], req.Interface, kids, envs, true, req)
 			return mm.headWalks[mm.states[0]].verdict
 		}
-		st := pl.walk(g[i].comp, cs[i], g[i].iface, kids, envs)
+		st := pl.walk(g[i].comp, cs[i], g[i].iface, kids, envs, false, req)
 		if v := mm.props.walks[st].verdict; v != valid {
 			return v
 		}

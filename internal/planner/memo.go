@@ -122,10 +122,8 @@ type propLayer struct {
 	walks  []walkState
 	walkID map[walkKey]int32
 	// joinID interns the provider side of a position with several
-	// providers, edgeID one provider with its linkage environment (see
-	// join).
-	joinID map[[2]int32]int32
-	edgeID map[[2]int32]int32
+	// providers (see join).
+	joinID map[[3]int32]int32
 	// offers interns anchor offers by content; stands maps an anchor's
 	// (placement key, offers) to its walk state.
 	offers property.Interner
@@ -144,8 +142,7 @@ func newPropLayer(key propKey, routes *netmodel.RouteCache) *propLayer {
 		dupIDs: map[dupID]int32{},
 		lists:  map[*spec.Component]*candList{},
 		walkID: make(map[walkKey]int32, 256),
-		joinID: map[[2]int32]int32{},
-		edgeID: map[[2]int32]int32{},
+		joinID: map[[3]int32]int32{},
 		stands: map[[2]int32]int32{},
 	}
 	pr.nodeIdx = make([]int32, len(pr.nodes))
@@ -700,7 +697,8 @@ func (pl *Planner) standOf(c *cand) int32 {
 
 // join folds the walk states of a position's providers, each with the
 // environment of the linkage to it, into the provider side of its walk
-// key.
+// key. A single provider is its own state, so the common case needs no
+// lookup here.
 func (pr *propLayer) join(kids []int32, envs []netmodel.EnvID) (int32, netmodel.EnvID) {
 	switch len(kids) {
 	case 0:
@@ -708,62 +706,41 @@ func (pr *propLayer) join(kids []int32, envs []netmodel.EnvID) (int32, netmodel.
 	case 1:
 		return kids[0], envs[0]
 	}
-	id := pr.edge(kids[0], envs[0])
-	for k := 1; k < len(kids); k++ {
-		pair := [2]int32{id, pr.edge(kids[k], envs[k])}
-		j, ok := pr.joinID[pair]
+	id := int32(-1)
+	for k, kid := range kids {
+		key := [3]int32{id, kid, int32(envs[k])}
+		j, ok := pr.joinID[key]
 		if !ok {
 			j = int32(-2 - len(pr.joinID))
-			pr.joinID[pair] = j
+			pr.joinID[key] = j
 		}
 		id = j
 	}
 	return id, noEnv
 }
 
-// edge interns one provider's walk state with its linkage environment.
-func (pr *propLayer) edge(state int32, env netmodel.EnvID) int32 {
-	pair := [2]int32{state, int32(env)}
-	id, ok := pr.edgeID[pair]
-	if !ok {
-		id = int32(len(pr.edgeID))
-		pr.edgeID[pair] = id
-	}
-	return id
-}
-
 // walk returns the property-walk state of candidate c of component comp
 // serving its client over iface, given the states of its providers in
-// requirement order and the environments of the linkages to them.
-func (pl *Planner) walk(comp *spec.Component, c *cand, iface string, kids []int32, envs []netmodel.EnvID) int32 {
-	pr := pl.memo.props
-	key := walkKey{place: c.key, iface: iface}
-	key.next, key.env = pr.join(kids, envs)
-	if id, ok := pr.walkID[key]; ok {
-		return id
-	}
-	st := walkState{node: c.node}
-	st.offers, st.verdict = pl.walkStep(comp, c, iface, false, kids, envs, Request{})
-	id := int32(len(pr.walks))
-	pr.walks = append(pr.walks, st)
-	pr.walkID[key] = id
-	return id
-}
-
-// walkHead is walk for the head, whose step also holds the request's
-// RequireProps: its states live in the call's memo, indexing headWalks.
-func (pl *Planner) walkHead(comp *spec.Component, c *cand, kids []int32, envs []netmodel.EnvID, req Request) int32 {
+// requirement order and the environments of the linkages to them. The
+// head's step also holds the request's RequireProps, so its states live
+// in the call's memo (headWalks); every other state in the property
+// layer.
+func (pl *Planner) walk(comp *spec.Component, c *cand, iface string, kids []int32, envs []netmodel.EnvID, head bool, req Request) int32 {
 	mm := pl.memo
-	key := walkKey{place: c.key, iface: req.Interface}
+	ids, states := mm.props.walkID, &mm.props.walks
+	if head {
+		ids, states = mm.headWalkID, &mm.headWalks
+	}
+	key := walkKey{place: c.key, iface: iface}
 	key.next, key.env = mm.props.join(kids, envs)
-	if id, ok := mm.headWalkID[key]; ok {
+	if id, ok := ids[key]; ok {
 		return id
 	}
 	st := walkState{node: c.node}
-	st.offers, st.verdict = pl.walkStep(comp, c, req.Interface, true, kids, envs, req)
-	id := int32(len(mm.headWalks))
-	mm.headWalks = append(mm.headWalks, st)
-	mm.headWalkID[key] = id
+	st.offers, st.verdict = pl.walkStep(comp, c, iface, head, kids, envs, req)
+	id := int32(len(*states))
+	*states = append(*states, st)
+	ids[key] = id
 	return id
 }
 

@@ -278,7 +278,7 @@ func (pl *Planner) keptEntries() int {
 		return 0
 	}
 	n := len(pr.places) + len(pr.evals) + len(pr.keyIDs) + len(pr.dupIDs) + len(pr.lists) +
-		len(pr.walks) + len(pr.walkID) + len(pr.joinID) + len(pr.edgeID) + len(pr.stands)
+		len(pr.walks) + len(pr.walkID) + len(pr.joinID) + len(pr.stands)
 	for _, ru := range pr.reuse {
 		n += len(ru.existing) + len(ru.byKey) + len(ru.lists)
 		for _, gs := range ru.graphs {
