@@ -161,21 +161,23 @@ type Session struct {
 	shard int
 	reqFP string // Req.Fingerprint(), for the wave key
 
+	// member is the group whose member list holds the session, and
+	// joinSeq when it joined (both under Controller.mu).
+	member  *group
+	joinSeq uint64
+
 	mu sync.Mutex
-	// dep is the current deployment, facts what the loop derives from
-	// it. Both are immutable and shared by every session of the wave
-	// group that planned them.
-	dep   *planner.Deployment
-	facts *depFacts
-	// held names the instances dep runs on, in placement order: the
-	// session's references in the table.
-	held          []string
+	// grp is the group the session answers for: its deployment, the
+	// facts the loop derives from it and the instances it holds, all
+	// immutable and shared with the group's other members.
+	grp           *group
 	head          string
 	bindings      []Flippable
 	lastCutoverMS float64
 	tracked       bool
 	pendingCancel func() bool   // a deferred commit
 	pendingDiff   *planner.Diff // what the deferred commit will apply
+	pendingAtMS   float64       // when: the cutover slot the governor granted
 	retryCancel   func() bool   // a pending retry
 	retries       int           // consecutive failed attempts
 }
@@ -185,7 +187,7 @@ type Session struct {
 // the session then gets its first deployment from Bootstrap or the next
 // wave that covers it.
 func NewSession(name, service string, req planner.Request, dep *planner.Deployment, headAddr string) *Session {
-	return &Session{Name: name, Service: service, Req: req, dep: dep, head: headAddr, lastCutoverMS: math.Inf(-1)}
+	return &Session{Name: name, Service: service, Req: req, grp: &group{dep: dep}, head: headAddr, lastCutoverMS: math.Inf(-1)}
 }
 
 // Bind registers a client binding to repoint on cutover.
@@ -200,7 +202,7 @@ func (s *Session) Bind(f Flippable) {
 func (s *Session) Deployment() *planner.Deployment {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dep
+	return s.grp.dep
 }
 
 // HeadAddr returns the current head component address.
@@ -222,29 +224,14 @@ func (s *Session) settle() {
 	s.mu.Unlock()
 }
 
-// heldPlacements returns the instances the session holds for its own
-// placements, without an anchor's upstream chain.
-func (s *Session) heldPlacements() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dep == nil {
-		return nil
-	}
-	return s.held[:min(len(s.held), len(s.dep.Placements))]
-}
-
-func (s *Session) snapshot() (*planner.Deployment, *depFacts) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dep, s.facts
-}
-
 // disarm withdraws the session's deferred commit — a newer verdict
 // supersedes any rate-limited diff still waiting to land — and, with
-// retry, its pending retry too.
-func (s *Session) disarm(retry bool) {
+// retry, its pending retry too. It returns the withdrawn commit's slot
+// (ok is false when none was armed).
+func (s *Session) disarm(retry bool) (slotMS float64, ok bool) {
 	s.mu.Lock()
 	timers := [2]func() bool{s.pendingCancel}
+	slotMS, ok = s.pendingAtMS, s.pendingCancel != nil
 	s.pendingCancel, s.pendingDiff = nil, nil
 	if retry {
 		timers[1], s.retryCancel = s.retryCancel, nil
@@ -255,10 +242,11 @@ func (s *Session) disarm(retry bool) {
 			cancel()
 		}
 	}
+	return slotMS, ok
 }
 
 // depFacts is what the loop needs to know about a deployment, worked
-// out once per distinct deployment rather than once per session.
+// out once per group rather than once per session.
 type depFacts struct {
 	// summary is the placement chain by key: the detail of the
 	// session's planned/adapted event and the deployment-shape part of
@@ -295,6 +283,7 @@ type Controller struct {
 
 	waves               *metrics.Counter
 	waveSessions        *metrics.Histogram
+	waveGroups          *metrics.Histogram
 	waveSpanMS          *metrics.Histogram
 	replansTotal        *metrics.Counter
 	planComputes        *metrics.Counter
@@ -313,24 +302,34 @@ type Controller struct {
 	// waveMu serializes everything that moves table references:
 	// waves, deferred commits, drains, Track and Untrack.
 	waveMu sync.Mutex
+	// groups finds a deployment's groups, passSeq numbers the passes
+	// (under waveMu).
+	groups  map[*planner.Deployment][]*group
+	passSeq uint64
 
 	mu             sync.Mutex
 	sessions       []*Session // global order
 	nextIdx        int
-	byNode         nodeIndex // by footprint
-	byChain        nodeIndex // by anchored chain
+	live           map[*group]struct{} // every group with a member
+	byNode         nodeIndex           // groups by footprint
+	byChain        nodeIndex           // groups by anchored chain
+	joinSeq        uint64
 	started        bool
 	stopped        bool
 	debounceCancel func() bool
 	waveNow        bool // the armed wave is a breaking change's: no debounce
 	pendingAll     bool
-	pending        map[*Session]struct{}
-	pendingCh      *planner.ChangedSet // changed elements since the last wave
-	waveSeq        uint64
-	probeCancel    func() bool
-	suspicion      map[netmodel.NodeID]int  // consecutive strikes
-	confirming     map[netmodel.NodeID]bool // evidence awaiting its probe
-	down           map[netmodel.NodeID]bool
+	// A change pending for the next wave is owed to the pending groups'
+	// members that joined before it, and to pendingSessions: those that
+	// left such a group since.
+	pendingGroups   []*group
+	pendingSessions map[*Session]struct{}
+	pendingCh       *planner.ChangedSet // changed elements since the last wave
+	waveSeq         uint64
+	probeCancel     func() bool
+	suspicion       map[netmodel.NodeID]int  // consecutive strikes
+	confirming      map[netmodel.NodeID]bool // evidence awaiting its probe
+	down            map[netmodel.NodeID]bool
 }
 
 // New builds a loop over a monitor and an executor that replans every
@@ -359,6 +358,7 @@ func NewSharded(cfg Config, mon *netmon.Monitor, execs []Executor, sched Schedul
 
 		waves:               reg.Counter("fleet.waves"),
 		waveSessions:        reg.Histogram("fleet.wave_sessions"),
+		waveGroups:          reg.Histogram("adapt.wave_groups"),
 		waveSpanMS:          reg.Histogram("fleet.wave_span_ms"),
 		replansTotal:        reg.Counter("fleet.replans"),
 		planComputes:        reg.Counter("fleet.plan_computes"),
@@ -375,12 +375,14 @@ func NewSharded(cfg Config, mon *netmon.Monitor, execs []Executor, sched Schedul
 		probesFailed:        reg.Counter("adapt.probes_failed"),
 		auditViolations:     reg.Counter("adapt.audit_violations"),
 
-		byNode:     nodeIndex{},
-		byChain:    nodeIndex{},
-		pending:    map[*Session]struct{}{},
-		suspicion:  map[netmodel.NodeID]int{},
-		confirming: map[netmodel.NodeID]bool{},
-		down:       map[netmodel.NodeID]bool{},
+		groups:          map[*planner.Deployment][]*group{},
+		live:            map[*group]struct{}{},
+		byNode:          nodeIndex{},
+		byChain:         nodeIndex{},
+		pendingSessions: map[*Session]struct{}{},
+		suspicion:       map[netmodel.NodeID]int{},
+		confirming:      map[netmodel.NodeID]bool{},
+		down:            map[netmodel.NodeID]bool{},
 	}
 	return c
 }
@@ -430,15 +432,21 @@ func (c *Controller) Track(s *Session) {
 
 	s.mu.Lock()
 	s.tracked = true
-	dep := s.dep
+	dep := s.grp.dep
 	s.mu.Unlock()
+	var held []string
 	if dep != nil {
-		held := c.acquire(dep)
-		facts := c.factsOf(dep, held, c.net.Routes())
-		s.mu.Lock()
-		s.held, s.facts = held, facts
-		s.mu.Unlock()
-		c.reindex([]indexMove{{s: s, new: facts}})
+		held = c.acquire(dep)
+	}
+	g := c.groupFor(s.reqFP, s.Req, dep, held, c.net.Routes(), nil)
+	p := c.newPass()
+	p.move(s, nil, g)
+	p.end()
+	// An access request plans against the reuse set, which may offer an
+	// anchor whose upstream chain runs on a node already down: no wave
+	// will report that change again, so the session is replanned now.
+	if g.facts != nil && !c.chainServes(g) {
+		c.scheduleRetry(s)
 	}
 }
 
@@ -471,18 +479,20 @@ func (c *Controller) Untrack(name string) int {
 		c.mu.Unlock()
 		return 0
 	}
-	delete(c.pending, s)
 	c.mu.Unlock()
 
 	s.disarm(true)
 	s.mu.Lock()
 	s.tracked, s.retries = false, 0
-	held, facts := s.held, s.facts
+	g := s.grp
 	s.mu.Unlock()
-	if facts != nil {
-		c.reindex([]indexMove{{s: s, old: facts}})
-	}
-	return c.release(s, 0, held)
+	p := c.newPass()
+	p.move(s, g, nil)
+	p.end()
+	c.mu.Lock()
+	delete(c.pendingSessions, s)
+	c.mu.Unlock()
+	return c.release(s, 0, g.held)
 }
 
 // Sessions returns the tracked sessions in tracking order.
@@ -718,13 +728,14 @@ func (c *Controller) nodeServing(addr string, targets map[netmodel.NodeID]string
 // emit names e's session (when s is non-nil) and forwards it to the
 // event sink. A zero AtMS is stamped with the current time.
 func (c *Controller) emit(s *Session, e Event) {
+	if c.onEvent == nil {
+		return
+	}
 	if e.AtMS == 0 {
 		e.AtMS = c.sched.NowMS()
 	}
 	if s != nil {
 		e.Session = s.Name
 	}
-	if c.onEvent != nil {
-		c.onEvent(e)
-	}
+	c.onEvent(e)
 }

@@ -33,8 +33,8 @@ func (c *Controller) Audit() []string {
 	sessions := append([]*Session(nil), c.sessions...)
 	owed := make(map[*Session]bool, len(sessions))
 	for _, s := range sessions {
-		_, pending := c.pending[s]
-		owed[s] = pending || c.pendingAll
+		_, pending := c.pendingSessions[s]
+		owed[s] = pending || c.pendingAll || s.member != nil && s.member.owes(s)
 	}
 	c.mu.Unlock()
 
@@ -56,7 +56,7 @@ func (c *Controller) Audit() []string {
 	held := map[string]int{}
 	for _, s := range sessions {
 		s.mu.Lock()
-		dep, ids := s.dep, s.held
+		dep, ids := s.grp.dep, s.grp.held
 		owes := owed[s] || dep == nil || s.pendingDiff != nil || s.retries > 0
 		s.mu.Unlock()
 		for _, id := range ids {

@@ -17,5 +17,5 @@ func (c *Controller) RefCounts() (refs map[string]int, keys map[string]string) {
 func (s *Session) Held() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.held
+	return s.grp.held
 }

@@ -9,12 +9,15 @@ package adapt
 //   - a token bucket paces cutovers fleet-wide: each commit spends one
 //     token, and when the bucket is dry the commit is deferred to the
 //     virtual instant its token accrues (reservations queue, so a wave's
-//     commits spread out at the configured rate instead of stampeding);
+//     commits spread out at the configured rate instead of stampeding).
+//     A session whose deferred commit a later wave decides again keeps
+//     its reserved instant: it does not queue behind itself;
 //   - per-session hysteresis suppresses optimization-only rewires that
 //     arrive inside the configured window after the session's previous
-//     cutover. Forced cutovers — the session's deployment is broken, a
-//     node died under it — bypass hysteresis (but still pay a token:
-//     mass failure is exactly when pacing matters most).
+//     cutover. Forced cutovers — the session's deployment is broken or
+//     no longer holds, a node died under it or under its anchor's chain
+//     — bypass hysteresis (but still pay a token: mass failure is
+//     exactly when pacing matters most).
 //
 // The governor runs on the loop's clock and is only touched from the
 // sequential commit phase, so it needs no locking and its decisions

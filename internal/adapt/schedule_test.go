@@ -23,7 +23,18 @@ import (
 	"partsvc/internal/wire"
 )
 
-var schedules = flag.Int("schedules", defaultSchedules, "seeded fault schedules TestFaultSchedules runs")
+var schedules = flag.Int("schedules", defaultSchedules, "seeded fault schedules TestFaultSchedules (or, when given, TestFaultSchedulesGrouped) runs")
+
+// scheduleCount is the -schedules flag when it was given, def otherwise.
+func scheduleCount(def int) int {
+	n := def
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "schedules" {
+			n = *schedules
+		}
+	})
+	return n
+}
 
 // schedProber answers for every node that is not crashed, and hands the
 // schedule the loop's evidence sink.
@@ -67,6 +78,16 @@ type scheduleWorld struct {
 	suspects   int
 	false_     int
 	nextName   int
+	// splits counts the waves in which one deployment's sessions were
+	// both deferred and suppressed: the governor parting a group.
+	splits   int
+	sessions map[string]*adapt.Session
+	verdicts map[split]int
+}
+
+type split struct {
+	wave uint64
+	dep  *planner.Deployment
 }
 
 // killable are the nodes a schedule may crash: every node but the mail
@@ -84,8 +105,12 @@ var flappable = [][2]netmodel.NodeID{
 }
 
 // newScheduleWorld builds seed's world. Its setup is static: an error
-// there is a bug, and panics.
-func newScheduleWorld(seed int64) *scheduleWorld {
+// there is a bug, and panics. A grouped world tracks each request one to
+// three times, so that wave groups have several members, and runs the
+// governor: a token bucket that defers some of a group's cutovers and an
+// anti-flap window that suppresses the next rewire of those that cut
+// over.
+func newScheduleWorld(seed int64, grouped bool) *scheduleWorld {
 	must := func(err error) {
 		if err != nil {
 			panic(err)
@@ -131,16 +156,32 @@ func newScheduleWorld(seed int64) *scheduleWorld {
 		}
 	}
 	w.gs = smock.NewGenericServer(svc, pl, engine)
-	w.ctrl = adapt.New(adapt.Config{
+	cfg := adapt.Config{
 		DebounceMS: 50, ProbeIntervalMS: 250, ProbeTimeoutMS: 100, SuspicionThreshold: 2, DrainMS: 100,
-	}, w.mon, &adapt.EngineExecutor{Server: w.gs, Engine: engine, Transport: tr, Spec: svc}, adapt.NewSimScheduler(w.env))
+	}
+	if grouped {
+		cfg.CutoverRatePerSec, cfg.CutoverBurst, cfg.HysteresisMS = 4, 2, 1500
+	}
+	w.ctrl = adapt.New(cfg, w.mon, &adapt.EngineExecutor{Server: w.gs, Engine: engine, Transport: tr, Spec: svc}, adapt.NewSimScheduler(w.env))
 	w.prober = &schedProber{crashed: map[netmodel.NodeID]bool{}}
 	targets := map[netmodel.NodeID]string{}
 	for _, n := range net.Nodes() {
 		targets[n.ID] = "ctl-" + string(n.ID)
 	}
 	w.ctrl.SetProber(w.prober, func() map[netmodel.NodeID]string { return targets })
+	w.sessions, w.verdicts = map[string]*adapt.Session{}, map[split]int{}
 	w.ctrl.OnEvent(func(e adapt.Event) {
+		if e.Kind == "deferred" || e.Kind == "suppressed" {
+			k := split{e.Wave, w.sessions[e.Session].Deployment()}
+			bit := 1
+			if e.Kind == "suppressed" {
+				bit = 2
+			}
+			if before := w.verdicts[k]; before != 3 && before|bit == 3 {
+				w.splits++
+			}
+			w.verdicts[k] |= bit
+		}
 		if e.Kind != "suspect" {
 			return
 		}
@@ -153,7 +194,13 @@ func newScheduleWorld(seed int64) *scheduleWorld {
 	// loop.
 	w.ctrl.OnWave(func(adapt.WaveReport) { w.env.After(0, w.audit) })
 	for _, req := range w.reqs {
-		w.track(req)
+		copies := 1
+		if grouped {
+			copies += w.rng.Intn(3)
+		}
+		for range copies {
+			w.track(req)
+		}
 	}
 	w.ctrl.Start()
 	return w
@@ -173,7 +220,9 @@ func (w *scheduleWorld) track(req planner.Request) {
 		return // nothing placeable right now: the client waits
 	}
 	w.nextName++
-	w.ctrl.Track(adapt.NewSession(fmt.Sprintf("s%d", w.nextName), "", req, dep, head))
+	s := adapt.NewSession(fmt.Sprintf("s%d", w.nextName), "", req, dep, head)
+	w.sessions[s.Name] = s
+	w.ctrl.Track(s)
 }
 
 // script arms a seeded schedule of ops over [0, spanMS) of virtual time.
@@ -237,8 +286,8 @@ func (w *scheduleWorld) heal(l [2]netmodel.NodeID) {
 
 // runSchedule runs one seeded schedule to quiescence — every node back
 // up, every link healed, the loop settled — and audits once more.
-func runSchedule(seed int64) *scheduleWorld {
-	w := newScheduleWorld(seed)
+func runSchedule(seed int64, grouped bool) *scheduleWorld {
+	w := newScheduleWorld(seed, grouped)
 	const spanMS = 8000
 	w.script(4+w.rng.Intn(8), spanMS)
 	w.env.RunUntil(spanMS + 4000)
@@ -252,11 +301,12 @@ type scheduleOutcome struct {
 	seed                    int64
 	violations              []string
 	suspects, falseSuspects int
+	splits                  int
 }
 
 // runSchedules runs the seeds on two workers and returns their outcomes
 // in seed order.
-func runSchedules(seeds []int64) []scheduleOutcome {
+func runSchedules(seeds []int64, grouped bool) []scheduleOutcome {
 	out := make([]scheduleOutcome, len(seeds))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -265,8 +315,8 @@ func runSchedules(seeds []int64) []scheduleOutcome {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(seeds); i = int(next.Add(1)) - 1 {
-				w := runSchedule(seeds[i])
-				out[i] = scheduleOutcome{seeds[i], w.violations, w.suspects, w.false_}
+				w := runSchedule(seeds[i], grouped)
+				out[i] = scheduleOutcome{seeds[i], w.violations, w.suspects, w.false_, w.splits}
 			}
 		}()
 	}
@@ -276,15 +326,22 @@ func runSchedules(seeds []int64) []scheduleOutcome {
 
 // checkSchedules fails on every audit violation and on any suspicion of
 // a node that answered its probes, and returns the suspicions.
-func checkSchedules(t *testing.T, seeds []int64) (suspects int) {
+func checkSchedules(t *testing.T, seeds []int64, grouped bool) (suspects int) {
 	t.Helper()
-	falseSuspects := 0
-	for _, o := range runSchedules(seeds) {
+	falseSuspects, splits := 0, 0
+	for _, o := range runSchedules(seeds, grouped) {
 		if len(o.violations) > 0 {
 			t.Errorf("seed %d: %d audit violations, first: %v", o.seed, len(o.violations), o.violations[0])
 		}
 		suspects += o.suspects
 		falseSuspects += o.falseSuspects
+		splits += o.splits
+	}
+	if grouped {
+		t.Logf("%d waves deferred some sessions of one deployment and suppressed others", splits)
+		if splits == 0 {
+			t.Error("the governor never parted a group: the grouped schedules check nothing of it")
+		}
 	}
 	if falseSuspects > 0 {
 		t.Errorf("%d suspicions of a node that answered its probes", falseSuspects)
@@ -305,8 +362,27 @@ func TestFaultSchedules(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = int64(i + 1)
 	}
-	suspects := checkSchedules(t, seeds)
+	suspects := checkSchedules(t, seeds, false)
 	t.Logf("%d schedules in %v, %d suspicions", len(seeds), time.Since(start), suspects)
+}
+
+// TestFaultSchedulesGrouped runs the same kind of schedules over wave
+// groups of one to three sessions each, under a governor that paces
+// cutovers at 4/s with a burst of 2 and suppresses optimization rewires
+// within 1.5 s of a session's last cutover: one group's members part
+// ways — some commit, some wait for a token, some are held back — and
+// the loop must keep its books per group exactly as it would per
+// session. The audit must be clean after every wave and at quiescence,
+// and some wave must part a group. 300 schedules by default (≈ 7 s on
+// 2 CPUs; 30 under -race); -schedules sets the count.
+func TestFaultSchedulesGrouped(t *testing.T) {
+	start := time.Now()
+	seeds := make([]int64, scheduleCount(defaultSchedules*3/10))
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	suspects := checkSchedules(t, seeds, true)
+	t.Logf("%d grouped schedules in %v, %d suspicions", len(seeds), time.Since(start), suspects)
 }
 
 // TestFaultScheduleRegressions replays the seeds whose schedules found
@@ -327,7 +403,7 @@ func TestFaultSchedules(t *testing.T) {
 //     node;
 //   - 540: a repair kept an anchor whose instance had left the reuse set.
 func TestFaultScheduleRegressions(t *testing.T) {
-	checkSchedules(t, []int64{1, 4, 27, 30, 46, 62, 74, 199, 258, 540})
+	checkSchedules(t, []int64{1, 4, 27, 30, 46, 62, 74, 199, 258, 540}, false)
 }
 
 // schedPortalService is a branching service: a Portal requires a

@@ -3,7 +3,6 @@ package adapt
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,6 +26,15 @@ type WaveReport struct {
 	// one lookup per session.
 	MemoLookups  int
 	RouteLookups int
+	// Groups is the number of wave groups (request fingerprint and
+	// deployment shape) the wave's sessions fell into.
+	Groups int
+	// TableCalls counts the commit phase's calls into the table of
+	// instances (currency and coverage checks, references taken or
+	// dropped) and IndexUpdates its groups entering or leaving the node
+	// indexes: both follow the groups and outcomes, not the sessions.
+	TableCalls   int
+	IndexUpdates int
 	Cutovers     int
 	Deferred     int
 	Suppressed   int
@@ -38,9 +46,9 @@ type WaveReport struct {
 
 // onChanges is the loop's netmon subscription. It runs under the
 // monitor's notify path, so it only classifies the changes into the
-// pending-wave session set and arms the wave: at once when a change
-// broke a deployment it affects — debouncing a dead session only
-// delays its repair — and after the debounce window otherwise.
+// pending-wave groups and arms the wave: at once when a change broke a
+// deployment it affects — debouncing a dead session only delays its
+// repair — and after the debounce window otherwise.
 func (c *Controller) onChanges(changes []netmon.Change) {
 	c.mu.Lock()
 	if c.stopped {
@@ -53,8 +61,12 @@ func (c *Controller) onChanges(changes []netmon.Change) {
 	broke := false
 	for _, ch := range changes {
 		affected := c.affectedByLocked(ch)
-		for _, s := range affected {
-			c.pending[s] = struct{}{}
+		for _, g := range affected {
+			if !g.pending {
+				g.pending = true
+				c.pendingGroups = append(c.pendingGroups, g)
+			}
+			g.pendingSeq = c.joinSeq
 		}
 		if !broke && !c.waveNow && nodeDown(ch) {
 			broke = c.anyBrokenLocked(affected)
@@ -90,39 +102,40 @@ func (c *Controller) onChanges(changes []netmon.Change) {
 	}
 }
 
-// affectedByLocked scopes one change to the sessions it can affect.
-// Degradations are local: only sessions whose deployments touch the
+// affectedByLocked scopes one change to the groups it can affect.
+// Degradations are local: only groups whose deployments touch the
 // changed element need replanning (the index tracks every node a
-// session's placements and paths traverse; a link's users necessarily
+// group's placements and paths traverse; a link's users necessarily
 // traverse both endpoints). Improvements — a better link, a recovered
 // node, a property change — are optimization opportunities for any
-// session that can *reach* the changed element, and for no one else: a
-// session in a different network partition cannot use it, must not be
-// replanned for it, and must not even see the wave in its event stream.
-func (c *Controller) affectedByLocked(ch netmon.Change) []*Session {
+// group whose client can *reach* the changed element, and for no one
+// else: a session in a different network partition cannot use it, must
+// not be replanned for it, and must not even see the wave in its event
+// stream.
+func (c *Controller) affectedByLocked(ch netmon.Change) []*group {
 	if c.pendingAll {
 		return nil
 	}
-	// scoped: the sessions whose footprint holds a, and b unless b is "".
-	scoped := func(a, b netmodel.NodeID) []*Session {
-		var out []*Session
-		for s := range c.byNode[a] {
-			if _, ok := c.byNode[b][s]; ok || b == "" {
-				out = append(out, s)
+	// scoped: the groups whose footprint holds a, and b unless b is "".
+	scoped := func(a, b netmodel.NodeID) []*group {
+		var out []*group
+		for g := range c.byNode[a] {
+			if _, ok := c.byNode[b][g]; ok || b == "" {
+				out = append(out, g)
 			}
 		}
 		return out
 	}
-	// reachable: every session whose client node has a route to the
+	// reachable: every group whose client node has a route to the
 	// changed element. The monitor applies changes before notifying, so
 	// the current route handle already reflects this change; all client
 	// lookups share the element's single shortest-path tree.
-	reachable := func(node netmodel.NodeID) []*Session {
+	reachable := func(node netmodel.NodeID) []*group {
 		rc := c.net.Routes()
-		var out []*Session
-		for _, s := range c.sessions {
-			if _, ok := rc.Path(node, s.Req.ClientNode); ok {
-				out = append(out, s)
+		var out []*group
+		for g := range c.live {
+			if _, ok := rc.Path(node, g.req.ClientNode); ok {
+				out = append(out, g)
 			}
 		}
 		return out
@@ -132,8 +145,8 @@ func (c *Controller) affectedByLocked(ch netmon.Change) []*Session {
 		node := netmodel.NodeID(ch.Subject)
 		if nodeDown(ch) {
 			out := scoped(node, "")
-			for s := range c.byChain[node] {
-				out = append(out, s) // chain and footprint are disjoint
+			for g := range c.byChain[node] {
+				out = append(out, g) // chain and footprint are disjoint
 			}
 			return out
 		}
@@ -165,19 +178,18 @@ func nodeDown(ch netmon.Change) bool {
 	return ch.Kind == "node" && ch.Field == "up" && ch.New != "true"
 }
 
-// anyBrokenLocked reports whether a change left one of the sessions it
+// anyBrokenLocked reports whether a change left one of the groups it
 // affects on a broken deployment (depBroken). Each distinct deployment
 // is judged once, and the first broken one ends the search.
-func (c *Controller) anyBrokenLocked(affected []*Session) bool {
+func (c *Controller) anyBrokenLocked(affected []*group) bool {
 	rc := c.net.Routes()
 	judged := map[*planner.Deployment]bool{}
-	for _, s := range affected {
-		dep, _ := s.snapshot()
-		if dep == nil || judged[dep] {
+	for _, g := range affected {
+		if g.dep == nil || judged[g.dep] {
 			continue
 		}
-		judged[dep] = true
-		if c.depBroken(dep, rc) {
+		judged[g.dep] = true
+		if c.depBroken(g.dep, rc) {
 			return true
 		}
 	}
@@ -199,6 +211,9 @@ func improved(oldS, newS string, higherIsBetter bool) bool {
 	return n < o
 }
 
+// debounceExpired runs the pending wave over the sessions it is owed
+// to, in session order: the pending groups' member lists, each already
+// in that order, merged with the sessions that left one.
 func (c *Controller) debounceExpired() {
 	c.mu.Lock()
 	c.debounceCancel, c.waveNow = nil, false
@@ -210,14 +225,31 @@ func (c *Controller) debounceExpired() {
 	if c.pendingAll {
 		affected = append(affected, c.sessions...)
 	} else {
-		affected = make([]*Session, 0, len(c.pending))
-		for s := range c.pending {
-			affected = append(affected, s)
+		lists := make([][]*Session, 0, len(c.pendingGroups)+1)
+		for _, g := range c.pendingGroups {
+			// Members that joined after the change are not owed a wave.
+			owed := g.orderedMembersLocked()
+			if notOwed := func(s *Session) bool { return !g.owes(s) }; slices.ContainsFunc(owed, notOwed) {
+				owed = slices.DeleteFunc(slices.Clone(owed), notOwed)
+			}
+			lists = append(lists, owed)
 		}
-		sort.Slice(affected, func(i, j int) bool { return affected[i].idx < affected[j].idx })
+		if len(c.pendingSessions) > 0 {
+			extra := make([]*Session, 0, len(c.pendingSessions))
+			for s := range c.pendingSessions {
+				extra = append(extra, s)
+			}
+			slices.SortFunc(extra, func(a, b *Session) int { return a.idx - b.idx })
+			lists = append(lists, extra)
+		}
+		affected = mergeByIdx(lists)
 	}
+	for _, g := range c.pendingGroups {
+		g.pending = false
+	}
+	c.pendingGroups = c.pendingGroups[:0]
 	c.pendingAll = false
-	clear(c.pending)
+	clear(c.pendingSessions)
 	ch := c.pendingCh
 	c.pendingCh = nil
 	c.mu.Unlock()
@@ -226,12 +258,12 @@ func (c *Controller) debounceExpired() {
 	}
 }
 
-// waveResult is one session's slot in the wave's replan phase. Every
-// member of a wave group holds the same diff.
+// waveResult is one plan key's outcome in the wave's replan phase:
+// every session of the key's groups holds the same diff.
 type waveResult struct {
-	diff *planner.Diff
-	hit  bool
-	err  error
+	diff    *planner.Diff
+	err     error
+	evicted bool // the diff's evictions are applied
 }
 
 // runWave executes one replan wave over the affected sessions (in
@@ -247,14 +279,13 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 	wave := c.waveSeq
 	c.mu.Unlock()
 	// A session Untrack removed after the wave was scheduled is gone:
-	// planning it would deploy instances nothing owns.
+	// planning it would deploy instances nothing owns. (tracked and grp
+	// change only under waveMu.)
 	tracked := affected[:0]
 	for _, s := range affected {
-		s.mu.Lock()
 		if s.tracked {
 			tracked = append(tracked, s)
 		}
-		s.mu.Unlock()
 	}
 	affected = tracked
 
@@ -267,65 +298,82 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 	}
 	rh0, rm0 := rc.Counters()
 	memo := planner.NewWaveMemo()
+	p := c.newPass()
 
-	// Group the wave's sessions by shard; order within a shard follows
-	// session order.
-	byShard := make([][]int, len(c.planners))
-	for pos, s := range affected {
-		byShard[s.shard] = append(byShard[s.shard], pos)
+	// Plan keys: the request fingerprint and the deployment shape, worked
+	// out once per group, so the wave builds and hashes no strings per
+	// session.
+	type planKey struct{ reqFP, shape string }
+	keyOf := map[planKey]int{}
+	var memoKeys []string
+	for _, s := range affected {
+		g := s.grp
+		if g.pass.seq == p.seq {
+			continue
+		}
+		gp := p.touch(g)
+		k := planKey{reqFP: g.reqFP}
+		if g.facts != nil {
+			k.shape = g.facts.summary
+		}
+		i, ok := keyOf[k]
+		if !ok {
+			i = len(memoKeys)
+			keyOf[k] = i
+			memoKeys = append(memoKeys, k.reqFP+"#"+k.shape)
+		}
+		gp.key = i
 	}
-	slots := make([]waveResult, len(affected))
+	nkeys := len(memoKeys)
+
+	// Each shard looks up every key its sessions have, once, in the order
+	// the keys first occur among them, planning from the deployment of
+	// that first occurrence.
+	type lookup struct {
+		g       *group
+		members int
+	}
+	byShard := make([][]lookup, len(c.planners))
+	at := make([]int32, len(c.planners)*nkeys) // 1 + position in byShard[sh]
+	for _, s := range affected {
+		g := s.grp
+		i := s.shard*nkeys + g.pass.key
+		if at[i] == 0 {
+			byShard[s.shard] = append(byShard[s.shard], lookup{g: g})
+			at[i] = int32(len(byShard[s.shard]))
+		}
+		byShard[s.shard][at[i]-1].members++
+	}
+	results := make([]waveResult, nkeys)
 	work := make([]int, 0, len(c.planners))
-	for sh, ps := range byShard {
-		if len(ps) > 0 {
+	for sh, ls := range byShard {
+		if len(ls) > 0 {
 			work = append(work, sh)
 		}
 	}
-	var memoLookups atomic.Uint64
+	var memoLookups, memoHits atomic.Uint64
 	runShard := func(sh int) {
 		x := c.planners[sh]
-		// Batch the shard's sessions by what they were tracked and
-		// committed with — the request fingerprint and the deployment
-		// shape — so same-shaped sessions resolve through ONE memo lookup
-		// (and at most one computation) and the wave builds no strings per
-		// session.
-		type groupKey struct{ reqFP, shape string }
-		type waveGroup struct {
-			groupKey
-			dep  *planner.Deployment
-			req  planner.Request
-			poss []int
-		}
-		order := make([]*waveGroup, 0, len(byShard[sh]))
-		groups := map[groupKey]*waveGroup{}
-		for _, pos := range byShard[sh] {
-			s := affected[pos]
-			dep, facts := s.snapshot()
-			key := groupKey{reqFP: s.reqFP}
-			if facts != nil {
-				key.shape = facts.summary
-			}
-			g, ok := groups[key]
-			if !ok {
-				g = &waveGroup{groupKey: key, dep: dep, req: s.Req}
-				groups[key] = g
-				order = append(order, g) // first-occurrence order: deterministic
-			}
-			g.poss = append(g.poss, pos)
-		}
-		for _, g := range order {
+		for _, l := range byShard[sh] {
 			memoLookups.Add(1)
+			g, key := l.g, l.g.pass.key
 			// The memo lives for one wave, whose reuse set and route epoch
 			// are fixed: request and shape name a computation. The
 			// changed-element set scopes the planner's repair; a repair
 			// that moves nothing continues as the full rewire replan.
-			diff, _, hit, err := memo.Do(g.reqFP+"#"+g.shape, func() (*planner.Diff, planner.Stats, error) {
+			diff, _, hit, err := memo.Do(memoKeys[key], func() (*planner.Diff, planner.Stats, error) {
 				d, err := x.RepairReplan(g.dep, g.req, ch)
 				return d, planner.Stats{}, err
 			})
-			for k, pos := range g.poss {
-				slots[pos] = waveResult{diff: diff, hit: hit || k > 0, err: err}
+			// Every member but the first shares its computation, and the
+			// first too when another shard computed it.
+			hits := uint64(l.members - 1)
+			if hit {
+				hits++
+			} else {
+				results[key] = waveResult{diff: diff, err: err}
 			}
+			memoHits.Add(hits)
 		}
 	}
 	// Workers pull shards off a shared cursor; one worker runs inline.
@@ -348,40 +396,36 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 
 	_, misses := memo.Counters()
 	rh1, rm1 := rc.Counters()
+	// MemoHits counts sessions that shared another session's computation
+	// (in-shard batch members and cross-shard memo hits alike), so
+	// Sessions = PlanComputes + MemoHits.
 	report := WaveReport{
 		Wave:         wave,
 		StartMS:      startMS,
 		Sessions:     len(affected),
+		Groups:       nkeys,
 		PlanComputes: int(misses),
+		MemoHits:     int(memoHits.Load()),
 		MemoLookups:  int(memoLookups.Load()),
 		RouteLookups: int((rh1 + rm1) - (rh0 + rm0)),
 		Epoch:        epoch,
 	}
-	// MemoHits counts sessions that shared another session's computation
-	// (in-shard batch members and cross-shard memo hits alike), so
-	// Sessions = PlanComputes + MemoHits + (failed computes' extra members).
-	for _, r := range slots {
-		if r.hit {
-			report.MemoHits++
-		}
-	}
 
-	// Commit phase: sequential, session order. What depends only on the
-	// deployment is worked out once per distinct one (group members share
-	// theirs), and the node index is updated once, after the last commit.
+	// Commit phase: sequential, session order. What depends only on a
+	// group's deployment is judged once per group, and references and
+	// the node indexes move per group and outcome (pass).
 	lastCommitMS := startMS
 	evicted := map[string]bool{}
 	var unheld []string
-	facts := map[*planner.Deployment]*depFacts{}
-	refreshed := map[*depFacts]*depFacts{}
-	var moves []indexMove
-	for pos, s := range affected {
-		r := slots[pos]
+	for _, s := range affected {
+		g := s.grp
+		r := &results[g.pass.key]
 		now := c.sched.NowMS()
 		// This wave's verdict supersedes any deferred commit still queued
 		// from an earlier wave: that diff was planned against a topology
-		// view this wave has already replaced.
-		s.disarm(false)
+		// view this wave has already replaced. Its slot is the session's:
+		// a commit this wave decides keeps it.
+		slotMS, slotted := s.disarm(false)
 		if r.err != nil {
 			report.Failed++
 			c.fail(s, wave, "replan: "+r.err.Error())
@@ -393,42 +437,50 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 		diff := r.diff
 		// Evictions are table-level facts, applied once per wave no
 		// matter how many sessions' replans reported them.
-		for _, p := range diff.Evicted {
-			if !evicted[p.Key()] {
-				evicted[p.Key()] = true
-				unheld = append(unheld, c.tab.Evict(p.Key())...)
-				c.evictions.Inc()
+		if !r.evicted {
+			r.evicted = true
+			for _, ev := range diff.Evicted {
+				if key := ev.Key(); !evicted[key] {
+					evicted[key] = true
+					p.flush()
+					unheld = append(unheld, c.tab.Evict(key)...)
+					p.indexMoved()
+					c.evictions.Inc()
+				}
 			}
 		}
-		old, _ := s.snapshot()
 		// A session still holding instances that left the table's index
 		// (evicted, or superseded by a fresh instance of the same key)
 		// must move onto the current ones, even when its placements did
 		// not change.
-		stale := old != nil && !c.tab.Current(s.heldPlacements())
-		if diff.Unchanged() && old != nil && !stale {
+		stale := p.stale(g)
+		if diff.Unchanged() && g.dep != nil && !stale {
 			report.Unchanged++
 			s.settle()
-			if mv, ok := c.rerouted(s, rc, refreshed); ok {
-				moves = append(moves, mv)
-			}
+			p.move(s, g, p.rerouted(g, rc))
 			c.emit(s, Event{AtMS: now, Wave: wave, Kind: "unchanged"})
 			continue
 		}
-		forced := bootstrap || stale || c.depBroken(old, rc)
 		if !bootstrap {
 			s.mu.Lock()
 			lastCut := s.lastCutoverMS
 			s.mu.Unlock()
-			if c.gov.suppressed(now, lastCut, forced) {
+			// Only an optimization may be held back: not a move off stale
+			// instances, a broken deployment or one that no longer holds.
+			if c.gov.suppressed(now, lastCut, stale || p.broken(g, rc)) && p.holds(g) {
 				report.Suppressed++
 				c.flapsSuppressed.Inc()
+				p.move(s, g, p.rerouted(g, rc)) // kept, like an unchanged one
 				c.emit(s, Event{AtMS: now, Wave: wave, Kind: "suppressed"})
 				continue
 			}
 		}
 		commitAt := now
-		if !bootstrap {
+		switch {
+		case bootstrap:
+		case slotted:
+			commitAt = max(now, slotMS)
+		default:
 			commitAt = c.gov.reserveAt(now)
 		}
 		lastCommitMS = max(lastCommitMS, commitAt)
@@ -440,16 +492,15 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 			c.scheduleCommit(s, wave, diff, commitAt-now)
 			continue
 		}
-		mv, err := c.commit(s, wave, diff, facts, bootstrap)
-		if err != nil {
+		if err := c.commit(p, s, wave, diff, bootstrap); err != nil {
 			report.Failed++
 			c.fail(s, wave, err.Error())
 			continue
 		}
-		moves = append(moves, mv)
 		report.Cutovers++
 	}
-	c.reindex(moves)
+	p.end()
+	report.TableCalls, report.IndexUpdates = p.tableCalls, p.indexUpdates
 	// No session's release will tear down an evicted instance no session
 	// holds, and a cutover may never run for it (its replan can come back
 	// unchanged): it goes now.
@@ -458,6 +509,7 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 
 	c.waves.Inc()
 	c.waveSessions.Observe(float64(report.Sessions))
+	c.waveGroups.Observe(float64(report.Groups))
 	c.waveSpanMS.Observe(report.SpanMS)
 	c.replansTotal.Add(int64(report.Sessions))
 	c.planComputes.Add(int64(report.PlanComputes))
@@ -515,16 +567,30 @@ func (c *Controller) scheduleCommit(s *Session, wave uint64, diff *planner.Diff,
 		if !current || c.isStopped() {
 			return
 		}
-		mv, err := c.commit(s, wave, diff, map[*planner.Deployment]*depFacts{}, false)
+		// The diff was planned when the wave ran: a change since may have
+		// broken what it moves to, and no wave covers the session for a
+		// change its old deployment did not touch. A diff that no longer
+		// holds is not applied; one that lands on instances that no longer
+		// serve is replanned.
+		if err := c.exec.Verify(diff.New, s.Req); err != nil {
+			c.fail(s, wave, "deferred commit: "+err.Error())
+			return
+		}
+		p := c.newPass()
+		err := c.commit(p, s, wave, diff, false)
+		serves := err == nil && p.holds(s.grp)
+		p.end()
 		if err != nil {
 			c.fail(s, wave, err.Error())
 			return
 		}
-		c.reindex([]indexMove{mv})
 		c.cutovers.Inc()
+		if !serves {
+			c.fail(s, wave, "deferred commit: a change since the wave broke what it holds")
+		}
 	})
 	s.mu.Lock()
-	s.pendingCancel, s.pendingDiff = cancel, diff
+	s.pendingCancel, s.pendingDiff, s.pendingAtMS = cancel, diff, c.sched.NowMS()+delayMS
 	s.mu.Unlock()
 }
 
@@ -537,53 +603,52 @@ func (c *Controller) isStopped() bool {
 // commit moves one session onto diff.New: acquire-before-release in
 // the table (deploy-before-teardown at fleet scope), with the staged
 // cutover when something must be deployed or the session has a head to
-// move. facts caches the facts of the deployments committed so far. The
-// caller folds the returned footprint change into the affected-session
-// index. On error the session is left on its old deployment, which is
-// still serving.
-func (c *Controller) commit(s *Session, wave uint64, diff *planner.Diff, facts map[*planner.Deployment]*depFacts, bootstrap bool) (indexMove, error) {
+// move. The pass moves the session's references and its group. On error
+// the session is left on its old deployment, which is still serving.
+func (c *Controller) commit(p *pass, s *Session, wave uint64, diff *planner.Diff, bootstrap bool) error {
 	now := c.sched.NowMS()
 	s.mu.Lock()
-	old, oldFacts, oldHeld, head := s.dep, s.facts, s.held, s.head
+	from, head := s.grp, s.head
 	var bindings []Flippable
 	if len(s.bindings) > 0 {
 		bindings = append(bindings, s.bindings...)
 	}
 	s.mu.Unlock()
 
-	var held []string
-	if s.Service != "" || len(bindings) > 0 || !c.tab.Covers(diff.New) {
+	var to *group
+	if s.Service != "" || len(bindings) > 0 || !p.covers(diff.New) {
+		p.flush()
+		var held []string
 		var err error
-		if head, held, err = c.cutover(s, wave, old, bindings, diff); err != nil {
-			return indexMove{}, err
+		head, held, err = c.cutover(s, wave, from.dep, bindings, diff)
+		p.indexMoved()
+		p.tableCalls++ // the cutover's acquire
+		if err != nil {
+			return err
 		}
+		to = p.land(s.reqFP, s.Req, diff, held)
 	} else {
-		held = c.acquire(diff.New)
-	}
-
-	f := facts[diff.New]
-	if f == nil {
-		f = c.factsOf(diff.New, held, c.net.Routes())
-		facts[diff.New] = f
+		to = p.acquire(s.reqFP, s.Req, diff)
 	}
 	s.mu.Lock()
-	s.dep, s.facts, s.held, s.head = diff.New, f, held, head
+	s.head = head
 	if !bootstrap {
 		s.lastCutoverMS = now
 	}
 	s.mu.Unlock()
+	p.move(s, from, to)
 	s.settle()
 
 	// The old deployment's references go last; what no session holds any
 	// more drains before teardown: requests already past the flip may
 	// still be in flight through it.
-	c.release(s, wave, oldHeld)
+	p.release(s, wave, from)
 	kind := "adapted"
 	if bootstrap {
 		kind = "planned"
 	}
-	c.emit(s, Event{Wave: wave, Kind: kind, Detail: f.summary})
-	return indexMove{s: s, old: oldFacts, new: f}, nil
+	c.emit(s, Event{Wave: wave, Kind: kind, Detail: to.facts.summary})
+	return nil
 }
 
 // cutover runs the executor's stages for one commit and returns the new
@@ -693,55 +758,6 @@ func (c *Controller) scheduleRetry(s *Session) {
 	})
 }
 
-// indexMove is one committed session's change of footprint, for
-// reindex.
-type indexMove struct {
-	s        *Session
-	old, new *depFacts
-}
-
-// reindex swaps sessions' entries in the node indexes from their old
-// deployments' facts to the new ones (either may be nil).
-func (c *Controller) reindex(moves []indexMove) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, mv := range moves {
-		if mv.old != nil {
-			c.byNode.remove(mv.s, mv.old.footprint)
-			c.byChain.remove(mv.s, mv.old.chain)
-		}
-		if mv.new != nil {
-			c.byNode.add(mv.s, mv.new.footprint)
-			c.byChain.add(mv.s, mv.new.chain)
-		}
-	}
-}
-
-// nodeIndex maps a node to the sessions whose deployments it affects.
-type nodeIndex map[netmodel.NodeID]map[*Session]struct{}
-
-func (x nodeIndex) add(s *Session, nodes []netmodel.NodeID) {
-	for _, n := range nodes {
-		set := x[n]
-		if set == nil {
-			set = map[*Session]struct{}{}
-			x[n] = set
-		}
-		set[s] = struct{}{}
-	}
-}
-
-func (x nodeIndex) remove(s *Session, nodes []netmodel.NodeID) {
-	for _, n := range nodes {
-		if set := x[n]; set != nil {
-			delete(set, s)
-			if len(set) == 0 {
-				delete(x, n)
-			}
-		}
-	}
-}
-
 // factsOf derives the loop's view of a deployment whose instances are
 // held (placements first, then an anchor's upstream chain; see
 // smock.Table.Acquire), its linkages and the chain's following the
@@ -768,34 +784,6 @@ func (c *Controller) factsOf(dep *planner.Deployment, held []string, rc *netmode
 		}
 	}
 	return f
-}
-
-// rerouted refreshes the footprint of a session whose deployment a wave
-// kept: its linkages follow the current routes, which may no longer be
-// the ones it was planned on. It returns the index move when the
-// footprint changed. Sessions sharing facts share the refreshed ones.
-func (c *Controller) rerouted(s *Session, rc *netmodel.RouteCache, refreshed map[*depFacts]*depFacts) (indexMove, bool) {
-	s.mu.Lock()
-	dep, old, held := s.dep, s.facts, s.held
-	s.mu.Unlock()
-	if old == nil {
-		return indexMove{}, false
-	}
-	f, ok := refreshed[old]
-	if !ok {
-		f = c.factsOf(dep, held, rc)
-		if sameNodes(f.footprint, old.footprint) && sameNodes(f.chain, old.chain) {
-			f = old
-		}
-		refreshed[old] = f
-	}
-	if f == old {
-		return indexMove{}, false
-	}
-	s.mu.Lock()
-	s.facts = f
-	s.mu.Unlock()
-	return indexMove{s: s, old: old, new: f}, true
 }
 
 func appendNew(nodes []netmodel.NodeID, n netmodel.NodeID) []netmodel.NodeID {

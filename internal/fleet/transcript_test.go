@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -31,13 +32,60 @@ func TestFleetWaveTranscript(t *testing.T) {
 	const want = "boot:1200/3 e0:800/2/800 e1:1200/3/400 e2:400/1/400 e3:1200/3/400 " +
 		"e5:1200/3/0 e6:400/1/400 e7:1200/3/400"
 	for _, workers := range []int{1, 8} {
-		if got := fleetWaveTranscript(t, 1200, workers); got != want {
+		if got := fleetWaveTranscript(t, 1200, workers).counts; got != want {
 			t.Errorf("workers=%d:\n  got  %s\n  want %s", workers, got, want)
 		}
 	}
 }
 
-func fleetWaveTranscript(t *testing.T, sessions, workers int) string {
+// TestFleetWavePaysPerGroup replays the same script and holds the loop
+// to bookkeeping per wave group: 1 200 sessions in three groups (one per
+// client site), and every wave's table calls (currency and coverage
+// checks, references taken or dropped) and node-index updates bounded by
+// its groups, not its sessions — a loop that kept its books per session
+// makes a table call per cutover at least, 400 to 1 200 a wave. What
+// every session sees must not move: the per-session event stream (wave,
+// session, kind, in order) hashes to the digest of the loop that kept
+// them per session.
+func TestFleetWavePaysPerGroup(t *testing.T) {
+	const digest = "f390d9f226383ed11f13905c67db8500a52b8b91b6019a14440e2ee35a81e1de"
+	run := fleetWaveTranscript(t, 1200, 2)
+	if run.digest != digest {
+		t.Errorf("per-session event stream digest %s, want %s", run.digest, digest)
+	}
+	if run.boot.Groups != 3 {
+		t.Errorf("bootstrap: %d groups, want 3 (one per site)", run.boot.Groups)
+	}
+	for _, r := range append([]WaveReport{run.boot}, run.reports...) {
+		t.Logf("wave %d: %d sessions in %d groups, %d cutovers: %d table calls, %d index updates",
+			r.Wave, r.Sessions, r.Groups, r.Cutovers, r.TableCalls, r.IndexUpdates)
+		if r.Groups == 0 || r.Groups > 3 {
+			t.Errorf("wave %d: %d groups, want 1 to 3", r.Wave, r.Groups)
+		}
+		// Per group: currency and coverage checks (again after a deploy
+		// moves the table's index), the first acquire, the last release
+		// and the counted references of the rest; per group that moves,
+		// one index entry in and one out.
+		if limit := 12 * r.Groups; r.TableCalls > limit {
+			t.Errorf("wave %d: %d table calls for %d sessions in %d groups, want at most %d", r.Wave, r.TableCalls, r.Sessions, r.Groups, limit)
+		}
+		if limit := 2 * r.Groups; r.IndexUpdates > limit {
+			t.Errorf("wave %d: %d index updates for %d sessions in %d groups, want at most %d", r.Wave, r.IndexUpdates, r.Sessions, r.Groups, limit)
+		}
+	}
+}
+
+// scriptRun is what one replay of the script produced: its counts line,
+// the bootstrap and wave reports, and the digest of the per-session
+// event stream.
+type scriptRun struct {
+	counts  string
+	boot    WaveReport
+	reports []WaveReport
+	digest  string
+}
+
+func fleetWaveTranscript(t *testing.T, sessions, workers int) scriptRun {
 	t.Helper()
 	const degradeMS = 800.0
 	links := [2][2]netmodel.NodeID{
@@ -66,6 +114,12 @@ func fleetWaveTranscript(t *testing.T, sessions, workers int) string {
 	}
 	var reports []WaveReport
 	mgr.OnWave(func(r WaveReport) { reports = append(reports, r) })
+	events := sha256.New()
+	mgr.OnEvent(func(e adapt.Event) {
+		if e.Session != "" {
+			fmt.Fprintf(events, "%d %s %s\n", e.Wave, e.Session, e.Kind)
+		}
+	})
 	boot := mgr.Bootstrap()
 	if boot.Failed != 0 {
 		t.Fatalf("bootstrap: %d of %d sessions failed", boot.Failed, boot.Sessions)
@@ -100,5 +154,5 @@ func fleetWaveTranscript(t *testing.T, sessions, workers int) string {
 			out += fmt.Sprintf(" e%d:%d/%d/%d", k, r.Sessions, r.PlanComputes, r.Cutovers)
 		}
 	}
-	return out
+	return scriptRun{counts: out, boot: boot, reports: reports, digest: fmt.Sprintf("%x", events.Sum(nil))}
 }

@@ -28,11 +28,17 @@ import (
 //     layer keeps a few, found by the reuse set's content: callers
 //     reassign Existing wholesale before a call (the table's live
 //     instances), with no generation to compare.
-//   - planMemo: one call. The route epoch's link costs, what the request
-//     decides (head placements, the head's walk step) and the search
-//     scratch. RepairReplan's repair, its Replan and its rewire Replan
-//     are passes over one network state and share it; it is dropped when
-//     the outermost call ends. Two things can move inside a call and are
+//   - linkLayer: the link costs of one route handle, kept on the
+//     Planner while the call's *RouteCache handle and the specification
+//     are the same — across the computes of a fleet wave, which pins one
+//     handle — and dropped when either changes. A link cost counts as a
+//     route lookup the first time each call uses it, kept or resolved,
+//     so the lookup counts stay those of per-call tables.
+//   - planMemo: one call. What the request decides (head placements,
+//     the head's walk step) and the search scratch. RepairReplan's
+//     repair, its Replan and its rewire Replan are passes over one
+//     network state and share it; it is dropped when the outermost call
+//     ends. Two things can move inside a call and are
 //     guarded: the route handle (a pass that begins under a different
 //     RouteCache starts a new one) and the reuse set (every method that
 //     changes Existing bumps Planner.gen, and the next reuseNow looks the
@@ -43,7 +49,8 @@ type planMemo struct {
 	// lookups counts route lookups not yet reported to the route cache.
 	lookups uint64
 
-	links map[*spec.Component]*linkTable
+	links map[*spec.Component]*linkTable // the link layer's tables
+	call  uint32                         // the call's stamp in them
 	// latencies records whether every link latency is non-negative, the
 	// assumption lowerBound's triangle inequality rests on: 0 until
 	// checked, then 1 (it holds) or -1.
@@ -276,6 +283,8 @@ type linkCost struct {
 	bneckMbps float64
 	// env is the route's interned environment, noEnv without a route.
 	env netmodel.EnvID
+	// call stamps the last call that counted the lookup.
+	call uint32
 }
 
 // noEnv marks a linkage with no route.
@@ -288,6 +297,15 @@ const noEnv netmodel.EnvID = -1
 type linkTable struct {
 	comp *spec.Component
 	rows [][]linkCost
+}
+
+// linkLayer is the link-cost tables of one route handle and
+// specification, and the number of calls that used them.
+type linkLayer struct {
+	routes *netmodel.RouteCache
+	svc    *spec.Service
+	tables map[*spec.Component]*linkTable
+	calls  uint32
 }
 
 // verdict is the outcome of exact validation.
@@ -342,10 +360,15 @@ func (pl *Planner) beginPlan() {
 func (pl *Planner) beginPlanOn(routes *netmodel.RouteCache) {
 	pl.flushLookups()
 	if pl.depth == 0 || pl.memo.routes != routes {
+		if ll := pl.links; ll == nil || ll.routes != routes || ll.svc != pl.Service {
+			pl.links = &linkLayer{routes: routes, svc: pl.Service, tables: map[*spec.Component]*linkTable{}}
+		}
+		pl.links.calls++
 		pl.memo = &planMemo{
 			routes:     routes,
 			props:      pl.propsFor(routes),
-			links:      map[*spec.Component]*linkTable{},
+			links:      pl.links.tables,
+			call:       pl.links.calls,
 			heads:      map[*spec.Component][]cand{},
 			headPlaces: map[placeKey]placeResult{},
 			headWalkID: map[walkKey]int32{},
@@ -474,16 +497,18 @@ func (mm *planMemo) link(t *linkTable, from, to int32) linkCost {
 		}
 		t.rows[from] = row
 	}
-	c := row[to]
-	if c.hopMS != c.hopMS {
-		c = linkCost{hopMS: math.Inf(1), env: noEnv}
+	c := &row[to]
+	if c.call != mm.call {
+		c.call = mm.call
 		mm.lookups++
-		if path, env, ok := mm.routes.PathEnvAt(from, to); ok {
-			c = linkCost{hopMS: hopMS(t.comp.Behaviors, path), bneckMbps: path.BottleneckMbps, env: env}
-		}
-		row[to] = c
 	}
-	return c
+	if c.hopMS != c.hopMS {
+		*c = linkCost{hopMS: math.Inf(1), env: noEnv, call: mm.call}
+		if path, env, ok := mm.routes.PathEnvAt(from, to); ok {
+			*c = linkCost{hopMS: hopMS(t.comp.Behaviors, path), bneckMbps: path.BottleneckMbps, env: env, call: mm.call}
+		}
+	}
+	return *c
 }
 
 // reuseNow returns the reuse layer of the planner's current reuse set,

@@ -97,6 +97,24 @@ func TestPlanMemoDoesNotOutliveChange(t *testing.T) {
 		t.Fatal("the link report did not change the plan's cost; the step checks nothing")
 	}
 
+	// Link costs are kept per route handle: a second call on the handle
+	// reuses the tables; a call after the next report starts over, and a
+	// table that outlived its handle would price the old latency.
+	tables := live.links
+	planBoth("same route handle", sd)
+	if live.links != tables {
+		t.Fatal("a call on the same route handle rebuilt the link-cost tables")
+	}
+	if err := mon.ReportLink(topology.NYServer, topology.SDGateway, link.LatencyMS-800, link.BandwidthMbps, nil); err != nil {
+		t.Fatal(err)
+	}
+	if back := planBoth("after ny-1~sd-1 restored", sd); back.ExpectedLatencyMS != first.ExpectedLatencyMS {
+		t.Fatalf("after the restore the plan costs %.6f ms, before the report %.6f ms", back.ExpectedLatencyMS, first.ExpectedLatencyMS)
+	}
+	if live.links == tables || live.links.routes != net.Routes() {
+		t.Fatal("the link-cost tables outlived their route handle")
+	}
+
 	// A trust drop through the monitor: placements, factored
 	// configurations and property evaluations at sd-2 move.
 	if err := mon.ReportNodeProps(topology.SDClient, property.Set{"TrustLevel": property.Int(1)}); err != nil {

@@ -358,6 +358,8 @@ type Planner struct {
 	// what was kept and rebuilt.
 	props  *propLayer
 	layers layerCounts
+	// links is the link-cost layer of the last route handle (memo.go).
+	links *linkLayer
 	// engine is the constraint engine: one Solver for every graph, so
 	// its working arrays are allocated once.
 	engine solver.Solver

@@ -266,6 +266,22 @@ func (t *Table) Release(ids []string) (gone []string) {
 	return gone
 }
 
+// Hold adds n references to every instance in ids, or drops -n when n
+// is negative, in one call: what n sessions holding the same instances
+// do with n Acquire calls that find each one already held, or with n
+// Release calls that leave each one held. Hold mints, revives, takes
+// over and drains nothing: the caller keeps a reference on every
+// instance in ids.
+func (t *Table) Hold(ids []string, n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, id := range ids {
+		if e := t.byID[id]; e != nil {
+			e.Refs += n
+		}
+	}
+}
+
 // Finalize ends the drain of released instances: those still without a
 // reference leave the index and are returned for teardown — unless a
 // live instance (held or pinned) forwards into one through its upstream

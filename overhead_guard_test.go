@@ -134,8 +134,10 @@ func TestEventBusOverheadGuard(t *testing.T) {
 // builds its property and reuse layers — stays under 3 000 allocations
 // (18 371 when every linkage graph rebuilt its candidates, its routes
 // and a Deployment per leaf). A warm plan — the same planner again,
-// nothing changed — rebuilds only the call's link costs, head entries
-// and scratch, and stays under 360 (303 measured). The planner's
+// nothing changed, the route handle kept — rebuilds only the call's
+// head entries and scratch, and stays under 318 (261 measured; 303
+// while link costs were priced per call, under a budget of 360). The
+// planner's
 // inner-loop route lookup — RouteCache.PathAt by dense index —
 // allocates nothing.
 func TestPlanAllocGuard(t *testing.T) {
@@ -163,8 +165,8 @@ func TestPlanAllocGuard(t *testing.T) {
 	if cold > 3000 {
 		t.Errorf("a cold Plan(sd) allocates %.0f objects, budget is 3000", cold)
 	}
-	if warm > 360 {
-		t.Errorf("a warm Plan(sd) allocates %.0f objects, budget is 360", warm)
+	if warm > 318 {
+		t.Errorf("a warm Plan(sd) allocates %.0f objects, budget is 318", warm)
 	}
 	if st := pl.Stats(); st.PropLayerKept == 0 || st.ReuseLayerKept == 0 {
 		t.Errorf("the warm plans kept nothing: %+v", st)
