@@ -62,9 +62,11 @@ type RepairCurveRow struct {
 	Ratio       float64
 	// Path says how RepairReplan settled the event: "repair" (the
 	// incremental repair was the answer), "repair+replan" (the repair
-	// moved nothing, so by contract it continued as the full replan and
-	// rewire check — parity with fresh plus the repair itself), or
-	// "fallback" (repair infeasible under its pins; fresh replan).
+	// moved nothing, so by contract the one full search followed —
+	// parity with fresh plus the repair itself), "fallback" (repair
+	// infeasible under its pins; the full search), or "infeasible" (no
+	// deployment holds now: both sides fail, and the chain stays as it
+	// is for the next event).
 	Path string
 	// Moved counts placements the adaptation installs (0 = the running
 	// graph survived unchanged).
@@ -188,11 +190,13 @@ func a11Faults(origLat, origBW float64) []a11Fault {
 }
 
 // interiorNode picks the node to crash: the first placement past the
-// head that the session deployed for itself (not a reused instance)
-// away from the client's node.
-func interiorNode(dep *planner.Deployment, client netmodel.NodeID) (netmodel.NodeID, bool) {
+// head that the session runs for itself (not the primary at primary)
+// away from the client's node. Once an adaptation keeps the chain, its
+// placements are registered instances, reused like the primary, so
+// Reused does not tell them apart.
+func interiorNode(dep *planner.Deployment, client, primary netmodel.NodeID) (netmodel.NodeID, bool) {
 	for _, p := range dep.Placements[1:] {
-		if !p.Reused && p.Node != client {
+		if p.Node != client && (p.Component != spec.CompMailServer || p.Node != primary) {
 			return p.Node, true
 		}
 	}
@@ -228,7 +232,7 @@ func a11Repair(cfg A11Config, n int) ([]RepairCurveRow, error) {
 		if err != nil || len(d.Placements) < 3 {
 			continue
 		}
-		_, crashable := interiorNode(d, r.ClientNode)
+		_, crashable := interiorNode(d, r.ClientNode, nodes[0].ID)
 		if pl == nil || crashable {
 			pl, dep, req = cand, d, r
 		}
@@ -270,7 +274,7 @@ func a11Repair(cfg A11Config, n int) ([]RepairCurveRow, error) {
 	for _, f := range a11Faults(origLat, origBW) {
 		ch := planner.NewChangedSet()
 		if f.crash {
-			node, ok := interiorNode(dep, req.ClientNode)
+			node, ok := interiorNode(dep, req.ClientNode, nodes[0].ID)
 			if !ok {
 				rows = append(rows, RepairCurveRow{Nodes: n, Event: f.name, Path: "no-interior-node"})
 				continue
@@ -287,27 +291,29 @@ func a11Repair(cfg A11Config, n int) ([]RepairCurveRow, error) {
 		}
 
 		// Fresh-replan reference on its own planner: same topology state,
-		// same reuse set, the full ReplanRewire pass a control plane
-		// without incremental repair would run on every event (including
-		// its anchor-free rewire check).
+		// same reuse set, the one full search a control plane without
+		// incremental repair would run on every event (RepairReplan with
+		// no change set).
 		fresh, err := a11Planner(net, nodes[0].ID)
 		if err != nil {
 			return nil, err
 		}
 		fresh.AddExisting(dep.Placements...)
-		if _, err := fresh.ReplanRewire(dep, req); err != nil {
-			return nil, err
-		}
+		_, freshErr := fresh.RepairReplan(dep, req, nil)
 		freshProps := fresh.SolverStats.Propagations.Load()
 
 		propsBefore := pl.SolverStats.Propagations.Load()
 		fallbacksBefore := pl.SolverStats.RepairFallbacks.Load()
-		solvesBefore := pl.SolverStats.Solves.Load()
+		searchesBefore := pl.Stats().FullSearches
 		diff, err := pl.RepairReplan(dep, req, ch)
-		if err != nil {
-			return nil, err
-		}
 		repairProps := pl.SolverStats.Propagations.Load() - propsBefore
+		if (err == nil) != (freshErr == nil) {
+			return nil, fmt.Errorf("a11: repair err %v, fresh err %v", err, freshErr)
+		}
+		if err != nil {
+			rows = append(rows, RepairCurveRow{Nodes: n, Event: f.name, RepairProps: repairProps, FreshProps: freshProps, Path: "infeasible"})
+			continue
+		}
 
 		row := RepairCurveRow{
 			Nodes: n, Event: f.name,
@@ -318,7 +324,7 @@ func a11Repair(cfg A11Config, n int) ([]RepairCurveRow, error) {
 		switch {
 		case pl.SolverStats.RepairFallbacks.Load() > fallbacksBefore:
 			row.Path = "fallback"
-		case pl.SolverStats.Solves.Load() > solvesBefore:
+		case pl.Stats().FullSearches > searchesBefore:
 			row.Path = "repair+replan"
 		}
 		if repairProps > 0 {
@@ -355,11 +361,11 @@ func A11ScalingTable(res *A11Result) string {
 
 // A11RepairTable renders the repair-vs-fresh curve plus its headline:
 // the worst (smallest) cheapness ratio across the events the repair
-// settled by itself. The other two paths pay the fresh-replan cost by
+// settled by itself. The other paths pay the fresh-replan cost by
 // construction — a repair that moved nothing continues as the full
-// replan so that adaptation is never switched off, an infeasible one
-// falls back — so their ~1x parity is counted separately, not reported
-// as a repair result.
+// search so that adaptation is never switched off, an infeasible one
+// falls back to it — so their ~1x parity is counted separately, not
+// reported as a repair result.
 func A11RepairTable(res *A11Result) string {
 	var sb strings.Builder
 	t := metrics.NewTable("nodes", "event", "repair_props", "fresh_props", "ratio", "path", "moved")
@@ -382,10 +388,13 @@ func A11RepairTable(res *A11Result) string {
 		fmt.Fprintf(&sb, "\nrepair vs fresh replan: worst case settled by repair alone %.1fx fewer propagations\n", worst)
 	}
 	if n := parity["repair+replan"]; n > 0 {
-		fmt.Fprintf(&sb, "no-op repairs continued as the full replan + rewire check at parity: %d\n", n)
+		fmt.Fprintf(&sb, "no-op repairs continued as the one full search at parity: %d\n", n)
 	}
 	if n := parity["fallback"]; n > 0 {
-		fmt.Fprintf(&sb, "infeasible-repair events falling back to a fresh replan at parity: %d\n", n)
+		fmt.Fprintf(&sb, "infeasible-repair events falling back to the full search at parity: %d\n", n)
+	}
+	if n := parity["infeasible"]; n > 0 {
+		fmt.Fprintf(&sb, "events no deployment survives, on both sides: %d\n", n)
 	}
 	return sb.String()
 }

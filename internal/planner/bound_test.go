@@ -113,14 +113,15 @@ func TestGraphBoundIsAdmissible(t *testing.T) {
 	}
 }
 
-// TestSeededReplanFallsBackUnseeded: RepairReplan seeds its replan with
-// the repaired deployment's cost. Here the San Diego chain's instances
-// are registered without recorded offers, so they are reused candidates
-// but no anchors, and the planner now enumerates at most four positions:
-// no graph the replan searches holds the five-position chain or reaches
-// its cost, and the seeded replan finds nothing. RepairReplan must then
-// return exactly what an unseeded replan of the same world returns.
-func TestSeededReplanFallsBackUnseeded(t *testing.T) {
+// TestSeededSearchKeepsStandingDeployment: RepairReplan seeds its
+// search with the cost of keeping the old deployment as it runs now.
+// Here the San Diego chain's instances are registered without recorded
+// offers, and the planner enumerates at most four positions: no graph
+// the search enumerates holds the five-position chain or reaches its
+// cost, so the seeded search finds nothing. Keeping the chain is then
+// the answer — one full search, no rerun — where an unseeded replan of
+// the same world moves the session onto a far slower deployment.
+func TestSeededSearchKeepsStandingDeployment(t *testing.T) {
 	world := func() (pa, pb *Planner, dep *Deployment, req Request, ch *ChangedSet) {
 		net, pa, pb, dep, req := repairWorlds(t)
 		for _, p := range dep.Placements {
@@ -137,35 +138,42 @@ func TestSeededReplanFallsBackUnseeded(t *testing.T) {
 		return pa, pb, dep, req, ch
 	}
 
-	// The forcing: the seeded replan finds nothing.
-	pc, _, dep, req, ch := world()
+	// The forcing: the chain still holds, and the seeded search finds
+	// nothing.
+	pc, _, dep, req, _ := world()
 	pc.beginPlan()
-	repaired, priced, ok := pc.tryRepair(dep, req, ch, pc.RevalidateExisting())
-	if !ok || !buildDiff(dep, repaired).Unchanged() {
+	pc.RevalidateExisting()
+	stand := pc.standing(dep, req)
+	if stand == nil {
 		pc.endPlan()
-		t.Fatalf("the repair must keep the chain (ok=%v): %s", ok, repaired)
+		t.Fatal("the chain must still hold")
 	}
-	_, err := pc.replan(dep, req, pc.primaryOf(req.Objective, priced))
+	pc.memo.own, pc.memo.reuse = pc.ownWiring(dep, stand), nil
+	_, err := pc.replan(dep, req, pc.primaryOf(req.Objective, stand))
 	pc.endPlan()
 	if err == nil {
-		t.Fatal("the seeded replan found a deployment: the case does not force the fallback")
+		t.Fatal("the seeded search found a deployment: the case keeps nothing by default")
 	}
 
 	pa, pb, dep, req, ch := world()
+	searches := pa.layers.FullSearches
 	got, err := pa.RepairReplan(dep, req, ch)
 	if err != nil {
 		t.Fatalf("RepairReplan: %v", err)
 	}
-	want, err := pb.Replan(dep, req)
+	if !got.Unchanged() || !sameDeploymentKeys(got.New, dep) {
+		t.Fatalf("RepairReplan moved the chain: %s", got.New)
+	}
+	assertSamePlan(t, "RepairReplan after a seeded search found nothing", got.New, stand)
+	if n := pa.Stats().FullSearches - searches; n != 1 {
+		t.Errorf("RepairReplan ran %d full searches, want 1", n)
+	}
+	moved, err := pb.Replan(dep, req)
 	if err != nil {
 		t.Fatalf("Replan: %v", err)
 	}
-	if want.Unchanged() {
-		t.Fatalf("the unseeded replan keeps the chain, so RepairReplan would not return it: %s", want.New)
-	}
-	assertSamePlan(t, "RepairReplan after a seeded replan found nothing", got.New, want.New)
-	if fmt.Sprint(got.Install, got.Remove) != fmt.Sprint(want.Install, want.Remove) {
-		t.Errorf("diffs differ:\n  repair: install %v remove %v\n  replan: install %v remove %v",
-			got.Install, got.Remove, want.Install, want.Remove)
+	if moved.Unchanged() || moved.New.ExpectedLatencyMS <= got.New.ExpectedLatencyMS {
+		t.Fatalf("the unseeded replan must move to a slower deployment, else the case checks nothing: %s (%.3f ms against %.3f)",
+			moved.New, moved.New.ExpectedLatencyMS, got.New.ExpectedLatencyMS)
 	}
 }

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"partsvc/internal/spec"
@@ -194,19 +195,27 @@ func (pl *Planner) enumerate(iface string) []Graph {
 // instance whose component requires nothing has no upstream to cut: the
 // plain leaf position already holds it as a reused candidate (graphOf
 // reads it back as that position), so as an anchor it would only have
-// the same mappings solved twice.
+// the same mappings solved twice. A settled session's own wiring
+// anchors at its stands, not at its registered records (ownWiring).
 func (pl *Planner) anchorsFor(ru *reuseLayer, iface string) []graphNode {
 	var out []graphNode
-	for i := range ru.existing {
-		e := &ru.existing[i]
+	add := func(e *cand) {
 		comp, ok := pl.component(e.Component)
 		if !ok || len(comp.Requires) == 0 {
-			continue
+			return
 		}
 		if _, implements := comp.ImplementsInterface(iface); implements && len(e.Offers) > 0 {
 			e.stand = pl.standOf(e)
 			out = append(out, graphNode{comp: comp, anchor: e})
 		}
+	}
+	for i := range ru.existing {
+		if _, own := slices.BinarySearch(ru.own, ru.existing[i].Key()); !own {
+			add(&ru.existing[i])
+		}
+	}
+	for i := range ru.stands {
+		add(&ru.stands[i])
 	}
 	return out
 }

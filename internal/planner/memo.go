@@ -25,9 +25,10 @@ import (
 //   - reuseLayer: what the reuse set (Planner.Existing) decides on top
 //     of that — the registered instances as candidates, the enumerated
 //     graphs and the reuse-substituted candidate lists. The property
-//     layer keeps a few, found by the reuse set's content: callers
-//     reassign Existing wholesale before a call (the table's live
-//     instances), with no generation to compare.
+//     layer keeps a few, found by the reuse set's content and by a
+//     settled session's own wiring (planMemo.own): callers reassign
+//     Existing wholesale before a call (the table's live instances),
+//     with no generation to compare.
 //   - linkLayer: the link costs of one route handle, kept on the
 //     Planner while the call's *RouteCache handle and the specification
 //     are the same — across the computes of a fleet wave, which pins one
@@ -36,9 +37,9 @@ import (
 //     so the lookup counts stay those of per-call tables.
 //   - planMemo: one call. What the request decides (head placements,
 //     the head's walk step) and the search scratch. RepairReplan's
-//     repair, its Replan and its rewire Replan are passes over one
-//     network state and share it; it is dropped when the outermost call
-//     ends. Two things can move inside a call and are
+//     repair and its search are passes over one network state and share
+//     it; it is dropped when the outermost call ends. Two things can
+//     move inside a call and are
 //     guarded: the route handle (a pass that begins under a different
 //     RouteCache starts a new one) and the reuse set (every method that
 //     changes Existing bumps Planner.gen, and the next reuseNow looks the
@@ -56,6 +57,9 @@ type planMemo struct {
 	// checked, then 1 (it holds) or -1.
 	latencies int8
 
+	// own is the settled session's own wiring while RepairReplan
+	// searches; empty otherwise.
+	own ownWiring
 	// reuse is the reuse layer of generation reuseGen; heads holds the
 	// head candidates under it.
 	reuse    *reuseLayer
@@ -85,6 +89,21 @@ type planMemo struct {
 	leastW []float64
 }
 
+// ownWiring is a settled session's own wiring (RepairReplan): keys,
+// sorted, names the old deployment's placements that link to a
+// provider, which the reuse set then offers neither as reused
+// candidates nor as anchors at their registered records — what those
+// record of their upstream predates the change being answered. stands
+// are the same placements as the old deployment runs them now, offers
+// and upstream latency re-derived under current routes: the search may
+// anchor on them, which reuses an instance together with its wiring.
+// Anywhere else such a key is a fresh install, as it is for the engine,
+// which reinstalls an instance whose providers change.
+type ownWiring struct {
+	keys   []string
+	stands []Placement
+}
+
 // propKey is what the property layer depends on, beside the node
 // snapshot (propLayer.current). The network's property generation moves
 // with every mutation but a link's latency or bandwidth
@@ -101,9 +120,9 @@ type propKey struct {
 // while its key holds; past it the layer starts over.
 const propLayerCap = 1 << 16
 
-// maxReuseLayers is how many reuse sets a property layer remembers. The
-// rewire check alternates between a session's full reuse set and the
-// set without its own wiring, and a fleet shard meets several sites'.
+// maxReuseLayers is how many reuse sets a property layer remembers: a
+// fleet shard meets several sites', and each settled session's own
+// wiring makes its reuse set another one.
 const maxReuseLayers = 8
 
 type propLayer struct {
@@ -212,6 +231,12 @@ type candList struct {
 type reuseLayer struct {
 	// maxLen is the chain-length bound the graphs were enumerated under.
 	maxLen int
+	// own holds the keys of the own wiring the layer was built for
+	// (planMemo.own), left out of byKey and, at their registered
+	// records, out of the anchors; stands holds the call's stands as
+	// anchor candidates, found by key and refreshed on every lookup.
+	own    []string
+	stands []cand
 	// existing is Existing as candidates (Reused set), in order; byKey
 	// finds an entry by interned placement key.
 	existing []cand
@@ -220,17 +245,24 @@ type reuseLayer struct {
 	lists    map[*spec.Component]*candList
 }
 
-// holds reports whether the layer was built for this reuse set: the
-// same instances in the same order, with the same configurations,
-// recorded offers and upstream latencies.
-func (ru *reuseLayer) holds(existing []Placement, maxLen int) bool {
-	if ru.maxLen != maxLen || len(ru.existing) != len(existing) {
+// holds reports whether the layer was built for this reuse set and own
+// wiring: the same instances in the same order, with the same
+// configurations, recorded offers and upstream latencies, and the same
+// own keys and stands (by key; what a stand records is refreshed).
+func (ru *reuseLayer) holds(existing []Placement, maxLen int, own *ownWiring) bool {
+	if ru.maxLen != maxLen || len(ru.existing) != len(existing) || len(ru.stands) != len(own.stands) ||
+		!slices.Equal(ru.own, own.keys) {
 		return false
 	}
 	for i := range existing {
 		a, b := &ru.existing[i].Placement, &existing[i]
 		if a.Component != b.Component || a.Node != b.Node || a.UpstreamMS != b.UpstreamMS ||
 			!a.Config.Equal(b.Config) || !a.Offers.Equal(b.Offers) {
+			return false
+		}
+	}
+	for i := range own.stands {
+		if ru.stands[i].Key() != own.stands[i].Key() || len(ru.stands[i].Offers) == 0 != (len(own.stands[i].Offers) == 0) {
 			return false
 		}
 	}
@@ -523,12 +555,24 @@ func (pl *Planner) reuseNow() *reuseLayer {
 	return mm.reuse
 }
 
-// reuseFor finds the property layer's reuse layer for Existing, or
-// builds it, evicting the least recently used beyond maxReuseLayers.
+// reuseFor finds the property layer's reuse layer for Existing and the
+// call's own wiring, or builds it, evicting the least recently used
+// beyond maxReuseLayers, and sets its stands to the call's. The graphs
+// point at the stands, so they anchor at what the call recorded.
 func (pl *Planner) reuseFor() *reuseLayer {
+	ru := pl.findReuse()
+	for i, p := range pl.memo.own.stands {
+		p.Reused = true
+		ru.stands[i] = pl.memo.candOf(p)
+		ru.stands[i].stand = pl.standOf(&ru.stands[i])
+	}
+	return ru
+}
+
+func (pl *Planner) findReuse() *reuseLayer {
 	mm, pr := pl.memo, pl.memo.props
 	for i, ru := range pr.reuse {
-		if ru.holds(pl.Existing, pl.maxLen()) {
+		if ru.holds(pl.Existing, pl.maxLen(), &mm.own) {
 			copy(pr.reuse[1:i+1], pr.reuse[:i])
 			pr.reuse[0] = ru
 			pl.layers.ReuseLayerKept++
@@ -538,7 +582,9 @@ func (pl *Planner) reuseFor() *reuseLayer {
 	pl.layers.ReuseLayerRebuilt++
 	ru := &reuseLayer{
 		maxLen:   pl.maxLen(),
+		own:      mm.own.keys,
 		existing: make([]cand, len(pl.Existing)),
+		stands:   make([]cand, len(mm.own.stands)),
 		byKey:    make(map[int32]int32, len(pl.Existing)),
 		graphs:   map[string][]Graph{},
 		lists:    map[*spec.Component]*candList{},
@@ -546,7 +592,8 @@ func (pl *Planner) reuseFor() *reuseLayer {
 	for i, e := range pl.Existing {
 		e.Reused = true
 		ru.existing[i] = mm.candOf(e)
-		if _, dup := ru.byKey[ru.existing[i].key]; !dup {
+		_, dup := ru.byKey[ru.existing[i].key]
+		if _, own := slices.BinarySearch(mm.own.keys, e.Key()); !dup && !own {
 			ru.byKey[ru.existing[i].key] = int32(i)
 		}
 	}

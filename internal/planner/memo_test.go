@@ -231,13 +231,14 @@ func TestPlanMemoDoesNotOutliveChange(t *testing.T) {
 		t.Fatal("the bare primary's reuse layer was not found again by its content")
 	}
 
-	// The reuse set moving inside one call: register a warm San Diego
-	// chain and a Seattle session on it, degrade the link under the
-	// Seattle chain's interior, and adapt. The repair keeps its pins, the
-	// replan cuts at the anchor and changes nothing, and the rewire check
-	// drops the session's own wiring from the reuse set, replans, and
-	// puts it back — three passes and three reuse-set generations on one
-	// memo. Each pass is reproduced below on its own fresh planner.
+	// The reuse set seen two ways inside one call: register a warm San
+	// Diego chain and a Seattle session on it, degrade the link under the
+	// Seattle chain's interior, and adapt. The repair keeps its pins over
+	// the full reuse set; a plain plan would cut at the session's own
+	// view and change nothing; the settled search sees the same set with
+	// the session's own wiring installable afresh — two reuse layers on
+	// one memo. Its answer is reproduced below on a fresh planner without
+	// that wiring.
 	warm := planBoth("warm chain", sd)
 	live.AddExisting(warm.Placements...)
 	old := planBoth("seattle", sea)

@@ -309,11 +309,13 @@ type Stats struct {
 	layerCounts
 }
 
-// layerCounts counts, over the planner's life, how often what it keeps
-// between calls (memo.go) was found valid or had to be rebuilt: the
-// property layer once per call, the reuse layer once per reuse set a
-// call plans against.
+// layerCounts counts over the planner's life: its full searches — plan
+// calls, each over every linkage graph of the request — and how often
+// what it keeps between calls (memo.go) was found valid or had to be
+// rebuilt: the property layer once per call, the reuse layer once per
+// reuse set a call plans against.
 type layerCounts struct {
+	FullSearches                      int
 	PropLayerKept, PropLayerRebuilt   int
 	ReuseLayerKept, ReuseLayerRebuilt int
 }
@@ -410,6 +412,7 @@ func (s Stats) KVs() []metrics.KV {
 		metrics.KVf("rejected_no_path", "%d", s.RejectedNoPath),
 		metrics.KVf("route_cache_hits", "%d", s.RouteCacheHits),
 		metrics.KVf("route_cache_misses", "%d", s.RouteCacheMisses),
+		metrics.KVf("full_searches", "%d", s.FullSearches),
 		metrics.KVf("prop_layer_kept", "%d", s.PropLayerKept),
 		metrics.KVf("prop_layer_rebuilt", "%d", s.PropLayerRebuilt),
 		metrics.KVf("reuse_layer_kept", "%d", s.ReuseLayerKept),

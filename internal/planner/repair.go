@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -89,155 +90,170 @@ func (c *ChangedSet) String() string {
 // only invalidated domains re-open, and constraint propagation plus
 // branch-and-bound run over the affected remainder — O(affected) work
 // instead of O(topology). A repair that moves or evicts something is
-// the answer. A repair that comes back unchanged with nothing evicted
-// says only that the pins still hold, not that they are still optimal:
-// an improvement elsewhere or a degraded link under the pinned wiring
-// is invisible to it, so it continues exactly as ReplanRewire does — a
-// replan over the full reuse set, and on a no-op there too, the rewire
-// check. The repaired mapping is valid now, and the replan can make it
-// too: its primary cost, priced as a plan prices it, seeds the replan's
-// upper bound and the rewire check's, and only a seeded search that
-// finds nothing runs again unseeded, so the answer is the unseeded one.
-// When nothing is adopted the repaired deployment (the old
-// placements re-costed under current routes) is returned. With no old
-// deployment or an empty change set, or when repair is infeasible under
-// its pins (or the deployment does not describe a linkage graph of the
-// specification), it is ReplanRewire itself, so callers always get a
-// valid diff.
+// the answer.
+//
+// A repair that comes back unchanged says only that the pins still
+// hold, not that they are still optimal: an improvement elsewhere or a
+// degraded link under the pinned wiring is invisible to it. The answer
+// is then one full search for the best placement that counts sunk
+// instances as free, with every linkage priced under current routes.
+// The session's own instances are sunk only together with their wiring
+// (ownWiring): the search may end a branch at one as it runs now, and
+// places its key anywhere else as a fresh install. Keeping the old
+// deployment as it runs now (standing) seeds the search's bound, and
+// the search's answer is taken only when it is better. With no old
+// deployment, an empty change set or a repair infeasible under its
+// pins, the answer is the same search; an old deployment that no
+// longer holds is no option then, and its own wiring is installed
+// afresh wherever the search places it.
 func (pl *Planner) RepairReplan(old *Deployment, req Request, ch *ChangedSet) (*Diff, error) {
-	// One memo for the whole adaptation: the repair, the replan and the
-	// rewire check are passes over the same network state.
+	// One memo for the whole adaptation: the repair and the search are
+	// passes over the same network state.
 	pl.beginPlan()
 	defer pl.endPlan()
-	if old == nil || ch.Empty() {
-		return pl.ReplanRewire(old, req)
-	}
 	evicted := pl.RevalidateExisting()
-	dep, priced, ok := pl.tryRepair(old, req, ch, evicted)
-	if !ok {
-		// Fallback: the full pass revalidates again (finding nothing new —
-		// the evictions above already pruned the reuse set), so the diff
-		// must carry the evictions observed here.
-		diff, err := pl.ReplanRewire(old, req)
-		if err != nil {
-			return nil, err
+	var stand *Deployment
+	if old != nil && !ch.Empty() {
+		if stand = pl.tryRepair(old, req, ch); stand != nil {
+			if diff := buildDiff(old, stand); !diff.Unchanged() || len(evicted) > 0 {
+				diff.Evicted = evicted
+				return diff, nil
+			}
 		}
-		diff.Evicted = append(evicted, diff.Evicted...)
-		return diff, nil
 	}
-	repaired := buildDiff(old, dep)
-	repaired.Evicted = evicted
-	if !repaired.Unchanged() || len(evicted) > 0 {
-		return repaired, nil
+	if stand == nil {
+		stand = pl.standing(old, req)
 	}
-	diff, err := pl.replan(old, req, pl.primaryOf(req.Objective, priced))
+	pl.memo.own, pl.memo.reuse = pl.ownWiring(old, stand), nil
+	ub := math.Inf(1)
+	if stand != nil {
+		ub = pl.primaryOf(req.Objective, stand)
+	}
+	diff, err := pl.replan(old, req, ub)
+	if stand != nil && (err != nil || !pl.better(req.Objective, diff.New, stand)) {
+		diff, err = buildDiff(old, stand), nil
+	}
 	if err != nil {
-		diff, err = pl.Replan(old, req)
+		return nil, err
 	}
-	if err == nil && !diff.Unchanged() {
-		return diff, nil
+	diff.Evicted = append(evicted, diff.Evicted...)
+	return diff, nil
+}
+
+// ownWiring returns the own wiring of a settled session's old
+// deployment: the placements that link to a provider, but for a
+// stateful primary, whose state lives where it is and which is never
+// installed twice. Its stands come from stand, the old deployment as it
+// runs now, when it still holds: each placement that runs there
+// together with its whole upstream on registered instances.
+func (pl *Planner) ownWiring(old, stand *Deployment) ownWiring {
+	var own ownWiring
+	if old == nil {
+		return own
 	}
-	return pl.rewireCheck(old, req, repaired, priced), nil
+	sunk := make([]bool, len(old.Placements))
+	for i := len(old.Placements) - 1; i >= 0; i-- {
+		p := old.Placements[i]
+		if stand != nil {
+			sunk[i] = stand.Placements[i].Reused
+			for _, e := range stand.Edges {
+				sunk[i] = sunk[i] && (e.From != i || sunk[e.To])
+			}
+		}
+		if comp, ok := pl.component(p.Component); !old.hasProvider(i) || ok && pl.isStatefulPrimary(comp) {
+			continue
+		}
+		own.keys = append(own.keys, p.Key())
+		if sunk[i] {
+			own.stands = append(own.stands, stand.Placements[i])
+		}
+	}
+	slices.Sort(own.keys)
+	own.keys = slices.Compact(own.keys)
+	return own
+}
+
+// pin builds the solver model of the old deployment's linkage graph,
+// its anchors at their registered records so that it is priced as a
+// plan prices it, and finds each placement in its position's domain:
+// prev[v] is its index there, -1 where it is a candidate no more (its
+// node is down, its conditions or configuration moved). ok=false when
+// the deployment describes no linkage graph of the specification, an
+// anchored instance left the reuse set, or a position has no candidate
+// at all.
+func (pl *Planner) pin(old *Deployment, req Request) (m *graphModel, prev []int, ok bool) {
+	g, err := pl.graphOf(old)
+	if err != nil {
+		return nil, nil, false
+	}
+	ru := pl.reuseNow()
+	for i := range g {
+		if a := g[i].anchor; a != nil {
+			j, registered := ru.byKey[a.key]
+			if !registered {
+				return nil, nil, false
+			}
+			r := ru.existing[j]
+			r.stand = pl.standOf(&r)
+			g[i].anchor = &r
+		}
+	}
+	if m, ok = pl.newModel(g, req); !ok {
+		return nil, nil, false
+	}
+	prev = make([]int, len(g))
+	for v := range prev {
+		key := old.Placements[v].Key()
+		prev[v] = slices.IndexFunc(m.pos[v].cands, func(c cand) bool { return c.Key() == key })
+	}
+	return m, prev, true
+}
+
+// standing returns the old deployment as it runs now, priced as a plan
+// prices it, or nil when it no longer holds: a placement is no
+// candidate any more, a linkage lost its route or its properties, the
+// rate no longer fits.
+func (pl *Planner) standing(old *Deployment, req Request) *Deployment {
+	m, prev, ok := pl.pin(old, req)
+	if !ok || slices.Contains(prev, -1) {
+		return nil
+	}
+	dep, _, ok := m.Evaluate(prev)
+	if !ok {
+		return nil
+	}
+	return dep.(*Deployment)
 }
 
 // tryRepair pins every placement of the old deployment that the change
-// cannot have affected and re-solves the rest. ok=false requests a
-// fresh full replan. priced is the repaired deployment as a plan prices
-// it: a plan's anchors carry the upstream latency their registration
-// records, where the old deployment's copy of a reused leaf may record
-// another, so priced reprices those hops.
-func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet, evicted []Placement) (dep, priced *Deployment, ok bool) {
-	g, err := pl.graphOf(old)
-	if err != nil {
-		return nil, nil, false // foreign deployment: replan fresh
+// cannot have affected and re-solves the rest. nil requests the full
+// search.
+func (pl *Planner) tryRepair(old *Deployment, req Request, ch *ChangedSet) *Deployment {
+	m, prev, ok := pl.pin(old, req)
+	if !ok {
+		return nil
 	}
-	for i := range g {
-		key := old.Placements[i].Key()
-		if g[i].anchor != nil && !slices.ContainsFunc(pl.Existing, func(e Placement) bool { return e.Key() == key }) {
-			return nil, nil, false // the anchored instance left the reuse set: replan fresh
-		}
-	}
-	evictedKeys := make(map[string]bool, len(evicted))
-	for _, p := range evicted {
-		evictedKeys[p.Key()] = true
-	}
-	n := len(g)
-	dirty := make([]bool, n)
-	for i, p := range old.Placements {
-		if ch.NodeAffected(p.Node) || evictedKeys[p.Key()] {
-			dirty[i] = true
-			continue
-		}
-		if node, live := pl.Net.Node(p.Node); !live || node.Down {
-			dirty[i] = true
-		}
-	}
-	// An edge whose recorded route traverses a changed element
-	// invalidates both endpoints: either may need to move to restore a
+	// A placement on a changed node, or one that is no candidate any
+	// more, re-opens; so do both ends of an edge whose recorded route
+	// traverses a changed element: either may need to move to restore a
 	// good (or any) route between them.
+	dirty := make([]bool, len(prev))
+	for i, p := range old.Placements {
+		dirty[i] = ch.NodeAffected(p.Node) || prev[i] < 0
+	}
 	for _, e := range old.Edges {
 		if ch.PathAffected(e.Path) {
-			dirty[e.From] = true
-			dirty[e.To] = true
-		}
-	}
-	// A changed node can also break deployment conditions or re-factor
-	// configurations without appearing in any path.
-	for i := range g {
-		if dirty[i] || g[i].anchor != nil {
-			continue
-		}
-		p, live := pl.placementForCached(g[i].comp, old.Placements[i].Node, req, i)
-		if !live || p.configFP() != old.Placements[i].configFP() {
-			dirty[i] = true
+			dirty[e.From], dirty[e.To] = true, true
 		}
 	}
 	if dirty[0] {
-		return nil, nil, false // the head is pinned at the client node; replan fresh
-	}
-	m, ok := pl.newModel(g, req)
-	if !ok {
-		return nil, nil, false
-	}
-	prev := make([]int, n)
-	for v := 0; v < n; v++ {
-		if dirty[v] {
-			continue
-		}
-		idx := -1
-		for ci := range m.pos[v].cands {
-			if m.pos[v].cands[ci].Key() == old.Placements[v].Key() {
-				idx = ci
-				break
-			}
-		}
-		if idx < 0 {
-			// The previous placement is no longer a candidate (conditions
-			// moved, instance evicted): re-open the variable.
-			if v == 0 {
-				return nil, nil, false
-			}
-			dirty[v] = true
-			continue
-		}
-		prev[v] = idx
+		return nil // the head is pinned at the client node
 	}
 	s := &pl.engine
 	s.Stats, s.UpperBound = pl.SolverStats, nil
 	sol, _, solved := s.Repair(m, prev, dirty)
 	if !solved {
-		return nil, nil, false
+		return nil
 	}
-	dep = sol.Result.(*Deployment)
-	in := flowCoeff(g, m.assigned(sol.Assign))
-	repriced := *dep
-	ru := pl.reuseNow()
-	for v := range g {
-		if a := g[v].anchor; a != nil {
-			if i, ok := ru.byKey[a.key]; ok {
-				repriced.ExpectedLatencyMS += in[v] * (ru.existing[i].UpstreamMS - a.UpstreamMS)
-			}
-		}
-	}
-	return dep, &repriced, true
+	return sol.Result.(*Deployment)
 }

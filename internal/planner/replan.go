@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"partsvc/internal/property"
 )
@@ -23,9 +24,11 @@ type Diff struct {
 	// Install lists placements present in New but not in the old
 	// deployment (components the engine must install).
 	Install []Placement
-	// Remove lists old placements no longer referenced by New
-	// (candidates for teardown once their state is drained — data views
-	// have already pushed their writes through the coherence layer).
+	// Remove lists the old placements New no longer holds: what the
+	// session releases. Whether an instance is torn down is decided by
+	// who else holds it (a shared tail, the primary), once its state is
+	// drained — data views have already pushed their writes through the
+	// coherence layer.
 	Remove []Placement
 	// Evicted lists previously registered instances that failed
 	// revalidation against the current network and were dropped from
@@ -45,17 +48,9 @@ func (d *Diff) Unchanged() bool { return len(d.Install) == 0 && len(d.Remove) ==
 // entrusted with its keys). Invalid instances are removed from the
 // reuse set and returned.
 func (pl *Planner) RevalidateExisting() []Placement {
-	var evicted []Placement
-	kept := pl.Existing[:0]
-	for _, p := range pl.Existing {
-		if pl.stillValid(p) {
-			kept = append(kept, p)
-		} else {
-			evicted = append(evicted, p)
-		}
-	}
-	pl.Existing = kept
+	evicted := pl.InvalidExisting()
 	if len(evicted) > 0 {
+		pl.Existing = slices.DeleteFunc(pl.Existing, func(p Placement) bool { return !pl.stillValid(p) })
 		pl.gen++
 	}
 	return evicted
@@ -129,7 +124,8 @@ func (pl *Planner) replan(old *Deployment, req Request, ub float64) (*Diff, erro
 
 // buildDiff computes the install/remove bookkeeping between an old
 // deployment and a freshly planned one (shared by Replan and
-// RepairReplan).
+// RepairReplan): Install is what New does not reuse, Remove what of
+// the old deployment New no longer holds.
 func buildDiff(old, dep *Deployment) *Diff {
 	diff := &Diff{New: dep}
 	keep := map[string]bool{}
@@ -164,92 +160,6 @@ func buildDiff(old, dep *Deployment) *Diff {
 		}
 	}
 	return diff
-}
-
-// ReplanRewire runs Replan and puts a no-op result through the rewire
-// check.
-func (pl *Planner) ReplanRewire(old *Deployment, req Request) (*Diff, error) {
-	pl.beginPlan()
-	defer pl.endPlan()
-	diff, err := pl.Replan(old, req)
-	if err != nil {
-		return nil, err
-	}
-	return pl.rewireCheck(old, req, diff, diff.New), nil
-}
-
-// rewireCheck decides whether a no-op adaptation (nothing to install or
-// remove, nothing evicted) should nevertheless move the session: the
-// network change may have moved the latency optimum away from wiring
-// that reuse keeps frozen. Revalidation is validity-scoped (node death,
-// condition violations); a link that merely degraded evicts nothing,
-// and both a replan (whose anchor cut reuses the old graph wholesale)
-// and a pinned repair then answer "unchanged" even though a better
-// wiring now exists. The check re-plans with the old deployment's own
-// wiring (every placement that links to a provider — the terminals may
-// be shared standing infrastructure such as the primary or another
-// session's view) removed from the reuse set, so the planner costs
-// every graph shape afresh under current routes. The result is adopted only when it places
-// differently; otherwise the reuse set is restored and noop returned.
-// Same-key placements in an adopted rewire land in Install (the engine
-// reinstalls them in place, carrying state), and Remove is restricted
-// to the dropped wiring so shared tails keep running. Any other diff
-// passes through untouched. priced is noop.New as a plan prices it (see
-// tryRepair).
-func (pl *Planner) rewireCheck(old *Deployment, req Request, noop *Diff, priced *Deployment) *Diff {
-	if old == nil || len(old.Edges) == 0 || !noop.Unchanged() || len(noop.Evicted) > 0 {
-		return noop
-	}
-	own := make([]Placement, 0, len(old.Placements))
-	dropped := map[string]bool{}
-	keys := make([]string, 0, len(old.Placements))
-	for i, p := range old.Placements {
-		if old.hasProvider(i) {
-			own = append(own, p)
-			dropped[p.Key()] = true
-			keys = append(keys, p.Key())
-		}
-	}
-	pl.DropExistingByKey(keys...)
-	// The old wiring installed anew is a mapping the search can still
-	// make, at the no-op's cost plus a deploy penalty per dropped
-	// instance: that cost seeds the search.
-	again := *priced
-	again.NewComponents += len(own)
-	fresh, err := pl.replan(old, req, pl.primaryOf(req.Objective, &again))
-	if err != nil {
-		fresh, err = pl.Replan(old, req)
-	}
-	if err != nil || sameDeploymentKeys(fresh.New, old) {
-		pl.AddExisting(own...)
-		return noop
-	}
-	kept := fresh.Remove[:0]
-	for _, p := range fresh.Remove {
-		if dropped[p.Key()] {
-			kept = append(kept, p)
-		}
-	}
-	fresh.Remove = kept
-	return fresh
-}
-
-// sameDeploymentKeys reports whether two deployments place the same
-// instances (same placement-key sets).
-func sameDeploymentKeys(a, b *Deployment) bool {
-	if a == nil || b == nil || len(a.Placements) != len(b.Placements) {
-		return false
-	}
-	keys := map[string]bool{}
-	for _, p := range a.Placements {
-		keys[p.Key()] = true
-	}
-	for _, p := range b.Placements {
-		if !keys[p.Key()] {
-			return false
-		}
-	}
-	return true
 }
 
 // Verify independently validates a deployment against a request under

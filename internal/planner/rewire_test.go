@@ -1,9 +1,11 @@
 package planner
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"partsvc/internal/netmodel"
 	"partsvc/internal/netmon"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
@@ -45,13 +47,32 @@ func existingKeys(pl *Planner) map[string]bool {
 	return keys
 }
 
-// TestReplanRewireNoopOnStableNetwork: when nothing changed, the rewire
-// check must conclude the current wiring is still optimal, return the
-// plain no-op diff, and leave the reuse set exactly as it found it.
+// sameDeploymentKeys reports whether two deployments place the same
+// instances (same placement-key sets).
+func sameDeploymentKeys(a, b *Deployment) bool {
+	if a == nil || b == nil || len(a.Placements) != len(b.Placements) {
+		return false
+	}
+	keys := map[string]bool{}
+	for _, p := range a.Placements {
+		keys[p.Key()] = true
+	}
+	for _, p := range b.Placements {
+		if !keys[p.Key()] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReplanRewireNoopOnStableNetwork: when nothing changed, the one
+// search of a settled replan (RepairReplan with no change set) must
+// conclude that the session's wiring is still optimal, return a no-op
+// diff, and leave the reuse set exactly as it found it.
 func TestReplanRewireNoopOnStableNetwork(t *testing.T) {
 	pl, _, dep, req := rewireWorld(t)
 	before := existingKeys(pl)
-	diff, err := pl.ReplanRewire(dep, req)
+	diff, err := pl.RepairReplan(dep, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,22 +86,23 @@ func TestReplanRewireNoopOnStableNetwork(t *testing.T) {
 	}
 	for k := range before {
 		if !after[k] {
-			t.Errorf("reuse entry %s lost by the rewire check", k)
+			t.Errorf("reuse entry %s lost by the settled replan", k)
 		}
 	}
 }
 
 // TestReplanRewireMovesDegradedWiring: degrading the SD–Seattle link
-// evicts nothing (revalidation is validity-scoped), but the Seattle
-// chain's decryptor-to-anchor hop now routes the long way around; the
-// rewire check must notice and produce a diff that re-wires the chain
-// off the degraded link, removing only the session's own wiring.
+// evicts nothing (revalidation is validity-scoped), and a plain plan
+// still cuts at the Seattle view, whose recorded upstream predates the
+// change. The settled replan prices the session's own wiring under
+// current routes, so it must move the chain off the degraded link. Its
+// diff has buildDiff's one meaning: the instances whose wiring changes
+// are installed afresh under the same keys, and Remove lists every old
+// placement the new chain no longer holds — the shared tail included,
+// which the session releases and which stays registered for the
+// session that holds it.
 func TestReplanRewireMovesDegradedWiring(t *testing.T) {
 	pl, mon, dep, req := rewireWorld(t)
-	ownKeys := map[string]bool{}
-	for _, p := range dep.Placements[:len(dep.Placements)-1] {
-		ownKeys[p.Key()] = true
-	}
 	tail := dep.Placements[len(dep.Placements)-1]
 	onSD := false
 	for _, p := range dep.Placements {
@@ -94,7 +116,12 @@ func TestReplanRewireMovesDegradedWiring(t *testing.T) {
 	if err := mon.ReportLink(topology.SDGateway, topology.SeaGW, 1500, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	diff, err := pl.ReplanRewire(dep, req)
+	plain := New(spec.MailService(), pl.Net)
+	plain.AddExisting(pl.Existing...)
+	if stale, err := plain.Plan(req); err != nil || !buildDiff(dep, stale).Unchanged() {
+		t.Fatalf("a plain plan must still keep the chain (err %v): %s; the test checks nothing", err, stale)
+	}
+	diff, err := pl.RepairReplan(dep, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +136,32 @@ func TestReplanRewireMovesDegradedWiring(t *testing.T) {
 			t.Fatalf("rewired chain still decrypts behind the degraded link: %s", diff.New)
 		}
 	}
-	for _, p := range diff.Remove {
-		if !ownKeys[p.Key()] {
-			t.Errorf("Remove contains %s, which is not the session's own wiring", p.Key())
-		}
-		if p.Key() == tail.Key() {
-			t.Errorf("shared tail %s must keep running", tail.Key())
+	held := map[string]bool{}
+	for _, p := range diff.New.Placements {
+		held[p.Key()] = true
+	}
+	var wantRemove []string
+	for _, p := range dep.Placements {
+		if !held[p.Key()] {
+			wantRemove = append(wantRemove, p.Key())
 		}
 	}
-	if len(diff.Remove) == 0 {
-		t.Fatal("the abandoned decryptor should be removed")
+	var gotRemove []string
+	for _, p := range diff.Remove {
+		gotRemove = append(gotRemove, p.Key())
+	}
+	if !reflect.DeepEqual(gotRemove, wantRemove) {
+		t.Errorf("Remove = %v, want the old placements the new chain does not hold: %v", gotRemove, wantRemove)
+	}
+	if held[tail.Key()] {
+		t.Errorf("the rewired chain still ends at the shared tail %s: %s", tail.Key(), diff.New)
+	}
+	// Every own instance the new chain keeps under its key is wired
+	// differently, so the engine reinstalls it: it must be an install.
+	for _, p := range diff.New.Placements {
+		if p.Reused && p.Node == topology.SeaClient {
+			t.Errorf("%s is re-wired but marked reused: %s", p.Key(), diff.New)
+		}
 	}
 	// The shared tail (another session's view) must survive in the
 	// reuse set even though the rewired chain no longer uses it.
@@ -132,12 +175,15 @@ func TestReplanRewireMovesDegradedWiring(t *testing.T) {
 // chain invalidates nothing, so a pinned repair alone answers
 // "unchanged" and would leave the session on the degraded link; going
 // through RepairReplan with the event's ChangedSet must produce the
-// same install/remove sets as the full ReplanRewire — and the same
-// again when the link is restored and the session moves back.
+// same install/remove sets as the settled search alone (RepairReplan
+// with no change set, which runs no repair) — and the same again when
+// the link is restored and the session moves back. Each step runs one
+// full search at most.
 func TestRepairReplanMatchesRewireOnInteriorLink(t *testing.T) {
 	net := topology.CaseStudy()
 	mon := netmon.New(net)
 	req := Request{Interface: spec.IfaceClient, ClientNode: topology.SeaClient, User: "Carol", RateRPS: 50}
+	var warm *Deployment
 	build := func() (*Planner, *Deployment) {
 		pl := New(spec.MailService(), net)
 		primary, err := pl.PrimaryPlacement(spec.CompMailServer, topology.NYServer)
@@ -145,7 +191,7 @@ func TestRepairReplanMatchesRewireOnInteriorLink(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl.AddExisting(primary)
-		warm := planOrFail(t, pl, Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50})
+		warm = planOrFail(t, pl, Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50})
 		pl.AddExisting(warm.Placements...)
 		dep := planOrFail(t, pl, req)
 		pl.AddExisting(dep.Placements...)
@@ -167,13 +213,19 @@ func TestRepairReplanMatchesRewireOnInteriorLink(t *testing.T) {
 		}
 		return out
 	}
-	// adopt applies a diff the way the executor does: abandoned wiring is
-	// forgotten, the new deployment registered for reuse.
+	// adopt applies a diff the way the loop does: what the session
+	// releases leaves the reuse set unless the warm San Diego session
+	// still holds it, and the new deployment is registered for reuse.
+	warmKeys := keySet(warm.Placements)
 	adopt := func(pl *Planner, old *Deployment, diff *Diff) *Deployment {
 		if diff.Unchanged() {
 			return old
 		}
-		pl.DropExisting(diff.Remove...)
+		for _, p := range diff.Remove {
+			if !warmKeys[p.Key()] {
+				pl.DropExisting(p)
+			}
+		}
 		pl.AddExisting(diff.New.Placements...)
 		return diff.New
 	}
@@ -184,28 +236,32 @@ func TestRepairReplanMatchesRewireOnInteriorLink(t *testing.T) {
 		}
 		ch := NewChangedSet()
 		ch.AddLink(topology.SDGateway, topology.SeaGW)
+		searches := pa.layers.FullSearches
 		diffA, err := pa.RepairReplan(depA, req, ch)
 		if err != nil {
 			t.Fatalf("%s: RepairReplan: %v", label, err)
 		}
-		diffB, err := pb.ReplanRewire(depB, req)
+		if n := pa.layers.FullSearches - searches; n > 1 {
+			t.Errorf("%s: RepairReplan ran %d full searches, want at most 1", label, n)
+		}
+		diffB, err := pb.RepairReplan(depB, req, nil)
 		if err != nil {
-			t.Fatalf("%s: ReplanRewire: %v", label, err)
+			t.Fatalf("%s: the search alone: %v", label, err)
 		}
 		if diffA.Unchanged() == wantMove {
 			t.Errorf("%s: repair unchanged=%v, want a move=%v (%s)", label, diffA.Unchanged(), wantMove, diffA.New)
 		}
 		if !reflect.DeepEqual(keySet(diffA.Install), keySet(diffB.Install)) {
-			t.Errorf("%s: install sets differ:\n  repair: %v\n  rewire: %v", label, diffA.Install, diffB.Install)
+			t.Errorf("%s: install sets differ:\n  repair: %v\n  search: %v", label, diffA.Install, diffB.Install)
 		}
 		if !reflect.DeepEqual(keySet(diffA.Remove), keySet(diffB.Remove)) {
-			t.Errorf("%s: remove sets differ:\n  repair: %v\n  rewire: %v", label, diffA.Remove, diffB.Remove)
+			t.Errorf("%s: remove sets differ:\n  repair: %v\n  search: %v", label, diffA.Remove, diffB.Remove)
 		}
 		if len(diffA.Evicted) != 0 || len(diffB.Evicted) != 0 {
 			t.Errorf("%s: a latency change evicts nothing: %v / %v", label, diffA.Evicted, diffB.Evicted)
 		}
 		if !diffA.Unchanged() && diffA.New.String() != diffB.New.String() {
-			t.Errorf("%s: deployments differ:\n  repair: %s\n  rewire: %s", label, diffA.New, diffB.New)
+			t.Errorf("%s: deployments differ:\n  repair: %s\n  search: %s", label, diffA.New, diffB.New)
 		}
 		depA, depB = adopt(pa, depA, diffA), adopt(pb, depB, diffB)
 	}
@@ -222,9 +278,78 @@ func TestRepairReplanMatchesRewireOnInteriorLink(t *testing.T) {
 		t.Error("the degrade must have gone through the repair engine first")
 	}
 	// The restore is an improvement no pin can see: the repair is a
-	// no-op, and the replan behind it moves the session back.
+	// no-op, and the search behind it moves the session back.
 	step("restore", baseLat, true)
 	if !sameDeploymentKeys(depA, original) {
 		t.Errorf("restoring the link must restore the wiring:\n  original: %s\n  now:      %s", original, depA)
 	}
+}
+
+// TestSettledReplanSearchesOnce: a settled session's replan is one
+// search. The three Figure 6 sessions are adapted, one planner for all,
+// to an unchanged network, to a degrade of each inter-site link under a
+// deployed chain and to its restore: every RepairReplan runs at most
+// one full search, counted in Stats. The steps must reach the search —
+// some repair comes back unchanged — and move some session, or they
+// check nothing.
+func TestSettledReplanSearchesOnce(t *testing.T) {
+	net := topology.CaseStudy()
+	mon := netmon.New(net)
+	pl := New(spec.MailService(), net)
+	primary, err := pl.PrimaryPlacement(spec.CompMailServer, topology.NYServer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.AddExisting(primary)
+	reqs := []Request{
+		{Interface: spec.IfaceClient, ClientNode: topology.NYClient, User: "Alice", RateRPS: 50},
+		{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50},
+		{Interface: spec.IfaceClient, ClientNode: topology.SeaClient, User: "Carol", RateRPS: 50},
+	}
+	deps := make([]*Deployment, len(reqs))
+	for i, req := range reqs {
+		deps[i] = planOrFail(t, pl, req)
+		pl.AddExisting(deps[i].Placements...)
+	}
+	searched, moved := 0, 0
+	adapt := func(step string, ch *ChangedSet) {
+		t.Helper()
+		for i, req := range reqs {
+			searches := pl.layers.FullSearches
+			diff, err := pl.RepairReplan(deps[i], req, ch)
+			if err != nil {
+				t.Fatalf("%s, session %d: %v", step, i, err)
+			}
+			n := pl.Stats().FullSearches - searches
+			if n > 1 {
+				t.Errorf("%s, session %d: RepairReplan ran %d full searches, want at most 1", step, i, n)
+			}
+			searched += n
+			if !diff.Unchanged() {
+				moved++
+				pl.AddExisting(diff.New.Placements...)
+				deps[i] = diff.New
+			}
+		}
+	}
+	adapt("unchanged network", nil)
+	for _, l := range [][2]netmodel.NodeID{{topology.SDGateway, topology.SeaGW}, {topology.NYServer, topology.SDGateway}} {
+		link, ok := net.Link(l[0], l[1])
+		if !ok {
+			t.Fatalf("no link %s~%s", l[0], l[1])
+		}
+		ch := NewChangedSet()
+		ch.AddLink(l[0], l[1])
+		base := link.LatencyMS
+		for _, lat := range []float64{base + 800, base} {
+			if err := mon.ReportLink(l[0], l[1], lat, -1, nil); err != nil {
+				t.Fatal(err)
+			}
+			adapt(fmt.Sprintf("%s~%s at %.0f ms", l[0], l[1], lat), ch)
+		}
+	}
+	if searched == 0 || moved == 0 {
+		t.Fatalf("%d searches, %d moves: the steps check nothing", searched, moved)
+	}
+	t.Logf("%d full searches and %d moves over %d replans", searched, moved, 5*len(reqs))
 }

@@ -324,6 +324,7 @@ func (pl *Planner) plan(req Request, ub float64) (*Deployment, error) {
 	if _, ok := pl.Service.Interface(req.Interface); !ok {
 		return nil, fmt.Errorf("planner: interface %q not in service %q", req.Interface, pl.Service.Name)
 	}
+	pl.layers.FullSearches++
 	graphs := pl.enumerate(req.Interface)
 	pl.stats.ChainsEnumerated = len(graphs)
 	if len(graphs) == 0 {

@@ -336,10 +336,11 @@ func repairWorlds(t *testing.T) (net *netmodel.Network, pa, pb *Planner, dep *De
 // TestRepairReplanLinkEvent: a latency change on the inter-site link
 // under the deployed chain repairs incrementally — only the placements
 // whose recorded edge routes traverse the link re-open — and agrees
-// with a full replan that nothing moves, with the solver's repair path
-// (not the fallback) doing the work. The no-op repair goes through the
-// rewire check, which adopts nothing here, so the caller gets the
-// repaired deployment: the old placements re-costed.
+// with the settled search alone that nothing moves, with the solver's
+// repair path (not the fallback) doing the work. The no-op repair is
+// followed by the one search, which finds nothing better than keeping
+// the chain, so the caller gets the chain as it runs now: the old
+// placements re-costed.
 func TestRepairReplanLinkEvent(t *testing.T) {
 	net, pa, pb, dep, req := repairWorlds(t)
 	mon := netmon.New(net)
@@ -353,20 +354,17 @@ func TestRepairReplanLinkEvent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RepairReplan: %v", err)
 	}
-	diffB, err := pb.ReplanRewire(dep, req)
+	diffB, err := pb.RepairReplan(dep, req, nil)
 	if err != nil {
-		t.Fatalf("ReplanRewire: %v", err)
+		t.Fatalf("the search alone: %v", err)
 	}
 	// A mild degradation moves no placements: both paths must agree the
-	// adaptation is a no-op. (The deployments are not compared verbatim:
-	// the full replan terminates at the reused view anchor — whose
-	// upstream cost is a frozen snapshot — while repair re-costs the
-	// whole chain in place.)
+	// adaptation is a no-op.
 	if !diffA.Unchanged() {
 		t.Errorf("repair moved placements under a mild degradation: %+v", diffA)
 	}
 	if !diffB.Unchanged() {
-		t.Errorf("full replan moved placements under a mild degradation: %+v", diffB)
+		t.Errorf("the search moved placements under a mild degradation: %+v", diffB)
 	}
 	if !sameDeploymentKeys(diffA.New, dep) {
 		t.Errorf("repair must keep the old placements:\n  old:    %s\n  repair: %s", dep, diffA.New)
@@ -383,7 +381,8 @@ func TestRepairReplanLinkEvent(t *testing.T) {
 }
 
 // TestRepairReplanPassthrough: with no known changed elements (a nil or
-// an empty set) RepairReplan is exactly ReplanRewire.
+// an empty set) RepairReplan is the settled search alone: no repair,
+// one full search, and on an unchanged network the chain as it runs.
 func TestRepairReplanPassthrough(t *testing.T) {
 	_, pa, pb, dep, req := repairWorlds(t)
 	diffA, err := pa.RepairReplan(dep, req, NewChangedSet())
@@ -394,15 +393,14 @@ func TestRepairReplanPassthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pb.ReplanRewire(dep, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diffA.New.String() != want.New.String() {
-		t.Errorf("passthrough diverges from ReplanRewire: %s vs %s", diffA.New, want.New)
+	if !diffA.Unchanged() || !sameDeploymentKeys(diffA.New, dep) {
+		t.Errorf("passthrough on an unchanged network moved the chain: %s", diffA.New)
 	}
 	if diffA.New.String() != diffB.New.String() {
 		t.Errorf("passthrough results diverge: %s vs %s", diffA.New, diffB.New)
+	}
+	if a, b := pa.Stats().FullSearches, pb.Stats().FullSearches; a != b {
+		t.Errorf("with an empty change set the planner has run %d full searches, with a nil one %d", a, b)
 	}
 	if got := pa.SolverStats.Repairs.Load() + pb.SolverStats.Repairs.Load(); got != 0 {
 		t.Errorf("passthrough must not run the repair engine (repairs=%d)", got)
@@ -458,8 +456,8 @@ func TestRepairReplanTreeFallsBack(t *testing.T) {
 // must cost at least 5x fewer constraint propagations than a fresh
 // solve of the same request, while landing on an equally good
 // deployment. The guard times RepairReplan's repair step by itself: a
-// repair that moves nothing is followed by the rewire check, which is a
-// fresh solve by construction and is not what this guard bounds. Run
+// repair that moves nothing is followed by the settled search, which is
+// a full search by construction and is not what this guard bounds. Run
 // with:
 //
 //	RUN_OVERHEAD_GUARD=1 go test ./internal/planner -run OverheadGuard -v
@@ -543,11 +541,11 @@ func TestSolverRepairOverheadGuard(t *testing.T) {
 	start := time.Now()
 	pl.beginPlan()
 	evicted := pl.RevalidateExisting()
-	repaired, _, ok := pl.tryRepair(dep, req, ch, evicted)
+	repaired := pl.tryRepair(dep, req, ch)
 	pl.endPlan()
 	repairNS := time.Since(start)
-	if !ok || len(evicted) != 0 {
-		t.Fatalf("repair of a mild degradation failed (ok=%v, evicted=%v)", ok, evicted)
+	if repaired == nil || len(evicted) != 0 {
+		t.Fatalf("repair of a mild degradation failed (repaired %v, evicted %v)", repaired, evicted)
 	}
 	diff := buildDiff(dep, repaired)
 	repairProps := pl.SolverStats.Propagations.Load() - propsBefore

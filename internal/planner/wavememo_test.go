@@ -61,7 +61,7 @@ func TestWaveMemoSharedMatchesIndependent(t *testing.T) {
 	// Independent baseline: each instance replans on its own.
 	p1, m1, dep1, req1 := rewireWorld(t)
 	degrade(m1)
-	want1, err := p1.ReplanRewire(dep1, req1)
+	want1, err := p1.RepairReplan(dep1, req1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestWaveMemoSharedMatchesIndependent(t *testing.T) {
 		defer pl.PinRoutes(nil)
 		key := req.Fingerprint() + "#" + shapeOf(dep)
 		diff, _, _, err := memo.Do(key, func() (*Diff, Stats, error) {
-			d, err := pl.ReplanRewire(dep, req)
+			d, err := pl.RepairReplan(dep, req, nil)
 			return d, pl.Stats(), err
 		})
 		if err != nil {

@@ -63,8 +63,10 @@ func diffString(d *planner.Diff) string {
 // wired into, and Table.RepairReplan searches once: it counts the
 // solves of one Replan over the reuse set without the evicted instances
 // and the orphans and no repair, where the oracle ran a full search
-// first and threw its answer away. The death of every other node that
-// hosts no primary is checked against the oracle as well.
+// first and threw its answer away. The New York session holds nothing
+// evicted or orphaned, so its recovery is the planner's repair alone,
+// with no search. The death of every other node that hosts no primary
+// is checked against the oracle as well.
 func TestNodeDeathRecoverySearchesOnce(t *testing.T) {
 	w := newWorld(t)
 	reqs := []planner.Request{
@@ -72,7 +74,7 @@ func TestNodeDeathRecoverySearchesOnce(t *testing.T) {
 		{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50},
 		{Interface: spec.IfaceClient, ClientNode: topology.SeaClient, User: "Carol", RateRPS: 50},
 	}
-	const seattle = 2
+	const ny, seattle = 0, 2
 	var err error
 	deps := make([]*planner.Deployment, len(reqs))
 	for i, req := range reqs {
@@ -145,6 +147,9 @@ func TestNodeDeathRecoverySearchesOnce(t *testing.T) {
 	}
 	if oracle[seattle].solves <= single {
 		t.Errorf("the oracle counted %d solves, one search is %d: the scenario does not reach the second search", oracle[seattle].solves, single)
+	}
+	if want := (counts{repairs: 1}); got[ny] != want {
+		t.Errorf("New York's recovery counted %+v, want the repair alone: %+v", got[ny], want)
 	}
 	t.Logf("Seattle after sd-2 died: %d solves (oracle %d solves, %d repairs)", got[seattle].solves, oracle[seattle].solves, oracle[seattle].repairs)
 

@@ -327,23 +327,28 @@ func (t *Table) servingLocked() map[string]bool {
 	return serving
 }
 
-// Evict marks a key's current instance dead: revalidation decided it
-// can no longer run where it is. It leaves the index at once, and its
-// holders drain it as they rewire. If nothing but a pin holds it, no
-// release will come: Evict returns it for teardown now.
-func (t *Table) Evict(key string) []string {
+// Evict marks every instance of a key dead — the current one and any
+// it superseded that still serve or drain: revalidation decided the
+// placement can no longer run where it is, whichever instance runs it.
+// The key leaves the index at once, and holders drain its instances as
+// they rewire. An instance nothing but a pin holds gets no release:
+// Evict returns those for teardown now, sorted.
+func (t *Table) Evict(key string) (teardown []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := t.cur[key]
-	if e == nil {
-		return nil
+	for _, e := range t.byID {
+		if e.key != key || e.Dead {
+			continue
+		}
+		t.unindexLocked(e)
+		if e.Refs == 0 && e.Pinned {
+			teardown = append(teardown, e.ID)
+			continue
+		}
+		e.Dead, e.Pinned = true, false
 	}
-	t.unindexLocked(e)
-	if e.Refs == 0 && e.Pinned {
-		return []string{e.ID}
-	}
-	e.Dead, e.Pinned = true, false
-	return nil
+	slices.Sort(teardown)
+	return teardown
 }
 
 func (t *Table) unindexLocked(e *entry) {
@@ -488,14 +493,15 @@ func (t *Table) OrphanedBy(dead []planner.Placement) []string {
 }
 
 // RepairReplan plans req against the table's live instances
-// (planner.RepairReplan; a nil ch is a full replan with the rewire
-// check). When eviction orphans live instances, they leave the reuse
-// set with the evicted ones and the request is planned afresh
-// (planner.Replan), so the chain downstream of the break is planned —
-// and re-wired — anew; the engine supersedes the orphans the new plan
-// keeps, and those it abandons land in Remove. The evictions are
-// decided before anything is searched, by the validity test
-// revalidation applies, so a recovery searches once.
+// (planner.RepairReplan; a nil ch is the planner's settled search with
+// no repair). Instances that eviction orphans — wired, through their
+// upstream chain, into a dead one — leave the reuse set first. When the
+// old deployment holds an orphaned key, the request is planned afresh
+// (planner.Replan), so the chain downstream of the break
+// is planned — and re-wired — anew; the engine supersedes the orphans
+// the new plan keeps, and those it abandons land in Remove. The
+// evictions are decided before anything is searched, by the validity
+// test revalidation applies, so a recovery searches once.
 //
 // A diff that keeps the old deployment is an answer only while that
 // deployment still passes Verify. When it does not (a severed route, a
@@ -503,11 +509,12 @@ func (t *Table) OrphanedBy(dead []planner.Placement) []string {
 // that is an error, not a verdict to keep it.
 func (t *Table) RepairReplan(pl *planner.Planner, old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
 	pl.Existing = t.AppendLive(pl.Existing[:0])
+	orphans := t.OrphanedBy(pl.InvalidExisting())
+	pl.DropExistingByKey(orphans...)
 	var diff *planner.Diff
 	var err error
-	if orphans := t.OrphanedBy(pl.InvalidExisting()); len(orphans) > 0 {
+	if holdsAny(old, orphans) {
 		evicted := pl.RevalidateExisting()
-		pl.DropExistingByKey(orphans...)
 		if diff, err = pl.Replan(old, req); err != nil {
 			return nil, err
 		}
@@ -521,4 +528,9 @@ func (t *Table) RepairReplan(pl *planner.Planner, old *planner.Deployment, req p
 		}
 	}
 	return diff, nil
+}
+
+// holdsAny reports whether dep places one of keys.
+func holdsAny(dep *planner.Deployment, keys []string) bool {
+	return dep != nil && slices.ContainsFunc(dep.Placements, func(p planner.Placement) bool { return slices.Contains(keys, p.Key()) })
 }

@@ -1,6 +1,7 @@
 package smock
 
 import (
+	"fmt"
 	"testing"
 
 	"partsvc/internal/planner"
@@ -68,5 +69,58 @@ func TestAppendLiveSkipsBrokenChains(t *testing.T) {
 		if live := tab.AppendLive(nil); len(live) != 0 {
 			t.Fatalf("provider %s: %v still live, want none", loss, live)
 		}
+	}
+}
+
+// TestEvictKillsSupersededInstances: a key's current instance is not
+// the only one that runs it. A superseded instance keeps serving the
+// sessions that hold it, and a draining one waits for Finalize; when
+// the key is evicted, both are dead too. A client wired into the
+// superseded instance then leaves the reuse set and is an orphan, and
+// a superseded instance nothing but a pin holds is handed back for
+// teardown.
+func TestEvictKillsSupersededInstances(t *testing.T) {
+	tab := NewTable()
+	dep := &planner.Deployment{
+		Placements: []planner.Placement{{Component: "C", Node: "a"}, {Component: "V", Node: "b"}, {Component: "P", Node: "c"}},
+		Edges:      []planner.Edge{{From: 0, To: 1, Iface: "I"}, {From: 1, To: 2, Iface: "J"}},
+	}
+	tab.Record(dep)
+	client, view, provider := dep.Placements[0].Key(), dep.Placements[1], dep.Placements[2].Key()
+	first := tab.cur[view.Key()]
+	first.Refs, tab.cur[client].Refs = 1, 1 // a session still holds the old chain
+	// A plan wires the view anew: a fresh instance supersedes the first,
+	// and a second fresh one supersedes it in turn, leaving it pinned
+	// and unheld.
+	supersede := func() *entry {
+		tab.mu.Lock()
+		defer tab.mu.Unlock()
+		e := tab.mintLocked(view, map[string]string{"J": tab.cur[provider].ID})
+		e.Pinned = true
+		tab.enterLocked(e)
+		return e
+	}
+	pinned := supersede()
+	current := supersede()
+	current.Refs = 1
+
+	teardown := tab.Evict(view.Key())
+	if want := []string{pinned.ID}; fmt.Sprint(teardown) != fmt.Sprint(want) {
+		t.Errorf("Evict handed back %v for teardown, want %v", teardown, want)
+	}
+	for _, e := range []*entry{first, current} {
+		if !e.Dead {
+			t.Errorf("%s (%d references) survived the eviction of its key", e.ID, e.Refs)
+		}
+	}
+	var live []string
+	for _, p := range tab.AppendLive(nil) {
+		live = append(live, p.Key())
+	}
+	if want := []string{provider}; fmt.Sprint(live) != fmt.Sprint(want) {
+		t.Errorf("live after the eviction: %v, want %v", live, want)
+	}
+	if got, want := tab.OrphanedBy(nil), []string{client}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("OrphanedBy = %v, want the client wired into the superseded view: %v", got, want)
 	}
 }
