@@ -192,7 +192,7 @@ func runNodeCrashAdaptation(t *testing.T, tr transport.Transport) {
 }
 
 // TestLinkDegradeRewireInProc: a degraded interior link evicts nothing,
-// so adaptation rides on the planner's rewire check — the controller
+// so adaptation rides on the planner's settled search — the controller
 // must re-wire Seattle's chain off the slow SD–Seattle link (moving the
 // decryptor next to the primary), carrying the local view's state, with
 // zero client-visible errors. Probing is off: the link change arrives

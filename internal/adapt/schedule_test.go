@@ -402,10 +402,11 @@ func TestFaultSchedulesGrouped(t *testing.T) {
 //   - 258: an anchor chained through a superseded instance on a dead
 //     node;
 //   - 540: a repair kept an anchor whose instance had left the reuse set;
-//   - 2326, and 322 over wave groups: a plan anchored on a chain through
-//     a superseded instance on a dead node, which eviction left alive.
+//   - 2326, 7682, and 322 over wave groups: a plan anchored on a chain
+//     through a superseded instance on a dead node, which eviction left
+//     alive.
 func TestFaultScheduleRegressions(t *testing.T) {
-	checkSchedules(t, []int64{1, 4, 27, 30, 46, 62, 74, 199, 258, 540, 2326}, false)
+	checkSchedules(t, []int64{1, 4, 27, 30, 46, 62, 74, 199, 258, 540, 2326, 7682}, false)
 	for _, o := range runSchedules([]int64{322}, true) {
 		if len(o.violations) > 0 {
 			t.Errorf("grouped seed %d: %d audit violations, first: %v", o.seed, len(o.violations), o.violations[0])

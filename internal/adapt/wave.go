@@ -360,7 +360,7 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 			// The memo lives for one wave, whose reuse set and route epoch
 			// are fixed: request and shape name a computation. The
 			// changed-element set scopes the planner's repair; a repair
-			// that moves nothing continues as the full rewire replan.
+			// that moves nothing continues as the planner's one full search.
 			diff, _, hit, err := memo.Do(memoKeys[key], func() (*planner.Diff, planner.Stats, error) {
 				d, err := x.RepairReplan(g.dep, g.req, ch)
 				return d, planner.Stats{}, err

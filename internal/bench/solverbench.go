@@ -49,8 +49,8 @@ type SolverScalingRow struct {
 
 // RepairCurveRow is one point of the repair-vs-fresh curve: after one
 // scripted fault under a deployed chain, the constraint propagations
-// RepairReplan spends versus a fresh ReplanRewire of the same request
-// under the same network state.
+// RepairReplan spends versus the same request's full search with no
+// change set, under the same network state.
 type RepairCurveRow struct {
 	Nodes int
 	// Event names the Figure-8 fault kind played on the target.

@@ -80,10 +80,10 @@ func (g *GenericServer) PlanOnly(req planner.Request) (*planner.Deployment, erro
 // the server's planner lock, so an adaptation controller and client
 // access requests serialize on the same planner state. ch names the
 // network elements a monitoring event touched: the planner first
-// repairs the old deployment incrementally and continues as a full
-// replan — through the rewire check, which re-wires a session whose
-// frozen wiring a degraded interior link made slow — when the repair
-// moves nothing or is infeasible. A nil or empty ch is the full replan.
+// repairs the old deployment incrementally and continues as its one
+// full search — which re-wires a session whose frozen wiring a degraded
+// interior link made slow — when the repair moves nothing or is
+// infeasible. A nil or empty ch is that search alone.
 func (g *GenericServer) RepairReplan(old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -513,7 +513,7 @@ func (t *Table) RepairReplan(pl *planner.Planner, old *planner.Deployment, req p
 	pl.DropExistingByKey(orphans...)
 	var diff *planner.Diff
 	var err error
-	if holdsAny(old, orphans) {
+	if old != nil && slices.ContainsFunc(old.Placements, func(p planner.Placement) bool { return slices.Contains(orphans, p.Key()) }) {
 		evicted := pl.RevalidateExisting()
 		if diff, err = pl.Replan(old, req); err != nil {
 			return nil, err
@@ -528,9 +528,4 @@ func (t *Table) RepairReplan(pl *planner.Planner, old *planner.Deployment, req p
 		}
 	}
 	return diff, nil
-}
-
-// holdsAny reports whether dep places one of keys.
-func holdsAny(dep *planner.Deployment, keys []string) bool {
-	return dep != nil && slices.ContainsFunc(dep.Placements, func(p planner.Placement) bool { return slices.Contains(keys, p.Key()) })
 }
