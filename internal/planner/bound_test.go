@@ -152,7 +152,7 @@ func TestSeededSearchKeepsStandingDeployment(t *testing.T) {
 	_, err := pc.replan(dep, req, pc.primaryOf(req.Objective, stand))
 	pc.endPlan()
 	if err == nil {
-		t.Fatal("the seeded search found a deployment: the case keeps nothing by default")
+		t.Fatal("the seeded search found a deployment: the case does not force the keep")
 	}
 
 	pa, pb, dep, req, ch := world()
