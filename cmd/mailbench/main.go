@@ -17,7 +17,7 @@
 //	mailbench -trace DS500      # span tree + per-stage breakdown of one scenario
 //	mailbench -multicore        # live RPC scale-out: GOMAXPROCS × transport × conns (A9)
 //	mailbench -fleet            # session-sharded fleet control plane (A10)
-//	mailbench -solver           # planner scaling + repair-vs-fresh curve (A11)
+//	mailbench -solver           # planner scaling on Waxman topologies (A11)
 //	mailbench -solver -solver-sizes 8,32,128   # explicit Waxman sizes
 //	mailbench -solver -timing   # add wall-clock plan latency (non-deterministic)
 //	mailbench -fleet -fleet-sessions 400 -fleet-nodes 32   # reduced scale (CI)
@@ -59,7 +59,7 @@ func main() {
 	callers := flag.String("callers", "1,64", "comma-separated caller counts for -multicore")
 	cellDur := flag.Duration("dur", 2*time.Second, "measurement time per -multicore cell")
 	fleetRun := flag.Bool("fleet", false, "session-sharded fleet control plane benchmark (A10)")
-	solverRun := flag.Bool("solver", false, "planner scaling + repair-vs-fresh curve (A11)")
+	solverRun := flag.Bool("solver", false, "planner scaling on Waxman topologies (A11)")
 	solverSizes := flag.String("solver-sizes", "", "comma-separated Waxman sizes for -solver (default 8,16,32,64,128,256)")
 	fleetSessions := flag.Int("fleet-sessions", 0, "override -fleet session count (default 5000)")
 	fleetNodes := flag.Int("fleet-nodes", 0, "override -fleet Waxman topology size (default 128)")
@@ -147,8 +147,6 @@ func main() {
 		}
 		fmt.Println("Planner scaling on Waxman topologies (A11):")
 		fmt.Print(bench.A11ScalingTable(res))
-		fmt.Println("\nIncremental repair vs fresh solve under the Figure-8 fault kinds (A11):")
-		fmt.Print(bench.A11RepairTable(res))
 	case *fleetRun:
 		fc := bench.DefaultFleetConfig()
 		if *fleetSessions > 0 {

@@ -222,8 +222,9 @@ func runAdaptFleet() error {
 // cycle on the case-study topology (virtual clock): eight San Diego and
 // Seattle sessions, a 1/s cutover budget and a 60 s anti-flap window.
 // The first recovery rewires Seattle's chains under the token bucket;
-// the second outage forces repairs; the second recovery inside the
-// hysteresis window is suppressed as flap. watch, when non-nil, sees
+// the second outage forces cutovers of the broken sessions through the
+// hysteresis window; the second recovery inside that window is
+// suppressed as flap. watch, when non-nil, sees
 // the fleet before it bootstraps.
 func flapFleet(watch func(*fleet.Manager) error) (*fleet.Manager, error) {
 	env := sim.NewEnv()

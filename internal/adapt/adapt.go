@@ -324,7 +324,6 @@ type Controller struct {
 	// left such a group since.
 	pendingGroups   []*group
 	pendingSessions map[*Session]struct{}
-	pendingCh       *planner.ChangedSet // changed elements since the last wave
 	waveSeq         uint64
 	probeCancel     func() bool
 	suspicion       map[netmodel.NodeID]int  // consecutive strikes
@@ -539,7 +538,7 @@ func (c *Controller) Kick() {
 	sessions := append([]*Session(nil), c.sessions...)
 	c.mu.Unlock()
 	if !stopped {
-		c.runWave(sessions, false, nil)
+		c.runWave(sessions, false)
 	}
 }
 
@@ -547,7 +546,7 @@ func (c *Controller) Kick() {
 // one wave (governor bypassed: initial placement is not a cutover).
 // Returns the wave report.
 func (c *Controller) Bootstrap() WaveReport {
-	return c.runWave(c.Sessions(), true, nil)
+	return c.runWave(c.Sessions(), true)
 }
 
 // Start subscribes to the monitor and, when configured, starts the

@@ -37,7 +37,7 @@ func (f *fakeExec) Table() *smock.Table {
 	return f.tab
 }
 
-func (f *fakeExec) RepairReplan(old *planner.Deployment, req planner.Request, _ *planner.ChangedSet) (*planner.Diff, error) {
+func (f *fakeExec) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.replans++

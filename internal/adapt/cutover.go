@@ -19,12 +19,9 @@ type Executor interface {
 	// Table is the record of what runs where. The loop counts session
 	// references in it; planners read their reuse sets from it.
 	Table() *smock.Table
-	// RepairReplan computes the adaptation diff for a request against
-	// the current network (revalidating the reuse set as a side effect).
-	// ch names the network elements that changed since the last wave, so
-	// a repair-capable planner can scope the re-search to them; nil
-	// means unknown — a full replan.
-	RepairReplan(old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error)
+	// Replan computes the adaptation diff for a request against the
+	// current network (revalidating the reuse set as a side effect).
+	Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error)
 	// Snapshot captures serialized state from the predecessors of the
 	// stateful placements the diff will install, keyed by placement Key.
 	// It is best-effort: a predecessor on a dead node yields no entry,
@@ -60,7 +57,7 @@ const SnapshotMethod = "snapshot"
 // the generic server's planner (serialized with client access
 // requests), the deployment engine, and the lookup namespace.
 type EngineExecutor struct {
-	// Server provides RepairReplan.
+	// Server provides Replan.
 	Server *smock.GenericServer
 	// Engine deploys and tears down instances.
 	Engine *smock.Engine
@@ -78,10 +75,9 @@ type EngineExecutor struct {
 // Table implements Executor: the engine's table.
 func (x *EngineExecutor) Table() *smock.Table { return x.Engine.Table() }
 
-// RepairReplan implements Executor: the changed-element set flows
-// through to the planner's incremental repair.
-func (x *EngineExecutor) RepairReplan(old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
-	return x.Server.RepairReplan(old, req, ch)
+// Replan implements Executor through the generic server's planner.
+func (x *EngineExecutor) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
+	return x.Server.Replan(old, req)
 }
 
 // Verify implements Executor through the generic server's planner.

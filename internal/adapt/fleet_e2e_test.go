@@ -92,23 +92,24 @@ func checkRefs(t *testing.T, ctrl *adapt.Controller) {
 	}
 }
 
-// offView replans with the planner's plain Replan against the table
-// minus the old deployment's instances, so that every graph shape is
-// costed afresh: the fresh chain leaves the degraded link and the view
-// behind it, and the diff lists every old placement it drops in Remove
-// — the shared view included. (The rewire path keeps a shared terminal
-// out of Remove; a plain Replan does not, so only the table's reference
-// counts stand between this diff and a teardown of the view another
-// session still holds.)
+// offView replans against the table minus the old deployment's
+// instances: the old deployment no longer stands, so the search runs
+// unseeded and costs every graph shape afresh. The fresh chain leaves
+// the degraded link and the view behind it, and the diff lists every
+// old placement it drops in Remove — the shared view included — so only
+// the table's reference counts stand between this diff and a teardown
+// of the view another session still holds.
 type offView struct {
 	*adapt.EngineExecutor
 	view    planner.Placement
 	removed atomic.Bool // some diff listed the view in Remove
 }
 
-func (x *offView) RepairReplan(old *planner.Deployment, req planner.Request, _ *planner.ChangedSet) (*planner.Diff, error) {
+func (x *offView) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
 	pl := x.Server.Planner()
-	pl.DropExisting(old.Placements...)
+	for _, p := range old.Placements {
+		pl.DropExistingByKey(p.Key())
+	}
 	diff, err := pl.Replan(old, req)
 	if err == nil && strings.Contains(fmt.Sprint(diff.Remove), x.view.Key()) {
 		x.removed.Store(true)

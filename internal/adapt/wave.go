@@ -55,9 +55,6 @@ func (c *Controller) onChanges(changes []netmon.Change) {
 		c.mu.Unlock()
 		return
 	}
-	if c.pendingCh == nil {
-		c.pendingCh = planner.NewChangedSet()
-	}
 	broke := false
 	for _, ch := range changes {
 		affected := c.affectedByLocked(ch)
@@ -70,14 +67,6 @@ func (c *Controller) onChanges(changes []netmon.Change) {
 		}
 		if !broke && !c.waveNow && nodeDown(ch) {
 			broke = c.anyBrokenLocked(affected)
-		}
-		switch ch.Kind {
-		case "node":
-			c.pendingCh.AddNode(netmodel.NodeID(ch.Subject))
-		case "link":
-			if a, b, ok := strings.Cut(ch.Subject, "~"); ok {
-				c.pendingCh.AddLink(netmodel.NodeID(a), netmodel.NodeID(b))
-			}
 		}
 	}
 	// A wave a breaking change armed goes as armed; any other burst
@@ -250,11 +239,9 @@ func (c *Controller) debounceExpired() {
 	c.pendingGroups = c.pendingGroups[:0]
 	c.pendingAll = false
 	clear(c.pendingSessions)
-	ch := c.pendingCh
-	c.pendingCh = nil
 	c.mu.Unlock()
 	if len(affected) > 0 {
-		c.runWave(affected, false, ch)
+		c.runWave(affected, false)
 	}
 }
 
@@ -271,7 +258,7 @@ type waveResult struct {
 // computations deduped through a shared memo — then a sequential commit
 // phase in session order, governed by the cutover brake. bootstrap
 // bypasses the governor.
-func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.ChangedSet) WaveReport {
+func (c *Controller) runWave(affected []*Session, bootstrap bool) WaveReport {
 	c.waveMu.Lock()
 	defer c.waveMu.Unlock()
 	c.mu.Lock()
@@ -358,11 +345,9 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool, ch *planner.Ch
 			memoLookups.Add(1)
 			g, key := l.g, l.g.pass.key
 			// The memo lives for one wave, whose reuse set and route epoch
-			// are fixed: request and shape name a computation. The
-			// changed-element set scopes the planner's repair; a repair
-			// that moves nothing continues as the planner's one full search.
+			// are fixed: request and shape name a computation.
 			diff, _, hit, err := memo.Do(memoKeys[key], func() (*planner.Diff, planner.Stats, error) {
-				d, err := x.RepairReplan(g.dep, g.req, ch)
+				d, err := x.Replan(g.dep, g.req)
 				return d, planner.Stats{}, err
 			})
 			// Every member but the first shares its computation, and the
@@ -753,7 +738,7 @@ func (c *Controller) scheduleRetry(s *Session) {
 		s.retryCancel = nil
 		s.mu.Unlock()
 		if !c.isStopped() {
-			c.runWave([]*Session{s}, false, nil)
+			c.runWave([]*Session{s}, false)
 		}
 	})
 }

@@ -123,10 +123,8 @@ type fig8Exec struct {
 
 func (x *fig8Exec) Table() *smock.Table { return x.tab }
 
-// RepairReplan ignores the changed-element set: the model always takes
-// the full replan path.
-func (x *fig8Exec) RepairReplan(old *planner.Deployment, req planner.Request, _ *planner.ChangedSet) (*planner.Diff, error) {
-	return x.tab.RepairReplan(x.pl, old, req, nil)
+func (x *fig8Exec) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
+	return x.tab.Replan(x.pl, old, req)
 }
 
 func (x *fig8Exec) Snapshot(old *planner.Deployment, diff *planner.Diff) map[string][]byte {

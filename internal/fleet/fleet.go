@@ -75,11 +75,11 @@ type shardPlanner struct {
 
 func (x *shardPlanner) Table() *smock.Table { return x.tab }
 
-func (x *shardPlanner) RepairReplan(old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
+func (x *shardPlanner) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
 	x.pl.Existing = x.tab.AppendLive(x.pl.Existing[:0])
 	x.pl.PinRoutes(x.pl.Net.Routes())
 	defer x.pl.PinRoutes(nil)
-	return x.pl.RepairReplan(old, req, ch)
+	return x.pl.Replan(old, req)
 }
 
 func (x *shardPlanner) Snapshot(*planner.Deployment, *planner.Diff) map[string][]byte { return nil }

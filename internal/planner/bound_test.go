@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"partsvc/internal/netmon"
@@ -113,7 +114,7 @@ func TestGraphBoundIsAdmissible(t *testing.T) {
 	}
 }
 
-// TestSeededSearchKeepsStandingDeployment: RepairReplan seeds its
+// TestSeededSearchKeepsStandingDeployment: Replan seeds its
 // search with the cost of keeping the old deployment as it runs now.
 // Here the San Diego chain's instances are registered without recorded
 // offers, and the planner enumerates at most four positions: no graph
@@ -122,7 +123,7 @@ func TestGraphBoundIsAdmissible(t *testing.T) {
 // the answer — one full search, no rerun — where an unseeded replan of
 // the same world moves the session onto a far slower deployment.
 func TestSeededSearchKeepsStandingDeployment(t *testing.T) {
-	world := func() (pa, pb *Planner, dep *Deployment, req Request, ch *ChangedSet) {
+	world := func() (pa, pb *Planner, dep *Deployment, req Request) {
 		net, pa, pb, dep, req := repairWorlds(t)
 		for _, p := range dep.Placements {
 			p.Offers = nil
@@ -133,14 +134,12 @@ func TestSeededSearchKeepsStandingDeployment(t *testing.T) {
 		if err := netmon.New(net).ReportLink(topology.NYServer, topology.SDGateway, 220, 20, nil); err != nil {
 			t.Fatal(err)
 		}
-		ch = NewChangedSet()
-		ch.AddLink(topology.NYServer, topology.SDGateway)
-		return pa, pb, dep, req, ch
+		return pa, pb, dep, req
 	}
 
 	// The forcing: the chain still holds, and the seeded search finds
 	// nothing.
-	pc, _, dep, req, _ := world()
+	pc, _, dep, req := world()
 	pc.beginPlan()
 	pc.RevalidateExisting()
 	stand := pc.standing(dep, req)
@@ -155,22 +154,22 @@ func TestSeededSearchKeepsStandingDeployment(t *testing.T) {
 		t.Fatal("the seeded search found a deployment: the case does not force the keep")
 	}
 
-	pa, pb, dep, req, ch := world()
+	pa, pb, dep, req := world()
 	searches := pa.layers.FullSearches
-	got, err := pa.RepairReplan(dep, req, ch)
-	if err != nil {
-		t.Fatalf("RepairReplan: %v", err)
-	}
-	if !got.Unchanged() || !sameDeploymentKeys(got.New, dep) {
-		t.Fatalf("RepairReplan moved the chain: %s", got.New)
-	}
-	assertSamePlan(t, "RepairReplan after a seeded search found nothing", got.New, stand)
-	if n := pa.Stats().FullSearches - searches; n != 1 {
-		t.Errorf("RepairReplan ran %d full searches, want 1", n)
-	}
-	moved, err := pb.Replan(dep, req)
+	got, err := pa.Replan(dep, req)
 	if err != nil {
 		t.Fatalf("Replan: %v", err)
+	}
+	if !got.Unchanged() || !sameDeploymentKeys(got.New, dep) {
+		t.Fatalf("Replan moved the chain: %s", got.New)
+	}
+	assertSamePlan(t, "Replan after a seeded search found nothing", got.New, stand)
+	if n := pa.Stats().FullSearches - searches; n != 1 {
+		t.Errorf("Replan ran %d full searches, want 1", n)
+	}
+	moved, err := pb.replan(dep, req, math.Inf(1))
+	if err != nil {
+		t.Fatalf("unseeded replan: %v", err)
 	}
 	if moved.Unchanged() || moved.New.ExpectedLatencyMS <= got.New.ExpectedLatencyMS {
 		t.Fatalf("the unseeded replan must move to a slower deployment, else the case checks nothing: %s (%.3f ms against %.3f)",

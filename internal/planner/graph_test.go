@@ -2,6 +2,7 @@ package planner
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -247,10 +248,11 @@ func spareHostNet(t *testing.T) *netmodel.Network {
 }
 
 // TestRepairReplanTreeRepairs: a node kill under a leaf of a branching
-// deployment is repaired by the constraint engine's repair path — the
-// placements away from the change keep their pins — and lands on the
+// deployment moves the Server to the spare host and lands on the
 // placements and metrics a from-scratch plan of the surviving network
-// finds.
+// finds. The Portal and the Encryptor2 keep their keys, but the branch
+// under them is wired anew, so the engine reinstalls both: Install names
+// them with the Server, and the LogServer branch alone is reused.
 func TestRepairReplanTreeRepairs(t *testing.T) {
 	net := spareHostNet(t)
 	pa := New(portalService(), net)
@@ -265,32 +267,31 @@ func TestRepairReplanTreeRepairs(t *testing.T) {
 	if err := netmon.New(net).ReportNodeDown(server.Node); err != nil {
 		t.Fatal(err)
 	}
-	ch := NewChangedSet()
-	ch.AddNode(server.Node)
-	diff, err := pa.RepairReplan(dep, req, ch)
+	diff, err := pa.Replan(dep, req)
 	if err != nil {
-		t.Fatalf("RepairReplan: %v", err)
-	}
-	if got := pa.SolverStats.Repairs.Load(); got != 1 {
-		t.Errorf("solver repairs = %d, want 1", got)
-	}
-	if got := pa.SolverStats.RepairFallbacks.Load(); got != 0 {
-		t.Errorf("repair fell back to a fresh solve %d times", got)
+		t.Fatalf("Replan: %v", err)
 	}
 	fresh := planOrFail(t, New(portalService(), net), req)
 	if !sameDeploymentKeys(diff.New, fresh) || diff.New.ExpectedLatencyMS != fresh.ExpectedLatencyMS ||
 		diff.New.CapacityRPS != fresh.CapacityRPS {
-		t.Errorf("repair landed on %s (%v ms, %v rps), a fresh plan on %s (%v ms, %v rps)",
+		t.Errorf("the replan landed on %s (%v ms, %v rps), a fresh plan on %s (%v ms, %v rps)",
 			diff.New, diff.New.ExpectedLatencyMS, diff.New.CapacityRPS, fresh, fresh.ExpectedLatencyMS, fresh.CapacityRPS)
 	}
-	if diff.New.String() != "Portal@client*(Encryptor2@client*(Server@t2), LogServer@client*)" {
+	if diff.New.String() != "Portal@client(Encryptor2@client(Server@t2), LogServer@client*)" {
 		t.Errorf("the Server alone must move, to the spare host: %s", diff.New)
+	}
+	var installed []string
+	for _, p := range diff.Install {
+		installed = append(installed, p.Component)
+	}
+	if want := []string{"Portal", "Encryptor2", "Server"}; !slices.Equal(installed, want) {
+		t.Errorf("Install names %v, want %v: the engine reinstalls an instance whose provider moved", installed, want)
 	}
 	if len(diff.Evicted) != 1 || diff.Evicted[0].Key() != server.Key() {
 		t.Errorf("evicted = %v, want the Server on the dead node", diff.Evicted)
 	}
 	if err := pa.Verify(diff.New, req); err != nil {
-		t.Errorf("repaired deployment does not verify: %v", err)
+		t.Errorf("the replanned deployment does not verify: %v", err)
 	}
 }
 

@@ -36,14 +36,13 @@ import (
 //     route lookup the first time each call uses it, kept or resolved,
 //     so the lookup counts stay those of per-call tables.
 //   - planMemo: one call. What the request decides (head placements,
-//     the head's walk step) and the search scratch. RepairReplan's
-//     repair and its search are passes over one network state and share
-//     it; it is dropped when the outermost call ends. Two things can
-//     move inside a call and are
-//     guarded: the route handle (a pass that begins under a different
-//     RouteCache starts a new one) and the reuse set (every method that
-//     changes Existing bumps Planner.gen, and the next reuseNow looks the
-//     layer up again).
+//     the head's walk step) and the search scratch. Replan's standing
+//     deployment and its search are passes over one network state and
+//     share it; it is dropped when the outermost call ends. Two things
+//     can move inside a call and are guarded: the route handle (a pass
+//     that begins under a different RouteCache starts a new one) and the
+//     reuse set (every method that changes Existing bumps Planner.gen,
+//     and the next reuseNow looks the layer up again).
 type planMemo struct {
 	routes *netmodel.RouteCache
 	props  *propLayer
@@ -57,8 +56,8 @@ type planMemo struct {
 	// checked, then 1 (it holds) or -1.
 	latencies int8
 
-	// own is the settled session's own wiring while RepairReplan
-	// searches; empty otherwise.
+	// own is the settled session's own wiring while Replan searches;
+	// empty otherwise.
 	own ownWiring
 	// reuse is the reuse layer of generation reuseGen; heads holds the
 	// head candidates under it.
@@ -89,7 +88,7 @@ type planMemo struct {
 	leastW []float64
 }
 
-// ownWiring is a settled session's own wiring (RepairReplan): keys,
+// ownWiring is a settled session's own wiring (Replan): keys,
 // sorted, names the old deployment's placements that link to a
 // provider, which the reuse set then offers neither as reused
 // candidates nor as anchors at their registered records — what those
@@ -324,7 +323,7 @@ const noEnv netmodel.EnvID = -1
 
 // linkTable holds the link costs of one provider component, per
 // (client node, provider node) index pair. Rows are allocated and
-// entries filled on first use, so a repair that pins most positions
+// entries filled on first use, so a search that prunes most positions
 // touches a few rows of a large network's table.
 type linkTable struct {
 	comp *spec.Component

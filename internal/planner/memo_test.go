@@ -273,17 +273,15 @@ func TestPlanMemoDoesNotOutliveChange(t *testing.T) {
 		t.Fatal("the rewire plan places as before; the scenario checks nothing")
 	}
 
-	ch := NewChangedSet()
-	ch.AddLink(topology.SDGateway, topology.SeaGW)
-	diff, err := live.RepairReplan(old, sea, ch)
+	diff, err := live.Replan(old, sea)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same("rewire pass of RepairReplan", diff.New, want, nil, nil)
+	same("rewire pass of Replan", diff.New, want, nil, nil)
 
 	// And the call left nothing of its own behind: the next plan is a
 	// fresh one's, and the call's memo is gone.
-	planBoth("after RepairReplan", sea)
+	planBoth("after Replan", sea)
 	if live.memo != nil || live.depth != 0 {
 		t.Fatalf("the call's memo outlived its call (depth %d)", live.depth)
 	}

@@ -346,13 +346,13 @@ type Planner struct {
 	// penalty.
 	DeployPenaltyMS float64
 	// SolverStats accumulates constraint-engine counters (solves,
-	// repairs, propagations, ...) across plan calls; initialized by New.
+	// propagations, ...) across plan calls; initialized by New.
 	SolverStats *solver.Stats
 
 	stats Stats
 	// memo holds what one public call computes once (memo.go). It exists
 	// only while a call is in progress: depth counts the nested entries
-	// (RepairReplan runs Replan runs Plan) that share it.
+	// (Replan runs replan runs plan) that share it.
 	memo  *planMemo
 	depth int
 	// props is the property layer, kept across calls while its key
@@ -537,17 +537,10 @@ func (pl *Planner) AddExisting(placements ...Placement) {
 	}
 }
 
-// DropExisting forgets instances (matched by Key) so subsequent plans
-// cannot reuse them — the counterpart of AddExisting for teardown: a
-// plan that reused a torn-down instance would fail at the engine.
-func (pl *Planner) DropExisting(placements ...Placement) {
-	for _, p := range placements {
-		pl.DropExistingByKey(p.Key())
-	}
-}
-
-// DropExistingByKey is DropExisting for callers that only hold
-// placement keys (e.g. the engine's wiring-orphan report).
+// DropExistingByKey forgets the instances of the placement keys so
+// subsequent plans cannot reuse them — the counterpart of AddExisting
+// for teardown: a plan that reused a torn-down instance would fail at
+// the engine.
 func (pl *Planner) DropExistingByKey(keys ...string) {
 	for _, key := range keys {
 		for i := range pl.Existing {

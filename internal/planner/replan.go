@@ -100,15 +100,44 @@ func (pl *Planner) stillValid(p Placement) bool {
 	return true
 }
 
-// Replan revalidates the reuse set against the current network and
-// plans the request afresh, returning the adaptation diff relative to
-// old (which may be nil for a first deployment). The old deployment's
-// placements are assumed to be registered via AddExisting.
+// Replan adapts a session to the network as it is now, returning the
+// adaptation diff relative to old (which may be nil for a first
+// deployment; its placements are assumed to be registered via
+// AddExisting). It is one search for the best placement that counts
+// sunk instances as free, with every linkage priced under current
+// routes. The session's own instances are sunk only together with
+// their wiring (ownWiring): the search may end a branch at one as it
+// runs now, and places its key anywhere else as a fresh install.
+// Keeping the old deployment as it runs now (standing) seeds the
+// search's bound, and the search's answer is taken only when it is
+// better. An old deployment that no longer holds is no option: the
+// search runs unseeded, and its own wiring is installed afresh
+// wherever the search places it.
 func (pl *Planner) Replan(old *Deployment, req Request) (*Diff, error) {
-	return pl.replan(old, req, math.Inf(1))
+	// One memo for the whole adaptation: standing and the search are
+	// passes over the same network state.
+	pl.beginPlan()
+	defer pl.endPlan()
+	evicted := pl.RevalidateExisting()
+	stand := pl.standing(old, req)
+	pl.memo.own, pl.memo.reuse = pl.ownWiring(old, stand), nil
+	ub := math.Inf(1)
+	if stand != nil {
+		ub = pl.primaryOf(req.Objective, stand)
+	}
+	diff, err := pl.replan(old, req, ub)
+	if stand != nil && (err != nil || !pl.better(req.Objective, diff.New, stand)) {
+		diff, err = buildDiff(old, stand), nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	diff.Evicted = append(evicted, diff.Evicted...)
+	return diff, nil
 }
 
-// replan is Replan with its plan seeded at ub (see plan).
+// replan revalidates the reuse set and plans the request with its plan
+// seeded at ub (see plan).
 func (pl *Planner) replan(old *Deployment, req Request, ub float64) (*Diff, error) {
 	pl.beginPlan()
 	defer pl.endPlan()
@@ -122,10 +151,85 @@ func (pl *Planner) replan(old *Deployment, req Request, ub float64) (*Diff, erro
 	return diff, nil
 }
 
+// ownWiring returns the own wiring of a settled session's old
+// deployment: the placements that link to a provider, but for a
+// stateful primary, whose state lives where it is and which is never
+// installed twice. Its stands come from stand, the old deployment as it
+// runs now, when it still holds: each placement that runs there
+// together with its whole upstream on registered instances.
+func (pl *Planner) ownWiring(old, stand *Deployment) ownWiring {
+	var own ownWiring
+	if old == nil {
+		return own
+	}
+	sunk := make([]bool, len(old.Placements))
+	for i := len(old.Placements) - 1; i >= 0; i-- {
+		p := old.Placements[i]
+		if stand != nil {
+			sunk[i] = stand.Placements[i].Reused
+			for _, e := range stand.Edges {
+				sunk[i] = sunk[i] && (e.From != i || sunk[e.To])
+			}
+		}
+		if comp, ok := pl.component(p.Component); !old.hasProvider(i) || ok && pl.isStatefulPrimary(comp) {
+			continue
+		}
+		own.keys = append(own.keys, p.Key())
+		if sunk[i] {
+			own.stands = append(own.stands, stand.Placements[i])
+		}
+	}
+	slices.Sort(own.keys)
+	own.keys = slices.Compact(own.keys)
+	return own
+}
+
+// standing returns the old deployment as it runs now, priced as a plan
+// prices it, or nil when it no longer holds: it describes no linkage
+// graph of the specification, an anchored instance left the reuse set,
+// a placement is no candidate any more (its node is down, its
+// conditions or configuration moved), a linkage lost its route or its
+// properties, the rate no longer fits. The model is the old
+// deployment's linkage graph with its anchors at their registered
+// records, and each placement is found in its position's domain.
+func (pl *Planner) standing(old *Deployment, req Request) *Deployment {
+	g, err := pl.graphOf(old)
+	if err != nil {
+		return nil
+	}
+	ru := pl.reuseNow()
+	for i := range g {
+		if a := g[i].anchor; a != nil {
+			j, registered := ru.byKey[a.key]
+			if !registered {
+				return nil
+			}
+			r := ru.existing[j]
+			r.stand = pl.standOf(&r)
+			g[i].anchor = &r
+		}
+	}
+	m, ok := pl.newModel(g, req)
+	if !ok {
+		return nil
+	}
+	assign := make([]int, len(g))
+	for v := range assign {
+		key := old.Placements[v].Key()
+		if assign[v] = slices.IndexFunc(m.pos[v].cands, func(c cand) bool { return c.Key() == key }); assign[v] < 0 {
+			return nil
+		}
+	}
+	dep, _, ok := m.Evaluate(assign)
+	if !ok {
+		return nil
+	}
+	return dep.(*Deployment)
+}
+
 // buildDiff computes the install/remove bookkeeping between an old
-// deployment and a freshly planned one (shared by Replan and
-// RepairReplan): Install is what New does not reuse, Remove what of
-// the old deployment New no longer holds.
+// deployment and a new one: Install is what New does not reuse, Remove
+// what of the old deployment New no longer holds.
 func buildDiff(old, dep *Deployment) *Diff {
 	diff := &Diff{New: dep}
 	keep := map[string]bool{}

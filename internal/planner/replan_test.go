@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -142,43 +143,61 @@ func TestReplanAfterTrustDrop(t *testing.T) {
 }
 
 // TestReplanAfterLinkSecured: securing the NY-SD path makes the
-// encryptor pair unnecessary; the replanned chain drops it at zero new
-// installs.
+// encryptor pair unnecessary, but dropping it re-wires the view and the
+// client, which the engine reinstalls. Under the default deploy penalty
+// those two installs cost more than the tunnel, so the chain stays as it
+// runs; with no penalty the replan drops the tunnel, installs the
+// re-wired view and client and removes the pair.
 func TestReplanAfterLinkSecured(t *testing.T) {
-	pl := caseStudyPlanner(t)
-	old := planOrFail(t, pl, sdRequest())
-	pl.AddExisting(old.Placements...)
-
-	// Report the change through the monitor: it owns network mutations
-	// and bumps the route epoch so the planner's path cache (including
-	// cached link environments) is invalidated.
-	secure := true
-	if err := netmon.New(pl.Net).ReportLink(topology.NYServer, topology.SDGateway, -1, -1, &secure); err != nil {
-		t.Fatal(err)
-	}
-
-	diff, err := pl.Replan(old, sdRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range diff.New.Placements {
-		if p.Component == spec.CompEncryptor || p.Component == spec.CompDecryptor {
-			t.Errorf("secured link must not need the tunnel: %s", diff.New)
+	for _, free := range []bool{false, true} {
+		pl := caseStudyPlanner(t)
+		if free {
+			pl.DeployPenaltyMS = 0
 		}
-	}
-	if len(diff.Install) != 0 {
-		t.Errorf("adaptation should reuse everything it keeps: install = %v", diff.Install)
-	}
-	removed := map[string]bool{}
-	for _, p := range diff.Remove {
-		removed[p.Component] = true
-	}
-	if !removed[spec.CompEncryptor] || !removed[spec.CompDecryptor] {
-		t.Errorf("diff must remove the tunnel pair; removed = %v", diff.Remove)
-	}
-	if diff.New.ExpectedLatencyMS >= old.ExpectedLatencyMS {
-		t.Errorf("dropping the tunnel must not raise latency: %.2f -> %.2f",
-			old.ExpectedLatencyMS, diff.New.ExpectedLatencyMS)
+		old := planOrFail(t, pl, sdRequest())
+		pl.AddExisting(old.Placements...)
+
+		// Report the change through the monitor: it owns network
+		// mutations and bumps the route epoch so the planner's path
+		// cache (including cached link environments) is invalidated.
+		secure := true
+		if err := netmon.New(pl.Net).ReportLink(topology.NYServer, topology.SDGateway, -1, -1, &secure); err != nil {
+			t.Fatal(err)
+		}
+
+		diff, err := pl.Replan(old, sdRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !free {
+			if !diff.Unchanged() || !sameDeploymentKeys(diff.New, old) {
+				t.Errorf("two reinstalls cost more than the tunnel; the chain must stay: %s", diff.New)
+			}
+			continue
+		}
+		for _, p := range diff.New.Placements {
+			if p.Component == spec.CompEncryptor || p.Component == spec.CompDecryptor {
+				t.Errorf("secured link must not need the tunnel: %s", diff.New)
+			}
+		}
+		var installed []string
+		for _, p := range diff.Install {
+			installed = append(installed, p.Component)
+		}
+		if want := []string{spec.CompMailClient, spec.CompViewMailServer}; !slices.Equal(installed, want) {
+			t.Errorf("install = %v, want the re-wired %v", installed, want)
+		}
+		removed := map[string]bool{}
+		for _, p := range diff.Remove {
+			removed[p.Component] = true
+		}
+		if !removed[spec.CompEncryptor] || !removed[spec.CompDecryptor] {
+			t.Errorf("diff must remove the tunnel pair; removed = %v", diff.Remove)
+		}
+		if diff.New.ExpectedLatencyMS >= old.ExpectedLatencyMS {
+			t.Errorf("dropping the tunnel must not raise latency: %.2f -> %.2f",
+				old.ExpectedLatencyMS, diff.New.ExpectedLatencyMS)
+		}
 	}
 }
 

@@ -66,13 +66,13 @@ func sameDeploymentKeys(a, b *Deployment) bool {
 }
 
 // TestReplanRewireNoopOnStableNetwork: when nothing changed, the one
-// search of a settled replan (RepairReplan with no change set) must
-// conclude that the session's wiring is still optimal, return a no-op
-// diff, and leave the reuse set exactly as it found it.
+// search of a settled replan must conclude that the session's wiring is
+// still optimal, return a no-op diff, and leave the reuse set exactly as
+// it found it.
 func TestReplanRewireNoopOnStableNetwork(t *testing.T) {
 	pl, _, dep, req := rewireWorld(t)
 	before := existingKeys(pl)
-	diff, err := pl.RepairReplan(dep, req, nil)
+	diff, err := pl.Replan(dep, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,8 @@ func TestReplanRewireNoopOnStableNetwork(t *testing.T) {
 // are installed afresh under the same keys, and Remove lists every old
 // placement the new chain no longer holds — the shared tail included,
 // which the session releases and which stays registered for the
-// session that holds it.
+// session that holds it. Restoring the link moves the session back onto
+// its original wiring.
 func TestReplanRewireMovesDegradedWiring(t *testing.T) {
 	pl, mon, dep, req := rewireWorld(t)
 	tail := dep.Placements[len(dep.Placements)-1]
@@ -113,6 +114,8 @@ func TestReplanRewireMovesDegradedWiring(t *testing.T) {
 	if !onSD {
 		t.Fatalf("Seattle chain should wire through sd-2: %s", dep)
 	}
+	link, _ := pl.Net.Link(topology.SDGateway, topology.SeaGW)
+	baseLat, baseBW := link.LatencyMS, link.BandwidthMbps
 	if err := mon.ReportLink(topology.SDGateway, topology.SeaGW, 1500, 1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func TestReplanRewireMovesDegradedWiring(t *testing.T) {
 	if stale, err := plain.Plan(req); err != nil || !buildDiff(dep, stale).Unchanged() {
 		t.Fatalf("a plain plan must still keep the chain (err %v): %s; the test checks nothing", err, stale)
 	}
-	diff, err := pl.RepairReplan(dep, req, nil)
+	diff, err := pl.Replan(dep, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,130 +171,34 @@ func TestReplanRewireMovesDegradedWiring(t *testing.T) {
 	if !existingKeys(pl)[tail.Key()] {
 		t.Fatalf("shared tail %s dropped from the reuse set", tail.Key())
 	}
-}
 
-// TestRepairReplanMatchesRewireOnInteriorLink: repair must not switch
-// adaptation off. Degrading an interior link of the deployed Seattle
-// chain invalidates nothing, so a pinned repair alone answers
-// "unchanged" and would leave the session on the degraded link; going
-// through RepairReplan with the event's ChangedSet must produce the
-// same install/remove sets as the settled search alone (RepairReplan
-// with no change set, which runs no repair) — and the same again when
-// the link is restored and the session moves back. Each step runs one
-// full search at most.
-func TestRepairReplanMatchesRewireOnInteriorLink(t *testing.T) {
-	net := topology.CaseStudy()
-	mon := netmon.New(net)
-	req := Request{Interface: spec.IfaceClient, ClientNode: topology.SeaClient, User: "Carol", RateRPS: 50}
-	var warm *Deployment
-	build := func() (*Planner, *Deployment) {
-		pl := New(spec.MailService(), net)
-		primary, err := pl.PrimaryPlacement(spec.CompMailServer, topology.NYServer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl.AddExisting(primary)
-		warm = planOrFail(t, pl, Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50})
-		pl.AddExisting(warm.Placements...)
-		dep := planOrFail(t, pl, req)
-		pl.AddExisting(dep.Placements...)
-		return pl, dep
-	}
-	pa, depA := build()
-	pb, depB := build()
-	original := depA
-	link, ok := net.Link(topology.SDGateway, topology.SeaGW)
-	if !ok {
-		t.Fatal("no sd-1~sea-1 link")
-	}
-	baseLat, baseBW := link.LatencyMS, link.BandwidthMbps
-
-	keySet := func(ps []Placement) map[string]bool {
-		out := map[string]bool{}
-		for _, p := range ps {
-			out[p.Key()] = true
-		}
-		return out
-	}
-	// adopt applies a diff the way the loop does: what the session
-	// releases leaves the reuse set unless the warm San Diego session
-	// still holds it, and the new deployment is registered for reuse.
-	warmKeys := keySet(warm.Placements)
-	adopt := func(pl *Planner, old *Deployment, diff *Diff) *Deployment {
-		if diff.Unchanged() {
-			return old
-		}
-		for _, p := range diff.Remove {
-			if !warmKeys[p.Key()] {
-				pl.DropExisting(p)
-			}
-		}
-		pl.AddExisting(diff.New.Placements...)
-		return diff.New
-	}
-	step := func(label string, latencyMS float64, wantMove bool) {
-		t.Helper()
-		if err := mon.ReportLink(topology.SDGateway, topology.SeaGW, latencyMS, baseBW, nil); err != nil {
-			t.Fatal(err)
-		}
-		ch := NewChangedSet()
-		ch.AddLink(topology.SDGateway, topology.SeaGW)
-		searches := pa.layers.FullSearches
-		diffA, err := pa.RepairReplan(depA, req, ch)
-		if err != nil {
-			t.Fatalf("%s: RepairReplan: %v", label, err)
-		}
-		if n := pa.layers.FullSearches - searches; n > 1 {
-			t.Errorf("%s: RepairReplan ran %d full searches, want at most 1", label, n)
-		}
-		diffB, err := pb.RepairReplan(depB, req, nil)
-		if err != nil {
-			t.Fatalf("%s: the search alone: %v", label, err)
-		}
-		if diffA.Unchanged() == wantMove {
-			t.Errorf("%s: repair unchanged=%v, want a move=%v (%s)", label, diffA.Unchanged(), wantMove, diffA.New)
-		}
-		if !reflect.DeepEqual(keySet(diffA.Install), keySet(diffB.Install)) {
-			t.Errorf("%s: install sets differ:\n  repair: %v\n  search: %v", label, diffA.Install, diffB.Install)
-		}
-		if !reflect.DeepEqual(keySet(diffA.Remove), keySet(diffB.Remove)) {
-			t.Errorf("%s: remove sets differ:\n  repair: %v\n  search: %v", label, diffA.Remove, diffB.Remove)
-		}
-		if len(diffA.Evicted) != 0 || len(diffB.Evicted) != 0 {
-			t.Errorf("%s: a latency change evicts nothing: %v / %v", label, diffA.Evicted, diffB.Evicted)
-		}
-		if !diffA.Unchanged() && diffA.New.String() != diffB.New.String() {
-			t.Errorf("%s: deployments differ:\n  repair: %s\n  search: %s", label, diffA.New, diffB.New)
-		}
-		depA, depB = adopt(pa, depA, diffA), adopt(pb, depB, diffB)
-	}
-	step("degrade", baseLat+800, true)
-	for _, e := range depA.Edges {
-		for i := 0; i+1 < len(e.Path.Nodes); i++ {
-			a, b := e.Path.Nodes[i], e.Path.Nodes[i+1]
-			if (a == topology.SDGateway && b == topology.SeaGW) || (a == topology.SeaGW && b == topology.SDGateway) {
-				t.Errorf("rewired chain still crosses the degraded link: %s", depA)
-			}
+	// Adopt the move as the loop does: what the session installed for
+	// itself and released leaves the reuse set, what it reused from
+	// another session stays, and the new chain is registered.
+	for _, p := range dep.Placements {
+		if !p.Reused && !held[p.Key()] {
+			pl.DropExistingByKey(p.Key())
 		}
 	}
-	if got := pa.SolverStats.Repairs.Load(); got == 0 {
-		t.Error("the degrade must have gone through the repair engine first")
+	pl.AddExisting(diff.New.Placements...)
+	if err := mon.ReportLink(topology.SDGateway, topology.SeaGW, baseLat, baseBW, nil); err != nil {
+		t.Fatal(err)
 	}
-	// The restore is an improvement no pin can see: the repair is a
-	// no-op, and the search behind it moves the session back.
-	step("restore", baseLat, true)
-	if !sameDeploymentKeys(depA, original) {
-		t.Errorf("restoring the link must restore the wiring:\n  original: %s\n  now:      %s", original, depA)
+	back, err := pl.Replan(diff.New, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameDeploymentKeys(back.New, dep) {
+		t.Errorf("restoring the link must restore the wiring:\n  original: %s\n  now:      %s", dep, back.New)
 	}
 }
 
 // TestSettledReplanSearchesOnce: a settled session's replan is one
 // search. The three Figure 6 sessions are adapted, one planner for all,
 // to an unchanged network, to a degrade of each inter-site link under a
-// deployed chain and to its restore: every RepairReplan runs at most
-// one full search, counted in Stats. The steps must reach the search —
-// some repair comes back unchanged — and move some session, or they
-// check nothing.
+// deployed chain and to its restore: every Replan runs at most one full
+// search, counted in Stats. The steps must reach the search and move
+// some session, or they check nothing.
 func TestSettledReplanSearchesOnce(t *testing.T) {
 	net := topology.CaseStudy()
 	mon := netmon.New(net)
@@ -312,17 +219,17 @@ func TestSettledReplanSearchesOnce(t *testing.T) {
 		pl.AddExisting(deps[i].Placements...)
 	}
 	searched, moved := 0, 0
-	adapt := func(step string, ch *ChangedSet) {
+	adapt := func(step string) {
 		t.Helper()
 		for i, req := range reqs {
 			searches := pl.layers.FullSearches
-			diff, err := pl.RepairReplan(deps[i], req, ch)
+			diff, err := pl.Replan(deps[i], req)
 			if err != nil {
 				t.Fatalf("%s, session %d: %v", step, i, err)
 			}
 			n := pl.Stats().FullSearches - searches
 			if n > 1 {
-				t.Errorf("%s, session %d: RepairReplan ran %d full searches, want at most 1", step, i, n)
+				t.Errorf("%s, session %d: Replan ran %d full searches, want at most 1", step, i, n)
 			}
 			searched += n
 			if !diff.Unchanged() {
@@ -332,20 +239,18 @@ func TestSettledReplanSearchesOnce(t *testing.T) {
 			}
 		}
 	}
-	adapt("unchanged network", nil)
+	adapt("unchanged network")
 	for _, l := range [][2]netmodel.NodeID{{topology.SDGateway, topology.SeaGW}, {topology.NYServer, topology.SDGateway}} {
 		link, ok := net.Link(l[0], l[1])
 		if !ok {
 			t.Fatalf("no link %s~%s", l[0], l[1])
 		}
-		ch := NewChangedSet()
-		ch.AddLink(l[0], l[1])
 		base := link.LatencyMS
 		for _, lat := range []float64{base + 800, base} {
 			if err := mon.ReportLink(l[0], l[1], lat, -1, nil); err != nil {
 				t.Fatal(err)
 			}
-			adapt(fmt.Sprintf("%s~%s at %.0f ms", l[0], l[1], lat), ch)
+			adapt(fmt.Sprintf("%s~%s at %.0f ms", l[0], l[1], lat))
 		}
 	}
 	if searched == 0 || moved == 0 {

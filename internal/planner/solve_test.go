@@ -3,9 +3,7 @@ package planner
 import (
 	"fmt"
 	"math"
-	"os"
 	"testing"
-	"time"
 
 	"partsvc/internal/netmodel"
 	"partsvc/internal/netmon"
@@ -307,8 +305,8 @@ func TestPlanUniformRateAdmission(t *testing.T) {
 }
 
 // repairWorlds builds two planners over one shared case-study network,
-// both warmed with the same San Diego deployment: pa takes the repair
-// path, pb is the full-replan reference.
+// both warmed with the same San Diego deployment, so that one can serve
+// as the other's reference.
 func repairWorlds(t *testing.T) (net *netmodel.Network, pa, pb *Planner, dep *Deployment, req Request) {
 	t.Helper()
 	net = topology.CaseStudy()
@@ -334,265 +332,30 @@ func repairWorlds(t *testing.T) (net *netmodel.Network, pa, pb *Planner, dep *De
 }
 
 // TestRepairReplanLinkEvent: a latency change on the inter-site link
-// under the deployed chain repairs incrementally — only the placements
-// whose recorded edge routes traverse the link re-open — and agrees
-// with the settled search alone that nothing moves, with the solver's
-// repair path (not the fallback) doing the work. The no-op repair is
-// followed by the one search, which finds nothing better than keeping
-// the chain, so the caller gets the chain as it runs now: the old
-// placements re-costed.
+// under the deployed chain moves no placement. The one search finds
+// nothing better than keeping the chain, so the caller gets the chain as
+// it runs now: the old placements re-costed under the degraded link.
 func TestRepairReplanLinkEvent(t *testing.T) {
-	net, pa, pb, dep, req := repairWorlds(t)
+	net, pa, _, dep, req := repairWorlds(t)
 	mon := netmon.New(net)
 	if err := mon.ReportLink(topology.NYServer, topology.SDGateway, 220, 20, nil); err != nil {
 		t.Fatal(err)
 	}
-	ch := NewChangedSet()
-	ch.AddLink(topology.NYServer, topology.SDGateway)
-
-	diffA, err := pa.RepairReplan(dep, req, ch)
+	searches := pa.Stats().FullSearches
+	diff, err := pa.Replan(dep, req)
 	if err != nil {
-		t.Fatalf("RepairReplan: %v", err)
+		t.Fatalf("Replan: %v", err)
 	}
-	diffB, err := pb.RepairReplan(dep, req, nil)
-	if err != nil {
-		t.Fatalf("the search alone: %v", err)
+	if !diff.Unchanged() || !sameDeploymentKeys(diff.New, dep) {
+		t.Errorf("a mild degradation moved placements:\n  old: %s\n  new: %s", dep, diff.New)
 	}
-	// A mild degradation moves no placements: both paths must agree the
-	// adaptation is a no-op.
-	if !diffA.Unchanged() {
-		t.Errorf("repair moved placements under a mild degradation: %+v", diffA)
+	if diff.New.ExpectedLatencyMS <= dep.ExpectedLatencyMS {
+		t.Errorf("the kept chain must be re-costed under the degraded link: %v -> %v", dep.ExpectedLatencyMS, diff.New.ExpectedLatencyMS)
 	}
-	if !diffB.Unchanged() {
-		t.Errorf("the search moved placements under a mild degradation: %+v", diffB)
-	}
-	if !sameDeploymentKeys(diffA.New, dep) {
-		t.Errorf("repair must keep the old placements:\n  old:    %s\n  repair: %s", dep, diffA.New)
-	}
-	if diffA.New.ExpectedLatencyMS <= dep.ExpectedLatencyMS {
-		t.Errorf("repair must re-cost the degraded link: %v -> %v", dep.ExpectedLatencyMS, diffA.New.ExpectedLatencyMS)
-	}
-	if got := pa.SolverStats.Repairs.Load(); got != 1 {
-		t.Errorf("solver repairs = %d, want 1", got)
-	}
-	if got := pa.SolverStats.RepairFallbacks.Load(); got != 0 {
-		t.Errorf("repair fell back to a fresh solve %d times, want 0", got)
-	}
-}
-
-// TestRepairReplanPassthrough: with no known changed elements (a nil or
-// an empty set) RepairReplan is the settled search alone: no repair,
-// one full search, and on an unchanged network the chain as it runs.
-func TestRepairReplanPassthrough(t *testing.T) {
-	_, pa, pb, dep, req := repairWorlds(t)
-	diffA, err := pa.RepairReplan(dep, req, NewChangedSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffB, err := pb.RepairReplan(dep, req, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !diffA.Unchanged() || !sameDeploymentKeys(diffA.New, dep) {
-		t.Errorf("passthrough on an unchanged network moved the chain: %s", diffA.New)
-	}
-	if diffA.New.String() != diffB.New.String() {
-		t.Errorf("passthrough results diverge: %s vs %s", diffA.New, diffB.New)
-	}
-	if a, b := pa.Stats().FullSearches, pb.Stats().FullSearches; a != b {
-		t.Errorf("with an empty change set the planner has run %d full searches, with a nil one %d", a, b)
-	}
-	if got := pa.SolverStats.Repairs.Load() + pb.SolverStats.Repairs.Load(); got != 0 {
-		t.Errorf("passthrough must not run the repair engine (repairs=%d)", got)
-	}
-}
-
-// TestRepairReplanHeadDirtyFallsBack: the chain head is pinned at the
-// client node, so a change touching it cannot be repaired in place —
-// RepairReplan must take the full-replan path and still return a valid
-// diff.
-func TestRepairReplanHeadDirtyFallsBack(t *testing.T) {
-	_, pa, _, dep, req := repairWorlds(t)
-	ch := NewChangedSet()
-	ch.AddNode(req.ClientNode)
-	diff, err := pa.RepairReplan(dep, req, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff.New == nil {
-		t.Fatal("fallback must still produce a deployment")
+	if n := pa.Stats().FullSearches - searches; n != 1 {
+		t.Errorf("Replan ran %d full searches, want 1", n)
 	}
 	if got := pa.SolverStats.Repairs.Load(); got != 0 {
-		t.Errorf("head-dirty change must replan fresh, not repair (repairs=%d)", got)
-	}
-}
-
-// TestRepairReplanTreeFallsBack: the head-dirty fallback does not depend
-// on the graph's shape — a change at the client node of a branching
-// deployment takes the full-replan path too, and the diff it returns
-// verifies.
-func TestRepairReplanTreeFallsBack(t *testing.T) {
-	pl := portalPlanner(t)
-	req := Request{Interface: "PortalInterface", ClientNode: topology.SDClient, RateRPS: 10}
-	dep := planOrFail(t, pl, req)
-	pl.AddExisting(dep.Placements...)
-
-	ch := NewChangedSet()
-	ch.AddNode(req.ClientNode)
-	diff, err := pl.RepairReplan(dep, req, ch)
-	if err != nil {
-		t.Fatalf("RepairReplan on tree deployment: %v", err)
-	}
-	if err := pl.Verify(diff.New, req); err != nil {
-		t.Fatalf("fallback diff does not verify: %v", err)
-	}
-	if got := pl.SolverStats.Repairs.Load(); got != 0 {
-		t.Errorf("head-dirty change must replan fresh, not repair (repairs=%d)", got)
-	}
-}
-
-// TestSolverRepairOverheadGuard (A11's CI guard, RUN_OVERHEAD_GUARD):
-// on a 256-node Waxman topology, repairing after a single link event
-// must cost at least 5x fewer constraint propagations than a fresh
-// solve of the same request, while landing on an equally good
-// deployment. The guard times RepairReplan's repair step by itself: a
-// repair that moves nothing is followed by the settled search, which is
-// a full search by construction and is not what this guard bounds. Run
-// with:
-//
-//	RUN_OVERHEAD_GUARD=1 go test ./internal/planner -run OverheadGuard -v
-func TestSolverRepairOverheadGuard(t *testing.T) {
-	if os.Getenv("RUN_OVERHEAD_GUARD") == "" {
-		t.Skip("set RUN_OVERHEAD_GUARD=1 to run the repair overhead guard")
-	}
-	net, err := topology.Waxman(topology.DefaultWaxman(256, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := net.Nodes()
-	nodes[0].Props["TrustLevel"] = property.Int(5)
-	build := func() *Planner {
-		pl := New(spec.MailService(), net)
-		ms, err := pl.PrimaryPlacement(spec.CompMailServer, nodes[0].ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl.AddExisting(ms)
-		return pl
-	}
-
-	// Find a client whose plan has an interior edge (a chain of 3+
-	// placements): the link event lands there, away from the pinned head.
-	var (
-		pl  *Planner
-		dep *Deployment
-		req Request
-	)
-	for _, n := range nodes[1:] {
-		if n.ID == nodes[0].ID {
-			continue
-		}
-		cand := build()
-		r := Request{Interface: spec.IfaceClient, ClientNode: n.ID, User: "Alice", RateRPS: 10}
-		d, err := cand.Plan(r)
-		if err != nil || len(d.Placements) < 3 {
-			continue
-		}
-		pl, dep, req = cand, d, r
-		break
-	}
-	if pl == nil {
-		t.Fatal("no client yields a 3+ placement chain on this topology")
-	}
-	pl.AddExisting(dep.Placements...)
-
-	// Pick a link on an interior edge's recorded route that does not
-	// also sit under the head edge (which would force the fallback).
-	var a, b netmodel.NodeID
-	for _, e := range dep.Edges {
-		if e.From == 0 || len(e.Path.Nodes) < 2 {
-			continue
-		}
-		for i := 0; i+1 < len(e.Path.Nodes); i++ {
-			ch := NewChangedSet()
-			ch.AddLink(e.Path.Nodes[i], e.Path.Nodes[i+1])
-			if !ch.PathAffected(dep.Edges[0].Path) && !ch.NodeAffected(req.ClientNode) {
-				a, b = e.Path.Nodes[i], e.Path.Nodes[i+1]
-				break
-			}
-		}
-		if a != "" {
-			break
-		}
-	}
-	if a == "" {
-		t.Fatalf("no interior link clear of the head edge in %s", dep)
-	}
-	link, ok := net.Link(a, b)
-	if !ok {
-		t.Fatalf("no link %s~%s", a, b)
-	}
-	link.LatencyMS *= 1.02
-	net.InvalidateRoutesLinkDelta(a, b)
-
-	ch := NewChangedSet()
-	ch.AddLink(a, b)
-	propsBefore := pl.SolverStats.Propagations.Load()
-	start := time.Now()
-	pl.beginPlan()
-	evicted := pl.RevalidateExisting()
-	repaired := pl.tryRepair(dep, req, ch)
-	pl.endPlan()
-	repairNS := time.Since(start)
-	if repaired == nil || len(evicted) != 0 {
-		t.Fatalf("repair of a mild degradation failed (repaired %v, evicted %v)", repaired, evicted)
-	}
-	diff := buildDiff(dep, repaired)
-	repairProps := pl.SolverStats.Propagations.Load() - propsBefore
-	if got := pl.SolverStats.Repairs.Load(); got != 1 {
-		t.Fatalf("repair path did not run (repairs=%d)", got)
-	}
-	if got := pl.SolverStats.RepairFallbacks.Load(); got != 0 {
-		t.Fatalf("repair fell back to a fresh solve (fallbacks=%d)", got)
-	}
-
-	// Fresh reference: same network state, same reuse set, full solve.
-	fresh := build()
-	fresh.AddExisting(dep.Placements...)
-	propsBefore = fresh.SolverStats.Propagations.Load()
-	start = time.Now()
-	freshDep, err := fresh.Plan(req)
-	freshNS := time.Since(start)
-	if err != nil {
-		t.Fatalf("fresh Plan: %v", err)
-	}
-	freshProps := fresh.SolverStats.Propagations.Load() - propsBefore
-
-	// Equal objective value: under a mild single-link degradation both
-	// paths must conclude the running graph is still optimal — repair by
-	// keeping every placement, the fresh solve by reusing the same
-	// instances (it may cut at a reused anchor, describing a prefix of
-	// the same physical graph, so the cost forms are not compared
-	// verbatim).
-	if !diff.Unchanged() || !sameDeploymentKeys(diff.New, dep) {
-		t.Errorf("repair moved placements under a mild degradation:\n  old:    %s\n  repair: %s", dep, diff.New)
-	}
-	if freshDep.NewComponents != 0 {
-		t.Errorf("fresh solve deployed %d new components — the running graph should win: %s",
-			freshDep.NewComponents, freshDep)
-	}
-	oldKeys := map[string]bool{}
-	for _, p := range dep.Placements {
-		oldKeys[p.Key()] = true
-	}
-	for _, p := range freshDep.Placements {
-		if !oldKeys[p.Key()] {
-			t.Errorf("fresh solve placed %s outside the running graph %s", p, dep)
-		}
-	}
-	t.Logf("repair: %d propagations in %v; fresh: %d propagations in %v (ratio %.1fx)",
-		repairProps, repairNS, freshProps, freshNS, float64(freshProps)/float64(max(repairProps, 1)))
-	if repairProps*5 > freshProps {
-		t.Errorf("repair cost %d propagations, fresh %d — want at least 5x cheaper", repairProps, freshProps)
+		t.Errorf("Replan ran the solver's repair %d times, want 0", got)
 	}
 }

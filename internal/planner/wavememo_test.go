@@ -61,7 +61,7 @@ func TestWaveMemoSharedMatchesIndependent(t *testing.T) {
 	// Independent baseline: each instance replans on its own.
 	p1, m1, dep1, req1 := rewireWorld(t)
 	degrade(m1)
-	want1, err := p1.RepairReplan(dep1, req1, nil)
+	want1, err := p1.Replan(dep1, req1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestWaveMemoSharedMatchesIndependent(t *testing.T) {
 		defer pl.PinRoutes(nil)
 		key := req.Fingerprint() + "#" + shapeOf(dep)
 		diff, _, _, err := memo.Do(key, func() (*Diff, Stats, error) {
-			d, err := pl.RepairReplan(dep, req, nil)
+			d, err := pl.Replan(dep, req)
 			return d, pl.Stats(), err
 		})
 		if err != nil {

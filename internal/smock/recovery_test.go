@@ -12,13 +12,13 @@ import (
 	"partsvc/internal/topology"
 )
 
-// twoStepRepairReplan is Table.RepairReplan as it ran before it decided
-// the orphans ahead of the search, kept as its oracle: the planner's
-// RepairReplan first, and when that diff's evictions orphan live
-// instances, a second, orphan-aware Replan whose diff replaces it.
-func twoStepRepairReplan(tab *smock.Table, pl *planner.Planner, old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
+// twoStepReplan is Table.Replan as it ran before it decided the orphans
+// ahead of the search, kept as its oracle: the planner's Replan first,
+// and when that diff's evictions orphan live instances, a second Replan
+// without them whose diff replaces it.
+func twoStepReplan(tab *smock.Table, pl *planner.Planner, old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
 	pl.Existing = tab.AppendLive(pl.Existing[:0])
-	diff, err := pl.RepairReplan(old, req, ch)
+	diff, err := pl.Replan(old, req)
 	if err != nil {
 		return nil, err
 	}
@@ -55,18 +55,18 @@ func diffString(d *planner.Diff) string {
 
 // TestNodeDeathRecoverySearchesOnce deploys the three Figure 6 sessions
 // and adapts each of them, first to a latency change on the Seattle
-// chain's tunnel and then to the death of sd-2, with Table.RepairReplan
-// and with the two-step oracle above. Every diff, and every error, is
-// the oracle's. Where nothing is orphaned (the latency change) both
-// take the same path and count the same solves. After sd-2 dies, the
-// Seattle chain's sea-2 instances are orphans of the dead view they are
-// wired into, and Table.RepairReplan searches once: it counts the
-// solves of one Replan over the reuse set without the evicted instances
-// and the orphans and no repair, where the oracle ran a full search
-// first and threw its answer away. The New York session holds nothing
-// evicted or orphaned, so its recovery is the planner's repair alone,
-// with no search. The death of every other node that hosts no primary
-// is checked against the oracle as well.
+// chain's tunnel and then to the death of sd-2, with Table.Replan and
+// with the two-step oracle above. Every diff, and every error, is the
+// oracle's. Where nothing is orphaned (the latency change) both take the
+// same path and count the same solves. After sd-2 dies, the Seattle
+// chain's sea-2 instances are orphans of the dead view they are wired
+// into, and Table.Replan searches once: it counts the solves of one
+// Replan over the reuse set without the evicted instances and the
+// orphans, where the oracle ran a search first and threw its answer
+// away. The New York session holds nothing evicted or orphaned, so
+// keeping its deployment seeds a bound no graph beats, and its recovery
+// calls the solver not at all. The death of every other node that hosts
+// no primary is checked against the oracle as well.
 func TestNodeDeathRecoverySearchesOnce(t *testing.T) {
 	w := newWorld(t)
 	reqs := []planner.Request{
@@ -86,26 +86,24 @@ func TestNodeDeathRecoverySearchesOnce(t *testing.T) {
 	tab := w.engine.Table()
 	mon := netmon.New(pl.Net)
 
-	type counts struct{ solves, repairs uint64 }
-	read := func() counts {
-		return counts{pl.SolverStats.Solves.Load(), pl.SolverStats.Repairs.Load()}
-	}
-	adapt := func(step string, ch *planner.ChangedSet) (oracle, got []counts) {
+	// solves counts every call into the solver, repairs included.
+	solves := func() uint64 { return pl.SolverStats.Solves.Load() + pl.SolverStats.Repairs.Load() }
+	adapt := func(step string) (oracle, got []uint64) {
 		t.Helper()
 		for i, req := range reqs {
-			c0 := read()
-			want, wantErr := twoStepRepairReplan(tab, pl, deps[i], req, ch)
-			c1 := read()
-			diff, err := w.gs.RepairReplan(deps[i], req, ch)
-			c2 := read()
+			c0 := solves()
+			want, wantErr := twoStepReplan(tab, pl, deps[i], req)
+			c1 := solves()
+			diff, err := w.gs.Replan(deps[i], req)
+			c2 := solves()
 			if (err != nil) != (wantErr != nil) {
 				t.Fatalf("%s, session %d: err %v, oracle err %v", step, i, err, wantErr)
 			}
 			if err == nil && diffString(diff) != diffString(want) {
 				t.Fatalf("%s, session %d:\n  got    %s\n  oracle %s", step, i, diffString(diff), diffString(want))
 			}
-			oracle = append(oracle, counts{c1.solves - c0.solves, c1.repairs - c0.repairs})
-			got = append(got, counts{c2.solves - c1.solves, c2.repairs - c1.repairs})
+			oracle = append(oracle, c1-c0)
+			got = append(got, c2-c1)
 		}
 		return oracle, got
 	}
@@ -114,12 +112,10 @@ func TestNodeDeathRecoverySearchesOnce(t *testing.T) {
 	if err := mon.ReportLink(topology.SDGateway, topology.SeaGW, link.LatencyMS+50, -1, nil); err != nil {
 		t.Fatal(err)
 	}
-	ch := planner.NewChangedSet()
-	ch.AddLink(topology.SDGateway, topology.SeaGW)
-	oracle, got := adapt("sd-1~sea-1 +50 ms", ch)
+	oracle, got := adapt("sd-1~sea-1 +50 ms")
 	for i := range got {
 		if got[i] != oracle[i] {
-			t.Errorf("latency change, session %d: counted %+v, the oracle %+v; with no orphan the path is the oracle's", i, got[i], oracle[i])
+			t.Errorf("latency change, session %d: counted %d solves, the oracle %d; with no orphan the path is the oracle's", i, got[i], oracle[i])
 		}
 	}
 
@@ -139,19 +135,17 @@ func TestNodeDeathRecoverySearchesOnce(t *testing.T) {
 	}
 	single := one.SolverStats.Solves.Load()
 
-	ch = planner.NewChangedSet()
-	ch.AddNode(topology.SDClient)
-	oracle, got = adapt("sd-2 down", ch)
-	if want := (counts{solves: single}); got[seattle] != want {
-		t.Errorf("Seattle's recovery counted %+v, want one search: %+v", got[seattle], want)
+	oracle, got = adapt("sd-2 down")
+	if got[seattle] != single {
+		t.Errorf("Seattle's recovery counted %d solves, want one search: %d", got[seattle], single)
 	}
-	if oracle[seattle].solves <= single {
-		t.Errorf("the oracle counted %d solves, one search is %d: the scenario does not reach the second search", oracle[seattle].solves, single)
+	if oracle[seattle] <= single {
+		t.Errorf("the oracle counted %d solves, one search is %d: the scenario does not reach the second search", oracle[seattle], single)
 	}
-	if want := (counts{repairs: 1}); got[ny] != want {
-		t.Errorf("New York's recovery counted %+v, want the repair alone: %+v", got[ny], want)
+	if got[ny] != 0 {
+		t.Errorf("New York's recovery counted %d solves, want none: keeping the deployment prunes every graph", got[ny])
 	}
-	t.Logf("Seattle after sd-2 died: %d solves (oracle %d solves, %d repairs)", got[seattle].solves, oracle[seattle].solves, oracle[seattle].repairs)
+	t.Logf("Seattle after sd-2 died: %d solves (oracle %d)", got[seattle], oracle[seattle])
 
 	// Every other node's death, each in a world of its own, answers as
 	// the oracle does too.
@@ -167,11 +161,9 @@ func TestNodeDeathRecoverySearchesOnce(t *testing.T) {
 		if err := netmon.New(pl.Net).ReportNodeDown(victim); err != nil {
 			t.Fatal(err)
 		}
-		ch := planner.NewChangedSet()
-		ch.AddNode(victim)
 		for i, req := range reqs {
-			want, wantErr := twoStepRepairReplan(w.engine.Table(), pl, deps[i], req, ch)
-			diff, err := w.gs.RepairReplan(deps[i], req, ch)
+			want, wantErr := twoStepReplan(w.engine.Table(), pl, deps[i], req)
+			diff, err := w.gs.Replan(deps[i], req)
 			if (err != nil) != (wantErr != nil) {
 				t.Fatalf("%s down, session %d: err %v, oracle err %v", victim, i, err, wantErr)
 			}

@@ -76,18 +76,13 @@ func (g *GenericServer) PlanOnly(req planner.Request) (*planner.Deployment, erro
 	return g.syncLocked().Plan(req)
 }
 
-// RepairReplan runs the orphan-aware replan (Table.RepairReplan) under
-// the server's planner lock, so an adaptation controller and client
-// access requests serialize on the same planner state. ch names the
-// network elements a monitoring event touched: the planner first
-// repairs the old deployment incrementally and continues as its one
-// full search — which re-wires a session whose frozen wiring a degraded
-// interior link made slow — when the repair moves nothing or is
-// infeasible. A nil or empty ch is that search alone.
-func (g *GenericServer) RepairReplan(old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
+// Replan runs the orphan-aware replan (Table.Replan) under the
+// server's planner lock, so an adaptation controller and client access
+// requests serialize on the same planner state.
+func (g *GenericServer) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.engine.tab.RepairReplan(g.pl, old, req, ch)
+	return g.engine.tab.Replan(g.pl, old, req)
 }
 
 // Verify checks a deployment against req on the current network

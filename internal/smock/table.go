@@ -492,34 +492,25 @@ func (t *Table) OrphanedBy(dead []planner.Placement) []string {
 	return orphans
 }
 
-// RepairReplan plans req against the table's live instances
-// (planner.RepairReplan; a nil ch is the planner's settled search with
-// no repair). Instances that eviction orphans — wired, through their
-// upstream chain, into a dead one — leave the reuse set first. When the
-// old deployment holds an orphaned key, the request is planned afresh
-// (planner.Replan), so the chain downstream of the break
-// is planned — and re-wired — anew; the engine supersedes the orphans
-// the new plan keeps, and those it abandons land in Remove. The
-// evictions are decided before anything is searched, by the validity
-// test revalidation applies, so a recovery searches once.
+// Replan plans req against the table's live instances
+// (planner.Planner.Replan). Instances that eviction orphans — wired,
+// through their upstream chain, into a dead one — leave the reuse set
+// first, so an old deployment that holds an orphaned key no longer
+// stands and the chain downstream of the break is planned — and
+// re-wired — anew; the engine supersedes the orphans the new plan
+// keeps, and those it abandons land in Remove. The evictions are
+// decided before anything is searched, by the validity test
+// revalidation applies, so a recovery searches once.
 //
 // A diff that keeps the old deployment is an answer only while that
 // deployment still passes Verify. When it does not (a severed route, a
 // saturated link under an instance it anchors on), nothing replaces it:
 // that is an error, not a verdict to keep it.
-func (t *Table) RepairReplan(pl *planner.Planner, old *planner.Deployment, req planner.Request, ch *planner.ChangedSet) (*planner.Diff, error) {
+func (t *Table) Replan(pl *planner.Planner, old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
 	pl.Existing = t.AppendLive(pl.Existing[:0])
-	orphans := t.OrphanedBy(pl.InvalidExisting())
-	pl.DropExistingByKey(orphans...)
-	var diff *planner.Diff
-	var err error
-	if old != nil && slices.ContainsFunc(old.Placements, func(p planner.Placement) bool { return slices.Contains(orphans, p.Key()) }) {
-		evicted := pl.RevalidateExisting()
-		if diff, err = pl.Replan(old, req); err != nil {
-			return nil, err
-		}
-		diff.Evicted = append(evicted, diff.Evicted...)
-	} else if diff, err = pl.RepairReplan(old, req, ch); err != nil {
+	pl.DropExistingByKey(t.OrphanedBy(pl.InvalidExisting())...)
+	diff, err := pl.Replan(old, req)
+	if err != nil {
 		return nil, err
 	}
 	if old != nil && diff.Unchanged() {

@@ -261,8 +261,8 @@ func (w *portalWorld) callPortal(t *testing.T, addr, payload string) *wire.Messa
 // TestTreeDeploymentEndToEnd is the DAG acceptance scenario: a service
 // whose linkage graph no chain can express is planned as a tree,
 // realized by the engine (one instance wired to two upstream
-// providers), survives a node kill through RepairReplan + Apply, and
-// never surfaces an error to the client.
+// providers), survives a node kill through Replan + Apply, and never
+// surfaces an error to the client.
 func TestTreeDeploymentEndToEnd(t *testing.T) {
 	w := newPortalWorld(t)
 	req := planner.Request{Interface: "PortalInterface", ClientNode: "client", User: "Alice", RateRPS: 10}
@@ -317,54 +317,66 @@ func TestTreeDeploymentEndToEnd(t *testing.T) {
 	if err := mon.ReportNodeDown(victim); err != nil {
 		t.Fatal(err)
 	}
-	ch := planner.NewChangedSet()
-	ch.AddNode(victim)
 
 	// The dead Server orphans the Encryptor2 and the Portal wired into
-	// it, so the recovery plans the tree afresh: one search, no repair
-	// whose answer the orphans would void.
-	repairs := w.gs.Planner().SolverStats.Repairs.Load()
-	diff, err := w.gs.RepairReplan(dep, req, ch)
+	// it, so the recovery plans the tree afresh.
+	diff, err := w.gs.Replan(dep, req)
 	if err != nil {
-		t.Fatalf("RepairReplan after killing %s: %v", victim, err)
+		t.Fatalf("Replan after killing %s: %v", victim, err)
 	}
-	if got := w.gs.Planner().SolverStats.Repairs.Load(); got != repairs {
-		t.Errorf("a kill that orphans the head's branch must not run a repair: repairs %d -> %d", repairs, got)
-	}
-	// The repair lands where a from-scratch plan of the surviving network
-	// does.
+	// The recovery lands where a from-scratch plan of the surviving
+	// network does.
 	fresh, err := planner.New(portalSpec(), w.net).Plan(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fresh.Placements) != len(diff.New.Placements) || fresh.ExpectedLatencyMS != diff.New.ExpectedLatencyMS {
-		t.Errorf("repair landed on %s (%v ms), a fresh plan on %s (%v ms)",
+		t.Errorf("the recovery landed on %s (%v ms), a fresh plan on %s (%v ms)",
 			diff.New, diff.New.ExpectedLatencyMS, fresh, fresh.ExpectedLatencyMS)
 	}
 	for i, p := range fresh.Placements {
 		if i < len(diff.New.Placements) && diff.New.Placements[i].Key() != p.Key() {
-			t.Errorf("placement %d: repair %s, fresh plan %s", i, diff.New.Placements[i], p)
+			t.Errorf("placement %d: recovery %s, fresh plan %s", i, diff.New.Placements[i], p)
 		}
 	}
 	if diff.Unchanged() {
-		t.Fatalf("repair kept a deployment on dead node %s", victim)
+		t.Fatalf("the recovery kept a deployment on dead node %s", victim)
 	}
 	for _, p := range diff.New.Placements {
 		if p.Node == victim {
-			t.Fatalf("repair placed %s on dead node %s", p.Component, victim)
+			t.Fatalf("the recovery placed %s on dead node %s", p.Component, victim)
 		}
 	}
+	// Install lists what the engine installs: Apply mints one instance
+	// per Install entry, and no other.
+	ids := func() map[string]bool {
+		out := map[string]bool{}
+		for _, in := range w.engine.Table().Instances() {
+			out[in.ID] = true
+		}
+		return out
+	}
+	before := ids()
 	addr2, err := w.engine.Apply(diff, nil)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	t.Logf("repaired deployment after killing %s: %s", victim, diff.New)
+	minted := 0
+	for id := range ids() {
+		if !before[id] {
+			minted++
+		}
+	}
+	if minted != len(diff.Install) {
+		t.Errorf("Apply minted %d instances, Install lists %d: %v", minted, len(diff.Install), diff.Install)
+	}
+	t.Logf("recovered deployment after killing %s: %s", victim, diff.New)
 
-	// The repaired tree answers with zero client-visible errors, and
+	// The recovered tree answers with zero client-visible errors, and
 	// both branches now terminate at the surviving trusted host.
 	resp = w.callPortal(t, addr2, "again")
 	if resp.Meta["served-by"] != "t2" {
-		t.Errorf("after repair served-by = %q, want the spare trusted host %q", resp.Meta["served-by"], "t2")
+		t.Errorf("after the recovery served-by = %q, want the spare trusted host %q", resp.Meta["served-by"], "t2")
 	}
 	if resp.Meta["logged-at"] == string(victim) {
 		t.Errorf("log branch still served by dead node %s", victim)

@@ -133,9 +133,6 @@ func (s *Solver) Repair(m Model, prev []int, dirty []bool) (Solution, RunStats, 
 	sol, run, ok := s.run(m, prev, dirty)
 	if s.Stats != nil {
 		s.Stats.Repairs.Add(1)
-		if !ok {
-			s.Stats.RepairFallbacks.Add(1)
-		}
 		s.Stats.addRun(run)
 	}
 	return sol, run, ok

@@ -12,9 +12,6 @@ import (
 type Stats struct {
 	// Solves counts fresh Solve calls; Repairs counts Repair calls.
 	Solves, Repairs atomic.Uint64
-	// RepairFallbacks counts repairs that were infeasible under their
-	// pins and reported ok=false (the caller then solves fresh).
-	RepairFallbacks atomic.Uint64
 	// Propagations, Backtracks, Evaluations aggregate RunStats.
 	Propagations, Backtracks, Evaluations atomic.Uint64
 }
@@ -25,23 +22,10 @@ func (s *Stats) addRun(r RunStats) {
 	s.Evaluations.Add(r.Evaluations)
 }
 
-// RepairHitRate is the fraction of repairs that succeeded without a
-// fresh-solve fallback (0 when no repairs ran).
-func (s *Stats) RepairHitRate() float64 {
-	r := s.Repairs.Load()
-	if r == 0 {
-		return 0
-	}
-	return float64(r-s.RepairFallbacks.Load()) / float64(r)
-}
-
 // KVs renders the counters as metrics-registry rows.
 func (s *Stats) KVs() []metrics.KV {
 	return []metrics.KV{
 		metrics.KVf("solves", "%d", s.Solves.Load()),
-		metrics.KVf("repairs", "%d", s.Repairs.Load()),
-		metrics.KVf("repair_fallbacks", "%d", s.RepairFallbacks.Load()),
-		metrics.KVf("repair_hit_rate", "%.3f", s.RepairHitRate()),
 		metrics.KVf("propagations", "%d", s.Propagations.Load()),
 		metrics.KVf("backtracks", "%d", s.Backtracks.Load()),
 		metrics.KVf("evaluations", "%d", s.Evaluations.Load()),
