@@ -16,7 +16,7 @@
 //	mailbench -simstats         # print the simulator event count
 //	mailbench -trace DS500      # span tree + per-stage breakdown of one scenario
 //	mailbench -multicore        # live RPC scale-out: GOMAXPROCS × transport × conns (A9)
-//	mailbench -fleet            # session-sharded fleet control plane (A10)
+//	mailbench -fleet            # fleet control plane (A10)
 //	mailbench -solver           # planner scaling on Waxman topologies (A11)
 //	mailbench -solver -solver-sizes 8,32,128   # explicit Waxman sizes
 //	mailbench -solver -timing   # add wall-clock plan latency (non-deterministic)
@@ -58,7 +58,7 @@ func main() {
 	multicore := flag.Bool("multicore", false, "live RPC scale-out sweep: GOMAXPROCS × transport × connections (A9)")
 	callers := flag.String("callers", "1,64", "comma-separated caller counts for -multicore")
 	cellDur := flag.Duration("dur", 2*time.Second, "measurement time per -multicore cell")
-	fleetRun := flag.Bool("fleet", false, "session-sharded fleet control plane benchmark (A10)")
+	fleetRun := flag.Bool("fleet", false, "fleet control plane benchmark (A10)")
 	solverRun := flag.Bool("solver", false, "planner scaling on Waxman topologies (A11)")
 	solverSizes := flag.String("solver-sizes", "", "comma-separated Waxman sizes for -solver (default 8,16,32,64,128,256)")
 	fleetSessions := flag.Int("fleet-sessions", 0, "override -fleet session count (default 5000)")
@@ -160,7 +160,7 @@ func main() {
 		}
 		fc.Workers = *workers
 		fc.Timing = *timing
-		fmt.Printf("Fleet control plane (A10): %d sessions, %d shards, %d-node Waxman, %d link events:\n",
+		fmt.Printf("Fleet control plane (A10): %d sessions, %d planners, %d-node Waxman, %d link events:\n",
 			fc.Sessions, fc.Shards, fc.Nodes, fc.Events)
 		res, err := bench.RunFleet(fc)
 		if err != nil {

@@ -32,7 +32,7 @@ import (
 // starts its own api.Server and reads back /v1/events over HTTP — the
 // same stream curl or a dashboard would see. With -attach it skips the
 // demo and tails a running server's stream instead; with -fleet it
-// runs the sharded fleet scenario and streams the manager's replan
+// runs the fleet scenario and streams the manager's replan
 // wave lifecycle.
 func runAdapt(args []string) error {
 	fs := flag.NewFlagSet("adapt", flag.ExitOnError)
@@ -43,7 +43,7 @@ func runAdapt(args []string) error {
 	attach := fs.String("attach", "", "tail a running operational API's /v1/events instead of running the demo (base URL)")
 	token := fs.String("token", "", "bearer token for -attach")
 	filter := fs.String("filter", "", "event filter for -attach (query form: session=carol&kind=replan,adapted)")
-	fleetView := fs.Bool("fleet", false, "run the sharded fleet scenario and stream replan waves")
+	fleetView := fs.Bool("fleet", false, "run the fleet scenario and stream replan waves")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -218,7 +218,7 @@ func runAdaptFleet() error {
 	return nil
 }
 
-// flapFleet runs the sharded fleet through a relay kill/recovery/flap
+// flapFleet runs the fleet through a relay kill/recovery/flap
 // cycle on the case-study topology (virtual clock): eight San Diego and
 // Seattle sessions, a 1/s cutover budget and a 60 s anti-flap window.
 // The first recovery rewires Seattle's chains under the token bucket;

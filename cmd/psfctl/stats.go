@@ -39,8 +39,8 @@ func registerPoolSection(reg *metrics.Registry) {
 
 // registerFleetSection runs flapFleet and exposes what the loop's
 // fleet.* counters and wave histograms (which land in reg as a side
-// effect and render alongside) do not show: the sessions, their shard
-// occupancy and the live instances they share.
+// effect and render alongside) do not show: the sessions and the live
+// instances they share.
 func registerFleetSection(reg *metrics.Registry) {
 	mgr, err := flapFleet(nil)
 	if err != nil {
@@ -49,7 +49,6 @@ func registerFleetSection(reg *metrics.Registry) {
 	reg.RegisterSection("fleet", func() []metrics.KV {
 		return []metrics.KV{
 			metrics.KVf("sessions", "%d", len(mgr.Sessions())),
-			metrics.KVf("sessions_per_shard", "%v", mgr.SessionsPerShard()),
 			metrics.KVf("instances_shared", "%d", mgr.Instances()),
 		}
 	})

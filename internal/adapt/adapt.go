@@ -11,9 +11,9 @@
 //     the sessions whose deployments touch the changed elements (an
 //     index maintained at commit time), or that can reach an element
 //     that improved;
-//   - sessions are hashed onto shards; a wave replans shard by shard,
-//     and sessions with the same request and deployment shape plan once
-//     through a shared wave memo and share the diff;
+//   - a wave plans each of its keys (request and deployment shape) once,
+//     striped over the planners in key order, and every session of the
+//     key shares the diff;
 //   - the commit phase walks the wave in session order under a cutover
 //     governor (token-bucket pacing, anti-flap hysteresis), moving each
 //     session's references in the executor's table of instances
@@ -33,7 +33,6 @@ package adapt
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"sync"
@@ -66,10 +65,9 @@ type Config struct {
 	// client bindings flip, letting in-flight requests finish before
 	// teardown (default 100).
 	DrainMS float64
-	// Shards is the number of session shards. It partitions state and
-	// decides which shard planner handles which session, so it is part
-	// of a fleet's deterministic identity. 0 means one shard for New and
-	// the next power of two ≥ GOMAXPROCS for fleet.New.
+	// Shards is the number of planners fleet.New gives the loop (0
+	// means GOMAXPROCS); nothing else reads it. New's loop has one
+	// planner, its Executor.
 	Shards int
 	// Workers bounds the goroutines driving a wave's replan phase (0
 	// means 1 for New, GOMAXPROCS for fleet.New). Output-invariant.
@@ -157,8 +155,7 @@ type Session struct {
 	// Req is the planning request to replay on every replan.
 	Req planner.Request
 
-	idx   int // global order (tracking order)
-	shard int
+	idx   int    // global order (tracking order)
 	reqFP string // Req.Fingerprint(), for the wave key
 
 	// member is the group whose member list holds the session, and
@@ -211,9 +208,6 @@ func (s *Session) HeadAddr() string {
 	defer s.mu.Unlock()
 	return s.head
 }
-
-// Shard returns the shard the session hashed onto.
-func (s *Session) Shard() int { return s.shard }
 
 // settle records a good verdict: a retry armed for an earlier failure
 // is withdrawn, and the failure count restarts.
@@ -270,8 +264,8 @@ type Controller struct {
 	net   *netmodel.Network
 	exec  Executor
 	sched Scheduler
-	// planners[i] replans shard i's wave groups: the loop's Executor, or
-	// a planner of the shard's own.
+	// planners replan a wave's keys, key i on planners[i mod n]: the
+	// loop's Executor, or planners of the fleet's own.
 	planners []Executor
 	gov      *governor
 	tab      *smock.Table
@@ -288,7 +282,6 @@ type Controller struct {
 	replansTotal        *metrics.Counter
 	planComputes        *metrics.Counter
 	memoHits            *metrics.Counter
-	memoLookups         *metrics.Counter
 	routeLookups        *metrics.Counter
 	cutovers            *metrics.Counter
 	cutoversRateLimited *metrics.Counter
@@ -332,23 +325,18 @@ type Controller struct {
 }
 
 // New builds a loop over a monitor and an executor that replans every
-// wave group and realizes every cutover. prober and targets (SetProber)
+// wave key and realizes every cutover. prober and targets (SetProber)
 // may be left unset when cfg.ProbeIntervalMS is 0.
 func New(cfg Config, mon *netmon.Monitor, exec Executor, sched Scheduler) *Controller {
-	execs := make([]Executor, max(cfg.Shards, 1))
-	for i := range execs {
-		execs[i] = exec
-	}
-	return NewSharded(cfg, mon, execs, sched)
+	return NewPlanners(cfg, mon, []Executor{exec}, sched)
 }
 
-// NewSharded is New with one Executor per shard: shard i's wave groups
-// are replanned through execs[i], and cutovers go through execs[0],
-// whose table the loop keeps its references in. cfg.Shards is ignored;
-// len(execs) is the shard count.
-func NewSharded(cfg Config, mon *netmon.Monitor, execs []Executor, sched Scheduler) *Controller {
+// NewPlanners is New with several planners: a wave's keys are striped
+// over execs, and cutovers go through execs[0], whose table the loop
+// keeps its references in. Each Executor plans on one goroutine at a
+// time.
+func NewPlanners(cfg Config, mon *netmon.Monitor, execs []Executor, sched Scheduler) *Controller {
 	cfg = cfg.withDefaults()
-	cfg.Shards = len(execs)
 	reg := metrics.DefaultRegistry
 	c := &Controller{
 		cfg: cfg, mon: mon, net: mon.Network(), exec: execs[0], sched: sched, planners: execs,
@@ -362,7 +350,6 @@ func NewSharded(cfg Config, mon *netmon.Monitor, execs []Executor, sched Schedul
 		replansTotal:        reg.Counter("fleet.replans"),
 		planComputes:        reg.Counter("fleet.plan_computes"),
 		memoHits:            reg.Counter("fleet.memo_hits"),
-		memoLookups:         reg.Counter("fleet.memo_lookups"),
 		routeLookups:        reg.Counter("fleet.route_lookups"),
 		cutovers:            reg.Counter("fleet.cutovers"),
 		cutoversRateLimited: reg.Counter("fleet.cutovers_rate_limited"),
@@ -406,13 +393,6 @@ func (c *Controller) OnEvent(fn func(Event)) { c.onEvent = fn }
 // before Start.
 func (c *Controller) OnWave(fn func(WaveReport)) { c.onWave = fn }
 
-// shardOf consistent-hashes a session name onto a shard.
-func (c *Controller) shardOf(name string) int {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return int(h.Sum64() % uint64(len(c.planners)))
-}
-
 // Track adds a session to keep valid. May be called before or after
 // Start. A session arriving with a deployment holds a reference on each
 // of its instances (see smock.Table.Acquire): the loop takes over those
@@ -424,7 +404,6 @@ func (c *Controller) Track(s *Session) {
 	c.mu.Lock()
 	s.idx = c.nextIdx
 	c.nextIdx++
-	s.shard = c.shardOf(s.Name)
 	s.reqFP = s.Req.Fingerprint()
 	c.sessions = append(c.sessions, s)
 	c.mu.Unlock()
@@ -511,17 +490,6 @@ func (c *Controller) Session(name string) (*Session, bool) {
 		}
 	}
 	return nil, false
-}
-
-// SessionsPerShard returns the shard occupancy histogram.
-func (c *Controller) SessionsPerShard() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]int, len(c.planners))
-	for _, s := range c.sessions {
-		out[s.shard]++
-	}
-	return out
 }
 
 // Instances returns the number of live instances in the table: pinned

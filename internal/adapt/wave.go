@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"partsvc/internal/netmodel"
 	"partsvc/internal/netmon"
@@ -16,15 +15,14 @@ import (
 // WaveReport summarizes one completed replan wave (emitted after its
 // commit phase; deferred commits may still be scheduled).
 type WaveReport struct {
-	Wave         uint64
-	StartMS      float64
-	Sessions     int
+	Wave     uint64
+	StartMS  float64
+	Sessions int
+	// PlanComputes is the number of plan keys (request fingerprint and
+	// deployment shape): the wave plans each once. MemoHits is the
+	// sessions that shared another's computation, Sessions − PlanComputes.
 	PlanComputes int
 	MemoHits     int
-	// MemoLookups is the number of wave-memo lookups the wave issued:
-	// with per-shape batching this is the distinct shapes per shard, not
-	// one lookup per session.
-	MemoLookups  int
 	RouteLookups int
 	// Groups is the number of wave groups (request fingerprint and
 	// deployment shape) the wave's sessions fell into.
@@ -254,10 +252,10 @@ type waveResult struct {
 }
 
 // runWave executes one replan wave over the affected sessions (in
-// tracking order): a parallel replan phase — shard-grained workers,
-// computations deduped through a shared memo — then a sequential commit
-// phase in session order, governed by the cutover brake. bootstrap
-// bypasses the governor.
+// tracking order): a parallel replan phase that plans each plan key once,
+// striped over the planners in key order, then a sequential commit phase
+// in session order, governed by the cutover brake. bootstrap bypasses
+// the governor.
 func (c *Controller) runWave(affected []*Session, bootstrap bool) WaveReport {
 	c.waveMu.Lock()
 	defer c.waveMu.Unlock()
@@ -284,15 +282,14 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool) WaveReport {
 			Detail: fmt.Sprintf("sessions=%d epoch=%d", len(affected), epoch)})
 	}
 	rh0, rm0 := rc.Counters()
-	memo := planner.NewWaveMemo()
 	p := c.newPass()
 
 	// Plan keys: the request fingerprint and the deployment shape, worked
-	// out once per group, so the wave builds and hashes no strings per
-	// session.
+	// out once per group and numbered in the order they first occur. Each
+	// key is planned once, from the deployment of its first group.
 	type planKey struct{ reqFP, shape string }
 	keyOf := map[planKey]int{}
-	var memoKeys []string
+	var firsts []*group
 	for _, s := range affected {
 		g := s.grp
 		if g.pass.seq == p.seq {
@@ -305,93 +302,45 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool) WaveReport {
 		}
 		i, ok := keyOf[k]
 		if !ok {
-			i = len(memoKeys)
+			i = len(firsts)
 			keyOf[k] = i
-			memoKeys = append(memoKeys, k.reqFP+"#"+k.shape)
+			firsts = append(firsts, g)
 		}
 		gp.key = i
 	}
-	nkeys := len(memoKeys)
 
-	// Each shard looks up every key its sessions have, once, in the order
-	// the keys first occur among them, planning from the deployment of
-	// that first occurrence.
-	type lookup struct {
-		g       *group
-		members int
-	}
-	byShard := make([][]lookup, len(c.planners))
-	at := make([]int32, len(c.planners)*nkeys) // 1 + position in byShard[sh]
-	for _, s := range affected {
-		g := s.grp
-		i := s.shard*nkeys + g.pass.key
-		if at[i] == 0 {
-			byShard[s.shard] = append(byShard[s.shard], lookup{g: g})
-			at[i] = int32(len(byShard[s.shard]))
-		}
-		byShard[s.shard][at[i]-1].members++
-	}
-	results := make([]waveResult, nkeys)
-	work := make([]int, 0, len(c.planners))
-	for sh, ls := range byShard {
-		if len(ls) > 0 {
-			work = append(work, sh)
-		}
-	}
-	var memoLookups, memoHits atomic.Uint64
-	runShard := func(sh int) {
-		x := c.planners[sh]
-		for _, l := range byShard[sh] {
-			memoLookups.Add(1)
-			g, key := l.g, l.g.pass.key
-			// The memo lives for one wave, whose reuse set and route epoch
-			// are fixed: request and shape name a computation.
-			diff, _, hit, err := memo.Do(memoKeys[key], func() (*planner.Diff, planner.Stats, error) {
-				d, err := x.Replan(g.dep, g.req)
-				return d, planner.Stats{}, err
-			})
-			// Every member but the first shares its computation, and the
-			// first too when another shard computed it.
-			hits := uint64(l.members - 1)
-			if hit {
-				hits++
-			} else {
-				results[key] = waveResult{diff: diff, err: err}
-			}
-			memoHits.Add(hits)
-		}
-	}
-	// Workers pull shards off a shared cursor; one worker runs inline.
-	var cursor atomic.Int64
-	drive := func() {
-		for i := int(cursor.Add(1)) - 1; i < len(work); i = int(cursor.Add(1)) - 1 {
-			runShard(work[i])
+	// Key i goes to planner i mod n, one goroutine per planner, each
+	// planning its keys in order: which planner plans what, and so what
+	// each planner keeps between calls, depends on the wave alone. A wave
+	// fixes the route epoch and the reuse set, so a key names one
+	// computation, and every session of its groups shares the diff.
+	results := make([]waveResult, len(firsts))
+	n := min(c.cfg.Workers, len(c.planners), len(firsts))
+	plan := func(j int) {
+		for i := j; i < len(firsts); i += n {
+			g := firsts[i]
+			results[i].diff, results[i].err = c.planners[j].Replan(g.dep, g.req)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(c.cfg.Workers, len(work)); w++ {
+	for j := 1; j < n; j++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			drive()
+			plan(j)
 		}()
 	}
-	drive()
+	plan(0)
 	wg.Wait()
 
-	_, misses := memo.Counters()
 	rh1, rm1 := rc.Counters()
-	// MemoHits counts sessions that shared another session's computation
-	// (in-shard batch members and cross-shard memo hits alike), so
-	// Sessions = PlanComputes + MemoHits.
 	report := WaveReport{
 		Wave:         wave,
 		StartMS:      startMS,
 		Sessions:     len(affected),
-		Groups:       nkeys,
-		PlanComputes: int(misses),
-		MemoHits:     int(memoHits.Load()),
-		MemoLookups:  int(memoLookups.Load()),
+		Groups:       len(firsts),
+		PlanComputes: len(firsts),
+		MemoHits:     len(affected) - len(firsts),
 		RouteLookups: int((rh1 + rm1) - (rh0 + rm0)),
 		Epoch:        epoch,
 	}
@@ -499,7 +448,6 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool) WaveReport {
 	c.replansTotal.Add(int64(report.Sessions))
 	c.planComputes.Add(int64(report.PlanComputes))
 	c.memoHits.Add(int64(report.MemoHits))
-	c.memoLookups.Add(int64(report.MemoLookups))
 	c.routeLookups.Add(int64(report.RouteLookups))
 	c.cutovers.Add(int64(report.Cutovers))
 	if c.onEvent != nil {

@@ -198,7 +198,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 type sessionJSON struct {
 	Name       string          `json:"name"`
 	Service    string          `json:"service,omitempty"`
-	Shard      int             `json:"shard"`
 	HeadAddr   string          `json:"head_addr"`
 	Deployment *deploymentJSON `json:"deployment"`
 }
@@ -207,7 +206,6 @@ func sessJSON(sess *adapt.Session) sessionJSON {
 	return sessionJSON{
 		Name:       sess.Name,
 		Service:    sess.Service,
-		Shard:      sess.Shard(),
 		HeadAddr:   sess.HeadAddr(),
 		Deployment: depJSON(sess.Deployment()),
 	}
@@ -271,7 +269,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionList lists every session the loop tracks, in tracking
 // order — those created here and those tracked in-process alike — with
-// the loop's shard occupancy and its live instance count.
+// the loop's live instance count.
 func (s *Server) handleSessionList(w http.ResponseWriter, _ *http.Request) {
 	body := map[string]any{"sessions": []sessionJSON{}}
 	if c := s.ctl.Controller; c != nil {
@@ -281,7 +279,6 @@ func (s *Server) handleSessionList(w http.ResponseWriter, _ *http.Request) {
 			out[i] = sessJSON(sess)
 		}
 		body["sessions"] = out
-		body["sessions_per_shard"] = c.SessionsPerShard()
 		body["instances"] = c.Instances()
 	}
 	writeJSON(w, http.StatusOK, body)

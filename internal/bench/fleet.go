@@ -32,8 +32,7 @@ type FleetConfig struct {
 	// Events is the number of scripted link events (alternating degrade
 	// and restore on a deployed path's first backbone link).
 	Events int
-	// Shards is the session-shard count. Fixed by default (not
-	// GOMAXPROCS-derived) so output is byte-identical across machines.
+	// Shards is the fleet's planner count (fleet.Config.Shards).
 	Shards int
 	// Workers is execution parallelism; output-invariant (0 = GOMAXPROCS).
 	Workers int
@@ -70,13 +69,12 @@ type FleetWaveRow struct {
 
 // FleetResult is the full A10 benchmark output.
 type FleetResult struct {
-	Config           FleetConfig
-	Bootstrap        FleetWaveRow
-	Rows             []FleetWaveRow // one per scripted event, in order
-	SessionsPerShard []int
-	Instances        int
-	Failed           int
-	TargetLink       string
+	Config     FleetConfig
+	Bootstrap  FleetWaveRow
+	Rows       []FleetWaveRow // one per scripted event, in order
+	Instances  int
+	Failed     int
+	TargetLink string
 }
 
 // RunFleet builds the fleet, bootstraps it, plays the scripted link
@@ -174,7 +172,6 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		}
 	}
 
-	res.SessionsPerShard = mgr.SessionsPerShard()
 	res.Instances = mgr.Instances()
 	return res, nil
 }
@@ -218,7 +215,7 @@ func firstHop(net *netmodel.Network, sessions []*fleet.Session) (a, b netmodel.N
 }
 
 // FleetTable renders the A10 result: the per-wave ledger, the headline
-// naive-versus-fleet computation ratio, and the shard balance. All
+// naive-versus-fleet computation ratio, and the shared instances. All
 // deterministic; wall-clock columns appear only when Timing was set.
 func FleetTable(res *FleetResult) string {
 	var sb strings.Builder
@@ -256,8 +253,7 @@ func FleetTable(res *FleetResult) string {
 			naive, actual, float64(naive)/float64(actual), worst)
 	}
 	fmt.Fprintf(&sb, "waves per topology event: %d events -> %d waves\n", res.Config.Events, len(res.Rows))
-	fmt.Fprintf(&sb, "shared instances: %d for %d sessions; sessions/shard %s\n",
-		res.Instances, res.Config.Sessions, shardSummary(res.SessionsPerShard))
+	fmt.Fprintf(&sb, "shared instances: %d for %d sessions\n", res.Instances, res.Config.Sessions)
 	if res.Failed > 0 {
 		fmt.Fprintf(&sb, "BOOTSTRAP FAILURES: %d sessions\n", res.Failed)
 	}
@@ -266,15 +262,6 @@ func FleetTable(res *FleetResult) string {
 			res.Bootstrap.WallMS, wallQuantile(res.Rows, 0.50), wallQuantile(res.Rows, 0.99))
 	}
 	return sb.String()
-}
-
-// shardSummary renders per-shard session counts compactly.
-func shardSummary(counts []int) string {
-	parts := make([]string, len(counts))
-	for i, c := range counts {
-		parts[i] = fmt.Sprint(c)
-	}
-	return "[" + strings.Join(parts, " ") + "]"
 }
 
 // stopwatch measures wall-clock laps when enabled, and is inert

@@ -1,9 +1,9 @@
 // Package fleet runs the adaptation loop at fleet scale on the
-// simulator: internal/adapt's Controller, with one planner per shard
-// standing in for a deployment engine. Every shard planner plans
-// against one shared table of instances, in which the loop mints and
-// counts them, so the table is the whole deployed state and
-// Deploy/Discard have nothing left to do.
+// simulator: internal/adapt's Controller, with planners of its own
+// standing in for a deployment engine. Every planner plans against one
+// shared table of instances, in which the loop mints and counts them,
+// so the table is the whole deployed state and Deploy/Discard have
+// nothing left to do.
 package fleet
 
 import (
@@ -24,16 +24,15 @@ type (
 	Session    = adapt.Session
 )
 
-// Manager is a loop whose shards plan with their own planners.
+// Manager is a loop that plans with its own planners.
 type Manager struct {
 	*adapt.Controller
-	primaries *shardPlanner
+	planners []*fleetPlanner
 }
 
 // New builds a fleet over a shared network, its monitor, and a
-// scheduler (virtual or wall-clock). cfg.Shards is rounded up to a
-// power of two (0 means the next one ≥ GOMAXPROCS); cfg.Workers 0 means
-// GOMAXPROCS.
+// scheduler (virtual or wall-clock), with cfg.Shards planners (0 means
+// GOMAXPROCS); cfg.Workers 0 means GOMAXPROCS.
 func New(cfg Config, svc *spec.Service, net *netmodel.Network, mon *netmon.Monitor, sched adapt.Scheduler) *Manager {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
@@ -41,55 +40,55 @@ func New(cfg Config, svc *spec.Service, net *netmodel.Network, mon *netmon.Monit
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	shards := 1
-	for shards < cfg.Shards {
-		shards <<= 1
-	}
 	tab := smock.NewTable()
-	execs := make([]adapt.Executor, shards)
+	m := &Manager{planners: make([]*fleetPlanner, cfg.Shards)}
+	execs := make([]adapt.Executor, cfg.Shards)
 	for i := range execs {
-		execs[i] = &shardPlanner{pl: planner.New(svc, net), tab: tab}
+		m.planners[i] = &fleetPlanner{pl: planner.New(svc, net), tab: tab}
+		execs[i] = m.planners[i]
 	}
-	return &Manager{Controller: adapt.NewSharded(cfg, mon, execs, sched), primaries: execs[0].(*shardPlanner)}
+	m.Controller = adapt.NewPlanners(cfg, mon, execs, sched)
+	return m
 }
 
 // AddPrimary registers service-owner infrastructure (e.g. the primary
 // MailServer) shared by every session and exempt from teardown.
 func (m *Manager) AddPrimary(component string, node netmodel.NodeID) (planner.Placement, error) {
-	p, err := m.primaries.pl.PrimaryPlacement(component, node)
+	x := m.planners[0]
+	p, err := x.pl.PrimaryPlacement(component, node)
 	if err != nil {
 		return planner.Placement{}, err
 	}
-	m.primaries.tab.Adopt(p, "")
+	x.tab.Adopt(p, "")
 	return p, nil
 }
 
-// shardPlanner is a shard's Executor: every computation plans against
-// the table as it stood when the wave began (the commit phase has not
-// started yet), on one route epoch. Only one shard worker at a time uses
-// a shardPlanner.
-type shardPlanner struct {
+// fleetPlanner is one of the fleet's Executors: every computation plans
+// against the table as it stood when the wave began (the commit phase
+// has not started yet), on one route epoch. A wave plans on each
+// fleetPlanner from one goroutine.
+type fleetPlanner struct {
 	pl  *planner.Planner
 	tab *smock.Table
 }
 
-func (x *shardPlanner) Table() *smock.Table { return x.tab }
+func (x *fleetPlanner) Table() *smock.Table { return x.tab }
 
-func (x *shardPlanner) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
+func (x *fleetPlanner) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
 	x.pl.Existing = x.tab.AppendLive(x.pl.Existing[:0])
 	x.pl.PinRoutes(x.pl.Net.Routes())
 	defer x.pl.PinRoutes(nil)
 	return x.pl.Replan(old, req)
 }
 
-func (x *shardPlanner) Snapshot(*planner.Deployment, *planner.Diff) map[string][]byte { return nil }
+func (x *fleetPlanner) Snapshot(*planner.Deployment, *planner.Diff) map[string][]byte { return nil }
 
-func (x *shardPlanner) Deploy(*planner.Diff, map[string][]byte) (string, error) { return "", nil }
+func (x *fleetPlanner) Deploy(*planner.Diff, map[string][]byte) (string, error) { return "", nil }
 
-func (x *shardPlanner) Publish(string, string) error { return nil }
+func (x *fleetPlanner) Publish(string, string) error { return nil }
 
-func (x *shardPlanner) Discard([]string) {}
+func (x *fleetPlanner) Discard([]string) {}
 
-func (x *shardPlanner) Verify(dep *planner.Deployment, req planner.Request) error {
+func (x *fleetPlanner) Verify(dep *planner.Deployment, req planner.Request) error {
 	return x.pl.Verify(dep, req)
 }

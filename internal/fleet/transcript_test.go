@@ -75,14 +75,128 @@ func TestFleetWavePaysPerGroup(t *testing.T) {
 	}
 }
 
+// TestPlannerStateIndependentOfTiming replays the script four times at
+// each of two worker counts and holds what the fleet's planners keep
+// between calls — reuse layers found valid or rebuilt, summed over the
+// planners — to one value per worker count. Which planner plans which
+// key follows from the wave alone, never from which goroutine got there
+// first, so a planner's kept state does not depend on timing.
+func TestPlannerStateIndependentOfTiming(t *testing.T) {
+	for _, workers := range []int{2, 8} {
+		var first [2]int
+		for i := 0; i < 4; i++ {
+			got := fleetWaveTranscript(t, 1200, workers).layers
+			t.Logf("workers=%d replay %d: reuse layers kept/rebuilt %d/%d", workers, i, got[0], got[1])
+			if i == 0 {
+				first = got
+			} else if got != first {
+				t.Errorf("workers=%d replay %d: reuse layers kept/rebuilt %d/%d, replay 0 had %d/%d",
+					workers, i, got[0], got[1], first[0], first[1])
+			}
+		}
+	}
+}
+
+// TestWaveCommitsFreshReplans is the wave's equivalence oracle. A wave
+// plans each key once, from its first group's deployment, and every
+// session of the key commits that one diff. After bootstrap and after
+// the ny-1~sd-1 degrade wave, every session's deployment must equal what
+// a fresh planner makes of that session's own pre-wave deployment,
+// against the table and routes the wave planned on.
+func TestWaveCommitsFreshReplans(t *testing.T) {
+	env, net, mon, mgr := scriptFleet(t, 60, 2)
+	defer env.Stop()
+	// fresh replans every session on a planner of its own, as the table
+	// stands now.
+	fresh := func() map[string]*planner.Deployment {
+		want := map[string]*planner.Deployment{}
+		for _, s := range mgr.Sessions() {
+			x := &fleetPlanner{pl: planner.New(spec.MailService(), net), tab: mgr.planners[0].tab}
+			old := s.Deployment()
+			d, err := x.Replan(old, s.Req)
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name, err)
+			}
+			want[s.Name] = d.New
+			if d.Unchanged() && old != nil {
+				want[s.Name] = old
+			}
+		}
+		return want
+	}
+	check := func(when string, want map[string]*planner.Deployment) {
+		t.Helper()
+		for _, s := range mgr.Sessions() {
+			if got, w := depHash(s.Deployment()), depHash(want[s.Name]); got != w {
+				t.Errorf("after %s, %s holds\n  %s\nbut a fresh replan of its own deployment gives\n  %s", when, s.Name, got, w)
+			}
+		}
+	}
+
+	want := fresh()
+	if boot := mgr.Bootstrap(); boot.Failed != 0 {
+		t.Fatalf("bootstrap: %d of %d sessions failed", boot.Failed, boot.Sessions)
+	}
+	check("bootstrap", want)
+
+	mgr.Start()
+	defer mgr.Stop()
+	link, _ := net.Link(topology.NYServer, topology.SDGateway)
+	var waves []WaveReport
+	mgr.OnWave(func(r WaveReport) { waves = append(waves, r) })
+	env.At(1000, func() {
+		if err := mon.ReportLink(topology.NYServer, topology.SDGateway, link.LatencyMS+800, link.BandwidthMbps, nil); err != nil {
+			t.Error(err)
+		}
+	})
+	env.RunUntil(1001) // the change is in, its wave is still debouncing
+	if len(waves) != 0 {
+		t.Fatal("the degrade's wave ran before its debounce")
+	}
+	want = fresh()
+	env.RunUntil(1900)
+	if len(waves) != 1 || waves[0].Cutovers == 0 {
+		t.Fatalf("the degrade ran waves %+v, want one with cutovers", waves)
+	}
+	check("the ny-1~sd-1 degrade", want)
+}
+
 // scriptRun is what one replay of the script produced: its counts line,
-// the bootstrap and wave reports, and the digest of the per-session
-// event stream.
+// the bootstrap and wave reports, the digest of the per-session event
+// stream, and the planners' reuse layers kept and rebuilt, summed.
 type scriptRun struct {
 	counts  string
 	boot    WaveReport
 	reports []WaveReport
 	digest  string
+	layers  [2]int
+}
+
+// scriptFleet builds the script's fleet: 8 planners over the case-study
+// network, the primary in New York, and sessions a third each on the
+// three client nodes.
+func scriptFleet(t *testing.T, sessions, workers int) (*sim.Env, *netmodel.Network, *netmon.Monitor, *Manager) {
+	t.Helper()
+	sites := []struct {
+		node netmodel.NodeID
+		user string
+	}{{topology.NYClient, "Alice"}, {topology.SDClient, "Alice"}, {topology.SeaClient, "Carol"}}
+	env := sim.NewEnv()
+	net := topology.CaseStudy()
+	mon := netmon.New(net)
+	mgr := New(Config{Shards: 8, Workers: workers, DebounceMS: 20},
+		spec.MailService(), net, mon, adapt.NewSimScheduler(env))
+	if _, err := mgr.AddPrimary(spec.CompMailServer, topology.NYServer); err != nil {
+		env.Stop()
+		t.Fatal(err)
+	}
+	for i := 0; i < sessions; i++ {
+		site := sites[i%len(sites)]
+		mgr.AddSession(fmt.Sprintf("s%05d", i), planner.Request{
+			Interface: spec.IfaceClient, ClientNode: site.node, User: site.user, RateRPS: 10,
+		})
+	}
+	return env, net, mon, mgr
 }
 
 func fleetWaveTranscript(t *testing.T, sessions, workers int) scriptRun {
@@ -92,26 +206,8 @@ func fleetWaveTranscript(t *testing.T, sessions, workers int) scriptRun {
 		{topology.NYServer, topology.SDGateway},
 		{topology.SDGateway, topology.SeaGW},
 	}
-	sites := []struct {
-		node netmodel.NodeID
-		user string
-	}{{topology.NYClient, "Alice"}, {topology.SDClient, "Alice"}, {topology.SeaClient, "Carol"}}
-
-	env := sim.NewEnv()
+	env, net, mon, mgr := scriptFleet(t, sessions, workers)
 	defer env.Stop()
-	net := topology.CaseStudy()
-	mon := netmon.New(net)
-	mgr := New(Config{Shards: 8, Workers: workers, DebounceMS: 20},
-		spec.MailService(), net, mon, adapt.NewSimScheduler(env))
-	if _, err := mgr.AddPrimary(spec.CompMailServer, topology.NYServer); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < sessions; i++ {
-		site := sites[i%len(sites)]
-		mgr.AddSession(fmt.Sprintf("s%05d", i), planner.Request{
-			Interface: spec.IfaceClient, ClientNode: site.node, User: site.user, RateRPS: 10,
-		})
-	}
 	var reports []WaveReport
 	mgr.OnWave(func(r WaveReport) { reports = append(reports, r) })
 	events := sha256.New()
@@ -154,5 +250,11 @@ func fleetWaveTranscript(t *testing.T, sessions, workers int) scriptRun {
 			out += fmt.Sprintf(" e%d:%d/%d/%d", k, r.Sessions, r.PlanComputes, r.Cutovers)
 		}
 	}
-	return scriptRun{counts: out, boot: boot, reports: reports, digest: fmt.Sprintf("%x", events.Sum(nil))}
+	run := scriptRun{counts: out, boot: boot, reports: reports, digest: fmt.Sprintf("%x", events.Sum(nil))}
+	for _, x := range mgr.planners {
+		st := x.pl.Stats()
+		run.layers[0] += st.ReuseLayerKept
+		run.layers[1] += st.ReuseLayerRebuilt
+	}
+	return run
 }

@@ -25,7 +25,7 @@ import (
 //
 // Cached Path values and environment Sets are shared across callers and
 // MUST be treated as read-only. The cache is safe for concurrent use;
-// the fleet's shard planners hit it from many goroutines.
+// the fleet's planners hit it from many goroutines.
 //
 // Topology mutators (AddNode, AddLink, Translate, and the netmon
 // monitor's report methods) bump the owning Network's route epoch;

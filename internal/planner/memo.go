@@ -120,7 +120,7 @@ type propKey struct {
 const propLayerCap = 1 << 16
 
 // maxReuseLayers is how many reuse sets a property layer remembers: a
-// fleet shard meets several sites', and each settled session's own
+// fleet planner meets several sites', and each settled session's own
 // wiring makes its reuse set another one.
 const maxReuseLayers = 8
 

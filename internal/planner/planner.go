@@ -23,6 +23,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"partsvc/internal/metrics"
@@ -98,6 +99,17 @@ type Request struct {
 	// Objective selects the optimization goal; the zero value is
 	// MinLatency.
 	Objective Objective
+}
+
+// Fingerprint returns a canonical content identity for the request:
+// component names, node IDs and property fingerprints, never pointer
+// identity or per-instance state. Two requests with equal fingerprints
+// plan identically against the same network and reuse set, whichever
+// planner runs them: a replan wave keys its plan jobs by it.
+func (r Request) Fingerprint() string {
+	return r.Interface + "|" + string(r.ClientNode) + "|" + r.User + "|" +
+		r.RequireProps.Fingerprint() + "|" +
+		strconv.FormatFloat(r.RateRPS, 'g', -1, 64) + "|" + r.Objective.String()
 }
 
 // Placement instantiates one component at one node.

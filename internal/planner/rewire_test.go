@@ -258,3 +258,23 @@ func TestSettledReplanSearchesOnce(t *testing.T) {
 	}
 	t.Logf("%d full searches and %d moves over %d replans", searched, moved, 5*len(reqs))
 }
+
+// TestFingerprintsStableAcrossInstances builds the same world twice from
+// scratch and asserts request fingerprints land on identical strings,
+// while a changed request lands elsewhere. This is the property that
+// lets a replan wave plan a key once for every session that has it,
+// whichever of its planners runs the key.
+func TestFingerprintsStableAcrossInstances(t *testing.T) {
+	_, _, _, reqA := rewireWorld(t)
+	_, _, _, reqB := rewireWorld(t)
+
+	if fa, fb := reqA.Fingerprint(), reqB.Fingerprint(); fa != fb {
+		t.Fatalf("identical requests fingerprint apart:\n%s\n%s", fa, fb)
+	}
+
+	other := reqA
+	other.User = "Mallory"
+	if other.Fingerprint() == reqA.Fingerprint() {
+		t.Fatal("different users must fingerprint apart")
+	}
+}

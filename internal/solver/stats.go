@@ -7,7 +7,7 @@ import (
 )
 
 // Stats are cumulative engine counters, safe for concurrent solvers
-// sharing one instance (the fleet's shard planners all fold into their
+// sharing one instance (the fleet's planners all fold into their
 // planner's Stats).
 type Stats struct {
 	// Solves counts fresh Solve calls; Repairs counts Repair calls.
