@@ -57,7 +57,7 @@ func twoClusterNet(t *testing.T) *netmodel.Network {
 
 // isoWorld is one fleet spanning both clusters: a primary pinned in
 // each cluster's New York, sessions interleaved across clusters so that
-// shards mix them.
+// a wave's keys mix them on the planners.
 func isoWorld(t *testing.T) *world {
 	t.Helper()
 	w := &world{env: sim.NewEnv(), net: twoClusterNet(t)}
@@ -121,7 +121,7 @@ func clusterTranscript(w *world, prefix string) string {
 // must come out byte-identical (same deployments, same events, same
 // virtual timing) to a control run where cluster A never misbehaved,
 // and no replan wave may span both clusters. Run under -race, this also
-// shakes out data races between concurrent shard workers.
+// shakes out data races between concurrent planner goroutines.
 func TestCrossSessionIsolation(t *testing.T) {
 	run := func(torture bool) (*world, string) {
 		w := isoWorld(t)
