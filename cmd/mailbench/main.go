@@ -160,8 +160,8 @@ func main() {
 		}
 		fc.Workers = *workers
 		fc.Timing = *timing
-		fmt.Printf("Fleet control plane (A10): %d sessions, %d planners, %d-node Waxman, %d link events:\n",
-			fc.Sessions, fc.Shards, fc.Nodes, fc.Events)
+		fmt.Printf("Fleet control plane (A10): %d sessions, %d-node Waxman, %d link events:\n",
+			fc.Sessions, fc.Nodes, fc.Events)
 		res, err := bench.RunFleet(fc)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mailbench:", err)

@@ -232,7 +232,7 @@ func flapFleet(watch func(*fleet.Manager) error) (*fleet.Manager, error) {
 	net := topology.CaseStudy()
 	mon := netmon.New(net)
 	mgr := fleet.New(fleet.Config{
-		Shards: 4, Workers: 2, DebounceMS: 20,
+		Workers: 2, DebounceMS: 20,
 		CutoverRatePerSec: 1, CutoverBurst: 1, HysteresisMS: 60000,
 	}, spec.MailService(), net, mon, adapt.NewSimScheduler(env))
 	if watch != nil {

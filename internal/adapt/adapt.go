@@ -65,12 +65,13 @@ type Config struct {
 	// client bindings flip, letting in-flight requests finish before
 	// teardown (default 100).
 	DrainMS float64
-	// Shards is the number of planners fleet.New gives the loop (0
-	// means GOMAXPROCS); nothing else reads it. New's loop has one
-	// planner, its Executor.
+	// Shards is accepted and ignored, so configurations that set it
+	// keep compiling: the fleet's planner count is Workers.
 	Shards int
-	// Workers bounds the goroutines driving a wave's replan phase (0
-	// means 1 for New, GOMAXPROCS for fleet.New). Output-invariant.
+	// Workers is the number of planners fleet.New gives the loop (0
+	// means GOMAXPROCS), each planning on a goroutine of its own in a
+	// wave's replan phase. New's loop has one planner, its Executor.
+	// Output-invariant.
 	Workers int
 	// HysteresisMS is the per-session anti-flap window: an
 	// optimization-only rewire within this many ms of the session's
@@ -95,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainMS <= 0 {
 		c.DrainMS = 100
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.CutoverBurst <= 0 {
 		c.CutoverBurst = 32

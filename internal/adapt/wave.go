@@ -315,7 +315,7 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool) WaveReport {
 	// fixes the route epoch and the reuse set, so a key names one
 	// computation, and every session of its groups shares the diff.
 	results := make([]waveResult, len(firsts))
-	n := min(c.cfg.Workers, len(c.planners), len(firsts))
+	n := min(len(c.planners), len(firsts))
 	plan := func(j int) {
 		for i := j; i < len(firsts); i += n {
 			g := firsts[i]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"partsvc/internal/adapt"
+	"partsvc/internal/fleet"
 	"partsvc/internal/metrics"
 	"partsvc/internal/netmodel"
 	"partsvc/internal/netmon"
@@ -112,37 +113,6 @@ func Fig8Table(rows []Fig8Row) string {
 	return t.String()
 }
 
-// fig8Exec implements adapt.Executor against the planner alone: the
-// modeled world has no listeners to install, so the table the loop
-// keeps its references in is the whole deployed state, and deploying a
-// diff is nothing but a fresh head address.
-type fig8Exec struct {
-	pl  *planner.Planner
-	tab *smock.Table
-}
-
-func (x *fig8Exec) Table() *smock.Table { return x.tab }
-
-func (x *fig8Exec) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
-	return x.tab.Replan(x.pl, old, req)
-}
-
-func (x *fig8Exec) Snapshot(old *planner.Deployment, diff *planner.Diff) map[string][]byte {
-	return nil // modeled world: state carry is free
-}
-
-func (x *fig8Exec) Deploy(diff *planner.Diff, states map[string][]byte) (string, error) {
-	return "sim-head", nil
-}
-
-func (x *fig8Exec) Publish(service, addr string) error { return nil }
-
-func (x *fig8Exec) Discard(ids []string) {}
-
-func (x *fig8Exec) Verify(dep *planner.Deployment, req planner.Request) error {
-	return x.pl.Verify(dep, req)
-}
-
 // fig8World is the modeled client side of one scenario run. Everything
 // here executes on the simulation loop, so the plain maps are safe.
 type fig8World struct {
@@ -218,7 +188,6 @@ func runFig8Scenario(cfg Fig8Config, sc Fig8Scenario) Fig8Row {
 	w := &fig8World{net: net, crashed: map[netmodel.NodeID]bool{}, cfg: cfg}
 	w.sess = adapt.NewSession("carol", "", req, dep, "sim-head")
 
-	exec := &fig8Exec{pl: pl, tab: tab}
 	var events []adapt.Event
 	ctrl := adapt.New(adapt.Config{
 		DebounceMS:         50,
@@ -226,7 +195,7 @@ func runFig8Scenario(cfg Fig8Config, sc Fig8Scenario) Fig8Row {
 		ProbeTimeoutMS:     100,
 		SuspicionThreshold: 2,
 		DrainMS:            100,
-	}, mon, exec, adapt.NewSimScheduler(env))
+	}, mon, fleet.NewPlanner(pl, tab), adapt.NewSimScheduler(env))
 	ctrl.OnEvent(func(e adapt.Event) { events = append(events, e) })
 	// The modeled failure detector: a probe reaches every node except
 	// crashed ones. Targets cover the whole case-study topology.

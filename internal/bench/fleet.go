@@ -32,9 +32,8 @@ type FleetConfig struct {
 	// Events is the number of scripted link events (alternating degrade
 	// and restore on a deployed path's first backbone link).
 	Events int
-	// Shards is the fleet's planner count (fleet.Config.Shards).
-	Shards int
-	// Workers is execution parallelism; output-invariant (0 = GOMAXPROCS).
+	// Workers is the fleet's planner count; output-invariant (0 =
+	// GOMAXPROCS).
 	Workers int
 	// Timing adds wall-clock per-wave latency to the result. Off by
 	// default: the deterministic output must stay byte-identical.
@@ -45,7 +44,7 @@ type FleetConfig struct {
 
 // DefaultFleetConfig returns the headline A10 configuration.
 func DefaultFleetConfig() FleetConfig {
-	return FleetConfig{Sessions: 5000, Nodes: 128, Sites: 8, Events: 4, Shards: 8, Seed: 7}
+	return FleetConfig{Sessions: 5000, Nodes: 128, Sites: 8, Events: 4, Seed: 7}
 }
 
 // FleetWaveRow is one replan wave's ledger. NaiveComputes is what a
@@ -107,9 +106,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	env := sim.NewEnv()
 	defer env.Stop()
 	mon := netmon.New(net)
-	mgr := fleet.New(fleet.Config{
-		Shards: cfg.Shards, Workers: cfg.Workers, DebounceMS: 20,
-	}, spec.MailService(), net, mon, adapt.NewSimScheduler(env))
+	mgr := fleet.New(fleet.Config{Workers: cfg.Workers, DebounceMS: 20}, spec.MailService(), net, mon, adapt.NewSimScheduler(env))
 	if _, err := mgr.AddPrimary(spec.CompMailServer, nodes[0].ID); err != nil {
 		return nil, err
 	}

@@ -27,24 +27,22 @@ type (
 // Manager is a loop that plans with its own planners.
 type Manager struct {
 	*adapt.Controller
-	planners []*fleetPlanner
+	planners []*Planner
 }
 
 // New builds a fleet over a shared network, its monitor, and a
-// scheduler (virtual or wall-clock), with cfg.Shards planners (0 means
-// GOMAXPROCS); cfg.Workers 0 means GOMAXPROCS.
+// scheduler (virtual or wall-clock), with cfg.Workers planners (0 means
+// GOMAXPROCS) over one table.
 func New(cfg Config, svc *spec.Service, net *netmodel.Network, mon *netmon.Monitor, sched adapt.Scheduler) *Manager {
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
+	n := cfg.Workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
 	tab := smock.NewTable()
-	m := &Manager{planners: make([]*fleetPlanner, cfg.Shards)}
-	execs := make([]adapt.Executor, cfg.Shards)
+	m := &Manager{planners: make([]*Planner, n)}
+	execs := make([]adapt.Executor, n)
 	for i := range execs {
-		m.planners[i] = &fleetPlanner{pl: planner.New(svc, net), tab: tab}
+		m.planners[i] = NewPlanner(planner.New(svc, net), tab)
 		execs[i] = m.planners[i]
 	}
 	m.Controller = adapt.NewPlanners(cfg, mon, execs, sched)
@@ -63,32 +61,35 @@ func (m *Manager) AddPrimary(component string, node netmodel.NodeID) (planner.Pl
 	return p, nil
 }
 
-// fleetPlanner is one of the fleet's Executors: every computation plans
-// against the table as it stood when the wave began (the commit phase
-// has not started yet), on one route epoch. A wave plans on each
-// fleetPlanner from one goroutine.
-type fleetPlanner struct {
+// Planner is the Executor of a modeled world, the fleet's and Figure
+// 8's: it replans through its table (smock.Table.Replan) and deploys
+// nothing. A wave plans on each Planner from one goroutine, against the
+// table as it stood when the wave began (the commit phase has not
+// started yet).
+type Planner struct {
 	pl  *planner.Planner
 	tab *smock.Table
 }
 
-func (x *fleetPlanner) Table() *smock.Table { return x.tab }
-
-func (x *fleetPlanner) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
-	x.pl.Existing = x.tab.AppendLive(x.pl.Existing[:0])
-	x.pl.PinRoutes(x.pl.Net.Routes())
-	defer x.pl.PinRoutes(nil)
-	return x.pl.Replan(old, req)
+// NewPlanner returns the Executor that plans with pl against tab.
+func NewPlanner(pl *planner.Planner, tab *smock.Table) *Planner {
+	return &Planner{pl: pl, tab: tab}
 }
 
-func (x *fleetPlanner) Snapshot(*planner.Deployment, *planner.Diff) map[string][]byte { return nil }
+func (x *Planner) Table() *smock.Table { return x.tab }
 
-func (x *fleetPlanner) Deploy(*planner.Diff, map[string][]byte) (string, error) { return "", nil }
+func (x *Planner) Replan(old *planner.Deployment, req planner.Request) (*planner.Diff, error) {
+	return x.tab.Replan(x.pl, old, req)
+}
 
-func (x *fleetPlanner) Publish(string, string) error { return nil }
+func (x *Planner) Snapshot(*planner.Deployment, *planner.Diff) map[string][]byte { return nil }
 
-func (x *fleetPlanner) Discard([]string) {}
+func (x *Planner) Deploy(*planner.Diff, map[string][]byte) (string, error) { return "", nil }
 
-func (x *fleetPlanner) Verify(dep *planner.Deployment, req planner.Request) error {
+func (x *Planner) Publish(string, string) error { return nil }
+
+func (x *Planner) Discard([]string) {}
+
+func (x *Planner) Verify(dep *planner.Deployment, req planner.Request) error {
 	return x.pl.Verify(dep, req)
 }

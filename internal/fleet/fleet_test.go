@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,7 +13,9 @@ import (
 	"partsvc/internal/netmodel"
 	"partsvc/internal/netmon"
 	"partsvc/internal/planner"
+	"partsvc/internal/property"
 	"partsvc/internal/sim"
+	"partsvc/internal/smock"
 	"partsvc/internal/spec"
 	"partsvc/internal/topology"
 )
@@ -93,7 +96,7 @@ func (w *world) transcript() string {
 // refcounted registry rather than deploying per session.
 func TestBootstrapSharesComputationsAndInstances(t *testing.T) {
 	const n = 12
-	w := newWorld(t, Config{Shards: 4, Workers: 2}, n)
+	w := newWorld(t, Config{Workers: 2}, n)
 	rep := w.mgr.Bootstrap()
 
 	if rep.Sessions != n {
@@ -126,7 +129,7 @@ func TestBootstrapSharesComputationsAndInstances(t *testing.T) {
 // deployments traverse it, replanned with one computation per distinct
 // session shape.
 func TestLinkEventCoalescesIntoOneWave(t *testing.T) {
-	w := newWorld(t, Config{Shards: 4, Workers: 2, DebounceMS: 20}, 8)
+	w := newWorld(t, Config{Workers: 2, DebounceMS: 20}, 8)
 	w.mgr.Bootstrap()
 	var reports []WaveReport
 	w.mgr.OnWave(func(r WaveReport) { reports = append(reports, r) })
@@ -159,13 +162,12 @@ func TestLinkEventCoalescesIntoOneWave(t *testing.T) {
 	}
 }
 
-// TestOutputInvariantUnderWorkersAndShards: the same scenario must
-// produce byte-identical transcripts regardless of worker or shard
-// count — workers are pure execution parallelism, and shards only
-// partition state.
-func TestOutputInvariantUnderWorkersAndShards(t *testing.T) {
-	run := func(shards, workers int) string {
-		w := newWorld(t, Config{Shards: shards, Workers: workers, DebounceMS: 20}, 10)
+// TestOutputInvariantUnderWorkers: the same scenario must produce
+// byte-identical transcripts whatever the number of planners — workers
+// are pure execution parallelism.
+func TestOutputInvariantUnderWorkers(t *testing.T) {
+	run := func(workers int) string {
+		w := newWorld(t, Config{Workers: workers, DebounceMS: 20}, 10)
 		w.mgr.Bootstrap()
 		w.mgr.Start()
 		w.env.At(100, func() {
@@ -177,14 +179,13 @@ func TestOutputInvariantUnderWorkersAndShards(t *testing.T) {
 		w.env.RunUntil(5000)
 		return w.transcript()
 	}
-	base := run(4, 1)
+	base := run(1)
 	if base == "" {
 		t.Fatal("empty transcript")
 	}
-	for _, tc := range []struct{ shards, workers int }{{4, 8}, {1, 1}, {8, 4}} {
-		if got := run(tc.shards, tc.workers); got != base {
-			t.Fatalf("transcript diverged at shards=%d workers=%d:\n--- base ---\n%s--- got ---\n%s",
-				tc.shards, tc.workers, base, got)
+	for _, workers := range []int{4, 8} {
+		if got := run(workers); got != base {
+			t.Fatalf("transcript diverged at workers=%d:\n--- base ---\n%s--- got ---\n%s", workers, base, got)
 		}
 	}
 }
@@ -204,7 +205,7 @@ func TestOutputInvariantUnderWorkersAndShards(t *testing.T) {
 // until sd-1 returns.
 func TestGovernorPacesAndSuppresses(t *testing.T) {
 	w := newWorld(t, Config{
-		Shards: 4, Workers: 2, DebounceMS: 20,
+		Workers: 2, DebounceMS: 20,
 		CutoverRatePerSec: 1, CutoverBurst: 1, HysteresisMS: 60000,
 	}, 8)
 	w.mgr.Bootstrap()
@@ -291,35 +292,107 @@ func TestGovernorPacesAndSuppresses(t *testing.T) {
 	}
 }
 
-// TestNodeKillForcesThroughHysteresis: a node death under a session's
-// deployment is a forced cutover — hysteresis must not suppress it.
-func TestNodeKillForcesThroughHysteresis(t *testing.T) {
-	w := newWorld(t, Config{Shards: 2, Workers: 2, DebounceMS: 20, HysteresisMS: 1e9}, 4)
-	w.mgr.Bootstrap()
+// figure6World is newWorld with San Diego deployed before Seattle, as
+// in Figure 6: two San Diego sessions bootstrap, then two Seattle
+// sessions are planned by a wave of their own (a cutover, not a
+// bootstrap), against the San Diego chain, on which their first plan
+// anchors: ... -> Decryptor@sd-2 -> ViewMailServer@sd-2{TrustLevel=4}*.
+func figure6World(t *testing.T, cfg Config) *world {
+	t.Helper()
+	w := newWorld(t, cfg, 0)
+	for i := 0; i < 2; i++ {
+		w.mgr.AddSession(fmt.Sprintf("sd%d", i), planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SDClient, User: "Alice", RateRPS: 50})
+	}
+	if boot := w.mgr.Bootstrap(); boot.Failed != 0 {
+		t.Fatalf("bootstrap: %d sessions failed", boot.Failed)
+	}
 	w.mgr.Start()
-
-	// Find a non-client, non-primary node actually hosting session
-	// placements, and kill it.
-	var victim netmodel.NodeID
-	for _, s := range w.mgr.Sessions() {
-		for _, p := range s.Deployment().Placements {
-			if p.Node != topology.NYServer && p.Node != s.Req.ClientNode {
-				victim = p.Node
-			}
+	for i := 0; i < 2; i++ {
+		w.mgr.AddSession(fmt.Sprintf("sea%d", i), planner.Request{Interface: spec.IfaceClient, ClientNode: topology.SeaClient, User: "Carol", RateRPS: 50})
+	}
+	w.mgr.Kick()
+	for _, s := range w.mgr.Sessions()[2:] {
+		if got, want := s.Deployment().String(), "ViewMailClient@sea-2 -> ViewMailServer@sea-2{TrustLevel=2} -> Encryptor@sea-2 -> Decryptor@sd-2 -> ViewMailServer@sd-2{TrustLevel=4}*"; got != want {
+			t.Fatalf("%s deployed %s, want Figure 6's %s", s.Name, got, want)
 		}
 	}
-	if victim == "" {
-		t.Skip("no interior placement to kill in this plan shape")
-	}
+	return w
+}
+
+// TestNodeKillForcesThroughHysteresis: a node death under a session's
+// deployment is a forced cutover — hysteresis must not suppress it.
+// The Seattle sessions cut over onto sd-2 inside the anti-flap window,
+// and sd-2 runs placements of theirs on a node that is neither their
+// client's nor the primary's.
+func TestNodeKillForcesThroughHysteresis(t *testing.T) {
+	w := figure6World(t, Config{Workers: 2, DebounceMS: 20, HysteresisMS: 1e9})
+	victim := topology.SDClient
 	w.env.At(100, func() { _ = w.mon.ReportNodeDown(victim) })
 	w.env.RunUntil(5000)
 
+	checked := 0
 	for _, s := range w.mgr.Sessions() {
+		if s.Req.ClientNode == victim {
+			continue // nothing serves a client on a dead node
+		}
+		checked++
 		for _, p := range s.Deployment().Placements {
 			if p.Node == victim {
-				t.Fatalf("session %s still deployed on dead node %s", s.Name, victim)
+				t.Fatalf("session %s still deployed on dead node %s: %s", s.Name, victim, s.Deployment())
 			}
 		}
+	}
+	if checked == 0 {
+		t.Fatal("no session outside the dead node: the test checks nothing")
+	}
+}
+
+// TestFleetDropsOrphans: when a wave invalidates an instance, the
+// instances wired into it, through their upstream chain, leave every
+// planner's reuse set (smock.Table.Replan). Lowering sd-2's trust to 2
+// invalidates ViewMailServer@sd-2{TrustLevel=4}, into which the Seattle
+// chains' Decryptor@sd-2 forwards: no session may anchor a new chain on
+// that decryptor.
+func TestFleetDropsOrphans(t *testing.T) {
+	w := figure6World(t, Config{Workers: 2, DebounceMS: 20})
+	const invalid = "ViewMailServer@sd-2{TrustLevel=4}"
+	w.env.At(100, func() {
+		if err := w.mon.ReportNodeProps(topology.SDClient, property.Set{"TrustLevel": property.Int(2)}); err != nil {
+			t.Error(err)
+		}
+	})
+	w.env.RunUntil(3000)
+
+	// wiredInto reports whether the instance id reaches an instance of
+	// the invalid key through its upstream wiring.
+	byID := map[string]smock.Instance{}
+	for _, in := range w.mgr.planners[0].tab.Instances() {
+		byID[in.ID] = in
+	}
+	var wiredInto func(id string) bool
+	wiredInto = func(id string) bool {
+		for _, up := range byID[id].Upstreams {
+			if byID[up].Place.Key() == invalid || wiredInto(up) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, s := range w.mgr.Sessions() {
+		dep := s.Deployment()
+		for i, p := range dep.Placements {
+			if !p.Reused || slices.ContainsFunc(dep.Edges, func(e planner.Edge) bool { return e.From == i }) {
+				continue
+			}
+			for id, in := range byID {
+				if !in.Dead && in.Place.Key() == p.Key() && wiredInto(id) {
+					t.Errorf("%s anchors on %s, wired into the invalid %s: %s", s.Name, id, invalid, dep)
+				}
+			}
+		}
+	}
+	if v := w.mgr.Audit(); len(v) > 0 {
+		t.Errorf("audit after the wave:\n%s", strings.Join(v, "\n"))
 	}
 }
 
@@ -331,7 +404,7 @@ func TestSessionStateIsBounded(t *testing.T) {
 	w := &world{env: sim.NewEnv(), net: topology.CaseStudy()}
 	defer w.env.Stop()
 	w.mon = netmon.New(w.net)
-	w.mgr = New(Config{Shards: 4, Workers: 2, DebounceMS: 20}, spec.MailService(), w.net, w.mon, adapt.NewSimScheduler(w.env))
+	w.mgr = New(Config{Workers: 2, DebounceMS: 20}, spec.MailService(), w.net, w.mon, adapt.NewSimScheduler(w.env))
 	if _, err := w.mgr.AddPrimary(spec.CompMailServer, topology.NYServer); err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +484,7 @@ func depHash(dep *planner.Deployment) string {
 // — and under -race no worker may touch one another is reading.
 func TestSharedDeploymentsAreImmutable(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		w := newWorld(t, Config{Shards: 8, Workers: workers, DebounceMS: 20}, 48)
+		w := newWorld(t, Config{Workers: workers, DebounceMS: 20}, 48)
 		w.mgr.Bootstrap()
 		w.mgr.Start()
 		report := func(at, latMS float64) {

@@ -63,7 +63,7 @@ func isoWorld(t *testing.T) *world {
 	w := &world{env: sim.NewEnv(), net: twoClusterNet(t)}
 	w.mon = netmon.New(w.net)
 	w.mgr = New(Config{
-		Shards: 4, Workers: 4, DebounceMS: 20,
+		Workers: 4, DebounceMS: 20,
 		CutoverRatePerSec: 1, CutoverBurst: 1, HysteresisMS: 60000,
 	}, spec.MailService(), w.net, w.mon, adapt.NewSimScheduler(w.env))
 	w.listen()

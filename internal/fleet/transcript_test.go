@@ -111,7 +111,7 @@ func TestWaveCommitsFreshReplans(t *testing.T) {
 	fresh := func() map[string]*planner.Deployment {
 		want := map[string]*planner.Deployment{}
 		for _, s := range mgr.Sessions() {
-			x := &fleetPlanner{pl: planner.New(spec.MailService(), net), tab: mgr.planners[0].tab}
+			x := NewPlanner(planner.New(spec.MailService(), net), mgr.planners[0].tab)
 			old := s.Deployment()
 			d, err := x.Replan(old, s.Req)
 			if err != nil {
@@ -172,7 +172,7 @@ type scriptRun struct {
 	layers  [2]int
 }
 
-// scriptFleet builds the script's fleet: 8 planners over the case-study
+// scriptFleet builds the script's fleet: one planner per worker over the case-study
 // network, the primary in New York, and sessions a third each on the
 // three client nodes.
 func scriptFleet(t *testing.T, sessions, workers int) (*sim.Env, *netmodel.Network, *netmon.Monitor, *Manager) {
@@ -184,7 +184,7 @@ func scriptFleet(t *testing.T, sessions, workers int) (*sim.Env, *netmodel.Netwo
 	env := sim.NewEnv()
 	net := topology.CaseStudy()
 	mon := netmon.New(net)
-	mgr := New(Config{Shards: 8, Workers: workers, DebounceMS: 20},
+	mgr := New(Config{Workers: workers, DebounceMS: 20},
 		spec.MailService(), net, mon, adapt.NewSimScheduler(env))
 	if _, err := mgr.AddPrimary(spec.CompMailServer, topology.NYServer); err != nil {
 		env.Stop()

@@ -148,7 +148,7 @@ func TestSeededSearchKeepsStandingDeployment(t *testing.T) {
 		t.Fatal("the chain must still hold")
 	}
 	pc.memo.own, pc.memo.reuse = pc.ownWiring(dep, stand), nil
-	_, err := pc.replan(dep, req, pc.primaryOf(req.Objective, stand))
+	_, err := pc.plan(req, pc.primaryOf(req.Objective, stand))
 	pc.endPlan()
 	if err == nil {
 		t.Fatal("the seeded search found a deployment: the case does not force the keep")
@@ -167,10 +167,12 @@ func TestSeededSearchKeepsStandingDeployment(t *testing.T) {
 	if n := pa.Stats().FullSearches - searches; n != 1 {
 		t.Errorf("Replan ran %d full searches, want 1", n)
 	}
-	moved, err := pb.replan(dep, req, math.Inf(1))
+	pb.RevalidateExisting()
+	movedDep, err := pb.plan(req, math.Inf(1))
 	if err != nil {
 		t.Fatalf("unseeded replan: %v", err)
 	}
+	moved := buildDiff(dep, movedDep)
 	if moved.Unchanged() || moved.New.ExpectedLatencyMS <= got.New.ExpectedLatencyMS {
 		t.Fatalf("the unseeded replan must move to a slower deployment, else the case checks nothing: %s (%.3f ms against %.3f)",
 			moved.New, moved.New.ExpectedLatencyMS, got.New.ExpectedLatencyMS)

@@ -376,21 +376,16 @@ type walkState struct {
 }
 
 // beginPlan opens a planning pass: it resets the search statistics and
-// snapshots the route counters, and — when this is the outermost call,
-// or the route handle moved — starts the call's memo over the property
-// layer its key selects. Passes nest (every public entry point brackets
-// itself); endPlan closes them.
+// snapshots the route counters, and — when this is the outermost call —
+// starts the call's memo on the network's current route handle, over
+// the property layer its key selects. Passes nest (every public entry
+// point brackets itself) and share the outermost one's memo, so a call
+// sees one route epoch however the topology moves under it; endPlan
+// closes them.
 func (pl *Planner) beginPlan() {
-	routes := pl.pinnedRoutes
-	if routes == nil {
-		routes = pl.Net.Routes()
-	}
-	pl.beginPlanOn(routes)
-}
-
-func (pl *Planner) beginPlanOn(routes *netmodel.RouteCache) {
 	pl.flushLookups()
-	if pl.depth == 0 || pl.memo.routes != routes {
+	if pl.depth == 0 {
+		routes := pl.Net.Routes()
 		if ll := pl.links; ll == nil || ll.routes != routes || ll.svc != pl.Service {
 			pl.links = &linkLayer{routes: routes, svc: pl.Service, tables: map[*spec.Component]*linkTable{}}
 		}
@@ -407,7 +402,7 @@ func (pl *Planner) beginPlanOn(routes *netmodel.RouteCache) {
 	}
 	pl.depth++
 	pl.stats = Stats{}
-	pl.hits0, pl.misses0 = routes.Counters()
+	pl.hits0, pl.misses0 = pl.memo.routes.Counters()
 }
 
 // propsFor returns the property layer for a call on routes: the kept

@@ -364,7 +364,7 @@ type Planner struct {
 	stats Stats
 	// memo holds what one public call computes once (memo.go). It exists
 	// only while a call is in progress: depth counts the nested entries
-	// (Replan runs replan runs plan) that share it.
+	// (Replan runs plan) that share it.
 	memo  *planMemo
 	depth int
 	// props is the property layer, kept across calls while its key
@@ -381,9 +381,6 @@ type Planner struct {
 	// Existing bumps it, and the call's memo looks its reuse layer up
 	// again when it has moved.
 	gen uint64
-	// pinnedRoutes, when non-nil, overrides the epoch-current route
-	// handle for every plan call (see PinRoutes).
-	pinnedRoutes *netmodel.RouteCache
 	// hits0/misses0 snapshot the route-cache counters at beginPlan so
 	// endPlan can attribute the delta to this plan call.
 	hits0, misses0 uint64
@@ -401,16 +398,6 @@ func New(svc *spec.Service, net *netmodel.Network) *Planner {
 
 // Stats returns the statistics accumulated by the most recent Plan call.
 func (pl *Planner) Stats() Stats { return pl.stats }
-
-// PinRoutes freezes the planner onto one route-cache epoch: every
-// subsequent plan call answers path queries from rc instead of the
-// network's current cache, so a topology mutation arriving while a
-// replan wave is in flight cannot split the wave across two views of
-// the network. Pass nil to unpin. The caller owns consistency between
-// the pinned routes and the live node table (revalidation still reads
-// live node liveness, which is exactly what a wave wants: evictions
-// current, routing frozen).
-func (pl *Planner) PinRoutes(rc *netmodel.RouteCache) { pl.pinnedRoutes = rc }
 
 // KVs renders the stats as metrics-registry rows.
 func (s Stats) KVs() []metrics.KV {

@@ -125,24 +125,10 @@ func (pl *Planner) Replan(old *Deployment, req Request) (*Diff, error) {
 	if stand != nil {
 		ub = pl.primaryOf(req.Objective, stand)
 	}
-	diff, err := pl.replan(old, req, ub)
-	if stand != nil && (err != nil || !pl.better(req.Objective, diff.New, stand)) {
-		diff, err = buildDiff(old, stand), nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	diff.Evicted = append(evicted, diff.Evicted...)
-	return diff, nil
-}
-
-// replan revalidates the reuse set and plans the request with its plan
-// seeded at ub (see plan).
-func (pl *Planner) replan(old *Deployment, req Request, ub float64) (*Diff, error) {
-	pl.beginPlan()
-	defer pl.endPlan()
-	evicted := pl.RevalidateExisting()
 	dep, err := pl.plan(req, ub)
+	if stand != nil && (err != nil || !pl.better(req.Objective, dep, stand)) {
+		dep, err = stand, nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("planner: replan: %w", err)
 	}
@@ -273,9 +259,7 @@ func buildDiff(old, dep *Deployment) *Diff {
 // graph from the deployment (graphOf). A nil error means the deployment
 // is valid now. The adaptation loop's audit asks it of every session.
 func (pl *Planner) Verify(dep *Deployment, req Request) error {
-	// Verify is a public entry point of its own: it reads the
-	// epoch-current routes even on a planner pinned to a wave's.
-	pl.beginPlanOn(pl.Net.Routes())
+	pl.beginPlan()
 	defer pl.endPlan()
 	g, err := pl.graphOf(dep)
 	if err != nil {
