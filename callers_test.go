@@ -47,7 +47,8 @@ var productionCallerAllowlist = map[string]string{
 var unsetKnobAllowlist = map[string]string{}
 
 // uncitedFlagAllowlist names the cmd/ flags the docs may leave uncited,
-// keyed "program -name".
+// keyed "program -name", or "program subcommand -name" for a flag of a
+// subcommand's FlagSet.
 var uncitedFlagAllowlist = map[string]string{}
 
 // modulePkg is one package of the repository's non-test Go.
@@ -488,12 +489,16 @@ var flagDefiners = map[string]bool{
 }
 
 // TestFlagsAreCited fails on a flag a cmd/ program defines that no
-// citation doc cites as -name (or --name). A citation counts only on a
-// line, or in a fenced markdown block, that names the program, so a
-// one-letter flag cannot pass on another program's line. The reverse
-// holds too: every -flag that follows a program's name in a doc's
-// command (`go run ./cmd/psfctl plan -case-study`, `./psfctl serve
-// -addr …`) must be one that program defines.
+// citation doc cites as -name (or --name). A flag of a subcommand's
+// FlagSet (`flag.NewFlagSet("plan", …)`) is keyed by program and
+// subcommand, "psfctl plan"; any other flag by the program alone. A
+// citation counts only on a line, or in a fenced markdown block, that
+// names the key (`psfctl plan`, `mailbench`), so a one-letter flag
+// cannot pass on another program's or subcommand's line. The reverse
+// holds too: every -flag that follows a program's name, and the
+// subcommand right after it if there is one, in a doc's command (`go
+// run ./cmd/psfctl plan -case-study`, `./psfctl serve -addr …`) must be
+// one that key defines.
 func TestFlagsAreCited(t *testing.T) {
 	if len(uncitedFlagAllowlist) > 10 {
 		t.Fatalf("the allowlist has %d entries; keep it to 10", len(uncitedFlagAllowlist))
@@ -504,21 +509,60 @@ func TestFlagsAreCited(t *testing.T) {
 		t.Fatal(err)
 	}
 	allowed := map[string]bool{}
-	defined := map[string]map[string]bool{}
-	for _, p := range m.pkgs {
-		prog, ok := strings.CutPrefix(p.path, "partsvc/cmd/")
-		if !ok {
-			continue
+	defined := map[string]map[string]bool{} // key -> flag names
+	subs := map[string]map[string]bool{}    // program -> subcommand names
+	// cited returns the text of the units that name key, memoized.
+	citedText := map[string]string{}
+	cited := func(key string) string {
+		if text, ok := citedText[key]; ok {
+			return text
 		}
-		defined[prog] = map[string]bool{}
+		names := regexp.MustCompile(`\b` + strings.Join(strings.Fields(regexp.QuoteMeta(key)), `\s+`) + `\b`)
 		var text []string
-		names := regexp.MustCompile(`\b` + regexp.QuoteMeta(prog) + `\b`)
 		for _, u := range units {
 			if names.MatchString(u.text) {
 				text = append(text, u.text)
 			}
 		}
-		cited := strings.Join(text, "\n")
+		citedText[key] = strings.Join(text, "\n")
+		return citedText[key]
+	}
+	for _, p := range m.pkgs {
+		prog, ok := strings.CutPrefix(p.path, "partsvc/cmd/")
+		if !ok {
+			continue
+		}
+		subs[prog] = map[string]bool{}
+		// sets maps each variable assigned a flag.NewFlagSet to the
+		// set's constant name.
+		sets := map[types.Object]string{}
+		for _, file := range p.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				as, ok := n.(*ast.AssignStmt)
+				if !ok || len(as.Lhs) != len(as.Rhs) {
+					return true
+				}
+				for i, rhs := range as.Rhs {
+					call, ok := rhs.(*ast.CallExpr)
+					if !ok || !isFlagFunc(p, call, "NewFlagSet") || len(call.Args) == 0 {
+						continue
+					}
+					id, ok := as.Lhs[i].(*ast.Ident)
+					v := p.info.Types[call.Args[0]].Value
+					if !ok || v == nil || v.Kind() != constant.String {
+						t.Errorf("%s: a FlagSet must be assigned to a variable and named by a constant", m.fset.Position(call.Pos()))
+						continue
+					}
+					obj := p.info.Defs[id]
+					if obj == nil {
+						obj = p.info.Uses[id]
+					}
+					sets[obj] = constant.StringVal(v)
+					subs[prog][constant.StringVal(v)] = true
+				}
+				return true
+			})
+		}
 		for _, file := range p.files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
@@ -534,6 +578,15 @@ func TestFlagsAreCited(t *testing.T) {
 					return true
 				}
 				pos := m.fset.Position(call.Pos()).String()
+				key := prog
+				if f.Type().(*types.Signature).Recv() != nil {
+					id, ok := se.X.(*ast.Ident)
+					if !ok || sets[p.info.Uses[id]] == "" {
+						t.Errorf("%s: flag of a FlagSet no flag.NewFlagSet assignment names", pos)
+						return true
+					}
+					key += " " + sets[p.info.Uses[id]]
+				}
 				name := ""
 				for _, arg := range call.Args {
 					if v := p.info.Types[arg].Value; v != nil && v.Kind() == constant.String {
@@ -545,39 +598,46 @@ func TestFlagsAreCited(t *testing.T) {
 					t.Errorf("%s: flag name is not a constant", pos)
 					return true
 				}
-				defined[prog][name] = true
-				key := prog + " -" + name
-				if _, ok := uncitedFlagAllowlist[key]; ok {
-					allowed[key] = true
+				if defined[key] == nil {
+					defined[key] = map[string]bool{}
+				}
+				defined[key][name] = true
+				if _, ok := uncitedFlagAllowlist[key+" -"+name]; ok {
+					allowed[key+" -"+name] = true
 					return true
 				}
-				if !regexp.MustCompile(`(^|[^\w-])--?` + regexp.QuoteMeta(name) + `($|[^\w-])`).MatchString(cited) {
-					t.Errorf("%s: %s is cited in no doc line that names %s: cite it, or fold it into its default", pos, key, prog)
+				if !regexp.MustCompile(`(^|[^\w-])--?` + regexp.QuoteMeta(name) + `($|[^\w-])`).MatchString(cited(key)) {
+					t.Errorf("%s: %s -%s is cited in no doc line that names %s: cite it, or fold it into its default", pos, key, name, key)
 				}
 				return true
 			})
 		}
 	}
 	counts := map[string]int{}
-	for prog, flags := range defined {
-		counts[prog] = len(flags)
+	for key, flags := range defined {
+		counts[key] = len(flags)
 	}
-	t.Logf("flags defined per program: %v", counts)
+	t.Logf("flags defined per program and subcommand: %v", counts)
 	for _, u := range units {
 		for _, c := range u.commands() {
 			for _, words := range shellCommands(c.text) {
-				prog := ""
+				key, prog := "", ""
 				for _, w := range words {
-					if p := programNamed(w, defined); p != "" {
-						prog = p
+					if p := programNamed(w, subs); p != "" {
+						key, prog = p, p
 						continue
 					}
+					if key == prog && subs[prog][w] {
+						key = prog + " " + w
+						continue
+					}
+					prog = "" // a subcommand only follows the program's name
 					name, _, _ := strings.Cut(strings.TrimLeft(w, "-"), "=")
-					if prog == "" || !strings.HasPrefix(w, "-") || name == "" || name == "h" || name == "help" {
+					if key == "" || !strings.HasPrefix(w, "-") || name == "" || name == "h" || name == "help" {
 						continue
 					}
-					if !defined[prog][name] {
-						t.Errorf("%s: %s cites %s, which %s does not define", c.pos, c.text, w, prog)
+					if !defined[key][name] {
+						t.Errorf("%s: %s cites %s, which %s does not define", c.pos, c.text, w, key)
 					}
 				}
 			}
@@ -588,6 +648,17 @@ func TestFlagsAreCited(t *testing.T) {
 			t.Errorf("allowlist entry %s names no flag", key)
 		}
 	}
+}
+
+// isFlagFunc reports whether call calls the flag package's function (or
+// *FlagSet method) name.
+func isFlagFunc(p *modulePkg, call *ast.CallExpr, name string) bool {
+	se, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	f, ok := p.info.Uses[se.Sel].(*types.Func)
+	return ok && f.Pkg() != nil && f.Pkg().Path() == "flag" && f.Name() == name
 }
 
 // programNamed returns the program a command word names — psfctl,

@@ -9,7 +9,6 @@
 //	mailbench -onetime          # one-time cost breakdown (E7)
 //	mailbench -fig8             # live adaptation under scripted faults (A7)
 //	mailbench -sweep            # coherence policy sweep (A2)
-//	mailbench -scaling          # planner scaling on Waxman topologies (A3)
 //	mailbench -clients 8        # widen the client sweep (1..8 per scenario)
 //	mailbench -counts 1,100,10000   # explicit client counts instead of 1..N
 //	mailbench -workers 4        # scenario-sweep parallelism (default GOMAXPROCS)
@@ -18,7 +17,7 @@
 //	mailbench -multicore        # live RPC scale-out: GOMAXPROCS × transport × conns (A9)
 //	mailbench -fleet            # fleet control plane (A10)
 //	mailbench -solver           # planner scaling on Waxman topologies (A11)
-//	mailbench -solver -solver-sizes 8,32,128   # explicit Waxman sizes
+//	mailbench -solver -solver-sizes 8,12,16,20   # explicit Waxman sizes (A3)
 //	mailbench -solver -timing   # add wall-clock plan latency (non-deterministic)
 //	mailbench -fleet -fleet-sessions 400 -fleet-nodes 32   # reduced scale (CI)
 //	mailbench -fleet -timing    # add wall-clock wave latency (non-deterministic)
@@ -48,7 +47,6 @@ func main() {
 	onetime := flag.Bool("onetime", false, "measure one-time deployment costs (E7)")
 	fig8 := flag.Bool("fig8", false, "live adaptation under scripted faults (A7)")
 	sweep := flag.Bool("sweep", false, "coherence policy sweep (A2)")
-	scaling := flag.Bool("scaling", false, "planner scaling sweep (A3)")
 	clients := flag.Int("clients", 0, "override the maximum client count")
 	counts := flag.String("counts", "", "comma-separated client counts per scenario (overrides -clients)")
 	sends := flag.Int("sends", 0, "override sends per client")
@@ -120,14 +118,6 @@ func main() {
 	case *sweep:
 		fmt.Printf("Coherence policy sweep, %d clients (ablation A2):\n", 2)
 		fmt.Print(bench.BoundSweepTable(bench.CoherenceBoundSweep(cfg, 2)))
-	case *scaling:
-		rows, err := bench.PlannerScaling([]int{8, 12, 16, 20}, 7)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mailbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("Planner scaling on Waxman topologies (ablation A3):")
-		fmt.Print(bench.ScalingTable(rows))
 	case *solverRun:
 		ac := bench.DefaultA11Config()
 		if *solverSizes != "" {

@@ -23,7 +23,7 @@ func fatalf(format string, args ...any) {
 // req/s per cell. The caller axis separates the two regimes that
 // matter: 1 caller is the latency-bound case where each call pays a
 // whole round trip (nothing amortizes), 64 callers is the
-// throughput-bound case where the MPSC writer's batching is the
+// throughput-bound case where the connection writer's batching is the
 // contended path. The same grid backs BenchmarkRPCMultiCore; this
 // mode exists so the table can be regenerated (and uploaded as a CI
 // artifact) without the testing harness.

@@ -12,12 +12,14 @@ package adapt
 //     commits spread out at the configured rate instead of stampeding).
 //     A session whose deferred commit a later wave decides again keeps
 //     its reserved instant: it does not queue behind itself;
-//   - per-session hysteresis suppresses optimization-only rewires that
-//     arrive inside the configured window after the session's previous
-//     cutover. Forced cutovers — the session's deployment is broken or
-//     no longer holds, a node died under it or under its anchor's chain
-//     — bypass hysteresis (but still pay a token: mass failure is
-//     exactly when pacing matters most).
+//   - per-session hysteresis suppresses rewires that arrive inside the
+//     configured window after the session's previous cutover. The loop
+//     asks only for a session whose deployment still holds (runWave's
+//     holds check), so a forced cutover — the session's instances are
+//     stale, its deployment is broken or no longer holds, a node died
+//     under it or under its anchor's chain — is never held back (but
+//     still pays a token: mass failure is exactly when pacing matters
+//     most).
 //
 // The governor runs on the loop's clock and is only touched from the
 // sequential commit phase, so it needs no locking and its decisions
@@ -44,10 +46,11 @@ func newGovernor(ratePerSec float64, burst int, hysteresisMS float64) *governor 
 	}
 }
 
-// suppressed reports whether an optimization-only rewire at nowMS falls
-// inside the session's anti-flap window.
-func (g *governor) suppressed(nowMS, lastCutoverMS float64, forced bool) bool {
-	if forced || g.hysteresisMS <= 0 {
+// suppressed reports whether a rewire at nowMS falls inside the
+// session's anti-flap window. The caller holds back only a session
+// whose deployment still holds, which makes the rewire an optimization.
+func (g *governor) suppressed(nowMS, lastCutoverMS float64) bool {
+	if g.hysteresisMS <= 0 {
 		return false
 	}
 	return nowMS-lastCutoverMS < g.hysteresisMS

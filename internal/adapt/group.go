@@ -48,11 +48,10 @@ type groupPass struct {
 	delta        int    // table references owed, not yet taken or dropped
 	key          int    // the wave's plan key (runWave)
 	// Memos of the pass: staleAt is the table epoch (+1) stale was
-	// judged at, 0 before; broken is judged once (brokenSet).
-	staleAt, stale    int
-	brokenSet, broken bool
-	verified, valid   bool
-	reroute           *group
+	// judged at, 0 before.
+	staleAt, stale  int
+	verified, valid bool
+	reroute         *group
 }
 
 // remaining is the group's member count as the pass stands.
@@ -210,15 +209,6 @@ func (p *pass) stale(g *group) bool {
 		}
 	}
 	return gp.stale == 1
-}
-
-// broken reports depBroken for g's deployment, judged once per pass.
-func (p *pass) broken(g *group, rc *netmodel.RouteCache) bool {
-	gp := p.touch(g)
-	if !gp.brokenSet {
-		gp.brokenSet, gp.broken = true, p.c.depBroken(g.dep, rc)
-	}
-	return gp.broken
 }
 
 // holds reports whether what g holds still serves, judged once per

@@ -399,9 +399,10 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool) WaveReport {
 			s.mu.Lock()
 			lastCut := s.lastCutoverMS
 			s.mu.Unlock()
-			// Only an optimization may be held back: not a move off stale
-			// instances, a broken deployment or one that no longer holds.
-			if c.gov.suppressed(now, lastCut, stale || p.broken(g, rc)) && p.holds(g) {
+			// Only an optimization may be held back: holds fails for a
+			// move off stale instances, a broken deployment or one that
+			// no longer serves.
+			if c.gov.suppressed(now, lastCut) && p.holds(g) {
 				report.Suppressed++
 				c.flapsSuppressed.Inc()
 				p.move(s, g, p.rerouted(g, rc)) // kept, like an unchanged one
@@ -464,9 +465,8 @@ func (c *Controller) runWave(affected []*Session, bootstrap bool) WaveReport {
 
 // depBroken reports whether a deployment is no longer serving — a node
 // died under it, or the network partitioned between consecutive
-// placements. Broken deployments force their cutover past anti-flap
-// hysteresis (suppressing the repair of a dead session would be
-// availability loss, not flap damping).
+// placements. A change that breaks one skips the debounce
+// (anyBrokenLocked).
 func (c *Controller) depBroken(dep *planner.Deployment, rc *netmodel.RouteCache) bool {
 	if dep == nil {
 		return true

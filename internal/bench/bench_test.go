@@ -202,26 +202,28 @@ func TestCoherenceBoundSweep(t *testing.T) {
 	}
 }
 
-// TestPlannerScaling (ablation A3): the planner's search effort is
-// reported, and the constraint engine's propagation work grows with the
-// network (candidate domains are the node table). That the search
-// examines far fewer mappings than exhaustive enumeration — and picks
-// the same deployment — is the planner package's equivalence oracle.
+// TestPlannerScaling (ablation A3, on the A11 sweep): the planner's
+// search effort is reported, and the constraint engine's propagation
+// work grows with the network (candidate domains are the node table).
+// That the search examines far fewer mappings than exhaustive
+// enumeration — and picks the same deployment — is the planner
+// package's equivalence oracle.
 func TestPlannerScaling(t *testing.T) {
-	rows, err := PlannerScaling([]int{8, 12}, 7)
+	res, err := RunA11(A11Config{Sizes: []int{8, 12}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Scaling
 	for _, r := range rows {
-		if r.Graphs == 0 || r.Mappings == 0 || r.Propagations == 0 {
+		if r.Graphs == 0 || r.Mappings == 0 || r.SolverProps == 0 {
 			t.Errorf("row %+v has no search effort", r)
 		}
 	}
-	if rows[1].Propagations <= rows[0].Propagations {
+	if rows[1].SolverProps <= rows[0].SolverProps {
 		t.Errorf("propagation effort must grow with network size: %+v", rows)
 	}
-	out := ScalingTable(rows)
-	if !strings.Contains(out, "propagations") {
+	out := A11ScalingTable(res)
+	if !strings.Contains(out, "graphs") || !strings.Contains(out, "solver_props") {
 		t.Errorf("scaling table:\n%s", out)
 	}
 }

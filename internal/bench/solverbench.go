@@ -10,8 +10,8 @@ import (
 	"partsvc/internal/topology"
 )
 
-// A11Config tunes the constraint-solver experiment (A11): planner
-// scaling on Waxman topologies.
+// A11Config tunes the planner-scaling experiment (A11, and A3 at sizes
+// 8–20): one request planned on Waxman topologies of growing size.
 type A11Config struct {
 	// Sizes are the Waxman topology sizes to sweep.
 	Sizes []int
@@ -30,14 +30,17 @@ func DefaultA11Config() A11Config {
 	return A11Config{Sizes: []int{8, 16, 32, 64, 128, 256}, Seed: 7}
 }
 
-// SolverScalingRow is one planner-scaling data point: the constraint
-// engine work one request costs on a topology of the given size, plus
-// the objective value it reaches. (The cross-backend columns this table
-// used to carry — DP and exhaustive mappings and latencies — are what
-// the planner's equivalence tests now assert.) Counters and latencies
-// are deterministic; WallMS is populated only under Timing.
+// SolverScalingRow is one planner-scaling data point: the search one
+// request costs on a topology of the given size, plus the objective
+// value it reaches. (The cross-backend columns this table used to
+// carry — DP and exhaustive mappings and latencies — are what the
+// planner's equivalence tests now assert.) Counters and latencies are
+// deterministic; WallMS is populated only under Timing.
 type SolverScalingRow struct {
 	Nodes int
+	// Graphs is the number of linkage graphs enumerated; Mappings the
+	// complete assignments that reached exact validation.
+	Graphs, Mappings int
 	// Solver work counters (constraint engine units).
 	SolverProps, SolverBacktracks, SolverEvals uint64
 	SolverLatencyMS                            float64
@@ -113,8 +116,11 @@ func a11Scale(cfg A11Config, n int) (SolverScalingRow, error) {
 	if err != nil {
 		return SolverScalingRow{}, err
 	}
+	st := pl.Stats()
 	return SolverScalingRow{
 		Nodes:            n,
+		Graphs:           st.ChainsEnumerated,
+		Mappings:         st.MappingsTried,
 		SolverProps:      pl.SolverStats.Propagations.Load(),
 		SolverBacktracks: pl.SolverStats.Backtracks.Load(),
 		SolverEvals:      pl.SolverStats.Evaluations.Load(),
@@ -125,13 +131,13 @@ func a11Scale(cfg A11Config, n int) (SolverScalingRow, error) {
 
 // A11ScalingTable renders the planner-scaling sweep.
 func A11ScalingTable(res *A11Result) string {
-	cols := []string{"nodes", "solver_props", "solver_backtracks", "solver_evals", "solver_lat_ms"}
+	cols := []string{"nodes", "graphs", "mappings", "solver_props", "solver_backtracks", "solver_evals", "solver_lat_ms"}
 	if res.Config.Timing {
 		cols = append(cols, "solver_wall_ms")
 	}
 	t := metrics.NewTable(cols...)
 	for _, r := range res.Scaling {
-		vals := []interface{}{r.Nodes, r.SolverProps, r.SolverBacktracks, r.SolverEvals,
+		vals := []interface{}{r.Nodes, r.Graphs, r.Mappings, r.SolverProps, r.SolverBacktracks, r.SolverEvals,
 			fmt.Sprintf("%.2f", r.SolverLatencyMS)}
 		if res.Config.Timing {
 			vals = append(vals, fmt.Sprintf("%.1f", r.SolverWallMS))

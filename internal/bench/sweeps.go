@@ -1,13 +1,8 @@
 package bench
 
 import (
-	"time"
-
 	"partsvc/internal/coherence"
 	"partsvc/internal/metrics"
-	"partsvc/internal/planner"
-	"partsvc/internal/spec"
-	"partsvc/internal/topology"
 )
 
 // BoundSweepRow is one point of ablation A2: send latency and staleness
@@ -74,65 +69,6 @@ func BoundSweepTable(rows []BoundSweepRow) string {
 	t := metrics.NewTable("policy", "avg_send_ms", "max_stale_records")
 	for _, r := range rows {
 		t.AddRow(r.Policy, r.AvgMS, r.MaxStale)
-	}
-	return t.String()
-}
-
-// ScalingRow is one point of ablation A3: planner effort versus network
-// size.
-type ScalingRow struct {
-	Nodes  int
-	PlanMS float64
-	// Graphs is the number of linkage graphs enumerated; Mappings the
-	// complete assignments that reached exact validation; Propagations
-	// the constraint engine's arc-consistency checks.
-	Graphs       int
-	Mappings     int
-	Propagations uint64
-}
-
-// PlannerScaling plans the mail service on BRITE-like Waxman topologies
-// of growing size. Every topology gets a trust-5 node to host the
-// primary and the request originates at a trust-4-or-better node.
-func PlannerScaling(sizes []int, seed int64) ([]ScalingRow, error) {
-	var rows []ScalingRow
-	for _, n := range sizes {
-		net, err := topology.Waxman(topology.DefaultWaxman(n, seed))
-		if err != nil {
-			return nil, err
-		}
-		// Ensure a primary host and a client exist regardless of seed.
-		nodes := net.Nodes()
-		nodes[0].Credentials["trust"] = "5"
-		nodes[1].Credentials["trust"] = "4"
-		net.Translate(topology.MailTranslation())
-
-		pl := planner.New(spec.MailService(), net)
-		ms, err := pl.PrimaryPlacement(spec.CompMailServer, nodes[0].ID)
-		if err != nil {
-			return nil, err
-		}
-		pl.AddExisting(ms)
-		t0 := time.Now()
-		if _, err := pl.Plan(planner.Request{
-			Interface: spec.IfaceClient, ClientNode: nodes[1].ID, User: "Alice", RateRPS: 10,
-		}); err != nil {
-			return nil, err
-		}
-		st := pl.Stats()
-		rows = append(rows, ScalingRow{
-			Nodes: n, PlanMS: msSince(t0), Graphs: st.ChainsEnumerated, Mappings: st.MappingsTried,
-			Propagations: pl.SolverStats.Propagations.Load(),
-		})
-	}
-	return rows, nil
-}
-
-// ScalingTable renders A3 rows.
-func ScalingTable(rows []ScalingRow) string {
-	t := metrics.NewTable("nodes", "graphs", "plan_ms", "mappings", "propagations")
-	for _, r := range rows {
-		t.AddRow(r.Nodes, r.Graphs, r.PlanMS, r.Mappings, r.Propagations)
 	}
 	return t.String()
 }

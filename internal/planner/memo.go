@@ -31,8 +31,9 @@ import (
 //     with no generation to compare.
 //   - linkLayer: the link costs of one route handle, kept on the
 //     Planner while the call's *RouteCache handle and the specification
-//     are the same — across the computes of a fleet wave, which pins one
-//     handle — and dropped when either changes. A link cost counts as a
+//     are the same — across calls while the network's route epoch
+//     stands (each call reads the handle once, at its outermost entry)
+//     — and dropped when either changes. A link cost counts as a
 //     route lookup the first time each call uses it, kept or resolved,
 //     so the lookup counts stay those of per-call tables.
 //   - planMemo: one call. What the request decides (head placements,
@@ -107,7 +108,8 @@ type ownWiring struct {
 // snapshot (propLayer.current). The network's property generation moves
 // with every mutation but a link's latency or bandwidth
 // (netmodel.Network.PropGen); the route cache's is the one its node
-// indices and EnvIDs come from, which a pinned cache may hold back.
+// indices and EnvIDs come from, which lags the network's when it
+// mutated after the call read its route handle.
 type propKey struct {
 	net      *netmodel.Network
 	svc      *spec.Service
@@ -127,8 +129,8 @@ const maxReuseLayers = 8
 type propLayer struct {
 	key propKey
 	// nodes is the live node table in ID order; nodeIdx[i] is the dense
-	// route-cache index of nodes[i], -1 when the (pinned) cache predates
-	// the node — such a node has no routes and is pruned by propagation.
+	// route-cache index of nodes[i], -1 when the call's route handle
+	// predates the node — such a node has no routes and is pruned by propagation.
 	nodes   []*netmodel.Node
 	nodeIdx []int32
 	// down and props snapshot each node's liveness and properties when

@@ -4,243 +4,155 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"partsvc/internal/metrics"
 )
 
-// Lock-free MPSC write queue. Every connection used to park outbound
-// frames on a buffered `chan outFrame`; at data-plane rates the channel
-// internals (chansend/sellock) were the next profile entries after
-// syscalls. This queue replaces them with a Vyukov-style intrusive
-// MPSC list: producers link nodes with one atomic swap + one atomic
-// store (no lock, no CAS loop), and the single writer goroutine
-// detaches consumed nodes in batches. Parking uses a one-slot channel
-// behind a Dekker-style status word, so the producer-side wake check is
-// a single atomic load while the writer is running.
+// writeQueue is the frame queue between the many producers of a
+// connection (callers or pool workers) and its single writer goroutine:
+// a slice guarded by a mutex. Producers append under the lock and never
+// wait for the writer; the writer takes frames from the front in
+// batches and, when the queue runs dry, blocks on a one-slot channel.
 //
 // Queue states:
 //
-//	open    — push links nodes, pop detaches them, the parker
-//	          exchanges wakeups when the writer runs dry.
-//	closed  — push refuses new frames (the caller recycles the
-//	          payload); the writer drains what was linked before the
-//	          close and exits.
+//	open   — push appends; a push that finds the writer waiting sends
+//	         it the one token of its block.
+//	closed — push refuses new frames (the caller keeps the payload);
+//	         the writer drains every frame accepted before the close
+//	         and exits. Push and close both hold the lock, so a frame
+//	         is either accepted before the close, and written by the
+//	         final drain, or refused.
 //
-// A push that races the close may link a node the writer's final drain
-// has already passed; the node and its payload are reclaimed by the GC
-// (a pool miss, never a correctness issue) — exactly the window the
-// old channel version had.
-
-const (
-	parkerAwake uint32 = iota
-	parkerParked
-)
-
-// parker blocks one goroutine on a one-slot channel until another
-// wakes it. The protocol is the classic store/load fence pair: the
-// sleeper publishes "parked" and re-checks its wait condition; the
-// waker publishes the condition and checks "parked". Sequential
-// consistency of the atomics guarantees at least one side sees the
-// other, so a wakeup is never lost. Spurious wakeups are possible (a
-// waker from a previous cycle landing late) and callers must re-check
-// their condition in a loop.
-type parker struct {
-	status atomic.Uint32
-	// token carries the one wakeup of a park cycle. Only the CAS
-	// winner sends, and the sleeper receives before it can park again,
-	// so the slot is never full when a send happens.
-	token chan struct{}
-	// parks/wakes make the park/wake traffic observable (transport
-	// Stats); nil disables counting.
-	parks, wakes *metrics.Counter
-}
-
-// wake unparks the sleeper if it is (or is about to be) parked. The
-// fast path — sleeper running — is one atomic load.
-func (p *parker) wake() {
-	if p.status.Load() == parkerParked && p.status.CompareAndSwap(parkerParked, parkerAwake) {
-		if p.wakes != nil {
-			p.wakes.Add(1)
-		}
-		// A channel send readies the sleeper without yielding to it:
-		// the sleeper goes to the run queue instead of preempting this
-		// producer. For the write queue this is the batching lever — the
-		// producer (and its runnable peers) keep queueing frames until
-		// the scheduler gets to the writer, which then flushes them all
-		// in one writev.
-		p.token <- struct{}{}
-	}
-}
-
-// park blocks until wake, unless ready() already holds once the parked
-// flag is published. Exactly one token send pairs with each receive:
-// only the CAS winner (sleeper un-parking itself, or one waker) flips
-// the status back.
-func (p *parker) park(ready func() bool) {
-	p.status.Store(parkerParked)
-	if ready() {
-		if p.status.CompareAndSwap(parkerParked, parkerAwake) {
-			return // un-parked ourselves before any waker committed
-		}
-		// A waker won the CAS and sent the token: consume it so the
-		// next park cycle starts balanced.
-	}
-	if p.parks != nil {
-		p.parks.Add(1)
-	}
-	<-p.token
-}
-
-// wqNode is one frame linked into a writeQueue. Nodes are pooled: a
-// steady-state push/pop cycle allocates nothing.
-type wqNode struct {
-	next  atomic.Pointer[wqNode]
-	frame outFrame
-}
-
-var wqNodePool = sync.Pool{New: func() any { return new(wqNode) }}
-
-// writeQueue is the lock-free MPSC frame queue between the many
-// producers of a connection (callers or pool workers) and its single
-// writer goroutine.
+// The writer's idle checks (wait's spin, len for the stall check and
+// Stats' depth sum) read size and closed, atomics written under the
+// lock, and never take it.
 type writeQueue struct {
-	// tail is where producers link: swap in the new node, then point
-	// the previous tail at it. Between the swap and the store the list
-	// is momentarily disconnected; the consumer detects that window
-	// (head caught up, tail moved on) and spins across it.
-	tail atomic.Pointer[wqNode]
-	_    [56]byte // keep producers' tail off the consumer's line
-
-	// head is consumer-owned: the last node already consumed (its
-	// frame has been returned; the live value sits in head.next).
-	head *wqNode
-	_    [56]byte
+	mu      sync.Mutex
+	frames  []outFrame // reused; cleared behind every pop so it holds no payloads
+	waiting bool       // the writer is blocked, or about to block, on wake
+	wake    chan struct{}
 
 	size   atomic.Int64
 	closed atomic.Bool
-	p      parker
 	stats  *Stats
 }
 
 // newWriteQueue returns an open queue reporting into stats (which may
 // be nil in tests).
 func newWriteQueue(stats *Stats) *writeQueue {
-	q := &writeQueue{stats: stats, p: parker{token: make(chan struct{}, 1)}}
-	stub := wqNodePool.Get().(*wqNode)
-	stub.frame = outFrame{}
-	stub.next.Store(nil)
-	q.head = stub
-	q.tail.Store(stub)
+	q := &writeQueue{wake: make(chan struct{}, 1), stats: stats}
 	if stats != nil {
-		q.p.parks = &stats.WriterParks
-		q.p.wakes = &stats.WriterWakes
 		stats.liveQueues.Store(q, struct{}{})
 	}
 	return q
 }
 
-// push links one frame. It never blocks. false means the queue is
-// closed and the caller keeps ownership of the frame's payload.
+// push appends one frame. It never waits for the writer. false means
+// the queue is closed and the caller keeps ownership of the frame's
+// payload.
 func (q *writeQueue) push(f outFrame) bool {
+	q.mu.Lock()
 	if q.closed.Load() {
+		q.mu.Unlock()
 		return false
 	}
-	n := wqNodePool.Get().(*wqNode)
-	n.frame = f
-	n.next.Store(nil)
-	prev := q.tail.Swap(n)
-	prev.next.Store(n)
+	q.frames = append(q.frames, f)
 	q.size.Add(1)
-	q.p.wake()
+	q.unlockAndWake()
 	return true
 }
 
-// popBatch detaches up to max frames into dst (consumer only). It
-// never blocks beyond the bounded mid-link spin.
-func (q *writeQueue) popBatch(dst []outFrame, max int) []outFrame {
-	popped := 0
-	for len(dst) < max {
-		h := q.head
-		next := h.next.Load()
-		if next == nil {
-			if q.tail.Load() == h {
-				break // truly empty
-			}
-			// A producer swapped tail but has not linked prev.next yet
-			// (a two-instruction window): spin across it.
-			for {
-				if next = h.next.Load(); next != nil {
-					break
-				}
-				runtime.Gosched()
-			}
+// close marks the queue closed and wakes the writer so it can run its
+// final drain.
+func (q *writeQueue) close() {
+	q.mu.Lock()
+	q.closed.Store(true)
+	q.unlockAndWake()
+	if q.stats != nil {
+		q.stats.liveQueues.Delete(q)
+	}
+}
+
+// unlockAndWake releases the lock and, if the writer had declared it
+// was waiting, sends it a token. The flag is read and cleared under the
+// lock, so exactly one send pairs with each block, and the writer has
+// taken the previous token before it can wait again: the send never
+// blocks.
+func (q *writeQueue) unlockAndWake() {
+	wake := q.waiting
+	q.waiting = false
+	q.mu.Unlock()
+	if wake {
+		if q.stats != nil {
+			q.stats.WriterWakes.Add(1)
 		}
-		dst = append(dst, next.frame)
-		next.frame = outFrame{} // new head must not retain the payload
-		q.head = next
-		// h.next is left stale: push resets next before linking a reused
-		// node, so no atomic store is needed here.
-		wqNodePool.Put(h)
-		popped++
+		// A channel send readies the writer without yielding to it: the
+		// writer goes to the run queue instead of preempting this
+		// producer. This is the batching lever — the producer (and its
+		// runnable peers) keep queueing frames until the scheduler gets
+		// to the writer, which then flushes them all in one writev.
+		q.wake <- struct{}{}
 	}
-	if popped > 0 {
-		q.size.Add(int64(-popped))
+}
+
+// popBatch moves up to max-len(dst) frames from the front of the queue
+// onto dst (writer only). It never blocks, and an empty queue costs
+// one atomic load.
+func (q *writeQueue) popBatch(dst []outFrame, max int) []outFrame {
+	if q.size.Load() == 0 || len(dst) >= max {
+		return dst
 	}
+	q.mu.Lock()
+	n := min(len(q.frames), max-len(dst))
+	dst = append(dst, q.frames[:n]...)
+	rest := copy(q.frames, q.frames[n:])
+	clear(q.frames[rest:])
+	q.frames = q.frames[:rest]
+	q.size.Add(int64(-n))
+	q.mu.Unlock()
 	return dst
 }
 
-// len returns the approximate queue depth (exact when quiescent).
-func (q *writeQueue) len() int64 { return q.size.Load() }
-
-// nonEmpty reports whether a pop could make progress (consumer only).
-func (q *writeQueue) nonEmpty() bool {
-	return q.head.next.Load() != nil || q.tail.Load() != q.head
+// next is the writer's one consumer call: it moves up to max-len(dst)
+// frames onto dst, blocking while the queue is open and empty. It
+// returns no new frames only once the queue is closed and drained.
+func (q *writeQueue) next(dst []outFrame, max int) []outFrame {
+	for {
+		// Read closed first: every frame accepted before the close is
+		// visible to the pop that follows.
+		closed := q.closed.Load()
+		if got := q.popBatch(dst, max); len(got) > len(dst) || closed {
+			return got
+		}
+		q.wait()
+	}
 }
 
-// isClosed reports whether close has been called.
-func (q *writeQueue) isClosed() bool { return q.closed.Load() }
+// len returns the queue depth.
+func (q *writeQueue) len() int64 { return q.size.Load() }
 
-// wqSpinYields bounds the scheduler-yield spin the consumer takes
-// before parking: on a loaded endpoint the next frame
-// is usually a few hundred nanoseconds away, and a yield is far
-// cheaper than a park/wake round trip.
+// wqSpinYields bounds the scheduler-yield spin the writer takes before
+// blocking: on a loaded endpoint the next frame is usually a few
+// hundred nanoseconds away, and a yield is far cheaper than a
+// block/wake round trip.
 const wqSpinYields = 4
 
-// wait blocks the consumer until the queue is non-empty or closed.
-// May return spuriously; callers loop.
+// wait blocks the writer until the queue is non-empty or closed.
 func (q *writeQueue) wait() {
-	ready := func() bool { return q.nonEmpty() || q.closed.Load() }
 	for i := 0; i < wqSpinYields; i++ {
-		if ready() {
+		if q.size.Load() > 0 || q.closed.Load() {
 			return
 		}
 		runtime.Gosched()
 	}
-	q.p.park(ready)
-}
-
-// close marks the queue closed and wakes the consumer so it can run
-// its final drain. Pushes racing the close either fail (caller keeps
-// the payload) or land in the drain window described above.
-func (q *writeQueue) close() {
-	q.closed.Store(true)
+	q.mu.Lock()
+	if len(q.frames) > 0 || q.closed.Load() {
+		q.mu.Unlock()
+		return
+	}
+	q.waiting = true
+	q.mu.Unlock()
 	if q.stats != nil {
-		q.stats.liveQueues.Delete(q)
+		q.stats.WriterParks.Add(1)
 	}
-	q.p.wake()
-}
-
-// drain pops everything currently linked and hands each frame to
-// discard (consumer only; used on the writer's failure path).
-func (q *writeQueue) drain(discard func(outFrame)) {
-	var batch [32]outFrame
-	for {
-		got := q.popBatch(batch[:0], len(batch))
-		if len(got) == 0 {
-			return
-		}
-		for _, f := range got {
-			discard(f)
-		}
-	}
+	<-q.wake
 }

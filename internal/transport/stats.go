@@ -34,16 +34,17 @@ type Stats struct {
 	// dispatch queue before a worker picked it up — time-in-queue is
 	// the first overload signal, visible well before shedding starts.
 	QueueWait metrics.Histogram
-	// liveQueues tracks the open MPSC write queues (registered at
-	// creation, dropped at close) so Snapshot can report aggregate
-	// write-queue depth by summing their sizes — keeping the per-frame
-	// push path free of any global counter.
+	// liveQueues tracks the open write queues (registered at creation,
+	// dropped at close) so Snapshot can report aggregate write-queue
+	// depth by summing their sizes — keeping the per-frame push path
+	// free of any global counter.
 	liveQueues sync.Map // *writeQueue -> struct{}
-	// WriterParks / WriterWakes count park/wake round trips on the MPSC
-	// write queues: parks is writer goroutines going to sleep on an
-	// empty queue, wakes is producers releasing them. A low park rate
-	// under load means the spin-then-park coalescing is absorbing the
-	// traffic without scheduler round trips.
+	// WriterParks / WriterWakes count block/wake round trips on the
+	// write queues: parks is writer goroutines blocking on an empty
+	// queue, wakes is producers (or a close) releasing them; once the
+	// writers are idle the two are equal. A low park rate under load
+	// means the spin before blocking absorbs the traffic without
+	// scheduler round trips.
 	WriterParks metrics.Counter
 	WriterWakes metrics.Counter
 	// WriteBatch records the frame count of each writev flush — the
@@ -76,7 +77,7 @@ type StatsSnapshot struct {
 	QueueWaitP50MS float64
 	QueueWaitP99MS float64
 	QueueWaitMaxMS float64
-	// WriteQueueDepth / park-wake counters describe the MPSC write
+	// WriteQueueDepth / park-wake counters describe the write
 	// queues; WriteBatches and the batch quantiles describe writev
 	// coalescing (frames per flush).
 	WriteQueueDepth int64

@@ -15,13 +15,12 @@ import (
 
 // TCP is the network transport: v2 frames (request-ID multiplexed) of
 // wire-encoded messages over TCP connections. Each endpoint keeps many
-// calls in flight on one connection: producers link outbound frames
-// onto a lock-free MPSC write queue (no channel locks on the enqueue
-// path), a writer goroutine detaches the queue in batches, gathers
-// them into a net.Buffers and hands the whole burst to the kernel
-// with one writev (scatter-gather — no intermediate copy), a reader
-// goroutine demultiplexes responses by frame ID back to the waiting
-// callers. Servers decode requests zero-copy (slab-backed messages,
+// calls in flight on one connection: producers append outbound frames
+// to a mutex-guarded write queue (never waiting for the writer), a
+// writer goroutine takes the queue in batches, gathers them into a
+// net.Buffers and hands the whole burst to the kernel with one writev
+// (scatter-gather — no intermediate copy), a reader goroutine
+// demultiplexes responses by frame ID back to the waiting callers. Servers decode requests zero-copy (slab-backed messages,
 // released once the response is encoded) and dispatch handler
 // invocations on a bounded worker pool behind a bounded admission
 // queue: when both are full the request is answered immediately with a
@@ -149,17 +148,17 @@ const maxWriteBatch = 256
 // while its batch keeps growing before committing to a writev.
 const maxCoalesceYields = 3
 
-// writeLoop owns the write half of a connection. It detaches every
-// frame linked onto the MPSC queue while a write is pending into one
-// net.Buffers and writes the whole burst with a single writev: frame
-// headers are encoded into a reusable scratch buffer, payloads go to
-// the kernel from their pooled buffers directly, so a burst of N
-// frames is one syscall and zero intermediate copies. Every batch runs
-// under a write deadline: a peer that stops reading fails the writev
-// within timeout instead of pinning this goroutine (and anyone waiting
-// on it) forever. When the queue closes it drains what is linked,
-// writes, and exits. The first write error is reported through onErr
-// (at most once) and stops the loop.
+// writeLoop owns the write half of a connection. It takes every frame
+// queued while a write is pending into one net.Buffers and writes the
+// whole burst with a single writev: frame headers are encoded into a
+// reusable scratch buffer, payloads go to the kernel from their pooled
+// buffers directly, so a burst of N frames is one syscall and zero
+// intermediate copies. Every batch runs under a write deadline: a peer
+// that stops reading fails the writev within timeout instead of
+// pinning this goroutine (and anyone waiting on it) forever. When the
+// queue closes it writes every frame accepted before the close and
+// exits. The first write error is reported through onErr (at most
+// once) and stops the loop.
 func writeLoop(conn net.Conn, q *writeQueue, timeout time.Duration, stats *Stats, onErr func(error)) {
 	var (
 		batch = make([]outFrame, 0, maxWriteBatch)
@@ -178,10 +177,16 @@ func writeLoop(conn net.Conn, q *writeQueue, timeout time.Duration, stats *Stats
 		}
 		batch = batch[:0]
 	}
+	// fail reports err and recycles the batch and everything still
+	// queued: nothing will write them.
 	fail := func(err error) {
-		recycle()
 		onErr(err)
-		q.drain(func(f outFrame) { wire.PutBuffer(f.payload) })
+		for {
+			recycle()
+			if batch = q.popBatch(batch, maxWriteBatch); len(batch) == 0 {
+				return
+			}
+		}
 	}
 	// flush writevs the gathered batch. hdrs never grows past its
 	// initial capacity (batch is bounded by maxWriteBatch), so the
@@ -220,25 +225,11 @@ func writeLoop(conn net.Conn, q *writeQueue, timeout time.Duration, stats *Stats
 		return nil
 	}
 	for {
-		batch = q.popBatch(batch[:0], maxWriteBatch)
-		if len(batch) == 0 {
-			if q.isClosed() {
-				// Final drain: write frames linked before the close,
-				// still under a deadline so a dead peer cannot block
-				// teardown.
-				for {
-					batch = q.popBatch(batch[:0], maxWriteBatch)
-					if len(batch) == 0 {
-						return
-					}
-					if err := flush(); err != nil {
-						fail(err)
-						return
-					}
-				}
-			}
-			q.wait()
-			continue
+		// After a close, next keeps returning the frames accepted before
+		// it (the final drain, still under a write deadline so a dead
+		// peer cannot block teardown), then nothing.
+		if batch = q.next(batch[:0], maxWriteBatch); len(batch) == 0 {
+			return
 		}
 		// Scheduler yields before committing to a syscall: on a busy
 		// endpoint the producers that woke this loop are often still
@@ -436,7 +427,7 @@ func (l *tcpListener) acceptLoop() {
 
 // serveConn reads frames, admits each request to the bounded dispatch
 // queue, and queues responses (tagged with the request's frame ID and
-// echoing its frame version) to the connection's MPSC write queue.
+// echoing its frame version) to the connection's write queue.
 // Requests are decoded zero-copy: the slab backing a message is
 // released by the worker once the response is encoded. When the
 // admission queue is full the request is shed — answered with a
@@ -464,8 +455,8 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 		writeLoop(conn, q, l.writeTimeout, l.stats, markDead)
 	}()
 
-	// enqueue parks a response on the writer's MPSC queue unless the
-	// connection has already failed. It NEVER blocks: the pool workers
+	// enqueue queues a response for the writer unless the connection
+	// has already failed. It NEVER waits for the writer: the pool workers
 	// are shared by every connection, so a peer that sends requests but
 	// stops reading responses (runaway write queue behind a stalled
 	// writer) must cost this connection its life, not stall the whole
@@ -627,7 +618,7 @@ func putTimer(t *time.Timer) {
 
 // tcpEndpoint is the multiplexed client side of one connection. Any
 // number of goroutines may Call concurrently: each call
-// is assigned a frame ID, linked onto the writer's MPSC queue, and
+// is assigned a frame ID, appended to the writer's queue, and
 // parked until the reader delivers the matching response. Close (or
 // connection death) interrupts every pending call.
 type tcpEndpoint struct {
@@ -765,7 +756,7 @@ func (e *tcpEndpoint) callContext(ctx context.Context, m *wire.Message) (*wire.M
 	e.stats.InFlight.Add(1)
 	defer e.stats.InFlight.Add(-1)
 
-	// The single enqueue path: the MPSC push never blocks (callers are
+	// The single enqueue path: the queue push never blocks (callers are
 	// naturally bounded — each has at most one frame outstanding), so
 	// the only slow path is an endpoint already torn down.
 	if !e.enqueueFrame(outFrame{id: id, payload: payload}) {
@@ -810,7 +801,7 @@ func (e *tcpEndpoint) callContext(ctx context.Context, m *wire.Message) (*wire.M
 	}
 }
 
-// enqueueFrame links one request frame onto the writer's queue. On
+// enqueueFrame appends one request frame to the writer's queue. On
 // refusal (endpoint torn down) it recycles the payload and returns
 // false; the caller resolves the error.
 func (e *tcpEndpoint) enqueueFrame(f outFrame) bool {
