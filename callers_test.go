@@ -544,7 +544,10 @@ func TestFlagsAreCited(t *testing.T) {
 				}
 				for i, rhs := range as.Rhs {
 					call, ok := rhs.(*ast.CallExpr)
-					if !ok || !isFlagFunc(p, call, "NewFlagSet") || len(call.Args) == 0 {
+					if !ok || len(call.Args) == 0 {
+						continue
+					}
+					if f := flagFunc(p, call); f == nil || f.Name() != "NewFlagSet" {
 						continue
 					}
 					id, ok := as.Lhs[i].(*ast.Ident)
@@ -569,18 +572,14 @@ func TestFlagsAreCited(t *testing.T) {
 				if !ok {
 					return true
 				}
-				se, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				f, ok := p.info.Uses[se.Sel].(*types.Func)
-				if !ok || f.Pkg() == nil || f.Pkg().Path() != "flag" || !flagDefiners[f.Name()] {
+				f := flagFunc(p, call)
+				if f == nil || !flagDefiners[f.Name()] {
 					return true
 				}
 				pos := m.fset.Position(call.Pos()).String()
 				key := prog
 				if f.Type().(*types.Signature).Recv() != nil {
-					id, ok := se.X.(*ast.Ident)
+					id, ok := call.Fun.(*ast.SelectorExpr).X.(*ast.Ident)
 					if !ok || sets[p.info.Uses[id]] == "" {
 						t.Errorf("%s: flag of a FlagSet no flag.NewFlagSet assignment names", pos)
 						return true
@@ -650,15 +649,17 @@ func TestFlagsAreCited(t *testing.T) {
 	}
 }
 
-// isFlagFunc reports whether call calls the flag package's function (or
-// *FlagSet method) name.
-func isFlagFunc(p *modulePkg, call *ast.CallExpr, name string) bool {
+// flagFunc returns the flag package function, or *FlagSet method, that
+// call calls, or nil.
+func flagFunc(p *modulePkg, call *ast.CallExpr) *types.Func {
 	se, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return false
+		return nil
 	}
-	f, ok := p.info.Uses[se.Sel].(*types.Func)
-	return ok && f.Pkg() != nil && f.Pkg().Path() == "flag" && f.Name() == name
+	if f, ok := p.info.Uses[se.Sel].(*types.Func); ok && f.Pkg() != nil && f.Pkg().Path() == "flag" {
+		return f
+	}
+	return nil
 }
 
 // programNamed returns the program a command word names — psfctl,
